@@ -122,6 +122,7 @@ impl Jv {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -251,14 +252,18 @@ impl Parser<'_> {
                 }
                 Some(&b) if b < 0x20 => return self.fail("raw control character"),
                 Some(_) => {
-                    let rest = &self.bytes[self.pos..];
-                    let s = match std::str::from_utf8(rest) {
-                        Ok(s) => s,
-                        Err(_) => return self.fail("invalid UTF-8"),
-                    };
-                    let c = s.chars().next().expect("non-empty by match");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, escape or control
+                    // byte in one go. The input is a `&str` and the run
+                    // stops before an ASCII byte, so the slice is whole
+                    // UTF-8.
+                    let start = self.pos;
+                    while let Some(&b) = self.bytes.get(self.pos) {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -286,7 +291,7 @@ impl Parser<'_> {
 }
 
 fn parse_json(text: &str) -> Result<Jv, AuditError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -1144,6 +1149,15 @@ pub fn audit(text: &str) -> Result<AuditReport, AuditError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_strings_keep_multibyte_text_and_escapes() {
+        let doc = parse_json(r#"{"é":["s4:café","a\"ü\\ß\u00e9"]}"#).unwrap();
+        let strs = doc.field("é").unwrap().as_arr().unwrap();
+        assert_eq!(strs[0].as_str().unwrap(), "s4:café");
+        assert_eq!(strs[1].as_str().unwrap(), "a\"ü\\ßé");
+        assert!(parse_json("\"ab\u{1}\"").is_err(), "raw control characters stay rejected");
+    }
 
     /// A hand-written certificate for the BookLoc running example
     /// (single FD 1→2, J = {0,1,3,4}, f1d3 excluded and blocked).

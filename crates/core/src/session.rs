@@ -930,9 +930,12 @@ impl<'a> CheckSession<'a> {
     }
 }
 
-/// The default `jobs` value: the machine's available parallelism.
+/// The default `jobs` value: the machine's available parallelism,
+/// queried once per process (every session view starts from it, and
+/// the query costs a few syscalls).
 pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static JOBS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *JOBS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The one shared `--jobs` resolution rule: an explicit setting wins,

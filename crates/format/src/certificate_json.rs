@@ -396,7 +396,7 @@ impl CertValue {
 /// # Errors
 /// [`FormatError`] (line 1) describing the first malformed byte.
 pub fn parse_certificate(text: &str) -> Result<CertValue, FormatError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -443,6 +443,7 @@ fn render_into(v: &CertValue, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -568,12 +569,18 @@ impl Parser<'_> {
                 }
                 Some(&b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty by match");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, escape or control
+                    // byte in one go. The input is a `&str` and the run
+                    // stops before an ASCII byte, so the slice is whole
+                    // UTF-8.
+                    let start = self.pos;
+                    while let Some(&b) = self.bytes.get(self.pos) {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -625,6 +632,7 @@ mod tests {
             r#"{"a":[1,2,[3]],"b":{"c":"x\"y\\z","d":-7}}"#,
             r#"[]"#,
             r#"{"s":"i12","t":"s3:a,b","u":"p(i1,s1:x)"}"#,
+            r#"{"é":"s4:café","✓":"a\"ü\\ß"}"#,
         ] {
             let doc = parse_certificate(text).unwrap();
             assert_eq!(render_value(&doc), text);

@@ -18,10 +18,10 @@
 //!
 //! The scanner validates the entire document (including unused fields
 //! and trailing input), so accepting a body via this path is exactly as
-//! strict as the tree parser. [`parse_workspace_raw`] then feeds a
-//! scanned `workspace` field straight into the workspace parser — and
-//! therefore into `rpr-data`'s interners — with at most one transient
-//! `String` (zero when the span is escape-free).
+//! strict as the tree parser. [`parse_workspace_raw`] then unescapes a
+//! scanned `workspace` field to a `Cow` — at most one transient
+//! `String`, none when the span is escape-free — and runs the text
+//! parser on it.
 
 use crate::format::{parse_workspace, FormatError, Workspace};
 use std::borrow::Cow;
@@ -106,6 +106,13 @@ impl<'a> RawStr<'a> {
             }
         }
         Cow::Owned(out)
+    }
+
+    /// The span as it appears in the input, escapes intact. Two spans
+    /// with equal escaped bytes decode to equal strings, so the serving
+    /// cache can key on them without decoding.
+    pub fn escaped(&self) -> &'a str {
+        self.raw
     }
 
     /// Does the decoded string equal `s`? Escape-free spans compare
@@ -412,10 +419,10 @@ impl<'a> Scanner<'a> {
     }
 }
 
-/// Parses a scanned `workspace` string field straight into a
-/// [`Workspace`] (and thus into `rpr-data`'s interners): unescape is a
-/// borrow when possible, one transient `String` otherwise — never a
-/// JSON tree.
+/// Parses a scanned `workspace` string field: unescapes the span to a
+/// `Cow` (a borrow when it has no escapes, one transient `String`
+/// otherwise), then runs the text parser [`parse_workspace`] on it.
+/// No JSON tree is built.
 pub fn parse_workspace_raw(raw: &RawStr<'_>) -> Result<Workspace, FormatError> {
     parse_workspace(&raw.cow())
 }

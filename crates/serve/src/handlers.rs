@@ -27,8 +27,9 @@
 //! delta can never mutate the workspace out from under a half-finished
 //! batch check.
 
-use crate::cache::{CacheOutcome, SessionCache, SessionSlot};
+use crate::cache::{SessionCache, SessionSlot, Source};
 use crate::http::{Request, Response};
+use crate::identity::translate;
 use crate::json::{parse_json, Json};
 use crate::metrics::Metrics;
 use rpr_core::{
@@ -38,9 +39,8 @@ use rpr_cqa::RepairSemantics;
 use rpr_data::{fingerprint::Fingerprint, FactSet};
 use rpr_format::{
     delta_ops_from_strings, parse_workspace_raw, render_certificate, scan_object,
-    workspace_fingerprint, RawStr, SliceValue, Workspace,
+    workspace_fingerprint, RawStr, SliceValue,
 };
-use rpr_priority::PrioritizedInstance;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -247,58 +247,24 @@ fn request_budget(state: &ServerState, body: &Body<'_>) -> Result<Budget, Respon
     Ok(budget)
 }
 
-/// The parsed, validated common part of a workspace-carrying POST
-/// body, up to (but not including) the hit-verification that needs the
-/// slot lock.
-struct Prepared {
-    workspace: Workspace,
-    fingerprint: Fingerprint,
-    slot: Arc<SessionSlot>,
-    /// Raw cache outcome; content verification may still demote a hit.
-    hit: bool,
-    budget: Budget,
-    /// The request's own parsed instance: consumed by the build
-    /// closure on a miss, kept for hit verification on a hit.
-    pi: Option<PrioritizedInstance>,
-}
-
-fn prepare(state: &ServerState, body: &Body<'_>) -> Result<Prepared, Response> {
-    let ws_raw =
-        body.workspace.ok_or_else(|| error_response(400, "missing string field `workspace`"))?;
-    let workspace = parse_workspace_raw(&ws_raw)
-        .map_err(|e| error_response(400, &format!("workspace: {e}")))?;
-    let fingerprint = workspace_fingerprint(&workspace);
-    // Validate before touching the cache so a broken workspace can
-    // never leave a placeholder entry behind.
-    let pi =
-        workspace.prioritized().map_err(|e| error_response(400, &format!("workspace: {e}")))?;
-    let budget = request_budget(state, body)?;
-
-    // Session: LRU by fingerprint. The fingerprint is content-based
-    // but not collision-resistant against adversaries, and the cache
-    // crosses the HTTP trust boundary — so a hit is only reused after
-    // verifying it really is the same content (see `activate`).
-    let mut pi = Some(pi);
-    let (slot, outcome) = state.cache.get_or_build(fingerprint, || {
-        SessionSlot::new(DeltaSession::prepare_with_store(
-            Arc::new(workspace.schema.clone()),
-            pi.take().expect("build closure runs at most once"),
-            Some(Arc::clone(&state.shard_store)),
-        ))
-    });
-    Ok(Prepared { workspace, fingerprint, slot, hit: outcome == CacheOutcome::Hit, budget, pi })
-}
-
-/// A read-locked view over the prepared session. The guard is held
-/// until the response is built, so `POST /delta` (which takes the
-/// write lock) serializes against in-flight checks instead of mutating
-/// under them. When a cache hit fails content verification (a crafted
-/// fingerprint collision), `fresh` carries a session built from the
-/// request's own workspace and the guard only keeps the slot alive.
+/// A read-locked session serving one workspace-carrying request. The
+/// guard is held until the response is built, so `POST /delta` (which
+/// takes the write lock) serializes against in-flight checks instead of
+/// mutating under them. When a cache hit fails content verification (a
+/// crafted fingerprint collision), `fresh` carries a session built from
+/// the request's own workspace and the guard only keeps the slot alive.
 struct ActiveSession<'a> {
     guard: std::sync::RwLockReadGuard<'a, DeltaSession>,
     fresh: Option<DeltaSession>,
     cached: bool,
+    /// Served by a kept source matching the request's bytes (a subset
+    /// of the cached lookups).
+    byte_hit: bool,
+    /// The request's workspace fingerprint.
+    fingerprint: Fingerprint,
+    /// The workspace's named repairs, in the served session's fact ids.
+    repairs: Arc<[(String, FactSet)]>,
+    budget: Budget,
 }
 
 impl ActiveSession<'_> {
@@ -307,45 +273,156 @@ impl ActiveSession<'_> {
     }
 }
 
-/// Locks the slot for reading and verifies a hit's content identity —
-/// a collision degrades to a counted miss served fresh, never to
-/// another workspace's verdicts.
-fn activate<'a>(state: &ServerState, p: &mut Prepared, slot: &'a SessionSlot) -> ActiveSession<'a> {
+/// Resolves the request's `workspace` to a read-locked session and
+/// hands it to `serve`.
+///
+/// * **Byte hit.** A cached slot whose kept [`Source`] is byte-equal to
+///   the escaped `workspace` span is that content, so it is served as
+///   is: no parse, fingerprint or content compare.
+/// * **Fingerprint hit.** Otherwise the workspace is parsed and
+///   fingerprinted. The fingerprint is content-based but not
+///   collision-resistant against adversaries, and the cache crosses the
+///   HTTP trust boundary, so a hit is only reused after verifying it is
+///   the same content; a collision degrades to a counted miss served
+///   fresh, never to another workspace's verdicts. A verified hit moves
+///   the request's repairs into the session's fact ids and re-arms the
+///   slot with the request's bytes.
+/// * **Miss.** The session is built from the request and keeps the
+///   request's bytes and repairs before it is cached, so the insert
+///   indexes them. Between the insert and the read guard a delta may
+///   mutate the session, even without changing its fingerprint (a
+///   delete and re-insert renumbers the facts), and clears the kept
+///   source as it does. So the request is served by the source found
+///   under the read guard, or by a fresh build when it is gone.
+fn with_session(
+    state: &ServerState,
+    body: &Body<'_>,
+    serve: impl FnOnce(ActiveSession<'_>) -> Result<Response, Response>,
+) -> Result<Response, Response> {
+    let ws_raw =
+        body.workspace.ok_or_else(|| error_response(400, "missing string field `workspace`"))?;
+    let text = ws_raw.escaped();
+    if let Some(slot) = state.cache.get_by_source(text) {
+        let guard = slot.read();
+        if let Some(source) = slot.source_for(text) {
+            let budget = request_budget(state, body)?;
+            return serve(ActiveSession::kept(guard, &source, true, budget));
+        }
+    }
+
+    let mut workspace = parse_workspace_raw(&ws_raw)
+        .map_err(|e| error_response(400, &format!("workspace: {e}")))?;
+    let fingerprint = workspace_fingerprint(&workspace);
+    // Validate before touching the cache so a broken workspace can
+    // never leave a placeholder entry behind.
+    let pi =
+        workspace.prioritized().map_err(|e| error_response(400, &format!("workspace: {e}")))?;
+    let budget = request_budget(state, body)?;
+    let repairs: Arc<[(String, FactSet)]> = std::mem::take(&mut workspace.repairs).into();
+    let mut pi = Some(pi);
+    let (slot, _) = state.cache.get_or_build(fingerprint, || {
+        let slot = SessionSlot::new(DeltaSession::prepare_with_store(
+            Arc::new(workspace.schema.clone()),
+            pi.take().expect("build closure runs at most once"),
+            Some(Arc::clone(&state.shard_store)),
+        ));
+        // The new session's fact ids are the request's.
+        slot.keep_source(Source::new(text, Arc::clone(&repairs)));
+        slot
+    });
+    #[cfg(test)]
+    tests::after_insert(state, fingerprint);
     let guard = slot.read();
-    let mut fresh = None;
-    let mut cached = p.hit;
-    if cached {
-        let request_pi = p.pi.take().expect("a hit leaves the parsed instance untouched");
-        if crate::identity::content_equal(
-            guard.schema(),
-            guard.prioritized(),
-            &p.workspace.schema,
-            &request_pi,
-        ) {
-            drop(request_pi);
-        } else {
+    let pi = match pi {
+        None => match slot.source_for(text) {
+            Some(source) => return serve(ActiveSession::kept(guard, &source, false, budget)),
+            // A delta got in between the insert and the read guard.
+            None => workspace.prioritized().expect("validated above"),
+        },
+        Some(request_pi) => {
+            let session_facts = guard.prioritized().instance();
+            let translated = crate::identity::content_equal(
+                guard.schema(),
+                guard.prioritized(),
+                &workspace.schema,
+                &request_pi,
+            )
+            .then(|| {
+                repairs
+                    .iter()
+                    .map(|(name, set)| {
+                        Some((name.clone(), translate(set, &workspace.instance, session_facts)?))
+                    })
+                    .collect::<Option<Arc<[_]>>>()
+            })
+            .flatten();
+            if let Some(repairs) = translated {
+                drop(request_pi);
+                state.cache.arm(fingerprint, &slot, Source::new(text, Arc::clone(&repairs)));
+                return serve(ActiveSession {
+                    guard,
+                    fresh: None,
+                    cached: true,
+                    byte_hit: false,
+                    fingerprint,
+                    repairs,
+                    budget,
+                });
+            }
             // Fingerprint collision: serving the cached session would
             // return another workspace's verdicts. Build fresh and
             // leave the cache alone (caching the collider would only
             // make the two keys thrash one slot).
             state.metrics.cache_collisions_total.fetch_add(1, Ordering::Relaxed);
-            fresh = Some(DeltaSession::prepare(Arc::new(p.workspace.schema.clone()), request_pi));
-            cached = false;
+            request_pi
         }
-    }
-    if cached {
-        state.metrics.cache_hits_total.fetch_add(1, Ordering::Relaxed);
-    } else {
-        state.metrics.cache_misses_total.fetch_add(1, Ordering::Relaxed);
-    }
-    let active = ActiveSession { guard, fresh, cached };
-    state.metrics.session_components.store(active.get().shard_count() as u64, Ordering::Relaxed);
-    active
+    };
+    let fresh = Some(DeltaSession::prepare(Arc::new(workspace.schema.clone()), pi));
+    serve(ActiveSession {
+        guard,
+        fresh,
+        cached: false,
+        byte_hit: false,
+        fingerprint,
+        repairs,
+        budget,
+    })
 }
 
-fn base_response(p: &Prepared, active: &ActiveSession<'_>) -> Vec<(&'static str, Json)> {
+impl<'a> ActiveSession<'a> {
+    /// Serves the slot's session by a source matched under `guard`: a
+    /// byte hit when `cached`, else the miss that built the slot.
+    fn kept(
+        guard: std::sync::RwLockReadGuard<'a, DeltaSession>,
+        source: &Source,
+        cached: bool,
+        budget: Budget,
+    ) -> ActiveSession<'a> {
+        let fingerprint = guard.fingerprint();
+        let repairs = Arc::clone(source.repairs());
+        ActiveSession { guard, fresh: None, cached, byte_hit: cached, fingerprint, repairs, budget }
+    }
+
+    /// Counts the lookup's outcome and syncs the components gauge.
+    /// `/check` calls this once its candidate repairs resolve and `/cqa`
+    /// once its `semantics` does, so such a 400 counts no lookup.
+    fn count(&self, state: &ServerState) {
+        let counter = if self.cached {
+            &state.metrics.cache_hits_total
+        } else {
+            &state.metrics.cache_misses_total
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if self.byte_hit {
+            state.metrics.cache_byte_hits_total.fetch_add(1, Ordering::Relaxed);
+        }
+        state.metrics.session_components.store(self.get().shard_count() as u64, Ordering::Relaxed);
+    }
+}
+
+fn base_response(active: &ActiveSession<'_>) -> Vec<(&'static str, Json)> {
     vec![
-        ("fingerprint", Json::str(p.fingerprint.to_hex())),
+        ("fingerprint", Json::str(active.fingerprint.to_hex())),
         ("cached", Json::Bool(active.cached)),
         ("complexity", Json::str(complexity_str(active.get().complexity()))),
     ]
@@ -362,31 +439,32 @@ fn complexity_str(c: rpr_classify::Complexity) -> &'static str {
 /// dichotomy, plus cache/fingerprint info.
 fn classify(state: &ServerState, req: &Request<'_>) -> Result<Response, Response> {
     let body = parse_body(req)?;
-    let mut p = prepare(state, &body)?;
-    let slot = Arc::clone(&p.slot);
-    let active = activate(state, &mut p, &slot);
-    let mut fields = base_response(&p, &active);
-    fields.push(("status", Json::str("done")));
-    fields.push((
-        "mode",
-        Json::str(match p.workspace.mode {
-            rpr_priority::PriorityMode::ConflictRestricted => "conflict",
-            rpr_priority::PriorityMode::CrossConflict => "ccp",
-        }),
-    ));
-    Ok(Response::json(
-        200,
-        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect()).render(),
-    ))
+    with_session(state, &body, |active| {
+        active.count(state);
+        let mut fields = base_response(&active);
+        fields.push(("status", Json::str("done")));
+        fields.push((
+            "mode",
+            Json::str(match active.get().prioritized().mode() {
+                rpr_priority::PriorityMode::ConflictRestricted => "conflict",
+                rpr_priority::PriorityMode::CrossConflict => "ccp",
+            }),
+        ));
+        Ok(Response::json(
+            200,
+            Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect()).render(),
+        ))
+    })
 }
 
-/// Resolves which named candidate repairs the request asks about.
+/// Resolves which of the workspace's named candidate repairs the
+/// request asks about.
 fn requested_repairs(
     body_repairs: Option<&[SliceValue<'_>]>,
-    ws: &Workspace,
+    declared: &[(String, FactSet)],
 ) -> Result<Vec<(String, FactSet)>, Response> {
     match body_repairs {
-        None => Ok(ws.repairs.clone()),
+        None => Ok(declared.to_vec()),
         Some(names) => {
             names
                 .iter()
@@ -394,7 +472,7 @@ fn requested_repairs(
                     let name = n.as_raw_str().ok_or_else(|| {
                         error_response(400, "`repairs` must be an array of names")
                     })?;
-                    ws.repairs.iter().find(|(declared, _)| name.is(declared)).cloned().ok_or_else(
+                    declared.iter().find(|(declared, _)| name.is(declared)).cloned().ok_or_else(
                         || error_response(400, &format!("unknown repair `{}`", name.cow())),
                     )
                 })
@@ -456,29 +534,40 @@ fn audit_certs(state: &ServerState, certs: &[Option<String>]) -> usize {
 /// `POST /check` — batch repair checking through the cached session.
 fn check(state: &ServerState, req: &Request<'_>) -> Result<Response, Response> {
     let body = parse_body(req)?;
-    let mut p = prepare(state, &body)?;
-    let candidates = requested_repairs(body.repairs.as_deref(), &p.workspace)?;
+    with_session(state, &body, |active| check_session(state, &body, &active))
+}
+
+fn check_session(
+    state: &ServerState,
+    body: &Body<'_>,
+    active: &ActiveSession<'_>,
+) -> Result<Response, Response> {
+    let candidates = requested_repairs(body.repairs.as_deref(), &active.repairs)?;
     if candidates.is_empty() {
         return Err(error_response(400, "workspace declares no candidate repairs (add `repair NAME: ...` lines or pass `repairs`)"));
     }
+    active.count(state);
     let sets: Vec<FactSet> = candidates.iter().map(|(_, s)| s.clone()).collect();
-
-    let slot = Arc::clone(&p.slot);
-    let active = activate(state, &mut p, &slot);
-    let mut run = run_check(state, active.get(), &sets, &p.budget, body.certify);
+    let mut run = run_check(state, active.get(), &sets, &active.budget, body.certify);
 
     // Cache-hit audit: a stale or colliding cached session surfaces as
     // certificates whose evidence does not re-validate. Such a hit
     // degrades to a counted miss — rebuild from the request's own
-    // workspace and recompute — instead of serving the cached lie.
+    // workspace and recompute — instead of serving the cached lie. A
+    // byte hit did not parse the request, so this rare branch does.
     if body.certify && active.cached && audit_certs(state, &run.certs) > 0 {
         state.metrics.cache_misses_total.fetch_add(1, Ordering::Relaxed);
-        let pi = p
-            .workspace
-            .prioritized()
+        let ws_raw = body.workspace.expect("a served request carries a workspace");
+        let workspace = parse_workspace_raw(&ws_raw)
             .map_err(|e| error_response(400, &format!("workspace: {e}")))?;
-        let fresh = DeltaSession::prepare(Arc::new(p.workspace.schema.clone()), pi);
-        run = run_check(state, &fresh, &sets, &p.budget, true);
+        let pi =
+            workspace.prioritized().map_err(|e| error_response(400, &format!("workspace: {e}")))?;
+        let own: Vec<FactSet> = requested_repairs(body.repairs.as_deref(), &workspace.repairs)?
+            .into_iter()
+            .map(|(_, s)| s)
+            .collect();
+        let fresh = DeltaSession::prepare(Arc::new(workspace.schema.clone()), pi);
+        run = run_check(state, &fresh, &own, &active.budget, true);
     }
 
     // Self-audit: never send a certificate this server cannot itself
@@ -524,7 +613,7 @@ fn check(state: &ServerState, req: &Request<'_>) -> Result<Response, Response> {
         state.metrics.certificates_issued_total.fetch_add(issued, Ordering::Relaxed);
     }
 
-    let mut fields = base_response(&p, &active);
+    let mut fields = base_response(active);
     fields.push(("results", Json::Arr(results)));
     let status = if any_cancelled {
         fields.push(("status", Json::str("cancelled")));
@@ -630,6 +719,9 @@ fn delta(state: &ServerState, req: &Request<'_>) -> Result<Response, Response> {
     }
     let report = session.apply_delta(&ops).map_err(|e| error_response(400, &e.to_string()))?;
     let new_fp = session.fingerprint();
+    // Still under the write guard: no reader may match the kept bytes
+    // against the mutated session (`rekey` drops their index entry).
+    slot.clear_source();
     slot.sync_bytes(&session);
     state.cache.rekey(fingerprint, new_fp);
     state.metrics.delta_ops_total.fetch_add(report.applied as u64, Ordering::Relaxed);
@@ -660,7 +752,14 @@ fn delta(state: &ServerState, req: &Request<'_>) -> Result<Response, Response> {
 /// `POST /cqa` — consistent query answering over the cached session.
 fn cqa(state: &ServerState, req: &Request<'_>) -> Result<Response, Response> {
     let body = parse_body(req)?;
-    let mut p = prepare(state, &body)?;
+    with_session(state, &body, |active| cqa_session(state, &body, &active))
+}
+
+fn cqa_session(
+    state: &ServerState,
+    body: &Body<'_>,
+    active: &ActiveSession<'_>,
+) -> Result<Response, Response> {
     let query_raw =
         body.query.ok_or_else(|| error_response(400, "missing string field `query`"))?;
     let semantics: RepairSemantics = body
@@ -671,16 +770,15 @@ fn cqa(state: &ServerState, req: &Request<'_>) -> Result<Response, Response> {
         .map_err(|_| {
             error_response(400, "unknown `semantics` (use all|pareto|global|completion)")
         })?;
-    let slot = Arc::clone(&p.slot);
-    let active = activate(state, &mut p, &slot);
+    active.count(state);
     let ds = active.get();
     let query = rpr_format::parse_query(ds.prioritized().instance(), &query_raw.cow())
         .map_err(|e| error_response(400, &format!("query: {e}")))?;
 
     let session: CheckSession<'_> = ds.session().with_jobs(state.jobs);
-    let outcome = rpr_cqa::answers_session_bounded(&session, &query, semantics, &p.budget);
+    let outcome = rpr_cqa::answers_session_bounded(&session, &query, semantics, &active.budget);
 
-    let mut fields = base_response(&p, &active);
+    let mut fields = base_response(active);
     let render_answers = |answers: &rpr_cqa::CqaAnswers| {
         [
             (
@@ -733,6 +831,22 @@ fn cqa(state: &ServerState, req: &Request<'_>) -> Result<Response, Response> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheOutcome;
+    use std::cell::Cell;
+
+    type Hook = fn(&ServerState, Fingerprint);
+
+    thread_local! {
+        /// Runs once, between a lookup's cache insert (on a miss) and
+        /// its read guard.
+        static AFTER_INSERT: Cell<Option<Hook>> = const { Cell::new(None) };
+    }
+
+    pub(super) fn after_insert(state: &ServerState, fingerprint: Fingerprint) {
+        if let Some(hook) = AFTER_INSERT.take() {
+            hook(state, fingerprint);
+        }
+    }
 
     /// R(k,x) preferred over R(k,y); repair J = {R(k,x)} is optimal.
     const WS_A: &str = "relation R/2\nfd R: 1 -> 2\nfact R(k, x)\nfact R(k, y)\n\
@@ -854,6 +968,155 @@ mod tests {
         // The planted entry stays; the collider is served uncached
         // every time rather than thrashing the slot.
         assert_eq!(state.cache.len(), 1);
+    }
+
+    #[test]
+    fn reordered_workspace_hits_check_the_requests_own_facts() {
+        // R(k,x) ≻ R(k,y), so J = {R(k,y)} is improvable. The two texts
+        // declare the same content in two fact orders, so J's fact id
+        // differs between their parses.
+        let xy = "relation R/2\nfd R: 1 -> 2\nfact R(k, x)\nfact R(k, y)\n\
+                  prefer R(k, x) > R(k, y)\nrepair J: R(k, y)\n";
+        let yx = "relation R/2\nfd R: 1 -> 2\nfact R(k, y)\nfact R(k, x)\n\
+                  prefer R(k, x) > R(k, y)\nrepair J: R(k, y)\n";
+        for certify in [false, true] {
+            let state = state(2);
+            for (i, ws) in [yx, yx, xy, xy].into_iter().enumerate() {
+                let body =
+                    format!("{{\"workspace\":{},\"certify\":{certify}}}", Json::str(ws).render())
+                        .into_bytes();
+                let response = handle(
+                    &state,
+                    &Request { method: "POST", path: "/check", body: &body, close: false },
+                );
+                assert_eq!(response.status, 200);
+                let json = body_json(&response);
+                assert_eq!(json.get("cached").and_then(Json::as_bool), Some(i > 0));
+                let result = &json.get("results").and_then(Json::as_arr).unwrap()[0];
+                assert_eq!(
+                    result.get("verdict").and_then(Json::as_str),
+                    Some("improvable"),
+                    "request {i}, certify {certify}"
+                );
+                if certify {
+                    // The certificate's candidate must be R(k, y).
+                    let cert = result.get("certificate").and_then(Json::as_str).unwrap();
+                    assert!(rpr_audit::audit(cert).is_ok(), "request {i}: {cert}");
+                    let doc = parse_json(cert).unwrap();
+                    let facts = doc.get("facts").and_then(Json::as_arr).unwrap();
+                    let named: Vec<String> = doc
+                        .get("candidate")
+                        .and_then(Json::as_arr)
+                        .unwrap()
+                        .iter()
+                        .map(|id| facts[id.as_i64().unwrap() as usize].render())
+                        .collect();
+                    assert_eq!(named, [r#"[0,["s1:k","s1:y"]]"#], "request {i}: {cert}");
+                }
+            }
+            assert_eq!(state.metrics.cache_hits_total.load(Ordering::Relaxed), 3);
+            // The second text of each pair matched the bytes kept by the
+            // first; the first `xy` was a verified fingerprint hit.
+            assert_eq!(state.metrics.cache_byte_hits_total.load(Ordering::Relaxed), 2);
+        }
+    }
+
+    /// R(k,x) ≻ R(k,y), declared y first: J = {R(k,y)} = {fact 0} is
+    /// improvable.
+    const WS_YX: &str = "relation R/2\nfd R: 1 -> 2\nfact R(k, y)\nfact R(k, x)\n\
+                         prefer R(k, x) > R(k, y)\nrepair J: R(k, y)\n";
+
+    /// Deletes and re-inserts R(k,y): the content and fingerprint stay,
+    /// but R(k,y) moves from fact 0 to fact 1.
+    fn renumber(state: &ServerState, fingerprint: Fingerprint) {
+        let ops = ["unprefer R(k, x) > R(k, y)", "delete R(k, y)", "insert R(k, y)"]
+            .into_iter()
+            .chain(["prefer R(k, x) > R(k, y)"])
+            .map(Json::str)
+            .collect();
+        let body =
+            Json::obj([("fingerprint", Json::str(fingerprint.to_hex())), ("ops", Json::Arr(ops))])
+                .render()
+                .into_bytes();
+        let response =
+            handle(state, &Request { method: "POST", path: "/delta", body: &body, close: false });
+        assert_eq!(response.status, 200, "{}", String::from_utf8_lossy(&response.body));
+        let json = body_json(&response);
+        assert_eq!(json.get("fingerprint").and_then(Json::as_str), Some(&*fingerprint.to_hex()));
+    }
+
+    #[test]
+    fn a_delta_between_a_miss_insert_and_its_read_never_misnames_facts() {
+        let state = state(2);
+        let body = format!("{{\"workspace\":{},\"certify\":true}}", Json::str(WS_YX).render())
+            .into_bytes();
+        AFTER_INSERT.set(Some(renumber));
+        for i in 0..3 {
+            let response = handle(
+                &state,
+                &Request { method: "POST", path: "/check", body: &body, close: false },
+            );
+            assert_eq!(response.status, 200);
+            let json = body_json(&response);
+            let result = &json.get("results").and_then(Json::as_arr).unwrap()[0];
+            assert_eq!(
+                result.get("verdict").and_then(Json::as_str),
+                Some("improvable"),
+                "request {i}"
+            );
+            let cert =
+                parse_json(result.get("certificate").and_then(Json::as_str).unwrap()).unwrap();
+            let facts = cert.get("facts").and_then(Json::as_arr).unwrap();
+            let candidate = cert.get("candidate").and_then(Json::as_arr).unwrap();
+            let named = facts[candidate[0].as_i64().unwrap() as usize].render();
+            assert_eq!(named, r#"[0,["s1:k","s1:y"]]"#, "request {i}");
+        }
+        assert!(AFTER_INSERT.get().is_none(), "the delta ran");
+        // The delta did renumber the cached session.
+        let slot =
+            state.cache.get(workspace_fingerprint(&rpr_format::parse_workspace(WS_YX).unwrap()));
+        let session = slot.unwrap();
+        let session = session.read();
+        let instance = session.prioritized().instance();
+        let y =
+            rpr_format::parse_workspace(WS_YX).unwrap().instance.fact(rpr_data::FactId(0)).clone();
+        assert_eq!(instance.id_of(&y), Some(rpr_data::FactId(1)));
+        // The miss was served fresh; the later requests re-armed the
+        // slot through a verified hit and then hit its bytes.
+        assert_eq!(state.metrics.cache_misses_total.load(Ordering::Relaxed), 1);
+        assert_eq!(state.metrics.cache_hits_total.load(Ordering::Relaxed), 2);
+        assert_eq!(state.metrics.cache_byte_hits_total.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn rejected_requests_count_no_cache_lookup() {
+        let state = state(2);
+        let reordered = "relation R/2\nfd R: 1 -> 2\nfact R(k, y)\nfact R(k, x)\n\
+                         prefer R(k, x) > R(k, y)\nrepair J: R(k, x)\n";
+        let counters = |state: &ServerState| {
+            [
+                &state.metrics.cache_hits_total,
+                &state.metrics.cache_misses_total,
+                &state.metrics.cache_byte_hits_total,
+            ]
+            .map(|c| c.load(Ordering::Relaxed))
+        };
+        // A miss, a byte hit and a fingerprint hit, each rejected.
+        for ws in [WS_A, WS_A, reordered] {
+            let ws = Json::str(ws).render();
+            let unknown = format!("{{\"workspace\":{ws},\"repairs\":[\"nope\"]}}");
+            let semantics = format!(
+                "{{\"workspace\":{ws},\"query\":\"q(?y) <- R(k, ?y)\",\"semantics\":\"best\"}}"
+            );
+            for (path, body) in [("/check", unknown), ("/cqa", semantics)] {
+                let request = Request { method: "POST", path, body: body.as_bytes(), close: false };
+                assert_eq!(handle(&state, &request).status, 400, "{path} {body}");
+            }
+            assert_eq!(counters(&state), [0, 0, 0]);
+        }
+        assert_eq!(post_check(&state, WS_A).status, 200);
+        assert_eq!(post_check(&state, WS_A).status, 200);
+        assert_eq!(counters(&state), [2, 0, 1]);
     }
 
     #[test]

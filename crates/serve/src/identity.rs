@@ -17,8 +17,14 @@
 //! set suffices), priority edges as endpoint-content pairs, plus the
 //! priority mode. It runs in O(content) with small constants — far
 //! cheaper than the artifact build a genuine miss pays.
+//!
+//! Content equality does not make fact ids agree: two content-equal
+//! workspaces may declare their facts (or relations) in different
+//! orders. A request's named repairs are therefore moved into the
+//! cached session's ids by fact content ([`translate`]) before they are
+//! checked or certified there.
 
-use rpr_data::{AttrSet, Fact, Signature, Value};
+use rpr_data::{AttrSet, Fact, FactSet, Instance, Signature, Value};
 use rpr_fd::Schema;
 use rpr_priority::PrioritizedInstance;
 use std::collections::HashSet;
@@ -72,6 +78,21 @@ pub fn content_equal(
         && fd_set(a_schema) == fd_set(b_schema)
         && fact_set(a) == fact_set(b)
         && edge_set(a) == edge_set(b)
+}
+
+/// Re-expresses `set`, a fact set over `from`, in the fact ids of `to`
+/// by fact content (relation name plus values). `None` if some fact of
+/// `set` is not in `to`.
+pub(crate) fn translate(set: &FactSet, from: &Instance, to: &Instance) -> Option<FactSet> {
+    let (from_sig, to_sig) = (from.signature(), to.signature());
+    let mut out = to.empty_set();
+    for id in set.iter() {
+        let fact = from.fact(id);
+        let rel = to_sig.rel_id(from_sig.symbol(fact.rel()).name())?;
+        let moved = Fact::new(to_sig, rel, fact.tuple().clone()).ok()?;
+        out.insert(to.id_of(&moved)?);
+    }
+    Some(out)
 }
 
 #[cfg(test)]
@@ -139,6 +160,24 @@ mod tests {
         let priority = PriorityRelation::new(instance.len(), [(a, b)]).unwrap();
         let ccp = PrioritizedInstance::cross_conflict(instance, priority);
         assert!(!content_equal(&s1, &p1, &s1, &ccp));
+    }
+
+    #[test]
+    fn translate_moves_sets_by_fact_content() {
+        let (_, p1) = workspace(&[("R", "k", "x"), ("R", "k", "y"), ("S", "a", "b")], true);
+        let (_, p2) = workspace(&[("R", "k", "y"), ("R", "k", "x"), ("S", "a", "b")], true);
+        let (i1, i2) = (p1.instance(), p2.instance());
+        let y = |inst: &Instance| {
+            let fact =
+                Fact::parse_new(inst.signature(), "R", [Value::sym("k"), Value::sym("y")]).unwrap();
+            inst.id_of(&fact).unwrap()
+        };
+        let moved = translate(&i1.set_of([y(i1)]), i1, i2).unwrap();
+        assert_eq!(moved, i2.set_of([y(i2)]));
+        assert_ne!(y(i1), y(i2), "the fixture must actually permute ids");
+
+        let (_, p3) = workspace(&[("R", "k", "x")], false);
+        assert!(translate(&i1.full_set(), i1, p3.instance()).is_none());
     }
 
     #[test]

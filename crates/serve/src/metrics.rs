@@ -22,11 +22,13 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Records one observation.
+    /// Records one observation, in the first bucket whose bound it does
+    /// not exceed (compared untruncated: 1.9 ms lands under `le="2"`).
     pub fn observe(&self, latency: Duration) {
-        let ms = latency.as_millis() as u64;
-        let idx =
-            LATENCY_BUCKETS_MS.iter().position(|&b| ms <= b).unwrap_or(LATENCY_BUCKETS_MS.len());
+        let idx = LATENCY_BUCKETS_MS
+            .iter()
+            .position(|&b| latency <= Duration::from_millis(b))
+            .unwrap_or(LATENCY_BUCKETS_MS.len());
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.sum_micros.fetch_add(latency.as_micros() as u64, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -181,6 +183,8 @@ counters! {
     rejected_total => "rpr_rejected_total",
     /// Session-cache hits.
     cache_hits_total => "rpr_cache_hits_total",
+    /// The subset of cache hits served by a byte match of the request's workspace (no parse).
+    cache_byte_hits_total => "rpr_cache_byte_hits_total",
     /// Session-cache misses (artifact builds).
     cache_misses_total => "rpr_cache_misses_total",
     /// Sessions evicted from the cache.
@@ -260,6 +264,18 @@ mod tests {
         assert!(out.contains("t_bucket{le=\"5\"} 2\n"));
         assert!(out.contains("t_bucket{le=\"+Inf\"} 3\n"));
         assert!(out.contains("t_count 3\n"));
+    }
+
+    #[test]
+    fn histogram_buckets_untruncated_durations() {
+        let h = Histogram::default();
+        h.observe(Duration::from_micros(1900));
+        h.observe(Duration::from_millis(2));
+        h.observe(Duration::from_micros(1001));
+        let mut out = String::new();
+        h.render("t", &mut out);
+        assert!(out.contains("t_bucket{le=\"1\"} 0\n"), "{out}");
+        assert!(out.contains("t_bucket{le=\"2\"} 3\n"), "{out}");
     }
 
     #[test]

@@ -27,6 +27,7 @@ const WS: &str = "relation R/2\n\
 fn state(self_audit: bool, corrupt_certificates: bool) -> ServerState {
     ServerState {
         cache: SessionCache::new(8),
+        shard_store: std::sync::Arc::new(rpr_core::ShardStore::new()),
         metrics: Metrics::default(),
         defaults: BudgetDefaults { timeout: None, max_work: None },
         jobs: 1,
