@@ -209,6 +209,25 @@ fn ensure(cond: bool, msg: &str) -> Result<(), String> {
     }
 }
 
+/// Median wall time of `reps` checks of `j` on a session built once up
+/// front, so the figure is the check alone and not the artifact build.
+fn median_session_check(
+    checker: &GRepairChecker,
+    pi: &PrioritizedInstance,
+    j: &rpr_data::FactSet,
+    reps: usize,
+) -> Result<std::time::Duration, String> {
+    let session = checker.session(pi);
+    let mut times = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let t = Instant::now();
+        let _ = session.check(j).map_err(|e| e.to_string())?;
+        times.push(t.elapsed());
+    }
+    times.sort();
+    Ok(times[reps / 2])
+}
+
 // ---------------------------------------------------------------- E01
 fn e01() -> ExpResult {
     let ex = RunningExample::new();
@@ -345,13 +364,11 @@ fn e06() -> ExpResult {
     let pi =
         PrioritizedInstance::conflict_restricted(&w.schema, w.instance.clone(), w.priority.clone())
             .map_err(|e| e.to_string())?;
-    let t = Instant::now();
-    let _ = checker.check(&pi, &w.j).map_err(|e| e.to_string())?;
-    let dt = t.elapsed();
+    let dt = median_session_check(&checker, &pi, &w.j, 21)?;
     Ok(vec![
         "paper: GRepCheck1FD decides globally-optimal repair checking in polynomial time for a single FD".into(),
         format!("measured: {checked} repair checks across 30 seeds agree with the brute-force oracle ({optimal} optimal)"),
-        format!("measured: one check on a 4000-fact instance takes {dt:.2?} (see bench single_fd for the sweep)"),
+        format!("measured: one check on a prebuilt 4000-fact session takes {dt:.2?} (median of 21; see bench single_fd for the sweep)"),
     ])
 }
 
@@ -417,13 +434,11 @@ fn e08() -> ExpResult {
     let pi =
         PrioritizedInstance::conflict_restricted(&w.schema, w.instance.clone(), w.priority.clone())
             .map_err(|e| e.to_string())?;
-    let t = Instant::now();
-    let _ = checker.check(&pi, &w.j).map_err(|e| e.to_string())?;
-    let dt = t.elapsed();
+    let dt = median_session_check(&checker, &pi, &w.j, 21)?;
     Ok(vec![
         "paper: GRepCheck2Keys (Pareto pre-check + acyclicity of G12/G21) is polynomial for two keys".into(),
         format!("measured: {checked} repair checks across 30 seeds agree with the oracle"),
-        format!("measured: one check on a ~4000-fact instance takes {dt:.2?} (see bench two_keys)"),
+        format!("measured: one check on a prebuilt ~4000-fact session takes {dt:.2?} (median of 21; see bench two_keys)"),
     ])
 }
 

@@ -297,7 +297,7 @@ impl DeltaSession {
         for (_, f) in inst.iter() {
             values += 24 + 16 * f.tuple().len();
         }
-        let graph = self.artifacts.cg.edges().len() * 12 + n * 16;
+        let graph = self.artifacts.csr.edge_count() * 12 + n * 16;
         let blocks: usize = self
             .artifacts
             .rel_blocks

@@ -19,117 +19,158 @@
 //! witness. Keys make the exchange consistent: on a simple cycle all
 //! `A1`-projections are distinct and all `A2`-projections are distinct,
 //! and conflicts under two keys require agreeing on one of them.
+//!
+//! # J-fact vertices
+//!
+//! A consistent `J` holds at most one fact per projection of each key,
+//! so every vertex of `G12`/`G21` is *named by its `J` fact*: the left
+//! vertex `f[A1]` and the right vertex `f[A2]` are both `f`, and the
+//! `J`-edge between them is implicit. An outside fact `f′` only matters
+//! through its *partners* — the unique `J` fact agreeing with it on
+//! `A1` and the one agreeing on `A2`. Both conflict with `f′` (two
+//! distinct facts agreeing on a key violate `Δ`), so they are found by
+//! scanning `f′`'s conflict row against `J` and comparing key values in
+//! place; no projection is ever built or hashed. `f′` contributes the
+//! reverse edge `partner_A2(f′) → partner_A1(f′)` to `G12` when
+//! `f′ ≻ partner_A2(f′)`, and the mirrored edge to `G21`. An outside
+//! fact agreeing with one `J` fact on *both* keys gives a self-loop.
+//!
+//! Rows come from any [`ConflictRows`] source: sessions pass their
+//! cached CSR, one-shot callers the bitset [`ConflictGraph`]. The DFS
+//! starts from `J` facts in ascending order and tries each vertex's
+//! reverse edges in ascending outside-fact order, which fixes the
+//! witness independently of the row representation.
+//!
+//! [`ConflictGraph`]: rpr_fd::ConflictGraph
 
 use crate::improvement::{CheckOutcome, Improvement};
 use crate::pareto::find_pareto_improvement;
-use rpr_data::{AttrSet, FactId, FactSet, FxHashMap, Instance, Tuple};
-use rpr_fd::ConflictGraph;
+use rpr_data::{AttrSet, FactId, FactSet, Instance};
+use rpr_fd::ConflictRows;
 use rpr_priority::PriorityRelation;
 
-/// One direction (`G12` or `G21`) of the Lemma 4.4 graph.
-struct BipartiteGraph {
-    /// `j_edge[left] = (right, fact)` — each left vertex carries the
-    /// unique `J`-fact projecting to it (keys make it unique).
-    j_edge: Vec<(usize, FactId)>,
-    /// `reverse[right]` = list of `(left, fact)` edges induced by
-    /// preferred outside facts.
-    reverse: Vec<Vec<(usize, FactId)>>,
+/// A reverse edge `(from, to, via)`: the outside fact `via` beats the
+/// `J` fact `from` sharing its `Y`-projection, and `to` is the `J` fact
+/// sharing its `X`-projection.
+type Edge = (FactId, FactId, FactId);
+
+/// One direction (`G12` or `G21`) of the Lemma 4.4 graph over `J`-fact
+/// vertices. Only the reverse edges are stored; the `J`-edge of a
+/// vertex joins its two projections, which are the same `J` fact.
+struct ExchangeGraph {
+    /// Reverse edges sorted by `(from, via)`.
+    edges: Vec<Edge>,
 }
 
-impl BipartiteGraph {
-    /// Builds the graph for keys `(key_x, key_y)`; `G12` is
-    /// `(A1, A2)`, `G21` is `(A2, A1)`.
-    fn build(
-        instance: &Instance,
-        priority: &PriorityRelation,
-        j: &FactSet,
-        candidates: &FactSet,
-        key_x: AttrSet,
-        key_y: AttrSet,
-    ) -> BipartiteGraph {
-        let mut left_ids: FxHashMap<Tuple, usize> = FxHashMap::default();
-        let mut right_ids: FxHashMap<Tuple, usize> = FxHashMap::default();
-        // `J` must be consistent: one fact per X-projection and per
-        // Y-projection.
-        let mut right_fact: Vec<FactId> = Vec::new();
-        let mut j_edge: Vec<(usize, FactId)> = Vec::new();
-        for f in j.iter() {
-            let fact = instance.fact(f);
-            let lx = *left_ids.entry(fact.project(key_x)).or_insert(j_edge.len());
-            let ry = *right_ids.entry(fact.project(key_y)).or_insert(right_fact.len());
-            debug_assert_eq!(lx, j_edge.len(), "two J facts share an X-projection");
-            debug_assert_eq!(ry, right_fact.len(), "two J facts share a Y-projection");
-            j_edge.push((ry, f));
-            right_fact.push(f);
+/// Builds `[G12, G21]` for keys `(a1, a2)` in one pass over the
+/// outside facts of `domain`.
+fn build_graphs(
+    instance: &Instance,
+    rows: &impl ConflictRows,
+    priority: &PriorityRelation,
+    (a1, a2): (AttrSet, AttrSet),
+    domain: &FactSet,
+    j: &FactSet,
+) -> [ExchangeGraph; 2] {
+    let mut g12: Vec<Edge> = Vec::new();
+    let mut g21: Vec<Edge> = Vec::new();
+    for fp in domain.iter_difference(j) {
+        // An outside fact that beats no J fact adds no reverse edge.
+        if !priority.worse_than(fp).iter().any(|&g| j.contains(g)) {
+            continue;
         }
-        let mut reverse: Vec<Vec<(usize, FactId)>> = vec![Vec::new(); right_fact.len()];
-        for fp in candidates.iter() {
-            let fact = instance.fact(fp);
-            let Some(&ry) = right_ids.get(&fact.project(key_y)) else { continue };
-            // The unique J fact sharing the Y-projection:
-            let dominated = right_fact[ry];
-            if !priority.prefers(fp, dominated) {
-                continue;
+        let fact = instance.fact(fp);
+        let (mut p1, mut p2) = (None, None);
+        for g in rows.conflicts_among(fp, j) {
+            let other = instance.fact(g);
+            if p1.is_none() && fact.agrees_on(other, a1) {
+                p1 = Some(g);
             }
-            // The reverse edge is useful only if it lands on a left
-            // vertex of the graph (otherwise it cannot close a cycle).
-            let Some(&lx) = left_ids.get(&fact.project(key_x)) else { continue };
-            reverse[ry].push((lx, fp));
+            if p2.is_none() && fact.agrees_on(other, a2) {
+                p2 = Some(g);
+            }
         }
-        BipartiteGraph { j_edge, reverse }
+        // A reverse edge is useful only if it lands on a vertex of the
+        // graph, i.e. both partners exist (otherwise it cannot close a
+        // cycle).
+        let (Some(p1), Some(p2)) = (p1, p2) else { continue };
+        if priority.prefers(fp, p2) {
+            g12.push((p2, p1, fp));
+        }
+        if priority.prefers(fp, p1) {
+            g21.push((p1, p2, fp));
+        }
     }
+    [g12, g21].map(|mut edges| {
+        // Candidates were visited ascending, so sorting by `from` alone
+        // keeps each vertex's edges in outside-fact order.
+        edges.sort_by_key(|&(from, _, _)| from);
+        ExchangeGraph { edges }
+    })
+}
 
+impl ExchangeGraph {
     /// Finds a cycle and returns the improvement `(F, F′)` it encodes.
     fn find_cycle_improvement(&self, universe: usize) -> Option<Improvement> {
-        // DFS over left vertices. Every left vertex has out-degree 1
-        // (its J-edge), so we walk left → right, then branch over the
-        // right vertex's reverse edges.
+        // DFS over the J facts with reverse edges, ascending. A J fact
+        // without one is a sink: visiting it can neither close a cycle
+        // nor change the order in which the others are explored, so it
+        // gets no slot at all.
         const WHITE: u8 = 0;
         const GRAY: u8 = 1;
         const BLACK: u8 = 2;
-        let n = self.j_edge.len();
-        let mut color = vec![WHITE; n]; // colors on left vertices
-                                        // Parent chain over left vertices: parent[l2] = l1 when the path
-                                        // l1 → r(l1) → l2 was taken, remembering the reverse-edge fact.
-        let mut parent: Vec<Option<(usize, FactId)>> = vec![None; n];
+        let mut vertex: Vec<FactId> = Vec::new();
+        let mut first_edge: Vec<usize> = Vec::new();
+        for (i, &(from, _, _)) in self.edges.iter().enumerate() {
+            if vertex.last() != Some(&from) {
+                vertex.push(from);
+                first_edge.push(i);
+            }
+        }
+        first_edge.push(self.edges.len());
+        let n = vertex.len();
+        let mut color = vec![WHITE; n];
+        // parent[w] = (v, via) when the path v ⇒(via) w was taken.
+        let mut parent: Vec<(usize, FactId)> = vec![(usize::MAX, FactId(0)); n];
+        // Iterative DFS: stack of (vertex, next edge index).
+        let mut stack: Vec<(usize, usize)> = Vec::new();
         for start in 0..n {
             if color[start] != WHITE {
                 continue;
             }
-            // Iterative DFS: stack of (left_vertex, next_reverse_index).
-            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
             color[start] = GRAY;
-            while let Some(&mut (l, ref mut next)) = stack.last_mut() {
-                let (r, _jf) = self.j_edge[l];
-                if *next < self.reverse[r].len() {
-                    let (l2, fp) = self.reverse[r][*next];
-                    *next += 1;
-                    match color[l2] {
-                        WHITE => {
-                            color[l2] = GRAY;
-                            parent[l2] = Some((l, fp));
-                            stack.push((l2, 0));
-                        }
-                        GRAY => {
-                            // Cycle: l2 ⇒ … ⇒ l ⇒(fp) l2.
-                            let mut removed = FactSet::empty(universe);
-                            let mut added = FactSet::empty(universe);
-                            added.insert(fp);
-                            removed.insert(self.j_edge[l].1);
-                            let mut cur = l;
-                            while cur != l2 {
-                                let (prev, via) = parent[cur].expect("gray chain");
-                                added.insert(via);
-                                removed.insert(self.j_edge[prev].1);
-                                cur = prev;
-                            }
-                            return Some(Improvement { removed, added });
-                        }
-                        _ => {}
-                    }
-                } else {
-                    color[l] = BLACK;
+            stack.push((start, first_edge[start]));
+            while let Some(&mut (v, ref mut next)) = stack.last_mut() {
+                if *next == first_edge[v + 1] {
+                    color[v] = BLACK;
                     stack.pop();
+                    continue;
+                }
+                let (_, to, via) = self.edges[*next];
+                *next += 1;
+                let Ok(w) = vertex.binary_search(&to) else { continue };
+                match color[w] {
+                    WHITE => {
+                        color[w] = GRAY;
+                        parent[w] = (v, via);
+                        stack.push((w, first_edge[w]));
+                    }
+                    GRAY => {
+                        // Cycle: w ⇒ … ⇒ v ⇒(via) w.
+                        let mut removed = FactSet::empty(universe);
+                        let mut added = FactSet::empty(universe);
+                        added.insert(via);
+                        removed.insert(vertex[v]);
+                        let mut cur = v;
+                        while cur != w {
+                            let (prev, pvia) = parent[cur];
+                            added.insert(pvia);
+                            removed.insert(vertex[prev]);
+                            cur = prev;
+                        }
+                        return Some(Improvement { removed, added });
+                    }
+                    _ => {}
                 }
             }
         }
@@ -139,10 +180,11 @@ impl BipartiteGraph {
 
 /// Runs `GRepCheck2Keys` for the facts in `domain` (one relation),
 /// under the two incomparable keys `a1`, `a2` to which `Δ|R` is
-/// equivalent.
-pub fn check_global_2keys(
+/// equivalent. `rows` is the conflict adjacency of `instance`: a
+/// session's CSR or a plain [`ConflictGraph`](rpr_fd::ConflictGraph).
+pub fn check_global_2keys<R: ConflictRows>(
     instance: &Instance,
-    cg: &ConflictGraph,
+    rows: &R,
     priority: &PriorityRelation,
     a1: AttrSet,
     a2: AttrSet,
@@ -153,22 +195,20 @@ pub fn check_global_2keys(
 
     // Repair pre-checks.
     for f in j.iter() {
-        if let Some(g) = cg.conflicts_in(f, j).first() {
+        if let Some(g) = rows.conflicts_among(f, j).next() {
             return CheckOutcome::Inconsistent(f, g);
         }
     }
     // Step 1 of Figure 4: Pareto improvement (also covers
     // non-maximality via the vacuous-superset case).
-    if let Some(imp) = find_pareto_improvement(cg, priority, j, domain) {
-        debug_assert!(imp.is_valid_global_improvement(cg, priority, j));
+    if let Some(imp) = find_pareto_improvement(rows, priority, j, domain) {
+        debug_assert!(imp.is_valid_global_improvement(rows, priority, j));
         return CheckOutcome::Improvable(imp);
     }
     // Step 2: cycles in G12 and G21.
-    let candidates = domain.difference(j);
-    for (x, y) in [(a1, a2), (a2, a1)] {
-        let graph = BipartiteGraph::build(instance, priority, j, &candidates, x, y);
+    for graph in build_graphs(instance, rows, priority, (a1, a2), domain, j) {
         if let Some(imp) = graph.find_cycle_improvement(j.universe()) {
-            debug_assert!(imp.is_valid_global_improvement(cg, priority, j));
+            debug_assert!(imp.is_valid_global_improvement(rows, priority, j));
             return CheckOutcome::Improvable(imp);
         }
     }
@@ -180,7 +220,7 @@ mod tests {
     use super::*;
     use crate::brute::{enumerate_repairs, is_globally_optimal_brute};
     use rpr_data::{Signature, Value};
-    use rpr_fd::Schema;
+    use rpr_fd::{ConflictGraph, Schema};
 
     fn v(s: &str) -> Value {
         Value::sym(s)
@@ -227,25 +267,67 @@ mod tests {
         // J = {d1a, f2b, f3c} (Figure 3). G12 has no reverse edges; G21
         // has exactly two: lib2 → almaden (g2a ≻ f2b) and lib1 → bascom
         // (e1b ≻ d1a).
-        let (_, i, p) = libloc();
+        let (schema, i, p) = libloc();
+        let cg = ConflictGraph::new(&schema, &i);
         let j = i.set_of([0, 3, 5].map(FactId));
-        let candidates = i.full_set().difference(&j);
         let a1 = AttrSet::singleton(1);
         let a2 = AttrSet::singleton(2);
-        let g12 = BipartiteGraph::build(&i, &p, &j, &candidates, a1, a2);
-        assert_eq!(g12.reverse.iter().map(|r| r.len()).sum::<usize>(), 0);
-        let g21 = BipartiteGraph::build(&i, &p, &j, &candidates, a2, a1);
-        let mut edge_facts: Vec<u32> =
-            g21.reverse.iter().flat_map(|r| r.iter().map(|&(_, f)| f.0)).collect();
+        let [g12, g21] = build_graphs(&i, &cg, &p, (a1, a2), &i.full_set(), &j);
+        assert_eq!(g12.edges.len(), 0);
+        let mut edge_facts: Vec<u32> = g21.edges.iter().map(|&(_, _, f)| f.0).collect();
         edge_facts.sort();
-        assert_eq!(edge_facts, vec![2, 6]); // g2a and e1b
-                                            // G12 is acyclic, but G21's two reverse edges close the cycle
-                                            // almaden → lib1 → bascom → lib2 → almaden: swapping {d1a, f2b}
-                                            // for {e1b, g2a} is a global improvement of J.
+        // g2a and e1b:
+        assert_eq!(edge_facts, vec![2, 6]);
+        // Vertices are J facts: g2a runs from f2b's lib2 vertex to d1a's
+        // almaden vertex, e1b from d1a's lib1 vertex to f2b's bascom
+        // vertex.
+        assert_eq!(
+            g21.edges,
+            vec![(FactId(0), FactId(3), FactId(6)), (FactId(3), FactId(0), FactId(2))]
+        );
+        // G12 is acyclic, but G21's two reverse edges close the cycle
+        // almaden → lib1 → bascom → lib2 → almaden: swapping {d1a, f2b}
+        // for {e1b, g2a} is a global improvement of J.
         assert!(g12.find_cycle_improvement(i.len()).is_none());
         let imp = g21.find_cycle_improvement(i.len()).unwrap();
         assert_eq!(imp.removed.iter().collect::<Vec<_>>(), vec![FactId(0), FactId(3)]);
         assert_eq!(imp.added.iter().collect::<Vec<_>>(), vec![FactId(2), FactId(6)]);
+        // The CSR rows a session passes build the same graphs.
+        let csr = rpr_fd::CsrConflictGraph::from_graph(&cg);
+        let [c12, c21] = build_graphs(&i, &csr, &p, (a1, a2), &i.full_set(), &j);
+        assert_eq!((c12.edges, c21.edges), (g12.edges, g21.edges));
+    }
+
+    #[test]
+    fn outside_fact_agreeing_on_both_keys_is_a_self_loop() {
+        // Ternary R under keys {1} and {2}: R(k,v,new) agrees with the
+        // J fact R(k,v,old) on both keys, so in both graphs its reverse
+        // edge runs from that J fact's vertex back to itself.
+        let sig = Signature::new([("R", 3)]).unwrap();
+        let schema = Schema::from_named(
+            sig.clone(),
+            [("R", &[1][..], &[2, 3][..]), ("R", &[2][..], &[1, 3][..])],
+        )
+        .unwrap();
+        let mut i = Instance::new(sig);
+        i.insert_named("R", [v("k"), v("v"), v("old")]).unwrap(); // 0
+        i.insert_named("R", [v("k"), v("v"), v("new")]).unwrap(); // 1
+        let cg = ConflictGraph::new(&schema, &i);
+        let p = PriorityRelation::new(i.len(), [(FactId(1), FactId(0))]).unwrap();
+        let j = i.set_of([FactId(0)]);
+        let a1 = AttrSet::singleton(1);
+        let a2 = AttrSet::singleton(2);
+        for graph in build_graphs(&i, &cg, &p, (a1, a2), &i.full_set(), &j) {
+            assert_eq!(graph.edges, vec![(FactId(0), FactId(0), FactId(1))]);
+            let imp = graph.find_cycle_improvement(i.len()).unwrap();
+            assert_eq!(imp.removed.iter().collect::<Vec<_>>(), vec![FactId(0)]);
+            assert_eq!(imp.added.iter().collect::<Vec<_>>(), vec![FactId(1)]);
+        }
+        // The Pareto step catches it first in the full check.
+        match check_global_2keys(&i, &cg, &p, a1, a2, &i.full_set(), &j) {
+            CheckOutcome::Improvable(imp) => assert!(imp.is_valid_global_improvement(&cg, &p, &j)),
+            other => panic!("expected an improvement, got {other:?}"),
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! improvement witnesses.
 
 use rpr_data::{FactId, FactSet};
-use rpr_fd::ConflictGraph;
+use rpr_fd::ConflictRows;
 use rpr_priority::PriorityRelation;
 
 /// A proposed exchange turning `J` into `J′ = (J \ removed) ∪ added`.
@@ -28,7 +28,7 @@ impl Improvement {
     /// yields a consistent global improvement of `j`.
     pub fn is_valid_global_improvement(
         &self,
-        cg: &ConflictGraph,
+        cg: &impl ConflictRows,
         priority: &PriorityRelation,
         j: &FactSet,
     ) -> bool {
@@ -109,7 +109,7 @@ impl std::error::Error for BudgetExceeded {}
 mod tests {
     use super::*;
     use rpr_data::{Instance, Signature, Value};
-    use rpr_fd::Schema;
+    use rpr_fd::{ConflictGraph, Schema};
 
     fn v(s: &str) -> Value {
         Value::sym(s)

@@ -22,7 +22,7 @@
 
 use crate::improvement::{is_pareto_improvement, Improvement};
 use rpr_data::FactSet;
-use rpr_fd::ConflictGraph;
+use rpr_fd::{ConflictGraph, ConflictRows};
 use rpr_priority::PriorityRelation;
 
 /// Finds a Pareto improvement of the consistent set `j` within `domain`
@@ -31,30 +31,33 @@ use rpr_priority::PriorityRelation;
 ///
 /// Pass `domain = I` for whole-instance checking; the per-relation
 /// decomposition of Proposition 3.5 passes the facts of one relation.
+/// `cg` may be any [`ConflictRows`] source (a session's CSR or the
+/// bitset graph); the scan allocates nothing until it returns a
+/// witness.
 ///
 /// # Panics
 /// Debug-asserts that `j ⊆ domain` and `j` is consistent.
-pub fn find_pareto_improvement(
-    cg: &ConflictGraph,
+pub fn find_pareto_improvement<R: ConflictRows>(
+    cg: &R,
     priority: &PriorityRelation,
     j: &FactSet,
     domain: &FactSet,
 ) -> Option<Improvement> {
     debug_assert!(j.is_subset(domain));
     debug_assert!(cg.is_consistent_set(j));
-    let candidates = domain.difference(j);
-    for g in candidates.iter() {
-        let conflicts = cg.conflicts_in(g, j);
-        if conflicts.is_empty() {
-            // J not maximal within the domain: adding g improves it.
+    for g in domain.iter_difference(j) {
+        let mut conflicts = cg.conflicts_among(g, j).peekable();
+        // An empty row ∩ J means J is not maximal within the domain:
+        // adding g improves it vacuously.
+        let maximal = conflicts.peek().is_some();
+        if !maximal || conflicts.all(|h| priority.prefers(g, h)) {
+            let mut removed = FactSet::empty(j.universe());
+            for h in cg.conflicts_among(g, j) {
+                removed.insert(h);
+            }
             let mut added = FactSet::empty(j.universe());
             added.insert(g);
-            return Some(Improvement { removed: FactSet::empty(j.universe()), added });
-        }
-        if priority.beats_all(g, &conflicts) {
-            let mut added = FactSet::empty(j.universe());
-            added.insert(g);
-            return Some(Improvement { removed: conflicts, added });
+            return Some(Improvement { removed, added });
         }
     }
     None

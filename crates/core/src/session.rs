@@ -63,7 +63,7 @@ use rpr_classify::{
 };
 use rpr_data::{FactId, FactSet, Fingerprint, Instance};
 use rpr_engine::{Budget, Outcome, PanicReport, Stop};
-use rpr_fd::{ComponentLayout, ConflictGraph, CsrConflictGraph, Schema};
+use rpr_fd::{ComponentLayout, ConflictGraph, ConflictRows, CsrConflictGraph, Schema};
 use rpr_priority::{PrioritizedInstance, PriorityMode, PriorityRelation};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -705,7 +705,7 @@ impl<'a> CheckSession<'a> {
                 self.check_1fd_sharded(priority, blocks, &j_rel, jobs)
             }
             RelationClass::TwoKeys(a1, a2) => {
-                check_global_2keys(instance, &self.art.cg, priority, *a1, *a2, domain, &j_rel)
+                check_global_2keys(instance, &self.art.csr, priority, *a1, *a2, domain, &j_rel)
             }
             RelationClass::Hard(_) => self.check_exact_sharded(
                 priority,
@@ -824,14 +824,11 @@ impl<'a> CheckSession<'a> {
         jobs: usize,
         layout: &ComponentLayout,
     ) -> Result<CheckOutcome, Stop> {
-        // Whole-domain pre-checks, bit-identical to the one-shot
-        // `check_global_exact` witnesses.
-        for f in j_rel.iter() {
-            if let Some(g) = self.art.cg.conflicts_in(f, j_rel).first() {
-                return Ok(CheckOutcome::Inconsistent(f, g));
-            }
-        }
-        if let Some(imp) = find_pareto_improvement(&self.art.cg, priority, j_rel, domain) {
+        // `check_dispatch` already scanned all of J for a conflict, so
+        // only the Pareto pre-check is left; its witness is
+        // bit-identical to the one-shot `check_global_exact` one.
+        debug_assert!(self.art.csr.is_consistent_set(j_rel));
+        if let Some(imp) = find_pareto_improvement(&self.art.csr, priority, j_rel, domain) {
             return Ok(CheckOutcome::Improvable(imp));
         }
         // Components never span relations, so a shard is relevant iff

@@ -396,6 +396,37 @@ impl FactSet {
     pub fn first(&self) -> Option<FactId> {
         self.iter().next()
     }
+
+    /// Iterates `self ∩ other` in increasing id order without
+    /// materializing the intersection.
+    pub fn iter_intersect<'a>(&'a self, other: &'a FactSet) -> impl Iterator<Item = FactId> + 'a {
+        self.iter_zip(other, |a, b| a & b)
+    }
+
+    /// Iterates `self \ other` in increasing id order without
+    /// materializing the difference.
+    pub fn iter_difference<'a>(&'a self, other: &'a FactSet) -> impl Iterator<Item = FactId> + 'a {
+        self.iter_zip(other, |a, b| a & !b)
+    }
+
+    fn iter_zip<'a>(
+        &'a self,
+        other: &'a FactSet,
+        f: impl Fn(u64, u64) -> u64 + 'a,
+    ) -> impl Iterator<Item = FactId> + 'a {
+        assert_eq!(self.universe, other.universe, "fact sets over different instances");
+        self.words.iter().zip(&other.words).enumerate().flat_map(move |(w, (&a, &b))| {
+            let mut bits = f(a, b);
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let tz = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(FactId((w * 64 + tz) as u32))
+            })
+        })
+    }
 }
 
 impl fmt::Debug for FactSet {
@@ -504,6 +535,13 @@ mod tests {
         assert!(a.intersect(&b).is_subset(&a));
         assert!(!a.is_disjoint(&b));
         assert!(a.difference(&b).is_disjoint(&b));
+        // The lazy iterators list exactly the materialized sets.
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
+            let lazy: Vec<_> = x.iter_intersect(y).collect();
+            assert_eq!(lazy, x.intersect(y).iter().collect::<Vec<_>>());
+            let lazy: Vec<_> = x.iter_difference(y).collect();
+            assert_eq!(lazy, x.difference(y).iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -15,6 +15,37 @@ use crate::fd::Fd;
 use crate::schema::Schema;
 use rpr_data::{FactId, FactSet, FxHashMap, Instance, Tuple};
 
+/// Read access to conflict adjacency rows, shared by the bitset
+/// [`ConflictGraph`] and the packed [`CsrConflictGraph`] so a checker
+/// can run one body over either.
+///
+/// [`CsrConflictGraph`]: crate::CsrConflictGraph
+pub trait ConflictRows {
+    /// The members of `set` conflicting with `id`, in ascending id
+    /// order, without allocating: the same facts, in the same order, as
+    /// iterating [`ConflictGraph::conflicts_in`].
+    fn conflicts_among<'a>(
+        &'a self,
+        id: FactId,
+        set: &'a FactSet,
+    ) -> impl Iterator<Item = FactId> + 'a;
+
+    /// Is the subinstance consistent (an independent set)?
+    fn is_consistent_set(&self, set: &FactSet) -> bool {
+        set.iter().all(|id| self.conflicts_among(id, set).next().is_none())
+    }
+}
+
+impl ConflictRows for ConflictGraph {
+    fn conflicts_among<'a>(
+        &'a self,
+        id: FactId,
+        set: &'a FactSet,
+    ) -> impl Iterator<Item = FactId> + 'a {
+        self.adjacency[id.index()].iter().flat_map(move |row| row.iter_intersect(set))
+    }
+}
+
 /// The conflict graph of an instance under a schema.
 ///
 /// Adjacency rows are allocated lazily: facts without conflicts share

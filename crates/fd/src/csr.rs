@@ -16,7 +16,7 @@
 //! that [`ConflictGraph::conflicts_in`]`.first()` would — the checkers
 //! rely on this to keep witnesses bit-identical across representations.
 
-use crate::conflicts::ConflictGraph;
+use crate::conflicts::{ConflictGraph, ConflictRows};
 use crate::schema::Schema;
 use rpr_data::{FactId, FactSet, Instance};
 
@@ -103,6 +103,13 @@ impl CsrConflictGraph {
         self.neighbors.len()
     }
 
+    /// Number of conflict edges, each unordered pair counted once —
+    /// `ConflictGraph::edges().len()` without walking every bitset row.
+    pub fn edge_count(&self) -> usize {
+        let dense: usize = self.dense_rows.iter().map(FactSet::len).sum();
+        (self.neighbors.len() + dense) / 2
+    }
+
     fn sparse_row(&self, i: usize) -> &[u32] {
         &self.neighbors[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
@@ -167,11 +174,6 @@ impl CsrConflictGraph {
             }
             Row::Dense(bits) => bits.intersect(set),
         }
-    }
-
-    /// Is the subinstance consistent (an independent set)?
-    pub fn is_consistent_set(&self, set: &FactSet) -> bool {
-        set.iter().all(|id| !self.conflicts_with_set(id, set))
     }
 
     /// Incrementally repack after a structural delta batch, reusing the
@@ -244,6 +246,23 @@ impl CsrConflictGraph {
         }
         neighbors.shrink_to_fit();
         CsrConflictGraph { n, offsets, neighbors, dense_idx, dense_rows }
+    }
+}
+
+impl ConflictRows for CsrConflictGraph {
+    fn conflicts_among<'a>(
+        &'a self,
+        id: FactId,
+        set: &'a FactSet,
+    ) -> impl Iterator<Item = FactId> + 'a {
+        // One of the two halves is empty; chaining them gives both
+        // representations a single iterator type.
+        let (sparse, dense): (&[u32], _) = match self.row(id) {
+            Row::Sparse(s) => (s, None),
+            Row::Dense(bits) => (&[], Some(bits.iter_intersect(set))),
+        };
+        let sparse = sparse.iter().map(|&g| FactId(g)).filter(move |&g| set.contains(g));
+        sparse.chain(dense.into_iter().flatten())
     }
 }
 

@@ -34,7 +34,7 @@ pub mod stats;
 
 pub use armstrong::{derive, Derivation};
 pub use closure::{closure, closure_linear, equivalent, implies, is_superkey};
-pub use conflicts::ConflictGraph;
+pub use conflicts::{ConflictGraph, ConflictRows};
 pub use cover::{lhs_candidates, merge_by_lhs, minimal_cover, saturate};
 pub use csr::{ComponentLayout, CsrConflictGraph, Row as CsrRow};
 pub use determiners::{

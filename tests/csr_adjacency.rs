@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rpr_data::{FactId, FactSet, Instance};
-use rpr_fd::{ComponentLayout, ConflictGraph, CsrConflictGraph, Schema};
+use rpr_fd::{ComponentLayout, ConflictGraph, ConflictRows, CsrConflictGraph, Schema};
 use rpr_gen::schemas;
 use rpr_gen::synthetic::{random_instance, InstanceSpec};
 
@@ -37,6 +37,10 @@ fn random_set<R: Rng>(instance: &Instance, rng: &mut R) -> FactSet {
     s
 }
 
+fn walk(rows: &impl ConflictRows, id: FactId, set: &FactSet) -> Vec<FactId> {
+    rows.conflicts_among(id, set).collect()
+}
+
 /// Every query the checkers issue, on every fact, must agree between
 /// representations — on dense instances (small domain, many conflicts)
 /// and sparse ones alike.
@@ -50,6 +54,7 @@ fn csr_rows_match_bitset_rows_on_corpus() {
             let cg = ConflictGraph::new(&schema, &instance);
             let csr = CsrConflictGraph::from_graph(&cg);
             assert_eq!(csr.len(), cg.len(), "{name}");
+            assert_eq!(csr.edge_count(), cg.edges().len(), "{name}: edge count");
             let probes: Vec<FactSet> = (0..4).map(|_| random_set(&instance, &mut rng)).collect();
             for f in instance.fact_ids() {
                 let row = cg.conflicts_of(f);
@@ -77,10 +82,15 @@ fn csr_rows_match_bitset_rows_on_corpus() {
                         cg.conflicts_with_set(f, set),
                         "{name}: membership probe for {f:?}"
                     );
+                    // The allocation-free row walk the checkers share.
+                    let expected: Vec<FactId> = cg.conflicts_in(f, set).iter().collect();
+                    assert_eq!(walk(&csr, f, set), expected, "{name}: CSR row walk of {f:?}");
+                    assert_eq!(walk(&cg, f, set), expected, "{name}: bitset row walk of {f:?}");
                 }
             }
             for set in &probes {
                 assert_eq!(csr.is_consistent_set(set), cg.is_consistent_set(set), "{name}");
+                assert_eq!(ConflictRows::is_consistent_set(&cg, set), cg.is_consistent_set(set));
             }
         }
     }
