@@ -221,7 +221,7 @@ fn median_session_check(
     let mut times = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t = Instant::now();
-        let _ = session.check(j).map_err(|e| e.to_string())?;
+        let _ = session.check(j);
         times.push(t.elapsed());
     }
     times.sort();
@@ -350,7 +350,7 @@ fn e06() -> ExpResult {
         )
         .map_err(|e| e.to_string())?;
         for j in enumerate_repairs(&cg, 1 << 22).map_err(|e| e.to_string())? {
-            let fast = checker.check(&pi, &j).map_err(|e| e.to_string())?.is_optimal();
+            let fast = checker.check(&pi, &j).is_optimal();
             let slow = is_globally_optimal_brute(&cg, &w.priority, &j, 1 << 22)
                 .map_err(|e| e.to_string())?;
             ensure(fast == slow, &format!("seed {seed}: disagreement"))?;
@@ -422,7 +422,7 @@ fn e08() -> ExpResult {
         )
         .map_err(|e| e.to_string())?;
         for j in enumerate_repairs(&cg, 1 << 22).map_err(|e| e.to_string())? {
-            let fast = checker.check(&pi, &j).map_err(|e| e.to_string())?.is_optimal();
+            let fast = checker.check(&pi, &j).is_optimal();
             let slow = is_globally_optimal_brute(&cg, &w.priority, &j, 1 << 22)
                 .map_err(|e| e.to_string())?;
             ensure(fast == slow, &format!("seed {seed}: disagreement"))?;
@@ -647,7 +647,7 @@ fn e13() -> ExpResult {
     let checker = CcpChecker::new(w.schema.clone());
     let pi = PrioritizedInstance::cross_conflict(w.instance.clone(), w.priority.clone());
     let t = Instant::now();
-    let _ = checker.check(&pi, &w.j).map_err(|e| e.to_string())?;
+    let _ = checker.check(&pi, &w.j);
     let dt = t.elapsed();
     Ok(vec![
         "paper: for primary-key assignments, ccp globally-optimal checking reduces to cycle detection in G_{J,I\\J} (PTIME)".into(),
@@ -777,7 +777,7 @@ fn e16() -> ExpResult {
             PrioritizedInstance::conflict_restricted(&schema, instance.clone(), priority.clone())
                 .map_err(|e| e.to_string())?;
         for j in enumerate_repairs(&cg, 1 << 22).map_err(|e| e.to_string())? {
-            let fast = checker.check(&pi, &j).map_err(|e| e.to_string())?.is_optimal();
+            let fast = checker.check(&pi, &j).is_optimal();
             let slow = is_globally_optimal_brute(&cg, &priority, &j, 1 << 22)
                 .map_err(|e| e.to_string())?;
             ensure(fast == slow, "dispatcher disagrees with oracle")?;
@@ -807,7 +807,7 @@ fn e17() -> ExpResult {
         .map_err(|e| e.to_string())?;
         let t = Instant::now();
         for _ in 0..10 {
-            let _ = c1.check(&p1, &w1.j).map_err(|e| e.to_string())?;
+            let _ = c1.check(&p1, &w1.j);
         }
         let d1 = t.elapsed() / 10;
 
@@ -821,7 +821,7 @@ fn e17() -> ExpResult {
         .map_err(|e| e.to_string())?;
         let t = Instant::now();
         for _ in 0..10 {
-            let _ = c2.check(&p2, &w2.j).map_err(|e| e.to_string())?;
+            let _ = c2.check(&p2, &w2.j);
         }
         let d2 = t.elapsed() / 10;
 
@@ -1118,7 +1118,7 @@ fn e24() -> ExpResult {
     let t0 = Instant::now();
     let mut one_shot_outcomes = Vec::new();
     for j in &candidates[..one_shot_sample] {
-        one_shot_outcomes.push(checker.check(&pi, j).map_err(|e| e.to_string())?);
+        one_shot_outcomes.push(checker.check(&pi, j));
     }
     let one_shot_per_check = t0.elapsed().as_secs_f64() / one_shot_sample as f64;
 
@@ -1127,7 +1127,7 @@ fn e24() -> ExpResult {
     let t1 = Instant::now();
     let mut session_outcomes = Vec::new();
     for j in &candidates {
-        session_outcomes.push(session.check(j).map_err(|e| e.to_string())?);
+        session_outcomes.push(session.check(j));
     }
     let amortized_per_check = t1.elapsed().as_secs_f64() / n_candidates as f64;
 
@@ -1143,7 +1143,7 @@ fn e24() -> ExpResult {
         ensure(o == &session_outcomes[i], "session ≠ one-shot outcome")?;
     }
     for (i, o) in session_outcomes.iter().enumerate() {
-        ensure(batch[i].as_ref() == Ok(o), "parallel batch ≠ sequential outcome")?;
+        ensure(&batch[i] == o, "parallel batch ≠ sequential outcome")?;
     }
 
     let amortized_speedup = one_shot_per_check / amortized_per_check.max(1e-12);
@@ -1177,8 +1177,8 @@ fn e24() -> ExpResult {
 
 // ---------------------------------------------------------------- E25
 /// Budget-enforcement overhead on the PTIME fast path: the same
-/// sequential session batch with the legacy API vs the bounded API
-/// under an armed (but never-tripping) deadline + work budget. Rounds
+/// sequential session batch under `Budget::unlimited()` (what `check`
+/// runs) vs an armed (but never-tripping) deadline + work budget. Rounds
 /// alternate the two modes and the overhead is the median of the
 /// per-round ratios, which shrugs off scheduler noise. The target is
 /// <3% (recorded in `target/budget_overhead.json`); the hard acceptance
@@ -1201,30 +1201,27 @@ fn e25() -> ExpResult {
     let session = CheckSession::new(&w.schema, &pi).with_jobs(1);
 
     // Warm-up + reference verdicts (also primes caches for both modes).
-    let reference: Vec<_> = candidates
-        .iter()
-        .map(|j| session.check(j).map_err(|e| e.to_string()))
-        .collect::<Result<_, _>>()?;
+    let reference: Vec<_> = candidates.iter().map(|j| session.check(j)).collect();
 
-    // Bounded answers must be bit-identical to the legacy ones.
+    // Armed-budget answers must be bit-identical to the unlimited ones.
     let check_budget =
         Budget::unlimited().with_deadline(Duration::from_secs(600)).with_max_work(u64::MAX / 2);
     for (j, want) in candidates.iter().zip(&reference) {
         match session.check_bounded(j, &check_budget) {
-            Outcome::Done(got) => ensure(&got == want, "bounded ≠ legacy verdict")?,
+            Outcome::Done(got) => ensure(&got == want, "armed ≠ unlimited verdict")?,
             other => return Err(format!("armed budget tripped unexpectedly: {other:?}")),
         }
     }
 
     let mut ratios = Vec::with_capacity(rounds);
-    let mut legacy_total = 0.0f64;
-    let mut bounded_total = 0.0f64;
+    let mut unlimited_total = 0.0f64;
+    let mut armed_total = 0.0f64;
     for _ in 0..rounds {
         let t = Instant::now();
         for j in &candidates {
-            let _ = session.check(j).map_err(|e| e.to_string())?;
+            let _ = session.check(j);
         }
-        let legacy = t.elapsed().as_secs_f64();
+        let unlimited = t.elapsed().as_secs_f64();
 
         // A fresh armed budget per round: deadline + work allowance both
         // live, so every charge takes the full enforcement path.
@@ -1237,24 +1234,24 @@ fn e25() -> ExpResult {
                 other => return Err(format!("armed budget tripped unexpectedly: {other:?}")),
             }
         }
-        let bounded = t.elapsed().as_secs_f64();
+        let armed = t.elapsed().as_secs_f64();
 
-        legacy_total += legacy;
-        bounded_total += bounded;
-        ratios.push(bounded / legacy.max(1e-12));
+        unlimited_total += unlimited;
+        armed_total += armed;
+        ratios.push(armed / unlimited.max(1e-12));
     }
     ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let median_ratio = ratios[rounds / 2];
     let overhead_pct = (median_ratio - 1.0) * 100.0;
-    let legacy_per_check = legacy_total / (rounds * n_candidates) as f64;
-    let bounded_per_check = bounded_total / (rounds * n_candidates) as f64;
+    let unlimited_per_check = unlimited_total / (rounds * n_candidates) as f64;
+    let armed_per_check = armed_total / (rounds * n_candidates) as f64;
     ensure(
         overhead_pct < 10.0,
         "budget enforcement must stay cheap on the PTIME fast path (<10% hard bound)",
     )?;
 
     let json = format!(
-        "{{\n  \"facts\": {n_facts},\n  \"candidates\": {n_candidates},\n  \"rounds\": {rounds},\n  \"legacy_s_per_check\": {legacy_per_check:.9},\n  \"bounded_s_per_check\": {bounded_per_check:.9},\n  \"median_overhead_pct\": {overhead_pct:.3},\n  \"target_pct\": 3.0\n}}\n"
+        "{{\n  \"facts\": {n_facts},\n  \"candidates\": {n_candidates},\n  \"rounds\": {rounds},\n  \"unlimited_s_per_check\": {unlimited_per_check:.9},\n  \"armed_s_per_check\": {armed_per_check:.9},\n  \"median_overhead_pct\": {overhead_pct:.3},\n  \"target_pct\": 3.0\n}}\n"
     );
     let out_path = "target/budget_overhead.json";
     let _ = std::fs::create_dir_all("target");
@@ -1263,9 +1260,9 @@ fn e25() -> ExpResult {
     Ok(vec![
         "extension: armed deadlines/work budgets must not tax the polynomial checkers".into(),
         format!(
-            "measured: {n_candidates} candidates × {rounds} rounds on {n_facts} facts — legacy {:.3}ms/check, bounded {:.3}ms/check, median overhead {overhead_pct:.2}% (target <3%)",
-            legacy_per_check * 1e3,
-            bounded_per_check * 1e3,
+            "measured: {n_candidates} candidates × {rounds} rounds on {n_facts} facts — unlimited {:.3}ms/check, armed {:.3}ms/check, median overhead {overhead_pct:.2}% (target <3%)",
+            unlimited_per_check * 1e3,
+            armed_per_check * 1e3,
         ),
         format!("measured: JSON written to {out_path}"),
     ])
@@ -1765,7 +1762,7 @@ fn e30() -> ExpResult {
     // -- Verdict/witness bit-identity across jobs on the serve shape --
     let (schema_a, pi_a, j_a) = chain_setup(COMPONENTS, SERVE_SIZE)?;
     let base = CheckSession::new(&schema_a, &pi_a).with_jobs(1);
-    let v_opt = base.check(&j_a).map_err(|e| e.to_string())?;
+    let v_opt = base.check(&j_a);
     ensure(v_opt.is_optimal(), "the even-offset repair is globally optimal")?;
     // {f1, f4} per chain is a repair improved by J (f2 beats f1).
     let improvable = pi_a
@@ -1782,7 +1779,7 @@ fn e30() -> ExpResult {
             )?;
         }
     }
-    match base.check(&improvable).map_err(|e| e.to_string())? {
+    match base.check(&improvable) {
         rpr_core::CheckOutcome::Improvable(_) => {}
         other => return Err(format!("{{f1, f4}} chains must be improvable, got {other:?}")),
     }
@@ -1798,11 +1795,7 @@ fn e30() -> ExpResult {
         &format!("the committed workload splits into {COMPONENTS} shards"),
     )?;
     ensure(
-        CheckSession::new(&ws.schema, &ws_pi)
-            .with_jobs(8)
-            .check(&ws_j)
-            .map_err(|e| e.to_string())?
-            .is_optimal(),
+        CheckSession::new(&ws.schema, &ws_pi).with_jobs(8).check(&ws_j).is_optimal(),
         "the committed workload's repair J is globally optimal under 8-job sharding",
     )?;
 
@@ -1828,8 +1821,14 @@ fn e30() -> ExpResult {
         session1.check(&j_b) == session8.check(&j_b),
         "heavy workload: jobs=8 verdict must equal jobs=1",
     )?;
-    let t1_us = best_of(10, || session1.check(&j_b).map(drop).map_err(|e| e.to_string()))?;
-    let t8_us = best_of(10, || session8.check(&j_b).map(drop).map_err(|e| e.to_string()))?;
+    let t1_us = best_of(10, || {
+        let _ = session1.check(&j_b);
+        Ok(())
+    })?;
+    let t8_us = best_of(10, || {
+        let _ = session8.check(&j_b);
+        Ok(())
+    })?;
     let jobs_speedup = t1_us / t8_us;
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let wall_clock_gated = cores >= 8;
@@ -1850,10 +1849,13 @@ fn e30() -> ExpResult {
     ensure(
         check_global_exact(cg, pi_c.priority(), &domain, &j_c, 1 << 30)
             .map_err(|e| e.to_string())?
-            == local.check(&j_c).map_err(|e| e.to_string())?,
+            == local.check(&j_c),
         "whole-domain and component-local searches agree on the verdict",
     )?;
-    let local_us = best_of(50, || local.check(&j_c).map(drop).map_err(|e| e.to_string()))?;
+    let local_us = best_of(50, || {
+        let _ = local.check(&j_c);
+        Ok(())
+    })?;
     let whole_us = best_of(10, || {
         check_global_exact(cg, pi_c.priority(), &domain, &j_c, 1 << 30)
             .map(drop)
@@ -2033,16 +2035,12 @@ fn e31() -> ExpResult {
     let warm_store = ShardStore::new();
     // One cold pass builds the shards and fills their verdict memos.
     let warm_art = SessionArtifacts::build_with_store(&schema_b, &pi_b, Some(&warm_store));
-    let v_warm = CheckSession::from_artifacts(&schema_b, &pi_b, &warm_art)
-        .check(&j_b)
-        .map_err(|e| e.to_string())?;
+    let v_warm = CheckSession::from_artifacts(&schema_b, &pi_b, &warm_art).check(&j_b);
     // Copy-per-session: every new session re-derives private shard
     // artifacts and re-runs every component search from scratch.
     let private_us = best_of(5, || {
         let art = SessionArtifacts::build(&schema_b, &pi_b);
-        let v = CheckSession::from_artifacts(&schema_b, &pi_b, &art)
-            .check(&j_b)
-            .map_err(|e| e.to_string())?;
+        let v = CheckSession::from_artifacts(&schema_b, &pi_b, &art).check(&j_b);
         if v != v_warm {
             return Err("private verdict diverges from the store-backed one".into());
         }
@@ -2052,9 +2050,7 @@ fn e31() -> ExpResult {
     // memoized verdicts) come from the warmed store.
     let stored_us = best_of(5, || {
         let art = SessionArtifacts::build_with_store(&schema_b, &pi_b, Some(&warm_store));
-        let v = CheckSession::from_artifacts(&schema_b, &pi_b, &art)
-            .check(&j_b)
-            .map_err(|e| e.to_string())?;
+        let v = CheckSession::from_artifacts(&schema_b, &pi_b, &art).check(&j_b);
         if v != v_warm {
             return Err("store-backed verdict diverges across sessions".into());
         }

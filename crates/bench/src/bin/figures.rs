@@ -38,7 +38,7 @@ fn classical_check_time(w: &Workload, reps: u32) -> f64 {
     let pi =
         PrioritizedInstance::conflict_restricted(&w.schema, w.instance.clone(), w.priority.clone())
             .expect("workload priorities are conflict-restricted");
-    time_us(reps, || checker.check(&pi, &w.j).unwrap().is_optimal())
+    time_us(reps, || checker.check(&pi, &w.j).is_optimal())
 }
 
 fn dichotomy_csv() -> String {
@@ -70,7 +70,7 @@ fn poly_scaling_csv() -> String {
         let w3 = ccp_pk_workload(n, (n as u32 / 6).max(2), n, 47);
         let checker = CcpChecker::new(w3.schema.clone());
         let pi = PrioritizedInstance::cross_conflict(w3.instance.clone(), w3.priority.clone());
-        let t3 = time_us(10, || checker.check(&pi, &w3.j).unwrap().is_optimal());
+        let t3 = time_us(10, || checker.check(&pi, &w3.j).is_optimal());
         let cg1 = w1.conflict_graph();
         let t4 = time_us(10, || is_pareto_optimal(&cg1, &w1.priority, &w1.j));
         let t5 = time_us(10, || is_completion_optimal(&cg1, &w1.priority, &w1.j));

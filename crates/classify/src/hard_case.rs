@@ -79,10 +79,10 @@ pub fn diagnose_hard_case(fds: &[Fd], arity: usize) -> Option<HardCase> {
 /// one place the diagnosis can blow up. This variant charges one work
 /// unit per candidate subset examined and observes the budget's
 /// deadline and cancellation token, degrading to
-/// [`Outcome::Exceeded`]/[`Outcome::Cancelled`] instead of burning
-/// through the fixed internal step cap of the legacy path. Under an
-/// unlimited budget the result is identical to
-/// [`diagnose_hard_case`].
+/// [`Outcome::Exceeded`]/[`Outcome::Cancelled`] instead of running up
+/// to the fixed closure cap (`rpr_fd::determiners::WITNESS_BUDGET`) that
+/// [`diagnose_hard_case`] stops at. Under an unlimited budget the
+/// result is identical to [`diagnose_hard_case`].
 pub fn diagnose_hard_case_bounded(
     fds: &[Fd],
     arity: usize,

@@ -9,10 +9,8 @@ use rpr_core::{
     construct_globally_optimal_repair, is_completion_optimal, is_pareto_optimal, Budget,
     BudgetReport, CheckOutcome, CheckSession, Outcome, PanicReport,
 };
-use rpr_cqa::{
-    answers_session, answers_session_bounded, repairs_under_session, repairs_under_session_bounded,
-    RepairSemantics,
-};
+use rpr_cqa::{answers_session_bounded, repairs_under_session_bounded, RepairSemantics};
+use rpr_data::FactSet;
 use rpr_fd::{
     discover_fds_for, is_3nf, is_bcnf, merge_by_lhs, minimal_cover, ConflictGraph, DiscoveryOptions,
 };
@@ -69,77 +67,31 @@ pub fn classify(ws: &Workspace) -> String {
     out
 }
 
-/// `rpr check FILE [NAME]` — check the named candidate repair (or all
-/// declared repairs) for global optimality.
-///
-/// # Errors
-/// On unknown repair names, validation failures, or exact-search budget
-/// exhaustion.
-pub fn check(ws: &Workspace, name: Option<&str>) -> Result<String, CommandError> {
-    check_with_jobs(ws, name, 1)
-}
-
-/// [`check`] with an explicit worker count for the session's parallel
-/// fan-out (`rpr check --jobs N`). One [`CheckSession`] is built for
-/// the workspace and shared across all named repairs.
-///
-/// # Errors
-/// On unknown repair names, validation failures, or exact-search budget
-/// exhaustion.
-pub fn check_with_jobs(
-    ws: &Workspace,
-    name: Option<&str>,
-    jobs: usize,
-) -> Result<String, CommandError> {
-    let pi = ws.prioritized().map_err(|e| fail(e.to_string()))?;
-    let targets: Vec<(String, rpr_data::FactSet)> = match name {
+/// The candidates a `check`/`certify` run covers: the named repair, or
+/// every declared one.
+fn targets(ws: &Workspace, name: Option<&str>) -> Result<Vec<(String, FactSet)>, CommandError> {
+    match name {
         Some(n) => {
             let j = ws.repair(n).ok_or_else(|| fail(format!("no repair named `{n}`")))?;
-            vec![(n.to_owned(), j.clone())]
+            Ok(vec![(n.to_owned(), j.clone())])
         }
-        None => {
-            if ws.repairs.is_empty() {
-                return Err(fail("no `repair` declarations in the workspace"));
-            }
-            ws.repairs.clone()
-        }
-    };
-    let mut out = String::new();
-    let session = CheckSession::new(&ws.schema, &pi).with_jobs(jobs);
-    let cg = session.conflict_graph();
-    for (n, j) in targets {
-        let outcome = session.check(&j).map_err(|e| fail(format!("`{n}`: {e}")))?;
-        let _ = write!(out, "{n}: ");
-        match outcome {
-            CheckOutcome::Optimal => {
-                let _ = writeln!(out, "globally-optimal repair ✓");
-            }
-            CheckOutcome::Improvable(imp) => {
-                let _ = writeln!(out, "NOT globally optimal");
-                let _ = writeln!(
-                    out,
-                    "  improvement: remove {} / add {}",
-                    ws.instance.render_set(&imp.removed),
-                    ws.instance.render_set(&imp.added)
-                );
-            }
-            CheckOutcome::Inconsistent(a, b) => {
-                let _ = writeln!(
-                    out,
-                    "not even consistent: {} conflicts with {}",
-                    ws.instance.fact(a).display(ws.schema.signature()),
-                    ws.instance.fact(b).display(ws.schema.signature())
-                );
-            }
-        }
-        let _ = writeln!(
-            out,
-            "  pareto-optimal: {}  completion-optimal: {}",
-            is_pareto_optimal(cg, &ws.priority, &j),
-            is_completion_optimal(cg, &ws.priority, &j)
-        );
+        None if ws.repairs.is_empty() => Err(fail("no `repair` declarations in the workspace")),
+        None => Ok(ws.repairs.clone()),
     }
-    Ok(out)
+}
+
+/// Checks every candidate under `budget`. A lone candidate fans its own
+/// shards out across the session's workers; several fan out across
+/// candidates instead.
+fn check_all(
+    session: &CheckSession<'_>,
+    js: &[FactSet],
+    budget: &Budget,
+) -> Vec<Outcome<CheckOutcome>> {
+    match js {
+        [j] => vec![session.check_bounded(j, budget)],
+        _ => session.check_batch_bounded(js, budget),
+    }
 }
 
 /// `rpr certify FILE [NAME]` — canonical verdict certificates, one
@@ -147,49 +99,39 @@ pub fn check_with_jobs(
 /// `rpr audit` (or any other implementation of the certificate
 /// format). `--classify` certifies the dichotomy classification
 /// instead of candidate repairs.
+///
+/// The candidate checks run bounded under `budget`; a candidate whose
+/// check did not finish gets no certificate, and the [`RunStatus`] says
+/// why.
+///
+/// # Errors
+/// On unknown repair names or validation failures.
 pub fn certify(
     ws: &Workspace,
     name: Option<&str>,
     classify_only: bool,
-) -> Result<String, CommandError> {
+    budget: &Budget,
+) -> Result<BoundedRun, CommandError> {
     let pi = ws.prioritized().map_err(|e| fail(e.to_string()))?;
     let session = CheckSession::new(&ws.schema, &pi);
     let mut out = String::new();
-    if classify_only {
-        let cert = session.certify_classification();
-        out.push_str(&rpr_format::render_certificate(
-            &ws.schema,
-            &ws.instance,
-            &ws.priority,
-            &cert,
-        ));
+    let mut emit = |cert: &rpr_core::Certificate| {
+        out.push_str(&rpr_format::render_certificate(&ws.schema, &ws.instance, &ws.priority, cert));
         out.push('\n');
-        return Ok(out);
-    }
-    let targets: Vec<(String, rpr_data::FactSet)> = match name {
-        Some(n) => {
-            let j = ws.repair(n).ok_or_else(|| fail(format!("no repair named `{n}`")))?;
-            vec![(n.to_owned(), j.clone())]
-        }
-        None => {
-            if ws.repairs.is_empty() {
-                return Err(fail("no `repair` declarations in the workspace"));
-            }
-            ws.repairs.clone()
-        }
     };
-    for (n, j) in targets {
-        let outcome = session.check(&j).map_err(|e| fail(format!("`{n}`: {e}")))?;
-        let cert = session.certify(&j, &outcome);
-        out.push_str(&rpr_format::render_certificate(
-            &ws.schema,
-            &ws.instance,
-            &ws.priority,
-            &cert,
-        ));
-        out.push('\n');
+    let mut status = RunStatus::Done;
+    if classify_only {
+        emit(&session.certify_classification());
+    } else {
+        let js: Vec<FactSet> = targets(ws, name)?.into_iter().map(|(_, j)| j).collect();
+        for (j, outcome) in js.iter().zip(check_all(&session, &js, budget)) {
+            status = merge_status(status, status_of(&outcome));
+            if let Outcome::Done(verdict) = outcome {
+                emit(&session.certify(j, &verdict));
+            }
+        }
     }
-    Ok(out)
+    Ok(BoundedRun { report: out, status })
 }
 
 /// `rpr audit FILE` — re-validates certificates (one JSON document per
@@ -275,40 +217,45 @@ fn status_of<T>(outcome: &Outcome<T>) -> RunStatus {
     }
 }
 
-/// [`check_with_jobs`] under an engine [`Budget`]: all candidates run
-/// through the session's bounded batch checker, each with its own
-/// per-candidate verdict. One panicking or budget-tripping candidate
-/// degrades only its own line; completed verdicts are reported as
-/// usual.
+/// Folds one candidate's status into a run's: cancellation dominates
+/// (the whole run was interrupted); a budget trip dominates a panic
+/// (the panic is per-candidate).
+fn merge_status(run: RunStatus, candidate: RunStatus) -> RunStatus {
+    match (run, candidate) {
+        (RunStatus::Cancelled, _) | (_, RunStatus::Cancelled) => RunStatus::Cancelled,
+        (s @ RunStatus::Exceeded(_), _) => s,
+        (_, s @ RunStatus::Exceeded(_)) => s,
+        (s @ RunStatus::Panicked(_), _) => s,
+        (_, s @ RunStatus::Panicked(_)) => s,
+        (RunStatus::Done, RunStatus::Done) => RunStatus::Done,
+    }
+}
+
+/// `rpr check FILE [NAME]` — check the named candidate repair (or all
+/// declared repairs) for global optimality under `budget`. One
+/// [`CheckSession`] with `jobs` workers is built for the workspace and
+/// shared by all candidates. A finished verdict also reports Pareto-
+/// and completion-optimality; one panicking or budget-tripping
+/// candidate degrades only its own line.
 ///
 /// # Errors
 /// On unknown repair names or validation failures (degradation is not
 /// an error — it is reported in the [`RunStatus`]).
-pub fn check_bounded_with_jobs(
+pub fn check(
     ws: &Workspace,
     name: Option<&str>,
     jobs: usize,
     budget: &Budget,
 ) -> Result<BoundedRun, CommandError> {
     let pi = ws.prioritized().map_err(|e| fail(e.to_string()))?;
-    let targets: Vec<(String, rpr_data::FactSet)> = match name {
-        Some(n) => {
-            let j = ws.repair(n).ok_or_else(|| fail(format!("no repair named `{n}`")))?;
-            vec![(n.to_owned(), j.clone())]
-        }
-        None => {
-            if ws.repairs.is_empty() {
-                return Err(fail("no `repair` declarations in the workspace"));
-            }
-            ws.repairs.clone()
-        }
-    };
+    let targets = targets(ws, name)?;
     let session = CheckSession::new(&ws.schema, &pi).with_jobs(jobs);
-    let js: Vec<rpr_data::FactSet> = targets.iter().map(|(_, j)| j.clone()).collect();
-    let outcomes = session.check_batch_bounded(&js, budget);
+    let cg = session.conflict_graph();
+    let js: Vec<FactSet> = targets.iter().map(|(_, j)| j.clone()).collect();
+    let outcomes = check_all(&session, &js, budget);
     let mut out = String::new();
     let mut status = RunStatus::Done;
-    for ((n, _), outcome) in targets.iter().zip(&outcomes) {
+    for ((n, j), outcome) in targets.iter().zip(&outcomes) {
         let _ = write!(out, "{n}: ");
         match outcome {
             Outcome::Done(CheckOutcome::Optimal) => {
@@ -341,27 +288,29 @@ pub fn check_bounded_with_jobs(
                 let _ = writeln!(out, "undecided — {report}");
             }
         }
-        // Cancellation dominates (the whole run was interrupted); a
-        // budget trip dominates a panic (the panic is per-candidate).
-        status = match (status, status_of(outcome)) {
-            (RunStatus::Cancelled, _) | (_, RunStatus::Cancelled) => RunStatus::Cancelled,
-            (s @ RunStatus::Exceeded(_), _) => s,
-            (_, s @ RunStatus::Exceeded(_)) => s,
-            (s @ RunStatus::Panicked(_), _) => s,
-            (_, s @ RunStatus::Panicked(_)) => s,
-            (RunStatus::Done, RunStatus::Done) => RunStatus::Done,
-        };
+        if matches!(outcome, Outcome::Done(_)) {
+            let _ = writeln!(
+                out,
+                "  pareto-optimal: {}  completion-optimal: {}",
+                is_pareto_optimal(cg, &ws.priority, j),
+                is_completion_optimal(cg, &ws.priority, j)
+            );
+        }
+        status = merge_status(status, status_of(outcome));
     }
     Ok(BoundedRun { report: out, status })
 }
 
-/// [`repairs_with_jobs`] under an engine [`Budget`]. On degradation the
-/// report lists the certified partial repair set (when the semantics
-/// admits one — see `rpr_cqa::repairs_under_bounded`).
+/// `rpr repairs FILE [--semantics S]` — enumerate the repairs of the
+/// chosen semantics under `budget`; the globally-optimal filter fans
+/// out across candidates on one amortized session with `jobs` workers.
+/// On degradation the report lists the certified partial repair set
+/// (when the semantics admits one — see
+/// `rpr_cqa::repairs_under_bounded`).
 ///
 /// # Errors
 /// On bad semantics names.
-pub fn repairs_bounded_with_jobs(
+pub fn repairs(
     ws: &Workspace,
     semantics: &str,
     jobs: usize,
@@ -389,13 +338,16 @@ pub fn repairs_bounded_with_jobs(
     Ok(BoundedRun { report: out, status })
 }
 
-/// [`cqa_with_jobs`] under an engine [`Budget`]. Partial answers
-/// quantify over the partial repair set: certain is an upper bound,
-/// possible a lower bound.
+/// `rpr cqa FILE QUERY [--semantics S]` — certain and possible answers
+/// over the chosen repair semantics under `budget`. The session is
+/// built once per invocation; the repair quantification reuses its
+/// cached conflict graph and classification. Partial answers quantify
+/// over the partial repair set: certain is an upper bound, possible a
+/// lower bound.
 ///
 /// # Errors
 /// On query parse errors or bad semantics.
-pub fn cqa_bounded_with_jobs(
+pub fn cqa(
     ws: &Workspace,
     query: &str,
     semantics: &str,
@@ -436,90 +388,12 @@ pub fn cqa_bounded_with_jobs(
     Ok(BoundedRun { report: out, status })
 }
 
-/// `rpr repairs FILE [--semantics S] [--budget N]` — enumerate the
-/// repairs of the chosen semantics.
-///
-/// # Errors
-/// On bad semantics names or budget exhaustion.
-pub fn repairs(ws: &Workspace, semantics: &str, budget: usize) -> Result<String, CommandError> {
-    repairs_with_jobs(ws, semantics, budget, 1)
-}
-
-/// [`repairs`] with an explicit worker count (`rpr repairs --jobs N`):
-/// the globally-optimal filter fans out across candidates on one
-/// amortized session.
-///
-/// # Errors
-/// On bad semantics names or budget exhaustion.
-pub fn repairs_with_jobs(
-    ws: &Workspace,
-    semantics: &str,
-    budget: usize,
-    jobs: usize,
-) -> Result<String, CommandError> {
-    let sem = semantics_from(semantics)?;
-    let pi = ws.prioritized().map_err(|e| fail(e.to_string()))?;
-    let session = CheckSession::new(&ws.schema, &pi).with_jobs(jobs);
-    let list = repairs_under_session(sem, &session, budget)
-        .map_err(|e| fail(format!("{e} — raise --budget")))?;
-    let mut out = String::new();
-    let _ = writeln!(out, "{} {semantics} repair(s):", list.len());
-    for j in &list {
-        let _ = writeln!(out, "  {}", ws.instance.render_set(j));
-    }
-    Ok(out)
-}
-
 /// `rpr construct FILE` — build one globally-optimal repair
 /// (polynomial, any schema).
 pub fn construct(ws: &Workspace) -> String {
     let cg = ConflictGraph::new(&ws.schema, &ws.instance);
     let j = construct_globally_optimal_repair(&cg, &ws.priority);
     format!("globally-optimal repair: {}\n", ws.instance.render_set(&j))
-}
-
-/// `rpr cqa FILE QUERY [--semantics S] [--budget N]` — certain and
-/// possible answers over the chosen repair semantics.
-///
-/// # Errors
-/// On query parse errors, bad semantics, or budget exhaustion.
-pub fn cqa(
-    ws: &Workspace,
-    query: &str,
-    semantics: &str,
-    budget: usize,
-) -> Result<String, CommandError> {
-    cqa_with_jobs(ws, query, semantics, budget, 1)
-}
-
-/// [`cqa`] with an explicit worker count (`rpr cqa --jobs N`). The
-/// session is built once per invocation; the repair quantification
-/// reuses its cached conflict graph and classification.
-///
-/// # Errors
-/// On query parse errors, bad semantics, or budget exhaustion.
-pub fn cqa_with_jobs(
-    ws: &Workspace,
-    query: &str,
-    semantics: &str,
-    budget: usize,
-    jobs: usize,
-) -> Result<String, CommandError> {
-    let sem = semantics_from(semantics)?;
-    let q = parse_query(&ws.instance, query).map_err(|e| fail(e.to_string()))?;
-    let pi = ws.prioritized().map_err(|e| fail(e.to_string()))?;
-    let session = CheckSession::new(&ws.schema, &pi).with_jobs(jobs);
-    let res = answers_session(&session, &q, sem, budget)
-        .map_err(|e| fail(format!("{e} — raise --budget")))?;
-    let mut out = String::new();
-    let _ = writeln!(out, "{} {semantics} repair(s) quantified over", res.repair_count);
-    let fmt = |s: &std::collections::BTreeSet<rpr_data::Tuple>| {
-        let items: Vec<String> = s.iter().map(|t| t.to_string()).collect();
-        items.join(", ")
-    };
-    let _ = writeln!(out, "certain : {}", fmt(&res.certain));
-    let _ = writeln!(out, "possible: {}", fmt(&res.possible));
-    Ok(out)
 }
 
 /// `rpr discover FILE [--max-lhs N]` — mine the FDs holding in the
@@ -710,6 +584,19 @@ mod tests {
     use rpr_core::GRepairChecker;
     use rpr_priority::PriorityMode;
 
+    /// The work allowance the unit tests run every bounded command
+    /// under.
+    fn budget() -> Budget {
+        Budget::unlimited().with_max_work(1 << 20)
+    }
+
+    /// A command's report, asserting that the run finished.
+    fn done(run: Result<BoundedRun, CommandError>) -> String {
+        let run = run.unwrap();
+        assert!(matches!(run.status, RunStatus::Done), "{:?}", run.status);
+        run.report
+    }
+
     const RUNNING: &str = "\
 relation BookLoc/3
 relation LibLoc/2
@@ -746,30 +633,30 @@ repair bad: BookLoc(b1, drama, lib3); LibLoc(lib1, almaden)
     #[test]
     fn check_reports_optimality_and_witnesses() {
         let ws = parse_workspace(RUNNING).unwrap();
-        let report = check(&ws, Some("good")).unwrap();
+        let report = done(check(&ws, Some("good"), 1, &budget()));
         assert!(report.contains("good: globally-optimal repair"));
-        let report = check(&ws, Some("bad")).unwrap();
+        let report = done(check(&ws, Some("bad"), 1, &budget()));
         assert!(report.contains("NOT globally optimal"));
         assert!(report.contains("improvement: remove"));
         // All declared repairs when no name given.
-        let report = check(&ws, None).unwrap();
+        let report = done(check(&ws, None, 1, &budget()));
         assert!(report.contains("good:"));
         assert!(report.contains("bad:"));
         // Unknown names error.
-        assert!(check(&ws, Some("nope")).is_err());
+        assert!(check(&ws, Some("nope"), 1, &budget()).is_err());
     }
 
     #[test]
     fn repairs_enumeration_by_semantics() {
         let ws = parse_workspace(RUNNING).unwrap();
-        let all = repairs(&ws, "all", 1 << 20).unwrap();
-        let global = repairs(&ws, "global", 1 << 20).unwrap();
+        let all = done(repairs(&ws, "all", 1, &budget()));
+        let global = done(repairs(&ws, "global", 1, &budget()));
         let n_all: usize = all.lines().next().unwrap().split(' ').next().unwrap().parse().unwrap();
         let n_global: usize =
             global.lines().next().unwrap().split(' ').next().unwrap().parse().unwrap();
         assert!(n_global <= n_all);
         assert!(n_all >= 2);
-        assert!(repairs(&ws, "bogus", 1 << 20).is_err());
+        assert!(repairs(&ws, "bogus", 1, &budget()).is_err());
     }
 
     #[test]
@@ -781,7 +668,7 @@ repair bad: BookLoc(b1, drama, lib3); LibLoc(lib1, almaden)
         let cg = ConflictGraph::new(&ws.schema, &ws.instance);
         let j = construct_globally_optimal_repair(&cg, &ws.priority);
         let pi = ws.prioritized().unwrap();
-        assert!(GRepairChecker::new(ws.schema.clone()).check(&pi, &j).unwrap().is_optimal());
+        assert!(GRepairChecker::new(ws.schema.clone()).check(&pi, &j).is_optimal());
     }
 
     #[test]
@@ -839,11 +726,11 @@ repair bad: BookLoc(b1, drama, lib3); LibLoc(lib1, almaden)
     fn cqa_answers_tighten_with_semantics() {
         let ws = parse_workspace(RUNNING).unwrap();
         let q = "q(?loc) <- BookLoc(b1, ?g, ?lib), LibLoc(?lib, ?loc)";
-        let all = cqa(&ws, q, "all", 1 << 20).unwrap();
-        let global = cqa(&ws, q, "global", 1 << 20).unwrap();
+        let all = done(cqa(&ws, q, "all", 1, &budget()));
+        let global = done(cqa(&ws, q, "global", 1, &budget()));
         assert!(all.contains("certain : \n") || all.contains("certain :"));
         assert!(global.contains("(edenvale)"));
-        assert!(cqa(&ws, "broken", "all", 1 << 20).is_err());
+        assert!(cqa(&ws, "broken", "all", 1, &budget()).is_err());
     }
 
     #[test]
@@ -863,7 +750,7 @@ repair bad: BookLoc(b1, drama, lib3); LibLoc(lib1, almaden)
         assert_eq!(mutated.instance.len(), ws.instance.len() + 1);
         assert_eq!(mutated.priority.edge_count(), ws.priority.edge_count() + 1);
         // The mutated workspace is itself checkable.
-        assert!(check(&mutated, Some("good")).is_ok());
+        done(check(&mutated, Some("good"), 1, &budget()));
         // Rejections surface the delta grammar / session diagnostics.
         assert!(delta(&ws, "banana\n").unwrap_err().to_string().contains("expected `insert`"));
         assert!(delta(&ws, "delete LibLoc(nope, nope)\n")

@@ -3,14 +3,18 @@
 //! ```text
 //! rpr classify  FILE
 //! rpr check     FILE [REPAIR_NAME]
-//! rpr repairs   FILE [--semantics all|pareto|global|completion] [--budget N]
+//! rpr repairs   FILE [--semantics all|pareto|global|completion] [--max-work N]
 //! rpr construct FILE
-//! rpr cqa       FILE "q(?x) <- R(?x, c)" [--semantics …] [--budget N]
+//! rpr cqa       FILE "q(?x) <- R(?x, c)" [--semantics …] [--max-work N]
 //! ```
 //!
-//! `FILE` is a `.rpr` workspace (see `rpr_cli::format`). Exit codes:
-//! 0 success, 1 usage error, 2 parse/command error, 4 budget exceeded
-//! with a partial result (`--on-exceed partial`), 5 cancelled.
+//! `FILE` is a `.rpr` workspace (see `rpr_cli::format`). `check`,
+//! `repairs`, `cqa` and `certify` always run under one engine
+//! [`Budget`] shared by the whole run; with none of `--timeout-ms`,
+//! `--max-work` or `--cancel-after-ms` it is `--max-work 4194304`.
+//! Exit codes: 0 success, 1 usage error, 2 parse/command error (also a
+//! tripped budget), 4 budget exceeded with a partial result
+//! (`--on-exceed partial`), 5 cancelled.
 
 use rpr_cli::commands::{self, BoundedRun, RunStatus};
 use rpr_cli::format::parse_workspace;
@@ -19,6 +23,9 @@ use rpr_core::Budget;
 use std::process::ExitCode;
 use std::time::Duration;
 
+/// The work allowance of a bounded command given no budget flag.
+const DEFAULT_MAX_WORK: u64 = 1 << 22;
+
 const USAGE: &str = "\
 usage: rpr <command> <file.rpr> [args]
 
@@ -26,10 +33,10 @@ commands:
   classify  FILE [--explain]          report both dichotomy classifications
                                       (--explain adds Armstrong certificates)
   check     FILE [NAME] [--jobs N]    check candidate repair(s) declared in the file
-  repairs   FILE [--semantics S] [--budget N] [--jobs N]
+  repairs   FILE [--semantics S] [--max-work N] [--jobs N]
                                       enumerate repairs (S: all|pareto|global|completion)
   construct FILE                      build one globally-optimal repair (always PTIME)
-  cqa       FILE QUERY [--semantics S] [--budget N] [--jobs N]
+  cqa       FILE QUERY [--semantics S] [--max-work N] [--jobs N]
                                       certain/possible answers, e.g. \"q(?x) <- R(?x, c)\"
   discover  FILE [--max-lhs N]        mine the FDs holding in the declared facts
   lint      FILE                      normal-form + dichotomy report per relation
@@ -64,8 +71,10 @@ commands:
 options:
   --jobs N            worker threads for check/repairs/cqa parallel fan-out
                       (default: available parallelism; 1 = sequential)
-  --timeout-ms MS     wall-clock deadline for check/repairs/cqa
-  --max-work N        work-unit allowance for check/repairs/cqa
+  --timeout-ms MS     wall-clock deadline for check/repairs/cqa/certify
+  --max-work N        work-unit allowance for check/repairs/cqa/certify, shared
+                      by the whole run (default 4194304 when none of
+                      --timeout-ms/--max-work/--cancel-after-ms is given)
   --cancel-after-ms MS  fire the cooperative cancel token after MS
   --on-exceed MODE    fail (default): a tripped budget is an error (exit 2)
                       partial: report the partial result, exit 4
@@ -130,9 +139,13 @@ fn opt_parse<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option
     }
 }
 
-/// Folds a bounded command run into output + exit code under the
-/// `--on-exceed` policy.
-fn resolve_bounded(run: BoundedRun, on_exceed: &OnExceed) -> Result<CliResult, UsageOr> {
+/// Folds a bounded command's result into output + exit code under the
+/// `--on-exceed` policy (a command error exits 2).
+fn resolve_bounded(
+    run: Result<BoundedRun, commands::CommandError>,
+    on_exceed: &OnExceed,
+) -> Result<CliResult, UsageOr> {
+    let run = run.map_err(|e| UsageOr::Command(e.to_string()))?;
     match run.status {
         RunStatus::Done => Ok(CliResult::ok(run.report)),
         RunStatus::Exceeded(report) => match on_exceed {
@@ -152,6 +165,13 @@ fn resolve_bounded(run: BoundedRun, on_exceed: &OnExceed) -> Result<CliResult, U
 
 fn run(args: &[String]) -> Result<CliResult, UsageOr> {
     let command = args.first().ok_or_else(|| UsageOr::Usage("missing command".into()))?;
+    // Unknown flags are otherwise ignored, so a removed safety flag must
+    // fail loudly rather than silently run unguarded.
+    if args.iter().any(|a| a == "--budget") {
+        return Err(UsageOr::Usage(
+            "--budget was removed: use --max-work N (one allowance for the whole run)".into(),
+        ));
+    }
     // Network commands take no workspace file argument up front, and
     // `audit` reads certificate lines rather than a workspace.
     match command.as_str() {
@@ -175,13 +195,9 @@ fn run(args: &[String]) -> Result<CliResult, UsageOr> {
     // Worker threads for the check session's parallel fan-out
     // (`0`/absent → available parallelism, shared with `rpr serve`).
     let jobs: usize = rpr_core::resolve_jobs(opt_parse(args, "--jobs")?);
-    let budget: usize = match opt_value(args, "--budget") {
-        Some(b) => b.parse().map_err(|_| UsageOr::Command(format!("bad --budget value `{b}`")))?,
-        None => 1 << 22,
-    };
 
-    // Engine execution control: any of these flags routes check/
-    // repairs/cqa through the bounded entry points.
+    // Execution control of check/repairs/cqa/certify: one engine budget
+    // meters the whole run.
     let timeout_ms: Option<u64> = opt_parse(args, "--timeout-ms")?;
     let max_work: Option<u64> = opt_parse(args, "--max-work")?;
     let cancel_after_ms: Option<u64> = opt_parse(args, "--cancel-after-ms")?;
@@ -194,21 +210,20 @@ fn run(args: &[String]) -> Result<CliResult, UsageOr> {
             )))
         }
     };
-    let engine = if timeout_ms.is_some() || max_work.is_some() || cancel_after_ms.is_some() {
-        let mut b = Budget::unlimited();
-        if let Some(ms) = timeout_ms {
-            b = b.with_deadline(Duration::from_millis(ms));
-        }
-        if let Some(w) = max_work {
-            b = b.with_max_work(w);
-        }
-        if let Some(ms) = cancel_after_ms {
-            b.cancel_token().cancel_after(Duration::from_millis(ms));
-        }
-        Some(b)
-    } else {
-        None
+    let max_work = match (timeout_ms, max_work, cancel_after_ms) {
+        (None, None, None) => Some(DEFAULT_MAX_WORK),
+        (_, w, _) => w,
     };
+    let mut budget = Budget::unlimited();
+    if let Some(ms) = timeout_ms {
+        budget = budget.with_deadline(Duration::from_millis(ms));
+    }
+    if let Some(w) = max_work {
+        budget = budget.with_max_work(w);
+    }
+    if let Some(ms) = cancel_after_ms {
+        budget.cancel_token().cancel_after(Duration::from_millis(ms));
+    }
 
     match command.as_str() {
         "classify" => {
@@ -220,27 +235,9 @@ fn run(args: &[String]) -> Result<CliResult, UsageOr> {
         }
         "check" => {
             let name = args.get(2).filter(|a| !a.starts_with("--")).map(|s| s.as_str());
-            match &engine {
-                Some(b) => {
-                    let run = commands::check_bounded_with_jobs(&ws, name, jobs, b)
-                        .map_err(|e| UsageOr::Command(e.to_string()))?;
-                    resolve_bounded(run, &on_exceed)
-                }
-                None => commands::check_with_jobs(&ws, name, jobs)
-                    .map(CliResult::ok)
-                    .map_err(|e| UsageOr::Command(e.to_string())),
-            }
+            resolve_bounded(commands::check(&ws, name, jobs, &budget), &on_exceed)
         }
-        "repairs" => match &engine {
-            Some(b) => {
-                let run = commands::repairs_bounded_with_jobs(&ws, &semantics, jobs, b)
-                    .map_err(|e| UsageOr::Command(e.to_string()))?;
-                resolve_bounded(run, &on_exceed)
-            }
-            None => commands::repairs_with_jobs(&ws, &semantics, budget, jobs)
-                .map(CliResult::ok)
-                .map_err(|e| UsageOr::Command(e.to_string())),
-        },
+        "repairs" => resolve_bounded(commands::repairs(&ws, &semantics, jobs, &budget), &on_exceed),
         "construct" => Ok(CliResult::ok(commands::construct(&ws))),
         "discover" => {
             let max_lhs: usize = match opt_value(args, "--max-lhs") {
@@ -302,9 +299,7 @@ fn run(args: &[String]) -> Result<CliResult, UsageOr> {
         "certify" => {
             let name = args.get(2).filter(|a| !a.starts_with("--")).map(|s| s.as_str());
             let classify_only = args.iter().any(|a| a == "--classify");
-            commands::certify(&ws, name, classify_only)
-                .map(CliResult::ok)
-                .map_err(|e| UsageOr::Command(e.to_string()))
+            resolve_bounded(commands::certify(&ws, name, classify_only, &budget), &on_exceed)
         }
         "stats" => Ok(CliResult::ok(commands::stats(&ws))),
         "cqa" => {
@@ -312,16 +307,7 @@ fn run(args: &[String]) -> Result<CliResult, UsageOr> {
                 .get(2)
                 .filter(|a| !a.starts_with("--"))
                 .ok_or_else(|| UsageOr::Usage("cqa needs a query argument".into()))?;
-            match &engine {
-                Some(b) => {
-                    let run = commands::cqa_bounded_with_jobs(&ws, query, &semantics, jobs, b)
-                        .map_err(|e| UsageOr::Command(e.to_string()))?;
-                    resolve_bounded(run, &on_exceed)
-                }
-                None => commands::cqa_with_jobs(&ws, query, &semantics, budget, jobs)
-                    .map(CliResult::ok)
-                    .map_err(|e| UsageOr::Command(e.to_string())),
-            }
+            resolve_bounded(commands::cqa(&ws, query, &semantics, jobs, &budget), &on_exceed)
         }
         other => Err(UsageOr::Usage(format!("unknown command `{other}`"))),
     }

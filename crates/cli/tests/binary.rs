@@ -95,18 +95,49 @@ fn derive_and_lint_and_discover_run() {
 
 #[test]
 fn budget_flag_is_parsed_and_enforced() {
-    let out = rpr(&["repairs", &workload("running_example.rpr"), "--budget", "2"]);
+    let out = rpr(&["repairs", &workload("running_example.rpr"), "--max-work", "2"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("budget"));
 
-    let out = rpr(&["repairs", &workload("running_example.rpr"), "--budget", "nope"]);
+    let out = rpr(&["repairs", &workload("running_example.rpr"), "--max-work", "nope"]);
     assert_eq!(out.status.code(), Some(2));
+
+    // The removed step-budget flag is a usage error naming its
+    // replacement, never silently ignored like an unknown flag.
+    let out = rpr(&["repairs", &workload("running_example.rpr"), "--budget", "2"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8(out.stderr).unwrap().contains("--max-work"));
+}
+
+/// `check`, `repairs` and `certify` have one implementation each: a run
+/// with no budget flag is exactly a `--max-work 4194304` run, in stdout
+/// and exit code, on every committed workload.
+#[test]
+fn unflagged_runs_equal_the_default_max_work_run() {
+    let mut names: Vec<String> = std::fs::read_dir(workload(""))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".rpr"))
+        .collect();
+    names.sort();
+    assert_eq!(names.len(), 5, "{names:?}");
+    for name in &names {
+        let path = workload(name);
+        for cmd in ["check", "repairs", "certify"] {
+            let plain = rpr(&[cmd, &path]);
+            let flagged = rpr(&[cmd, &path, "--max-work", "4194304"]);
+            assert_eq!(plain.stdout, flagged.stdout, "{cmd} {name}: stdout");
+            assert_eq!(plain.status.code(), flagged.status.code(), "{cmd} {name}: exit code");
+            let trips =
+                name == "hard_blowup.rpr" || (name == "many_components.rpr" && cmd == "repairs");
+            assert_eq!(plain.status.code(), Some(if trips { 2 } else { 0 }), "{cmd} {name}");
+        }
+    }
 }
 
 #[test]
 fn engine_budget_flags_and_exit_codes() {
-    // fail mode (default): a tripped budget is a command error (exit 2),
-    // same contract as the legacy --budget flag.
+    // fail mode (default): a tripped budget is a command error (exit 2).
     let out = rpr(&["repairs", &workload("hard_blowup.rpr"), "--max-work", "10000"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("budget exceeded"));

@@ -7,14 +7,17 @@
 //! on the hard side of the dichotomy nothing better than exponential
 //! search exists unless P = NP.
 //!
-//! Every oracle exists in two forms: the legacy step-budget interface
-//! (`Result<_, BudgetExceeded>`, counting recursion steps against a
-//! plain `usize`) and a `_bounded` variant running under an
-//! [`rpr_engine::Budget`] — same search, same step charging, but with a
-//! wall-clock deadline, cooperative cancellation, and an
-//! [`Outcome`] that carries whatever partial answer had accumulated
-//! when a limit tripped. The legacy functions are thin wrappers over
-//! the bounded implementations, so there is exactly one search.
+//! The implementation of every oracle is its `_bounded` form, running
+//! under an [`rpr_engine::Budget`]: work units, a wall-clock deadline,
+//! cooperative cancellation, and an [`Outcome`] that carries whatever
+//! partial answer had accumulated when a limit tripped. The oracles
+//! over a bare conflict graph also keep a step-count convenience
+//! (`Result<_, BudgetExceeded>` against a plain `usize`) that arms a
+//! private work-only `Budget` and calls the bounded form, so there is
+//! exactly one search. The session oracles
+//! ([`globally_optimal_repairs_session_bounded`] and its count) exist
+//! only in bounded form: they meter enumeration and every session
+//! check against the caller's one budget.
 //!
 //! A useful reduction keeps the search space small: if `J` has a global
 //! (resp. Pareto) improvement, it has one that is a *repair* — extend
@@ -326,60 +329,12 @@ pub fn count_globally_optimal_repairs_bounded(
     globally_optimal_repairs_bounded(cg, priority, budget).map(|r| r.len())
 }
 
-/// Enumerates all repairs against a [`CheckSession`]'s cached conflict
-/// graph (no per-call graph construction).
-///
-/// # Errors
-/// [`BudgetExceeded`] when more than `budget` recursion steps are
-/// needed.
-pub fn enumerate_repairs_session(
-    session: &CheckSession<'_>,
-    budget: usize,
-) -> Result<Vec<FactSet>, BudgetExceeded> {
-    enumerate_repairs(session.conflict_graph(), budget)
-}
-
-/// Streams every repair of the session's instance to `visit`; stop
-/// early by returning `false`.
-///
-/// # Errors
-/// [`BudgetExceeded`] when more than `budget` recursion steps are
-/// needed.
-pub fn for_each_repair_session(
-    session: &CheckSession<'_>,
-    budget: usize,
-    visit: impl FnMut(&FactSet) -> bool,
-) -> Result<(), BudgetExceeded> {
-    for_each_repair(session.conflict_graph(), budget, visit)
-}
-
 /// Enumerates the globally-optimal repairs by filtering the repair
 /// enumeration through the session's dispatched (polynomial where
 /// possible) checker, fanning the checks out across the session's
 /// workers. Agrees with [`globally_optimal_repairs`] and keeps the
-/// enumeration order.
-///
-/// # Errors
-/// [`BudgetExceeded`] if enumeration or a hard-side check exceeds its
-/// budget.
-pub fn globally_optimal_repairs_session(
-    session: &CheckSession<'_>,
-    budget: usize,
-) -> Result<Vec<FactSet>, BudgetExceeded> {
-    let repairs = enumerate_repairs_session(session, budget)?;
-    let outcomes = session.check_batch(&repairs);
-    let mut out = Vec::new();
-    for (j, outcome) in repairs.into_iter().zip(outcomes) {
-        if outcome?.is_optimal() {
-            out.push(j);
-        }
-    }
-    Ok(out)
-}
-
-/// [`globally_optimal_repairs_session`] under a caller-supplied
-/// [`Budget`]: bounded enumeration, then a bounded parallel batch
-/// check. On degradation — a tripped limit, a cancellation, or a
+/// enumeration order. One [`Budget`] meters both steps: bounded
+/// enumeration, then a bounded parallel batch check. On degradation — a tripped limit, a cancellation, or a
 /// panicking candidate — the partial answer is every repair whose check
 /// *did* complete with an optimal verdict; the first non-`Done`
 /// candidate outcome (in enumeration order) determines the variant.
@@ -417,20 +372,8 @@ pub fn globally_optimal_repairs_session_bounded(
 }
 
 /// Counts globally-optimal repairs via
-/// [`globally_optimal_repairs_session`].
-///
-/// # Errors
-/// [`BudgetExceeded`] if enumeration or a hard-side check exceeds its
-/// budget.
-pub fn count_globally_optimal_repairs_session(
-    session: &CheckSession<'_>,
-    budget: usize,
-) -> Result<usize, BudgetExceeded> {
-    Ok(globally_optimal_repairs_session(session, budget)?.len())
-}
-
-/// [`count_globally_optimal_repairs_session`] under a caller-supplied
-/// [`Budget`]; the partial count on degradation is a lower bound.
+/// [`globally_optimal_repairs_session_bounded`]; the partial count on
+/// degradation is a lower bound.
 pub fn count_globally_optimal_repairs_session_bounded(
     session: &CheckSession<'_>,
     budget: &Budget,

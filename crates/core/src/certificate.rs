@@ -318,7 +318,7 @@ mod tests {
         let pi = PrioritizedInstance::conflict_restricted(&schema, i.clone(), p).unwrap();
         let session = CheckSession::new(&schema, &pi);
         let j = i.set_of([0, 1, 3, 4].map(FactId));
-        let outcome = session.check(&j).unwrap();
+        let outcome = session.check(&j);
         assert!(outcome.is_optimal());
         let cert = session.certify(&j, &outcome);
         let check = cert.check.as_ref().unwrap();
@@ -341,7 +341,7 @@ mod tests {
         let pi = PrioritizedInstance::conflict_restricted(&schema, i.clone(), p).unwrap();
         let session = CheckSession::new(&schema, &pi);
         let j = i.set_of([2, 3, 4].map(FactId));
-        let outcome = session.check(&j).unwrap();
+        let outcome = session.check(&j);
         let cert = session.certify(&j, &outcome);
         let CertVerdict::Improvable(w) = &cert.check.unwrap().verdict else {
             panic!("expected improvable");
@@ -363,7 +363,7 @@ mod tests {
         let pi = PrioritizedInstance::conflict_restricted(&schema, i.clone(), p).unwrap();
         let session = CheckSession::new(&schema, &pi);
         let j = i.set_of([0, 2].map(FactId));
-        let outcome = session.check(&j).unwrap();
+        let outcome = session.check(&j);
         let cert = session.certify(&j, &outcome);
         match cert.check.unwrap().verdict {
             CertVerdict::Inconsistent { f, g } => assert_eq!((f, g), (FactId(0), FactId(2))),

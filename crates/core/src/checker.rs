@@ -13,7 +13,7 @@
 //!   primary-key graph algorithm, the constant-attribute enumeration,
 //!   or the exact search.
 
-use crate::improvement::{BudgetExceeded, CheckOutcome};
+use crate::improvement::CheckOutcome;
 use crate::session::CheckSession;
 use rpr_classify::{
     classify_schema, classify_schema_ccp, CcpClass, Complexity, RelationClass, SchemaClass,
@@ -22,9 +22,6 @@ use rpr_data::FactSet;
 use rpr_engine::{Budget, Outcome};
 use rpr_fd::Schema;
 use rpr_priority::PrioritizedInstance;
-
-/// Default budget for the exponential fall-back (search steps).
-pub const DEFAULT_EXACT_BUDGET: usize = 1 << 22;
 
 /// Which algorithm answered a check (for reporting and benchmarks).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,20 +46,13 @@ pub enum Method {
 pub struct GRepairChecker {
     schema: Schema,
     class: SchemaClass,
-    exact_budget: usize,
 }
 
 impl GRepairChecker {
     /// Classifies the schema and prepares the dispatch table.
     pub fn new(schema: Schema) -> Self {
         let class = classify_schema(&schema);
-        GRepairChecker { schema, class, exact_budget: DEFAULT_EXACT_BUDGET }
-    }
-
-    /// Overrides the step budget of the exponential fall-back.
-    pub fn with_exact_budget(mut self, budget: usize) -> Self {
-        self.exact_budget = budget;
-        self
+        GRepairChecker { schema, class }
     }
 
     /// The classification driving the dispatch.
@@ -83,17 +73,12 @@ impl GRepairChecker {
     /// themselves (via [`GRepairChecker::session`]) to amortize the
     /// conflict-graph construction.
     ///
-    /// # Errors
-    /// [`BudgetExceeded`] only when a hard relation's exact search blows
-    /// its budget; tractable schemas never fail.
+    /// Unbounded, like [`CheckSession::check`]: on a coNP-hard schema
+    /// use [`check_bounded`](GRepairChecker::check_bounded).
     ///
     /// # Panics
     /// Panics if `pi` was validated in ccp mode (use [`CcpChecker`]).
-    pub fn check(
-        &self,
-        pi: &PrioritizedInstance,
-        j: &FactSet,
-    ) -> Result<CheckOutcome, BudgetExceeded> {
+    pub fn check(&self, pi: &PrioritizedInstance, j: &FactSet) -> CheckOutcome {
         self.session(pi).with_jobs(1).check(j)
     }
 
@@ -115,13 +100,12 @@ impl GRepairChecker {
     }
 
     /// Builds an amortized [`CheckSession`] over `pi`, reusing this
-    /// checker's classification and budget.
+    /// checker's classification.
     ///
     /// # Panics
     /// Panics if `pi` was validated in ccp mode (use [`CcpChecker`]).
     pub fn session<'a>(&'a self, pi: &'a PrioritizedInstance) -> CheckSession<'a> {
         CheckSession::with_classical_class(&self.schema, pi, self.class.clone())
-            .with_exact_budget(self.exact_budget)
     }
 
     /// The method used for a given relation (reporting).
@@ -139,20 +123,13 @@ impl GRepairChecker {
 pub struct CcpChecker {
     schema: Schema,
     class: CcpClass,
-    exact_budget: usize,
 }
 
 impl CcpChecker {
     /// Classifies the schema under Theorem 7.1 and prepares dispatch.
     pub fn new(schema: Schema) -> Self {
         let class = classify_schema_ccp(&schema);
-        CcpChecker { schema, class, exact_budget: DEFAULT_EXACT_BUDGET }
-    }
-
-    /// Overrides the step budget of the exponential fall-back.
-    pub fn with_exact_budget(mut self, budget: usize) -> Self {
-        self.exact_budget = budget;
-        self
+        CcpChecker { schema, class }
     }
 
     /// The classification driving the dispatch.
@@ -179,15 +156,10 @@ impl CcpChecker {
     /// special case of ccp).
     ///
     /// One-shot convenience over a transient [`CheckSession`]; see
-    /// [`CcpChecker::session`] for amortized checking.
-    ///
-    /// # Errors
-    /// [`BudgetExceeded`] only on the hard side.
-    pub fn check(
-        &self,
-        pi: &PrioritizedInstance,
-        j: &FactSet,
-    ) -> Result<CheckOutcome, BudgetExceeded> {
+    /// [`CcpChecker::session`] for amortized checking. Unbounded, like
+    /// [`CheckSession::check`]: on the hard side use
+    /// [`check_bounded`](CcpChecker::check_bounded).
+    pub fn check(&self, pi: &PrioritizedInstance, j: &FactSet) -> CheckOutcome {
         self.session(pi).with_jobs(1).check(j)
     }
 
@@ -203,10 +175,9 @@ impl CcpChecker {
     }
 
     /// Builds an amortized [`CheckSession`] over `pi`, reusing this
-    /// checker's classification and budget.
+    /// checker's classification.
     pub fn session<'a>(&'a self, pi: &'a PrioritizedInstance) -> CheckSession<'a> {
         CheckSession::with_ccp_class(&self.schema, pi, self.class.clone())
-            .with_exact_budget(self.exact_budget)
     }
 }
 
@@ -282,7 +253,7 @@ mod tests {
         assert!(repairs.len() >= 8);
         let mut optimal_count = 0;
         for j in &repairs {
-            let fast = checker.check(&pi, j).unwrap().is_optimal();
+            let fast = checker.check(&pi, j).is_optimal();
             let slow = is_globally_optimal_brute(&cg, &p, j, 1 << 22).unwrap();
             assert_eq!(fast, slow, "disagreement on {}", i.render_set(j));
             optimal_count += usize::from(fast);
@@ -316,7 +287,7 @@ mod tests {
         assert_eq!(checker.complexity(), Complexity::ConpComplete);
         let pi = PrioritizedInstance::conflict_restricted(&schema, i, p.clone()).unwrap();
         for j in enumerate_repairs(&cg, 1 << 20).unwrap() {
-            let fast = checker.check(&pi, &j).unwrap().is_optimal();
+            let fast = checker.check(&pi, &j).is_optimal();
             let slow = is_globally_optimal_brute(&cg, &p, &j, 1 << 20).unwrap();
             assert_eq!(fast, slow);
         }
@@ -340,7 +311,7 @@ mod tests {
         let cg = ConflictGraph::new(&schema, &i);
         let pi = PrioritizedInstance::cross_conflict(i, p.clone());
         for j in enumerate_repairs(&cg, 1 << 20).unwrap() {
-            let fast = checker.check(&pi, &j).unwrap().is_optimal();
+            let fast = checker.check(&pi, &j).is_optimal();
             let slow = is_globally_optimal_brute(&cg, &p, &j, 1 << 20).unwrap();
             assert_eq!(fast, slow);
         }
@@ -360,7 +331,7 @@ mod tests {
         let cg = ConflictGraph::new(&schema, &i);
         let pi = PrioritizedInstance::cross_conflict(i, p.clone());
         for j in enumerate_repairs(&cg, 1 << 20).unwrap() {
-            let fast = checker.check(&pi, &j).unwrap().is_optimal();
+            let fast = checker.check(&pi, &j).is_optimal();
             let slow = is_globally_optimal_brute(&cg, &p, &j, 1 << 20).unwrap();
             assert_eq!(fast, slow);
         }
@@ -381,7 +352,7 @@ mod tests {
         let cg = ConflictGraph::new(&schema, &i);
         let pi = PrioritizedInstance::cross_conflict(i, p.clone());
         for j in enumerate_repairs(&cg, 1 << 20).unwrap() {
-            let fast = checker.check(&pi, &j).unwrap().is_optimal();
+            let fast = checker.check(&pi, &j).is_optimal();
             let slow = is_globally_optimal_brute(&cg, &p, &j, 1 << 20).unwrap();
             assert_eq!(fast, slow);
         }

@@ -37,7 +37,11 @@
 //! so one poisoned candidate yields
 //! [`Outcome::Panicked`] for *that entry only* while its siblings'
 //! verdicts survive. A cancelled batch stops charging work at the next
-//! per-candidate checkpoint.
+//! per-candidate checkpoint. One budget meters everything a bounded
+//! call does — candidates, relations, and every exact-search shard
+//! draw on the same allowance. [`check`](CheckSession::check) and
+//! [`check_batch`](CheckSession::check_batch) are the same code under
+//! [`Budget::unlimited`](rpr_engine::Budget::unlimited).
 //!
 //! **Bit-identity.** Every session result — outcome *and* witness — is
 //! identical to what the corresponding one-shot checker returns, at
@@ -50,12 +54,11 @@
 //! The bounded paths share the implementation, so surviving candidates
 //! of a degraded batch are bit-identical to an unbounded run too.
 
-use crate::checker::DEFAULT_EXACT_BUDGET;
 use crate::global_1fd::{check_global_1fd_with_blocks, eval_1fd_groups, FdBlocks};
 use crate::global_2keys::check_global_2keys;
 use crate::global_ccp_const::check_global_ccp_const;
 use crate::global_ccp_pk::check_global_ccp_pk;
-use crate::improvement::{BudgetExceeded, CheckOutcome, Improvement};
+use crate::improvement::{CheckOutcome, Improvement};
 use crate::pareto::find_pareto_improvement;
 use crate::shard_store::{SessionIndex, ShardData, ShardStore};
 use rpr_classify::{
@@ -84,10 +87,10 @@ fn run_isolated<T>(task: impl FnOnce() -> T) -> TaskResult<T> {
     catch_unwind(AssertUnwindSafe(task))
 }
 
-/// Unwraps fan-out results for the legacy (unbounded) entry points:
-/// every sibling has already finished, so resuming the first captured
-/// panic preserves the historical `check`/`check_batch` behaviour
-/// without ever aborting a scope join.
+/// Unwraps fan-out results for the unbounded entry points: every
+/// sibling has already finished, so resuming the first captured panic
+/// propagates it from `check`/`check_batch` without ever aborting a
+/// scope join.
 fn rethrow<T>(results: Vec<TaskResult<T>>) -> Vec<T> {
     results
         .into_iter()
@@ -98,17 +101,10 @@ fn rethrow<T>(results: Vec<TaskResult<T>>) -> Vec<T> {
         .collect()
 }
 
-/// How the exponential fall-back is bounded on this code path.
-#[derive(Clone, Copy)]
-enum ExactCtl<'b> {
-    /// Legacy semantics: each hard relation's exact search gets a fresh
-    /// private allowance of this many steps (what the step-budget API
-    /// always did).
-    Legacy(usize),
-    /// One shared engine budget meters the whole computation: work,
-    /// deadline, and cancellation are global across relations, batch
-    /// candidates, and workers.
-    Engine(&'b Budget),
+/// Unwraps a check run under [`Budget::unlimited`], which has no limit
+/// to trip and no token anyone else can cancel.
+fn unbounded(result: Result<CheckOutcome, Stop>) -> CheckOutcome {
+    result.unwrap_or_else(|stop| unreachable!("an unlimited budget never stops: {stop}"))
 }
 
 /// The cached dispatch plan: which dichotomy the session runs under.
@@ -390,7 +386,6 @@ pub struct CheckSession<'a> {
     pi: &'a PrioritizedInstance,
     art: ArtRef<'a>,
     jobs: usize,
-    exact_budget: usize,
 }
 
 impl<'a> CheckSession<'a> {
@@ -420,7 +415,7 @@ impl<'a> CheckSession<'a> {
         pi: &'a PrioritizedInstance,
         art: ArtRef<'a>,
     ) -> Self {
-        CheckSession { schema, pi, art, jobs: default_jobs(), exact_budget: DEFAULT_EXACT_BUDGET }
+        CheckSession { schema, pi, art, jobs: default_jobs() }
     }
 
     /// Builds a classical session from a precomputed classification
@@ -460,12 +455,6 @@ impl<'a> CheckSession<'a> {
     /// execution.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = if jobs == 0 { default_jobs() } else { jobs };
-        self
-    }
-
-    /// Overrides the step budget of the exponential fall-back.
-    pub fn with_exact_budget(mut self, budget: usize) -> Self {
-        self.exact_budget = budget;
         self
     }
 
@@ -517,20 +506,25 @@ impl<'a> CheckSession<'a> {
     /// Checks whether `j` is a globally-optimal repair, with the
     /// session's cached invariants and parallel fan-out.
     ///
-    /// # Errors
-    /// [`BudgetExceeded`] only when a hard schema's exact search blows
-    /// its budget; tractable schemas never fail.
-    pub fn check(&self, j: &FactSet) -> Result<CheckOutcome, BudgetExceeded> {
-        self.check_with_jobs(j, self.jobs)
+    /// **Unbounded:** this runs the code of
+    /// [`check_bounded`](CheckSession::check_bounded) under
+    /// [`Budget::unlimited`], so on a coNP-hard schema the exact
+    /// fall-back runs to completion however long that takes; a panic
+    /// propagates to the caller. Production callers pass a real
+    /// [`Budget`] to the bounded form.
+    pub fn check(&self, j: &FactSet) -> CheckOutcome {
+        unbounded(self.check_stop(j, self.jobs, &Budget::unlimited()))
     }
 
     /// Checks a batch of candidates, fanning out across them. Results
     /// are in input order and identical to calling
-    /// [`check`](CheckSession::check) per candidate.
-    pub fn check_batch(&self, js: &[FactSet]) -> Vec<Result<CheckOutcome, BudgetExceeded>> {
+    /// [`check`](CheckSession::check) per candidate. Unbounded, like
+    /// `check`: see [`check_batch_bounded`](CheckSession::check_batch_bounded).
+    pub fn check_batch(&self, js: &[FactSet]) -> Vec<CheckOutcome> {
         // Inner checks stay sequential: the candidates themselves are
         // the parallel unit.
-        rethrow(self.fan_out(js.len(), |i| self.check_with_jobs(&js[i], 1)))
+        let budget = Budget::unlimited();
+        rethrow(self.fan_out(js.len(), |i| unbounded(self.check_stop(&js[i], 1, &budget))))
     }
 
     /// [`check`](CheckSession::check) under a caller-supplied
@@ -585,37 +579,18 @@ impl<'a> CheckSession<'a> {
             .collect()
     }
 
-    fn check_with_jobs(&self, j: &FactSet, jobs: usize) -> Result<CheckOutcome, BudgetExceeded> {
-        self.check_dispatch(j, jobs, ExactCtl::Legacy(self.exact_budget)).map_err(|stop| match stop
-        {
-            Stop::Exceeded(_) => BudgetExceeded { budget: self.exact_budget },
-            Stop::Cancelled => unreachable!("legacy checks carry no cancellation token"),
-        })
-    }
-
-    /// Engine-budgeted check: one work unit per candidate plus the
-    /// per-relation and exact-search charges below.
+    /// The single check implementation behind every entry point: one
+    /// work unit per candidate plus the per-relation and exact-search
+    /// charges below, all against the one shared `budget`.
     fn check_stop(&self, j: &FactSet, jobs: usize, budget: &Budget) -> Result<CheckOutcome, Stop> {
         budget.step()?;
-        self.check_dispatch(j, jobs, ExactCtl::Engine(budget))
-    }
-
-    /// The single dispatch implementation behind both the legacy and
-    /// the bounded entry points; `exact` decides how the exponential
-    /// fall-back is metered.
-    fn check_dispatch(
-        &self,
-        j: &FactSet,
-        jobs: usize,
-        exact: ExactCtl<'_>,
-    ) -> Result<CheckOutcome, Stop> {
         // Global consistency first (gives the cheapest witnesses).
         if let Some((f, g)) = self.consistency_witness(j, jobs) {
             return Ok(CheckOutcome::Inconsistent(f, g));
         }
         match &self.art.plan {
-            Plan::Classical(class) => self.check_classical(class, j, jobs, exact),
-            Plan::Ccp(class) => self.check_ccp(class, j, jobs, exact),
+            Plan::Classical(class) => self.check_classical(class, j, jobs, budget),
+            Plan::Ccp(class) => self.check_ccp(class, j, jobs, budget),
         }
     }
 
@@ -649,7 +624,7 @@ impl<'a> CheckSession<'a> {
         class: &SchemaClass,
         j: &FactSet,
         jobs: usize,
-        exact: ExactCtl<'_>,
+        budget: &Budget,
     ) -> Result<CheckOutcome, Stop> {
         let rels = class.per_relation();
         if jobs > 1 && rels.len() > 1 {
@@ -659,7 +634,7 @@ impl<'a> CheckSession<'a> {
             // returns. Each relation task runs its shards sequentially
             // — the relations themselves are the parallel unit here.
             let outcomes = rethrow(
-                self.fan_out_n(jobs, rels.len(), |i| self.check_relation(&rels[i], j, 1, exact)),
+                self.fan_out_n(jobs, rels.len(), |i| self.check_relation(&rels[i], j, 1, budget)),
             );
             for outcome in outcomes {
                 match outcome? {
@@ -672,7 +647,7 @@ impl<'a> CheckSession<'a> {
             // the jobs knob down so the relation's own shards fan out —
             // intra-candidate parallelism.
             for rc in rels {
-                let outcome = self.check_relation(rc, j, jobs, exact)?;
+                let outcome = self.check_relation(rc, j, jobs, budget)?;
                 if !outcome.is_optimal() {
                     return Ok(outcome);
                 }
@@ -686,17 +661,15 @@ impl<'a> CheckSession<'a> {
         (rel, class): &(rpr_data::RelId, RelationClass),
         j: &FactSet,
         jobs: usize,
-        exact: ExactCtl<'_>,
+        budget: &Budget,
     ) -> Result<CheckOutcome, Stop> {
         let instance = self.pi.instance();
         let priority = self.pi.priority();
         let domain = &self.art.rel_domains[rel.index()];
         let j_rel = j.intersect(domain);
-        if let ExactCtl::Engine(budget) = exact {
-            // One unit per dispatched relation, so polynomial relations
-            // still make the work counter reflect progress.
-            budget.step()?;
-        }
+        // One unit per dispatched relation, so polynomial relations
+        // still make the work counter reflect progress.
+        budget.step()?;
         Ok(match class {
             RelationClass::SingleFd(_) => {
                 let blocks = self.art.rel_blocks[rel.index()]
@@ -711,7 +684,7 @@ impl<'a> CheckSession<'a> {
                 priority,
                 domain,
                 &j_rel,
-                exact,
+                budget,
                 jobs,
                 &self.art.components,
             )?,
@@ -723,13 +696,11 @@ impl<'a> CheckSession<'a> {
         class: &CcpClass,
         j: &FactSet,
         jobs: usize,
-        exact: ExactCtl<'_>,
+        budget: &Budget,
     ) -> Result<CheckOutcome, Stop> {
         let instance = self.pi.instance();
         let priority = self.pi.priority();
-        if let ExactCtl::Engine(budget) = exact {
-            budget.step()?;
-        }
+        budget.step()?;
         Ok(match class {
             CcpClass::PrimaryKeyAssignment(_) => check_global_ccp_pk(&self.art.cg, priority, j),
             CcpClass::ConstantAttributeAssignment(consts) => {
@@ -746,7 +717,7 @@ impl<'a> CheckSession<'a> {
                     .ccp_union
                     .as_ref()
                     .expect("union layout cached for every ccp Hard plan");
-                self.check_exact_sharded(priority, &instance.full_set(), j, exact, jobs, layout)?
+                self.check_exact_sharded(priority, &instance.full_set(), j, budget, jobs, layout)?
             }
         })
     }
@@ -799,7 +770,7 @@ impl<'a> CheckSession<'a> {
     }
 
     /// The exponential fall-back, decomposed over `layout`'s nontrivial
-    /// components and metered per `exact`.
+    /// components and metered by `budget`.
     ///
     /// Soundness: after the whole-domain consistency and Pareto
     /// pre-checks pass, any global improvement exchanges facts inside a
@@ -809,18 +780,17 @@ impl<'a> CheckSession<'a> {
     /// `2^(domain size)` — and a component-local hit is returned as the
     /// global witness.
     ///
-    /// Legacy metering arms a fresh private allowance per *shard*
-    /// (mirroring the historical per-relation semantics one level
-    /// down), which keeps `Exceeded` deterministic at every `jobs`
-    /// setting; engine metering charges the one shared budget, so the
-    /// exact trip point under parallelism is as scheduling-dependent as
-    /// it already was across relations and batch candidates.
+    /// Every shard charges the one shared budget, as relations and
+    /// batch candidates do: there is no per-shard allowance. Completed
+    /// checks return the same verdict and witness at every `jobs`
+    /// setting (results are scanned in component order); only *where*
+    /// a tight allowance trips under parallelism depends on scheduling.
     fn check_exact_sharded(
         &self,
         priority: &PriorityRelation,
         domain: &FactSet,
         j_rel: &FactSet,
-        exact: ExactCtl<'_>,
+        budget: &Budget,
         jobs: usize,
         layout: &ComponentLayout,
     ) -> Result<CheckOutcome, Stop> {
@@ -851,10 +821,7 @@ impl<'a> CheckSession<'a> {
                 .as_ref()
                 .expect("shard attached for every nontrivial exact component");
             let members = layout.component(c);
-            match exact {
-                ExactCtl::Legacy(steps) => shard.check_legacy(members, j_rel, steps),
-                ExactCtl::Engine(budget) => shard.check_engine(members, j_rel, budget),
-            }
+            shard.check(members, j_rel, budget)
         };
         if jobs > 1 && shards.len() > 1 {
             // All shards run concurrently; scanning the results in
@@ -1045,7 +1012,7 @@ mod tests {
     }
 
     #[test]
-    fn bounded_batch_matches_legacy_under_an_unlimited_budget() {
+    fn bounded_batch_matches_unbounded_batch_under_an_unlimited_budget() {
         let (schema, i, p) = running();
         let cg = ConflictGraph::new(&schema, &i);
         let pi = PrioritizedInstance::conflict_restricted(&schema, i.clone(), p).unwrap();
@@ -1053,9 +1020,9 @@ mod tests {
         let js = candidates(&i, &cg);
         let budget = Budget::unlimited();
         let bounded = session.check_batch_bounded(&js, &budget);
-        let legacy = session.check_batch(&js);
-        for ((b, l), j) in bounded.into_iter().zip(legacy).zip(&js) {
-            assert_eq!(b.expect_done("unlimited budget"), l.unwrap(), "on {j:?}");
+        let unbounded = session.check_batch(&js);
+        for ((b, u), j) in bounded.into_iter().zip(unbounded).zip(&js) {
+            assert_eq!(b.expect_done("unlimited budget"), u, "on {j:?}");
         }
         // The batch charged work: at least one unit per candidate.
         assert!(budget.work_done() >= js.len() as u64);

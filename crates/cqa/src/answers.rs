@@ -185,10 +185,14 @@ fn filter_bounded(
 }
 
 /// Enumerates the repairs of the chosen semantics against an amortized
-/// [`CheckSession`] under an engine [`Budget`]. The globally-optimal
-/// semantics routes through the session's bounded dispatched checker
-/// (its partial is a sound confirmed-optimal subset); the others share
-/// the plain bounded path of [`repairs_under_bounded`].
+/// [`CheckSession`] under an engine [`Budget`] — no per-call
+/// conflict-graph construction. The globally-optimal semantics routes
+/// through the session's bounded dispatched (polynomial where possible,
+/// parallel) checker instead of the pairwise oracle scan; its partial
+/// is a sound confirmed-optimal subset. The others share the plain
+/// bounded path of [`repairs_under_bounded`]. Agrees with
+/// [`repairs_under`] on the session's conflict graph when the budget
+/// does not trip.
 pub fn repairs_under_session_bounded(
     semantics: RepairSemantics,
     session: &CheckSession<'_>,
@@ -198,28 +202,6 @@ pub fn repairs_under_session_bounded(
         return rpr_core::globally_optimal_repairs_session_bounded(session, budget);
     }
     repairs_under_bounded(semantics, session.conflict_graph(), session.priority(), budget)
-}
-
-/// Enumerates the repairs of the chosen semantics against an amortized
-/// [`CheckSession`] — no per-call conflict-graph construction, and the
-/// globally-optimal filter runs through the session's dispatched
-/// (polynomial where possible, parallel) checker instead of the
-/// pairwise oracle scan.
-///
-/// Agrees with [`repairs_under`] on the session's conflict graph.
-///
-/// # Errors
-/// [`BudgetExceeded`] if repair enumeration (or, on hard schemas, an
-/// exact check) exceeds its budget.
-pub fn repairs_under_session(
-    semantics: RepairSemantics,
-    session: &CheckSession<'_>,
-    budget: usize,
-) -> Result<Vec<FactSet>, BudgetExceeded> {
-    if semantics == RepairSemantics::Global {
-        return rpr_core::globally_optimal_repairs_session(session, budget);
-    }
-    repairs_under(semantics, session.conflict_graph(), session.priority(), budget)
 }
 
 /// The result of a preferred-CQA computation.
@@ -251,25 +233,6 @@ pub fn answers(
     Ok(quantify(instance, query, &repairs))
 }
 
-/// Computes certain and possible answers of `query` against an
-/// amortized [`CheckSession`]. Answer/count loops over many queries
-/// should build one session and call this per query: the conflict
-/// graph, classification, and partitions are shared across all of
-/// them.
-///
-/// # Errors
-/// [`BudgetExceeded`] if repair enumeration (or a hard-side exact
-/// check) exceeds its budget.
-pub fn answers_session(
-    session: &CheckSession<'_>,
-    query: &ConjunctiveQuery,
-    semantics: RepairSemantics,
-    budget: usize,
-) -> Result<CqaAnswers, BudgetExceeded> {
-    let repairs = repairs_under_session(semantics, session, budget)?;
-    Ok(quantify(session.instance(), query, &repairs))
-}
-
 /// Computes certain and possible answers under an engine [`Budget`].
 ///
 /// On degradation the partial answers quantify over the partial repair
@@ -291,8 +254,10 @@ pub fn answers_bounded(
 }
 
 /// Computes certain and possible answers against an amortized
-/// [`CheckSession`] under an engine [`Budget`]. Same partial-answer
-/// bounds as [`answers_bounded`].
+/// [`CheckSession`] under an engine [`Budget`]. Answer/count loops over
+/// many queries should build one session and call this per query: the
+/// conflict graph, classification, and partitions are shared across
+/// all of them. Same partial-answer bounds as [`answers_bounded`].
 pub fn answers_session_bounded(
     session: &CheckSession<'_>,
     query: &ConjunctiveQuery,

@@ -33,22 +33,6 @@ impl RepairSpace {
         Ok(RepairSpace { optimal: globally_optimal_repairs(cg, priority, budget)? })
     }
 
-    /// Computes the space against an amortized [`CheckSession`]: the
-    /// session's cached conflict graph drives the enumeration, and
-    /// optimality is decided by its dispatched (parallel) checker
-    /// rather than the pairwise oracle. Agrees with
-    /// [`RepairSpace::compute`].
-    ///
-    /// # Errors
-    /// [`BudgetExceeded`] if enumeration or a hard-side exact check
-    /// exceeds its budget.
-    pub fn compute_session(
-        session: &CheckSession<'_>,
-        budget: usize,
-    ) -> Result<Self, BudgetExceeded> {
-        Ok(RepairSpace { optimal: rpr_core::globally_optimal_repairs_session(session, budget)? })
-    }
-
     /// Computes the space under an engine [`Budget`] (deadline, shared
     /// work allowance, cooperative cancellation).
     ///
@@ -66,9 +50,13 @@ impl RepairSpace {
     }
 
     /// Computes the space against an amortized [`CheckSession`] under an
-    /// engine [`Budget`]. The session variant confirms candidates one by
-    /// one against the whole instance, so on degradation the partial
-    /// space is a sound subset of the optimal repairs.
+    /// engine [`Budget`]: the session's cached conflict graph drives the
+    /// enumeration, and optimality is decided by its dispatched
+    /// (parallel) checker rather than the pairwise oracle. Agrees with
+    /// [`RepairSpace::compute`] when the budget does not trip. The
+    /// session variant confirms candidates one by one against the whole
+    /// instance, so on degradation the partial space is a sound subset
+    /// of the optimal repairs.
     pub fn compute_session_bounded(session: &CheckSession<'_>, budget: &Budget) -> Outcome<Self> {
         rpr_core::globally_optimal_repairs_session_bounded(session, budget)
             .map(|optimal| RepairSpace { optimal })

@@ -19,9 +19,8 @@ pub mod query;
 pub mod ucq;
 
 pub use answers::{
-    answers, answers_bounded, answers_session, answers_session_bounded, repairs_under,
-    repairs_under_bounded, repairs_under_session, repairs_under_session_bounded, CqaAnswers,
-    RepairSemantics,
+    answers, answers_bounded, answers_session_bounded, repairs_under, repairs_under_bounded,
+    repairs_under_session_bounded, CqaAnswers, RepairSemantics,
 };
 pub use count::RepairSpace;
 pub use homomorphism::{

@@ -30,7 +30,7 @@ fn main() {
     let pi = ex.prioritized();
     let checker = GRepairChecker::new(ex.schema.clone());
     for (name, j) in [("J1", ex.j1()), ("J2", ex.j2()), ("J3", ex.j3()), ("J4", ex.j4())] {
-        let outcome = checker.check(&pi, &j).unwrap();
+        let outcome = checker.check(&pi, &j);
         println!(
             "\n{name} = {}\n  repair: {}  pareto-optimal: {}  globally-optimal: {}",
             instance.render_set(&j),
@@ -79,7 +79,7 @@ fn main() {
     // globally optimal.
     let j_fig3 = instance.set_of([f.d1a, f.f2b, f.f3c]);
     let j_fig3_full = j_fig3.union(&ex.j2().intersect(&book_domain));
-    let outcome = checker.check(&pi, &j_fig3_full).unwrap();
+    let outcome = checker.check(&pi, &j_fig3_full);
     println!(
         "\nFigure 3's LibLoc repair {} is globally optimal: {}",
         instance.render_set(&j_fig3),

@@ -51,7 +51,7 @@ fn main() {
     let checker = GRepairChecker::new(schema.clone());
     println!("\nrepairs and their status:");
     for j in enumerate_repairs(&cg, 1 << 20).unwrap() {
-        let outcome = checker.check(&pi, &j).unwrap();
+        let outcome = checker.check(&pi, &j);
         println!(
             "  {}  globally-optimal: {}  pareto-optimal: {}",
             instance.render_set(&j),

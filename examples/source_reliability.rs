@@ -63,7 +63,7 @@ fn main() {
     let cg = ConflictGraph::new(&schema, &instance);
     println!("\nrepairs:");
     for j in enumerate_repairs(&cg, 1 << 20).unwrap() {
-        let outcome = checker.check(&pi, &j).unwrap();
+        let outcome = checker.check(&pi, &j);
         println!("  {}  globally-optimal: {}", instance.render_set(&j), outcome.is_optimal());
         if let CheckOutcome::Improvable(imp) = outcome {
             println!(

@@ -45,9 +45,9 @@
 //! // The dispatcher classifies the schema (single FD ⇒ PTIME) and checks.
 //! let checker = GRepairChecker::new(schema);
 //! let j = instance.set_of([a_eng, FactId(2)]);
-//! assert!(checker.check(&pi, &j).unwrap().is_optimal());
+//! assert!(checker.check(&pi, &j).is_optimal());
 //! let j_bad = instance.set_of([a_hr, FactId(2)]);
-//! assert!(!checker.check(&pi, &j_bad).unwrap().is_optimal());
+//! assert!(!checker.check(&pi, &j_bad).is_optimal());
 //! ```
 
 pub use rpr_classify as classify;

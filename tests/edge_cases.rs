@@ -4,8 +4,8 @@
 
 use preferred_repairs::core::{
     check_global_exact, count_globally_optimal_repairs, enumerate_repairs,
-    find_global_improvement_brute, is_completion_optimal_brute, CcpChecker, CheckOutcome,
-    GRepairChecker,
+    find_global_improvement_brute, is_completion_optimal_brute, Budget, CcpChecker, CheckOutcome,
+    GRepairChecker, Outcome,
 };
 use preferred_repairs::data::{AttrSet, Instance, Signature, Value, MAX_ARITY};
 use preferred_repairs::fd::{closure, ConflictGraph, Fd, Schema};
@@ -46,7 +46,7 @@ fn every_budgeted_api_respects_its_budget() {
 #[test]
 fn hard_schema_checker_surfaces_budget_errors() {
     // S4 with a big instance: the dispatching checker's exact fall-back
-    // must return Err rather than hang.
+    // must surface Exceeded rather than hang.
     let sig = Signature::new([("R", 3)]).unwrap();
     let schema =
         Schema::from_named(sig.clone(), [("R", &[1][..], &[2][..]), ("R", &[2][..], &[3][..])])
@@ -61,8 +61,9 @@ fn hard_schema_checker_surfaces_budget_errors() {
     let cg = ConflictGraph::new(&schema, &i);
     let j = cg.extend_to_repair(&i.empty_set());
     let pi = PrioritizedInstance::conflict_restricted(&schema, i, p).unwrap();
-    let checker = GRepairChecker::new(schema).with_exact_budget(4);
-    assert!(checker.check(&pi, &j).is_err());
+    let checker = GRepairChecker::new(schema);
+    let budget = Budget::unlimited().with_max_work(4);
+    assert!(matches!(checker.check_bounded(&pi, &j, &budget), Outcome::Exceeded { .. }));
 }
 
 #[test]
@@ -86,8 +87,8 @@ fn ccp_checker_accepts_classical_instances() {
     let p = PriorityRelation::new(2, [(a, b)]).unwrap();
     let pi = PrioritizedInstance::conflict_restricted(&schema, i.clone(), p).unwrap();
     let checker = CcpChecker::new(schema);
-    assert!(checker.check(&pi, &i.set_of([a])).unwrap().is_optimal());
-    assert!(!checker.check(&pi, &i.set_of([b])).unwrap().is_optimal());
+    assert!(checker.check(&pi, &i.set_of([a])).is_optimal());
+    assert!(!checker.check(&pi, &i.set_of([b])).is_optimal());
 }
 
 #[test]
@@ -109,7 +110,7 @@ fn max_arity_relation_works_end_to_end() {
     let p = PriorityRelation::new(2, [(a, b)]).unwrap();
     let pi = PrioritizedInstance::conflict_restricted(&schema, i.clone(), p).unwrap();
     let checker = GRepairChecker::new(schema);
-    assert!(checker.check(&pi, &i.set_of([a])).unwrap().is_optimal());
+    assert!(checker.check(&pi, &i.set_of([a])).is_optimal());
 }
 
 #[test]
@@ -132,9 +133,9 @@ fn empty_instance_through_every_checker() {
     let p = PriorityRelation::empty(0);
     let pi = PrioritizedInstance::conflict_restricted(&schema, i.clone(), p.clone()).unwrap();
     let empty = i.empty_set();
-    assert!(GRepairChecker::new(schema.clone()).check(&pi, &empty).unwrap().is_optimal());
+    assert!(GRepairChecker::new(schema.clone()).check(&pi, &empty).is_optimal());
     let pi_ccp = PrioritizedInstance::cross_conflict(i.clone(), p);
-    assert!(CcpChecker::new(schema).check(&pi_ccp, &empty).unwrap().is_optimal());
+    assert!(CcpChecker::new(schema).check(&pi_ccp, &empty).is_optimal());
 }
 
 #[test]
@@ -155,7 +156,7 @@ fn singleton_j_against_everything_conflicting() {
     let j = i.set_of([hub]);
     assert!(cg.is_repair(&j));
     let pi = PrioritizedInstance::conflict_restricted(&schema, i, p).unwrap();
-    let out = GRepairChecker::new(schema).check(&pi, &j).unwrap();
+    let out = GRepairChecker::new(schema).check(&pi, &j);
     assert!(matches!(out, CheckOutcome::Optimal));
 }
 

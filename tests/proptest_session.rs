@@ -123,7 +123,7 @@ proptest! {
                 if cg.is_consistent_set(&j) {
                     let slow =
                         is_globally_optimal_brute(&cg, &priority, &j, BUDGET).unwrap();
-                    prop_assert_eq!(via_session.unwrap().is_optimal(), slow);
+                    prop_assert_eq!(via_session.is_optimal(), slow);
                 }
             }
         }
@@ -143,7 +143,7 @@ proptest! {
                 if cg.is_consistent_set(&j) {
                     let slow =
                         is_globally_optimal_brute(&cg, &priority, &j, BUDGET).unwrap();
-                    prop_assert_eq!(via_session.unwrap().is_optimal(), slow);
+                    prop_assert_eq!(via_session.is_optimal(), slow);
                 }
             }
         }

@@ -61,9 +61,9 @@ fn chain_workload_is_bit_identical_across_jobs() {
         let s = CheckSession::new(&schema, &pi).with_jobs(1);
         candidates.iter().map(|j| s.check(j)).collect()
     };
-    assert!(matches!(base[0], Ok(CheckOutcome::Optimal)));
-    assert!(matches!(base[1], Ok(CheckOutcome::Improvable(_))));
-    assert!(matches!(base[3], Ok(CheckOutcome::Inconsistent(..))));
+    assert!(matches!(base[0], CheckOutcome::Optimal));
+    assert!(matches!(base[1], CheckOutcome::Improvable(_)));
+    assert!(matches!(base[3], CheckOutcome::Inconsistent(..)));
     for jobs in JOBS {
         let s = CheckSession::new(&schema, &pi).with_jobs(jobs);
         for (j, expected) in candidates.iter().zip(&base) {
@@ -134,31 +134,43 @@ fn ccp_hard_with_cross_component_edges_is_bit_identical() {
     }
 }
 
-/// The legacy step budget arms a fresh allowance per shard, so the
-/// trip is deterministic no matter how shards are scheduled.
+/// One engine budget meters every shard of a check: a tight allowance
+/// trips `WorkExhausted` at every jobs setting (at exactly the same
+/// work count when the shards run sequentially), and a generous one
+/// finds the same witness at every jobs setting.
 #[test]
 fn tight_legacy_budget_trips_identically_at_every_jobs_setting() {
     let (schema, pi, evens) = chain_pi(6, 12);
-    // Each 12-fact chain needs hundreds of search nodes; 5 steps trip
-    // every shard, and the optimal candidate forbids early improvement
-    // exits that could mask the trip.
-    let base = CheckSession::new(&schema, &pi).with_jobs(1).with_exact_budget(5).check(&evens);
-    assert!(base.is_err(), "5 steps per shard must trip");
+    // Each 12-fact chain needs hundreds of search nodes; 5 units trip
+    // the first shard, and the optimal candidate forbids early
+    // improvement exits that could mask the trip.
+    let tripped = |jobs: usize| {
+        let s = CheckSession::new(&schema, &pi).with_jobs(jobs);
+        match s.check_bounded(&evens, &Budget::unlimited().with_max_work(5)) {
+            Outcome::Exceeded { report, .. } => report,
+            other => panic!("jobs={jobs}: 5 work units must trip, got {other:?}"),
+        }
+    };
+    let base = tripped(1);
+    assert_eq!(base.reason, ExceedReason::WorkExhausted);
+    assert_eq!(base.max_work, Some(5));
+    assert_eq!(tripped(1).work_done, base.work_done, "sequential trips are deterministic");
     for jobs in JOBS {
-        let s = CheckSession::new(&schema, &pi).with_jobs(jobs).with_exact_budget(5);
-        assert_eq!(s.check(&evens), base, "jobs={jobs}");
+        let report = tripped(jobs);
+        assert_eq!((report.reason, report.max_work), (base.reason, base.max_work), "jobs={jobs}");
     }
     // An improvable candidate whose witness lives in the first shard
-    // is found before any later shard can trip — at every jobs count,
-    // because results are scanned in component order.
+    // is found identically at every jobs count, because results are
+    // scanned in component order.
     let candidates = chain_candidates(&pi, 12, &evens);
     let improvable = &candidates[1];
+    let generous = || Budget::unlimited().with_max_work(1 << 20);
     let witness =
-        CheckSession::new(&schema, &pi).with_jobs(1).with_exact_budget(1 << 20).check(improvable);
-    assert!(matches!(witness, Ok(CheckOutcome::Improvable(_))));
+        CheckSession::new(&schema, &pi).with_jobs(1).check_bounded(improvable, &generous());
+    assert!(matches!(witness, Outcome::Done(CheckOutcome::Improvable(_))));
     for jobs in JOBS {
-        let s = CheckSession::new(&schema, &pi).with_jobs(jobs).with_exact_budget(1 << 20);
-        assert_eq!(s.check(improvable), witness, "jobs={jobs}");
+        let s = CheckSession::new(&schema, &pi).with_jobs(jobs);
+        assert_eq!(s.check_bounded(improvable, &generous()), witness, "jobs={jobs}");
     }
 }
 

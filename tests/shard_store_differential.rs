@@ -68,12 +68,12 @@ fn session_pair(
 
 /// Renders one candidate's certificate exactly as the serving layer
 /// does, so certificate comparison is byte-level.
-fn certificate_text(ds: &DeltaSession, jobs: usize, j: &FactSet) -> Option<String> {
+fn certificate_text(ds: &DeltaSession, jobs: usize, j: &FactSet) -> String {
     let session = ds.session().with_jobs(jobs);
-    let outcome = session.check(j).ok()?;
+    let outcome = session.check(j);
     let cert = session.certify(j, &outcome);
     let pi = ds.prioritized();
-    Some(rpr_format::render_certificate(ds.schema(), pi.instance(), pi.priority(), &cert))
+    rpr_format::render_certificate(ds.schema(), pi.instance(), pi.priority(), &cert)
 }
 
 #[test]
@@ -185,34 +185,44 @@ fn store_backed_delta_chain_matches_cold_private_rebuild() {
     assert!(store.len() >= ds.shard_count());
 }
 
-/// The legacy per-shard step budget must trip identically whether the
-/// shard search runs fresh, through the store, or through a store
-/// entry whose memo was warmed by a *larger* allowance (the memo
-/// cannot-trip rule: a cached result is only served when replaying the
-/// search could not have tripped the caller's budget).
+/// A tight engine budget must trip identically whether the shard
+/// search runs fresh, through the store, or through a store entry whose
+/// memo was warmed under an unlimited budget (the memo cannot-trip
+/// rule: a memo hit bulk-charges its recorded node count with
+/// `Budget::try_charge`, and when that would trip, the real search
+/// re-runs and trips exactly where a cold run does).
 #[test]
 fn legacy_budget_trips_identically_through_warmed_store_memos() {
     let (schema, pi, evens) = chain_pi(6, 12);
     let store = Arc::new(ShardStore::new());
     let (private, stored) = session_pair(&schema, &pi, &store);
-    let tight = private.session().with_exact_budget(5).check(&evens);
-    assert!(tight.is_err(), "5 steps per shard must trip");
+    let tripped = |ds: &DeltaSession, jobs: usize| {
+        let budget = Budget::unlimited().with_max_work(5);
+        match ds.session().with_jobs(jobs).check_bounded(&evens, &budget) {
+            Outcome::Exceeded { report, .. } => report,
+            other => panic!("jobs={jobs}: 5 work units must trip, got {other:?}"),
+        }
+    };
+    let tight = tripped(&private, 1);
+    assert_eq!(tight.reason, ExceedReason::WorkExhausted);
+    assert_eq!(tight.max_work, Some(5));
+    assert_eq!(tripped(&stored, 1).work_done, tight.work_done, "cold store");
     for jobs in JOBS {
-        assert_eq!(
-            stored.session().with_jobs(jobs).with_exact_budget(5).check(&evens),
-            tight,
-            "jobs={jobs}: cold store"
-        );
+        let report = tripped(&stored, jobs);
+        assert_eq!((report.reason, report.max_work), (tight.reason, tight.max_work), "jobs={jobs}");
     }
-    // Warm the memo with a generous budget, then re-ask with the tight
-    // one: the memoized answer must NOT leak past the smaller budget.
-    let generous = stored.session().with_exact_budget(1 << 20).check(&evens);
-    assert!(generous.is_ok());
-    assert_eq!(private.session().with_exact_budget(1 << 20).check(&evens), generous);
+    // Warm the memo under an unlimited budget, then re-ask with the
+    // tight one: the memoized answer must NOT leak past the smaller
+    // budget.
+    let generous = stored.session().check(&evens);
+    assert_eq!(generous, CheckOutcome::Optimal);
+    assert_eq!(private.session().check(&evens), generous);
+    assert_eq!(tripped(&stored, 1).work_done, tight.work_done, "warmed memo");
     for jobs in JOBS {
+        let report = tripped(&stored, jobs);
         assert_eq!(
-            stored.session().with_jobs(jobs).with_exact_budget(5).check(&evens),
-            tight,
+            (report.reason, report.max_work),
+            (tight.reason, tight.max_work),
             "jobs={jobs}: warmed memo must still trip the tight budget"
         );
     }
@@ -420,7 +430,7 @@ proptest! {
         }
         // Optimal verdicts must also certify identically.
         for j in &candidates {
-            if matches!(stored.session().check(j), Ok(CheckOutcome::Optimal)) {
+            if matches!(stored.session().check(j), CheckOutcome::Optimal) {
                 prop_assert_eq!(certificate_text(&private, 1, j), certificate_text(&stored, 1, j));
             }
         }
