@@ -171,6 +171,11 @@ fn main() {
                 "Extension: content-addressed shard store (cross-fingerprint reuse, dedup bytes)",
             run: e31,
         },
+        Experiment {
+            id: "e32",
+            title: "Extension: one conflict graph (CSR-only session build time and bytes)",
+            run: e32,
+        },
     ];
 
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
@@ -2152,4 +2157,176 @@ fn e31() -> ExpResult {
             COMPONENTS + FINGERPRINTS,
         ),
     ])
+}
+
+// ---------------------------------------------------------------- E32
+/// `R(k, b, c)` under `1 → 2`, `facts / 4` keys of two blocks of two
+/// facts each, the first block preferred: the serving benchmark's
+/// single-FD shape.
+fn e32_single_fd(facts: usize) -> Result<(Schema, PrioritizedInstance), String> {
+    let sig = Signature::new([("R", 3)]).map_err(|e| e.to_string())?;
+    let schema =
+        Schema::from_named(sig.clone(), [("R", &[1][..], &[2][..])]).map_err(|e| e.to_string())?;
+    let mut i = Instance::new(sig);
+    let mut edges = Vec::new();
+    for k in 0..(facts / 4) as i64 {
+        let mut ids = Vec::new();
+        for (b, c) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            let id = i
+                .insert_named("R", [Value::Int(k), Value::Int(b), Value::Int(c)])
+                .map_err(|e| e.to_string())?;
+            ids.push(id);
+        }
+        edges.push((ids[0], ids[2]));
+    }
+    let p = PriorityRelation::new(i.len(), edges).map_err(|e| e.to_string())?;
+    let pi = PrioritizedInstance::conflict_restricted(&schema, i, p).map_err(|e| e.to_string())?;
+    Ok((schema, pi))
+}
+
+/// `S(x, y)` under the two keys `{1}`, `{2}`: `facts / 4` preferred
+/// 4-cycles, the serving benchmark's two-keys shape.
+fn e32_two_keys(facts: usize) -> Result<(Schema, PrioritizedInstance), String> {
+    let sig = Signature::new([("S", 2)]).map_err(|e| e.to_string())?;
+    let schema =
+        Schema::from_named(sig.clone(), [("S", &[1][..], &[2][..]), ("S", &[2][..], &[1][..])])
+            .map_err(|e| e.to_string())?;
+    let mut i = Instance::new(sig);
+    let mut edges = Vec::new();
+    for c in 0..(facts / 4) as i64 {
+        let (x, w, y, z) = (4 * c, 4 * c + 1, 4 * c + 2, 4 * c + 3);
+        let mut ids = Vec::new();
+        for (a, b) in [(x, y), (x, z), (w, y), (w, z)] {
+            let id =
+                i.insert_named("S", [Value::Int(a), Value::Int(b)]).map_err(|e| e.to_string())?;
+            ids.push(id);
+        }
+        edges.push((ids[0], ids[1]));
+    }
+    let p = PriorityRelation::new(i.len(), edges).map_err(|e| e.to_string())?;
+    let pi = PrioritizedInstance::conflict_restricted(&schema, i, p).map_err(|e| e.to_string())?;
+    Ok((schema, pi))
+}
+
+/// Median, p10 and p90 (ms) of `reps` timed runs of `f`.
+fn e32_sample<T>(reps: usize, mut f: impl FnMut() -> T) -> [f64; 3] {
+    let mut ms: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(f());
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let q = |p: f64| ms[((ms.len() - 1) as f64 * p).round() as usize];
+    [q(0.5), q(0.1), q(0.9)]
+}
+
+/// The commit the numbers were measured at, `+dirty` when tracked files
+/// differ from it.
+fn git_head() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
+    };
+    let Some(head) = git(&["rev-parse", "HEAD"]) else { return "unknown".into() };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(changes) if changes.is_empty() => head,
+        _ => format!("{head}+dirty"),
+    }
+}
+
+/// One conflict graph. Sessions hold only the CSR conflict graph, built
+/// straight from the per-FD lhs/rhs grouping; the bitset
+/// `ConflictGraph` is the oracle's. On the serving benchmark's
+/// single-FD and two-keys shapes at 4k/20k/50k facts this records the
+/// `SessionArtifacts::build` time and the session's structure bytes
+/// beside what the oracle graph costs (its build time and bitset
+/// bytes). Gates (committed to `BENCH_session.json`): the session graph
+/// equals the packing of the oracle graph; structure bytes stay under
+/// an eighth of the bitset bytes at every size; and at 50k facts a
+/// whole session build beats the bitset graph build alone.
+fn e32() -> ExpResult {
+    use rpr_core::SessionArtifacts;
+    use rpr_fd::CsrConflictGraph;
+    type Shape = fn(usize) -> Result<(Schema, PrioritizedInstance), String>;
+    const SIZES: [usize; 3] = [4_000, 20_000, 50_000];
+    const REPS: usize = 7;
+    let shapes: [(&str, Shape); 2] = [("single_fd", e32_single_fd), ("two_keys", e32_two_keys)];
+    let mut rows = Vec::new();
+    let mut lines = vec![
+        "extension: sessions build, keep, patch and check one CSR conflict graph (no bitset copy)"
+            .to_owned(),
+    ];
+    for (shape, make) in shapes {
+        for facts in SIZES {
+            let (schema, pi) = make(facts)?;
+            let art = SessionArtifacts::build(&schema, &pi);
+            let oracle = ConflictGraph::new(&schema, pi.instance());
+            ensure(
+                CheckSession::from_artifacts(&schema, &pi, &art).csr()
+                    == &CsrConflictGraph::from_graph(&oracle),
+                &format!("{shape}/{facts}: session graph differs from the oracle's packing"),
+            )?;
+            let bitset_bytes = oracle.heap_bytes();
+            drop(oracle);
+            let structure_bytes = art.structure_bytes();
+            let csr_bytes = CheckSession::from_artifacts(&schema, &pi, &art).csr().heap_bytes();
+            drop(art);
+            let build = e32_sample(REPS, || SessionArtifacts::build(&schema, &pi));
+            let bitset = e32_sample(REPS, || ConflictGraph::new(&schema, pi.instance()));
+            ensure(
+                structure_bytes * 8 < bitset_bytes,
+                &format!(
+                    "{shape}/{facts}: structure bytes {structure_bytes} must stay under an \
+                     eighth of the bitset's {bitset_bytes}"
+                ),
+            )?;
+            if facts == 50_000 {
+                ensure(
+                    build[0] < bitset[0],
+                    &format!(
+                        "{shape}/50k: session build {:.2}ms must beat the bitset graph build \
+                         {:.2}ms",
+                        build[0], bitset[0]
+                    ),
+                )?;
+            }
+            lines.push(format!(
+                "measured: {shape} {facts} facts: build {:.2}ms (p10 {:.2}, p90 {:.2}), \
+                 {structure_bytes}B structure ({csr_bytes}B CSR) vs oracle bitset graph \
+                 {:.2}ms, {bitset_bytes}B",
+                build[0], build[1], build[2], bitset[0]
+            ));
+            rows.push(format!(
+                "    {{\"shape\": \"{shape}\", \"facts\": {facts}, \"session_build_ms\": \
+                 {{\"median\": {:.3}, \"p10\": {:.3}, \"p90\": {:.3}}}, \
+                 \"structure_bytes\": {structure_bytes}, \"csr_bytes\": {csr_bytes}, \
+                 \"oracle_bitset_build_ms\": {{\"median\": {:.3}, \"p10\": {:.3}, \
+                 \"p90\": {:.3}}}, \"oracle_bitset_bytes\": {bitset_bytes}}}",
+                build[0], build[1], build[2], bitset[0], bitset[1], bitset[2]
+            ));
+        }
+    }
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let json = format!(
+        "{{\n  \"workload\": \"serving-benchmark shapes: single-FD R(k,b,c) 1->2 and two-keys \
+         S(x,y) 4-cycles, 4k/20k/50k facts\",\n  \"commit\": \"{}\",\n  \"machine\": \
+         {{\n    \"os\": \"{}\",\n    \"arch\": \"{}\",\n    \"cores\": {cores}\n  }},\n  \
+         \"reps\": {REPS},\n  \"gates\": \"session graph == oracle packing; structure bytes \
+         < bitset bytes / 8; at 50k the session build beats the bitset graph build\",\n  \
+         \"rows\": [\n{}\n  ]\n}}\n",
+        git_head(),
+        std::env::consts::OS,
+        std::env::consts::ARCH,
+        rows.join(",\n"),
+    );
+    let out_path = "BENCH_session.json";
+    std::fs::write(out_path, &json).map_err(|e| e.to_string())?;
+    lines.push(format!("{out_path} rewritten"));
+    Ok(lines)
 }

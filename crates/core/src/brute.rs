@@ -30,7 +30,7 @@ use crate::improvement::{is_global_improvement, BudgetExceeded, Improvement};
 use crate::session::CheckSession;
 use rpr_data::{FactId, FactSet};
 use rpr_engine::{Budget, Outcome, Stop};
-use rpr_fd::ConflictGraph;
+use rpr_fd::ConflictRows;
 use rpr_priority::PriorityRelation;
 
 /// Maps a [`Stop`] from a private work-only budget back to the legacy
@@ -50,7 +50,7 @@ fn legacy_stop(stop: Stop, budget: usize) -> BudgetExceeded {
 /// [`BudgetExceeded`] when more than `budget` recursion steps are
 /// needed.
 pub fn enumerate_repairs(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     budget: usize,
 ) -> Result<Vec<FactSet>, BudgetExceeded> {
     let b = Budget::unlimited().with_max_work(budget as u64);
@@ -66,7 +66,7 @@ pub fn enumerate_repairs(
 /// [`enumerate_repairs`] under a caller-supplied [`Budget`]. On
 /// [`Outcome::Exceeded`]/[`Outcome::Cancelled`] the partial answer is
 /// the repairs enumerated before the limit tripped.
-pub fn enumerate_repairs_bounded(cg: &ConflictGraph, budget: &Budget) -> Outcome<Vec<FactSet>> {
+pub fn enumerate_repairs_bounded(cg: &impl ConflictRows, budget: &Budget) -> Outcome<Vec<FactSet>> {
     let mut out = Vec::new();
     match for_each_repair_stop(cg, budget, |r| {
         out.push(r.clone());
@@ -83,7 +83,7 @@ pub fn enumerate_repairs_bounded(cg: &ConflictGraph, budget: &Budget) -> Outcome
 /// [`BudgetExceeded`] when more than `budget` recursion steps are
 /// needed.
 pub fn for_each_repair(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     budget: usize,
     visit: impl FnMut(&FactSet) -> bool,
 ) -> Result<(), BudgetExceeded> {
@@ -95,7 +95,7 @@ pub fn for_each_repair(
 /// every repair to `visit` until exhaustion, early visitor stop, or a
 /// budget stop. Any partial answer lives in the visitor's state.
 pub fn for_each_repair_bounded(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     budget: &Budget,
     visit: impl FnMut(&FactSet) -> bool,
 ) -> Outcome<()> {
@@ -108,7 +108,7 @@ pub fn for_each_repair_bounded(
 /// The enumeration proper: depth-first in/out branching over facts in
 /// id order, one work unit per recursion node.
 fn for_each_repair_stop(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     budget: &Budget,
     mut visit: impl FnMut(&FactSet) -> bool,
 ) -> Result<(), Stop> {
@@ -118,7 +118,7 @@ fn for_each_repair_stop(
     // leaves we keep exactly the maximal sets (every excluded fact must
     // conflict).
     fn recurse(
-        cg: &ConflictGraph,
+        cg: &impl ConflictRows,
         i: usize,
         current: &mut FactSet,
         budget: &Budget,
@@ -151,7 +151,7 @@ fn for_each_repair_stop(
         // …or exclude it. Pruning: excluding is only useful if some
         // later or earlier fact conflicts with it (otherwise the leaf
         // fails the maximality check anyway).
-        if !cg.conflicts_of(id).is_empty() && !recurse(cg, i + 1, current, budget, visit)? {
+        if cg.neighbors(id).next().is_some() && !recurse(cg, i + 1, current, budget, visit)? {
             return Ok(false);
         }
         Ok(true)
@@ -165,7 +165,7 @@ fn for_each_repair_stop(
 /// # Errors
 /// [`BudgetExceeded`] if repair enumeration exceeds the budget.
 pub fn find_global_improvement_brute(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     j: &FactSet,
     budget: usize,
@@ -178,7 +178,7 @@ pub fn find_global_improvement_brute(
 /// [`Budget`]. No improvement had been found when a limit trips (the
 /// scan stops at the first one), so degraded outcomes carry no partial.
 pub fn find_global_improvement_brute_bounded(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     j: &FactSet,
     budget: &Budget,
@@ -190,7 +190,7 @@ pub fn find_global_improvement_brute_bounded(
 }
 
 fn find_global_improvement_stop(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     j: &FactSet,
     budget: &Budget,
@@ -212,7 +212,7 @@ fn find_global_improvement_stop(
 /// # Errors
 /// [`BudgetExceeded`] if repair enumeration exceeds the budget.
 pub fn is_globally_optimal_brute(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     j: &FactSet,
     budget: usize,
@@ -223,7 +223,7 @@ pub fn is_globally_optimal_brute(
 
 /// [`is_globally_optimal_brute`] under a caller-supplied [`Budget`].
 pub fn is_globally_optimal_brute_bounded(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     j: &FactSet,
     budget: &Budget,
@@ -235,7 +235,7 @@ pub fn is_globally_optimal_brute_bounded(
 }
 
 fn is_globally_optimal_stop(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     j: &FactSet,
     budget: &Budget,
@@ -255,7 +255,7 @@ fn is_globally_optimal_stop(
 /// [`BudgetExceeded`] if the doubly-nested enumeration exceeds the
 /// budget.
 pub fn globally_optimal_repairs(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     budget: usize,
 ) -> Result<Vec<FactSet>, BudgetExceeded> {
@@ -274,7 +274,7 @@ pub fn globally_optimal_repairs(
 /// quadratic post-pass is bounded too; on degradation the partial
 /// answer is the prefix of repairs already confirmed optimal.
 pub fn globally_optimal_repairs_bounded(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     budget: &Budget,
 ) -> Outcome<Vec<FactSet>> {
@@ -312,7 +312,7 @@ pub fn globally_optimal_repairs_bounded(
 /// # Errors
 /// [`BudgetExceeded`] if enumeration exceeds the budget.
 pub fn count_globally_optimal_repairs(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     budget: usize,
 ) -> Result<usize, BudgetExceeded> {
@@ -322,7 +322,7 @@ pub fn count_globally_optimal_repairs(
 /// [`count_globally_optimal_repairs`] under a caller-supplied
 /// [`Budget`]; the partial count on degradation is a lower bound.
 pub fn count_globally_optimal_repairs_bounded(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     budget: &Budget,
 ) -> Outcome<usize> {
@@ -385,7 +385,7 @@ pub fn count_globally_optimal_repairs_session_bounded(
 mod tests {
     use super::*;
     use rpr_data::{Instance, Signature, Value};
-    use rpr_fd::Schema;
+    use rpr_fd::{ConflictGraph, Schema};
 
     fn v(s: &str) -> Value {
         Value::sym(s)

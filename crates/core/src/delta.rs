@@ -1,18 +1,21 @@
 //! Incremental session mutation: patch cached workspaces instead of
 //! rebuilding them.
 //!
-//! A [`CheckSession`](crate::CheckSession) amortizes the conflict
-//! graph, CSR adjacency, and Lemma 4.2 block structures across many
-//! candidate checks — but any change to the instance or priority
-//! relation used to discard the whole session. A [`DeltaSession`] keeps
-//! those artifacts *live* under mutation:
+//! A [`CheckSession`](crate::CheckSession) amortizes the CSR conflict
+//! graph and Lemma 4.2 block structures across many candidate checks —
+//! but any change to the instance or priority relation used to discard
+//! the whole session. A [`DeltaSession`] keeps those artifacts *live*
+//! under mutation:
 //!
-//! * **Conflict graph** — deletes drop one adjacency row and shift the
-//!   rest; inserts grow the universe and re-derive only the edges
-//!   incident to the new fact (a per-FD scan of its relation).
-//! * **CSR / components** — rebuilt once per batch from the patched
-//!   bitset graph (the packing is cheap relative to conflict
-//!   derivation), and only when the batch touched facts.
+//! * **Conflict graph** — patched once per batch that touched facts,
+//!   by [`CsrConflictGraph::patched`]: surviving rows are remapped
+//!   through the dense renumbering, each inserted fact's row comes
+//!   from its single-FD relation's patched blocks or else one per-FD
+//!   scan of its relation, and its surviving neighbors gain it at the
+//!   end of their rows. `O(n + e)` per batch, with no bitset
+//!   intermediate.
+//! * **Components** — the component DFS re-runs only inside components
+//!   the batch touched; clean ones are renumbered in place.
 //! * **FD blocks** — the touched relation's blocks are edited in place
 //!   (binary search on the canonical lhs/rhs projection order, so the
 //!   patch is bit-identical to `FdBlocks::build`); untouched relations
@@ -41,15 +44,12 @@
 use crate::fingerprint::{
     content_fingerprint, mode_word, priority_edge_fingerprint, schema_fingerprint,
 };
-use crate::global_1fd::FdBlocks;
-use crate::session::{CheckSession, Plan, SessionArtifacts};
+use crate::session::{CheckSession, SessionArtifacts};
 use crate::shard_store::ShardStore;
-use rpr_classify::{Complexity, RelationClass};
+use rpr_classify::Complexity;
 use rpr_data::fingerprint::{Fingerprint, FingerprintBuilder, UnorderedAccumulator};
-use rpr_data::{
-    fingerprint_fact, fingerprint_signature, Fact, FactId, FactSet, FxHashMap, FxHashSet,
-};
-use rpr_fd::{ComponentLayout, CsrConflictGraph, Fd, Schema};
+use rpr_data::{fingerprint_fact, fingerprint_signature, Fact, FactId, FxHashMap, FxHashSet};
+use rpr_fd::{ComponentLayout, CsrConflictGraph, Schema};
 use rpr_priority::{PrioritizedInstance, PriorityMode};
 use std::fmt;
 use std::sync::Arc;
@@ -205,8 +205,8 @@ pub struct DeltaSession {
 }
 
 impl DeltaSession {
-    /// Prepares a mutable session. This is the expensive step (conflict
-    /// graph, CSR packing, classification, block structures, lane
+    /// Prepares a mutable session. This is the expensive step (CSR
+    /// conflict graph, classification, block structures, lane
     /// accumulators); [`apply_delta`](Self::apply_delta) afterwards
     /// costs work proportional to the ops, not the workspace.
     pub fn prepare(schema: Arc<Schema>, pi: PrioritizedInstance) -> Self {
@@ -289,24 +289,16 @@ impl DeltaSession {
     }
 
     /// Approximate resident bytes of the workspace plus artifacts
-    /// (cache-sizing gauge; intentionally coarse).
+    /// (cache-sizing gauge): fact values, priority edges, and the
+    /// session's [`structure_bytes`](SessionArtifacts::structure_bytes)
+    /// — CSR conflict graph, component layout, domain bitsets, FD
+    /// blocks. Linear in the workspace for sparse conflicts; shards are
+    /// counted by the shard store.
     pub fn approx_bytes(&self) -> usize {
         let inst = self.pi.instance();
-        let n = inst.len();
-        let mut values = 0usize;
-        for (_, f) in inst.iter() {
-            values += 24 + 16 * f.tuple().len();
-        }
-        let graph = self.artifacts.csr.edge_count() * 12 + n * 16;
-        let blocks: usize = self
-            .artifacts
-            .rel_blocks
-            .iter()
-            .flatten()
-            .map(|b| b.groups().iter().flatten().flatten().count() * 4)
-            .sum();
+        let values: usize = inst.iter().map(|(_, f)| 24 + 16 * f.tuple().len()).sum();
         let edges = self.pi.priority().edge_count() * 24;
-        values + graph + blocks + edges + n * (n / 64 + 1) / 4
+        values + edges + self.artifacts.structure_bytes()
     }
 
     /// Applies a batch of ops atomically: the whole sequence is
@@ -341,7 +333,7 @@ impl DeltaSession {
                     // connectivity, so priority edits alone can split
                     // or merge them.
                     self.artifacts.ccp_union = Some(SessionArtifacts::ccp_union_layout(
-                        &self.artifacts.cg,
+                        &self.artifacts.csr,
                         self.pi.priority(),
                     ));
                 }
@@ -581,11 +573,10 @@ impl DeltaSession {
         match op {
             DeltaOp::InsertFact(f) => {
                 let rel = f.rel();
-                let fd = self.single_fd_of(rel);
+                let fd = self.artifacts.plan.single_fd(rel);
                 self.apply_op_data(op);
                 let inst = self.pi.instance();
                 let id = inst.id_of(f).expect("just inserted");
-                self.artifacts.cg.insert_fact(&self.schema, inst, id);
                 tracker.record_insert();
                 for dom in &mut self.artifacts.rel_domains {
                     dom.grow(inst.len());
@@ -599,7 +590,7 @@ impl DeltaSession {
             }
             DeltaOp::DeleteFact(f) => {
                 let rel = f.rel();
-                let fd = self.single_fd_of(rel);
+                let fd = self.artifacts.plan.single_fd(rel);
                 let id = self.pi.instance().id_of(f).expect("validated delete");
                 if let Some(fd) = fd {
                     if let Some(blocks) = self.artifacts.rel_blocks[rel.index()].as_mut() {
@@ -608,7 +599,6 @@ impl DeltaSession {
                 }
                 tracker.record_delete(&self.artifacts, id);
                 self.apply_op_data(op);
-                self.artifacts.cg.remove_fact(id);
                 for dom in &mut self.artifacts.rel_domains {
                     dom.remove_shift(id);
                 }
@@ -620,61 +610,50 @@ impl DeltaSession {
         }
     }
 
-    /// The single FD the plan tracks blocks for on `rel`, if any.
-    fn single_fd_of(&self, rel: rpr_data::RelId) -> Option<Fd> {
-        if let Plan::Classical(class) = &self.artifacts.plan {
-            for (r, rc) in class.per_relation() {
-                if *r == rel {
-                    if let RelationClass::SingleFd(fd) = rc {
-                        return Some(*fd);
-                    }
-                }
-            }
-        }
-        None
-    }
-
     /// Re-derives the batch-amortized artifacts after structural ops,
     /// scoped to the shards the batch dirtied: CSR rows are remapped
-    /// (not re-derived) for facts whose adjacency is unchanged, the
-    /// component DFS re-runs only inside touched components, and clean
-    /// shards are renumbered in place. Returns the number of nontrivial
-    /// components reused without a re-derivation.
+    /// (not re-derived) for surviving facts, the component DFS re-runs
+    /// only inside touched components, and clean shards are renumbered
+    /// in place. Returns the number of nontrivial components reused
+    /// without a re-derivation.
     fn finish_structural_batch(&mut self, tracker: ShardTracker) -> usize {
         let ShardTracker { new_to_old, mut touched } = tracker;
+        let inst = self.pi.instance();
+        debug_assert_eq!(inst.len(), new_to_old.len());
+        // Rows of inserted facts: a single-FD relation reads them off its
+        // patched blocks (the group minus the fact's block); any other
+        // relation scans its facts.
+        let first_new = new_to_old.iter().position(|&o| o == u32::MAX).unwrap_or(inst.len());
+        let inserted: Vec<Vec<u32>> = (first_new..inst.len())
+            .map(|x| {
+                let x = FactId(x as u32);
+                let rel = inst.fact(x).rel();
+                match self.artifacts.plan.single_fd(rel) {
+                    Some(fd) => self.artifacts.rel_blocks[rel.index()]
+                        .as_ref()
+                        .expect("blocks kept for every single-FD relation")
+                        .conflict_row(inst, fd, x),
+                    None => CsrConflictGraph::scan_row(&self.schema, inst, x),
+                }
+            })
+            .collect();
         let art = &mut self.artifacts;
-        let n_new = art.cg.len();
-        debug_assert_eq!(n_new, new_to_old.len());
-        let n_old = art.components.universe();
-        let mut old_to_new = vec![u32::MAX; n_old];
+        let mut old_to_new = vec![u32::MAX; art.components.universe()];
         for (i, &o) in new_to_old.iter().enumerate() {
             if o != u32::MAX {
                 old_to_new[o as usize] = i as u32;
             }
         }
-        // Rows that changed shape: inserted facts and their neighbors.
-        // An inserted fact can also *merge* components, so its
-        // surviving neighbors' old components count as touched.
-        let mut rederive = FactSet::empty(n_new);
-        for (i, &o) in new_to_old.iter().enumerate() {
-            if o != u32::MAX {
-                continue;
-            }
-            let id = FactId(i as u32);
-            rederive.insert(id);
-            for g in art.cg.conflicts_of(id).iter() {
-                rederive.insert(g);
-                let g_old = new_to_old[g.index()];
-                if g_old != u32::MAX {
-                    touched[art.components.component_of(FactId(g_old))] = true;
-                }
-            }
-        }
-        let csr = CsrConflictGraph::patched(&art.csr, &art.cg, &old_to_new, &new_to_old, &rederive);
+        let csr = CsrConflictGraph::patched(&art.csr, &old_to_new, &new_to_old, &inserted);
         debug_assert!(
-            csr == CsrConflictGraph::from_graph(&art.cg),
-            "patched CSR diverged from a from-scratch packing"
+            csr == CsrConflictGraph::new(&self.schema, inst),
+            "patched CSR diverged from a from-scratch build"
         );
+        // An inserted fact can *merge* components, so its surviving
+        // neighbors' old components count as touched.
+        for &g in inserted.iter().flatten().filter(|&&g| (g as usize) < first_new) {
+            touched[art.components.component_of(FactId(new_to_old[g as usize]))] = true;
+        }
         let (components, reused) =
             ComponentLayout::patched(&art.components, &csr, &old_to_new, &new_to_old, &touched);
         debug_assert!(
@@ -684,18 +663,7 @@ impl DeltaSession {
         art.csr = csr;
         art.components = components;
         if art.ccp_union.is_some() {
-            art.ccp_union = Some(SessionArtifacts::ccp_union_layout(&art.cg, self.pi.priority()));
-        }
-        if let Plan::Classical(class) = &art.plan {
-            let inst = self.pi.instance();
-            for (rel, rc) in class.per_relation() {
-                if let RelationClass::SingleFd(fd) = rc {
-                    if art.rel_blocks[rel.index()].is_none() {
-                        art.rel_blocks[rel.index()] =
-                            Some(FdBlocks::build(inst, *fd, &art.rel_domains[rel.index()]));
-                    }
-                }
-            }
+            art.ccp_union = Some(SessionArtifacts::ccp_union_layout(&art.csr, self.pi.priority()));
         }
         reused
     }
@@ -916,6 +884,35 @@ mod tests {
             assert!(check(&err), "unexpected error {err:?} for {ops:?}");
             assert_eq!(ds.fingerprint(), before, "failed batch mutated state");
         }
+    }
+
+    /// `R(k, b, c)` under `1 → 2`, `keys` keys with two blocks of two
+    /// facts each and the first block preferred: the shape of the
+    /// serving benchmark's large single-FD workspace.
+    fn large_1fd(keys: i64) -> DeltaSession {
+        let sig = Signature::new([("R", 3)]).unwrap();
+        let schema = Schema::from_named(sig.clone(), [("R", &[1][..], &[2][..])]).unwrap();
+        let mut i = Instance::new(sig);
+        let mut edges = Vec::new();
+        for k in 0..keys {
+            let mut id =
+                |b, c| i.insert_named("R", [Value::Int(k), Value::Int(b), Value::Int(c)]).unwrap();
+            let (f00, _f01, f10, _f11) = (id(0, 0), id(0, 1), id(1, 0), id(1, 1));
+            edges.push((f00, f10));
+        }
+        let p = PriorityRelation::new(i.len(), edges).unwrap();
+        let pi = PrioritizedInstance::conflict_restricted(&schema, i, p).unwrap();
+        DeltaSession::prepare(Arc::new(schema), pi)
+    }
+
+    #[test]
+    fn approx_bytes_is_linear_in_the_workspace() {
+        let (small, large) = (large_1fd(2000).approx_bytes(), large_1fd(4000).approx_bytes());
+        assert!(large > small);
+        assert!(
+            large as f64 <= 2.2 * small as f64,
+            "doubling the workspace took the estimate from {small} to {large} bytes"
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::improvement::{is_global_improvement, BudgetExceeded, CheckOutcome, Im
 use crate::pareto::find_pareto_improvement;
 use rpr_data::FactSet;
 use rpr_engine::{Budget, Outcome, Stop};
-use rpr_fd::ConflictGraph;
+use rpr_fd::ConflictRows;
 use rpr_priority::PriorityRelation;
 
 /// Exhaustively searches for a global improvement of `j` among the
@@ -28,7 +28,7 @@ use rpr_priority::PriorityRelation;
 /// # Errors
 /// [`BudgetExceeded`] if the enumeration exceeds `budget` steps.
 pub fn check_global_exact(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     domain: &FactSet,
     j: &FactSet,
@@ -45,7 +45,7 @@ pub fn check_global_exact(
 /// search charges one work unit per recursion node and honours the
 /// budget's deadline and cancellation token.
 pub fn check_global_exact_bounded(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     domain: &FactSet,
     j: &FactSet,
@@ -60,7 +60,7 @@ pub fn check_global_exact_bounded(
 /// The search proper, with [`Stop`] as the control-flow error so the
 /// session dispatch can propagate it with `?`.
 pub(crate) fn check_global_exact_stop(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     domain: &FactSet,
     j: &FactSet,
@@ -68,7 +68,7 @@ pub(crate) fn check_global_exact_stop(
 ) -> Result<CheckOutcome, Stop> {
     // Repair pre-checks.
     for f in j.iter() {
-        if let Some(g) = cg.conflicts_in(f, j).first() {
+        if let Some(g) = cg.conflicts_among(f, j).next() {
             return Ok(CheckOutcome::Inconsistent(f, g));
         }
     }
@@ -102,15 +102,15 @@ pub(crate) fn check_global_exact_stop(
 /// valid global improvement, and the search pays `2^|component|`
 /// instead of `2^|domain|`. One work unit is charged per recursion
 /// node.
-pub(crate) fn exhaustive_improvement(
-    cg: &ConflictGraph,
+pub(crate) fn exhaustive_improvement<R: ConflictRows>(
+    cg: &R,
     priority: &PriorityRelation,
     facts: &[rpr_data::FactId],
     j: &FactSet,
     budget: &Budget,
 ) -> Result<Option<Improvement>, Stop> {
-    struct Search<'a> {
-        cg: &'a ConflictGraph,
+    struct Search<'a, R> {
+        cg: &'a R,
         priority: &'a PriorityRelation,
         j: &'a FactSet,
         facts: &'a [rpr_data::FactId],
@@ -118,7 +118,7 @@ pub(crate) fn exhaustive_improvement(
         found: Option<Improvement>,
     }
 
-    impl Search<'_> {
+    impl<R: ConflictRows> Search<'_, R> {
         fn recurse(&mut self, idx: usize, current: &mut FactSet) -> Result<(), Stop> {
             if self.found.is_some() {
                 return Ok(());
@@ -145,7 +145,7 @@ pub(crate) fn exhaustive_improvement(
             current.insert(f);
             self.recurse(idx + 1, current)?;
             current.remove(f);
-            if !self.cg.conflicts_of(f).is_empty() {
+            if self.cg.neighbors(f).next().is_some() {
                 self.recurse(idx + 1, current)?;
             }
             Ok(())
@@ -163,7 +163,7 @@ mod tests {
     use super::*;
     use crate::brute::{enumerate_repairs, is_globally_optimal_brute};
     use rpr_data::{FactId, Instance, Signature, Value};
-    use rpr_fd::Schema;
+    use rpr_fd::{ConflictGraph, Schema};
     use std::time::Duration;
 
     fn v(s: &str) -> Value {

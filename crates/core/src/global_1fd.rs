@@ -28,7 +28,8 @@
 
 use crate::improvement::{CheckOutcome, Improvement};
 use rpr_data::{FactId, FactSet, Instance};
-use rpr_fd::{ConflictGraph, Fd};
+use rpr_fd::grouping::cmp_on;
+use rpr_fd::{ConflictRows, Fd, FdGrouping};
 use rpr_priority::PriorityRelation;
 
 /// The block structure of one relation's facts under a single FD:
@@ -69,8 +70,8 @@ impl FdBlocks {
 
     /// Groups `domain`'s facts by `A`- then `B`-projection.
     ///
-    /// Grouping is sort-based with in-place attribute comparisons (no
-    /// projection tuples are materialized), and the resulting group and
+    /// Grouping is the sort-based [`FdGrouping`] (in-place attribute
+    /// comparisons, no projection tuples), and the resulting group and
     /// block order is *canonical* — groups sorted by `A`-projection,
     /// blocks within a group by `B`-projection, ids within a block
     /// ascending — so two builds over equal content produce identical
@@ -78,47 +79,17 @@ impl FdBlocks {
     /// [`remove`](Self::remove) can patch the structure in place while
     /// staying bit-identical to a from-scratch build.
     pub fn build(instance: &Instance, fd: Fd, domain: &FactSet) -> FdBlocks {
-        use std::cmp::Ordering;
-        let cmp_on = |x: FactId, y: FactId, attrs| Self::cmp_facts(instance, x, y, attrs);
-        let mut ids: Vec<FactId> = domain.iter().collect();
-        ids.sort_unstable_by(|&x, &y| {
-            cmp_on(x, y, fd.lhs).then_with(|| cmp_on(x, y, fd.rhs)).then(x.cmp(&y))
-        });
-        let mut groups: Vec<Vec<Vec<FactId>>> = Vec::new();
-        for id in ids {
-            debug_assert_eq!(instance.fact(id).rel(), fd.rel, "domain contains foreign facts");
-            if let Some(group) = groups.last_mut() {
-                let rep = group[0][0];
-                if cmp_on(rep, id, fd.lhs) == Ordering::Equal {
-                    let block = group.last_mut().expect("groups hold at least one block");
-                    if cmp_on(block[0], id, fd.rhs) == Ordering::Equal {
-                        block.push(id);
-                    } else {
-                        group.push(vec![id]);
-                    }
-                    continue;
-                }
-            }
-            groups.push(vec![vec![id]]);
-        }
-        FdBlocks { groups }
+        Self::from_grouping(&FdGrouping::new(instance, fd, domain.iter()))
     }
 
-    /// Compares two facts on an attribute set, value-wise in place.
-    fn cmp_facts(
-        instance: &Instance,
-        x: FactId,
-        y: FactId,
-        attrs: rpr_data::AttrSet,
-    ) -> std::cmp::Ordering {
-        let (f, g) = (instance.fact(x), instance.fact(y));
-        for a in attrs.iter() {
-            match f.get(a).cmp(g.get(a)) {
-                std::cmp::Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        std::cmp::Ordering::Equal
+    /// The block structure of an existing grouping — sessions group a
+    /// single-FD relation once and derive both these blocks and its CSR
+    /// conflict rows from it.
+    pub fn from_grouping(grouping: &FdGrouping) -> FdBlocks {
+        let groups = (0..grouping.group_count())
+            .map(|g| grouping.blocks(g).map(<[FactId]>::to_vec).collect())
+            .collect();
+        FdBlocks { groups }
     }
 
     /// Patches in the fact `id`, freshly appended to `instance` (so it
@@ -126,10 +97,10 @@ impl FdBlocks {
     /// its group and block; the result is exactly what
     /// [`build`](Self::build) over the grown domain produces.
     pub(crate) fn insert(&mut self, instance: &Instance, fd: Fd, id: FactId) {
-        match self.groups.binary_search_by(|g| Self::cmp_facts(instance, g[0][0], id, fd.lhs)) {
+        match self.groups.binary_search_by(|g| cmp_on(instance, g[0][0], id, fd.lhs)) {
             Ok(gi) => {
                 let group = &mut self.groups[gi];
-                match group.binary_search_by(|b| Self::cmp_facts(instance, b[0], id, fd.rhs)) {
+                match group.binary_search_by(|b| cmp_on(instance, b[0], id, fd.rhs)) {
                     // The appended id is maximal, so a push keeps the
                     // block's ids ascending.
                     Ok(bi) => group[bi].push(id),
@@ -146,14 +117,8 @@ impl FdBlocks {
     /// shrunk. The result is exactly what [`build`](Self::build) over
     /// the shrunken domain produces.
     pub(crate) fn remove(&mut self, instance: &Instance, fd: Fd, id: FactId) {
-        let gi = self
-            .groups
-            .binary_search_by(|g| Self::cmp_facts(instance, g[0][0], id, fd.lhs))
-            .expect("deleted fact's group is present");
+        let (gi, bi) = self.locate(instance, fd, id);
         let group = &mut self.groups[gi];
-        let bi = group
-            .binary_search_by(|b| Self::cmp_facts(instance, b[0], id, fd.rhs))
-            .expect("deleted fact's block is present");
         let block = &mut group[bi];
         let pos = block.iter().position(|&x| x == id).expect("deleted fact is in its block");
         block.remove(pos);
@@ -163,6 +128,35 @@ impl FdBlocks {
         if self.groups[gi].is_empty() {
             self.groups.remove(gi);
         }
+    }
+
+    /// The group and block indices of the fact `id`, present in the
+    /// blocks, by binary search on the canonical order.
+    fn locate(&self, instance: &Instance, fd: Fd, id: FactId) -> (usize, usize) {
+        let gi = self
+            .groups
+            .binary_search_by(|g| cmp_on(instance, g[0][0], id, fd.lhs))
+            .expect("the fact's group is present");
+        let bi = self.groups[gi]
+            .binary_search_by(|b| cmp_on(instance, b[0], id, fd.rhs))
+            .expect("the fact's block is present");
+        (gi, bi)
+    }
+
+    /// The conflict row of the fact `id` (present in the blocks):
+    /// every fact in another block of its group, ascending. Two binary
+    /// searches plus the group's size, where a scan of the relation
+    /// costs `O(|rel|)`.
+    pub(crate) fn conflict_row(&self, instance: &Instance, fd: Fd, id: FactId) -> Vec<u32> {
+        let (gi, bi) = self.locate(instance, fd, id);
+        let mut row: Vec<u32> = self.groups[gi]
+            .iter()
+            .enumerate()
+            .filter(|&(b, _)| b != bi)
+            .flat_map(|(_, block)| block.iter().map(|g| g.0))
+            .collect();
+        row.sort_unstable();
+        row
     }
 
     /// The minimal `f ∈ j` conflicting inside `j`, with its minimal
@@ -330,7 +324,7 @@ pub(crate) fn eval_1fd_groups(
 /// witness. One-shot convenience over [`check_global_1fd_with_blocks`].
 pub fn check_global_1fd(
     instance: &Instance,
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     fd: Fd,
     domain: &FactSet,
@@ -345,7 +339,7 @@ pub fn check_global_1fd(
 /// call. Outcomes and witnesses are identical to the one-shot entry
 /// point.
 pub fn check_global_1fd_with_blocks(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     blocks: &FdBlocks,
     j: &FactSet,
@@ -354,7 +348,7 @@ pub fn check_global_1fd_with_blocks(
 
     // Repair pre-checks: J must be consistent and maximal in `domain`.
     if let Some((f, g)) = blocks.consistency_witness(j) {
-        debug_assert!(cg.conflicting(f, g));
+        debug_assert!(cg.neighbors(f).any(|x| x == g));
         return CheckOutcome::Inconsistent(f, g);
     }
     if let Some(g) = blocks.maximality_witness(j) {
@@ -407,7 +401,7 @@ mod tests {
     use super::*;
     use crate::brute::is_globally_optimal_brute;
     use rpr_data::{Signature, Value};
-    use rpr_fd::Schema;
+    use rpr_fd::{ConflictGraph, Schema};
 
     fn v(s: &str) -> Value {
         Value::sym(s)
@@ -468,6 +462,46 @@ mod tests {
             }
             other => panic!("expected improvement, got {other:?}"),
         }
+    }
+
+    /// The block structure by its definition: a map from
+    /// `A`-projection to a map from `B`-projection to ascending ids —
+    /// ordered maps give the canonical group and block order.
+    fn reference_groups(i: &Instance, fd: Fd) -> Vec<Vec<Vec<FactId>>> {
+        use std::collections::BTreeMap;
+        let mut groups: BTreeMap<_, BTreeMap<_, Vec<FactId>>> = BTreeMap::new();
+        for &id in i.facts_of(fd.rel) {
+            let f = i.fact(id);
+            groups
+                .entry(f.project(fd.lhs))
+                .or_default()
+                .entry(f.project(fd.rhs))
+                .or_default()
+                .push(id);
+        }
+        groups.into_values().map(|g| g.into_values().collect()).collect()
+    }
+
+    #[test]
+    fn shared_grouping_builds_the_definitional_blocks() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use rpr_gen::{random_instance, schemas, InstanceSpec};
+        let mut rng = StdRng::seed_from_u64(0xB10C5);
+        for (lhs, rhs) in [(&[1][..], &[2][..]), (&[1, 2][..], &[3][..]), (&[][..], &[1][..])] {
+            let schema = schemas::single_fd_schema(3, lhs, rhs);
+            let fd = schema.fds()[0];
+            for domain in [1, 3, 10] {
+                let spec = InstanceSpec { facts_per_relation: 80, domain };
+                let i = random_instance(&schema, spec, &mut rng);
+                let blocks = FdBlocks::build(&i, fd, &i.full_set());
+                assert_eq!(blocks.groups(), reference_groups(&i, fd));
+                let grouping = FdGrouping::new(&i, fd, i.facts_of(fd.rel).iter().copied());
+                assert_eq!(FdBlocks::from_grouping(&grouping).groups(), blocks.groups());
+            }
+        }
+        let (_, i, fd) = bookloc();
+        assert_eq!(FdBlocks::build(&i, fd, &i.full_set()).groups(), reference_groups(&i, fd));
     }
 
     #[test]

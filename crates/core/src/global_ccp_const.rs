@@ -12,7 +12,7 @@
 
 use crate::improvement::{is_global_improvement, CheckOutcome, Improvement};
 use rpr_data::{AttrSet, FactSet, FxHashMap, Instance, Tuple};
-use rpr_fd::ConflictGraph;
+use rpr_fd::ConflictRows;
 use rpr_priority::PriorityRelation;
 
 /// The consistent partitions of each relation (§7.2.2), given the
@@ -60,14 +60,14 @@ pub fn enumerate_const_attr_repairs(
 /// Runs the Proposition 7.5 check on the whole instance.
 pub fn check_global_ccp_const(
     instance: &Instance,
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     constant_attrs: &[AttrSet],
     j: &FactSet,
 ) -> CheckOutcome {
     // Repair pre-checks.
     for f in j.iter() {
-        if let Some(g) = cg.conflicts_in(f, j).first() {
+        if let Some(g) = cg.conflicts_among(f, j).next() {
             return CheckOutcome::Inconsistent(f, g);
         }
     }
@@ -99,7 +99,7 @@ mod tests {
     use super::*;
     use crate::brute::{enumerate_repairs, is_globally_optimal_brute};
     use rpr_data::{FactId, Signature, Value};
-    use rpr_fd::Schema;
+    use rpr_fd::{ConflictGraph, Schema};
 
     fn v(s: &str) -> Value {
         Value::sym(s)

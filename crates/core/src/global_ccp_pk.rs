@@ -11,7 +11,7 @@
 
 use crate::improvement::{CheckOutcome, Improvement};
 use rpr_data::{FactId, FactSet};
-use rpr_fd::ConflictGraph;
+use rpr_fd::ConflictRows;
 use rpr_priority::PriorityRelation;
 
 /// Runs the Lemma 7.3 check on the whole instance.
@@ -20,14 +20,14 @@ use rpr_priority::PriorityRelation;
 /// [`CcpChecker`](crate::checker::CcpChecker)): the schema is a
 /// primary-key assignment, so every conflict is a key-agreement.
 pub fn check_global_ccp_pk(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     j: &FactSet,
 ) -> CheckOutcome {
     // Repair pre-checks ("We assume that J is a repair, since the
     // problem is straightforward otherwise").
     for f in j.iter() {
-        if let Some(g) = cg.conflicts_in(f, j).first() {
+        if let Some(g) = cg.conflicts_among(f, j).next() {
             return CheckOutcome::Inconsistent(f, g);
         }
     }
@@ -103,13 +103,13 @@ pub fn check_global_ccp_pk(
 /// Two-step successors of a `J`-fact in `G_{J, I\J}`: pairs `(g, f′)`
 /// where `f` conflicts with `g ∈ I \ J` and `g ≻ f′ ∈ J`.
 fn successors(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     j: &FactSet,
     f: FactId,
 ) -> Vec<(FactId, FactId)> {
     let mut out = Vec::new();
-    for g in cg.conflicts_of(f).difference(j).iter() {
+    for g in cg.neighbors(f).filter(|g| !j.contains(*g)) {
         for &f2 in priority.worse_than(g) {
             if j.contains(f2) {
                 out.push((g, f2));
@@ -124,7 +124,7 @@ mod tests {
     use super::*;
     use crate::brute::{enumerate_repairs, is_globally_optimal_brute};
     use rpr_data::{Instance, Signature, Value};
-    use rpr_fd::Schema;
+    use rpr_fd::{ConflictGraph, Schema};
 
     fn v(s: &str) -> Value {
         Value::sym(s)

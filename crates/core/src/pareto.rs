@@ -68,7 +68,7 @@ pub fn find_pareto_improvement<R: ConflictRows>(
 ///
 /// Returns `false` for inconsistent `j` (an inconsistent set is not a
 /// repair at all).
-pub fn is_pareto_optimal(cg: &ConflictGraph, priority: &PriorityRelation, j: &FactSet) -> bool {
+pub fn is_pareto_optimal(cg: &impl ConflictRows, priority: &PriorityRelation, j: &FactSet) -> bool {
     if !cg.is_consistent_set(j) {
         return false;
     }

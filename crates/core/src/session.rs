@@ -10,10 +10,14 @@
 //! A [`CheckSession`] is constructed once per triple and amortizes the
 //! invariant work across every subsequent [`check`](CheckSession::check):
 //!
-//! * the bitset [`ConflictGraph`] (consumed by the per-relation
-//!   algorithms),
-//! * its CSR packing ([`CsrConflictGraph`]) for cache-friendly
-//!   adjacency probes in the consistency pre-pass,
+//! * the conflict graph, held once, as a [`CsrConflictGraph`] built
+//!   straight from a sort-based lhs/rhs [`FdGrouping`] per relation
+//!   and FD — every algorithm (consistency pre-pass, 2-keys, ccp,
+//!   Pareto, exact shards) reads it through
+//!   [`ConflictRows`], so memory is `O(n + e)`, not a bitset row per
+//!   conflicted fact,
+//! * the Lemma 4.2 block structure of each single-FD relation, derived
+//!   from the same grouping as that relation's conflict rows,
 //! * the connected components of the conflict graph (parallel
 //!   scheduling units for the pre-pass),
 //! * the per-relation fact partitions (`rel_set` bitsets), and
@@ -66,7 +70,7 @@ use rpr_classify::{
 };
 use rpr_data::{FactId, FactSet, Fingerprint, Instance};
 use rpr_engine::{Budget, Outcome, PanicReport, Stop};
-use rpr_fd::{ComponentLayout, ConflictGraph, ConflictRows, CsrConflictGraph, Schema};
+use rpr_fd::{ComponentLayout, ConflictRows, CsrConflictGraph, Fd, FdGrouping, Schema};
 use rpr_priority::{PrioritizedInstance, PriorityMode, PriorityRelation};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -115,25 +119,40 @@ pub(crate) enum Plan {
     Ccp(CcpClass),
 }
 
+impl Plan {
+    /// The one FD a classical plan checks `rel` under, when `rel` is
+    /// classified as a single FD — the relations that keep Lemma 4.2
+    /// blocks.
+    pub(crate) fn single_fd(&self, rel: rpr_data::RelId) -> Option<Fd> {
+        let Plan::Classical(class) = self else { return None };
+        class.per_relation().iter().find_map(|(r, rc)| match rc {
+            RelationClass::SingleFd(fd) if *r == rel => Some(*fd),
+            _ => None,
+        })
+    }
+}
+
 /// The candidate-independent artifacts a session amortizes: the
-/// conflict graph (bitset + CSR), the dichotomy classification, the
-/// per-relation fact partitions and Lemma 4.2 block structures, and the
-/// nontrivial connected components. Everything here is owned, so
-/// artifacts can be built once and cached (e.g. keyed by workspace
+/// conflict graph (CSR-packed, the only copy), the dichotomy
+/// classification, the per-relation fact partitions and Lemma 4.2
+/// block structures, and the nontrivial connected components.
+/// Everything here is owned, so artifacts can be built once and
+/// cached (e.g. keyed by workspace
 /// fingerprint in the serving layer) independently of the borrowing
 /// [`CheckSession`] views created from them.
 #[must_use = "building session artifacts is the expensive step — use them in a CheckSession"]
 pub struct SessionArtifacts {
-    pub(crate) cg: ConflictGraph,
+    /// The conflict graph every check reads.
     pub(crate) csr: CsrConflictGraph,
     pub(crate) plan: Plan,
     /// `rel_domains[rel.index()]` is the fact partition of that
     /// relation (classical dispatch domains).
     pub(crate) rel_domains: Vec<FactSet>,
     /// `rel_blocks[rel.index()]` caches the Lemma 4.2 group/block
-    /// structure for relations classified as a single FD — the hash
+    /// structure for relations classified as a single FD — the
     /// grouping is candidate-independent, so it is built once here
-    /// instead of on every check.
+    /// (sharing the sort with the relation's conflict rows) instead of
+    /// on every check.
     pub(crate) rel_blocks: Vec<Option<FdBlocks>>,
     /// The connected components of the conflict graph, CSR-packed.
     /// Shards: the consistency pre-pass, the per-component exact
@@ -179,27 +198,49 @@ impl SessionArtifacts {
         Self::build_with_plan_store(schema, pi, plan, store)
     }
 
-    /// The one shared derivation of the candidate-independent graph
-    /// structure: CSR packing plus the component shard layout. Both the
-    /// cold build below and the delta layer's rebuild path go through
-    /// here, so the shard layout has a single home.
-    pub(crate) fn derive_structure(cg: &ConflictGraph) -> (CsrConflictGraph, ComponentLayout) {
-        let csr = CsrConflictGraph::from_graph(cg);
-        let components = ComponentLayout::from_csr(&csr);
-        (csr, components)
+    /// Groups every relation's facts once per FD and derives the CSR
+    /// conflict rows from the groupings. A classical single-FD relation
+    /// is grouped under its one equivalent FD — equivalent FD sets
+    /// conflict on exactly the same pairs — and its Lemma 4.2 blocks
+    /// come from that same grouping.
+    fn derive_graph(
+        schema: &Schema,
+        instance: &Instance,
+        plan: &Plan,
+    ) -> (CsrConflictGraph, Vec<Option<FdBlocks>>) {
+        let mut rel_blocks: Vec<Option<FdBlocks>> =
+            schema.signature().rel_ids().map(|_| None).collect();
+        let mut groupings = Vec::new();
+        for rel in schema.signature().rel_ids() {
+            match plan.single_fd(rel) {
+                Some(fd) => {
+                    let grouping =
+                        FdGrouping::new(instance, fd, instance.facts_of(rel).iter().copied());
+                    rel_blocks[rel.index()] = Some(FdBlocks::from_grouping(&grouping));
+                    groupings.push(grouping);
+                }
+                None => groupings.extend(FdGrouping::for_relation(schema, instance, rel)),
+            }
+        }
+        let csr = CsrConflictGraph::from_groupings(instance.len(), &groupings);
+        debug_assert!(
+            csr == CsrConflictGraph::new(schema, instance),
+            "session conflict rows diverged from the schema's"
+        );
+        (csr, rel_blocks)
     }
 
     /// The union-graph (conflict ∪ priority) component layout a ccp
     /// Hard plan decomposes its exact search over. Rebuilt by the delta
     /// layer whenever structure or priority changes.
     pub(crate) fn ccp_union_layout(
-        cg: &ConflictGraph,
+        csr: &CsrConflictGraph,
         priority: &PriorityRelation,
     ) -> ComponentLayout {
-        ComponentLayout::from_edges(
-            cg.len(),
-            cg.edges().into_iter().chain(priority.edges().iter().copied()),
-        )
+        let conflicts = (0..csr.len() as u32)
+            .map(FactId)
+            .flat_map(|a| csr.neighbors(a).filter(move |&b| a < b).map(move |b| (a, b)));
+        ComponentLayout::from_edges(csr.len(), conflicts.chain(priority.edges().iter().copied()))
     }
 
     fn build_with_plan(schema: &Schema, pi: &PrioritizedInstance, plan: Plan) -> Self {
@@ -213,26 +254,15 @@ impl SessionArtifacts {
         store: Option<&ShardStore>,
     ) -> Self {
         let instance = pi.instance();
-        let cg = ConflictGraph::new(schema, instance);
-        let (csr, components) = Self::derive_structure(&cg);
+        let (csr, rel_blocks) = Self::derive_graph(schema, instance, &plan);
+        let components = ComponentLayout::from_csr(&csr);
         let rel_domains: Vec<FactSet> =
             schema.signature().rel_ids().map(|rel| instance.rel_set(rel)).collect();
-        let mut rel_blocks: Vec<Option<FdBlocks>> =
-            schema.signature().rel_ids().map(|_| None).collect();
-        if let Plan::Classical(class) = &plan {
-            for (rel, rc) in class.per_relation() {
-                if let RelationClass::SingleFd(fd) = rc {
-                    rel_blocks[rel.index()] =
-                        Some(FdBlocks::build(instance, *fd, &rel_domains[rel.index()]));
-                }
-            }
-        }
         let ccp_union = match &plan {
-            Plan::Ccp(CcpClass::Hard { .. }) => Some(Self::ccp_union_layout(&cg, pi.priority())),
+            Plan::Ccp(CcpClass::Hard { .. }) => Some(Self::ccp_union_layout(&csr, pi.priority())),
             _ => None,
         };
         let mut art = SessionArtifacts {
-            cg,
             csr,
             plan,
             rel_domains,
@@ -288,7 +318,7 @@ impl SessionArtifacts {
                     let c = c as usize;
                     let fp = layout.shard_fingerprint(c, schema, instance, priority.edges());
                     let members = layout.component(c);
-                    let build = || ShardData::build(fp, members, &self.cg, priority);
+                    let build = || ShardData::build(fp, members, &self.csr, priority);
                     shards[c] = Some(match store {
                         Some(store) => store.get_or_insert(fp, build),
                         None => prev.get(&fp.0).cloned().unwrap_or_else(|| Arc::new(build())),
@@ -315,6 +345,22 @@ impl SessionArtifacts {
     /// deduplication-aware accounting in the serve layer avoids.
     pub fn shard_bytes(&self) -> usize {
         self.exact_shards.iter().flatten().map(|s| s.bytes()).sum()
+    }
+
+    /// Heap bytes of the graph structure this session holds: the CSR
+    /// conflict graph, the component layouts, the per-relation domain
+    /// bitsets and the Lemma 4.2 blocks. Shards are counted by
+    /// [`shard_bytes`](Self::shard_bytes).
+    pub fn structure_bytes(&self) -> usize {
+        let domains: usize = self.rel_domains.iter().map(|d| 8 * d.universe().div_ceil(64)).sum();
+        let blocks: usize = self
+            .rel_blocks
+            .iter()
+            .flatten()
+            .map(|b| b.groups().iter().flatten().flatten().count() * 4)
+            .sum();
+        let union = self.ccp_union.as_ref().map_or(0, ComponentLayout::heap_bytes);
+        self.csr.heap_bytes() + self.components.heap_bytes() + union + domains + blocks
     }
 
     /// The exact-path shard handles (component id → shard), for tests
@@ -463,14 +509,22 @@ impl<'a> CheckSession<'a> {
         self.jobs
     }
 
-    /// The cached bitset conflict graph.
-    pub fn conflict_graph(&self) -> &ConflictGraph {
-        &self.art.cg
+    /// The cached conflict graph (the session holds only this CSR
+    /// form; every checker and session oracle takes it through
+    /// [`ConflictRows`]).
+    pub fn conflict_graph(&self) -> &CsrConflictGraph {
+        &self.art.csr
     }
 
-    /// The cached CSR packing of the conflict graph.
+    /// The cached conflict graph — the same [`CsrConflictGraph`] as
+    /// [`conflict_graph`](Self::conflict_graph).
     pub fn csr(&self) -> &CsrConflictGraph {
         &self.art.csr
+    }
+
+    /// The cached component layout of the conflict graph.
+    pub fn components(&self) -> &ComponentLayout {
+        &self.art.components
     }
 
     /// The schema the session was classified under.
@@ -702,9 +756,9 @@ impl<'a> CheckSession<'a> {
         let priority = self.pi.priority();
         budget.step()?;
         Ok(match class {
-            CcpClass::PrimaryKeyAssignment(_) => check_global_ccp_pk(&self.art.cg, priority, j),
+            CcpClass::PrimaryKeyAssignment(_) => check_global_ccp_pk(&self.art.csr, priority, j),
             CcpClass::ConstantAttributeAssignment(consts) => {
-                check_global_ccp_const(instance, &self.art.cg, priority, consts, j)
+                check_global_ccp_const(instance, &self.art.csr, priority, consts, j)
             }
             CcpClass::Hard { .. } => {
                 // Plain conflict components are NOT sound shards here:
@@ -737,7 +791,7 @@ impl<'a> CheckSession<'a> {
         let n_groups = blocks.groups().len();
         let parallel = jobs > 1 && n_groups > 1 && j_rel.universe() >= PARALLEL_PREPASS_MIN_FACTS;
         if !parallel {
-            return check_global_1fd_with_blocks(&self.art.cg, priority, blocks, j_rel);
+            return check_global_1fd_with_blocks(&self.art.csr, priority, blocks, j_rel);
         }
         let workers = jobs.min(n_groups);
         let chunk = n_groups.div_ceil(workers);
@@ -748,11 +802,11 @@ impl<'a> CheckSession<'a> {
             eval_1fd_groups(priority, blocks, j_rel, ranges[i].clone())
         }));
         if let Some((f, g)) = parts.iter().filter_map(|e| e.incons).min_by_key(|&(f, _)| f) {
-            debug_assert!(self.art.cg.conflicting(f, g));
+            debug_assert!(self.art.csr.conflicting(f, g));
             return CheckOutcome::Inconsistent(f, g);
         }
         if let Some(g) = parts.iter().filter_map(|e| e.max_wit).min() {
-            debug_assert!(!self.art.cg.conflicts_with_set(g, j_rel));
+            debug_assert!(!self.art.csr.conflicts_with_set(g, j_rel));
             let mut added = FactSet::empty(j_rel.universe());
             added.insert(g);
             return CheckOutcome::Improvable(Improvement {
@@ -762,7 +816,7 @@ impl<'a> CheckSession<'a> {
         }
         match parts.into_iter().filter_map(|e| e.improvable).min_by_key(|&(gi, _)| gi) {
             Some((_, imp)) => {
-                debug_assert!(imp.is_valid_global_improvement(&self.art.cg, priority, j_rel));
+                debug_assert!(imp.is_valid_global_improvement(&self.art.csr, priority, j_rel));
                 CheckOutcome::Improvable(imp)
             }
             None => CheckOutcome::Optimal,
@@ -829,14 +883,14 @@ impl<'a> CheckSession<'a> {
             let results = rethrow(self.fan_out_n(jobs, shards.len(), |i| search(shards[i])));
             for r in results {
                 if let Some(imp) = r? {
-                    debug_assert!(imp.is_valid_global_improvement(&self.art.cg, priority, j_rel));
+                    debug_assert!(imp.is_valid_global_improvement(&self.art.csr, priority, j_rel));
                     return Ok(CheckOutcome::Improvable(imp));
                 }
             }
         } else {
             for &c in &shards {
                 if let Some(imp) = search(c)? {
-                    debug_assert!(imp.is_valid_global_improvement(&self.art.cg, priority, j_rel));
+                    debug_assert!(imp.is_valid_global_improvement(&self.art.csr, priority, j_rel));
                     return Ok(CheckOutcome::Improvable(imp));
                 }
             }
@@ -919,6 +973,7 @@ mod tests {
     use crate::brute::enumerate_repairs;
     use crate::checker::{CcpChecker, GRepairChecker};
     use rpr_data::{Signature, Value};
+    use rpr_fd::ConflictGraph;
 
     fn v(s: &str) -> Value {
         Value::sym(s)

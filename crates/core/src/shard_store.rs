@@ -47,7 +47,7 @@
 use crate::improvement::Improvement;
 use rpr_data::{FactId, FactSet, Fingerprint, FxHashMap};
 use rpr_engine::{Budget, Stop};
-use rpr_fd::ConflictGraph;
+use rpr_fd::ConflictRows;
 use rpr_priority::PriorityRelation;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -106,7 +106,7 @@ impl ShardData {
     pub fn build(
         fingerprint: Fingerprint,
         members: &[FactId],
-        cg: &ConflictGraph,
+        cg: &impl ConflictRows,
         priority: &PriorityRelation,
     ) -> ShardData {
         let k = members.len();
@@ -115,7 +115,7 @@ impl ShardData {
         let mut neighbors = Vec::new();
         offsets.push(0u32);
         for &f in members {
-            for g in cg.conflicts_of(f).iter() {
+            for g in cg.neighbors(f) {
                 let l = local(g).expect("conflict neighbor escapes its component");
                 neighbors.push(l);
             }

@@ -14,7 +14,7 @@ use rpr_core::{
     is_pareto_improvement, Budget, BudgetExceeded, CheckSession, Outcome,
 };
 use rpr_data::{FactSet, Instance, Tuple};
-use rpr_fd::{ConflictGraph, Schema};
+use rpr_fd::{ConflictGraph, ConflictRows, Schema};
 use rpr_priority::PriorityRelation;
 use std::collections::BTreeSet;
 
@@ -122,7 +122,7 @@ pub fn repairs_under(
 ///   holds the completion-optimal repairs confirmed before the stop.
 pub fn repairs_under_bounded(
     semantics: RepairSemantics,
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     budget: &Budget,
 ) -> Outcome<Vec<FactSet>> {

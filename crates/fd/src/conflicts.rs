@@ -7,9 +7,14 @@
 //! edges join δ-conflicting pairs. Repairs of `I` are exactly the
 //! maximal independent sets of this graph.
 //!
-//! The graph stores one [`FactSet`] adjacency row per fact, so that the
-//! consistency/maximality checks in the repair algorithms are
-//! word-parallel intersections.
+//! Two representations share the [`ConflictRows`] read interface. The
+//! packed [`CsrConflictGraph`] is the one sessions build, keep, patch
+//! and check against. The bitset [`ConflictGraph`] here is the
+//! oracle's graph — brute-force enumeration, one-shot checker calls and
+//! tests — storing one [`FactSet`] row per conflicted fact so set
+//! queries are word-parallel intersections.
+//!
+//! [`CsrConflictGraph`]: crate::CsrConflictGraph
 
 use crate::fd::Fd;
 use crate::schema::Schema;
@@ -17,10 +22,22 @@ use rpr_data::{FactId, FactSet, FxHashMap, Instance, Tuple};
 
 /// Read access to conflict adjacency rows, shared by the bitset
 /// [`ConflictGraph`] and the packed [`CsrConflictGraph`] so a checker
-/// can run one body over either.
+/// or oracle can run one body over either. Every row query answers in
+/// ascending id order.
 ///
 /// [`CsrConflictGraph`]: crate::CsrConflictGraph
 pub trait ConflictRows {
+    /// Number of facts (vertices).
+    fn len(&self) -> usize;
+
+    /// Is the graph over an empty instance?
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The facts conflicting with `id`, in ascending id order.
+    fn neighbors(&self, id: FactId) -> impl Iterator<Item = FactId> + '_;
+
     /// The members of `set` conflicting with `id`, in ascending id
     /// order, without allocating: the same facts, in the same order, as
     /// iterating [`ConflictGraph::conflicts_in`].
@@ -30,13 +47,33 @@ pub trait ConflictRows {
         set: &'a FactSet,
     ) -> impl Iterator<Item = FactId> + 'a;
 
+    /// Does `id` conflict with some member of `set`?
+    fn conflicts_with_set(&self, id: FactId, set: &FactSet) -> bool {
+        self.conflicts_among(id, set).next().is_some()
+    }
+
     /// Is the subinstance consistent (an independent set)?
     fn is_consistent_set(&self, set: &FactSet) -> bool {
-        set.iter().all(|id| self.conflicts_among(id, set).next().is_none())
+        set.iter().all(|id| !self.conflicts_with_set(id, set))
+    }
+
+    /// Is the subinstance a repair — consistent, and every outside
+    /// fact conflicting with it?
+    fn is_repair(&self, set: &FactSet) -> bool {
+        self.is_consistent_set(set)
+            && set.complement().iter().all(|id| self.conflicts_with_set(id, set))
     }
 }
 
 impl ConflictRows for ConflictGraph {
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    fn neighbors(&self, id: FactId) -> impl Iterator<Item = FactId> + '_ {
+        self.conflicts_of(id).iter()
+    }
+
     fn conflicts_among<'a>(
         &'a self,
         id: FactId,
@@ -44,9 +81,16 @@ impl ConflictRows for ConflictGraph {
     ) -> impl Iterator<Item = FactId> + 'a {
         self.adjacency[id.index()].iter().flat_map(move |row| row.iter_intersect(set))
     }
+
+    fn conflicts_with_set(&self, id: FactId, set: &FactSet) -> bool {
+        ConflictGraph::conflicts_with_set(self, id, set)
+    }
 }
 
-/// The conflict graph of an instance under a schema.
+/// The bitset conflict graph of an instance under a schema: the
+/// oracle's graph (brute force, one-shot checkers, tests). Sessions
+/// hold the packed [`CsrConflictGraph`](crate::CsrConflictGraph)
+/// instead.
 ///
 /// Adjacency rows are allocated lazily: facts without conflicts share
 /// one empty row, so memory is `O(n + c·n/64)` for `c` facts with
@@ -120,61 +164,6 @@ impl ConflictGraph {
         }
     }
 
-    /// Removes fact `d` from the graph, renumbering every id above `d`
-    /// down by one — the same dense layout a from-scratch build over
-    /// the shrunken instance produces.
-    ///
-    /// Cost: `O(n²/64)` worst case (one word-shift pass per
-    /// materialized row), independent of the FD set.
-    pub fn remove_fact(&mut self, d: FactId) {
-        assert!(d.index() < self.n, "remove_fact: id out of range");
-        self.adjacency.remove(d.index());
-        for row in self.adjacency.iter_mut().flatten() {
-            row.remove_shift(d);
-        }
-        self.n -= 1;
-        self.empty_row = FactSet::empty(self.n);
-    }
-
-    /// Extends the graph with the fact `id` freshly appended to
-    /// `instance` (so `id.index() == self.len()` and `instance`
-    /// already contains it), deriving only the conflict edges incident
-    /// to the new fact.
-    ///
-    /// Cost: `O(|facts_of(rel)| · |fds_for(rel)|)` — localized to the
-    /// new fact's relation rather than the whole instance.
-    pub fn insert_fact(&mut self, schema: &Schema, instance: &Instance, id: FactId) {
-        assert_eq!(id.index(), self.n, "insert_fact: id must be appended");
-        assert_eq!(instance.len(), self.n + 1, "insert_fact: instance not grown");
-        self.n += 1;
-        for row in self.adjacency.iter_mut().flatten() {
-            row.grow(self.n);
-        }
-        self.adjacency.push(None);
-        self.empty_row = FactSet::empty(self.n);
-
-        let f = instance.fact(id);
-        let rel = f.rel();
-        for &fd in schema.fds_for(rel) {
-            if fd.is_trivial() {
-                continue;
-            }
-            // In-place attribute comparisons: projecting would allocate
-            // two tuples per compared fact, dominating the whole patch.
-            for &other in instance.facts_of(rel) {
-                if other == id {
-                    continue;
-                }
-                let g = instance.fact(other);
-                if g.agrees_on(f, fd.lhs) && !g.agrees_on(f, fd.rhs) {
-                    let n = self.n;
-                    Self::row_mut(&mut self.adjacency, id, n).insert(other);
-                    Self::row_mut(&mut self.adjacency, other, n).insert(id);
-                }
-            }
-        }
-    }
-
     /// Number of facts (vertices).
     pub fn len(&self) -> usize {
         self.n
@@ -183,6 +172,13 @@ impl ConflictGraph {
     /// Is the graph over an empty instance?
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// Heap bytes of the materialized bitset rows and the row table.
+    pub fn heap_bytes(&self) -> usize {
+        let row = 8 * self.n.div_ceil(64);
+        self.adjacency.capacity() * std::mem::size_of::<Option<FactSet>>()
+            + self.adjacency.iter().flatten().count() * row
     }
 
     /// The facts conflicting with `id`.
@@ -388,55 +384,6 @@ mod tests {
         let g = ConflictGraph::new(&schema, &i);
         assert!(g.edges().is_empty());
         assert!(g.is_repair(&i.full_set()));
-    }
-
-    fn assert_same_graph(a: &ConflictGraph, b: &ConflictGraph) {
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.edges(), b.edges());
-    }
-
-    #[test]
-    fn remove_fact_matches_cold_rebuild() {
-        let (schema, mut i) = libloc();
-        let mut g = ConflictGraph::new(&schema, &i);
-        // Remove a fact from the middle (g2a = 2), then from the front.
-        for victim in [FactId(2), FactId(0)] {
-            i.remove_fact(victim);
-            g.remove_fact(victim);
-            assert_same_graph(&g, &ConflictGraph::new(&schema, &i));
-        }
-    }
-
-    #[test]
-    fn insert_fact_matches_cold_rebuild() {
-        let (schema, mut i) = libloc();
-        let mut g = ConflictGraph::new(&schema, &i);
-        for (a, b) in [("lib4", "almaden"), ("lib1", "downtown"), ("lib9", "nowhere")] {
-            let id = i.insert_named("LibLoc", [v(a), v(b)]).unwrap();
-            g.insert_fact(&schema, &i, id);
-            assert_same_graph(&g, &ConflictGraph::new(&schema, &i));
-        }
-    }
-
-    #[test]
-    fn interleaved_mutations_match_cold_rebuild() {
-        let (schema, mut i) = libloc();
-        let mut g = ConflictGraph::new(&schema, &i);
-        i.remove_fact(FactId(5));
-        g.remove_fact(FactId(5));
-        let id = i.insert_named("LibLoc", [v("lib2"), v("cambrian")]).unwrap();
-        g.insert_fact(&schema, &i, id);
-        i.remove_fact(FactId(1));
-        g.remove_fact(FactId(1));
-        assert_same_graph(&g, &ConflictGraph::new(&schema, &i));
-        // Delete-then-reinsert round trip lands back on the same graph
-        // shape as removing then re-adding at the end.
-        let f = i.fact(FactId(0)).clone();
-        i.remove_fact(FactId(0));
-        g.remove_fact(FactId(0));
-        let id = i.insert(f);
-        g.insert_fact(&schema, &i, id);
-        assert_same_graph(&g, &ConflictGraph::new(&schema, &i));
     }
 
     #[test]

@@ -1,22 +1,27 @@
-//! CSR-packed conflict adjacency.
+//! CSR-packed conflict adjacency: the conflict graph sessions build,
+//! keep, patch and check against.
 //!
-//! [`ConflictGraph`] stores one bitset row per conflicted fact, which
-//! makes set intersections word-parallel but costs `Θ(n/8)` bytes per
-//! row regardless of degree. Check workloads that probe the same graph
-//! thousands of times (see `rpr-core::session`) are dominated by
-//! walking *sparse* rows, where a flat sorted neighbor list is both
-//! smaller and faster to scan.
+//! [`CsrConflictGraph`] stores each fact's conflict row as a sorted
+//! `u32` neighbor list in compressed sparse row form — one neighbor
+//! array plus per-fact offsets — and keeps a bitset row only for facts
+//! whose degree exceeds a density threshold (where the bitset is at
+//! most comparably sized and intersection wins). Memory is therefore
+//! `O(n + e)` for `e` conflict edges on sparse instances, where a
+//! bitset row per conflicted fact costs `Θ(n/8)` bytes regardless of
+//! degree.
 //!
-//! [`CsrConflictGraph`] packs the same adjacency into compressed
-//! sparse row form — one `u32` neighbor array plus per-fact offsets —
-//! and keeps a bitset row only for facts whose degree exceeds a
-//! density threshold (where the bitset is at most comparably sized and
-//! intersection wins). Neighbor lists are sorted ascending, so
-//! "first conflicting member of a set" queries return exactly the fact
-//! that [`ConflictGraph::conflicts_in`]`.first()` would — the checkers
-//! rely on this to keep witnesses bit-identical across representations.
+//! [`CsrConflictGraph::new`] builds the rows straight from a sort-based
+//! [`FdGrouping`] per relation and FD, with no bitset intermediate, and
+//! [`CsrConflictGraph::patched`] carries them across a delta batch. The
+//! bitset [`ConflictGraph`] remains the oracle's graph; the two are
+//! pinned together by [`CsrConflictGraph::from_graph`] in tests.
+//! Neighbor lists are sorted ascending, so "first conflicting member of
+//! a set" queries return exactly the fact that
+//! [`ConflictGraph::conflicts_in`]`.first()` would — the checkers rely
+//! on this to keep witnesses bit-identical across representations.
 
 use crate::conflicts::{ConflictGraph, ConflictRows};
+use crate::grouping::FdGrouping;
 use crate::schema::Schema;
 use rpr_data::{FactId, FactSet, Instance};
 
@@ -32,7 +37,7 @@ pub enum Row<'a> {
 }
 
 /// Hybrid CSR / bitset conflict adjacency. See the module docs.
-#[derive(Clone, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CsrConflictGraph {
     n: usize,
     /// `offsets[i]..offsets[i+1]` indexes `neighbors` for sparse rows;
@@ -52,35 +57,80 @@ impl CsrConflictGraph {
         degree * 32 > n
     }
 
-    /// Packs an existing [`ConflictGraph`] into hybrid CSR form.
+    /// Packs an existing [`ConflictGraph`] into hybrid CSR form — the
+    /// bridge from the oracle's bitset graph, used by tests to pin
+    /// [`new`](Self::new) to it.
     pub fn from_graph(cg: &ConflictGraph) -> Self {
         let n = cg.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::new();
-        let mut dense_idx = vec![SPARSE; n];
-        let mut dense_rows = Vec::new();
-        offsets.push(0u32);
-        for (i, slot) in dense_idx.iter_mut().enumerate() {
-            let row = cg.conflicts_of(FactId(i as u32));
-            let degree = row.len();
-            if Self::is_dense(degree, n) {
-                *slot = dense_rows.len() as u32;
-                dense_rows.push(row.clone());
-            } else {
-                // FactSet iteration is ascending, so the list is sorted.
-                neighbors.extend(row.iter().map(|id| id.0));
-            }
-            offsets.push(neighbors.len() as u32);
+        let mut builder = Builder::new(n, 0);
+        for i in 0..n {
+            // FactSet iteration is ascending, so the row is sorted.
+            builder.push_row(cg.conflicts_of(FactId(i as u32)).iter().map(|id| id.0));
         }
-        neighbors.shrink_to_fit();
-        CsrConflictGraph { n, offsets, neighbors, dense_idx, dense_rows }
+        builder.finish()
     }
 
-    /// Builds the conflict graph of `instance` under `schema` and packs
-    /// it. Convenience for callers that never need the bitset-only
-    /// original.
+    /// Builds the conflict graph of `instance` under `schema` straight
+    /// into CSR form: one [`FdGrouping`] per relation and non-trivial
+    /// FD, no bitset intermediate. Identical to
+    /// `from_graph(&ConflictGraph::new(schema, instance))`.
     pub fn new(schema: &Schema, instance: &Instance) -> Self {
-        Self::from_graph(&ConflictGraph::new(schema, instance))
+        let groupings: Vec<FdGrouping> = schema
+            .signature()
+            .rel_ids()
+            .flat_map(|rel| FdGrouping::for_relation(schema, instance, rel))
+            .collect();
+        Self::from_groupings(instance.len(), &groupings)
+    }
+
+    /// Packs the conflicts the `groupings` witness over a universe of
+    /// `n` facts: facts in different blocks of one group conflict. Two
+    /// groupings of one relation may witness the same pair; rows are
+    /// sorted and deduplicated, then packed with the usual density
+    /// rule.
+    ///
+    /// Cost: `O(n + e·log d)` for `e` conflict entries and maximal
+    /// sparse degree `d`; a dense row is filled straight into its
+    /// bitset.
+    pub fn from_groupings(n: usize, groupings: &[FdGrouping]) -> Self {
+        // Counting sort of the per-fact conflict runs by fact id.
+        let mut start = vec![0u32; n + 1];
+        for (f, _) in groupings.iter().flat_map(FdGrouping::conflict_runs) {
+            start[f.index() + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut cursor = start.clone();
+        let mut runs: Vec<[&[FactId]; 2]> = vec![[&[], &[]]; start[n] as usize];
+        for (f, r) in groupings.iter().flat_map(FdGrouping::conflict_runs) {
+            runs[cursor[f.index()] as usize] = r;
+            cursor[f.index()] += 1;
+        }
+        drop(cursor);
+        let row = |i: usize| &runs[start[i] as usize..start[i + 1] as usize];
+        // Degree bound before deduplication.
+        let bound = |i: usize| row(i).iter().map(|[x, y]| x.len() + y.len()).sum::<usize>();
+        let sparse = (0..n).map(bound).filter(|&b| !Self::is_dense(b, n)).sum();
+        let mut builder = Builder::new(n, sparse);
+        let mut buf: Vec<u32> = Vec::new();
+        for i in 0..n {
+            let row = row(i);
+            if Self::is_dense(bound(i), n) {
+                let mut bits = FactSet::empty(n);
+                for &g in row.iter().flatten().flat_map(|run| run.iter()) {
+                    bits.insert(g);
+                }
+                builder.push_bits(bits);
+            } else {
+                buf.clear();
+                buf.extend(row.iter().flatten().flat_map(|run| run.iter().map(|g| g.0)));
+                buf.sort_unstable();
+                buf.dedup();
+                builder.push_row(buf.iter().copied());
+            }
+        }
+        builder.finish()
     }
 
     /// Number of facts (vertices).
@@ -91,6 +141,14 @@ impl CsrConflictGraph {
     /// Is the graph over an empty instance?
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// Heap bytes the packing holds: offsets, density index, neighbor
+    /// array and dense bitset rows.
+    pub fn heap_bytes(&self) -> usize {
+        let row_words = self.n.div_ceil(64);
+        4 * (self.offsets.capacity() + self.neighbors.capacity() + self.dense_idx.capacity())
+            + self.dense_rows.len() * (8 * row_words + std::mem::size_of::<FactSet>())
     }
 
     /// Number of rows stored as bitsets rather than neighbor lists.
@@ -176,80 +234,160 @@ impl CsrConflictGraph {
         }
     }
 
-    /// Incrementally repack after a structural delta batch, reusing the
-    /// neighbor lists of rows the batch did not touch.
+    /// The conflict row of fact `x` by one scan of its relation: the
+    /// facts agreeing with it on some FD's lhs but not on its rhs,
+    /// ascending. `O(|rel|·|Δ|R|)` in-place value comparisons.
+    pub fn scan_row(schema: &Schema, instance: &Instance, x: FactId) -> Vec<u32> {
+        let f = instance.fact(x);
+        let fds: Vec<_> = schema.fds_for(f.rel()).iter().filter(|fd| !fd.is_trivial()).collect();
+        instance
+            .facts_of(f.rel())
+            .iter()
+            .filter(|&&g| {
+                let g = instance.fact(g);
+                fds.iter().any(|fd| g.agrees_on(f, fd.lhs) && !g.agrees_on(f, fd.rhs))
+            })
+            .map(|g| g.0)
+            .collect()
+    }
+
+    /// Repacks after a structural delta batch without re-deriving the
+    /// rows the batch left alone.
     ///
-    /// `cg` is the already-patched bitset graph (the source of truth),
-    /// `old` the pre-batch packing. Ids were densely renumbered by the
-    /// batch: `old_to_new[o]` maps a surviving old id to its new id
+    /// `old` is the pre-batch packing. Ids were densely renumbered by
+    /// the batch: `old_to_new[o]` maps a surviving old id to its new id
     /// (`u32::MAX` if deleted) and `new_to_old[i]` the inverse
-    /// (`u32::MAX` for facts inserted by the batch). `rederive` holds
-    /// the new ids whose adjacency actually changed shape (inserted
-    /// facts and their neighbors); every other surviving sparse row is
-    /// produced by remapping the old list through `old_to_new`, which
-    /// costs `O(degree)` instead of an `O(n/64)` bitset walk.
+    /// (`u32::MAX` for facts inserted by the batch). Inserted facts hold
+    /// the top ids, above every survivor, and `inserted[k]` is the full
+    /// conflict row of the `k`-th of them — ascending, as
+    /// [`scan_row`](Self::scan_row) returns it.
     ///
-    /// The result is bit-identical to `from_graph(cg)`.
+    /// A survivor's row is its old row — sparse or dense — remapped
+    /// through `old_to_new`, plus its inserted neighbors, which sort
+    /// after every survivor. Conflicts between two survivors depend only
+    /// on their content, so nothing else can change: the result is
+    /// identical to [`new`](Self::new) over the post-batch instance, in
+    /// `O(n + e)`.
     pub fn patched(
         old: &CsrConflictGraph,
-        cg: &ConflictGraph,
         old_to_new: &[u32],
         new_to_old: &[u32],
-        rederive: &FactSet,
+        inserted: &[Vec<u32>],
     ) -> Self {
-        let n = cg.len();
-        debug_assert_eq!(n, new_to_old.len());
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::new();
-        let mut dense_idx = vec![SPARSE; n];
-        let mut dense_rows = Vec::new();
-        offsets.push(0u32);
-        for (i, slot) in dense_idx.iter_mut().enumerate() {
-            let o = new_to_old[i];
-            let remap: Option<&[u32]> = if o != u32::MAX && !rederive.contains(FactId(i as u32)) {
-                match old.row(FactId(o)) {
-                    // Deleted neighbors map to u32::MAX and are dropped
-                    // below; renumbering is order-preserving, so the
-                    // mapped list stays sorted.
-                    Row::Sparse(s) => Some(s),
-                    // An old dense row: the patched bitset row is the
-                    // same data, so fall through to the derive path.
-                    Row::Dense(_) => None,
-                }
-            } else {
-                None
-            };
-            match remap {
-                Some(s) => {
-                    let start = neighbors.len();
-                    neighbors.extend(
-                        s.iter().map(|&g| old_to_new[g as usize]).filter(|&g| g != u32::MAX),
-                    );
-                    let degree = neighbors.len() - start;
-                    if Self::is_dense(degree, n) {
-                        neighbors.truncate(start);
-                        *slot = dense_rows.len() as u32;
-                        dense_rows.push(cg.conflicts_of(FactId(i as u32)).clone());
-                    }
-                }
-                None => {
-                    let row = cg.conflicts_of(FactId(i as u32));
-                    if Self::is_dense(row.len(), n) {
-                        *slot = dense_rows.len() as u32;
-                        dense_rows.push(row.clone());
-                    } else {
-                        neighbors.extend(row.iter().map(|id| id.0));
-                    }
+        let n = new_to_old.len();
+        let first_new = n - inserted.len();
+        debug_assert!(new_to_old[..first_new].iter().all(|&o| o != u32::MAX));
+        debug_assert!(new_to_old[first_new..].iter().all(|&o| o == u32::MAX));
+        // (survivor, inserted neighbor), sorted: each survivor's extra
+        // neighbors in ascending order.
+        let mut extra: Vec<(u32, u32)> = inserted
+            .iter()
+            .zip(first_new as u32..)
+            .flat_map(|(row, x)| {
+                row.iter().take_while(|&&g| (g as usize) < first_new).map(move |&g| (g, x))
+            })
+            .collect();
+        extra.sort_unstable();
+        let added: usize = inserted.iter().map(Vec::len).sum();
+        let mut builder = Builder::new(n, old.neighbors.len() + 2 * added);
+        let mut extra = extra.into_iter().peekable();
+        // Deleted neighbors map to u32::MAX and are dropped; renumbering
+        // is order-preserving, so remapped rows stay sorted.
+        let live = |g: u32| Some(old_to_new[g as usize]).filter(|&g| g != u32::MAX);
+        for (i, &o) in new_to_old[..first_new].iter().enumerate() {
+            let gained =
+                std::iter::from_fn(|| extra.next_if(|&(v, _)| v as usize == i)).map(|(_, x)| x);
+            match old.row(FactId(o)) {
+                Row::Sparse(s) => builder.push_row(s.iter().filter_map(|&g| live(g)).chain(gained)),
+                Row::Dense(bits) => {
+                    builder.push_row(bits.iter().filter_map(|g| live(g.0)).chain(gained))
                 }
             }
-            offsets.push(neighbors.len() as u32);
         }
-        neighbors.shrink_to_fit();
+        for row in inserted {
+            builder.push_row(row.iter().copied());
+        }
+        builder.finish()
+    }
+}
+
+/// Row-by-row packer behind every constructor: rows arrive in id order
+/// and go dense by [`CsrConflictGraph::is_dense`].
+struct Builder {
+    n: usize,
+    offsets: Vec<u32>,
+    neighbors: Vec<u32>,
+    dense_idx: Vec<u32>,
+    dense_rows: Vec<FactSet>,
+}
+
+impl Builder {
+    fn new(n: usize, neighbors: usize) -> Self {
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        Builder {
+            n,
+            offsets,
+            neighbors: Vec::with_capacity(neighbors),
+            dense_idx: Vec::with_capacity(n),
+            dense_rows: Vec::new(),
+        }
+    }
+
+    /// Appends the next row, given as ascending, duplicate-free ids.
+    fn push_row(&mut self, row: impl IntoIterator<Item = u32>) {
+        let start = self.neighbors.len();
+        self.neighbors.extend(row);
+        if CsrConflictGraph::is_dense(self.neighbors.len() - start, self.n) {
+            let mut bits = FactSet::empty(self.n);
+            for g in self.neighbors.drain(start..) {
+                bits.insert(FactId(g));
+            }
+            self.push_bits(bits);
+        } else {
+            self.dense_idx.push(SPARSE);
+            self.offsets.push(self.neighbors.len() as u32);
+        }
+    }
+
+    /// Appends the next row, given as a bitset.
+    fn push_bits(&mut self, bits: FactSet) {
+        if CsrConflictGraph::is_dense(bits.len(), self.n) {
+            self.dense_idx.push(self.dense_rows.len() as u32);
+            self.dense_rows.push(bits);
+        } else {
+            self.neighbors.extend(bits.iter().map(|g| g.0));
+            self.dense_idx.push(SPARSE);
+        }
+        self.offsets.push(self.neighbors.len() as u32);
+    }
+
+    fn finish(mut self) -> CsrConflictGraph {
+        debug_assert_eq!(self.dense_idx.len(), self.n);
+        self.neighbors.shrink_to_fit();
+        let Builder { n, offsets, neighbors, dense_idx, dense_rows } = self;
         CsrConflictGraph { n, offsets, neighbors, dense_idx, dense_rows }
     }
 }
 
 impl ConflictRows for CsrConflictGraph {
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    fn neighbors(&self, id: FactId) -> impl Iterator<Item = FactId> + '_ {
+        // One of the two halves is empty, as in `conflicts_among`.
+        let (sparse, dense): (&[u32], _) = match self.row(id) {
+            Row::Sparse(s) => (s, None),
+            Row::Dense(bits) => (&[], Some(bits.iter())),
+        };
+        sparse.iter().map(|&g| FactId(g)).chain(dense.into_iter().flatten())
+    }
+
+    fn conflicts_with_set(&self, id: FactId, set: &FactSet) -> bool {
+        CsrConflictGraph::conflicts_with_set(self, id, set)
+    }
+
     fn conflicts_among<'a>(
         &'a self,
         id: FactId,
@@ -277,7 +415,7 @@ impl ConflictRows for CsrConflictGraph {
 /// are ordered by their minimal member, and `nontrivial` lists the
 /// indices of components with ≥ 2 members in ascending order. Isolated
 /// vertices form singleton components and are included.
-#[derive(Clone, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ComponentLayout {
     /// `offsets[c]..offsets[c+1]` indexes `facts` for component `c`.
     offsets: Vec<u32>,
@@ -518,6 +656,15 @@ impl ComponentLayout {
         self.comp_of.len()
     }
 
+    /// Heap bytes the layout holds: offsets, members, the fact →
+    /// component index and the nontrivial list.
+    pub fn heap_bytes(&self) -> usize {
+        4 * (self.offsets.capacity()
+            + self.facts.capacity()
+            + self.comp_of.capacity()
+            + self.nontrivial.capacity())
+    }
+
     /// The sorted member list of component `c`.
     pub fn component(&self, c: usize) -> &[FactId] {
         &self.facts[self.offsets[c] as usize..self.offsets[c + 1] as usize]
@@ -710,5 +857,128 @@ mod tests {
             assert_eq!(csr.degree(f), cg.conflicts_of(f).len());
         }
         assert_eq!(csr.is_consistent_set(&set), cg.is_consistent_set(&set));
+    }
+
+    /// LibLoc of the running example under Δ = {1→2, 2→1}: two FDs, so
+    /// inserted rows must merge both FDs' conflicts.
+    fn libloc() -> (Schema, Instance) {
+        let sig = Signature::new([("LibLoc", 2)]).unwrap();
+        let schema = Schema::from_named(
+            sig.clone(),
+            [("LibLoc", &[1][..], &[2][..]), ("LibLoc", &[2][..], &[1][..])],
+        )
+        .unwrap();
+        let mut i = Instance::new(sig);
+        for (a, b) in [
+            ("lib1", "almaden"),
+            ("lib1", "edenvale"),
+            ("lib2", "almaden"),
+            ("lib2", "bascom"),
+            ("lib3", "almaden"),
+            ("lib3", "cambrian"),
+            ("lib1", "bascom"),
+            ("lib3", "bascom"),
+        ] {
+            i.insert_named("LibLoc", [Value::sym(a), Value::sym(b)]).unwrap();
+        }
+        (schema, i)
+    }
+
+    /// One structural op of a delta batch.
+    enum Op {
+        Delete(u32),
+        Insert(&'static str, &'static str),
+    }
+
+    /// Applies `ops` as one batch and checks the patched packing
+    /// against a from-scratch build of the mutated instance.
+    fn assert_patch_matches_cold(schema: &Schema, i: &mut Instance, ops: &[Op]) {
+        let old = CsrConflictGraph::new(schema, i);
+        let mut new_to_old: Vec<u32> = (0..i.len() as u32).collect();
+        for op in ops {
+            match *op {
+                Op::Delete(d) => {
+                    i.remove_fact(FactId(d));
+                    new_to_old.remove(d as usize);
+                }
+                Op::Insert(a, b) => {
+                    i.insert_named("LibLoc", [Value::sym(a), Value::sym(b)]).unwrap();
+                    new_to_old.push(u32::MAX);
+                }
+            }
+        }
+        let mut old_to_new = vec![u32::MAX; old.len()];
+        for (n, &o) in new_to_old.iter().enumerate() {
+            if o != u32::MAX {
+                old_to_new[o as usize] = n as u32;
+            }
+        }
+        let first_new = new_to_old.iter().position(|&o| o == u32::MAX).unwrap_or(i.len());
+        let inserted: Vec<Vec<u32>> = (first_new..i.len())
+            .map(|x| CsrConflictGraph::scan_row(schema, i, FactId(x as u32)))
+            .collect();
+        let patched = CsrConflictGraph::patched(&old, &old_to_new, &new_to_old, &inserted);
+        assert_eq!(patched, CsrConflictGraph::new(schema, i));
+        assert_eq!(patched, CsrConflictGraph::from_graph(&ConflictGraph::new(schema, i)));
+    }
+
+    #[test]
+    fn patched_deletes_match_cold_build() {
+        let (schema, mut i) = libloc();
+        // A fact from the middle, then from the front, one batch each.
+        assert_patch_matches_cold(&schema, &mut i, &[Op::Delete(2)]);
+        assert_patch_matches_cold(&schema, &mut i, &[Op::Delete(0)]);
+    }
+
+    #[test]
+    fn patched_inserts_match_cold_build() {
+        let (schema, mut i) = libloc();
+        for (a, b) in [("lib4", "almaden"), ("lib1", "downtown"), ("lib9", "nowhere")] {
+            assert_patch_matches_cold(&schema, &mut i, &[Op::Insert(a, b)]);
+        }
+        // Several inserts conflicting with each other in one batch.
+        let batch = [Op::Insert("lib5", "x"), Op::Insert("lib5", "y"), Op::Insert("lib6", "x")];
+        assert_patch_matches_cold(&schema, &mut i, &batch);
+    }
+
+    #[test]
+    fn patched_interleaved_batches_match_cold_build() {
+        let (schema, mut i) = libloc();
+        let batch = [Op::Delete(5), Op::Insert("lib2", "cambrian"), Op::Delete(1)];
+        assert_patch_matches_cold(&schema, &mut i, &batch);
+        // Delete a fact and re-insert its content in the same batch; an
+        // insert deleted again before the batch ends leaves no trace.
+        let batch = [Op::Delete(0), Op::Insert("lib1", "almaden"), Op::Insert("lib7", "q")];
+        assert_patch_matches_cold(&schema, &mut i, &batch);
+        let last = i.len() as u32 - 1;
+        assert_patch_matches_cold(&schema, &mut i, &[Op::Insert("lib7", "r"), Op::Delete(last)]);
+    }
+
+    #[test]
+    fn patched_remaps_dense_rows() {
+        // A 41-clique is dense; deleting and inserting members must
+        // remap old bitset rows and re-pack them.
+        let (schema, mut i) = star(40);
+        assert_eq!(CsrConflictGraph::new(&schema, &i).dense_row_count(), 41);
+        let mut old = CsrConflictGraph::new(&schema, &i);
+        i.remove_fact(FactId(3));
+        let id = i.insert_named("R", [Value::sym("hub"), Value::Int(99)]).unwrap();
+        let mut new_to_old: Vec<u32> = (0..41).filter(|&o| o != 3).collect();
+        new_to_old.push(u32::MAX);
+        let old_to_new: Vec<u32> =
+            (0..41u32).map(|o| if o == 3 { u32::MAX } else { o - u32::from(o > 3) }).collect();
+        assert_eq!(id, FactId(40));
+        let inserted = [CsrConflictGraph::scan_row(&schema, &i, id)];
+        old = CsrConflictGraph::patched(&old, &old_to_new, &new_to_old, &inserted);
+        assert_eq!(old, CsrConflictGraph::new(&schema, &i));
+        assert_eq!(old.dense_row_count(), 41);
+    }
+
+    #[test]
+    fn direct_build_matches_bitset_packing() {
+        for (schema, i) in [star(200), star(3), libloc()] {
+            let cg = ConflictGraph::new(&schema, &i);
+            assert_eq!(CsrConflictGraph::new(&schema, &i), CsrConflictGraph::from_graph(&cg));
+        }
     }
 }

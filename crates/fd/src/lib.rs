@@ -13,8 +13,10 @@
 //!   key-set-equivalence tests (Case 1 of §5.2);
 //! * [`determiners`](crate::determiners) — the nontrivial /
 //!   non-redundant / minimal determiners of §5.2;
-//! * [`ConflictGraph`] — δ-conflicts and the conflict graph whose
-//!   maximal independent sets are exactly the repairs.
+//! * [`CsrConflictGraph`] — δ-conflicts and the conflict graph whose
+//!   maximal independent sets are exactly the repairs, built from the
+//!   per-FD lhs/rhs [`FdGrouping`]; the bitset [`ConflictGraph`] is the
+//!   oracle's form of the same graph.
 
 #![warn(missing_docs)]
 
@@ -26,6 +28,7 @@ pub mod csr;
 pub mod determiners;
 pub mod discovery;
 pub mod fd;
+pub mod grouping;
 pub mod keys;
 pub mod normal_forms;
 pub mod projection;
@@ -44,6 +47,7 @@ pub use determiners::{
 };
 pub use discovery::{discover_fds, discover_fds_for, fd_holds, DiscoveryOptions};
 pub use fd::Fd;
+pub use grouping::FdGrouping;
 pub use keys::{as_key_set, candidate_keys, determines, minimize_key};
 pub use normal_forms::{is_3nf, is_bcnf, prime_attributes, violations, Violation, ViolationKind};
 pub use projection::{is_dependency_preserving, is_lossless_join, project_fds};

@@ -3,7 +3,9 @@
 //! of the mutated workspace — same fingerprints, same verdicts (and
 //! witnesses), same rendered certificates — over randomized op
 //! sequences, including delete-then-reinsert round trips and batches
-//! heavy enough to take the internal rebuild path.
+//! heavy enough to take the internal rebuild path — and the same CSR
+//! conflict graph and component layout, asserted here so release runs
+//! check the patched structure too.
 //!
 //! The oracle is [`apply_ops_to_workspace`]: plain data manipulation
 //! with the same id layout, so a divergence pins the blame on the
@@ -136,6 +138,15 @@ fn assert_matches_cold(rng: &mut StdRng, ds: &DeltaSession, ws: &Workspace, cont
     let pi_cold = ws.prioritized().expect("oracle workspace re-validates");
     let cold = CheckSession::new(&ws.schema, &pi_cold);
     let patched = ds.session();
+
+    // The patched structure itself, in every build profile (the patch
+    // path's own equality checks are debug assertions).
+    assert_eq!(patched.csr(), cold.csr(), "{context}: patched CSR diverged from a cold build");
+    assert_eq!(
+        patched.components(),
+        cold.components(),
+        "{context}: patched component layout diverged from a cold build"
+    );
 
     // Classification certificates compare the patched dispatch plan.
     let cls_patched = render_certificate(

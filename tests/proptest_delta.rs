@@ -4,9 +4,11 @@
 //! of a from-scratch reconstruction after *every* op — and undoing the
 //! sequence (inverses in reverse order, which includes every
 //! delete-then-reinsert round trip) must land exactly back on the
-//! starting fingerprint.
+//! starting fingerprint. After every op the patched conflict graph and
+//! component layout must also equal a cold session's, so the patch is
+//! checked in release builds too, not only by debug assertions.
 
-use preferred_repairs::core::{DeltaOp, DeltaSession};
+use preferred_repairs::core::{CheckSession, DeltaOp, DeltaSession};
 use preferred_repairs::data::{Fact, FactId, Instance, Signature, Value};
 use preferred_repairs::fd::{ConflictGraph, Schema};
 use preferred_repairs::format::{apply_ops_to_workspace, workspace_fingerprint, Workspace};
@@ -138,6 +140,16 @@ fn inverse(op: &DeltaOp) -> DeltaOp {
     }
 }
 
+/// The patched session's CSR conflict graph and component layout equal
+/// those of a cold session over the same workspace.
+fn assert_structure_matches_cold(ds: &DeltaSession, ws: &Workspace) {
+    let pi = ws.prioritized().unwrap();
+    let cold = CheckSession::new(&ws.schema, &pi);
+    let patched = ds.session();
+    assert_eq!(patched.csr(), cold.csr(), "patched CSR diverged from a cold session's");
+    assert_eq!(patched.components(), cold.components(), "patched components diverged");
+}
+
 fn run_sequence(ws0: &Workspace, seeds: &[u64]) -> (DeltaSession, Workspace, Vec<DeltaOp>) {
     // `Workspace` is not `Clone`; the oracle with no ops is a copy.
     let mut ws = apply_ops_to_workspace(ws0, &[]).unwrap();
@@ -150,6 +162,7 @@ fn run_sequence(ws0: &Workspace, seeds: &[u64]) -> (DeltaSession, Workspace, Vec
         // The maintained fingerprint equals a from-scratch
         // reconstruction after every single op.
         prop_assert_eq!(ds.fingerprint(), workspace_fingerprint(&ws));
+        assert_structure_matches_cold(&ds, &ws);
         applied.push(op);
     }
     (ds, ws, applied)
@@ -184,6 +197,7 @@ proptest! {
             ws = apply_ops_to_workspace(&ws, std::slice::from_ref(&undo)).unwrap();
             ds.apply_delta(std::slice::from_ref(&undo)).unwrap();
             prop_assert_eq!(ds.fingerprint(), workspace_fingerprint(&ws));
+            assert_structure_matches_cold(&ds, &ws);
         }
         // The fingerprint is canonical (content-determined), so the
         // fully-undone session matches the seed workspace exactly.
@@ -199,7 +213,7 @@ proptest! {
     ) {
         let ws0 = seed_workspace(r_rows, s_rows);
         // One-at-a-time reference run (also collects the valid ops).
-        let (ds_single, _, applied) = run_sequence(&ws0, &seeds);
+        let (ds_single, ws, applied) = run_sequence(&ws0, &seeds);
         prop_assume!(!applied.is_empty());
         // The same ops as one batch (possibly taking the internal
         // rebuild path) land on the same fingerprint.
@@ -207,5 +221,6 @@ proptest! {
             DeltaSession::prepare(Arc::new(ws0.schema.clone()), ws0.prioritized().unwrap());
         ds_batch.apply_delta(&applied).unwrap();
         prop_assert_eq!(ds_batch.fingerprint(), ds_single.fingerprint());
+        assert_structure_matches_cold(&ds_batch, &ws);
     }
 }
