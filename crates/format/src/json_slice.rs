@@ -16,6 +16,12 @@
 //! * arrays are scanned shallowly (their elements follow these same
 //!   rules).
 //!
+//! Inside strings, plain bytes are skipped a machine word at a time:
+//! a served body is mostly one long `workspace` string, so this scan is
+//! most of what a byte-keyed cache hit pays (see `Scanner::skip_plain`).
+//! Escapes and control bytes are still checked one byte at a time,
+//! with the same offsets and messages.
+//!
 //! The scanner validates the entire document (including unused fields
 //! and trailing input), so accepting a body via this path is exactly as
 //! strict as the tree parser. [`parse_workspace_raw`] then unescapes a
@@ -328,6 +334,7 @@ impl<'a> Scanner<'a> {
         self.expect(b'"', "expected `\"`")?;
         let start = self.pos;
         loop {
+            self.skip_plain();
             match self.peek() {
                 Some(b'"') => {
                     let raw = &self.text[start..self.pos];
@@ -353,16 +360,42 @@ impl<'a> Scanner<'a> {
                     }
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Skip over one UTF-8 scalar (input is &str, so
-                    // continuation bytes are well-formed).
-                    self.pos += 1;
-                    while matches!(self.peek(), Some(c) if c & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                }
+                // A plain byte of a tail shorter than a word. UTF-8
+                // lead and continuation bytes are all >= 0x80, so the
+                // span still ends on a char boundary (at a `"`).
+                Some(_) => self.pos += 1,
                 None => return Err(self.err("unterminated string")),
             }
+        }
+    }
+
+    /// Advances past plain string bytes (anything but `"`, `\` and a
+    /// control byte below 0x20) eight at a time, stopping on the first
+    /// special byte or when fewer than eight bytes are left.
+    ///
+    /// Each word is tested with three has-zero masks OR-ed together.
+    /// `(x - 0x01..) & !x & 0x80..` flags every zero byte of `x`, and
+    /// `(w - 0x20..) & !w & 0x80..` every byte of `w` below 0x20. Such
+    /// a mask may also flag a byte *above* a true hit, where the
+    /// subtraction borrows in, but never one below the lowest true
+    /// hit: the lowest set bit is always a true hit, so skipping
+    /// `trailing_zeros / 8` bytes never skips a special byte.
+    fn skip_plain(&mut self) {
+        const LO: u64 = 0x0101_0101_0101_0101;
+        const HI: u64 = 0x8080_8080_8080_8080;
+        const QUOTES: u64 = LO * b'"' as u64;
+        const BACKSLASHES: u64 = LO * b'\\' as u64;
+        // Flags the bytes of `w` below `n` (for `n <= 0x80`).
+        let below = |w: u64, n: u8| w.wrapping_sub(LO * u64::from(n)) & !w & HI;
+        let bytes = self.bytes;
+        for word in bytes[self.pos..].chunks_exact(8) {
+            let w = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes"));
+            let special = below(w ^ QUOTES, 1) | below(w ^ BACKSLASHES, 1) | below(w, 0x20);
+            if special != 0 {
+                self.pos += special.trailing_zeros() as usize / 8;
+                return;
+            }
+            self.pos += 8;
         }
     }
 
@@ -430,6 +463,163 @@ pub fn parse_workspace_raw(raw: &RawStr<'_>) -> Result<Workspace, FormatError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time string loop that [`Scanner::string`]'s word
+    /// skip replaced, kept as the reference it must agree with.
+    fn string_bytewise<'a>(s: &mut Scanner<'a>) -> Result<RawStr<'a>, SliceError> {
+        s.expect(b'"', "expected `\"`")?;
+        let start = s.pos;
+        loop {
+            match s.peek() {
+                Some(b'"') => {
+                    let raw = &s.text[start..s.pos];
+                    s.pos += 1;
+                    return Ok(RawStr { raw });
+                }
+                Some(b'\\') => {
+                    s.pos += 1;
+                    match s.peek() {
+                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
+                            s.pos += 1;
+                        }
+                        Some(b'u') => {
+                            s.pos += 1;
+                            for _ in 0..4 {
+                                if !matches!(s.peek(), Some(c) if c.is_ascii_hexdigit()) {
+                                    return Err(s.err("bad \\u escape"));
+                                }
+                                s.pos += 1;
+                            }
+                        }
+                        _ => return Err(s.err("unknown escape")),
+                    }
+                }
+                Some(c) if c < 0x20 => return Err(s.err("control character in string")),
+                Some(_) => {
+                    // Skip over one UTF-8 scalar (input is &str, so
+                    // continuation bytes are well-formed).
+                    s.pos += 1;
+                    while matches!(s.peek(), Some(c) if c & 0xC0 == 0x80) {
+                        s.pos += 1;
+                    }
+                }
+                None => return Err(s.err("unterminated string")),
+            }
+        }
+    }
+
+    /// A scanned span as (byte offset into `text`, escaped span).
+    fn span_of<'a>(text: &str, raw: RawStr<'a>) -> (usize, &'a str) {
+        (raw.escaped().as_ptr() as usize - text.as_ptr() as usize, raw.escaped())
+    }
+
+    /// Scans the string opening at `text[at]` with both scanners,
+    /// asserts they agree on the span, the end offset and any error,
+    /// and returns the common result.
+    fn scan_both(text: &str, at: usize) -> Result<(usize, &str), SliceError> {
+        let mut word = Scanner { bytes: text.as_bytes(), text, pos: at };
+        let mut byte = Scanner { bytes: text.as_bytes(), text, pos: at };
+        let got = word.string().map(|raw| span_of(text, raw));
+        let want = string_bytewise(&mut byte).map(|raw| span_of(text, raw));
+        assert_eq!(got, want, "string scanners disagree on {text:?}");
+        if got.is_ok() {
+            assert_eq!(word.pos, byte.pos, "end offsets disagree on {text:?}");
+        }
+        got
+    }
+
+    /// Checks `body` as a bare unterminated string, as a terminated
+    /// one, and as the value of a one-field object scanned end to end.
+    fn assert_scanners_agree(body: &str) {
+        let _ = scan_both(&format!("\"{body}"), 0);
+        let doc = format!("{{\"k\":\"{body}\"}}");
+        let want = scan_both(&doc, 5);
+        let mut fields = Vec::new();
+        let got = scan_object(&doc, |k, v| fields.push((k.escaped(), v)));
+        match want {
+            // The string ran to the closing quote: one field, that span.
+            Ok((offset, raw)) if offset + raw.len() + 2 == doc.len() => {
+                assert_eq!(got, Ok(true), "{doc:?}");
+                assert_eq!(fields.len(), 1, "{doc:?}");
+                let SliceValue::Str(value) = fields[0].1 else { panic!("string field expected") };
+                assert_eq!((fields[0].0, span_of(&doc, value)), ("k", (offset, raw)));
+            }
+            // An unescaped `"` ended it early: the rest is JSON syntax,
+            // which the string scanners do not decide.
+            Ok(_) => {}
+            Err(e) => assert_eq!(got, Err(e), "{doc:?}"),
+        }
+    }
+
+    /// One piece of a generated string body, chosen by `kind` and
+    /// varied by `seed`.
+    fn piece(kind: u8, seed: u32) -> String {
+        let pick = |options: &[&str]| options[seed as usize % options.len()].to_string();
+        match kind {
+            // Plain ASCII, no quote or backslash.
+            0 => (0..seed % 12)
+                .map(|i| char::from(b' ' + ((seed >> 4).wrapping_add(i * 7) % 95) as u8))
+                .filter(|c| !matches!(c, '"' | '\\'))
+                .collect(),
+            1 => "\"".into(),
+            2 => "\\".into(),
+            3 => pick(&[
+                "\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t", "\\q", "\\x", "\\ ",
+                "\\\u{1}",
+            ]),
+            4 if seed & 1 == 0 => format!("\\u{:04x}", seed >> 16),
+            4 => format!("\\u{:04X}", seed >> 16),
+            5 => pick(&["\\u00zz", "\\u12", "\\u", "\\uG000", "\\u0\"", "\\u12\\n"]),
+            // The control bytes 0x00..=0x1F and DEL (0x7F, allowed).
+            6 => char::from(if seed % 33 == 32 { 0x7F } else { (seed % 32) as u8 }).to_string(),
+            7 => char::from_u32(0x80 + seed % 0x780).expect("a 2-byte scalar").to_string(),
+            8 => {
+                let c = 0x800 + seed % 0xF800;
+                char::from_u32(c).unwrap_or('\u{FFFD}').to_string()
+            }
+            _ => char::from_u32(0x10000 + seed % 0x100000).expect("a 4-byte scalar").to_string(),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn word_scan_matches_bytewise_reference(
+            pieces in proptest::collection::vec((0u8..10, any::<u32>()), 0..16),
+        ) {
+            let tail: String = pieces.iter().map(|&(kind, seed)| piece(kind, seed)).collect();
+            for pad in 0..8 {
+                let body = format!("{}{tail}", "a".repeat(pad));
+                for cut in (0..=body.len()).filter(|&i| body.is_char_boundary(i)) {
+                    assert_scanners_agree(&body[..cut]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn special_bytes_in_every_lane() {
+        for lane in 0..16 {
+            let pad = "x".repeat(lane);
+            let tail = "y".repeat(20);
+            assert_eq!(scan_both(&format!("\"{pad}\"{tail}"), 0), Ok((1, pad.as_str())));
+            let escaped = format!("\"{pad}\\n{tail}\"");
+            assert_eq!(scan_both(&escaped, 0), Ok((1, &escaped[1..escaped.len() - 1])));
+            let unknown = SliceError { offset: lane + 2, message: "unknown escape" };
+            assert_eq!(scan_both(&format!("\"{pad}\\q{tail}\""), 0), Err(unknown));
+            let control = SliceError { offset: lane + 1, message: "control character in string" };
+            assert_eq!(scan_both(&format!("\"{pad}\u{1f}{tail}\""), 0), Err(control));
+        }
+    }
+
+    #[test]
+    fn four_byte_scalar_straddles_a_word() {
+        for lane in 0..8 {
+            let text = format!("\"{}\u{1F600}{}\"", "x".repeat(lane), "y".repeat(12));
+            assert_eq!(scan_both(&text, 0), Ok((1, &text[1..text.len() - 1])));
+            assert_scanners_agree(&text[1..text.len() - 1]);
+        }
+    }
 
     fn fields(text: &str) -> Vec<(String, SliceValue<'_>)> {
         let mut out = Vec::new();

@@ -91,9 +91,29 @@ impl Source {
     }
 }
 
+/// The byte-index key of a `workspace` span. Four FxHash lanes fold
+/// the 32-byte blocks, one word each, so the four multiply chains run
+/// side by side instead of one chain over the whole span; the lanes,
+/// the remainder and the length then finish through one [`FxHasher`].
+/// The value only keys the in-process index (a byte comparison decides
+/// every hit), so nothing ties it to `FxHasher::write` or persists it.
 fn hash_text(text: &str) -> u64 {
+    let bytes = text.as_bytes();
+    let mut lanes: [FxHasher; 4] = Default::default();
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            lane.write_u64(u64::from_le_bytes(
+                word.try_into().expect("chunks_exact yields 8 bytes"),
+            ));
+        }
+    }
     let mut h = FxHasher::default();
-    h.write(text.as_bytes());
+    for lane in &lanes {
+        h.write_u64(lane.finish());
+    }
+    h.write(blocks.remainder());
+    h.write_usize(bytes.len());
     h.finish()
 }
 
@@ -406,6 +426,27 @@ mod tests {
 
     fn key(n: u128) -> Fingerprint {
         Fingerprint(n)
+    }
+
+    #[test]
+    fn hash_text_sees_every_byte_and_the_length() {
+        let text: String = (0..256u32).map(|i| char::from(b'a' + (i * 7 % 26) as u8)).collect();
+        // Full blocks (every lane), and every remainder length.
+        for len in (0..=64).chain([256]) {
+            let text = &text[..len];
+            for at in 0..len {
+                let mut flipped = text.as_bytes().to_vec();
+                flipped[at] ^= 0x01;
+                let flipped = String::from_utf8(flipped).expect("ASCII stays UTF-8");
+                assert_ne!(hash_text(&flipped), hash_text(text), "flip at {at} of {len} unseen");
+            }
+        }
+        // Zero bytes pad the remainder word, so only the length tells
+        // these prefixes apart.
+        let zeros = "\0".repeat(64);
+        let hashes: std::collections::HashSet<u64> =
+            (0..=64).map(|len| hash_text(&zeros[..len])).collect();
+        assert_eq!(hashes.len(), 65, "two lengths in 0..=64 hash alike");
     }
 
     #[test]

@@ -1120,6 +1120,26 @@ mod tests {
     }
 
     #[test]
+    fn alternating_workspaces_all_hit_by_bytes() {
+        let state = state(4);
+        let ws_c = "relation R/2\nfd R: 1 -> 2\nfact R(k, x)\nfact R(k, y)\nrepair J: R(k, y)\n";
+        for round in 0..4 {
+            for ws in [WS_A, WS_B, ws_c] {
+                let response = post_check(&state, ws);
+                assert_eq!(response.status, 200);
+                let cached = body_json(&response).get("cached").and_then(Json::as_bool);
+                assert_eq!(cached, Some(round > 0), "round {round}: {ws}");
+            }
+        }
+        // After the three misses every request found its session by
+        // its bytes; a degenerate byte-index hash would have sent them
+        // to the parse path as fingerprint hits.
+        assert_eq!(state.metrics.cache_misses_total.load(Ordering::Relaxed), 3);
+        assert_eq!(state.metrics.cache_hits_total.load(Ordering::Relaxed), 9);
+        assert_eq!(state.metrics.cache_byte_hits_total.load(Ordering::Relaxed), 9);
+    }
+
+    #[test]
     fn genuine_hits_still_verify_and_serve_cached() {
         let state = state(2);
         let cold = post_check(&state, WS_A);

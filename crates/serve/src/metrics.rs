@@ -9,26 +9,32 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Upper bounds (milliseconds) of the latency histogram buckets; the
-/// implicit last bucket is `+Inf`.
-pub const LATENCY_BUCKETS_MS: [u64; 11] = [1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 5000];
+/// Upper bounds (microseconds) of the latency histogram buckets, 1-2-5
+/// per decade from 20 µs to 5 s, rendered in seconds; the implicit last
+/// bucket is `+Inf`. The low end resolves the sub-millisecond hot path
+/// (a cache hit).
+pub const LATENCY_BUCKETS_US: [u64; 17] = [
+    20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000,
+    1_000_000, 2_000_000, 5_000_000,
+];
 
 /// A fixed-bucket latency histogram.
 #[derive(Default)]
 pub struct Histogram {
-    buckets: [AtomicU64; LATENCY_BUCKETS_MS.len() + 1],
+    buckets: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
     sum_micros: AtomicU64,
     count: AtomicU64,
 }
 
 impl Histogram {
     /// Records one observation, in the first bucket whose bound it does
-    /// not exceed (compared untruncated: 1.9 ms lands under `le="2"`).
+    /// not exceed (compared untruncated: 1.9 ms lands under
+    /// `le="0.002"`).
     pub fn observe(&self, latency: Duration) {
-        let idx = LATENCY_BUCKETS_MS
+        let idx = LATENCY_BUCKETS_US
             .iter()
-            .position(|&b| latency <= Duration::from_millis(b))
-            .unwrap_or(LATENCY_BUCKETS_MS.len());
+            .position(|&b| latency <= Duration::from_micros(b))
+            .unwrap_or(LATENCY_BUCKETS_US.len());
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.sum_micros.fetch_add(latency.as_micros() as u64, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -43,11 +49,12 @@ impl Histogram {
     fn render(&self, name: &str, out: &mut String) {
         writeln_type(out, name, "histogram");
         let mut cumulative = 0u64;
-        for (i, bound) in LATENCY_BUCKETS_MS.iter().enumerate() {
+        for (i, &bound) in LATENCY_BUCKETS_US.iter().enumerate() {
             cumulative += self.buckets[i].load(Ordering::Relaxed);
-            out.push_str(&format!("{name}_bucket{{le=\"{bound}\"}} {cumulative}\n"));
+            let seconds = bound as f64 / 1e6;
+            out.push_str(&format!("{name}_bucket{{le=\"{seconds}\"}} {cumulative}\n"));
         }
-        cumulative += self.buckets[LATENCY_BUCKETS_MS.len()].load(Ordering::Relaxed);
+        cumulative += self.buckets[LATENCY_BUCKETS_US.len()].load(Ordering::Relaxed);
         out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
         out.push_str(&format!(
             "{name}_sum {:.6}\n{name}_count {}\n",
@@ -260,8 +267,8 @@ mod tests {
         assert_eq!(h.count(), 3);
         let mut out = String::new();
         h.render("t", &mut out);
-        assert!(out.contains("t_bucket{le=\"1\"} 1\n"));
-        assert!(out.contains("t_bucket{le=\"5\"} 2\n"));
+        assert!(out.contains("t_bucket{le=\"0.001\"} 1\n"));
+        assert!(out.contains("t_bucket{le=\"0.005\"} 2\n"));
         assert!(out.contains("t_bucket{le=\"+Inf\"} 3\n"));
         assert!(out.contains("t_count 3\n"));
     }
@@ -274,8 +281,23 @@ mod tests {
         h.observe(Duration::from_micros(1001));
         let mut out = String::new();
         h.render("t", &mut out);
-        assert!(out.contains("t_bucket{le=\"1\"} 0\n"), "{out}");
-        assert!(out.contains("t_bucket{le=\"2\"} 3\n"), "{out}");
+        assert!(out.contains("t_bucket{le=\"0.001\"} 0\n"), "{out}");
+        assert!(out.contains("t_bucket{le=\"0.002\"} 3\n"), "{out}");
+    }
+
+    #[test]
+    fn histogram_buckets_resolve_sub_millisecond_latencies() {
+        let h = Histogram::default();
+        h.observe(Duration::from_micros(300));
+        h.observe(Duration::from_micros(700));
+        let mut out = String::new();
+        h.render("t", &mut out);
+        assert!(out.starts_with("# TYPE t histogram\nt_bucket{le=\"0.00002\"} 0\n"), "{out}");
+        assert!(out.contains("t_bucket{le=\"0.0002\"} 0\n"), "{out}");
+        assert!(out.contains("t_bucket{le=\"0.0005\"} 1\n"), "{out}");
+        assert!(out.contains("t_bucket{le=\"0.001\"} 2\n"), "{out}");
+        assert!(out.contains("t_bucket{le=\"5\"} 2\n"), "{out}");
+        assert!(out.contains("t_sum 0.001000\n"), "{out}");
     }
 
     #[test]
