@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpr_bench::single_fd_workload;
-use rpr_core::{enumerate_repairs, is_global_improvement};
+use rpr_core::{enumerate_repairs_bounded, is_global_improvement, Budget};
 use rpr_data::{FactId, FactSet, FxHashMap, Instance, Tuple};
 use rpr_fd::Fd;
 use rpr_priority::PriorityRelation;
@@ -94,7 +94,11 @@ fn bench_oracle(c: &mut Criterion) {
         let w = single_fd_workload(n, 3, 0.6, 63);
         let cg = w.conflict_graph();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| enumerate_repairs(&cg, 1 << 30).unwrap().len())
+            b.iter(|| {
+                enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 30))
+                    .expect_done("repair enumeration")
+                    .len()
+            })
         });
     }
     group.finish();

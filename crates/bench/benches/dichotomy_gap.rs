@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpr_bench::{hard_s4_workload, single_fd_workload, two_keys_workload};
-use rpr_core::{check_global_exact, GRepairChecker};
+use rpr_core::{check_global_exact_bounded, Budget, GRepairChecker};
 use rpr_priority::PrioritizedInstance;
 
 const SIZES: &[usize] = &[10, 16, 22, 28, 34];
@@ -56,9 +56,15 @@ fn bench_hard_side(c: &mut Criterion) {
         let empty = rpr_priority::PriorityRelation::empty(w.instance.len());
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                check_global_exact(&cg, &empty, &w.instance.full_set(), &w.j, 1 << 30)
-                    .unwrap()
-                    .is_optimal()
+                check_global_exact_bounded(
+                    &cg,
+                    &empty,
+                    &w.instance.full_set(),
+                    &w.j,
+                    &Budget::unlimited().with_max_work(1 << 30),
+                )
+                .expect_done("exact search")
+                .is_optimal()
             })
         });
     }

@@ -16,13 +16,13 @@ use rpr_classify::{
     equivalent_single_key, equivalent_two_incomparable_keys, CcpClass, Complexity,
 };
 use rpr_core::{
-    check_global_ccp_const, check_global_ccp_pk, check_global_exact, default_jobs,
-    enumerate_const_attr_repairs, enumerate_repairs, is_completion_optimal,
-    is_completion_optimal_brute, is_global_improvement, is_globally_optimal_brute,
-    is_pareto_improvement, is_pareto_optimal, is_pareto_optimal_brute, CcpChecker, CheckSession,
-    GRepairChecker, Improvement,
+    check_global_ccp_const, check_global_ccp_pk, check_global_exact_bounded, default_jobs,
+    enumerate_const_attr_repairs, enumerate_repairs_bounded, is_completion_optimal,
+    is_completion_optimal_brute, is_global_improvement, is_globally_optimal_brute_bounded,
+    is_pareto_improvement, is_pareto_optimal, is_pareto_optimal_brute, Budget, CcpChecker,
+    CheckSession, GRepairChecker, Improvement, Outcome,
 };
-use rpr_cqa::{answers, atom, ConjunctiveQuery, RepairSemantics, RepairSpace};
+use rpr_cqa::{answers_bounded, atom, ConjunctiveQuery, RepairSemantics, RepairSpace};
 use rpr_data::{AttrSet, FactId, Instance, RelId, Signature, Value};
 use rpr_fd::{closure, equivalent, ConflictGraph, Fd, Schema};
 use rpr_gen::{ccp_hard_schema, example_3_3_schema, hard_schema, random_schema, RunningExample};
@@ -286,11 +286,25 @@ fn e03() -> ExpResult {
     ensure(is_global_improvement(&ex.priority, &j3, &j4), "J4 globally improves J3")?;
     ensure(!is_pareto_improvement(&ex.priority, &j3, &j4), "J4 does not Pareto-improve J3")?;
     ensure(
-        is_globally_optimal_brute(&cg, &ex.priority, &j2, 1 << 22).map_err(|e| e.to_string())?,
+        is_globally_optimal_brute_bounded(
+            &cg,
+            &ex.priority,
+            &j2,
+            &Budget::unlimited().with_max_work(1 << 22),
+        )
+        .done()
+        .ok_or("global oracle exceeded its budget")?,
         "J2 is globally optimal",
     )?;
     ensure(
-        !is_globally_optimal_brute(&cg, &ex.priority, &j3, 1 << 22).map_err(|e| e.to_string())?,
+        !is_globally_optimal_brute_bounded(
+            &cg,
+            &ex.priority,
+            &j3,
+            &Budget::unlimited().with_max_work(1 << 22),
+        )
+        .done()
+        .ok_or("global oracle exceeded its budget")?,
         "J3 is not globally optimal",
     )?;
     let variant = ex.priority_without_g2a_edges();
@@ -354,10 +368,19 @@ fn e06() -> ExpResult {
             w.priority.clone(),
         )
         .map_err(|e| e.to_string())?;
-        for j in enumerate_repairs(&cg, 1 << 22).map_err(|e| e.to_string())? {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 22))
+            .done()
+            .ok_or("repair enumeration exceeded its budget")?
+        {
             let fast = checker.check(&pi, &j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &w.priority, &j, 1 << 22)
-                .map_err(|e| e.to_string())?;
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &w.priority,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 22),
+            )
+            .done()
+            .ok_or("global oracle exceeded its budget")?;
             ensure(fast == slow, &format!("seed {seed}: disagreement"))?;
             checked += 1;
             optimal += usize::from(fast);
@@ -426,10 +449,19 @@ fn e08() -> ExpResult {
             w.priority.clone(),
         )
         .map_err(|e| e.to_string())?;
-        for j in enumerate_repairs(&cg, 1 << 22).map_err(|e| e.to_string())? {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 22))
+            .done()
+            .ok_or("repair enumeration exceeded its budget")?
+        {
             let fast = checker.check(&pi, &j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &w.priority, &j, 1 << 22)
-                .map_err(|e| e.to_string())?;
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &w.priority,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 22),
+            )
+            .done()
+            .ok_or("global oracle exceeded its budget")?;
             ensure(fast == slow, &format!("seed {seed}: disagreement"))?;
             checked += 1;
         }
@@ -458,14 +490,15 @@ fn e09() -> ExpResult {
     for (name, graph) in [("2 isolated vertices", UGraph::new(2)), ("K2 (Figure 5)", k2)] {
         let gadget = hamiltonian_gadget(&graph);
         let cg = ConflictGraph::new(&gadget.schema, gadget.prioritized.instance());
-        let outcome = check_global_exact(
+        let outcome = check_global_exact_bounded(
             &cg,
             gadget.prioritized.priority(),
             &gadget.prioritized.instance().full_set(),
             &gadget.j,
-            1 << 26,
+            &Budget::unlimited().with_max_work(1 << 26),
         )
-        .map_err(|e| e.to_string())?;
+        .done()
+        .ok_or("exact search exceeded its budget")?;
         let hamiltonian = !outcome.is_optimal();
         ensure(
             hamiltonian == graph.is_hamiltonian(),
@@ -543,9 +576,15 @@ fn e10() -> ExpResult {
     let pi_map = CaseOneMapping::new("R", 5, &keys).map_err(|e| e.to_string())?;
     let (mapped, j2) = map_input(&pi_map, &gadget.prioritized, &gadget.j);
     let dst_cg = ConflictGraph::new(pi_map.target_schema(), mapped.instance());
-    let outcome =
-        check_global_exact(&dst_cg, mapped.priority(), &mapped.instance().full_set(), &j2, 1 << 26)
-            .map_err(|e| e.to_string())?;
+    let outcome = check_global_exact_bounded(
+        &dst_cg,
+        mapped.priority(),
+        &mapped.instance().full_set(),
+        &j2,
+        &Budget::unlimited().with_max_work(1 << 26),
+    )
+    .done()
+    .ok_or("exact search exceeded its budget")?;
     ensure(!outcome.is_optimal(), "mapped Figure-5 input stays improvable")?;
     Ok(vec![
         "paper: the Case-1 Π is injective and preserves (in)consistency, transporting hardness to every ≥3-keys schema".into(),
@@ -640,10 +679,19 @@ fn e13() -> ExpResult {
     for seed in 0..25u64 {
         let w = ccp_pk_workload(12, 4, 10, seed);
         let cg = w.conflict_graph();
-        for j in enumerate_repairs(&cg, 1 << 22).map_err(|e| e.to_string())? {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 22))
+            .done()
+            .ok_or("repair enumeration exceeded its budget")?
+        {
             let fast = check_global_ccp_pk(&cg, &w.priority, &j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &w.priority, &j, 1 << 22)
-                .map_err(|e| e.to_string())?;
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &w.priority,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 22),
+            )
+            .done()
+            .ok_or("global oracle exceeded its budget")?;
             ensure(fast == slow, &format!("seed {seed}: disagreement"))?;
             checked += 1;
         }
@@ -670,7 +718,10 @@ fn e14() -> ExpResult {
         let cg = w.conflict_graph();
         // Repairs = product of consistent partitions.
         let fast_repairs = enumerate_const_attr_repairs(&w.instance, &consts);
-        let mut slow_repairs = enumerate_repairs(&cg, 1 << 22).map_err(|e| e.to_string())?;
+        let mut slow_repairs =
+            enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 22))
+                .done()
+                .ok_or("repair enumeration exceeded its budget")?;
         let mut fr = fast_repairs.clone();
         fr.sort();
         slow_repairs.sort();
@@ -678,8 +729,14 @@ fn e14() -> ExpResult {
         for j in &slow_repairs {
             let fast =
                 check_global_ccp_const(&w.instance, &cg, &w.priority, &consts, j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &w.priority, j, 1 << 22)
-                .map_err(|e| e.to_string())?;
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &w.priority,
+                j,
+                &Budget::unlimited().with_max_work(1 << 22),
+            )
+            .done()
+            .ok_or("global oracle exceeded its budget")?;
             ensure(fast == slow, &format!("seed {seed}: disagreement"))?;
             checked += 1;
         }
@@ -781,10 +838,19 @@ fn e16() -> ExpResult {
         let pi =
             PrioritizedInstance::conflict_restricted(&schema, instance.clone(), priority.clone())
                 .map_err(|e| e.to_string())?;
-        for j in enumerate_repairs(&cg, 1 << 22).map_err(|e| e.to_string())? {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 22))
+            .done()
+            .ok_or("repair enumeration exceeded its budget")?
+        {
             let fast = checker.check(&pi, &j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &priority, &j, 1 << 22)
-                .map_err(|e| e.to_string())?;
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &priority,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 22),
+            )
+            .done()
+            .ok_or("global oracle exceeded its budget")?;
             ensure(fast == slow, "dispatcher disagrees with oracle")?;
             checked += 1;
         }
@@ -837,11 +903,17 @@ fn e17() -> ExpResult {
         let cgh = wh.conflict_graph();
         let empty = PriorityRelation::empty(wh.instance.len());
         let t = Instant::now();
-        let exact = check_global_exact(&cgh, &empty, &wh.instance.full_set(), &wh.j, 1 << 27);
+        let exact = check_global_exact_bounded(
+            &cgh,
+            &empty,
+            &wh.instance.full_set(),
+            &wh.j,
+            &Budget::unlimited().with_max_work(1 << 27),
+        );
         let d3 = t.elapsed();
         let d3s = match exact {
-            Ok(_) => format!("{d3:.2?}"),
-            Err(_) => format!(">{d3:.2?} (budget)"),
+            Outcome::Exceeded { .. } => format!(">{d3:.2?} (budget)"),
+            _ => format!("{d3:.2?}"),
         };
         out.push(format!(
             "{:>6} {:>14} {:>14} {:>16}",
@@ -866,11 +938,20 @@ fn e18() -> ExpResult {
         if cg.edges().len() > 14 {
             continue;
         }
-        for j in enumerate_repairs(&cg, 1 << 22).map_err(|e| e.to_string())? {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 22))
+            .done()
+            .ok_or("repair enumeration exceeded its budget")?
+        {
             ensure(
                 is_pareto_optimal(&cg, &w.priority, &j)
-                    == is_pareto_optimal_brute(&cg, &w.priority, &j, 1 << 22)
-                        .map_err(|e| e.to_string())?,
+                    == is_pareto_optimal_brute(
+                        &cg,
+                        &w.priority,
+                        &j,
+                        &Budget::unlimited().with_max_work(1 << 22),
+                    )
+                    .done()
+                    .ok_or("pareto oracle exceeded its budget")?,
                 "Pareto disagreement",
             )?;
             pareto_checked += 1;
@@ -896,7 +977,14 @@ fn e18() -> ExpResult {
     let cg = ConflictGraph::new(&schema, &instance);
     let j = instance.set_of([j1, j2]);
     ensure(
-        is_globally_optimal_brute(&cg, &priority, &j, 1 << 20).map_err(|e| e.to_string())?,
+        is_globally_optimal_brute_bounded(
+            &cg,
+            &priority,
+            &j,
+            &Budget::unlimited().with_max_work(1 << 20),
+        )
+        .done()
+        .ok_or("global oracle exceeded its budget")?,
         "counterexample J is globally optimal",
     )?;
     ensure(!is_completion_optimal(&cg, &priority, &j), "…but not completion optimal")?;
@@ -922,15 +1010,36 @@ fn e19() -> ExpResult {
         ],
     };
     q.validate(&ex.instance).map_err(|e| e.to_string())?;
-    let all = answers(&ex.schema, &ex.instance, &ex.priority, &q, RepairSemantics::All, 1 << 22)
-        .map_err(|e| e.to_string())?;
-    let global =
-        answers(&ex.schema, &ex.instance, &ex.priority, &q, RepairSemantics::Global, 1 << 22)
-            .map_err(|e| e.to_string())?;
+    let all = answers_bounded(
+        &ex.schema,
+        &ex.instance,
+        &ex.priority,
+        &q,
+        RepairSemantics::All,
+        &Budget::unlimited().with_max_work(1 << 22),
+    )
+    .done()
+    .ok_or("preferred CQA exceeded its budget")?;
+    let global = answers_bounded(
+        &ex.schema,
+        &ex.instance,
+        &ex.priority,
+        &q,
+        RepairSemantics::Global,
+        &Budget::unlimited().with_max_work(1 << 22),
+    )
+    .done()
+    .ok_or("preferred CQA exceeded its budget")?;
     ensure(all.certain.is_empty(), "no certain answers over all repairs")?;
     ensure(global.certain.len() == 1, "exactly one certain answer over g-repairs")?;
     let cg = ConflictGraph::new(&ex.schema, &ex.instance);
-    let space = RepairSpace::compute(&cg, &ex.priority, 1 << 22).map_err(|e| e.to_string())?;
+    let space = RepairSpace::compute_bounded(
+        &cg,
+        &ex.priority,
+        &Budget::unlimited().with_max_work(1 << 22),
+    )
+    .done()
+    .ok_or("repair space exceeded its budget")?;
     Ok(vec![
         "paper (concluding remarks): preferred CQA and g-repair counting/uniqueness are the next classification targets".into(),
         format!(
@@ -955,7 +1064,14 @@ fn e20() -> ExpResult {
         let j = construct_globally_optimal_repair(&cg, &w.priority);
         ensure(cg.is_repair(&j), "constructed set is a repair")?;
         ensure(
-            is_globally_optimal_brute(&cg, &w.priority, &j, 1 << 22).map_err(|e| e.to_string())?,
+            is_globally_optimal_brute_bounded(
+                &cg,
+                &w.priority,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 22),
+            )
+            .done()
+            .ok_or("global oracle exceeded its budget")?,
             "constructed repair is globally optimal",
         )?;
         ensure(is_pareto_optimal(&cg, &w.priority, &j), "…and Pareto optimal")?;
@@ -985,12 +1101,23 @@ fn e21() -> ExpResult {
     for seed in 0..40u64 {
         let w = single_fd_workload(9, 3, 0.5, 3000 + seed);
         let cg = w.conflict_graph();
-        let all = enumerate_repairs(&cg, 1 << 22).map_err(|e| e.to_string())?;
+        let all = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 22))
+            .done()
+            .ok_or("repair enumeration exceeded its budget")?;
         let pareto = all.iter().filter(|j| is_pareto_optimal(&cg, &w.priority, j)).count();
-        let global = all
-            .iter()
-            .filter(|j| is_globally_optimal_brute(&cg, &w.priority, j, 1 << 22).unwrap_or(false))
-            .count();
+        let mut global = 0;
+        for j in &all {
+            global += usize::from(
+                is_globally_optimal_brute_bounded(
+                    &cg,
+                    &w.priority,
+                    j,
+                    &Budget::unlimited().with_max_work(1 << 22),
+                )
+                .done()
+                .ok_or("global oracle exceeded its budget")?,
+            );
+        }
         let completion =
             all.iter().filter(|j| rpr_core::is_completion_optimal(&cg, &w.priority, j)).count();
         totals[0] += all.len();
@@ -1851,10 +1978,17 @@ fn e30() -> ExpResult {
     let local = CheckSession::new(&schema_c, &pi_c).with_jobs(1);
     let cg = local.conflict_graph();
     let domain = pi_c.instance().full_set();
+    let whole = check_global_exact_bounded(
+        cg,
+        pi_c.priority(),
+        &domain,
+        &j_c,
+        &Budget::unlimited().with_max_work(1 << 30),
+    )
+    .done()
+    .ok_or("exact search exceeded its budget")?;
     ensure(
-        check_global_exact(cg, pi_c.priority(), &domain, &j_c, 1 << 30)
-            .map_err(|e| e.to_string())?
-            == local.check(&j_c),
+        whole == local.check(&j_c),
         "whole-domain and component-local searches agree on the verdict",
     )?;
     let local_us = best_of(50, || {
@@ -1862,9 +1996,16 @@ fn e30() -> ExpResult {
         Ok(())
     })?;
     let whole_us = best_of(10, || {
-        check_global_exact(cg, pi_c.priority(), &domain, &j_c, 1 << 30)
-            .map(drop)
-            .map_err(|e| e.to_string())
+        check_global_exact_bounded(
+            cg,
+            pi_c.priority(),
+            &domain,
+            &j_c,
+            &Budget::unlimited().with_max_work(1 << 30),
+        )
+        .done()
+        .map(drop)
+        .ok_or_else(|| "exact search exceeded its budget".to_owned())
     })?;
     let local_speedup = whole_us / local_us;
     ensure(

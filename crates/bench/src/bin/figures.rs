@@ -17,8 +17,8 @@ use rpr_bench::{
 };
 use rpr_classify::{classify_schema, classify_schema_ccp};
 use rpr_core::{
-    check_global_exact, enumerate_repairs, is_completion_optimal, is_globally_optimal_brute,
-    is_pareto_optimal, CcpChecker, GRepairChecker,
+    check_global_exact_bounded, enumerate_repairs_bounded, is_completion_optimal,
+    is_globally_optimal_brute_bounded, is_pareto_optimal, Budget, CcpChecker, GRepairChecker,
 };
 use rpr_gen::random_schema;
 use rpr_priority::{PrioritizedInstance, PriorityRelation};
@@ -50,9 +50,15 @@ fn dichotomy_csv() -> String {
         let cg = wh.conflict_graph();
         let empty = PriorityRelation::empty(wh.instance.len());
         let t3 = time_us(3, || {
-            check_global_exact(&cg, &empty, &wh.instance.full_set(), &wh.j, 1 << 30)
-                .unwrap()
-                .is_optimal()
+            check_global_exact_bounded(
+                &cg,
+                &empty,
+                &wh.instance.full_set(),
+                &wh.j,
+                &Budget::unlimited().with_max_work(1 << 30),
+            )
+            .expect_done("exact search")
+            .is_optimal()
         });
         let _ = writeln!(out, "{n},{t1:.2},{t2:.2},{t3:.2}");
     }
@@ -84,11 +90,20 @@ fn semantics_pruning_csv() -> String {
     for seed in 0..40u64 {
         let w = single_fd_workload(9, 3, 0.5, 3000 + seed);
         let cg = w.conflict_graph();
-        let all = enumerate_repairs(&cg, 1 << 22).unwrap();
+        let all = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 22))
+            .expect_done("repair enumeration");
         let pareto = all.iter().filter(|j| is_pareto_optimal(&cg, &w.priority, j)).count();
         let global = all
             .iter()
-            .filter(|j| is_globally_optimal_brute(&cg, &w.priority, j, 1 << 22).unwrap())
+            .filter(|j| {
+                is_globally_optimal_brute_bounded(
+                    &cg,
+                    &w.priority,
+                    j,
+                    &Budget::unlimited().with_max_work(1 << 22),
+                )
+                .expect_done("global oracle")
+            })
             .count();
         let completion = all.iter().filter(|j| is_completion_optimal(&cg, &w.priority, j)).count();
         let _ = writeln!(out, "{seed},{},{pareto},{global},{completion}", all.len());

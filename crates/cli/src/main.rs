@@ -267,7 +267,8 @@ fn run(args: &[String]) -> Result<CliResult, UsageOr> {
                 commands::delta(&ws, &ops_text).map_err(|e| UsageOr::Command(e.to_string()))?;
             if let Some(out) = opt_value(args, "--out") {
                 if out.ends_with(".rprb") {
-                    let bytes = store::encode(&mutated);
+                    let bytes =
+                        store::encode(&mutated).map_err(|e| UsageOr::Command(e.to_string()))?;
                     std::fs::write(&out, &bytes)
                         .map_err(|e| UsageOr::Command(format!("cannot write {out}: {e}")))?;
                     report.push_str(&format!("wrote {out} ({} bytes, binary)\n", bytes.len()));
@@ -285,7 +286,7 @@ fn run(args: &[String]) -> Result<CliResult, UsageOr> {
                 args.get(2).ok_or_else(|| UsageOr::Usage("export needs an output path".into()))?;
             // Extension picks the format: .rprb binary, anything else text.
             if out.ends_with(".rprb") {
-                let bytes = store::encode(&ws);
+                let bytes = store::encode(&ws).map_err(|e| UsageOr::Command(e.to_string()))?;
                 std::fs::write(out, &bytes)
                     .map_err(|e| UsageOr::Command(format!("cannot write {out}: {e}")))?;
                 Ok(CliResult::ok(format!("wrote {out} ({} bytes, binary)\n", bytes.len())))

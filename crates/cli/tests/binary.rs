@@ -78,6 +78,34 @@ fn export_then_reload_binary() {
     std::fs::remove_file(out_path).ok();
 }
 
+/// The `.rprb` length prefixes are `u16`: a longer symbol is refused
+/// with exit 2 and no file, never written with a truncated prefix.
+#[test]
+fn binary_export_refuses_over_long_symbols() {
+    let dir = std::env::temp_dir();
+    let src = dir.join("rpr_long_symbol.rpr");
+    let ops = dir.join("rpr_long_symbol.ops");
+    let long = "s".repeat(70_000);
+    std::fs::write(&src, format!("relation R/1\nfact R({long})\n")).unwrap();
+    std::fs::write(&ops, "insert R(b)\n").unwrap();
+    let src = src.to_string_lossy().into_owned();
+    for (case, out_name) in [("export", "rpr_long_export.rprb"), ("delta", "rpr_long_delta.rprb")] {
+        let out_path = dir.join(out_name);
+        std::fs::remove_file(&out_path).ok();
+        let out_str = out_path.to_string_lossy().into_owned();
+        let out = if case == "export" {
+            rpr(&["export", &src, &out_str])
+        } else {
+            rpr(&["delta", &src, &ops.to_string_lossy(), "--out", &out_str])
+        };
+        assert_eq!(out.status.code(), Some(2), "{case}");
+        assert!(String::from_utf8(out.stderr).unwrap().contains("u16"), "{case}");
+        assert!(!out_path.exists(), "{case} must not write a file");
+    }
+    std::fs::remove_file(&src).ok();
+    std::fs::remove_file(&ops).ok();
+}
+
 #[test]
 fn derive_and_lint_and_discover_run() {
     let out = rpr(&["derive", &workload("hard_s4.rpr"), "R4: 1 -> 3"]);

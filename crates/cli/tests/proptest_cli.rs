@@ -90,7 +90,7 @@ proptest! {
 
     #[test]
     fn binary_roundtrip_random_workspaces(ws in workspace_strategy()) {
-        let bytes = encode(&ws);
+        let bytes = encode(&ws).expect("generated workspaces fit the format");
         prop_assert!(is_binary(&bytes));
         let back = decode(&bytes).expect("encoded bytes decode");
         prop_assert_eq!(back.instance.len(), ws.instance.len());

@@ -7,17 +7,15 @@
 //! on the hard side of the dichotomy nothing better than exponential
 //! search exists unless P = NP.
 //!
-//! The implementation of every oracle is its `_bounded` form, running
-//! under an [`rpr_engine::Budget`]: work units, a wall-clock deadline,
-//! cooperative cancellation, and an [`Outcome`] that carries whatever
-//! partial answer had accumulated when a limit tripped. The oracles
-//! over a bare conflict graph also keep a step-count convenience
-//! (`Result<_, BudgetExceeded>` against a plain `usize`) that arms a
-//! private work-only `Budget` and calls the bounded form, so there is
-//! exactly one search. The session oracles
-//! ([`globally_optimal_repairs_session_bounded`] and its count) exist
-//! only in bounded form: they meter enumeration and every session
-//! check against the caller's one budget.
+//! Every oracle runs under an [`rpr_engine::Budget`] — work units, a
+//! wall-clock deadline, cooperative cancellation — and returns an
+//! [`Outcome`] that carries whatever partial answer had accumulated
+//! when a limit tripped. There is exactly one search per notion; a
+//! caller that wants a plain step cap arms
+//! `Budget::unlimited().with_max_work(n)`. The session oracles
+//! ([`globally_optimal_repairs_session_bounded`] and its count) meter
+//! enumeration and every session check against the caller's one
+//! budget.
 //!
 //! A useful reduction keeps the search space small: if `J` has a global
 //! (resp. Pareto) improvement, it has one that is a *repair* — extend
@@ -26,44 +24,15 @@
 //! condition transfers. The oracles therefore only enumerate repairs,
 //! i.e. the maximal independent sets of the conflict graph.
 
-use crate::improvement::{is_global_improvement, BudgetExceeded, Improvement};
+use crate::improvement::{is_global_improvement, Improvement};
 use crate::session::CheckSession;
 use rpr_data::{FactId, FactSet};
 use rpr_engine::{Budget, Outcome, Stop};
 use rpr_fd::ConflictRows;
 use rpr_priority::PriorityRelation;
 
-/// Maps a [`Stop`] from a private work-only budget back to the legacy
-/// error. Such budgets have no deadline and an unshared token, so the
-/// only reachable stop is work exhaustion.
-fn legacy_stop(stop: Stop, budget: usize) -> BudgetExceeded {
-    match stop {
-        Stop::Exceeded(_) => BudgetExceeded { budget },
-        Stop::Cancelled => unreachable!("a private work-only budget is never cancelled"),
-    }
-}
-
 /// Enumerates all repairs (maximal consistent subinstances) of the
-/// instance underlying `cg`.
-///
-/// # Errors
-/// [`BudgetExceeded`] when more than `budget` recursion steps are
-/// needed.
-pub fn enumerate_repairs(
-    cg: &impl ConflictRows,
-    budget: usize,
-) -> Result<Vec<FactSet>, BudgetExceeded> {
-    let b = Budget::unlimited().with_max_work(budget as u64);
-    let mut out = Vec::new();
-    for_each_repair_stop(cg, &b, |r| {
-        out.push(r.clone());
-        true
-    })
-    .map_err(|stop| legacy_stop(stop, budget))?;
-    Ok(out)
-}
-
-/// [`enumerate_repairs`] under a caller-supplied [`Budget`]. On
+/// instance underlying `cg`, one work unit per recursion node. On
 /// [`Outcome::Exceeded`]/[`Outcome::Cancelled`] the partial answer is
 /// the repairs enumerated before the limit tripped.
 pub fn enumerate_repairs_bounded(cg: &impl ConflictRows, budget: &Budget) -> Outcome<Vec<FactSet>> {
@@ -77,23 +46,9 @@ pub fn enumerate_repairs_bounded(cg: &impl ConflictRows, budget: &Budget) -> Out
     }
 }
 
-/// Streams every repair to `visit`; stop early by returning `false`.
-///
-/// # Errors
-/// [`BudgetExceeded`] when more than `budget` recursion steps are
-/// needed.
-pub fn for_each_repair(
-    cg: &impl ConflictRows,
-    budget: usize,
-    visit: impl FnMut(&FactSet) -> bool,
-) -> Result<(), BudgetExceeded> {
-    let b = Budget::unlimited().with_max_work(budget as u64);
-    for_each_repair_stop(cg, &b, visit).map_err(|stop| legacy_stop(stop, budget))
-}
-
-/// [`for_each_repair`] under a caller-supplied [`Budget`]: streams
-/// every repair to `visit` until exhaustion, early visitor stop, or a
-/// budget stop. Any partial answer lives in the visitor's state.
+/// Streams every repair to `visit` until exhaustion, early visitor stop
+/// (`visit` returns `false`), or a budget stop. Any partial answer
+/// lives in the visitor's state.
 pub fn for_each_repair_bounded(
     cg: &impl ConflictRows,
     budget: &Budget,
@@ -160,23 +115,9 @@ fn for_each_repair_stop(
 }
 
 /// Finds a global improvement of `j` by scanning all repairs
-/// (definitional oracle).
-///
-/// # Errors
-/// [`BudgetExceeded`] if repair enumeration exceeds the budget.
-pub fn find_global_improvement_brute(
-    cg: &impl ConflictRows,
-    priority: &PriorityRelation,
-    j: &FactSet,
-    budget: usize,
-) -> Result<Option<Improvement>, BudgetExceeded> {
-    let b = Budget::unlimited().with_max_work(budget as u64);
-    find_global_improvement_stop(cg, priority, j, &b).map_err(|stop| legacy_stop(stop, budget))
-}
-
-/// [`find_global_improvement_brute`] under a caller-supplied
-/// [`Budget`]. No improvement had been found when a limit trips (the
-/// scan stops at the first one), so degraded outcomes carry no partial.
+/// (definitional oracle). No improvement had been found when a limit
+/// trips (the scan stops at the first one), so degraded outcomes carry
+/// no partial.
 pub fn find_global_improvement_brute_bounded(
     cg: &impl ConflictRows,
     priority: &PriorityRelation,
@@ -208,20 +149,6 @@ fn find_global_improvement_stop(
 }
 
 /// Is `j` a globally-optimal repair, by definition (oracle)?
-///
-/// # Errors
-/// [`BudgetExceeded`] if repair enumeration exceeds the budget.
-pub fn is_globally_optimal_brute(
-    cg: &impl ConflictRows,
-    priority: &PriorityRelation,
-    j: &FactSet,
-    budget: usize,
-) -> Result<bool, BudgetExceeded> {
-    let b = Budget::unlimited().with_max_work(budget as u64);
-    is_globally_optimal_stop(cg, priority, j, &b).map_err(|stop| legacy_stop(stop, budget))
-}
-
-/// [`is_globally_optimal_brute`] under a caller-supplied [`Budget`].
 pub fn is_globally_optimal_brute_bounded(
     cg: &impl ConflictRows,
     priority: &PriorityRelation,
@@ -249,30 +176,10 @@ fn is_globally_optimal_stop(
     Ok(find_global_improvement_stop(cg, priority, j, budget)?.is_none())
 }
 
-/// Enumerates all globally-optimal repairs (oracle).
-///
-/// # Errors
-/// [`BudgetExceeded`] if the doubly-nested enumeration exceeds the
-/// budget.
-pub fn globally_optimal_repairs(
-    cg: &impl ConflictRows,
-    priority: &PriorityRelation,
-    budget: usize,
-) -> Result<Vec<FactSet>, BudgetExceeded> {
-    let repairs = enumerate_repairs(cg, budget)?;
-    let mut out = Vec::new();
-    for j in &repairs {
-        if !repairs.iter().any(|r| is_global_improvement(priority, j, r)) {
-            out.push(j.clone());
-        }
-    }
-    Ok(out)
-}
-
-/// [`globally_optimal_repairs`] under a caller-supplied [`Budget`].
-/// The pairwise filter charges one work unit per compared pair, so the
-/// quadratic post-pass is bounded too; on degradation the partial
-/// answer is the prefix of repairs already confirmed optimal.
+/// Enumerates all globally-optimal repairs (oracle). The pairwise
+/// filter charges one work unit per compared pair, so the quadratic
+/// post-pass is bounded too; on degradation the partial answer is the
+/// prefix of repairs already confirmed optimal.
 pub fn globally_optimal_repairs_bounded(
     cg: &impl ConflictRows,
     priority: &PriorityRelation,
@@ -307,20 +214,8 @@ pub fn globally_optimal_repairs_bounded(
 }
 
 /// Counts globally-optimal repairs; `unique` is a common special case
-/// (the "unambiguous cleaning" question of the concluding remarks).
-///
-/// # Errors
-/// [`BudgetExceeded`] if enumeration exceeds the budget.
-pub fn count_globally_optimal_repairs(
-    cg: &impl ConflictRows,
-    priority: &PriorityRelation,
-    budget: usize,
-) -> Result<usize, BudgetExceeded> {
-    Ok(globally_optimal_repairs(cg, priority, budget)?.len())
-}
-
-/// [`count_globally_optimal_repairs`] under a caller-supplied
-/// [`Budget`]; the partial count on degradation is a lower bound.
+/// (the "unambiguous cleaning" question of the concluding remarks). The
+/// partial count on degradation is a lower bound.
 pub fn count_globally_optimal_repairs_bounded(
     cg: &impl ConflictRows,
     priority: &PriorityRelation,
@@ -332,12 +227,13 @@ pub fn count_globally_optimal_repairs_bounded(
 /// Enumerates the globally-optimal repairs by filtering the repair
 /// enumeration through the session's dispatched (polynomial where
 /// possible) checker, fanning the checks out across the session's
-/// workers. Agrees with [`globally_optimal_repairs`] and keeps the
-/// enumeration order. One [`Budget`] meters both steps: bounded
-/// enumeration, then a bounded parallel batch check. On degradation — a tripped limit, a cancellation, or a
-/// panicking candidate — the partial answer is every repair whose check
-/// *did* complete with an optimal verdict; the first non-`Done`
-/// candidate outcome (in enumeration order) determines the variant.
+/// workers. Agrees with [`globally_optimal_repairs_bounded`] and keeps
+/// the enumeration order. One [`Budget`] meters both steps: bounded
+/// enumeration, then a bounded parallel batch check. On degradation — a
+/// tripped limit, a cancellation, or a panicking candidate — the
+/// partial answer is every repair whose check *did* complete with an
+/// optimal verdict; the first non-`Done` candidate outcome (in
+/// enumeration order) determines the variant.
 pub fn globally_optimal_repairs_session_bounded(
     session: &CheckSession<'_>,
     budget: &Budget,
@@ -387,6 +283,15 @@ mod tests {
     use rpr_data::{Instance, Signature, Value};
     use rpr_fd::{ConflictGraph, Schema};
 
+    // Work charged on the `grouped` fixture under its chain priority:
+    // 30 recursion nodes enumerate its six repairs; the optimal repair is
+    // compared with all six, every other one is beaten by the first; and
+    // `{R(a,2), R(b,1)}` meets its improvement at the sixth node.
+    const WORK_ENUMERATE: u64 = 30;
+    const WORK_IS_OPTIMAL: u64 = 30;
+    const WORK_OPTIMAL_REPAIRS: u64 = 41;
+    const WORK_FIND_IMPROVEMENT: u64 = 6;
+
     fn v(s: &str) -> Value {
         Value::sym(s)
     }
@@ -408,7 +313,8 @@ mod tests {
     #[test]
     fn repair_enumeration_counts() {
         let (cg, _) = grouped();
-        let repairs = enumerate_repairs(&cg, 1 << 20).unwrap();
+        let repairs = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("grouped enumeration");
         // 3 choices × 2 choices.
         assert_eq!(repairs.len(), 6);
         for r in &repairs {
@@ -428,7 +334,8 @@ mod tests {
         i.insert_named("R", [v("a"), v("1")]).unwrap();
         i.insert_named("R", [v("b"), v("1")]).unwrap();
         let cg = ConflictGraph::new(&schema, &i);
-        let repairs = enumerate_repairs(&cg, 1 << 20).unwrap();
+        let repairs = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("conflict-free enumeration");
         assert_eq!(repairs.len(), 1);
         assert_eq!(repairs[0], i.full_set());
     }
@@ -439,7 +346,8 @@ mod tests {
         let schema = Schema::from_named(sig.clone(), [("R", &[1][..], &[2][..])]).unwrap();
         let i = Instance::new(sig);
         let cg = ConflictGraph::new(&schema, &i);
-        let repairs = enumerate_repairs(&cg, 1024).unwrap();
+        let repairs = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1024))
+            .expect_done("empty enumeration");
         assert_eq!(repairs.len(), 1);
         assert!(repairs[0].is_empty());
     }
@@ -447,14 +355,18 @@ mod tests {
     #[test]
     fn budget_is_enforced() {
         let (cg, _) = grouped();
-        assert!(enumerate_repairs(&cg, 3).is_err());
+        assert!(matches!(
+            enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(3)),
+            Outcome::Exceeded { .. }
+        ));
     }
 
     #[test]
     fn bounded_enumeration_degrades_with_a_partial_prefix() {
         let (cg, _) = grouped();
-        let full = enumerate_repairs(&cg, 1 << 20).unwrap();
-        // Unlimited: identical to the legacy interface.
+        let full = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("armed");
+        // Unlimited: identical to a generous work allowance.
         assert_eq!(
             enumerate_repairs_bounded(&cg, &Budget::unlimited()).expect_done("unlimited"),
             full
@@ -479,8 +391,11 @@ mod tests {
         ));
     }
 
+    /// Pins the answers and the work charged by every oracle on the
+    /// `grouped` fixture, so a change to the search or its meter fails
+    /// here instead of silently moving trip points.
     #[test]
-    fn bounded_oracles_agree_with_legacy_on_full_budgets() {
+    fn oracles_return_pinned_values_and_work_on_full_budgets() {
         let (cg, i) = grouped();
         let p = PriorityRelation::new(
             i.len(),
@@ -494,17 +409,36 @@ mod tests {
         .unwrap();
         let best = i.set_of([FactId(0), FactId(3)]);
         let b = Budget::unlimited();
+        assert_eq!(enumerate_repairs_bounded(&cg, &b).expect_done("unlimited").len(), 6);
+        assert_eq!(b.work_done(), WORK_ENUMERATE);
+        let b = Budget::unlimited();
         assert!(is_globally_optimal_brute_bounded(&cg, &p, &best, &b).expect_done("unlimited"));
+        assert_eq!(b.work_done(), WORK_IS_OPTIMAL);
+        let b = Budget::unlimited();
         assert_eq!(
             globally_optimal_repairs_bounded(&cg, &p, &b).expect_done("unlimited"),
-            globally_optimal_repairs(&cg, &p, 1 << 20).unwrap()
+            vec![best.clone()]
         );
+        assert_eq!(b.work_done(), WORK_OPTIMAL_REPAIRS);
+        let b = Budget::unlimited();
         assert_eq!(count_globally_optimal_repairs_bounded(&cg, &p, &b).expect_done("unlimited"), 1);
+        assert_eq!(b.work_done(), WORK_OPTIMAL_REPAIRS);
         let j = i.set_of([FactId(1), FactId(3)]);
+        let b = Budget::unlimited();
         assert_eq!(
             find_global_improvement_brute_bounded(&cg, &p, &j, &b).expect_done("unlimited"),
-            find_global_improvement_brute(&cg, &p, &j, 1 << 20).unwrap()
+            Some(Improvement { removed: i.set_of([FactId(1)]), added: i.set_of([FactId(0)]) })
         );
+        assert_eq!(b.work_done(), WORK_FIND_IMPROVEMENT);
+        let b = Budget::unlimited();
+        let mut seen = 0;
+        for_each_repair_bounded(&cg, &b, |_| {
+            seen += 1;
+            true
+        })
+        .expect_done("unlimited");
+        assert_eq!(seen, 6);
+        assert_eq!(b.work_done(), WORK_ENUMERATE);
     }
 
     #[test]
@@ -523,19 +457,27 @@ mod tests {
         .unwrap();
         // The unique globally-optimal repair is {R(a,1), R(b,1)}.
         let best = i.set_of([FactId(0), FactId(3)]);
-        assert!(is_globally_optimal_brute(&cg, &p, &best, 1 << 20).unwrap());
+        let budget = || Budget::unlimited().with_max_work(1 << 20);
+        assert!(is_globally_optimal_brute_bounded(&cg, &p, &best, &budget()).expect_done("best"));
         let worse = i.set_of([FactId(1), FactId(3)]);
-        assert!(!is_globally_optimal_brute(&cg, &p, &worse, 1 << 20).unwrap());
-        let opt = globally_optimal_repairs(&cg, &p, 1 << 20).unwrap();
+        let worse_optimal =
+            is_globally_optimal_brute_bounded(&cg, &p, &worse, &budget()).expect_done("worse");
+        assert!(!worse_optimal);
+        let opt = globally_optimal_repairs_bounded(&cg, &p, &budget()).expect_done("optimal");
         assert_eq!(opt, vec![best]);
-        assert_eq!(count_globally_optimal_repairs(&cg, &p, 1 << 20).unwrap(), 1);
+        assert_eq!(
+            count_globally_optimal_repairs_bounded(&cg, &p, &budget()).expect_done("count"),
+            1
+        );
     }
 
     #[test]
     fn empty_priority_makes_every_repair_optimal() {
         let (cg, i) = grouped();
         let p = PriorityRelation::empty(i.len());
-        let opt = globally_optimal_repairs(&cg, &p, 1 << 20).unwrap();
+        let opt =
+            globally_optimal_repairs_bounded(&cg, &p, &Budget::unlimited().with_max_work(1 << 20))
+                .expect_done("optimal");
         assert_eq!(opt.len(), 6);
     }
 
@@ -545,10 +487,22 @@ mod tests {
         let p = PriorityRelation::empty(i.len());
         // Consistent but not maximal.
         let partial = i.set_of([FactId(0)]);
-        assert!(!is_globally_optimal_brute(&cg, &p, &partial, 1 << 20).unwrap());
+        assert!(!is_globally_optimal_brute_bounded(
+            &cg,
+            &p,
+            &partial,
+            &Budget::unlimited().with_max_work(1 << 20)
+        )
+        .expect_done("partial"));
         // Inconsistent.
         let bad = i.set_of([FactId(0), FactId(1)]);
-        assert!(!is_globally_optimal_brute(&cg, &p, &bad, 1 << 20).unwrap());
+        assert!(!is_globally_optimal_brute_bounded(
+            &cg,
+            &p,
+            &bad,
+            &Budget::unlimited().with_max_work(1 << 20)
+        )
+        .expect_done("inconsistent"));
     }
 
     #[test]
@@ -556,7 +510,14 @@ mod tests {
         let (cg, i) = grouped();
         let p = PriorityRelation::new(i.len(), [(FactId(0), FactId(1))]).unwrap();
         let j = i.set_of([FactId(1), FactId(3)]);
-        let imp = find_global_improvement_brute(&cg, &p, &j, 1 << 20).unwrap().unwrap();
+        let imp = find_global_improvement_brute_bounded(
+            &cg,
+            &p,
+            &j,
+            &Budget::unlimited().with_max_work(1 << 20),
+        )
+        .expect_done("witness")
+        .unwrap();
         assert!(imp.is_valid_global_improvement(&cg, &p, &j));
     }
 }

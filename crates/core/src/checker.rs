@@ -184,7 +184,7 @@ impl CcpChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::{enumerate_repairs, is_globally_optimal_brute};
+    use crate::brute::{enumerate_repairs_bounded, is_globally_optimal_brute_bounded};
     use rpr_data::{FactId, Instance, Signature, Value};
     use rpr_fd::ConflictGraph;
     use rpr_priority::PriorityRelation;
@@ -249,12 +249,19 @@ mod tests {
         let checker = GRepairChecker::new(schema.clone());
         assert_eq!(checker.complexity(), Complexity::PolynomialTime);
         let pi = PrioritizedInstance::conflict_restricted(&schema, i.clone(), p.clone()).unwrap();
-        let repairs = enumerate_repairs(&cg, 1 << 22).unwrap();
+        let repairs = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 22))
+            .expect_done("repair enumeration");
         assert!(repairs.len() >= 8);
         let mut optimal_count = 0;
         for j in &repairs {
             let fast = checker.check(&pi, j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &p, j, 1 << 22).unwrap();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &p,
+                j,
+                &Budget::unlimited().with_max_work(1 << 22),
+            )
+            .expect_done("global oracle");
             assert_eq!(fast, slow, "disagreement on {}", i.render_set(j));
             optimal_count += usize::from(fast);
         }
@@ -286,9 +293,17 @@ mod tests {
         let checker = GRepairChecker::new(schema.clone());
         assert_eq!(checker.complexity(), Complexity::ConpComplete);
         let pi = PrioritizedInstance::conflict_restricted(&schema, i, p.clone()).unwrap();
-        for j in enumerate_repairs(&cg, 1 << 20).unwrap() {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("repair enumeration")
+        {
             let fast = checker.check(&pi, &j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &p, &j, 1 << 20).unwrap();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &p,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 20),
+            )
+            .expect_done("global oracle");
             assert_eq!(fast, slow);
         }
     }
@@ -310,9 +325,17 @@ mod tests {
         let p = PriorityRelation::new(i.len(), [(FactId(2), FactId(0))]).unwrap();
         let cg = ConflictGraph::new(&schema, &i);
         let pi = PrioritizedInstance::cross_conflict(i, p.clone());
-        for j in enumerate_repairs(&cg, 1 << 20).unwrap() {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("repair enumeration")
+        {
             let fast = checker.check(&pi, &j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &p, &j, 1 << 20).unwrap();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &p,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 20),
+            )
+            .expect_done("global oracle");
             assert_eq!(fast, slow);
         }
     }
@@ -330,9 +353,17 @@ mod tests {
         let p = PriorityRelation::new(i.len(), [(FactId(2), FactId(0))]).unwrap();
         let cg = ConflictGraph::new(&schema, &i);
         let pi = PrioritizedInstance::cross_conflict(i, p.clone());
-        for j in enumerate_repairs(&cg, 1 << 20).unwrap() {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("repair enumeration")
+        {
             let fast = checker.check(&pi, &j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &p, &j, 1 << 20).unwrap();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &p,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 20),
+            )
+            .expect_done("global oracle");
             assert_eq!(fast, slow);
         }
     }
@@ -351,9 +382,17 @@ mod tests {
         let p = PriorityRelation::new(i.len(), [(FactId(2), FactId(0))]).unwrap();
         let cg = ConflictGraph::new(&schema, &i);
         let pi = PrioritizedInstance::cross_conflict(i, p.clone());
-        for j in enumerate_repairs(&cg, 1 << 20).unwrap() {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("repair enumeration")
+        {
             let fast = checker.check(&pi, &j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &p, &j, 1 << 20).unwrap();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &p,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 20),
+            )
+            .expect_done("global oracle");
             assert_eq!(fast, slow);
         }
     }

@@ -55,12 +55,13 @@ pub fn construct_globally_optimal_repair(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::is_globally_optimal_brute;
+    use crate::brute::is_globally_optimal_brute_bounded;
     use crate::completion::is_completion_optimal;
     use crate::pareto::is_pareto_optimal;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rpr_data::{Instance, Signature, Value};
+    use rpr_engine::Budget;
     use rpr_fd::Schema;
     use rpr_gen::{random_ccp_priority, random_conflict_priority, random_instance, InstanceSpec};
 
@@ -84,7 +85,13 @@ mod tests {
             let j = construct_globally_optimal_repair(&cg, &p);
             assert!(cg.is_repair(&j), "seed {seed}");
             assert!(
-                is_globally_optimal_brute(&cg, &p, &j, 1 << 22).unwrap(),
+                is_globally_optimal_brute_bounded(
+                    &cg,
+                    &p,
+                    &j,
+                    &Budget::unlimited().with_max_work(1 << 22)
+                )
+                .expect_done("global oracle"),
                 "seed {seed}: constructed repair not globally optimal"
             );
             assert!(is_pareto_optimal(&cg, &p, &j), "seed {seed}");
@@ -107,7 +114,13 @@ mod tests {
             let j = construct_globally_optimal_repair(&cg, &p);
             assert!(cg.is_repair(&j));
             assert!(
-                is_globally_optimal_brute(&cg, &p, &j, 1 << 22).unwrap(),
+                is_globally_optimal_brute_bounded(
+                    &cg,
+                    &p,
+                    &j,
+                    &Budget::unlimited().with_max_work(1 << 22)
+                )
+                .expect_done("global oracle"),
                 "seed {seed}: ccp construction not globally optimal"
             );
         }

@@ -11,7 +11,7 @@
 //! `dichotomy_gap` measures exactly this fall-back against the
 //! polynomial algorithms.
 
-use crate::improvement::{is_global_improvement, BudgetExceeded, CheckOutcome, Improvement};
+use crate::improvement::{is_global_improvement, CheckOutcome, Improvement};
 use crate::pareto::find_pareto_improvement;
 use rpr_data::FactSet;
 use rpr_engine::{Budget, Outcome, Stop};
@@ -20,30 +20,8 @@ use rpr_priority::PriorityRelation;
 
 /// Exhaustively searches for a global improvement of `j` among the
 /// repairs contained in `domain` (pass the full set for whole-instance
-/// checking).
-///
-/// Legacy step-budget interface; [`check_global_exact_bounded`] is the
-/// same search under a full [`Budget`] (deadline + cancellation).
-///
-/// # Errors
-/// [`BudgetExceeded`] if the enumeration exceeds `budget` steps.
-pub fn check_global_exact(
-    cg: &impl ConflictRows,
-    priority: &PriorityRelation,
-    domain: &FactSet,
-    j: &FactSet,
-    budget: usize,
-) -> Result<CheckOutcome, BudgetExceeded> {
-    let b = Budget::unlimited().with_max_work(budget as u64);
-    check_global_exact_stop(cg, priority, domain, j, &b).map_err(|stop| match stop {
-        Stop::Exceeded(_) => BudgetExceeded { budget },
-        Stop::Cancelled => unreachable!("a private work-only budget is never cancelled"),
-    })
-}
-
-/// [`check_global_exact`] under a caller-supplied [`Budget`]: the
-/// search charges one work unit per recursion node and honours the
-/// budget's deadline and cancellation token.
+/// checking). The search charges one work unit per recursion node and
+/// honours the budget's deadline and cancellation token.
 pub fn check_global_exact_bounded(
     cg: &impl ConflictRows,
     priority: &PriorityRelation,
@@ -161,7 +139,7 @@ pub(crate) fn exhaustive_improvement<R: ConflictRows>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::{enumerate_repairs, is_globally_optimal_brute};
+    use crate::brute::{enumerate_repairs_bounded, is_globally_optimal_brute_bounded};
     use rpr_data::{FactId, Instance, Signature, Value};
     use rpr_fd::{ConflictGraph, Schema};
     use std::time::Duration;
@@ -191,9 +169,25 @@ mod tests {
         let p = PriorityRelation::new(i.len(), [(FactId(0), FactId(1)), (FactId(3), FactId(2))])
             .unwrap();
         let domain = i.full_set();
-        for j in enumerate_repairs(&cg, 1 << 22).unwrap() {
-            let fast = check_global_exact(&cg, &p, &domain, &j, 1 << 22).unwrap().is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &p, &j, 1 << 22).unwrap();
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 22))
+            .expect_done("S4 enumeration")
+        {
+            let fast = check_global_exact_bounded(
+                &cg,
+                &p,
+                &domain,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 22),
+            )
+            .expect_done("exact")
+            .is_optimal();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &p,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 22),
+            )
+            .expect_done("oracle");
             assert_eq!(fast, slow, "disagreement on {}", i.render_set(&j));
         }
     }
@@ -203,24 +197,51 @@ mod tests {
         let (cg, i) = s4_instance();
         let p = PriorityRelation::empty(i.len());
         let j = {
-            let r = enumerate_repairs(&cg, 1 << 22).unwrap();
+            let r = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 22))
+                .expect_done("S4 enumeration");
             r[0].clone()
         };
         // With an empty priority every repair is optimal, so the search
         // must run to exhaustion — and trip a tiny budget.
-        assert!(check_global_exact(&cg, &p, &i.full_set(), &j, 2).is_err());
+        assert!(matches!(
+            check_global_exact_bounded(
+                &cg,
+                &p,
+                &i.full_set(),
+                &j,
+                &Budget::unlimited().with_max_work(2)
+            ),
+            Outcome::Exceeded { .. }
+        ));
     }
 
     #[test]
     fn bounded_variant_agrees_and_degrades() {
         let (cg, i) = s4_instance();
         let p = PriorityRelation::empty(i.len());
-        let j = enumerate_repairs(&cg, 1 << 22).unwrap()[0].clone();
+        let j = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 22))
+            .expect_done("S4 enumeration")[0]
+            .clone();
         let domain = i.full_set();
-        // Unlimited budget: identical verdict to the legacy interface.
+        // Unlimited budget: identical verdict to a generous allowance,
+        // and every repair is optimal under the empty priority.
         let full = check_global_exact_bounded(&cg, &p, &domain, &j, &Budget::unlimited())
             .expect_done("unlimited budget");
-        assert_eq!(Ok(full), check_global_exact(&cg, &p, &domain, &j, 1 << 22));
+        assert_eq!(
+            Outcome::Done(full),
+            check_global_exact_bounded(
+                &cg,
+                &p,
+                &domain,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 22)
+            )
+        );
+        assert_eq!(
+            check_global_exact_bounded(&cg, &p, &domain, &j, &Budget::unlimited())
+                .expect_done("unlimited budget"),
+            CheckOutcome::Optimal
+        );
         // Tiny work allowance: Exceeded with a work-exhausted report.
         let tight = Budget::unlimited().with_max_work(2);
         match check_global_exact_bounded(&cg, &p, &domain, &j, &tight) {
@@ -253,7 +274,14 @@ mod tests {
         let p = PriorityRelation::empty(i.len());
         let bad = i.set_of([0, 1].map(FactId));
         assert!(matches!(
-            check_global_exact(&cg, &p, &i.full_set(), &bad, 1024).unwrap(),
+            check_global_exact_bounded(
+                &cg,
+                &p,
+                &i.full_set(),
+                &bad,
+                &Budget::unlimited().with_max_work(1024)
+            )
+            .expect_done("inconsistent"),
             CheckOutcome::Inconsistent(..)
         ));
     }

@@ -399,8 +399,9 @@ pub fn check_global_1fd_with_blocks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::is_globally_optimal_brute;
+    use crate::brute::is_globally_optimal_brute_bounded;
     use rpr_data::{Signature, Value};
+    use rpr_engine::Budget;
     use rpr_fd::{ConflictGraph, Schema};
 
     fn v(s: &str) -> Value {
@@ -611,11 +612,21 @@ mod tests {
             ],
         )
         .unwrap();
-        let repairs = crate::brute::enumerate_repairs(&cg, 1 << 20).unwrap();
+        let repairs = crate::brute::enumerate_repairs_bounded(
+            &cg,
+            &Budget::unlimited().with_max_work(1 << 20),
+        )
+        .expect_done("repair enumeration");
         assert_eq!(repairs.len(), 3 * 2 * 2);
         for j in &repairs {
             let fast = check_global_1fd(&i, &cg, &p, fd, &i.full_set(), j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &p, j, 1 << 20).unwrap();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &p,
+                j,
+                &Budget::unlimited().with_max_work(1 << 20),
+            )
+            .expect_done("global oracle");
             assert_eq!(fast, slow, "disagreement on {j:?}");
         }
     }

@@ -218,8 +218,9 @@ pub fn check_global_2keys<R: ConflictRows>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::{enumerate_repairs, is_globally_optimal_brute};
+    use crate::brute::{enumerate_repairs_bounded, is_globally_optimal_brute_bounded};
     use rpr_data::{Signature, Value};
+    use rpr_engine::Budget;
     use rpr_fd::{ConflictGraph, Schema};
 
     fn v(s: &str) -> Value {
@@ -405,7 +406,8 @@ mod tests {
     fn agrees_with_brute_force_on_all_repairs() {
         let (schema, i, p) = libloc();
         let cg = ConflictGraph::new(&schema, &i);
-        let repairs = enumerate_repairs(&cg, 1 << 22).unwrap();
+        let repairs = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 22))
+            .expect_done("repair enumeration");
         assert!(!repairs.is_empty());
         for j in &repairs {
             let fast = check_global_2keys(
@@ -418,7 +420,13 @@ mod tests {
                 j,
             )
             .is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &p, j, 1 << 22).unwrap();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &p,
+                j,
+                &Budget::unlimited().with_max_work(1 << 22),
+            )
+            .expect_done("global oracle");
             assert_eq!(fast, slow, "disagreement on {}", i.render_set(j));
         }
     }
@@ -443,10 +451,17 @@ mod tests {
             .unwrap();
         let a1 = AttrSet::from_attrs([1, 2]);
         let a2 = AttrSet::from_attrs([2, 3]);
-        let repairs = enumerate_repairs(&cg, 1 << 22).unwrap();
+        let repairs = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 22))
+            .expect_done("repair enumeration");
         for j in &repairs {
             let fast = check_global_2keys(&i, &cg, &p, a1, a2, &i.full_set(), j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &p, j, 1 << 22).unwrap();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &p,
+                j,
+                &Budget::unlimited().with_max_work(1 << 22),
+            )
+            .expect_done("global oracle");
             assert_eq!(fast, slow, "disagreement on {}", i.render_set(j));
         }
     }

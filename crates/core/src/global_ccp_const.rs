@@ -97,8 +97,9 @@ pub fn check_global_ccp_const(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::{enumerate_repairs, is_globally_optimal_brute};
+    use crate::brute::{enumerate_repairs_bounded, is_globally_optimal_brute_bounded};
     use rpr_data::{FactId, Signature, Value};
+    use rpr_engine::Budget;
     use rpr_fd::{ConflictGraph, Schema};
 
     fn v(s: &str) -> Value {
@@ -134,7 +135,8 @@ mod tests {
         assert_eq!(repairs.len(), 4); // 2 × 2
                                       // They are exactly the brute-force repairs.
         let cg = ConflictGraph::new(&schema, &i);
-        let mut brute = enumerate_repairs(&cg, 1 << 20).unwrap();
+        let mut brute = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("repair enumeration");
         let mut fast = repairs.clone();
         brute.sort();
         fast.sort();
@@ -151,9 +153,17 @@ mod tests {
             .unwrap();
         // J = {R-x partition, S-t partition} = {0,1,4}: lost facts
         // {0,1,4}… check which repairs are optimal against brute force.
-        for j in enumerate_repairs(&cg, 1 << 20).unwrap() {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("repair enumeration")
+        {
             let fast = check_global_ccp_const(&i, &cg, &p, &consts, &j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &p, &j, 1 << 20).unwrap();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &p,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 20),
+            )
+            .expect_done("global oracle");
             assert_eq!(fast, slow, "disagreement on {}", i.render_set(&j));
         }
     }

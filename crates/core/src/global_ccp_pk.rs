@@ -122,8 +122,9 @@ fn successors(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::{enumerate_repairs, is_globally_optimal_brute};
+    use crate::brute::{enumerate_repairs_bounded, is_globally_optimal_brute_bounded};
     use rpr_data::{Instance, Signature, Value};
+    use rpr_engine::Budget;
     use rpr_fd::{ConflictGraph, Schema};
 
     fn v(s: &str) -> Value {
@@ -177,9 +178,17 @@ mod tests {
     #[test]
     fn agrees_with_brute_force_on_example_7_2() {
         let (cg, _, p) = example_7_2();
-        for j in enumerate_repairs(&cg, 1 << 20).unwrap() {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("repair enumeration")
+        {
             let fast = check_global_ccp_pk(&cg, &p, &j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &p, &j, 1 << 20).unwrap();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &p,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 20),
+            )
+            .expect_done("global oracle");
             assert_eq!(fast, slow, "disagreement on {j:?}");
         }
     }
@@ -215,7 +224,13 @@ mod tests {
         for ids in [[1u32, 3], [0, 3], [1, 2]] {
             let jj = i.set_of(ids.map(FactId));
             let fast = check_global_ccp_pk(&cg, &p, &jj).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &p, &jj, 1 << 20).unwrap();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &p,
+                &jj,
+                &Budget::unlimited().with_max_work(1 << 20),
+            )
+            .expect_done("global oracle");
             assert_eq!(fast, slow);
         }
     }

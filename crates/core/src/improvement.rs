@@ -90,21 +90,6 @@ impl CheckOutcome {
     }
 }
 
-/// Budget error for the exponential fall-back paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetExceeded {
-    /// The exhausted budget (number of search steps).
-    pub budget: usize,
-}
-
-impl std::fmt::Display for BudgetExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "search budget of {} steps exceeded", self.budget)
-    }
-}
-
-impl std::error::Error for BudgetExceeded {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

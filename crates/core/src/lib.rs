@@ -48,11 +48,9 @@ pub mod session;
 pub mod shard_store;
 
 pub use brute::{
-    count_globally_optimal_repairs, count_globally_optimal_repairs_bounded,
-    count_globally_optimal_repairs_session_bounded, enumerate_repairs, enumerate_repairs_bounded,
-    find_global_improvement_brute, find_global_improvement_brute_bounded, for_each_repair,
-    for_each_repair_bounded, globally_optimal_repairs, globally_optimal_repairs_bounded,
-    globally_optimal_repairs_session_bounded, is_globally_optimal_brute,
+    count_globally_optimal_repairs_bounded, count_globally_optimal_repairs_session_bounded,
+    enumerate_repairs_bounded, find_global_improvement_brute_bounded, for_each_repair_bounded,
+    globally_optimal_repairs_bounded, globally_optimal_repairs_session_bounded,
     is_globally_optimal_brute_bounded,
 };
 pub use certificate::{
@@ -60,15 +58,13 @@ pub use certificate::{
     OptimalScope,
 };
 pub use checker::{CcpChecker, GRepairChecker, Method};
-// The execution-control vocabulary of the bounded entry points, so
-// downstream crates need not depend on rpr-engine directly.
 pub use completion::{
     completion_optimal_repairs_brute, greedy_repair, greedy_repair_in_order, is_completion_optimal,
     is_completion_optimal_brute,
 };
 pub use construct::construct_globally_optimal_repair;
 pub use delta::{DeltaError, DeltaOp, DeltaReport, DeltaSession, REBUILD_CHURN_PERCENT};
-pub use exact::{check_global_exact, check_global_exact_bounded};
+pub use exact::check_global_exact_bounded;
 pub use fingerprint::{
     content_fingerprint, priority_edge_fingerprint, priority_fingerprint, schema_fingerprint,
 };
@@ -78,11 +74,11 @@ pub use global_ccp_const::{
     check_global_ccp_const, consistent_partitions, enumerate_const_attr_repairs,
 };
 pub use global_ccp_pk::check_global_ccp_pk;
-pub use improvement::{
-    is_global_improvement, is_pareto_improvement, BudgetExceeded, CheckOutcome, Improvement,
-};
+pub use improvement::{is_global_improvement, is_pareto_improvement, CheckOutcome, Improvement};
 pub use owned::OwnedCheckSession;
 pub use pareto::{find_pareto_improvement, is_pareto_optimal, is_pareto_optimal_brute};
+// The execution-control vocabulary of the bounded entry points, so
+// downstream crates need not depend on rpr-engine directly.
 pub use rpr_engine::{Budget, BudgetReport, CancelToken, ExceedReason, Outcome, PanicReport, Stop};
 pub use session::{default_jobs, resolve_jobs, CheckSession, SessionArtifacts};
 pub use shard_store::{SessionIndex, ShardData, ShardStore, ShardStoreStats};

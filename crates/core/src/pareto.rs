@@ -22,7 +22,8 @@
 
 use crate::improvement::{is_pareto_improvement, Improvement};
 use rpr_data::FactSet;
-use rpr_fd::{ConflictGraph, ConflictRows};
+use rpr_engine::{Budget, Outcome};
+use rpr_fd::ConflictRows;
 use rpr_priority::PriorityRelation;
 
 /// Finds a Pareto improvement of the consistent set `j` within `domain`
@@ -77,25 +78,31 @@ pub fn is_pareto_optimal(cg: &impl ConflictRows, priority: &PriorityRelation, j:
 }
 
 /// Brute-force Pareto-optimality from Definition 2.4, for differential
-/// testing: enumerates all repairs and tests each as an improvement.
+/// testing: scans the repairs under `budget` and stops at the first one
+/// that Pareto-improves `j`. Degraded outcomes carry no partial (a
+/// prefix of the repairs cannot confirm optimality).
 pub fn is_pareto_optimal_brute(
-    cg: &ConflictGraph,
+    cg: &impl ConflictRows,
     priority: &PriorityRelation,
     j: &FactSet,
-    budget: usize,
-) -> Result<bool, crate::improvement::BudgetExceeded> {
+    budget: &Budget,
+) -> Outcome<bool> {
     if !cg.is_consistent_set(j) {
-        return Ok(false);
+        return Outcome::Done(false);
     }
-    let repairs = crate::brute::enumerate_repairs(cg, budget)?;
-    Ok(!repairs.iter().any(|r| is_pareto_improvement(priority, j, r)))
+    let mut improvable = false;
+    crate::brute::for_each_repair_bounded(cg, budget, |r| {
+        improvable = is_pareto_improvement(priority, j, r);
+        !improvable
+    })
+    .map(|()| !improvable)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rpr_data::{FactId, Instance, Signature, Value};
-    use rpr_fd::Schema;
+    use rpr_fd::{ConflictGraph, Schema};
 
     fn v(s: &str) -> Value {
         Value::sym(s)
@@ -210,7 +217,8 @@ mod tests {
         for j in [&j1, &j2, &j4] {
             assert_eq!(
                 is_pareto_optimal(&cg, &p, j),
-                is_pareto_optimal_brute(&cg, &p, j, 1 << 22).unwrap()
+                is_pareto_optimal_brute(&cg, &p, j, &Budget::unlimited().with_max_work(1 << 22))
+                    .expect_done("pareto oracle")
             );
         }
     }
@@ -220,7 +228,13 @@ mod tests {
         let (cg, i, p) = running();
         let bad = i.set_of([FactId(5), FactId(6)]); // d1a + d1e conflict
         assert!(!is_pareto_optimal(&cg, &p, &bad));
-        assert!(!is_pareto_optimal_brute(&cg, &p, &bad, 1 << 22).unwrap());
+        assert!(!is_pareto_optimal_brute(
+            &cg,
+            &p,
+            &bad,
+            &Budget::unlimited().with_max_work(1 << 22)
+        )
+        .expect_done("pareto oracle"));
     }
 
     #[test]

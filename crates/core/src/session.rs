@@ -850,7 +850,7 @@ impl<'a> CheckSession<'a> {
     ) -> Result<CheckOutcome, Stop> {
         // `check_dispatch` already scanned all of J for a conflict, so
         // only the Pareto pre-check is left; its witness is
-        // bit-identical to the one-shot `check_global_exact` one.
+        // bit-identical to the one-shot `check_global_exact_bounded` one.
         debug_assert!(self.art.csr.is_consistent_set(j_rel));
         if let Some(imp) = find_pareto_improvement(&self.art.csr, priority, j_rel, domain) {
             return Ok(CheckOutcome::Improvable(imp));
@@ -970,7 +970,7 @@ pub fn resolve_jobs(requested: Option<usize>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::enumerate_repairs;
+    use crate::brute::enumerate_repairs_bounded;
     use crate::checker::{CcpChecker, GRepairChecker};
     use rpr_data::{Signature, Value};
     use rpr_fd::ConflictGraph;
@@ -1030,7 +1030,8 @@ mod tests {
     /// Candidate sets beyond repairs: inconsistent and non-maximal
     /// subsets, so witnesses of every flavor get compared.
     fn candidates(i: &Instance, cg: &ConflictGraph) -> Vec<FactSet> {
-        let mut out = enumerate_repairs(cg, 1 << 20).unwrap();
+        let mut out = enumerate_repairs_bounded(cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("repair enumeration");
         out.push(i.empty_set());
         out.push(i.full_set());
         out.push(i.set_of([FactId(0), FactId(1)]));
@@ -1108,7 +1109,9 @@ mod tests {
         let cg = ConflictGraph::new(&schema, &i);
         let pi = PrioritizedInstance::conflict_restricted(&schema, i.clone(), p).unwrap();
         let session = CheckSession::new(&schema, &pi).with_jobs(1);
-        let repair = enumerate_repairs(&cg, 1 << 20).unwrap()[0].clone();
+        let repair = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("repair enumeration")[0]
+            .clone();
         // 1 unit: the per-candidate charge consumes it, so the first
         // per-relation dispatch trips.
         let tight = Budget::unlimited().with_max_work(1);

@@ -8,7 +8,7 @@
 
 #![cfg(feature = "faults")]
 
-use rpr_core::{enumerate_repairs, Budget, CheckSession, ExceedReason, Outcome};
+use rpr_core::{enumerate_repairs_bounded, Budget, CheckSession, ExceedReason, Outcome};
 use rpr_data::{FactId, FactSet, Instance, Value};
 use rpr_engine::FaultPlan;
 use rpr_fd::Schema;
@@ -43,7 +43,8 @@ fn s4_input() -> (Schema, PrioritizedInstance) {
 /// All repairs of the instance — the batch of candidates to check.
 fn candidates(schema: &Schema, pi: &PrioritizedInstance) -> Vec<FactSet> {
     let cg = rpr_fd::ConflictGraph::new(schema, pi.instance());
-    enumerate_repairs(&cg, 1 << 20).unwrap()
+    enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+        .expect_done("repair enumeration")
 }
 
 fn baseline(session: &CheckSession<'_>, js: &[FactSet]) -> Vec<Outcome<rpr_core::CheckOutcome>> {

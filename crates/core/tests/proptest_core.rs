@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use rpr_core::{
-    check_global_1fd, enumerate_repairs, find_pareto_improvement, is_global_improvement,
-    is_globally_optimal_brute, is_pareto_improvement, Improvement,
+    check_global_1fd, enumerate_repairs_bounded, find_pareto_improvement, is_global_improvement,
+    is_globally_optimal_brute_bounded, is_pareto_improvement, Budget, Improvement,
 };
 use rpr_data::{FactId, FactSet, Instance, Signature, Value};
 use rpr_fd::{ConflictGraph, Schema};
@@ -59,7 +59,8 @@ proptest! {
     #[test]
     fn pareto_improvement_implies_global_improvement(inp in input()) {
         let cg = ConflictGraph::new(&inp.schema, &inp.instance);
-        let repairs = enumerate_repairs(&cg, 1 << 20).unwrap();
+        let repairs = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("repair enumeration");
         for j in &repairs {
             for j2 in &repairs {
                 if is_pareto_improvement(&inp.priority, j, j2) && j != j2 {
@@ -77,7 +78,8 @@ proptest! {
         // checkable part: irreflexivity and one-directionality for
         // singleton swaps.
         let cg = ConflictGraph::new(&inp.schema, &inp.instance);
-        let repairs = enumerate_repairs(&cg, 1 << 20).unwrap();
+        let repairs = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("repair enumeration");
         for j in &repairs {
             prop_assert!(!is_global_improvement(&inp.priority, j, j));
             prop_assert!(!is_pareto_improvement(&inp.priority, j, j));
@@ -88,7 +90,9 @@ proptest! {
     fn pareto_witness_validates_and_flags_match(inp in input()) {
         let cg = ConflictGraph::new(&inp.schema, &inp.instance);
         let full = FactSet::full(inp.instance.len());
-        for j in enumerate_repairs(&cg, 1 << 20).unwrap() {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("repair enumeration")
+        {
             match find_pareto_improvement(&cg, &inp.priority, &j, &full) {
                 Some(imp) => {
                     prop_assert!(imp.is_valid_global_improvement(&cg, &inp.priority, &j));
@@ -97,7 +101,10 @@ proptest! {
                 }
                 None => {
                     // No repair Pareto-improves it either.
-                    for r in enumerate_repairs(&cg, 1 << 20).unwrap() {
+                    for r in
+                        enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+                            .expect_done("repair enumeration")
+                    {
                         prop_assert!(!is_pareto_improvement(&inp.priority, &j, &r));
                     }
                 }
@@ -110,10 +117,18 @@ proptest! {
         let cg = ConflictGraph::new(&inp.schema, &inp.instance);
         let fd = inp.schema.fds()[0];
         let full = FactSet::full(inp.instance.len());
-        for j in enumerate_repairs(&cg, 1 << 20).unwrap() {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("repair enumeration")
+        {
             let fast = check_global_1fd(&inp.instance, &cg, &inp.priority, fd, &full, &j)
                 .is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &inp.priority, &j, 1 << 20).unwrap();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &inp.priority,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 20),
+            )
+            .expect_done("global oracle");
             prop_assert_eq!(fast, slow);
         }
     }
@@ -121,7 +136,8 @@ proptest! {
     #[test]
     fn improvement_apply_roundtrip(inp in input()) {
         let cg = ConflictGraph::new(&inp.schema, &inp.instance);
-        let repairs = enumerate_repairs(&cg, 1 << 20).unwrap();
+        let repairs = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("repair enumeration");
         for j in &repairs {
             for j2 in &repairs {
                 let imp = Improvement {

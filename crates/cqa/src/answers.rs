@@ -6,12 +6,13 @@
 //! `⋃ {q(J) : …}` — the preferred generalization of Arenas-Bertossi-
 //! Chomicki consistent answers that the paper's concluding remarks pose
 //! as the next classification problem. Repairs are enumerated by the
-//! oracles in `rpr-core` under an explicit budget.
+//! oracles in `rpr-core` under an engine [`Budget`], and every entry
+//! point returns an [`Outcome`].
 
 use crate::query::ConjunctiveQuery;
 use rpr_core::{
-    enumerate_repairs, enumerate_repairs_bounded, is_completion_optimal, is_global_improvement,
-    is_pareto_improvement, Budget, BudgetExceeded, CheckSession, Outcome,
+    enumerate_repairs_bounded, is_completion_optimal, is_global_improvement, is_pareto_improvement,
+    Budget, CheckSession, Outcome,
 };
 use rpr_data::{FactSet, Instance, Tuple};
 use rpr_fd::{ConflictGraph, ConflictRows, Schema};
@@ -72,42 +73,10 @@ impl std::str::FromStr for RepairSemantics {
     }
 }
 
-/// Enumerates the repairs of the chosen semantics.
-///
-/// # Errors
-/// [`BudgetExceeded`] if repair enumeration exceeds the budget.
-pub fn repairs_under(
-    semantics: RepairSemantics,
-    cg: &ConflictGraph,
-    priority: &PriorityRelation,
-    budget: usize,
-) -> Result<Vec<FactSet>, BudgetExceeded> {
-    let all = enumerate_repairs(cg, budget)?;
-    Ok(match semantics {
-        RepairSemantics::All => all,
-        RepairSemantics::Pareto => {
-            // J is Pareto-optimal iff no repair Pareto-improves it
-            // (improvements extend to repairs; see rpr-core::brute).
-            all.iter()
-                .filter(|j| !all.iter().any(|r| is_pareto_improvement(priority, j, r)))
-                .cloned()
-                .collect()
-        }
-        RepairSemantics::Global => all
-            .iter()
-            .filter(|j| !all.iter().any(|r| is_global_improvement(priority, j, r)))
-            .cloned()
-            .collect(),
-        RepairSemantics::Completion => {
-            all.into_iter().filter(|j| is_completion_optimal(cg, priority, j)).collect()
-        }
-    })
-}
-
 /// Enumerates the repairs of the chosen semantics under an engine
 /// [`Budget`] (deadline, shared work allowance, cooperative
-/// cancellation). Agrees with [`repairs_under`] when the budget does not
-/// trip.
+/// cancellation). The Pareto, global and completion filters charge one
+/// work unit per enumerated repair.
 ///
 /// Partial-result semantics on degradation:
 ///
@@ -191,8 +160,8 @@ fn filter_bounded(
 /// parallel) checker instead of the pairwise oracle scan; its partial
 /// is a sound confirmed-optimal subset. The others share the plain
 /// bounded path of [`repairs_under_bounded`]. Agrees with
-/// [`repairs_under`] on the session's conflict graph when the budget
-/// does not trip.
+/// [`repairs_under_bounded`] on the session's conflict graph when the
+/// budget does not trip.
 pub fn repairs_under_session_bounded(
     semantics: RepairSemantics,
     session: &CheckSession<'_>,
@@ -216,24 +185,7 @@ pub struct CqaAnswers {
 }
 
 /// Computes certain and possible answers of `query` on `(instance, ≻)`
-/// under the chosen repair semantics.
-///
-/// # Errors
-/// [`BudgetExceeded`] if repair enumeration exceeds the budget.
-pub fn answers(
-    schema: &Schema,
-    instance: &Instance,
-    priority: &PriorityRelation,
-    query: &ConjunctiveQuery,
-    semantics: RepairSemantics,
-    budget: usize,
-) -> Result<CqaAnswers, BudgetExceeded> {
-    let cg = ConflictGraph::new(schema, instance);
-    let repairs = repairs_under(semantics, &cg, priority, budget)?;
-    Ok(quantify(instance, query, &repairs))
-}
-
-/// Computes certain and possible answers under an engine [`Budget`].
+/// under the chosen repair semantics and an engine [`Budget`].
 ///
 /// On degradation the partial answers quantify over the partial repair
 /// set: `certain` is then an *upper bound* (more repairs can only
@@ -308,10 +260,14 @@ mod tests {
     fn semantics_shrink_the_repair_set() {
         let (schema, i, p) = setup();
         let cg = ConflictGraph::new(&schema, &i);
-        let all = repairs_under(RepairSemantics::All, &cg, &p, 1 << 20).unwrap();
-        let pareto = repairs_under(RepairSemantics::Pareto, &cg, &p, 1 << 20).unwrap();
-        let global = repairs_under(RepairSemantics::Global, &cg, &p, 1 << 20).unwrap();
-        let completion = repairs_under(RepairSemantics::Completion, &cg, &p, 1 << 20).unwrap();
+        let under = |sem| {
+            repairs_under_bounded(sem, &cg, &p, &Budget::unlimited().with_max_work(1 << 20))
+                .expect_done("repairs under a semantics")
+        };
+        let all = under(RepairSemantics::All);
+        let pareto = under(RepairSemantics::Pareto);
+        let global = under(RepairSemantics::Global);
+        let completion = under(RepairSemantics::Completion);
         assert_eq!(all.len(), 2);
         assert_eq!(pareto.len(), 1);
         assert_eq!(global.len(), 1);
@@ -330,12 +286,28 @@ mod tests {
         let (schema, i, p) = setup();
         // q(x) ← R(g1, x).
         let q = ConjunctiveQuery { head: vec![0], atoms: vec![atom(&i, "R", &["g1", "?0"])] };
-        let all = answers(&schema, &i, &p, &q, RepairSemantics::All, 1 << 20).unwrap();
+        let all = answers_bounded(
+            &schema,
+            &i,
+            &p,
+            &q,
+            RepairSemantics::All,
+            &Budget::unlimited().with_max_work(1 << 20),
+        )
+        .expect_done("all-repairs answers");
         // Under plain repairs, neither a nor b is certain.
         assert!(all.certain.is_empty());
         assert_eq!(all.possible.len(), 2);
         // Under globally-optimal repairs the preferred fact is certain.
-        let global = answers(&schema, &i, &p, &q, RepairSemantics::Global, 1 << 20).unwrap();
+        let global = answers_bounded(
+            &schema,
+            &i,
+            &p,
+            &q,
+            RepairSemantics::Global,
+            &Budget::unlimited().with_max_work(1 << 20),
+        )
+        .expect_done("global answers");
         assert_eq!(global.certain.len(), 1);
         assert!(global.certain.contains(&Tuple::new([Value::sym("a")])));
         assert_eq!(global.repair_count, 1);
@@ -346,31 +318,54 @@ mod tests {
         let (schema, i, p) = setup();
         // q() ← R(g1, b): possible under All, refuted under Global.
         let q = ConjunctiveQuery::boolean(vec![atom(&i, "R", &["g1", "b"])]);
-        let all = answers(&schema, &i, &p, &q, RepairSemantics::All, 1 << 20).unwrap();
+        let all = answers_bounded(
+            &schema,
+            &i,
+            &p,
+            &q,
+            RepairSemantics::All,
+            &Budget::unlimited().with_max_work(1 << 20),
+        )
+        .expect_done("all-repairs answers");
         assert!(all.certain.is_empty());
         assert!(!all.possible.is_empty());
-        let global = answers(&schema, &i, &p, &q, RepairSemantics::Global, 1 << 20).unwrap();
+        let global = answers_bounded(
+            &schema,
+            &i,
+            &p,
+            &q,
+            RepairSemantics::Global,
+            &Budget::unlimited().with_max_work(1 << 20),
+        )
+        .expect_done("global answers");
         assert!(global.possible.is_empty());
     }
 
     #[test]
-    fn bounded_agrees_with_legacy_under_unlimited_budgets() {
+    fn bounded_returns_pinned_values_under_unlimited_budgets() {
         let (schema, i, p) = setup();
         let cg = ConflictGraph::new(&schema, &i);
         let budget = Budget::unlimited();
+        // Repairs {a, c} and {b, c}, in enumeration order; a ≻ b leaves
+        // only {a, c} under every preferred semantics.
+        let ac = i.set_of([FactId(0), FactId(2)]);
+        let bc = i.set_of([FactId(1), FactId(2)]);
         for sem in RepairSemantics::ALL {
-            let legacy = repairs_under(sem, &cg, &p, 1 << 20).unwrap();
+            let expected = match sem {
+                RepairSemantics::All => vec![ac.clone(), bc.clone()],
+                _ => vec![ac.clone()],
+            };
             let bounded = repairs_under_bounded(sem, &cg, &p, &budget)
                 .expect_done("unlimited budget must finish");
-            assert_eq!(bounded, legacy, "semantics {sem}");
+            assert_eq!(bounded, expected, "semantics {sem}");
         }
         let q = ConjunctiveQuery { head: vec![0], atoms: vec![atom(&i, "R", &["g1", "?0"])] };
-        let legacy = answers(&schema, &i, &p, &q, RepairSemantics::Global, 1 << 20).unwrap();
         let bounded = answers_bounded(&schema, &i, &p, &q, RepairSemantics::Global, &budget)
             .expect_done("unlimited budget must finish");
-        assert_eq!(bounded.certain, legacy.certain);
-        assert_eq!(bounded.possible, legacy.possible);
-        assert_eq!(bounded.repair_count, legacy.repair_count);
+        let a: BTreeSet<Tuple> = [Tuple::new([Value::sym("a")])].into();
+        assert_eq!(bounded.certain, a);
+        assert_eq!(bounded.possible, a);
+        assert_eq!(bounded.repair_count, 1);
     }
 
     #[test]
@@ -401,7 +396,13 @@ mod tests {
         let budget = Budget::unlimited().with_max_work(2);
         match repairs_under_bounded(RepairSemantics::All, &cg, &p, &budget) {
             Outcome::Exceeded { partial: Some(prefix), .. } => {
-                let full = repairs_under(RepairSemantics::All, &cg, &p, 1 << 20).unwrap();
+                let full = repairs_under_bounded(
+                    RepairSemantics::All,
+                    &cg,
+                    &p,
+                    &Budget::unlimited().with_max_work(1 << 20),
+                )
+                .expect_done("full enumeration");
                 assert!(prefix.len() < full.len());
                 for j in &prefix {
                     assert!(full.contains(j), "partial members must be true repairs");
@@ -434,7 +435,15 @@ mod tests {
         let i = Instance::new(schema.signature().clone());
         let p = PriorityRelation::empty(0);
         let q = ConjunctiveQuery::boolean(vec![atom(&i, "R", &["g1", "?0"])]);
-        let res = answers(&schema, &i, &p, &q, RepairSemantics::All, 1024).unwrap();
+        let res = answers_bounded(
+            &schema,
+            &i,
+            &p,
+            &q,
+            RepairSemantics::All,
+            &Budget::unlimited().with_max_work(1024),
+        )
+        .expect_done("empty-instance answers");
         assert_eq!(res.repair_count, 1); // the empty repair
         assert!(res.certain.is_empty());
         assert!(res.possible.is_empty());

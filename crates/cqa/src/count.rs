@@ -5,10 +5,10 @@
 //! characterizing when exactly one exists — "the existence of precisely
 //! one repair implies that the constraints and priorities define an
 //! unambiguous cleaning of inconsistencies". These helpers answer both
-//! questions by enumeration (with budgets), which is the best known
-//! general tool.
+//! questions by enumeration under an engine [`Budget`], which is
+//! the best known general tool.
 
-use rpr_core::{globally_optimal_repairs, Budget, BudgetExceeded, CheckSession, Outcome};
+use rpr_core::{Budget, CheckSession, Outcome};
 use rpr_data::FactSet;
 use rpr_fd::ConflictGraph;
 use rpr_priority::PriorityRelation;
@@ -21,20 +21,8 @@ pub struct RepairSpace {
 }
 
 impl RepairSpace {
-    /// Computes the space by enumeration.
-    ///
-    /// # Errors
-    /// [`BudgetExceeded`] if enumeration exceeds the budget.
-    pub fn compute(
-        cg: &ConflictGraph,
-        priority: &PriorityRelation,
-        budget: usize,
-    ) -> Result<Self, BudgetExceeded> {
-        Ok(RepairSpace { optimal: globally_optimal_repairs(cg, priority, budget)? })
-    }
-
-    /// Computes the space under an engine [`Budget`] (deadline, shared
-    /// work allowance, cooperative cancellation).
+    /// Computes the space by enumeration under an engine [`Budget`]
+    /// (deadline, shared work allowance, cooperative cancellation).
     ///
     /// On degradation the partial space holds the repairs confirmed
     /// optimal so far — see
@@ -53,7 +41,7 @@ impl RepairSpace {
     /// engine [`Budget`]: the session's cached conflict graph drives the
     /// enumeration, and optimality is decided by its dispatched
     /// (parallel) checker rather than the pairwise oracle. Agrees with
-    /// [`RepairSpace::compute`] when the budget does not trip. The
+    /// [`RepairSpace::compute_bounded`] when the budget does not trip. The
     /// session variant confirms candidates one by one against the whole
     /// instance, so on degradation the partial space is a sound subset
     /// of the optimal repairs.
@@ -99,7 +87,9 @@ mod tests {
     #[test]
     fn total_priority_gives_unambiguous_cleaning() {
         let (cg, p) = setup(&[(0, 1), (1, 2), (0, 2)]);
-        let space = RepairSpace::compute(&cg, &p, 1 << 20).unwrap();
+        let space =
+            RepairSpace::compute_bounded(&cg, &p, &Budget::unlimited().with_max_work(1 << 20))
+                .expect_done("total priority");
         assert_eq!(space.count(), 1);
         let unique = space.unique().unwrap();
         assert!(unique.contains(FactId(0)));
@@ -108,7 +98,9 @@ mod tests {
     #[test]
     fn empty_priority_keeps_all_repairs_optimal() {
         let (cg, p) = setup(&[]);
-        let space = RepairSpace::compute(&cg, &p, 1 << 20).unwrap();
+        let space =
+            RepairSpace::compute_bounded(&cg, &p, &Budget::unlimited().with_max_work(1 << 20))
+                .expect_done("empty priority");
         assert_eq!(space.count(), 3);
         assert!(space.unique().is_none());
     }
@@ -116,19 +108,26 @@ mod tests {
     #[test]
     fn partial_priority_in_between() {
         let (cg, p) = setup(&[(0, 1)]);
-        let space = RepairSpace::compute(&cg, &p, 1 << 20).unwrap();
+        let space =
+            RepairSpace::compute_bounded(&cg, &p, &Budget::unlimited().with_max_work(1 << 20))
+                .expect_done("partial priority");
         assert_eq!(space.count(), 2); // {a} and {c}; {b} is improved by {a}
         assert!(space.unique().is_none());
     }
 
     #[test]
-    fn bounded_space_agrees_with_legacy_under_unlimited_budgets() {
+    fn bounded_space_returns_pinned_values_under_unlimited_budgets() {
         let (cg, p) = setup(&[(0, 1)]);
-        let legacy = RepairSpace::compute(&cg, &p, 1 << 20).unwrap();
         let budget = Budget::unlimited();
         let bounded = RepairSpace::compute_bounded(&cg, &p, &budget)
             .expect_done("unlimited budget must finish");
-        assert_eq!(bounded, legacy);
+        // {a} and {c}, in enumeration order; {b} is improved by {a}.
+        let one = |f| {
+            let mut set = FactSet::empty(3);
+            set.insert(FactId(f));
+            set
+        };
+        assert_eq!(bounded, RepairSpace { optimal: vec![one(0), one(2)] });
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! containment test (`⋃ᵢ qᵢ ⊑ ⋃ⱼ q′ⱼ` iff every `qᵢ` is contained in
 //! some `q′ⱼ`).
 
-use crate::answers::{repairs_under, repairs_under_bounded, RepairSemantics};
+use crate::answers::{repairs_under_bounded, RepairSemantics};
 use crate::homomorphism::is_contained_in;
 use crate::query::ConjunctiveQuery;
-use rpr_core::{Budget, BudgetExceeded, Outcome};
+use rpr_core::{Budget, Outcome};
 use rpr_data::{Instance, Tuple};
 use rpr_fd::{ConflictGraph, Schema};
 use rpr_priority::PriorityRelation;
@@ -101,27 +101,10 @@ impl UnionQuery {
     }
 }
 
-/// σ-certain and σ-possible answers of a UCQ over preferred repairs.
-///
-/// # Errors
-/// [`BudgetExceeded`] if repair enumeration exceeds the budget.
-pub fn ucq_answers(
-    schema: &Schema,
-    instance: &Instance,
-    priority: &PriorityRelation,
-    query: &UnionQuery,
-    semantics: RepairSemantics,
-    budget: usize,
-) -> Result<crate::answers::CqaAnswers, BudgetExceeded> {
-    let cg = ConflictGraph::new(schema, instance);
-    let repairs = repairs_under(semantics, &cg, priority, budget)?;
-    Ok(quantify_ucq(instance, query, &repairs))
-}
-
-/// σ-certain and σ-possible answers of a UCQ under an engine
-/// [`Budget`]. On degradation the partial answers quantify over the
-/// partial repair set — the same upper/lower-bound reading as
-/// [`answers_bounded`](crate::answers::answers_bounded).
+/// σ-certain and σ-possible answers of a UCQ over preferred repairs,
+/// under an engine [`Budget`]. On degradation the partial answers
+/// quantify over the partial repair set — the same upper/lower-bound
+/// reading as [`answers_bounded`](crate::answers::answers_bounded).
 pub fn ucq_answers_bounded(
     schema: &Schema,
     instance: &Instance,
@@ -250,17 +233,33 @@ mod tests {
             ConjunctiveQuery { head: vec![0], atoms: vec![atom(&i, "S", &["h", "?0"])] },
         ])
         .unwrap();
-        let all = ucq_answers(&schema, &i, &p, &u, RepairSemantics::All, 1 << 20).unwrap();
+        let all = ucq_answers_bounded(
+            &schema,
+            &i,
+            &p,
+            &u,
+            RepairSemantics::All,
+            &Budget::unlimited().with_max_work(1 << 20),
+        )
+        .expect_done("all-repairs answers");
         // c is certain (S has no conflicts); a/b only possible.
         assert_eq!(all.certain.len(), 1);
         assert_eq!(all.possible.len(), 3);
-        let global = ucq_answers(&schema, &i, &p, &u, RepairSemantics::Global, 1 << 20).unwrap();
+        let global = ucq_answers_bounded(
+            &schema,
+            &i,
+            &p,
+            &u,
+            RepairSemantics::Global,
+            &Budget::unlimited().with_max_work(1 << 20),
+        )
+        .expect_done("global answers");
         // Under the global semantics a becomes certain too.
         assert_eq!(global.certain.len(), 2);
     }
 
     #[test]
-    fn bounded_ucq_answers_agree_with_legacy() {
+    fn bounded_ucq_answers_return_pinned_values() {
         let i = instance();
         let schema = schema(&i);
         let p = PriorityRelation::new(i.len(), [(FactId(0), FactId(1))]).unwrap();
@@ -270,13 +269,21 @@ mod tests {
         ])
         .unwrap();
         let budget = Budget::unlimited();
+        let tuples = |xs: &[&str]| -> BTreeSet<Tuple> {
+            xs.iter().map(|x| Tuple::new([Value::sym(*x)])).collect()
+        };
         for sem in RepairSemantics::ALL {
-            let legacy = ucq_answers(&schema, &i, &p, &u, sem, 1 << 20).unwrap();
+            // Repairs {R(g,a), S(h,c)} and {R(g,b), S(h,c)}; the priority
+            // keeps only the first under every preferred semantics.
+            let (certain, possible, repair_count) = match sem {
+                RepairSemantics::All => (tuples(&["c"]), tuples(&["a", "b", "c"]), 2),
+                _ => (tuples(&["a", "c"]), tuples(&["a", "c"]), 1),
+            };
             let bounded = ucq_answers_bounded(&schema, &i, &p, &u, sem, &budget)
                 .expect_done("unlimited budget must finish");
-            assert_eq!(bounded.certain, legacy.certain, "semantics {sem}");
-            assert_eq!(bounded.possible, legacy.possible, "semantics {sem}");
-            assert_eq!(bounded.repair_count, legacy.repair_count, "semantics {sem}");
+            assert_eq!(bounded.certain, certain, "semantics {sem}");
+            assert_eq!(bounded.possible, possible, "semantics {sem}");
+            assert_eq!(bounded.repair_count, repair_count, "semantics {sem}");
         }
         let tight = Budget::unlimited().with_max_work(1);
         match ucq_answers_bounded(&schema, &i, &p, &u, RepairSemantics::All, &tight) {

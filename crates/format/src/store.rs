@@ -21,7 +21,6 @@
 //! ```
 
 use crate::format::Workspace;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rpr_data::{AttrSet, Fact, FactId, Instance, Signature, Tuple, Value};
 use rpr_fd::{Fd, Schema};
 use rpr_priority::{PriorityMode, PriorityRelation};
@@ -64,72 +63,86 @@ pub fn is_binary(data: &[u8]) -> bool {
     data.len() >= 4 && &data[..4] == MAGIC
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u16_le(s.len() as u16);
-    buf.put_slice(s.as_bytes());
+/// Writes a `u16` prefix, refusing an `n` that would not read back.
+fn put_u16(buf: &mut Vec<u8>, n: usize, what: &str) -> Result<(), StoreError> {
+    let n = u16::try_from(n)
+        .map_err(|_| StoreError::Invalid(format!("{what} {n} exceeds the u16 prefix")))?;
+    buf.extend_from_slice(&n.to_le_bytes());
+    Ok(())
 }
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
+fn put_str(buf: &mut Vec<u8>, s: &str, what: &str) -> Result<(), StoreError> {
+    put_u16(buf, s.len(), what)?;
+    buf.extend_from_slice(s.as_bytes());
+    Ok(())
+}
+
+fn put_value(buf: &mut Vec<u8>, v: &Value) -> Result<(), StoreError> {
     match v {
         Value::Int(n) => {
-            buf.put_u8(0);
-            buf.put_i64_le(*n);
+            buf.push(0);
+            buf.extend_from_slice(&n.to_le_bytes());
         }
         Value::Sym(s) => {
-            buf.put_u8(1);
-            put_str(buf, s);
+            buf.push(1);
+            put_str(buf, s, "symbol length")?;
         }
         Value::Pair(p) => {
-            buf.put_u8(2);
-            put_value(buf, &p.0);
-            put_value(buf, &p.1);
+            buf.push(2);
+            put_value(buf, &p.0)?;
+            put_value(buf, &p.1)?;
         }
     }
+    Ok(())
 }
 
 /// Encodes a workspace to bytes.
-pub fn encode(ws: &Workspace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1024 + ws.instance.len() * 32);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u8(match ws.mode {
+///
+/// # Errors
+/// [`StoreError::Invalid`] when a name or symbol is longer than 65 535
+/// bytes or there are more than 65 535 named repairs (`u16` prefixes).
+pub fn encode(ws: &Workspace) -> Result<Vec<u8>, StoreError> {
+    let mut buf = Vec::with_capacity(1024 + ws.instance.len() * 32);
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION);
+    buf.push(match ws.mode {
         PriorityMode::ConflictRestricted => 0,
         PriorityMode::CrossConflict => 1,
     });
     let sig = ws.schema.signature();
-    buf.put_u32_le(sig.len() as u32);
+    buf.extend_from_slice(&(sig.len() as u32).to_le_bytes());
     for (_, sym) in sig.iter() {
-        put_str(&mut buf, sym.name());
-        buf.put_u8(sym.arity() as u8);
+        put_str(&mut buf, sym.name(), "relation name length")?;
+        buf.push(sym.arity() as u8);
     }
-    buf.put_u32_le(ws.schema.fds().len() as u32);
+    buf.extend_from_slice(&(ws.schema.fds().len() as u32).to_le_bytes());
     for fd in ws.schema.fds() {
-        buf.put_u32_le(fd.rel.0);
-        buf.put_u64_le(fd.lhs.bits());
-        buf.put_u64_le(fd.rhs.bits());
+        buf.extend_from_slice(&fd.rel.0.to_le_bytes());
+        buf.extend_from_slice(&fd.lhs.bits().to_le_bytes());
+        buf.extend_from_slice(&fd.rhs.bits().to_le_bytes());
     }
-    buf.put_u32_le(ws.instance.len() as u32);
+    buf.extend_from_slice(&(ws.instance.len() as u32).to_le_bytes());
     for (_, fact) in ws.instance.iter() {
-        buf.put_u32_le(fact.rel().0);
+        buf.extend_from_slice(&fact.rel().0.to_le_bytes());
         for v in fact.tuple().values() {
-            put_value(&mut buf, v);
+            put_value(&mut buf, v)?;
         }
     }
     let edges = ws.priority.edges();
-    buf.put_u32_le(edges.len() as u32);
+    buf.extend_from_slice(&(edges.len() as u32).to_le_bytes());
     for &(a, b) in edges {
-        buf.put_u32_le(a.0);
-        buf.put_u32_le(b.0);
+        buf.extend_from_slice(&a.0.to_le_bytes());
+        buf.extend_from_slice(&b.0.to_le_bytes());
     }
-    buf.put_u16_le(ws.repairs.len() as u16);
+    put_u16(&mut buf, ws.repairs.len(), "repair count")?;
     for (name, set) in &ws.repairs {
-        put_str(&mut buf, name);
-        buf.put_u32_le(set.len() as u32);
+        put_str(&mut buf, name, "repair name length")?;
+        buf.extend_from_slice(&(set.len() as u32).to_le_bytes());
         for id in set.iter() {
-            buf.put_u32_le(id.0);
+            buf.extend_from_slice(&id.0.to_le_bytes());
         }
     }
-    buf.freeze()
+    Ok(buf)
 }
 
 struct Reader<'a> {
@@ -137,46 +150,30 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn need(&self, n: usize) -> Result<(), StoreError> {
-        if self.buf.remaining() < n {
-            Err(StoreError::Truncated)
-        } else {
-            Ok(())
-        }
+    /// The next `N` bytes, or [`StoreError::Truncated`].
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
+        let (head, rest) = self.buf.split_first_chunk().ok_or(StoreError::Truncated)?;
+        self.buf = rest;
+        Ok(*head)
     }
 
     fn u8(&mut self) -> Result<u8, StoreError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
+        Ok(self.array::<1>()?[0])
     }
 
     fn u16(&mut self) -> Result<u16, StoreError> {
-        self.need(2)?;
-        Ok(self.buf.get_u16_le())
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32, StoreError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
-    }
-
-    fn i64(&mut self) -> Result<i64, StoreError> {
-        self.need(8)?;
-        Ok(self.buf.get_i64_le())
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn string(&mut self) -> Result<String, StoreError> {
-        let len = self.u16()? as usize;
-        self.need(len)?;
-        let bytes = &self.buf[..len];
-        let s = std::str::from_utf8(bytes).map_err(|_| StoreError::BadUtf8)?.to_owned();
-        self.buf.advance(len);
-        Ok(s)
+        let len = usize::from(self.u16()?);
+        let (bytes, rest) = self.buf.split_at_checked(len).ok_or(StoreError::Truncated)?;
+        self.buf = rest;
+        Ok(std::str::from_utf8(bytes).map_err(|_| StoreError::BadUtf8)?.to_owned())
     }
 
     fn value(&mut self, depth: usize) -> Result<Value, StoreError> {
@@ -184,7 +181,7 @@ impl<'a> Reader<'a> {
             return Err(StoreError::Invalid("value nesting too deep".into()));
         }
         match self.u8()? {
-            0 => Ok(Value::Int(self.i64()?)),
+            0 => Ok(Value::Int(i64::from_le_bytes(self.array()?))),
             1 => Ok(Value::sym(self.string()?)),
             2 => {
                 let a = self.value(depth + 1)?;
@@ -202,11 +199,9 @@ impl<'a> Reader<'a> {
 /// [`StoreError`] on any structural or semantic problem.
 pub fn decode(data: &[u8]) -> Result<Workspace, StoreError> {
     let mut r = Reader { buf: data };
-    r.need(4)?;
-    if &r.buf[..4] != MAGIC {
+    if r.array()? != *MAGIC {
         return Err(StoreError::BadMagic);
     }
-    r.buf.advance(4);
     let version = r.u8()?;
     if version != VERSION {
         return Err(StoreError::BadVersion(version));
@@ -240,8 +235,8 @@ pub fn decode(data: &[u8]) -> Result<Workspace, StoreError> {
         if rel.index() >= sig.len() {
             return Err(StoreError::Invalid("FD over unknown relation".into()));
         }
-        let lhs = AttrSet::from_bits(r.u64()?);
-        let rhs = AttrSet::from_bits(r.u64()?);
+        let lhs = AttrSet::from_bits(u64::from_le_bytes(r.array()?));
+        let rhs = AttrSet::from_bits(u64::from_le_bytes(r.array()?));
         fds.push(Fd::new(rel, lhs, rhs));
     }
     let schema = Schema::new(sig.clone(), fds).map_err(|e| StoreError::Invalid(e.to_string()))?;
@@ -325,7 +320,7 @@ repair best: R(a, 2); S(x, y, 0)
     #[test]
     fn roundtrip_preserves_everything() {
         let ws = sample();
-        let bytes = encode(&ws);
+        let bytes = encode(&ws).unwrap();
         assert!(is_binary(&bytes));
         let back = decode(&bytes).unwrap();
         assert_eq!(back.instance.len(), ws.instance.len());
@@ -358,13 +353,13 @@ repair best: R(a, 2); S(x, y, 0)
         // Re-size the priority/repairs to the grown instance.
         ws.priority = PriorityRelation::empty(ws.instance.len());
         ws.repairs.clear();
-        let back = decode(&encode(&ws)).unwrap();
+        let back = decode(&encode(&ws).unwrap()).unwrap();
         assert!(back.instance.contains(&fact));
     }
 
     #[test]
     fn truncation_at_every_prefix_is_an_error_not_a_panic() {
-        let bytes = encode(&sample());
+        let bytes = encode(&sample()).unwrap();
         for cut in 0..bytes.len() {
             let res = decode(&bytes[..cut]);
             assert!(res.is_err(), "prefix of length {cut} must fail cleanly");
@@ -373,7 +368,7 @@ repair best: R(a, 2); S(x, y, 0)
 
     #[test]
     fn corrupted_headers_are_rejected() {
-        let bytes = encode(&sample());
+        let bytes = encode(&sample()).unwrap();
         let mut bad = bytes.to_vec();
         bad[0] = b'X';
         assert_eq!(decode(&bad).unwrap_err(), StoreError::BadMagic);
@@ -390,13 +385,35 @@ repair best: R(a, 2); S(x, y, 0)
         // Fuzz-lite: flip each byte in turn; decoding must return
         // (any) Result, never panic, and successful decodes must be
         // internally consistent.
-        let bytes = encode(&sample());
+        let bytes = encode(&sample()).unwrap();
         for i in 0..bytes.len() {
             let mut mutated = bytes.to_vec();
             mutated[i] ^= 0xFF;
             if let Ok(ws) = decode(&mutated) {
                 assert_eq!(ws.priority.len(), ws.instance.len());
             }
+        }
+    }
+
+    #[test]
+    fn longest_symbol_round_trips() {
+        let long = "s".repeat(usize::from(u16::MAX));
+        let ws = parse_workspace(&format!("relation R/1\nfact R({long})\n")).unwrap();
+        let back = decode(&encode(&ws).unwrap()).unwrap();
+        let fact = back.instance.iter().next().unwrap().1;
+        assert_eq!(fact.tuple().values()[0], Value::sym(long));
+    }
+
+    #[test]
+    fn over_long_strings_are_refused_not_truncated() {
+        let long = "s".repeat(usize::from(u16::MAX) + 1);
+        for text in [
+            format!("relation R/1\nfact R({long})\n"),
+            format!("relation {long}/1\nfact {long}(a)\n"),
+            format!("relation R/1\nfact R(a)\nrepair {long}: R(a)\n"),
+        ] {
+            let ws = parse_workspace(&text).unwrap();
+            assert!(matches!(encode(&ws), Err(StoreError::Invalid(_))));
         }
     }
 

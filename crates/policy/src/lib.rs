@@ -274,7 +274,7 @@ impl Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpr_core::{construct_globally_optimal_repair, is_globally_optimal_brute};
+    use rpr_core::{construct_globally_optimal_repair, is_globally_optimal_brute_bounded, Budget};
     use rpr_data::Signature;
 
     fn schema_and_instance() -> (Schema, Instance) {
@@ -319,8 +319,19 @@ mod tests {
         // Total policies yield unambiguous cleanings.
         let cg = ConflictGraph::new(&schema, &i);
         let j = construct_globally_optimal_repair(&cg, &p);
-        assert!(is_globally_optimal_brute(&cg, &p, &j, 1 << 20).unwrap());
-        let all = rpr_core::globally_optimal_repairs(&cg, &p, 1 << 20).unwrap();
+        assert!(is_globally_optimal_brute_bounded(
+            &cg,
+            &p,
+            &j,
+            &Budget::unlimited().with_max_work(1 << 20)
+        )
+        .expect_done("global oracle"));
+        let all = rpr_core::globally_optimal_repairs_bounded(
+            &cg,
+            &p,
+            &Budget::unlimited().with_max_work(1 << 20),
+        )
+        .expect_done("optimal repairs");
         assert_eq!(all.len(), 1, "total policy ⇒ exactly one optimal repair");
     }
 

@@ -142,7 +142,7 @@ mod tests {
     use crate::pi::{check_injective, check_preserves_consistency, map_input};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use rpr_core::{enumerate_repairs, is_globally_optimal_brute};
+    use rpr_core::{enumerate_repairs_bounded, is_globally_optimal_brute_bounded, Budget};
     use rpr_data::{FactId, Instance};
     use rpr_fd::ConflictGraph;
     use rpr_priority::{PrioritizedInstance, PriorityRelation};
@@ -245,12 +245,25 @@ mod tests {
         .unwrap();
 
         let src_cg = ConflictGraph::new(pi.source_schema(), &instance);
-        for j in enumerate_repairs(&src_cg, 1 << 20).unwrap() {
+        for j in enumerate_repairs_bounded(&src_cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("repair enumeration")
+        {
             let (mapped, j2) = map_input(&pi, &input, &j);
             let dst_cg = ConflictGraph::new(pi.target_schema(), mapped.instance());
-            let src_ans = is_globally_optimal_brute(&src_cg, &priority, &j, 1 << 20).unwrap();
-            let dst_ans =
-                is_globally_optimal_brute(&dst_cg, mapped.priority(), &j2, 1 << 20).unwrap();
+            let src_ans = is_globally_optimal_brute_bounded(
+                &src_cg,
+                &priority,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 20),
+            )
+            .expect_done("global oracle");
+            let dst_ans = is_globally_optimal_brute_bounded(
+                &dst_cg,
+                mapped.priority(),
+                &j2,
+                &Budget::unlimited().with_max_work(1 << 20),
+            )
+            .expect_done("global oracle");
             assert_eq!(src_ans, dst_ans, "reduction changed the answer on {j:?}");
         }
     }

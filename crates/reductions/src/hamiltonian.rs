@@ -202,7 +202,9 @@ pub fn hamiltonian_input_for_keys(
 mod tests {
     use super::*;
     use crate::pi::FactMapping;
-    use rpr_core::{check_global_exact, is_global_improvement, CheckOutcome, Improvement};
+    use rpr_core::{
+        check_global_exact_bounded, is_global_improvement, Budget, CheckOutcome, Improvement,
+    };
     use rpr_fd::ConflictGraph;
 
     fn build(graph: &UGraph) -> (HamiltonianGadget, ConflictGraph) {
@@ -237,14 +239,14 @@ mod tests {
         let mut graph = UGraph::new(2);
         graph.add_edge(0, 1);
         let (g, cg) = build(&graph);
-        let outcome = check_global_exact(
+        let outcome = check_global_exact_bounded(
             &cg,
             g.prioritized.priority(),
             &g.prioritized.instance().full_set(),
             &g.j,
-            1 << 24,
+            &Budget::unlimited().with_max_work(1 << 24),
         )
-        .unwrap();
+        .expect_done("exact search");
         match outcome {
             CheckOutcome::Improvable(imp) => {
                 assert!(imp.is_valid_global_improvement(&cg, g.prioritized.priority(), &g.j));
@@ -258,14 +260,14 @@ mod tests {
         // Two isolated vertices: no HC ⇒ J is globally optimal.
         let graph = UGraph::new(2);
         let (g, cg) = build(&graph);
-        let outcome = check_global_exact(
+        let outcome = check_global_exact_bounded(
             &cg,
             g.prioritized.priority(),
             &g.prioritized.instance().full_set(),
             &g.j,
-            1 << 24,
+            &Budget::unlimited().with_max_work(1 << 24),
         )
-        .unwrap();
+        .expect_done("exact search");
         assert!(outcome.is_optimal(), "J must be globally optimal for non-Hamiltonian G");
     }
 
@@ -287,14 +289,14 @@ mod tests {
         ] {
             let (pi, mapped, j) = hamiltonian_input_for_keys(&graph, "T", 4, &keys).unwrap();
             let cg = ConflictGraph::new(pi.target_schema(), mapped.instance());
-            let outcome = check_global_exact(
+            let outcome = check_global_exact_bounded(
                 &cg,
                 mapped.priority(),
                 &mapped.instance().full_set(),
                 &j,
-                1 << 26,
+                &Budget::unlimited().with_max_work(1 << 26),
             )
-            .unwrap();
+            .expect_done("exact search");
             assert_eq!(!outcome.is_optimal(), expect_hc);
         }
     }

@@ -4,7 +4,9 @@
 //!
 //! Run with `cargo run --example cleaning_policy`.
 
-use preferred_repairs::core::{construct_globally_optimal_repair, globally_optimal_repairs};
+use preferred_repairs::core::{
+    construct_globally_optimal_repair, globally_optimal_repairs_bounded,
+};
 use preferred_repairs::policy::{Policy, PriorityScope};
 use preferred_repairs::prelude::*;
 
@@ -47,7 +49,12 @@ fn main() {
     println!("\ncleaned table: {}", instance.render_set(&cleaned));
 
     // A total-per-conflict policy yields an unambiguous cleaning.
-    let all = globally_optimal_repairs(&cg, &priority, 1 << 22).unwrap();
+    let all = globally_optimal_repairs_bounded(
+        &cg,
+        &priority,
+        &Budget::unlimited().with_max_work(1 << 22),
+    )
+    .expect_done("optimal repairs");
     println!("globally-optimal repairs: {} (unambiguous: {})", all.len(), all.len() == 1);
     assert_eq!(all, vec![cleaned]);
 

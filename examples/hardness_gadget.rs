@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release --example hardness_gadget`.
 
-use preferred_repairs::core::check_global_exact;
+use preferred_repairs::core::check_global_exact_bounded;
 use preferred_repairs::prelude::*;
 use preferred_repairs::reductions::{
     hamiltonian_gadget, improvement_from_cycle, map_input, CaseOneMapping, UGraph,
@@ -23,14 +23,14 @@ fn check_graph(name: &str, graph: &UGraph) {
         gadget.j.len()
     );
     let expected = graph.is_hamiltonian();
-    match check_global_exact(
+    match check_global_exact_bounded(
         &cg,
         gadget.prioritized.priority(),
         &instance.full_set(),
         &gadget.j,
-        1 << 26,
+        &Budget::unlimited().with_max_work(1 << 26),
     ) {
-        Ok(outcome) => {
+        Outcome::Done(outcome) => {
             let hamiltonian = !outcome.is_optimal();
             println!(
                 "  exact checker: J globally-optimal = {} ⇒ G Hamiltonian = {hamiltonian} (solver says {expected})",
@@ -38,7 +38,10 @@ fn check_graph(name: &str, graph: &UGraph) {
             );
             assert_eq!(hamiltonian, expected, "gadget must agree with the HC solver");
         }
-        Err(e) => println!("  exact checker hit its budget ({e}) — the coNP wall in person"),
+        Outcome::Exceeded { report, .. } => {
+            println!("  exact checker hit its budget ({report}) — the coNP wall in person")
+        }
+        other => unreachable!("a work-only budget can only trip: {other:?}"),
     }
 }
 
@@ -77,9 +80,14 @@ fn main() {
     use preferred_repairs::reductions::FactMapping;
     let (mapped, j2) = map_input(&pi_map, &gadget.prioritized, &gadget.j);
     let dst_cg = ConflictGraph::new(pi_map.target_schema(), mapped.instance());
-    let outcome =
-        check_global_exact(&dst_cg, mapped.priority(), &mapped.instance().full_set(), &j2, 1 << 26)
-            .unwrap();
+    let outcome = check_global_exact_bounded(
+        &dst_cg,
+        mapped.priority(),
+        &mapped.instance().full_set(),
+        &j2,
+        &Budget::unlimited().with_max_work(1 << 26),
+    )
+    .expect_done("exact search");
     println!(
         "\nCase-1 Π into keys {{1,2}},{{2,3}},{{3,4}} over arity 5: mapped J globally-optimal = {} (graph Hamiltonian = {})",
         outcome.is_optimal(),

@@ -3,7 +3,9 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use preferred_repairs::core::{enumerate_repairs, globally_optimal_repairs, is_pareto_optimal};
+use preferred_repairs::core::{
+    enumerate_repairs_bounded, globally_optimal_repairs_bounded, is_pareto_optimal,
+};
 use preferred_repairs::prelude::*;
 
 fn main() {
@@ -50,7 +52,9 @@ fn main() {
     let cg = ConflictGraph::new(&schema, &instance);
     let checker = GRepairChecker::new(schema.clone());
     println!("\nrepairs and their status:");
-    for j in enumerate_repairs(&cg, 1 << 20).unwrap() {
+    for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+        .expect_done("repair enumeration")
+    {
         let outcome = checker.check(&pi, &j);
         println!(
             "  {}  globally-optimal: {}  pareto-optimal: {}",
@@ -69,7 +73,12 @@ fn main() {
 
     // With a total preference per conflict, the cleaning is
     // unambiguous: exactly one globally-optimal repair.
-    let optimal = globally_optimal_repairs(&cg, &priority, 1 << 20).unwrap();
+    let optimal = globally_optimal_repairs_bounded(
+        &cg,
+        &priority,
+        &Budget::unlimited().with_max_work(1 << 20),
+    )
+    .expect_done("optimal repairs");
     println!("\nglobally-optimal repairs: {}", optimal.len());
     for j in &optimal {
         println!("  {}", instance.render_set(j));

@@ -11,7 +11,7 @@
 //!
 //! Run with `cargo run --example source_reliability`.
 
-use preferred_repairs::core::enumerate_repairs;
+use preferred_repairs::core::enumerate_repairs_bounded;
 use preferred_repairs::prelude::*;
 
 fn main() {
@@ -62,7 +62,9 @@ fn main() {
 
     let cg = ConflictGraph::new(&schema, &instance);
     println!("\nrepairs:");
-    for j in enumerate_repairs(&cg, 1 << 20).unwrap() {
+    for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+        .expect_done("repair enumeration")
+    {
         let outcome = checker.check(&pi, &j);
         println!("  {}  globally-optimal: {}", instance.render_set(&j), outcome.is_optimal());
         if let CheckOutcome::Improvable(imp) = outcome {

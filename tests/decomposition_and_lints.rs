@@ -8,8 +8,8 @@
 //! * the polynomial constructor always lands inside every semantics.
 
 use preferred_repairs::core::{
-    construct_globally_optimal_repair, is_completion_optimal, is_globally_optimal_brute,
-    is_pareto_optimal,
+    construct_globally_optimal_repair, is_completion_optimal, is_globally_optimal_brute_bounded,
+    is_pareto_optimal, Budget,
 };
 use preferred_repairs::data::{FactId, Instance, RelId, Signature, Value};
 use preferred_repairs::fd::{as_key_set, is_bcnf, ConflictGraph, Schema};
@@ -37,8 +37,19 @@ fn proposition_3_5_decomposition() {
         }
         let cg = ConflictGraph::new(&schema, &instance);
         let priority = random_conflict_priority(&cg, 0.6, &mut rng);
-        for j in preferred_repairs::core::enumerate_repairs(&cg, 1 << 20).unwrap() {
-            let whole = is_globally_optimal_brute(&cg, &priority, &j, 1 << 20).unwrap();
+        for j in preferred_repairs::core::enumerate_repairs_bounded(
+            &cg,
+            &Budget::unlimited().with_max_work(1 << 20),
+        )
+        .expect_done("repair enumeration")
+        {
+            let whole = is_globally_optimal_brute_bounded(
+                &cg,
+                &priority,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 20),
+            )
+            .expect_done("global oracle");
             // Per-relation: restrict J and check against the oracle
             // with candidates limited to the relation's facts. Build a
             // sub-instance per relation.
@@ -73,7 +84,15 @@ fn proposition_3_5_decomposition() {
                 let sub_p =
                     preferred_repairs::priority::PriorityRelation::new(sub.len(), sub_edges)
                         .unwrap();
-                parts.push(is_globally_optimal_brute(&sub_cg, &sub_p, &sub_j, 1 << 20).unwrap());
+                parts.push(
+                    is_globally_optimal_brute_bounded(
+                        &sub_cg,
+                        &sub_p,
+                        &sub_j,
+                        &Budget::unlimited().with_max_work(1 << 20),
+                    )
+                    .expect_done("global oracle"),
+                );
             }
             assert_eq!(
                 whole,
@@ -128,7 +147,13 @@ fn constructor_lands_in_all_three_semantics() {
         let priority = random_conflict_priority(&cg, 0.7, &mut rng);
         let j = construct_globally_optimal_repair(&cg, &priority);
         assert!(cg.is_repair(&j));
-        assert!(is_globally_optimal_brute(&cg, &priority, &j, 1 << 22).unwrap());
+        assert!(is_globally_optimal_brute_bounded(
+            &cg,
+            &priority,
+            &j,
+            &Budget::unlimited().with_max_work(1 << 22)
+        )
+        .expect_done("global oracle"));
         assert!(is_pareto_optimal(&cg, &priority, &j));
         assert!(is_completion_optimal(&cg, &priority, &j));
     }

@@ -4,9 +4,9 @@
 //! tests for Theorem 3.1's tractable side and §7's algorithms.
 
 use preferred_repairs::core::{
-    check_global_ccp_const, check_global_ccp_pk, enumerate_repairs, is_completion_optimal,
-    is_completion_optimal_brute, is_globally_optimal_brute, is_pareto_optimal,
-    is_pareto_optimal_brute, GRepairChecker,
+    check_global_ccp_const, check_global_ccp_pk, enumerate_repairs_bounded, is_completion_optimal,
+    is_completion_optimal_brute, is_globally_optimal_brute_bounded, is_pareto_optimal,
+    is_pareto_optimal_brute, Budget, GRepairChecker,
 };
 use preferred_repairs::data::AttrSet;
 use preferred_repairs::fd::ConflictGraph;
@@ -18,7 +18,7 @@ use preferred_repairs::priority::PrioritizedInstance;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const REPAIR_BUDGET: usize = 1 << 22;
+const REPAIR_BUDGET: u64 = 1 << 22;
 
 #[test]
 fn single_fd_checker_vs_oracle_randomized() {
@@ -34,9 +34,17 @@ fn single_fd_checker_vs_oracle_randomized() {
         let pi =
             PrioritizedInstance::conflict_restricted(&schema, instance.clone(), priority.clone())
                 .unwrap();
-        for j in enumerate_repairs(&cg, REPAIR_BUDGET).unwrap() {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(REPAIR_BUDGET))
+            .expect_done("repair enumeration")
+        {
             let fast = checker.check(&pi, &j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &priority, &j, REPAIR_BUDGET).unwrap();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &priority,
+                &j,
+                &Budget::unlimited().with_max_work(REPAIR_BUDGET),
+            )
+            .expect_done("global oracle");
             assert_eq!(fast, slow, "seed {seed}, J = {}", instance.render_set(&j));
             checked += 1;
         }
@@ -58,9 +66,17 @@ fn two_keys_checker_vs_oracle_randomized() {
         let pi =
             PrioritizedInstance::conflict_restricted(&schema, instance.clone(), priority.clone())
                 .unwrap();
-        for j in enumerate_repairs(&cg, REPAIR_BUDGET).unwrap() {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(REPAIR_BUDGET))
+            .expect_done("repair enumeration")
+        {
             let fast = checker.check(&pi, &j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &priority, &j, REPAIR_BUDGET).unwrap();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &priority,
+                &j,
+                &Budget::unlimited().with_max_work(REPAIR_BUDGET),
+            )
+            .expect_done("global oracle");
             assert_eq!(fast, slow, "seed {seed}, J = {}", instance.render_set(&j));
             checked += 1;
         }
@@ -82,9 +98,17 @@ fn generalized_two_keys_with_overlap_vs_oracle() {
         let pi =
             PrioritizedInstance::conflict_restricted(&schema, instance.clone(), priority.clone())
                 .unwrap();
-        for j in enumerate_repairs(&cg, REPAIR_BUDGET).unwrap() {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(REPAIR_BUDGET))
+            .expect_done("repair enumeration")
+        {
             let fast = checker.check(&pi, &j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &priority, &j, REPAIR_BUDGET).unwrap();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &priority,
+                &j,
+                &Budget::unlimited().with_max_work(REPAIR_BUDGET),
+            )
+            .expect_done("global oracle");
             assert_eq!(fast, slow, "seed {seed}, J = {}", instance.render_set(&j));
         }
     }
@@ -99,10 +123,18 @@ fn pareto_checker_vs_oracle_randomized() {
             random_instance(&schema, InstanceSpec { facts_per_relation: 9, domain: 3 }, &mut rng);
         let cg = ConflictGraph::new(&schema, &instance);
         let priority = random_conflict_priority(&cg, 0.5, &mut rng);
-        for j in enumerate_repairs(&cg, REPAIR_BUDGET).unwrap() {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(REPAIR_BUDGET))
+            .expect_done("repair enumeration")
+        {
             assert_eq!(
                 is_pareto_optimal(&cg, &priority, &j),
-                is_pareto_optimal_brute(&cg, &priority, &j, REPAIR_BUDGET).unwrap(),
+                is_pareto_optimal_brute(
+                    &cg,
+                    &priority,
+                    &j,
+                    &Budget::unlimited().with_max_work(REPAIR_BUDGET)
+                )
+                .expect_done("pareto oracle"),
                 "seed {seed}"
             );
         }
@@ -123,7 +155,9 @@ fn completion_checker_vs_completion_enumeration_randomized() {
             continue;
         }
         let priority = random_conflict_priority(&cg, 0.4, &mut rng);
-        for j in enumerate_repairs(&cg, REPAIR_BUDGET).unwrap() {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(REPAIR_BUDGET))
+            .expect_done("repair enumeration")
+        {
             let fast = is_completion_optimal(&cg, &priority, &j);
             let slow = is_completion_optimal_brute(&cg, &priority, &j, 1 << 20).unwrap();
             assert_eq!(fast, slow, "seed {seed}, J = {}", instance.render_set(&j));
@@ -142,9 +176,17 @@ fn ccp_primary_key_vs_oracle_randomized() {
             random_instance(&schema, InstanceSpec { facts_per_relation: 8, domain: 3 }, &mut rng);
         let cg = ConflictGraph::new(&schema, &instance);
         let priority = random_ccp_priority(&cg, 0.5, 8, &mut rng);
-        for j in enumerate_repairs(&cg, REPAIR_BUDGET).unwrap() {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(REPAIR_BUDGET))
+            .expect_done("repair enumeration")
+        {
             let fast = check_global_ccp_pk(&cg, &priority, &j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &priority, &j, REPAIR_BUDGET).unwrap();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &priority,
+                &j,
+                &Budget::unlimited().with_max_work(REPAIR_BUDGET),
+            )
+            .expect_done("global oracle");
             assert_eq!(fast, slow, "seed {seed}, J = {}", instance.render_set(&j));
         }
     }
@@ -165,9 +207,17 @@ fn ccp_constant_attribute_vs_oracle_randomized() {
             random_instance(&schema, InstanceSpec { facts_per_relation: 5, domain: 3 }, &mut rng);
         let cg = ConflictGraph::new(&schema, &instance);
         let priority = random_ccp_priority(&cg, 0.5, 6, &mut rng);
-        for j in enumerate_repairs(&cg, REPAIR_BUDGET).unwrap() {
+        for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(REPAIR_BUDGET))
+            .expect_done("repair enumeration")
+        {
             let fast = check_global_ccp_const(&instance, &cg, &priority, &consts, &j).is_optimal();
-            let slow = is_globally_optimal_brute(&cg, &priority, &j, REPAIR_BUDGET).unwrap();
+            let slow = is_globally_optimal_brute_bounded(
+                &cg,
+                &priority,
+                &j,
+                &Budget::unlimited().with_max_work(REPAIR_BUDGET),
+            )
+            .expect_done("global oracle");
             assert_eq!(fast, slow, "seed {seed}, J = {}", instance.render_set(&j));
         }
     }

@@ -3,9 +3,9 @@
 //! and mode misuse.
 
 use preferred_repairs::core::{
-    check_global_exact, count_globally_optimal_repairs, enumerate_repairs,
-    find_global_improvement_brute, is_completion_optimal_brute, Budget, CcpChecker, CheckOutcome,
-    GRepairChecker, Outcome,
+    check_global_exact_bounded, count_globally_optimal_repairs_bounded, enumerate_repairs_bounded,
+    find_global_improvement_brute_bounded, is_completion_optimal_brute, Budget, CcpChecker,
+    CheckOutcome, GRepairChecker, Outcome,
 };
 use preferred_repairs::data::{AttrSet, Instance, Signature, Value, MAX_ARITY};
 use preferred_repairs::fd::{closure, ConflictGraph, Fd, Schema};
@@ -34,13 +34,31 @@ fn every_budgeted_api_respects_its_budget() {
     let p = PriorityRelation::empty(i.len());
     let j = cg.extend_to_repair(&i.empty_set());
 
-    assert!(enumerate_repairs(&cg, 3).is_err());
-    assert!(find_global_improvement_brute(&cg, &p, &j, 3).is_err());
-    assert!(count_globally_optimal_repairs(&cg, &p, 3).is_err());
-    assert!(check_global_exact(&cg, &p, &i.full_set(), &j, 3).is_err());
+    assert!(matches!(
+        enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(3)),
+        Outcome::Exceeded { .. }
+    ));
+    assert!(matches!(
+        find_global_improvement_brute_bounded(&cg, &p, &j, &Budget::unlimited().with_max_work(3)),
+        Outcome::Exceeded { .. }
+    ));
+    assert!(matches!(
+        count_globally_optimal_repairs_bounded(&cg, &p, &Budget::unlimited().with_max_work(3)),
+        Outcome::Exceeded { .. }
+    ));
+    assert!(matches!(
+        check_global_exact_bounded(
+            &cg,
+            &p,
+            &i.full_set(),
+            &j,
+            &Budget::unlimited().with_max_work(3)
+        ),
+        Outcome::Exceeded { .. }
+    ));
     assert!(is_completion_optimal_brute(&cg, &p, &j, 1).is_err());
     // …and with generous budgets they all succeed.
-    assert!(enumerate_repairs(&cg, 1 << 26).is_ok());
+    assert!(enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 26)).is_done());
 }
 
 #[test]

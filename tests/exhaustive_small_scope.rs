@@ -6,8 +6,8 @@
 
 use preferred_repairs::core::{
     check_global_1fd, check_global_2keys, check_global_ccp_pk, is_completion_optimal,
-    is_completion_optimal_brute, is_globally_optimal_brute, is_pareto_optimal,
-    is_pareto_optimal_brute,
+    is_completion_optimal_brute, is_globally_optimal_brute_bounded, is_pareto_optimal,
+    is_pareto_optimal_brute, Budget,
 };
 use preferred_repairs::data::{AttrSet, FactId, FactSet, Instance, Signature, Value};
 use preferred_repairs::fd::{ConflictGraph, Schema};
@@ -71,11 +71,21 @@ fn run_exhaustive(
         if pairs.len() > 4 {
             continue; // keep 3^p bounded; densest instances are covered below 5 pairs
         }
-        let repairs = preferred_repairs::core::enumerate_repairs(&cg, 1 << 20).unwrap();
+        let repairs = preferred_repairs::core::enumerate_repairs_bounded(
+            &cg,
+            &Budget::unlimited().with_max_work(1 << 20),
+        )
+        .expect_done("repair enumeration");
         priority_assignments(instance.len(), &pairs, |p| {
             for j in &repairs {
                 let fast = check(&instance, &cg, p, j);
-                let slow = is_globally_optimal_brute(&cg, p, j, 1 << 20).unwrap();
+                let slow = is_globally_optimal_brute_bounded(
+                    &cg,
+                    p,
+                    j,
+                    &Budget::unlimited().with_max_work(1 << 20),
+                )
+                .expect_done("global oracle");
                 assert_eq!(
                     fast,
                     slow,
@@ -137,11 +147,21 @@ fn ccp_primary_key_exhaustive_small_scope() {
             }
         }
         let cg = ConflictGraph::new(&schema, &instance);
-        let repairs = preferred_repairs::core::enumerate_repairs(&cg, 1 << 20).unwrap();
+        let repairs = preferred_repairs::core::enumerate_repairs_bounded(
+            &cg,
+            &Budget::unlimited().with_max_work(1 << 20),
+        )
+        .expect_done("repair enumeration");
         priority_assignments(n, &all_pairs, |p| {
             for j in &repairs {
                 let fast = check_global_ccp_pk(&cg, p, j).is_optimal();
-                let slow = is_globally_optimal_brute(&cg, p, j, 1 << 20).unwrap();
+                let slow = is_globally_optimal_brute_bounded(
+                    &cg,
+                    p,
+                    j,
+                    &Budget::unlimited().with_max_work(1 << 20),
+                )
+                .expect_done("global oracle");
                 assert_eq!(fast, slow, "ccp mismatch on {}", instance.render_set(j));
                 checked += 1;
             }
@@ -168,12 +188,17 @@ fn pareto_and_completion_exhaustive_small_scope() {
         if pairs.len() > 3 {
             continue;
         }
-        let repairs = preferred_repairs::core::enumerate_repairs(&cg, 1 << 20).unwrap();
+        let repairs = preferred_repairs::core::enumerate_repairs_bounded(
+            &cg,
+            &Budget::unlimited().with_max_work(1 << 20),
+        )
+        .expect_done("repair enumeration");
         priority_assignments(instance.len(), &pairs, |p| {
             for j in &repairs {
                 assert_eq!(
                     is_pareto_optimal(&cg, p, j),
-                    is_pareto_optimal_brute(&cg, p, j, 1 << 20).unwrap()
+                    is_pareto_optimal_brute(&cg, p, j, &Budget::unlimited().with_max_work(1 << 20))
+                        .expect_done("pareto oracle")
                 );
                 assert_eq!(
                     is_completion_optimal(&cg, p, j),

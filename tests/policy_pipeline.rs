@@ -3,7 +3,7 @@
 //! dispatching checker → mine the FDs of the cleaned data.
 
 use preferred_repairs::classify::{classify_schema, Complexity};
-use preferred_repairs::core::{construct_globally_optimal_repair, GRepairChecker};
+use preferred_repairs::core::{construct_globally_optimal_repair, Budget, GRepairChecker};
 use preferred_repairs::fd::{discover_fds_for, ConflictGraph, DiscoveryOptions};
 use preferred_repairs::gen::{simulate_feed, FeedSpec, SourceSpec};
 use preferred_repairs::policy::{Policy, PriorityScope};
@@ -80,8 +80,12 @@ fn total_policies_make_the_cleaning_unambiguous() {
     // the tie-break is total) ⇒ there is exactly one optimal repair —
     // verified against the definitional enumeration on a subsample.
     if feed.instance.len() <= 24 {
-        let all =
-            preferred_repairs::core::globally_optimal_repairs(&cg, &priority, 1 << 24).unwrap();
+        let all = preferred_repairs::core::globally_optimal_repairs_bounded(
+            &cg,
+            &priority,
+            &Budget::unlimited().with_max_work(1 << 24),
+        )
+        .expect_done("optimal repairs");
         assert_eq!(all.len(), 1);
     }
     // The polynomial certainty: constructing twice gives the same set.

@@ -6,14 +6,15 @@
 //! mode, at `jobs = 1` and `jobs > 1`.
 
 use preferred_repairs::core::{
-    enumerate_repairs, is_globally_optimal_brute, CcpChecker, CheckSession, GRepairChecker,
+    enumerate_repairs_bounded, is_globally_optimal_brute_bounded, Budget, CcpChecker, CheckSession,
+    GRepairChecker,
 };
 use preferred_repairs::data::{FactId, FactSet, Instance, Signature, Value};
 use preferred_repairs::fd::{ConflictGraph, Schema};
 use preferred_repairs::priority::{PrioritizedInstance, PriorityRelation};
 use proptest::prelude::*;
 
-const BUDGET: usize = 1 << 20;
+const BUDGET: u64 = 1 << 20;
 
 /// A random two-relation input. `R` classifies as a single FD and `S`
 /// as two keys, so the classical dispatch has two relations to fan out
@@ -89,7 +90,8 @@ impl Input {
     /// Repairs plus inconsistent and non-maximal sets, so every
     /// outcome variant (and witness) gets compared.
     fn candidates(&self, cg: &ConflictGraph) -> Vec<FactSet> {
-        let mut out = enumerate_repairs(cg, BUDGET).unwrap();
+        let mut out = enumerate_repairs_bounded(cg, &Budget::unlimited().with_max_work(BUDGET))
+            .expect_done("repair enumeration");
         out.push(self.instance.empty_set());
         out.push(self.instance.full_set());
         if self.instance.len() >= 2 {
@@ -121,8 +123,13 @@ proptest! {
                 prop_assert_eq!(&via_session, &checker.check(&pi, &j), "jobs={}", jobs);
                 // Definitional agreement on consistent candidates.
                 if cg.is_consistent_set(&j) {
-                    let slow =
-                        is_globally_optimal_brute(&cg, &priority, &j, BUDGET).unwrap();
+                    let slow = is_globally_optimal_brute_bounded(
+                        &cg,
+                        &priority,
+                        &j,
+                        &Budget::unlimited().with_max_work(BUDGET),
+                    )
+                    .expect_done("global oracle");
                     prop_assert_eq!(via_session.is_optimal(), slow);
                 }
             }
@@ -141,8 +148,13 @@ proptest! {
                 let via_session = session.check(&j);
                 prop_assert_eq!(&via_session, &checker.check(&pi, &j), "jobs={}", jobs);
                 if cg.is_consistent_set(&j) {
-                    let slow =
-                        is_globally_optimal_brute(&cg, &priority, &j, BUDGET).unwrap();
+                    let slow = is_globally_optimal_brute_bounded(
+                        &cg,
+                        &priority,
+                        &j,
+                        &Budget::unlimited().with_max_work(BUDGET),
+                    )
+                    .expect_done("global oracle");
                     prop_assert_eq!(via_session.is_optimal(), slow);
                 }
             }

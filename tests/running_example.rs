@@ -3,8 +3,8 @@
 
 use preferred_repairs::classify::{classify_schema, Complexity, RelationClass};
 use preferred_repairs::core::{
-    is_global_improvement, is_globally_optimal_brute, is_pareto_improvement, is_pareto_optimal,
-    GRepairChecker,
+    is_global_improvement, is_globally_optimal_brute_bounded, is_pareto_improvement,
+    is_pareto_optimal, Budget, GRepairChecker,
 };
 use preferred_repairs::data::AttrSet;
 use preferred_repairs::fd::ConflictGraph;
@@ -57,9 +57,21 @@ fn example_2_5_improvement_claims() {
     assert!(!is_pareto_improvement(&ex.priority, &j3, &j4));
     assert!(is_global_improvement(&ex.priority, &j3, &j4));
     // "J3 … is not a globally-optimal repair."
-    assert!(!is_globally_optimal_brute(&cg, &ex.priority, &j3, 1 << 22).unwrap());
+    assert!(!is_globally_optimal_brute_bounded(
+        &cg,
+        &ex.priority,
+        &j3,
+        &Budget::unlimited().with_max_work(1 << 22)
+    )
+    .expect_done("global oracle"));
     // "J2 is a globally-optimal (hence Pareto-optimal) repair."
-    assert!(is_globally_optimal_brute(&cg, &ex.priority, &j2, 1 << 22).unwrap());
+    assert!(is_globally_optimal_brute_bounded(
+        &cg,
+        &ex.priority,
+        &j2,
+        &Budget::unlimited().with_max_work(1 << 22)
+    )
+    .expect_done("global oracle"));
     assert!(is_pareto_optimal(&cg, &ex.priority, &j2));
     // Fidelity note (see rpr-gen docs): the printed "J3 is
     // Pareto-optimal" claim requires the variant priority without the
@@ -79,9 +91,20 @@ fn dispatching_checker_agrees_with_oracle_on_the_example() {
     let cg = ConflictGraph::new(&ex.schema, &ex.instance);
     let checker = GRepairChecker::new(ex.schema.clone());
     let pi = ex.prioritized();
-    for j in preferred_repairs::core::enumerate_repairs(&cg, 1 << 22).unwrap() {
+    for j in preferred_repairs::core::enumerate_repairs_bounded(
+        &cg,
+        &Budget::unlimited().with_max_work(1 << 22),
+    )
+    .expect_done("repair enumeration")
+    {
         let fast = checker.check(&pi, &j).is_optimal();
-        let slow = is_globally_optimal_brute(&cg, &ex.priority, &j, 1 << 22).unwrap();
+        let slow = is_globally_optimal_brute_bounded(
+            &cg,
+            &ex.priority,
+            &j,
+            &Budget::unlimited().with_max_work(1 << 22),
+        )
+        .expect_done("global oracle");
         assert_eq!(fast, slow, "disagreement on {}", ex.instance.render_set(&j));
     }
 }

@@ -4,8 +4,8 @@
 //! in [14] is incorrect").
 
 use preferred_repairs::core::{
-    completion_optimal_repairs_brute, enumerate_repairs, is_completion_optimal,
-    is_completion_optimal_brute, is_globally_optimal_brute, is_pareto_optimal,
+    completion_optimal_repairs_brute, enumerate_repairs_bounded, is_completion_optimal,
+    is_completion_optimal_brute, is_globally_optimal_brute_bounded, is_pareto_optimal, Budget,
 };
 use preferred_repairs::data::{FactId, Instance, Signature, Value};
 use preferred_repairs::fd::{ConflictGraph, Schema};
@@ -45,7 +45,13 @@ fn proposition_10_iii_of_staworko_et_al_is_refuted() {
     assert!(cg.is_repair(&j));
 
     // Globally optimal…
-    assert!(is_globally_optimal_brute(&cg, &priority, &j, 1 << 20).unwrap());
+    assert!(is_globally_optimal_brute_bounded(
+        &cg,
+        &priority,
+        &j,
+        &Budget::unlimited().with_max_work(1 << 20)
+    )
+    .expect_done("global oracle"));
     // …and Pareto optimal…
     assert!(is_pareto_optimal(&cg, &priority, &j));
     // …but NOT completion optimal, by the polynomial checker and by
@@ -83,11 +89,18 @@ fn semantics_inclusion_chain_randomized() {
             continue;
         }
         let priority = random_conflict_priority(&cg, 0.5, &mut rng);
-        let repairs = enumerate_repairs(&cg, 1 << 20).unwrap();
+        let repairs = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+            .expect_done("repair enumeration");
         let c_repairs = completion_optimal_repairs_brute(&cg, &priority, 1 << 20).unwrap();
         for j in &repairs {
             let c = c_repairs.contains(j);
-            let g = is_globally_optimal_brute(&cg, &priority, j, 1 << 20).unwrap();
+            let g = is_globally_optimal_brute_bounded(
+                &cg,
+                &priority,
+                j,
+                &Budget::unlimited().with_max_work(1 << 20),
+            )
+            .expect_done("global oracle");
             let p = is_pareto_optimal(&cg, &priority, j);
             assert!(!c || g, "seed {seed}: C ⊆ G violated");
             assert!(!g || p, "seed {seed}: G ⊆ P violated");
@@ -115,14 +128,28 @@ fn pareto_strictly_weaker_than_global_on_the_running_example() {
     assert!(is_pareto_optimal(&cg, &variant, &j3));
     // Under the variant priority J3 happens to also be globally
     // optimal; under the full Example 2.3 priority it is neither.
-    assert!(!is_globally_optimal_brute(&cg, &ex.priority, &j3, 1 << 22).unwrap());
+    assert!(!is_globally_optimal_brute_bounded(
+        &cg,
+        &ex.priority,
+        &j3,
+        &Budget::unlimited().with_max_work(1 << 22)
+    )
+    .expect_done("global oracle"));
     assert!(!is_pareto_optimal(&cg, &ex.priority, &j3));
     // A genuine P-not-G separation with the full priority, found by
     // scanning the repairs of the running example:
     let mut separated = false;
-    for j in enumerate_repairs(&cg, 1 << 22).unwrap() {
+    for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 22))
+        .expect_done("repair enumeration")
+    {
         if is_pareto_optimal(&cg, &ex.priority, &j)
-            && !is_globally_optimal_brute(&cg, &ex.priority, &j, 1 << 22).unwrap()
+            && !is_globally_optimal_brute_bounded(
+                &cg,
+                &ex.priority,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 22),
+            )
+            .expect_done("global oracle")
         {
             separated = true;
             break;
@@ -153,10 +180,18 @@ fn total_priorities_collapse_the_semantics() {
     )
     .unwrap();
     let cg = ConflictGraph::new(&schema, &instance);
-    let g: Vec<_> = enumerate_repairs(&cg, 1 << 20)
-        .unwrap()
+    let g: Vec<_> = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+        .expect_done("repair enumeration")
         .into_iter()
-        .filter(|j| is_globally_optimal_brute(&cg, &priority, j, 1 << 20).unwrap())
+        .filter(|j| {
+            is_globally_optimal_brute_bounded(
+                &cg,
+                &priority,
+                j,
+                &Budget::unlimited().with_max_work(1 << 20),
+            )
+            .expect_done("global oracle")
+        })
         .collect();
     assert_eq!(g.len(), 1);
     let c = completion_optimal_repairs_brute(&cg, &priority, 1 << 20).unwrap();

@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rpr_core::{
-    construct_globally_optimal_repair, enumerate_repairs, CcpChecker, CheckOutcome, CheckSession,
-    DeltaOp, DeltaSession, GRepairChecker,
+    construct_globally_optimal_repair, enumerate_repairs_bounded, CcpChecker, CheckOutcome,
+    CheckSession, DeltaOp, DeltaSession, GRepairChecker,
 };
 use rpr_data::{Fact, FactId, FactSet, Value};
 use rpr_engine::{Budget, ExceedReason, Outcome};
@@ -24,7 +24,7 @@ use rpr_priority::{PrioritizedInstance, PriorityRelation};
 use std::sync::Arc;
 
 const JOBS: [usize; 3] = [1, 2, 8];
-const ENUM_BUDGET: usize = 1 << 22;
+const ENUM_BUDGET: u64 = 1 << 22;
 
 /// Chain workload with the per-chain priority `f2 > f1 > f0`; the
 /// even-offset facts are the globally optimal repair.
@@ -88,7 +88,9 @@ fn random_hard_schema_is_bit_identical_across_jobs() {
         let pi =
             PrioritizedInstance::conflict_restricted(&schema, instance.clone(), priority).unwrap();
         let checker = GRepairChecker::new(schema.clone());
-        let mut candidates = enumerate_repairs(&cg, ENUM_BUDGET).unwrap();
+        let mut candidates =
+            enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(ENUM_BUDGET))
+                .expect_done("repair enumeration");
         candidates.push(instance.full_set());
         candidates.push(instance.empty_set());
         for j in &candidates {
@@ -121,7 +123,9 @@ fn ccp_hard_with_cross_component_edges_is_bit_identical() {
         let priority = random_ccp_priority(&cg, 0.5, 8, &mut rng);
         let pi = PrioritizedInstance::cross_conflict(instance.clone(), priority);
         let checker = CcpChecker::new(schema.clone());
-        let mut candidates = enumerate_repairs(&cg, ENUM_BUDGET).unwrap();
+        let mut candidates =
+            enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(ENUM_BUDGET))
+                .expect_done("repair enumeration");
         candidates.push(instance.full_set());
         candidates.push(instance.empty_set());
         for j in &candidates {
@@ -318,7 +322,9 @@ proptest! {
             priority,
         ).unwrap();
         let checker = GRepairChecker::new(schema.clone());
-        let mut candidates = enumerate_repairs(&cg, ENUM_BUDGET).unwrap();
+        let mut candidates =
+            enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(ENUM_BUDGET))
+                .expect_done("repair enumeration");
         candidates.push(instance.full_set());
         for j in &candidates {
             let expected = checker.check(&pi, j);

@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rpr_core::{
-    construct_globally_optimal_repair, enumerate_repairs, CheckOutcome, DeltaOp, DeltaSession,
-    GRepairChecker, ShardStore,
+    construct_globally_optimal_repair, enumerate_repairs_bounded, CheckOutcome, DeltaOp,
+    DeltaSession, GRepairChecker, ShardStore,
 };
 use rpr_data::{Fact, FactId, FactSet, Value};
 use rpr_engine::{Budget, ExceedReason, Outcome};
@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 const JOBS: [usize; 3] = [1, 2, 8];
-const ENUM_BUDGET: usize = 1 << 22;
+const ENUM_BUDGET: u64 = 1 << 22;
 
 /// Chain workload with the per-chain priority `f2 > f1 > f0`; the
 /// even-offset facts are the globally optimal repair.
@@ -414,7 +414,9 @@ proptest! {
         let store = Arc::new(ShardStore::new());
         let (private, stored) = session_pair(&schema, &pi, &store);
         prop_assert_eq!(private.fingerprint(), stored.fingerprint());
-        let mut candidates = enumerate_repairs(&cg, ENUM_BUDGET).unwrap();
+        let mut candidates =
+            enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(ENUM_BUDGET))
+                .expect_done("repair enumeration");
         candidates.push(instance.full_set());
         candidates.push(instance.empty_set());
         for j in &candidates {

@@ -16,13 +16,15 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rpr_bench::two_keys_workload;
-use rpr_core::{check_global_2keys, enumerate_repairs, find_pareto_improvement, CheckOutcome};
+use rpr_core::{
+    check_global_2keys, enumerate_repairs_bounded, find_pareto_improvement, Budget, CheckOutcome,
+};
 use rpr_data::{AttrSet, FactSet, Instance, Value};
 use rpr_fd::{ConflictGraph, Schema};
 use rpr_gen::{random_conflict_priority, random_repair, two_keys_schema};
 use rpr_priority::{PrioritizedInstance, PriorityRelation};
 
-const ENUM_BUDGET: usize = 1 << 22;
+const ENUM_BUDGET: u64 = 1 << 22;
 
 /// FNV-1a over every recorded line, plus tallies that prove which
 /// paths the case exercised.
@@ -134,7 +136,8 @@ fn workload_case(n: usize, slots: u32, density: f64, seed: u64, samples: usize) 
     let w = two_keys_workload(n, slots, density, seed);
     let cg = w.conflict_graph();
     let mut candidates = if samples == 0 {
-        enumerate_repairs(&cg, ENUM_BUDGET).expect("small instance")
+        enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(ENUM_BUDGET))
+            .expect_done("small instance")
     } else {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         sampled_candidates(&cg, &w.priority, &mut rng, samples)
@@ -162,7 +165,9 @@ fn ternary_case(seed: u64) -> Case {
     }
     let cg = ConflictGraph::new(&schema, &instance);
     let priority = random_conflict_priority(&cg, 0.8, &mut rng);
-    let mut candidates = enumerate_repairs(&cg, ENUM_BUDGET).expect("small instance");
+    let mut candidates =
+        enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(ENUM_BUDGET))
+            .expect_done("small instance");
     candidates.extend(sampled_candidates(&cg, &priority, &mut rng, 3));
     Case {
         schema,
