@@ -289,16 +289,16 @@ impl DeltaSession {
     }
 
     /// Approximate resident bytes of the workspace plus artifacts
-    /// (cache-sizing gauge): fact values, priority edges, and the
-    /// session's [`structure_bytes`](SessionArtifacts::structure_bytes)
-    /// — CSR conflict graph, component layout, domain bitsets, FD
-    /// blocks. Linear in the workspace for sparse conflicts; shards are
-    /// counted by the shard store.
+    /// (cache-sizing gauge): the instance's
+    /// [`heap_bytes`](rpr_data::Instance::heap_bytes) (facts, tuples,
+    /// id index), priority edges, and the session's
+    /// [`structure_bytes`](SessionArtifacts::structure_bytes) — CSR
+    /// conflict graph, component layout, domain bitsets, FD blocks.
+    /// Linear in the workspace for sparse conflicts; shards are counted
+    /// by the shard store.
     pub fn approx_bytes(&self) -> usize {
-        let inst = self.pi.instance();
-        let values: usize = inst.iter().map(|(_, f)| 24 + 16 * f.tuple().len()).sum();
         let edges = self.pi.priority().edge_count() * 24;
-        values + edges + self.artifacts.structure_bytes()
+        self.pi.instance().heap_bytes() + edges + self.artifacts.structure_bytes()
     }
 
     /// Applies a batch of ops atomically: the whole sequence is
@@ -913,6 +913,12 @@ mod tests {
             large as f64 <= 2.2 * small as f64,
             "doubling the workspace took the estimate from {small} to {large} bytes"
         );
+        // Besides the artifacts, at least every fact and every value of
+        // its tuple: 4 facts of arity 3 per key.
+        let ds = large_1fd(4000);
+        let workspace = ds.approx_bytes() - ds.artifacts.structure_bytes();
+        let floor = 4 * 4000 * (std::mem::size_of::<Fact>() + 3 * std::mem::size_of::<Value>());
+        assert!(workspace >= floor, "{workspace} workspace bytes for 16 000 facts, below {floor}");
     }
 
     #[test]

@@ -10,10 +10,12 @@
 
 use crate::error::DataError;
 use crate::fact::{Fact, SigRef, Tuple};
-use crate::hash::FxHashMap;
+use crate::hash::FxHasher;
 use crate::signature::RelId;
 use crate::value::Value;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::mem::size_of;
 
 /// Dense identifier of a fact within one [`Instance`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -29,12 +31,13 @@ impl FactId {
 /// A finite database instance: a set of facts over a signature.
 ///
 /// Facts are deduplicated on insertion; the id of a fact is stable for
-/// the lifetime of the instance.
+/// the lifetime of the instance. The instance is the only owner of its
+/// facts: the deduplicating index holds ids, not fact copies.
 #[derive(Clone)]
 pub struct Instance {
     sig: SigRef,
     facts: Vec<Fact>,
-    index: FxHashMap<Fact, FactId>,
+    index: IdTable,
     by_rel: Vec<Vec<FactId>>,
 }
 
@@ -45,7 +48,7 @@ impl Instance {
         Instance {
             sig,
             facts: Vec::new(),
-            index: FxHashMap::default(),
+            index: IdTable::default(),
             by_rel: vec![Vec::new(); nrels],
         }
     }
@@ -67,13 +70,14 @@ impl Instance {
 
     /// Inserts a fact, returning its id (existing id if already present).
     pub fn insert(&mut self, fact: Fact) -> FactId {
-        if let Some(&id) = self.index.get(&fact) {
+        let hash = fact_hash(&fact);
+        if let Some(id) = self.index.get(&self.facts, hash, fact.rel(), fact.tuple().values()) {
             return id;
         }
         let id = FactId(self.facts.len() as u32);
         self.by_rel[fact.rel().index()].push(id);
-        self.index.insert(fact.clone(), id);
         self.facts.push(fact);
+        self.index.insert_new(&self.facts, hash, id);
         id
     }
 
@@ -99,13 +103,8 @@ impl Instance {
     /// # Panics
     /// Panics if the id is not from this instance.
     pub fn remove_fact(&mut self, id: FactId) -> Fact {
+        self.index.remove(&self.facts, id);
         let removed = self.facts.remove(id.index());
-        self.index.remove(&removed);
-        for slot in self.index.values_mut() {
-            if *slot > id {
-                slot.0 -= 1;
-            }
-        }
         for rel in &mut self.by_rel {
             rel.retain(|&f| f != id);
             for f in rel.iter_mut() {
@@ -127,12 +126,30 @@ impl Instance {
 
     /// Looks up the id of a fact.
     pub fn id_of(&self, fact: &Fact) -> Option<FactId> {
-        self.index.get(fact).copied()
+        self.id_of_parts(fact.rel(), fact.tuple().values())
+    }
+
+    /// Looks up the id of the fact `rel(values)` without building it.
+    pub fn id_of_parts(&self, rel: RelId, values: &[Value]) -> Option<FactId> {
+        self.index.get(&self.facts, content_hash(rel, values), rel, values)
     }
 
     /// Does the instance contain the fact?
     pub fn contains(&self, fact: &Fact) -> bool {
-        self.index.contains_key(fact)
+        self.id_of(fact).is_some()
+    }
+
+    /// Heap bytes owned by the instance: the fact vector, every boxed
+    /// tuple, the id index and the per-relation id lists. Values'
+    /// own allocations (symbol text, pairs) are shared and not counted.
+    pub fn heap_bytes(&self) -> usize {
+        let tuples: usize = self.facts.iter().map(|f| f.tuple().len()).sum();
+        let by_rel: usize = self.by_rel.iter().map(Vec::capacity).sum();
+        self.facts.capacity() * size_of::<Fact>()
+            + tuples * size_of::<Value>()
+            + self.index.slots.capacity() * size_of::<u32>()
+            + self.by_rel.capacity() * size_of::<Vec<FactId>>()
+            + by_rel * size_of::<FactId>()
     }
 
     /// Iterates `(FactId, &Fact)` in insertion order.
@@ -215,6 +232,114 @@ impl Instance {
             set.iter().map(|id| self.fact(id).display(&self.sig).to_string()).collect();
         parts.sort();
         format!("{{{}}}", parts.join(", "))
+    }
+}
+
+/// Hashes a fact by content, as the id index keys it.
+fn content_hash(rel: RelId, values: &[Value]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_u32(rel.0);
+    values.hash(&mut h);
+    h.finish()
+}
+
+fn fact_hash(fact: &Fact) -> u64 {
+    content_hash(fact.rel(), fact.tuple().values())
+}
+
+/// Marks a free slot of an [`IdTable`].
+const FREE: u32 = u32::MAX;
+
+/// The instance's deduplicating index: an open-addressing table of
+/// fact ids with linear probing, hashed by fact content and compared
+/// against the instance's own fact vector, so it stores no fact.
+/// Kept at most half full; a power of two long once non-empty.
+#[derive(Clone, Default)]
+struct IdTable {
+    slots: Vec<u32>,
+}
+
+impl IdTable {
+    /// The slot a hash probes first: its top bits, since FxHash mixes
+    /// the high bits of its final multiply best.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    fn next(&self, slot: usize) -> usize {
+        (slot + 1) & (self.slots.len() - 1)
+    }
+
+    /// The id of the fact `rel(values)` hashing to `hash`, if present.
+    fn get(&self, facts: &[Fact], hash: u64, rel: RelId, values: &[Value]) -> Option<FactId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mut slot = self.home(hash);
+        loop {
+            let id = self.slots[slot];
+            if id == FREE {
+                return None;
+            }
+            let fact = &facts[id as usize];
+            if fact.rel() == rel && fact.tuple().values() == values {
+                return Some(FactId(id));
+            }
+            slot = self.next(slot);
+        }
+    }
+
+    /// Indexes `id`, the last fact of `facts` and not yet indexed,
+    /// hashing to `hash`. Doubles the table first when it would pass
+    /// half full.
+    fn insert_new(&mut self, facts: &[Fact], hash: u64, id: FactId) {
+        if facts.len() * 2 > self.slots.len() {
+            self.slots = vec![FREE; (self.slots.len() * 2).max(8)];
+            for (i, fact) in facts[..facts.len() - 1].iter().enumerate() {
+                self.place(fact_hash(fact), i as u32);
+            }
+        }
+        self.place(hash, id.0);
+    }
+
+    fn place(&mut self, hash: u64, id: u32) {
+        let mut slot = self.home(hash);
+        while self.slots[slot] != FREE {
+            slot = self.next(slot);
+        }
+        self.slots[slot] = id;
+    }
+
+    /// Unindexes `id` by backward-shift deletion, then renumbers every
+    /// later id down by one, as [`Instance::remove_fact`] renumbers
+    /// the facts. `facts` is still the layout before the removal.
+    fn remove(&mut self, facts: &[Fact], id: FactId) {
+        let mut hole = self.home(fact_hash(&facts[id.index()]));
+        while self.slots[hole] != id.0 {
+            hole = self.next(hole);
+        }
+        // Pull each later member of the probe run back into the hole
+        // unless that would move it before its home slot.
+        let mask = self.slots.len() - 1;
+        let mut slot = hole;
+        loop {
+            slot = self.next(slot);
+            let other = self.slots[slot];
+            if other == FREE {
+                break;
+            }
+            let home = self.home(fact_hash(&facts[other as usize]));
+            if slot.wrapping_sub(home) & mask >= slot.wrapping_sub(hole) & mask {
+                self.slots[hole] = other;
+                hole = slot;
+            }
+        }
+        self.slots[hole] = FREE;
+        for slot in &mut self.slots {
+            if *slot != FREE && *slot > id.0 {
+                *slot -= 1;
+            }
+        }
     }
 }
 
@@ -477,6 +602,8 @@ pub fn tuple<const N: usize>(values: [impl Into<Value>; N]) -> Tuple {
 mod tests {
     use super::*;
     use crate::signature::Signature;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn small_instance() -> Instance {
         let sig = Signature::new([("R", 2), ("S", 1)]).unwrap();
@@ -647,6 +774,165 @@ mod tests {
         let i = small_instance();
         let sub = i.set_of([FactId(1), FactId(2)]);
         assert_eq!(i.render_set(&sub), "{R(a,c), S(x)}");
+    }
+
+    /// One step of a random index workload; operands pick from a pool.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Insert(usize),
+        Remove(usize),
+        Clone,
+        Lookup(usize),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..8, 0usize..1 << 16).prop_map(|(kind, n)| match kind {
+            0..=3 => Op::Insert(n),
+            4 => Op::Remove(n),
+            5 => Op::Clone,
+            _ => Op::Lookup(n),
+        })
+    }
+
+    /// Asserts `inst` matches the model: a fact vector in id order and
+    /// the map a `HashMap<Fact, FactId>` index would hold.
+    fn assert_matches_model(inst: &Instance, facts: &[Fact], pool: &[Fact]) {
+        let model: HashMap<&Fact, FactId> =
+            facts.iter().enumerate().map(|(i, f)| (f, FactId(i as u32))).collect();
+        assert_eq!(inst.len(), facts.len());
+        for (id, fact) in inst.iter() {
+            assert_eq!(fact, &facts[id.index()]);
+        }
+        for fact in pool {
+            let want = model.get(fact).copied();
+            assert_eq!(inst.id_of(fact), want, "{fact:?}");
+            assert_eq!(inst.id_of_parts(fact.rel(), fact.tuple().values()), want, "{fact:?}");
+            assert_eq!(inst.contains(fact), want.is_some());
+        }
+        for (r, _) in inst.signature().iter() {
+            let want: Vec<FactId> =
+                inst.fact_ids().filter(|&id| facts[id.index()].rel() == r).collect();
+            assert_eq!(inst.facts_of(r), want.as_slice());
+        }
+    }
+
+    /// Replays `ops` on an instance and on the model, checking after
+    /// every step, and after every removal that the ids equal a fresh
+    /// insert of the survivors in order.
+    fn replay(sig: &SigRef, pool: &[Fact], ops: &[Op]) {
+        let mut inst = Instance::new(sig.clone());
+        let mut facts: Vec<Fact> = Vec::new();
+        for &op in ops {
+            match op {
+                Op::Insert(n) => {
+                    let fact = &pool[n % pool.len()];
+                    let want = match facts.iter().position(|f| f == fact) {
+                        Some(i) => FactId(i as u32),
+                        None => {
+                            facts.push(fact.clone());
+                            FactId(facts.len() as u32 - 1)
+                        }
+                    };
+                    assert_eq!(inst.insert(fact.clone()), want);
+                }
+                Op::Remove(n) if !facts.is_empty() => {
+                    let i = n % facts.len();
+                    assert_eq!(inst.remove_fact(FactId(i as u32)), facts.remove(i));
+                    let mut fresh = Instance::new(sig.clone());
+                    for fact in &facts {
+                        fresh.insert(fact.clone());
+                    }
+                    for (id, fact) in inst.iter() {
+                        assert_eq!(fresh.id_of(fact), Some(id));
+                    }
+                }
+                Op::Remove(_) => {}
+                Op::Clone => {
+                    let copy = inst.clone();
+                    assert_matches_model(&inst, &facts, pool);
+                    inst = copy;
+                }
+                Op::Lookup(n) => {
+                    let fact = &pool[n % pool.len()];
+                    let want = facts.iter().position(|f| f == fact).map(|i| FactId(i as u32));
+                    assert_eq!(inst.id_of(fact), want);
+                }
+            }
+            assert_matches_model(&inst, &facts, pool);
+        }
+    }
+
+    fn model_sig() -> SigRef {
+        Signature::new([("R", 2), ("S", 1)]).unwrap()
+    }
+
+    /// A pool of mixed facts: small domains, so inserts repeat often.
+    fn mixed_pool(sig: &SigRef) -> Vec<Fact> {
+        let mut pool = Vec::new();
+        for a in 0..6 {
+            for b in ["x", "y", "z"] {
+                pool.push(Fact::parse_new(sig, "R", [Value::Int(a), Value::sym(b)]).unwrap());
+            }
+            pool.push(Fact::parse_new(sig, "S", [Value::Int(a)]).unwrap());
+        }
+        pool.push(
+            Fact::parse_new(sig, "S", [Value::pair(Value::Int(1), Value::sym("p"))]).unwrap(),
+        );
+        pool
+    }
+
+    /// Facts whose top six hash bits are all ones: every table up to 64
+    /// slots homes them all on its last slot, so each probe run
+    /// collides and wraps around to slot 0.
+    fn colliding_pool(sig: &SigRef) -> Vec<Fact> {
+        let s = sig.rel_id("S").unwrap();
+        let pool: Vec<Fact> = (0..)
+            .map(|n| Fact::new(sig, s, Tuple::new([Value::Int(n)])).unwrap())
+            .filter(|f| fact_hash(f) >> 58 == 63)
+            .take(30)
+            .collect();
+        let mut table = IdTable { slots: vec![FREE; 64] };
+        assert!(pool.iter().all(|f| table.home(fact_hash(f)) == 63));
+        table.slots.truncate(8);
+        assert!(pool.iter().all(|f| table.home(fact_hash(f)) == 7));
+        pool
+    }
+
+    proptest! {
+        #[test]
+        fn id_index_matches_a_hash_map_model(ops in proptest::collection::vec(op(), 0..120)) {
+            let sig = model_sig();
+            replay(&sig, &mixed_pool(&sig), &ops);
+        }
+
+        #[test]
+        fn colliding_and_wrapping_probe_runs_match_the_model(
+            ops in proptest::collection::vec(op(), 0..120),
+        ) {
+            let sig = model_sig();
+            replay(&sig, &colliding_pool(&sig), &ops);
+        }
+    }
+
+    #[test]
+    fn removing_every_colliding_fact_in_turn_keeps_lookups_exact() {
+        let sig = model_sig();
+        let pool = colliding_pool(&sig);
+        // Fill, then delete from the front, the back and the middle of
+        // one wrapped probe run.
+        for pick in [0usize, usize::MAX, 7] {
+            let mut ops: Vec<Op> = (0..pool.len()).map(Op::Insert).collect();
+            ops.extend((0..pool.len()).map(|_| Op::Remove(pick)));
+            replay(&sig, &pool, &ops);
+        }
+    }
+
+    #[test]
+    fn heap_bytes_counts_facts_tuples_and_index() {
+        let i = small_instance();
+        let floor = 3 * size_of::<Fact>() + 5 * size_of::<Value>() + 3 * size_of::<u32>();
+        assert!(i.heap_bytes() >= floor, "{} < {floor}", i.heap_bytes());
+        assert_eq!(Instance::new(model_sig()).heap_bytes(), 2 * size_of::<Vec<FactId>>());
     }
 
     #[test]

@@ -34,7 +34,9 @@
 //! * `mode ccp` / `mode conflict` (default `conflict`)
 //! * `repair NAME: FACT; FACT; …`
 
-use rpr_data::{AttrSet, DataError, Fact, FactId, FactSet, Instance, Signature, Value};
+use rpr_data::{
+    AttrSet, DataError, Fact, FactId, FactSet, Instance, RelId, Signature, Tuple, Value,
+};
 use rpr_fd::{Fd, Schema};
 use rpr_priority::{PrioritizedInstance, PriorityMode, PriorityRelation};
 use std::fmt;
@@ -60,23 +62,38 @@ impl Workspace {
     /// # Errors
     /// Propagates conflict-restriction violations in classical mode.
     pub fn prioritized(&self) -> Result<PrioritizedInstance, FormatError> {
-        match self.mode {
-            PriorityMode::ConflictRestricted => PrioritizedInstance::conflict_restricted(
-                &self.schema,
-                self.instance.clone(),
-                self.priority.clone(),
-            )
-            .map_err(|e| FormatError::new(0, format!("priority not conflict-restricted: {e}"))),
-            PriorityMode::CrossConflict => Ok(PrioritizedInstance::cross_conflict(
-                self.instance.clone(),
-                self.priority.clone(),
-            )),
-        }
+        validate(&self.schema, self.mode, self.instance.clone(), self.priority.clone())
+    }
+
+    /// [`prioritized`](Self::prioritized) by move: the instance and the
+    /// priority go into the result uncopied, and the schema comes back
+    /// beside it. Named repairs are dropped; take them out first.
+    ///
+    /// # Errors
+    /// Propagates conflict-restriction violations in classical mode.
+    pub fn into_prioritized(self) -> Result<(Schema, PrioritizedInstance), FormatError> {
+        let pi = validate(&self.schema, self.mode, self.instance, self.priority)?;
+        Ok((self.schema, pi))
     }
 
     /// Looks a named repair up.
     pub fn repair(&self, name: &str) -> Option<&FactSet> {
         self.repairs.iter().find(|(n, _)| n == name).map(|(_, s)| s)
+    }
+}
+
+fn validate(
+    schema: &Schema,
+    mode: PriorityMode,
+    instance: Instance,
+    priority: PriorityRelation,
+) -> Result<PrioritizedInstance, FormatError> {
+    match mode {
+        PriorityMode::ConflictRestricted => {
+            PrioritizedInstance::conflict_restricted(schema, instance, priority)
+                .map_err(|e| FormatError::new(0, format!("priority not conflict-restricted: {e}")))
+        }
+        PriorityMode::CrossConflict => Ok(PrioritizedInstance::cross_conflict(instance, priority)),
     }
 }
 
@@ -116,6 +133,19 @@ fn parse_value(token: &str) -> Value {
 
 /// Parses `NAME(v1, …, vn)` into a fact.
 pub(crate) fn parse_fact(sig: &Signature, text: &str, line: usize) -> Result<Fact, FormatError> {
+    let mut values = Vec::new();
+    let rel = parse_fact_into(sig, text, line, &mut values)?;
+    Ok(Fact::new(sig, rel, Tuple::new(values)).expect("parse_fact_into checked the arity"))
+}
+
+/// Parses `NAME(v1, …, vn)`, appending its values to `values`, and
+/// returns the relation: [`parse_fact`] without building the fact.
+fn parse_fact_into(
+    sig: &Signature,
+    text: &str,
+    line: usize,
+    values: &mut Vec<Value>,
+) -> Result<RelId, FormatError> {
     let text = text.trim();
     let open = text
         .find('(')
@@ -123,11 +153,24 @@ pub(crate) fn parse_fact(sig: &Signature, text: &str, line: usize) -> Result<Fac
     if !text.ends_with(')') {
         return Err(FormatError::new(line, "missing `)`"));
     }
-    let rel = text[..open].trim();
+    let rel =
+        sig.require(text[..open].trim()).map_err(|e| FormatError::new(line, e.to_string()))?;
     let body = &text[open + 1..text.len() - 1];
-    let values: Vec<Value> = body.split(',').map(|t| parse_value(t.trim())).collect();
-    Fact::parse_new(sig, rel, values).map_err(|e: DataError| FormatError::new(line, e.to_string()))
+    let start = values.len();
+    values.extend(body.split(',').map(|t| parse_value(t.trim())));
+    let (expected, got) = (sig.arity(rel), values.len() - start);
+    if got != expected {
+        let relation = sig.symbol(rel).name().to_owned();
+        let e = DataError::ArityMismatch { relation, expected, got };
+        return Err(FormatError::new(line, e.to_string()));
+    }
+    Ok(rel)
 }
+
+/// A `prefer` or `repair` reference to a fact: its relation and where
+/// its values start in the parser's reference arena. References
+/// resolve to fact ids once every `fact` line is in.
+type FactRef = (RelId, usize);
 
 fn parse_attr_list(text: &str, line: usize) -> Result<AttrSet, FormatError> {
     let text = text.trim();
@@ -179,12 +222,19 @@ pub fn parse_workspace(text: &str) -> Result<Workspace, FormatError> {
     let sig = Signature::new(rels.iter().map(|(n, a)| (n.as_str(), *a)))
         .map_err(|e| FormatError::new(0, e.to_string()))?;
 
-    // Pass 2: everything else.
+    // Pass 2: everything else. Fact lines parse into one reused
+    // buffer; references keep their values in one arena.
     let mut fds: Vec<Fd> = Vec::new();
     let mut instance = Instance::new(sig.clone());
-    let mut prefer_lines: Vec<(usize, Fact, Fact)> = Vec::new();
+    let mut values: Vec<Value> = Vec::new();
+    let mut arena: Vec<Value> = Vec::new();
+    let mut reference = |text: &str, line: usize| -> Result<FactRef, FormatError> {
+        let start = arena.len();
+        Ok((parse_fact_into(&sig, text, line, &mut arena)?, start))
+    };
+    let mut prefer_lines: Vec<(usize, FactRef, FactRef)> = Vec::new();
     let mut mode = PriorityMode::ConflictRestricted;
-    let mut repairs: Vec<(String, Vec<Fact>)> = Vec::new();
+    let mut repairs: Vec<(String, Vec<FactRef>)> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
@@ -207,13 +257,15 @@ pub fn parse_workspace(text: &str) -> Result<Workspace, FormatError> {
             }
             fds.push(fd);
         } else if let Some(rest) = l.strip_prefix("fact ") {
-            let fact = parse_fact(&sig, rest, line)?;
-            instance.insert(fact);
+            let rel = parse_fact_into(&sig, rest, line, &mut values)?;
+            let tuple = Tuple::new(values.drain(..));
+            instance
+                .insert(Fact::new(&sig, rel, tuple).expect("parse_fact_into checked the arity"));
         } else if let Some(rest) = l.strip_prefix("prefer ") {
             let (a, b) = rest
                 .split_once('>')
                 .ok_or_else(|| FormatError::new(line, "expected `prefer FACT > FACT`"))?;
-            prefer_lines.push((line, parse_fact(&sig, a, line)?, parse_fact(&sig, b, line)?));
+            prefer_lines.push((line, reference(a, line)?, reference(b, line)?));
         } else if let Some(rest) = l.strip_prefix("mode ") {
             mode = match rest.trim() {
                 "ccp" | "cross-conflict" => PriorityMode::CrossConflict,
@@ -228,7 +280,7 @@ pub fn parse_workspace(text: &str) -> Result<Workspace, FormatError> {
             for part in body.split(';') {
                 let part = part.trim();
                 if !part.is_empty() {
-                    facts.push(parse_fact(&sig, part, line)?);
+                    facts.push(reference(part, line)?);
                 }
             }
             repairs.push((name.trim().to_owned(), facts));
@@ -239,13 +291,15 @@ pub fn parse_workspace(text: &str) -> Result<Workspace, FormatError> {
 
     let schema = Schema::new(sig, fds).map_err(|e| FormatError::new(0, e.to_string()))?;
 
+    let resolve = |(rel, start): FactRef| {
+        let arity = instance.signature().arity(rel);
+        instance.id_of_parts(rel, &arena[start..start + arity])
+    };
     let mut edges: Vec<(FactId, FactId)> = Vec::new();
     for (line, a, b) in prefer_lines {
-        let ai = instance
-            .id_of(&a)
+        let ai = resolve(a)
             .ok_or_else(|| FormatError::new(line, "preferred fact not declared with `fact`"))?;
-        let bi = instance
-            .id_of(&b)
+        let bi = resolve(b)
             .ok_or_else(|| FormatError::new(line, "dominated fact not declared with `fact`"))?;
         edges.push((ai, bi));
     }
@@ -255,8 +309,8 @@ pub fn parse_workspace(text: &str) -> Result<Workspace, FormatError> {
     let mut repair_sets = Vec::new();
     for (name, facts) in repairs {
         let mut set = instance.empty_set();
-        for f in &facts {
-            let id = instance.id_of(f).ok_or_else(|| {
+        for &f in &facts {
+            let id = resolve(f).ok_or_else(|| {
                 FormatError::new(0, format!("repair `{name}` uses a fact not declared with `fact`"))
             })?;
             set.insert(id);
@@ -340,6 +394,55 @@ prefer R(a, 1) > R(b, 2)
         assert!(parse_workspace(bad).unwrap_err().message.contains("unrecognized"));
 
         assert!(parse_workspace("fact R(a,b)\n").unwrap_err().message.contains("relation"));
+    }
+
+    /// The first `(line, message)` of malformed workspaces, pinned:
+    /// reference parse errors surface at their line during the scan,
+    /// before any later line; undeclared references surface after it,
+    /// in line order (`prefer` with its line, `repair` with line 0).
+    /// Each case reads `lines joined by | => line => message`.
+    const FIRST_ERRORS: &str = "\
+relation R/2|fd R: 1 -> 2|prefer R(a) > R(a, 2)|fact R(b) => 3 => fact over R has 1 values but the relation has arity 2
+relation R/2|fd R: 1 -> 2|fact R(a, 1)|prefer R(a, 1) > R(a, 2, 3)|fact R(a) => 4 => fact over R has 3 values but the relation has arity 2
+relation R/2|prefer R(a, 1 > R(a, 2) => 2 => missing `)`
+relation R/2|prefer R(a, 1) R(a, 2) => 2 => expected `prefer FACT > FACT`
+relation R/2|prefer a, 1 > R(a, 2) => 2 => expected Relation(...), got `a, 1`
+relation R/2|fact R(a, 1)|prefer T(a, 1) > R(a, 1) => 3 => unknown relation symbol T
+relation R/2|fact R(a, 1)|prefer R(a, 1) > T(a, 1) => 3 => unknown relation symbol T
+relation R/2|fd R: 1 -> 2|fact R(a, 1)|fact R(a, 2)|prefer R(a, 3) > R(a, 1)|prefer R(a, 1) > R(a, 4) => 5 => preferred fact not declared with `fact`
+relation R/2|fd R: 1 -> 2|fact R(a, 1)|prefer R(a, 1) > R(a, 4)|prefer R(a, 5) > R(a, 1) => 4 => dominated fact not declared with `fact`
+relation R/2|fact R(a, 1)|prefer R(a, 8) > R(a, 9) => 3 => preferred fact not declared with `fact`
+relation R/2|fd R: 1 -> 2|fact R(a, 1)|fact R(a, 2)|prefer R(a, 9) > R(a, 1)|repair J: R(a, 1); R(a) => 6 => fact over R has 1 values but the relation has arity 2
+relation R/2|fact R(a, 1)|repair J: R(a, 1); R(a, 1, 2) => 3 => fact over R has 3 values but the relation has arity 2
+relation R/2|fact R(a, 1)|repair J: R(a, 1); R() => 3 => fact over R has 1 values but the relation has arity 2
+relation R/2|fact R(a, 1)|repair J: R(a, 1); T(a, 1) => 3 => unknown relation symbol T
+relation R/2|fact R(a, 1)|repair J R(a, 1) => 3 => expected `repair NAME: FACT; …`
+relation R/2|fact R(a, 1)|repair J: R(a, 1); R(a, 2)|repair K: R(a, 3) => 0 => repair `J` uses a fact not declared with `fact`
+relation R/2|fact R(a, 1)|repair J: R(a, 1)|repair K: R(b, 1); R(a, 1) => 0 => repair `K` uses a fact not declared with `fact`
+relation R/2|fd R: 1 -> 2|fact R(a, 1)|fact R(a, 2)|prefer R(a, 1) > R(a, 2)|prefer R(a, 2) > R(a, 1)|repair J: R(a, 7) => 0 => priority rejected: priority relation has a cycle through 2 facts
+relation R/2|fd R: 1 -> 2|fact R(a, 1)|prefer R(a, 1) > R(a, 2)|repair J: R(a, 7) => 4 => dominated fact not declared with `fact`
+relation R/2|fd R: 1 -> 2|prefer R(a, 2) > R(a, 1)|fact R(a, 1)|fact R(a, 2)|repair J: R(a, 2)|fact R(a, 3)|bogus => 8 => unrecognized directive `bogus`
+relation R/2|fd T: 1 -> 2|prefer R(a, 2) > R(a, 1) => 2 => unknown relation symbol T
+relation R/2|fd R: 1 -> 3|prefer R(a, 2) > R(a, 1) => 2 => FD mentions attributes beyond the arity
+relation R/2|fact R(a, 1)|fact R(a, 1)|fd R: 1 -> 2|prefer R(a,1) > R( a , 1 ) => 0 => priority rejected: priority relation has a cycle through 1 facts
+";
+
+    #[test]
+    fn first_error_line_and_message_are_pinned() {
+        for case in FIRST_ERRORS.lines() {
+            let [text, line, message] = case.split(" => ").collect::<Vec<_>>()[..] else {
+                panic!("malformed case {case}")
+            };
+            let err = parse_workspace(&text.replace('|', "\n")).unwrap_err();
+            let got = (err.line.to_string(), err.message);
+            assert_eq!((got.0.as_str(), got.1.as_str()), (line, message), "{text}");
+        }
+        // References may precede the facts they name.
+        let later = "relation R/2\nfd R: 1 -> 2\nprefer R(a, 2) > R(a, 1)\nrepair J: R(a, 2)\n\
+                     fact R(a, 1)\nfact R(a, 2)\n";
+        let ws = parse_workspace(later).unwrap();
+        assert_eq!(ws.priority.edges(), &[(FactId(1), FactId(0))]);
+        assert_eq!(ws.repair("J").unwrap().iter().collect::<Vec<_>>(), vec![FactId(1)]);
     }
 
     #[test]

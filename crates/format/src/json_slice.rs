@@ -63,52 +63,58 @@ pub struct RawStr<'a> {
 impl<'a> RawStr<'a> {
     /// Decodes the span. Borrows the input unchanged when it contains
     /// no escapes (the common case for short identifiers); allocates
-    /// exactly one `String` otherwise.
+    /// exactly one `String` otherwise. Escape-free stretches are copied
+    /// whole, jumping from backslash to backslash.
     pub fn cow(&self) -> Cow<'a, str> {
-        if !self.raw.contains('\\') {
-            return Cow::Borrowed(self.raw);
-        }
-        let mut out = String::with_capacity(self.raw.len());
-        let mut chars = self.raw.chars();
-        while let Some(c) = chars.next() {
-            if c != '\\' {
-                out.push(c);
-                continue;
-            }
-            match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('b') => out.push('\u{8}'),
-                Some('f') => out.push('\u{c}'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hi = hex4(&mut chars);
-                    let code = if (0xD800..0xDC00).contains(&hi) {
-                        // Surrogate pair: the low half must follow as
-                        // another \u escape.
-                        let mut probe = chars.clone();
-                        if probe.next() == Some('\\') && probe.next() == Some('u') {
-                            let lo = hex4(&mut probe);
-                            if (0xDC00..0xE000).contains(&lo) {
-                                chars = probe;
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            }
-                        } else {
-                            hi
+        let raw = self.raw;
+        let Some(mut at) = raw.find('\\') else {
+            return Cow::Borrowed(raw);
+        };
+        let mut out = String::with_capacity(raw.len());
+        out.push_str(&raw[..at]);
+        // `at` is on a backslash; the scanner validated every escape.
+        loop {
+            let escape = raw.as_bytes().get(at + 1).copied();
+            at += 2;
+            match escape {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => {
+                    let hi = hex4(raw, at);
+                    at += 4;
+                    let mut code = hi;
+                    // Surrogate pair: the low half must follow as
+                    // another \u escape.
+                    let low_follows = raw.get(at..).is_some_and(|r| r.starts_with("\\u"));
+                    if (0xD800..0xDC00).contains(&hi) && low_follows {
+                        let lo = hex4(raw, at + 2);
+                        if (0xDC00..0xE000).contains(&lo) {
+                            at += 6;
+                            code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                         }
-                    } else {
-                        hi
-                    };
+                    }
                     out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                 }
                 // Unreachable: the scanner rejected unknown escapes.
-                Some(other) => out.push(other),
+                Some(other) => out.push(char::from(other)),
                 None => break,
+            }
+            let rest = raw.get(at..).unwrap_or("");
+            match rest.find('\\') {
+                Some(run) => {
+                    out.push_str(&rest[..run]);
+                    at += run;
+                }
+                None => {
+                    out.push_str(rest);
+                    break;
+                }
             }
         }
         Cow::Owned(out)
@@ -131,12 +137,10 @@ impl<'a> RawStr<'a> {
     }
 }
 
-fn hex4(chars: &mut std::str::Chars<'_>) -> u32 {
-    let mut code = 0u32;
-    for _ in 0..4 {
-        code = code * 16 + chars.next().and_then(|c| c.to_digit(16)).unwrap_or(0);
-    }
-    code
+/// The four hex digits at `raw[at..]` as a code unit.
+fn hex4(raw: &str, at: usize) -> u32 {
+    let digits = raw.as_bytes().get(at..at + 4).unwrap_or_default();
+    digits.iter().fold(0, |code, &d| code * 16 + char::from(d).to_digit(16).unwrap_or(0))
 }
 
 /// A shallowly-scanned JSON value.
@@ -509,6 +513,59 @@ mod tests {
         }
     }
 
+    /// The char-at-a-time decoder that [`RawStr::cow`]'s run copy
+    /// replaced, kept as the reference it must agree with.
+    fn cow_charwise(raw: &str) -> String {
+        fn hex4(chars: &mut std::str::Chars<'_>) -> u32 {
+            let mut code = 0u32;
+            for _ in 0..4 {
+                code = code * 16 + chars.next().and_then(|c| c.to_digit(16)).unwrap_or(0);
+            }
+            code
+        }
+        let mut out = String::with_capacity(raw.len());
+        let mut chars = raw.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            match chars.next() {
+                Some('"') => out.push('"'),
+                Some('\\') => out.push('\\'),
+                Some('/') => out.push('/'),
+                Some('b') => out.push('\u{8}'),
+                Some('f') => out.push('\u{c}'),
+                Some('n') => out.push('\n'),
+                Some('r') => out.push('\r'),
+                Some('t') => out.push('\t'),
+                Some('u') => {
+                    let hi = hex4(&mut chars);
+                    let code = if (0xD800..0xDC00).contains(&hi) {
+                        let mut probe = chars.clone();
+                        if probe.next() == Some('\\') && probe.next() == Some('u') {
+                            let lo = hex4(&mut probe);
+                            if (0xDC00..0xE000).contains(&lo) {
+                                chars = probe;
+                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                            } else {
+                                hi
+                            }
+                        } else {
+                            hi
+                        }
+                    } else {
+                        hi
+                    };
+                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                }
+                Some(other) => out.push(other),
+                None => break,
+            }
+        }
+        out
+    }
+
     /// A scanned span as (byte offset into `text`, escaped span).
     fn span_of<'a>(text: &str, raw: RawStr<'a>) -> (usize, &'a str) {
         (raw.escaped().as_ptr() as usize - text.as_ptr() as usize, raw.escaped())
@@ -582,7 +639,44 @@ mod tests {
         }
     }
 
+    /// A piece of a *valid* string body: [`piece`]'s plain text, valid
+    /// escapes, `\u` escapes and multi-byte scalars, plus paired and
+    /// lone surrogates and `\u0000`.
+    fn valid_piece(kind: u8, seed: u32) -> String {
+        let hex = |code: u32| format!("\\u{code:04x}");
+        // Either end of each surrogate range, or a value inside it.
+        let end = (seed >> 24) as usize % 3;
+        let high = [0xD800, 0xDBFF, 0xD800 + seed % 0x400][end];
+        let low = [0xDC00, 0xDFFF, 0xDC00 + (seed >> 10) % 0x400][end];
+        match kind {
+            // `piece`'s first eight escapes are its valid ones.
+            3 => piece(3, seed % 8),
+            0 | 4 | 7 | 8 | 9 => piece(kind, seed),
+            1 => format!("{}{}", hex(high), hex(low)),
+            2 => hex(high),
+            5 => hex(low),
+            // A high surrogate followed by a `\u` escape just outside
+            // the low range, or anywhere else.
+            6 => {
+                let next = [0xDBFF, 0xE000, seed % 0xDC00, 0xE000 + seed % 0x2000];
+                format!("{}{}", hex(high), hex(next[(seed >> 20) as usize % 4]))
+            }
+            _ => "\\u0000".into(),
+        }
+    }
+
     proptest! {
+        #[test]
+        fn run_decoder_matches_charwise_reference(
+            pieces in proptest::collection::vec((0u8..11, any::<u32>()), 0..16),
+        ) {
+            let body: String = pieces.iter().map(|&(kind, seed)| valid_piece(kind, seed)).collect();
+            let doc = format!("\"{body}\"");
+            let scanned = Scanner { bytes: doc.as_bytes(), text: &doc, pos: 0 }.string();
+            prop_assert_eq!(scanned, Ok(RawStr { raw: &body }), "{:?} must scan whole", body);
+            prop_assert_eq!(RawStr { raw: &body }.cow(), cow_charwise(&body), "{:?}", body);
+        }
+
         #[test]
         fn word_scan_matches_bytewise_reference(
             pieces in proptest::collection::vec((0u8..10, any::<u32>()), 0..16),

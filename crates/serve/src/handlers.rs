@@ -39,7 +39,7 @@ use rpr_cqa::RepairSemantics;
 use rpr_data::{fingerprint::Fingerprint, FactSet};
 use rpr_format::{
     delta_ops_from_strings, parse_workspace_raw, render_certificate, scan_object,
-    workspace_fingerprint, RawStr, SliceValue,
+    workspace_fingerprint, RawStr, SliceValue, Workspace,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -152,6 +152,11 @@ fn count_status(metrics: &Metrics, status: u16) {
         _ => &metrics.bad_request_total,
     };
     counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// The 400 for a workspace that does not parse or validate.
+fn workspace_error(e: rpr_format::FormatError) -> Response {
+    error_response(400, &format!("workspace: {e}"))
 }
 
 fn error_response(status: u16, message: &str) -> Response {
@@ -287,13 +292,14 @@ impl ActiveSession<'_> {
 ///   fresh, never to another workspace's verdicts. A verified hit moves
 ///   the request's repairs into the session's fact ids and re-arms the
 ///   slot with the request's bytes.
-/// * **Miss.** The session is built from the request and keeps the
-///   request's bytes and repairs before it is cached, so the insert
-///   indexes them. Between the insert and the read guard a delta may
-///   mutate the session, even without changing its fingerprint (a
-///   delete and re-insert renumbers the facts), and clears the kept
-///   source as it does. So the request is served by the source found
-///   under the read guard, or by a fresh build when it is gone.
+/// * **Miss.** The request's parsed instance and priority move into
+///   the new session uncopied, and it keeps the request's bytes and
+///   repairs before it is cached, so the insert indexes them. Between
+///   the insert and the read guard a delta may mutate the session, even
+///   without changing its fingerprint (a delete and re-insert renumbers
+///   the facts), and clears the kept source as it does. So the request
+///   is served by the source found under the read guard, or, when it is
+///   gone, by a fresh build from a second parse of the request.
 fn with_session(
     state: &ServerState,
     body: &Body<'_>,
@@ -310,19 +316,18 @@ fn with_session(
         }
     }
 
-    let mut workspace = parse_workspace_raw(&ws_raw)
-        .map_err(|e| error_response(400, &format!("workspace: {e}")))?;
+    let mut workspace = parse_workspace_raw(&ws_raw).map_err(workspace_error)?;
     let fingerprint = workspace_fingerprint(&workspace);
+    let repairs: Arc<[(String, FactSet)]> = std::mem::take(&mut workspace.repairs).into();
     // Validate before touching the cache so a broken workspace can
     // never leave a placeholder entry behind.
-    let pi =
-        workspace.prioritized().map_err(|e| error_response(400, &format!("workspace: {e}")))?;
+    let (schema, pi) = workspace.into_prioritized().map_err(workspace_error)?;
+    let schema = Arc::new(schema);
     let budget = request_budget(state, body)?;
-    let repairs: Arc<[(String, FactSet)]> = std::mem::take(&mut workspace.repairs).into();
     let mut pi = Some(pi);
     let (slot, _) = state.cache.get_or_build(fingerprint, || {
         let slot = SessionSlot::new(DeltaSession::prepare_with_store(
-            Arc::new(workspace.schema.clone()),
+            Arc::clone(&schema),
             pi.take().expect("build closure runs at most once"),
             Some(Arc::clone(&state.shard_store)),
         ));
@@ -336,22 +341,29 @@ fn with_session(
     let pi = match pi {
         None => match slot.source_for(text) {
             Some(source) => return serve(ActiveSession::kept(guard, &source, false, budget)),
-            // A delta got in between the insert and the read guard.
-            None => workspace.prioritized().expect("validated above"),
+            // A delta got in between the insert and the read guard,
+            // and the request's instance is in the session it built:
+            // parse the request again (it parsed and validated above).
+            None => {
+                parse_workspace_raw(&ws_raw)
+                    .and_then(Workspace::into_prioritized)
+                    .expect("parsed and validated above")
+                    .1
+            }
         },
         Some(request_pi) => {
             let session_facts = guard.prioritized().instance();
             let translated = crate::identity::content_equal(
                 guard.schema(),
                 guard.prioritized(),
-                &workspace.schema,
+                &schema,
                 &request_pi,
             )
             .then(|| {
                 repairs
                     .iter()
                     .map(|(name, set)| {
-                        Some((name.clone(), translate(set, &workspace.instance, session_facts)?))
+                        Some((name.clone(), translate(set, request_pi.instance(), session_facts)?))
                     })
                     .collect::<Option<Arc<[_]>>>()
             })
@@ -377,7 +389,7 @@ fn with_session(
             request_pi
         }
     };
-    let fresh = Some(DeltaSession::prepare(Arc::new(workspace.schema.clone()), pi));
+    let fresh = Some(DeltaSession::prepare(schema, pi));
     serve(ActiveSession {
         guard,
         fresh,
@@ -558,15 +570,13 @@ fn check_session(
     if body.certify && active.cached && audit_certs(state, &run.certs) > 0 {
         state.metrics.cache_misses_total.fetch_add(1, Ordering::Relaxed);
         let ws_raw = body.workspace.expect("a served request carries a workspace");
-        let workspace = parse_workspace_raw(&ws_raw)
-            .map_err(|e| error_response(400, &format!("workspace: {e}")))?;
-        let pi =
-            workspace.prioritized().map_err(|e| error_response(400, &format!("workspace: {e}")))?;
+        let workspace = parse_workspace_raw(&ws_raw).map_err(workspace_error)?;
         let own: Vec<FactSet> = requested_repairs(body.repairs.as_deref(), &workspace.repairs)?
             .into_iter()
             .map(|(_, s)| s)
             .collect();
-        let fresh = DeltaSession::prepare(Arc::new(workspace.schema.clone()), pi);
+        let (schema, pi) = workspace.into_prioritized().map_err(workspace_error)?;
+        let fresh = DeltaSession::prepare(Arc::new(schema), pi);
         run = run_check(state, &fresh, &own, &active.budget, true);
     }
 
