@@ -21,9 +21,9 @@
 //!   patch is bit-identical to `FdBlocks::build`); untouched relations
 //!   only remap ids, which preserves that order under dense renumbering.
 //! * **Fingerprint** — the canonical 128-bit content fingerprint is
-//!   maintained by two unordered accumulators (fact multiset, priority
-//!   edge set) with O(1) add/remove, and cross-checked against the
-//!   from-scratch [`content_fingerprint`] in debug builds.
+//!   maintained as [`ContentLanes`], whose fact-multiset and
+//!   priority-edge-set lanes take O(1) add/remove, and cross-checked
+//!   against the from-scratch [`content_fingerprint`] in debug builds.
 //!
 //! **Atomicity.** [`apply_delta`](DeltaSession::apply_delta) validates
 //! the entire op sequence against a content-keyed simulation before
@@ -41,14 +41,12 @@
 //! localized patches cost more than the rebuild they avoid. The report
 //! says which path ran so operators can count rebuilds.
 
-use crate::fingerprint::{
-    content_fingerprint, mode_word, priority_edge_fingerprint, schema_fingerprint,
-};
+use crate::fingerprint::{content_fingerprint, ContentLanes};
 use crate::session::{CheckSession, SessionArtifacts};
 use crate::shard_store::ShardStore;
 use rpr_classify::Complexity;
-use rpr_data::fingerprint::{Fingerprint, FingerprintBuilder, UnorderedAccumulator};
-use rpr_data::{fingerprint_fact, fingerprint_signature, Fact, FactId, FxHashMap, FxHashSet};
+use rpr_data::fingerprint::Fingerprint;
+use rpr_data::{Fact, FactId, FxHashMap, FxHashSet};
 use rpr_fd::{ComponentLayout, CsrConflictGraph, Schema};
 use rpr_priority::{PrioritizedInstance, PriorityMode};
 use std::fmt;
@@ -190,15 +188,8 @@ pub struct DeltaSession {
     schema: Arc<Schema>,
     pi: PrioritizedInstance,
     artifacts: SessionArtifacts,
-    /// Fixed lane: schema fingerprint (the schema never mutates).
-    schema_fp: Fingerprint,
-    /// Fixed lane: signature fingerprint (prefix of the instance lane).
-    sig_fp: Fingerprint,
-    /// Live lane: the unordered fact-content multiset.
-    fact_acc: UnorderedAccumulator,
-    /// Live lane: the unordered priority-edge set.
-    edge_acc: UnorderedAccumulator,
-    mode_word: u64,
+    /// The fingerprint lanes of the current state.
+    lanes: ContentLanes,
     /// The content-addressed shard store the session resolves its
     /// exact-path shards through; `None` keeps shards private.
     store: Option<Arc<ShardStore>>,
@@ -224,26 +215,27 @@ impl DeltaSession {
         pi: PrioritizedInstance,
         store: Option<Arc<ShardStore>>,
     ) -> Self {
-        let artifacts = SessionArtifacts::build_with_store(&schema, &pi, store.as_deref());
-        let sig = pi.instance().signature();
-        let fact_acc = UnorderedAccumulator::from_items(
-            pi.instance().iter().map(|(_, f)| fingerprint_fact(sig, f)),
+        let lanes = ContentLanes::of(&schema, &pi);
+        Self::prepare_with_lanes(schema, pi, lanes, store)
+    }
+
+    /// [`DeltaSession::prepare_with_store`] for a caller that already
+    /// built the workspace's [`ContentLanes`] (to key a cache by their
+    /// fingerprint): the lanes move into the session instead of being
+    /// digested again. They must be the lanes of `schema` and `pi`.
+    pub fn prepare_with_lanes(
+        schema: Arc<Schema>,
+        pi: PrioritizedInstance,
+        lanes: ContentLanes,
+        store: Option<Arc<ShardStore>>,
+    ) -> Self {
+        debug_assert_eq!(
+            lanes.fingerprint(),
+            content_fingerprint(&schema, &pi),
+            "lanes of another workspace"
         );
-        let edge_acc =
-            UnorderedAccumulator::from_items(pi.priority().edges().iter().map(|&(hi, lo)| {
-                priority_edge_fingerprint(sig, pi.instance().fact(hi), pi.instance().fact(lo))
-            }));
-        DeltaSession {
-            schema_fp: schema_fingerprint(&schema),
-            sig_fp: fingerprint_signature(sig),
-            mode_word: mode_word(pi.mode()),
-            schema,
-            pi,
-            artifacts,
-            fact_acc,
-            edge_acc,
-            store,
-        }
+        let artifacts = SessionArtifacts::build_with_store(&schema, &pi, store.as_deref());
+        DeltaSession { schema, pi, artifacts, lanes, store }
     }
 
     /// The shard store the session is attached to, if any.
@@ -277,15 +269,7 @@ impl DeltaSession {
     /// from the incrementally-maintained lanes. Bit-identical to
     /// [`content_fingerprint`] over the same workspace.
     pub fn fingerprint(&self) -> Fingerprint {
-        let mut inst = FingerprintBuilder::new();
-        inst.fingerprint(self.sig_fp);
-        inst.fingerprint(self.fact_acc.finish());
-        let mut b = FingerprintBuilder::new();
-        b.fingerprint(self.schema_fp);
-        b.fingerprint(inst.finish());
-        b.fingerprint(self.edge_acc.finish());
-        b.word(self.mode_word);
-        b.finish()
+        self.lanes.fingerprint()
     }
 
     /// Approximate resident bytes of the workspace plus artifacts
@@ -537,25 +521,23 @@ impl DeltaSession {
         let sig = self.pi.instance().signature().clone();
         match op {
             DeltaOp::InsertFact(f) => {
-                self.fact_acc.add(fingerprint_fact(&sig, f));
+                self.lanes.set_fact(&sig, f, true);
                 self.pi.insert_fact(f.clone());
             }
             DeltaOp::DeleteFact(f) => {
-                self.fact_acc.remove(fingerprint_fact(&sig, f));
+                self.lanes.set_fact(&sig, f, false);
                 let id = self.pi.instance().id_of(f).expect("validated delete");
                 self.pi.remove_fact(id);
             }
             DeltaOp::SetPriority { better, worse, prefer } => {
-                let fp = priority_edge_fingerprint(&sig, better, worse);
+                self.lanes.set_edge(&sig, better, worse, *prefer);
                 let (bi, wi) = (
                     self.pi.instance().id_of(better).expect("validated endpoint"),
                     self.pi.instance().id_of(worse).expect("validated endpoint"),
                 );
                 if *prefer {
-                    self.edge_acc.add(fp);
                     self.pi.add_edge(&self.schema, bi, wi).expect("validated edge");
                 } else {
-                    self.edge_acc.remove(fp);
                     self.pi.remove_edge(bi, wi);
                 }
             }

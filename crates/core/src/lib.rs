@@ -66,7 +66,7 @@ pub use construct::construct_globally_optimal_repair;
 pub use delta::{DeltaError, DeltaOp, DeltaReport, DeltaSession, REBUILD_CHURN_PERCENT};
 pub use exact::check_global_exact_bounded;
 pub use fingerprint::{
-    content_fingerprint, priority_edge_fingerprint, priority_fingerprint, schema_fingerprint,
+    content_fingerprint, priority_edge_fingerprint, schema_fingerprint, ContentLanes,
 };
 pub use global_1fd::check_global_1fd;
 pub use global_2keys::check_global_2keys;

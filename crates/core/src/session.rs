@@ -70,7 +70,9 @@ use rpr_classify::{
 };
 use rpr_data::{FactId, FactSet, Fingerprint, Instance};
 use rpr_engine::{Budget, Outcome, PanicReport, Stop};
-use rpr_fd::{ComponentLayout, ConflictRows, CsrConflictGraph, Fd, FdGrouping, Schema};
+use rpr_fd::{
+    ComponentLayout, ConflictGraph, ConflictRows, CsrConflictGraph, Fd, FdGrouping, Schema,
+};
 use rpr_priority::{PrioritizedInstance, PriorityMode, PriorityRelation};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -223,8 +225,10 @@ impl SessionArtifacts {
             }
         }
         let csr = CsrConflictGraph::from_groupings(instance.len(), &groupings);
+        // The hash-grouped bitset graph shares no code with
+        // `FdGrouping`, so this checks the sort, too.
         debug_assert!(
-            csr == CsrConflictGraph::new(schema, instance),
+            csr == CsrConflictGraph::from_graph(&ConflictGraph::new(schema, instance)),
             "session conflict rows diverged from the schema's"
         );
         (csr, rel_blocks)

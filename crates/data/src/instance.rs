@@ -12,9 +12,9 @@ use crate::error::DataError;
 use crate::fact::{Fact, SigRef, Tuple};
 use crate::hash::FxHasher;
 use crate::signature::RelId;
-use crate::value::Value;
+use crate::value::{Atom, Value};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::mem::size_of;
 
 /// Dense identifier of a fact within one [`Instance`].
@@ -44,11 +44,20 @@ pub struct Instance {
 impl Instance {
     /// Creates an empty instance over a signature.
     pub fn new(sig: SigRef) -> Self {
+        Self::with_capacity(sig, 0)
+    }
+
+    /// Creates an empty instance with room for `facts` facts: the fact
+    /// vector and the id index are sized once, so inserting up to that
+    /// many facts never regrows or rehashes them. Both get the size
+    /// `facts` inserts into an empty instance would grow them to, so
+    /// the next insert (a delta's, say) does not reallocate either.
+    pub fn with_capacity(sig: SigRef, facts: usize) -> Self {
         let nrels = sig.len();
         Instance {
             sig,
-            facts: Vec::new(),
-            index: IdTable::default(),
+            facts: Vec::with_capacity(if facts == 0 { 0 } else { facts.next_power_of_two() }),
+            index: IdTable::with_capacity(facts),
             by_rel: vec![Vec::new(); nrels],
         }
     }
@@ -71,7 +80,7 @@ impl Instance {
     /// Inserts a fact, returning its id (existing id if already present).
     pub fn insert(&mut self, fact: Fact) -> FactId {
         let hash = fact_hash(&fact);
-        if let Some(id) = self.index.get(&self.facts, hash, fact.rel(), fact.tuple().values()) {
+        if let Some(id) = self.index.get(&self.facts, hash, |f| f == &fact) {
             return id;
         }
         let id = FactId(self.facts.len() as u32);
@@ -131,7 +140,26 @@ impl Instance {
 
     /// Looks up the id of the fact `rel(values)` without building it.
     pub fn id_of_parts(&self, rel: RelId, values: &[Value]) -> Option<FactId> {
-        self.index.get(&self.facts, content_hash(rel, values), rel, values)
+        self.index.get(&self.facts, content_hash(rel, values), |f| {
+            f.rel() == rel && f.tuple().values() == values
+        })
+    }
+
+    /// Looks up the id of the fact `rel(atoms)`, whose values are given
+    /// as borrowed tokens: [`id_of_parts`](Self::id_of_parts) without
+    /// building a single value.
+    pub fn id_of_atoms(&self, rel: RelId, atoms: &[Atom<'_>]) -> Option<FactId> {
+        let mut h = FxHasher::default();
+        h.write_u32(rel.0);
+        for &atom in atoms {
+            hash_atom(&mut h, atom);
+        }
+        self.index.get(&self.facts, h.finish(), |f| {
+            let values = f.tuple().values();
+            f.rel() == rel
+                && values.len() == atoms.len()
+                && atoms.iter().zip(values).all(|(a, v)| a == v)
+        })
     }
 
     /// Does the instance contain the fact?
@@ -239,8 +267,39 @@ impl Instance {
 fn content_hash(rel: RelId, values: &[Value]) -> u64 {
     let mut h = FxHasher::default();
     h.write_u32(rel.0);
-    values.hash(&mut h);
+    for v in values {
+        hash_value(&mut h, v);
+    }
     h.finish()
+}
+
+/// Hashes a value through its [`Atom`] form, so a value and the token
+/// naming it hash alike.
+fn hash_value(h: &mut FxHasher, v: &Value) {
+    match v {
+        Value::Int(n) => hash_atom(h, Atom::Int(*n)),
+        Value::Sym(s) => hash_atom(h, Atom::Sym(s)),
+        Value::Pair(p) => {
+            h.write_u8(2);
+            hash_value(h, &p.0);
+            hash_value(h, &p.1);
+        }
+    }
+}
+
+/// The id index's hash of one value token: its variant, then its
+/// integer or its bytes.
+fn hash_atom(h: &mut FxHasher, atom: Atom<'_>) {
+    match atom {
+        Atom::Int(n) => {
+            h.write_u8(0);
+            h.write_u64(n as u64);
+        }
+        Atom::Sym(s) => {
+            h.write_u8(1);
+            h.write(s.as_bytes());
+        }
+    }
 }
 
 fn fact_hash(fact: &Fact) -> u64 {
@@ -260,6 +319,16 @@ struct IdTable {
 }
 
 impl IdTable {
+    /// A table that indexes `facts` facts without growing: the smallest
+    /// power of two at least twice as long, as `facts` inserts into an
+    /// empty table would leave it.
+    fn with_capacity(facts: usize) -> Self {
+        if facts == 0 {
+            return IdTable::default();
+        }
+        IdTable { slots: vec![FREE; (facts * 2).next_power_of_two().max(8)] }
+    }
+
     /// The slot a hash probes first: its top bits, since FxHash mixes
     /// the high bits of its final multiply best.
     fn home(&self, hash: u64) -> usize {
@@ -270,8 +339,9 @@ impl IdTable {
         (slot + 1) & (self.slots.len() - 1)
     }
 
-    /// The id of the fact `rel(values)` hashing to `hash`, if present.
-    fn get(&self, facts: &[Fact], hash: u64, rel: RelId, values: &[Value]) -> Option<FactId> {
+    /// The id of the fact hashing to `hash` that `is_it` accepts, if
+    /// present.
+    fn get(&self, facts: &[Fact], hash: u64, is_it: impl Fn(&Fact) -> bool) -> Option<FactId> {
         if self.slots.is_empty() {
             return None;
         }
@@ -281,8 +351,7 @@ impl IdTable {
             if id == FREE {
                 return None;
             }
-            let fact = &facts[id as usize];
-            if fact.rel() == rel && fact.tuple().values() == values {
+            if is_it(&facts[id as usize]) {
                 return Some(FactId(id));
             }
             slot = self.next(slot);
@@ -911,6 +980,99 @@ mod tests {
         ) {
             let sig = model_sig();
             replay(&sig, &colliding_pool(&sig), &ops);
+        }
+    }
+
+    /// The atoms naming `values`, unless one is a pair.
+    fn atoms_of(values: &[Value]) -> Option<Vec<Atom<'_>>> {
+        values
+            .iter()
+            .map(|v| match v {
+                Value::Int(n) => Some(Atom::Int(*n)),
+                Value::Sym(s) => Some(Atom::Sym(s)),
+                Value::Pair(_) => None,
+            })
+            .collect()
+    }
+
+    /// `pool` plus each fact's look-alike: every int swapped for the
+    /// symbol spelling it.
+    fn with_look_alikes(sig: &SigRef, mut pool: Vec<Fact>) -> Vec<Fact> {
+        let spelled = |v: &Value| match v {
+            Value::Int(n) => Value::sym(n.to_string()),
+            other => other.clone(),
+        };
+        let twins: Vec<Fact> = pool
+            .iter()
+            .map(|f| Fact::new(sig, f.rel(), Tuple::new(f.tuple().values().iter().map(spelled))))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        pool.extend(twins);
+        pool
+    }
+
+    proptest! {
+        #[test]
+        fn atom_lookups_match_value_lookups(
+            picks in proptest::collection::vec(0usize..1 << 16, 0..60),
+            colliding in any::<bool>(),
+        ) {
+            let sig = model_sig();
+            let base = if colliding { colliding_pool(&sig) } else { mixed_pool(&sig) };
+            let pool = with_look_alikes(&sig, base);
+            let mut inst = Instance::new(sig.clone());
+            // Insert only from the first half: the look-alikes of
+            // present facts are probed absent.
+            for n in picks {
+                inst.insert(pool[n % (pool.len() / 2)].clone());
+            }
+            for fact in &pool {
+                let values = fact.tuple().values();
+                if let Some(atoms) = atoms_of(values) {
+                    prop_assert_eq!(
+                        inst.id_of_atoms(fact.rel(), &atoms),
+                        inst.id_of_parts(fact.rel(), values),
+                        "{:?}",
+                        fact
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_int_token_never_finds_a_numeric_symbol() {
+        let sig = model_sig();
+        let s = sig.rel_id("S").unwrap();
+        let mut inst = Instance::new(sig.clone());
+        inst.insert_named("S", [Value::sym("5")]).unwrap();
+        assert_eq!(inst.id_of_atoms(s, &[Atom::Int(5)]), None);
+        assert_eq!(inst.id_of_atoms(s, &[Atom::Sym("5")]), Some(FactId(0)));
+        inst.insert_named("S", [Value::Int(5)]).unwrap();
+        assert_eq!(inst.id_of_atoms(s, &[Atom::Int(5)]), Some(FactId(1)));
+        // Wrong relation or width: absent.
+        let r = sig.rel_id("R").unwrap();
+        assert_eq!(inst.id_of_atoms(r, &[Atom::Int(5)]), None);
+        assert_eq!(inst.id_of_atoms(s, &[Atom::Int(5), Atom::Int(5)]), None);
+    }
+
+    #[test]
+    fn a_presized_instance_matches_a_grown_one() {
+        let sig = model_sig();
+        let pool = mixed_pool(&sig);
+        let mut grown = Instance::new(sig.clone());
+        let mut sized = Instance::with_capacity(sig.clone(), pool.len());
+        let slots = sized.index.slots.len();
+        for fact in &pool {
+            assert_eq!(grown.insert(fact.clone()), sized.insert(fact.clone()));
+        }
+        // Presized to exactly the table and vector the inserts grew to:
+        // no rehash, and no reallocation on the next insert either.
+        assert_eq!(sized.index.slots.len(), slots);
+        assert_eq!(grown.index.slots.len(), slots);
+        assert_eq!(sized.facts.capacity(), grown.facts.capacity());
+        for fact in &pool {
+            assert_eq!(sized.id_of(fact), grown.id_of(fact));
         }
     }
 

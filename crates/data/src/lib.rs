@@ -38,4 +38,4 @@ pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use instance::{tuple, FactId, FactSet, Instance};
 pub use parse::{parse_instance, render_instance};
 pub use signature::{RelId, RelationSymbol, Signature};
-pub use value::Value;
+pub use value::{Atom, Value};

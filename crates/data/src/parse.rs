@@ -7,21 +7,14 @@
 //! LibLoc(lib1, 42)        // bare integers parse as Value::Int
 //! ```
 //!
-//! Values are symbols unless they parse as `i64`. Whitespace around
-//! values is trimmed. Empty lines and `#`-prefixed lines are skipped.
+//! Values are symbols unless they parse as `i64` ([`Atom::from_token`]).
+//! Whitespace around values is trimmed. Empty lines and `#`-prefixed
+//! lines are skipped.
 
 use crate::error::DataError;
 use crate::fact::SigRef;
 use crate::instance::Instance;
-use crate::value::Value;
-
-/// Parses one value token.
-fn parse_value(token: &str) -> Value {
-    match token.parse::<i64>() {
-        Ok(n) => Value::Int(n),
-        Err(_) => Value::sym(token),
-    }
-}
+use crate::value::{Atom, Value};
 
 /// Parses an instance from text.
 ///
@@ -57,7 +50,7 @@ pub fn parse_instance(sig: SigRef, text: &str) -> Result<Instance, DataError> {
                 message: "facts must have at least one value".into(),
             });
         }
-        let values: Vec<Value> = body.split(',').map(|t| parse_value(t.trim())).collect();
+        let values = body.split(',').map(|t| Value::from(Atom::from_token(t.trim())));
         instance.insert_named(rel, values).map_err(|e| match e {
             DataError::Parse { .. } => e,
             other => DataError::Parse { line: lineno, message: other.to_string() },

@@ -70,6 +70,50 @@ impl Value {
     }
 }
 
+/// A value as one token of text names it, borrowed from that text:
+/// what a `prefer` or `repair` reference holds until it resolves to a
+/// fact id. A token is an [`Atom::Int`] when it parses as an `i64`
+/// and an [`Atom::Sym`] otherwise ([`Atom::from_token`] — the one token
+/// rule of every text format). Pairs have no token form.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Atom<'t> {
+    /// An integer token.
+    Int(i64),
+    /// A symbol token.
+    Sym(&'t str),
+}
+
+impl<'t> Atom<'t> {
+    /// Classifies a (trimmed) token: an integer when `str::parse::<i64>`
+    /// accepts it (so `+5`, `-0` and `007` are ints), a symbol otherwise
+    /// (so are out-of-range numerals and `1_000`).
+    pub fn from_token(token: &'t str) -> Self {
+        match token.parse::<i64>() {
+            Ok(n) => Atom::Int(n),
+            Err(_) => Atom::Sym(token),
+        }
+    }
+}
+
+impl From<Atom<'_>> for Value {
+    fn from(atom: Atom<'_>) -> Self {
+        match atom {
+            Atom::Int(n) => Value::Int(n),
+            Atom::Sym(s) => Value::sym(s),
+        }
+    }
+}
+
+impl PartialEq<Value> for Atom<'_> {
+    fn eq(&self, value: &Value) -> bool {
+        match (*self, value) {
+            (Atom::Int(n), Value::Int(m)) => n == *m,
+            (Atom::Sym(s), Value::Sym(t)) => s == &**t,
+            _ => false,
+        }
+    }
+}
+
 impl fmt::Debug for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Display::fmt(self, f)
@@ -157,6 +201,17 @@ mod tests {
         assert_eq!(Value::int(9).as_sym(), None);
         assert!(Value::pair(1.into(), 2.into()).as_pair().is_some());
         assert!(Value::int(1).as_pair().is_none());
+    }
+
+    #[test]
+    fn atoms_equal_exactly_their_values() {
+        assert_eq!(Atom::Int(5), Value::Int(5));
+        assert_eq!(Atom::Sym("5"), Value::sym("5"));
+        assert_ne!(Atom::Int(5), Value::sym("5"));
+        assert_ne!(Atom::Sym("5"), Value::Int(5));
+        assert_ne!(Atom::Int(1), Value::pair(1.into(), 1.into()));
+        assert_eq!(Value::from(Atom::Sym("x")), Value::sym("x"));
+        assert_eq!(Value::from(Atom::Int(-2)), Value::Int(-2));
     }
 
     #[test]

@@ -12,10 +12,17 @@
 //! and the Lemma 4.2 block structure of `GRepCheck1FD`, so a session
 //! groups each single-FD relation once. The comparisons are value-wise
 //! in place: no projection tuple is ever materialized.
+//!
+//! The sort runs on *abbreviated keys* (PostgreSQL's trick for sorting
+//! text): each fact carries one `u64` per side, an order-preserving
+//! digest of its first `A`-value and its first `B`-value. Most
+//! comparisons are settled by two integer compares; only equal keys
+//! fall back to the full value-wise [`cmp_on`], so the order is exactly
+//! the value order.
 
 use crate::fd::Fd;
 use crate::schema::Schema;
-use rpr_data::{AttrSet, FactId, Instance, RelId};
+use rpr_data::{AttrSet, FactId, Instance, RelId, Value};
 use std::cmp::Ordering;
 
 /// Compares two facts on an attribute set, value-wise in place.
@@ -28,6 +35,40 @@ pub fn cmp_on(instance: &Instance, x: FactId, y: FactId, attrs: AttrSet) -> Orde
         }
     }
     Ordering::Equal
+}
+
+/// The abbreviated key of a value: `x < y` whenever
+/// `abbreviate(x) < abbreviate(y)`, so unequal keys decide a comparison
+/// and equal keys decide nothing. The top two bits follow `Value`'s
+/// variant order (`Int < Sym < Pair`); the low 62 bits hold an `Int`'s
+/// sign-biased value without its two lowest bits, or a `Sym`'s first
+/// bytes, big-endian and zero-padded, without the two lowest bits of
+/// the eighth. A `Pair` keys by its tag alone. Embedded NULs, shared
+/// prefixes past the key and the dropped bits all tie.
+fn abbreviate(v: &Value) -> u64 {
+    match v {
+        Value::Int(n) => ((*n as u64) ^ (1 << 63)) >> 2,
+        Value::Sym(s) => {
+            let mut word = [0u8; 8];
+            let head = &s.as_bytes()[..s.len().min(8)];
+            word[..head.len()].copy_from_slice(head);
+            (1 << 62) | (u64::from_be_bytes(word) >> 2)
+        }
+        Value::Pair(_) => 2 << 62,
+    }
+}
+
+/// The abbreviated key of a fact's first value on `attrs` (`0` for an
+/// empty side, on which every fact ties).
+fn side_key(instance: &Instance, id: FactId, attrs: AttrSet) -> u64 {
+    attrs.iter().next().map_or(0, |a| abbreviate(instance.fact(id).get(a)))
+}
+
+/// One fact of a grouping being sorted, with its two abbreviated keys.
+struct Keyed {
+    lhs: u64,
+    rhs: u64,
+    id: FactId,
 }
 
 /// The facts of one relation grouped under one FD `A → B`, flat.
@@ -48,28 +89,43 @@ pub struct FdGrouping {
 
 impl FdGrouping {
     /// Groups `ids` (facts of `fd`'s relation) under `fd`.
+    ///
+    /// Sorts on the abbreviated keys of each side, falling back to the
+    /// full [`cmp_on`] only where the keys tie, and splits groups and
+    /// blocks the same way.
     pub fn new(instance: &Instance, fd: Fd, ids: impl IntoIterator<Item = FactId>) -> Self {
-        let mut sorted: Vec<FactId> = ids.into_iter().collect();
-        sorted.sort_unstable_by(|&x, &y| {
-            cmp_on(instance, x, y, fd.lhs)
-                .then_with(|| cmp_on(instance, x, y, fd.rhs))
-                .then(x.cmp(&y))
-        });
+        let lhs = |x: &Keyed, y: &Keyed| {
+            x.lhs.cmp(&y.lhs).then_with(|| cmp_on(instance, x.id, y.id, fd.lhs))
+        };
+        let rhs = |x: &Keyed, y: &Keyed| {
+            x.rhs.cmp(&y.rhs).then_with(|| cmp_on(instance, x.id, y.id, fd.rhs))
+        };
+        let mut keyed: Vec<Keyed> = ids
+            .into_iter()
+            .map(|id| {
+                debug_assert_eq!(instance.fact(id).rel(), fd.rel, "grouping foreign facts");
+                Keyed {
+                    lhs: side_key(instance, id, fd.lhs),
+                    rhs: side_key(instance, id, fd.rhs),
+                    id,
+                }
+            })
+            .collect();
+        keyed.sort_unstable_by(|x, y| lhs(x, y).then_with(|| rhs(x, y)).then(x.id.cmp(&y.id)));
         let mut block_starts = Vec::new();
         let mut group_starts = Vec::new();
-        for (p, &id) in sorted.iter().enumerate() {
-            debug_assert_eq!(instance.fact(id).rel(), fd.rel, "grouping foreign facts");
-            let new_group =
-                p == 0 || cmp_on(instance, sorted[p - 1], id, fd.lhs) != Ordering::Equal;
+        for (p, k) in keyed.iter().enumerate() {
+            let new_group = p == 0 || lhs(&keyed[p - 1], k) != Ordering::Equal;
             if new_group {
                 group_starts.push(block_starts.len() as u32);
             }
-            if new_group || cmp_on(instance, sorted[p - 1], id, fd.rhs) != Ordering::Equal {
+            if new_group || rhs(&keyed[p - 1], k) != Ordering::Equal {
                 block_starts.push(p as u32);
             }
         }
         group_starts.push(block_starts.len() as u32);
-        block_starts.push(sorted.len() as u32);
+        block_starts.push(keyed.len() as u32);
+        let sorted = keyed.into_iter().map(|k| k.id).collect();
         FdGrouping { sorted, block_starts, group_starts }
     }
 
@@ -125,7 +181,126 @@ impl FdGrouping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpr_data::{Signature, Value};
+    use proptest::prelude::*;
+    use rpr_data::Signature;
+
+    /// The grouping by a full value-wise sort, without abbreviated
+    /// keys: the order [`FdGrouping::new`] must reproduce exactly.
+    fn oracle(instance: &Instance, fd: Fd, ids: &[FactId]) -> FdGrouping {
+        let mut sorted = ids.to_vec();
+        sorted.sort_unstable_by(|&x, &y| {
+            cmp_on(instance, x, y, fd.lhs)
+                .then_with(|| cmp_on(instance, x, y, fd.rhs))
+                .then(x.cmp(&y))
+        });
+        let mut block_starts = Vec::new();
+        let mut group_starts = Vec::new();
+        for (p, &id) in sorted.iter().enumerate() {
+            let new_group =
+                p == 0 || cmp_on(instance, sorted[p - 1], id, fd.lhs) != Ordering::Equal;
+            if new_group {
+                group_starts.push(block_starts.len() as u32);
+            }
+            if new_group || cmp_on(instance, sorted[p - 1], id, fd.rhs) != Ordering::Equal {
+                block_starts.push(p as u32);
+            }
+        }
+        group_starts.push(block_starts.len() as u32);
+        block_starts.push(sorted.len() as u32);
+        FdGrouping { sorted, block_starts, group_starts }
+    }
+
+    /// Values whose abbreviated keys tie without the values being equal,
+    /// or sit at the edges of a key's range.
+    fn tricky_values() -> Vec<Value> {
+        let mut values: Vec<Value> = [i64::MIN, i64::MIN + 1, -5, -4, -1, 0, 1, 4, 5, 6, 7]
+            .into_iter()
+            .chain([i64::MAX - 3, i64::MAX - 1, i64::MAX])
+            .map(Value::Int)
+            .collect();
+        values.extend(
+            [
+                "",
+                "\0",
+                "\0\0",
+                "a",
+                "a\0",
+                "a\0b",
+                "ab",
+                "b",
+                "é",
+                "abcdefg",
+                "abcdefg`",
+                "abcdefga",
+                "abcdefgc",
+                "abcdefgh",
+                "abcdefgh\0",
+                "abcdefghiX",
+                "abcdefghiY",
+                "abcdefghiXY",
+            ]
+            .into_iter()
+            .map(Value::sym),
+        );
+        values.extend([
+            Value::pair(1.into(), 2.into()),
+            Value::pair(1.into(), "a".into()),
+            Value::pair("a".into(), 1.into()),
+            Value::pair(Value::pair(0.into(), 0.into()), 0.into()),
+        ]);
+        values
+    }
+
+    /// An arity-4 relation filled from a six-value palette drawn from
+    /// [`tricky_values`], so ties on every side are frequent.
+    fn instance_of(palette: &[usize], rows: &[(usize, usize, usize, usize)]) -> Instance {
+        let values = tricky_values();
+        let pick = |i: usize| values[palette[i] % values.len()].clone();
+        let mut instance = Instance::new(Signature::new([("R", 4)]).unwrap());
+        for &(a, b, c, d) in rows {
+            instance.insert_named("R", [pick(a), pick(b), pick(c), pick(d)]).unwrap();
+        }
+        instance
+    }
+
+    #[test]
+    fn abbreviated_keys_preserve_the_value_order() {
+        let values = tricky_values();
+        for x in &values {
+            for y in &values {
+                let (kx, ky) = (abbreviate(x), abbreviate(y));
+                if kx != ky {
+                    assert_eq!(kx.cmp(&ky), x.cmp(y), "{x:?} vs {y:?}");
+                }
+            }
+        }
+        // The ties the fallback exists for.
+        for (x, y) in [(4, 7), (i64::MAX - 3, i64::MAX), (i64::MIN, i64::MIN + 1)] {
+            assert_eq!(abbreviate(&Value::Int(x)), abbreviate(&Value::Int(y)));
+        }
+        for (x, y) in [("a", "a\0"), ("abcdefg`", "abcdefgc"), ("abcdefghiX", "abcdefghiY")] {
+            assert_eq!(abbreviate(&Value::sym(x)), abbreviate(&Value::sym(y)));
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn abbreviated_grouping_matches_the_full_sort(
+            palette in proptest::collection::vec(0usize..64, 6),
+            rows in proptest::collection::vec((0usize..6, 0usize..6, 0usize..6, 0usize..6), 0..48),
+            lhs in 0u64..16,
+            rhs in 0u64..16,
+        ) {
+            let instance = instance_of(&palette, &rows);
+            let r = instance.signature().rel_id("R").unwrap();
+            let fd = Fd::new(r, AttrSet::from_bits(lhs), AttrSet::from_bits(rhs));
+            let ids: Vec<FactId> = instance.fact_ids().collect();
+            prop_assert_eq!(FdGrouping::new(&instance, fd, ids.iter().copied()), oracle(&instance, fd, &ids));
+            // A subset in reverse order groups like the oracle too.
+            let odd: Vec<FactId> = ids.iter().rev().copied().filter(|id| id.0 % 2 == 1).collect();
+            prop_assert_eq!(FdGrouping::new(&instance, fd, odd.iter().copied()), oracle(&instance, fd, &odd));
+        }
+    }
 
     #[test]
     fn groups_and_blocks_follow_the_canonical_order() {

@@ -2,20 +2,20 @@
 //!
 //! The serving layer caches prepared check sessions keyed by the
 //! *content* of `(schema, FDs, priority, instance)`. The composition
-//! itself lives in `rpr-core` ([`rpr_core::fingerprint`]) because the
+//! itself lives in `rpr-core` ([`ContentLanes`]) because the
 //! incremental [`DeltaSession`](rpr_core::DeltaSession) maintains the
-//! same fingerprint across mutations and must agree with it
-//! bit-for-bit; this module applies it to parsed [`Workspace`]s.
+//! same lanes across mutations and must agree with them bit-for-bit;
+//! this module applies it to parsed [`Workspace`]s.
 //!
 //! Candidate repairs are deliberately **excluded**: they vary per
 //! request while the cached session artifacts depend only on the
 //! prioritized instance.
 
 use crate::format::Workspace;
-use rpr_data::fingerprint::{Fingerprint, FingerprintBuilder};
-use rpr_priority::{PriorityMode, PriorityRelation};
+use rpr_core::ContentLanes;
+use rpr_data::fingerprint::Fingerprint;
 
-pub use rpr_core::fingerprint::{priority_fingerprint, schema_fingerprint};
+pub use rpr_core::fingerprint::schema_fingerprint;
 
 /// The canonical 128-bit fingerprint of a workspace's prioritized
 /// instance: schema (signature + FDs), instance facts, priority edges,
@@ -23,34 +23,7 @@ pub use rpr_core::fingerprint::{priority_fingerprint, schema_fingerprint};
 /// preferences does not affect the result; candidate repairs are not
 /// part of the key.
 pub fn workspace_fingerprint(ws: &Workspace) -> Fingerprint {
-    let mut b = FingerprintBuilder::new();
-    b.fingerprint(schema_fingerprint(&ws.schema));
-    b.fingerprint(rpr_data::fingerprint_instance(&ws.instance));
-    b.fingerprint(priority_fingerprint(&ws.instance, &ws.priority));
-    b.word(match ws.mode {
-        PriorityMode::ConflictRestricted => 1,
-        PriorityMode::CrossConflict => 2,
-    });
-    b.finish()
-}
-
-/// `workspace_fingerprint` without the `Workspace` wrapper, for callers
-/// holding the components separately.
-pub fn components_fingerprint(
-    schema: &rpr_fd::Schema,
-    instance: &rpr_data::Instance,
-    priority: &PriorityRelation,
-    mode: PriorityMode,
-) -> Fingerprint {
-    let mut b = FingerprintBuilder::new();
-    b.fingerprint(schema_fingerprint(schema));
-    b.fingerprint(rpr_data::fingerprint_instance(instance));
-    b.fingerprint(priority_fingerprint(instance, priority));
-    b.word(match mode {
-        PriorityMode::ConflictRestricted => 1,
-        PriorityMode::CrossConflict => 2,
-    });
-    b.finish()
+    ContentLanes::new(&ws.schema, &ws.instance, &ws.priority, ws.mode).fingerprint()
 }
 
 #[cfg(test)]

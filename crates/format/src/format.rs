@@ -35,7 +35,7 @@
 //! * `repair NAME: FACT; FACT; …`
 
 use rpr_data::{
-    AttrSet, DataError, Fact, FactId, FactSet, Instance, RelId, Signature, Tuple, Value,
+    Atom, AttrSet, DataError, Fact, FactId, FactSet, Instance, RelId, Signature, Tuple, Value,
 };
 use rpr_fd::{Fd, Schema};
 use rpr_priority::{PrioritizedInstance, PriorityMode, PriorityRelation};
@@ -124,27 +124,21 @@ impl fmt::Display for FormatError {
 
 impl std::error::Error for FormatError {}
 
-fn parse_value(token: &str) -> Value {
-    match token.parse::<i64>() {
-        Ok(n) => Value::Int(n),
-        Err(_) => Value::sym(token),
-    }
-}
-
 /// Parses `NAME(v1, …, vn)` into a fact.
 pub(crate) fn parse_fact(sig: &Signature, text: &str, line: usize) -> Result<Fact, FormatError> {
-    let mut values = Vec::new();
+    let mut values: Vec<Value> = Vec::new();
     let rel = parse_fact_into(sig, text, line, &mut values)?;
     Ok(Fact::new(sig, rel, Tuple::new(values)).expect("parse_fact_into checked the arity"))
 }
 
-/// Parses `NAME(v1, …, vn)`, appending its values to `values`, and
-/// returns the relation: [`parse_fact`] without building the fact.
-fn parse_fact_into(
+/// Parses `NAME(v1, …, vn)`, appending its values to `values` — as
+/// [`Value`]s, or as [`Atom`]s borrowing `text` — and returns the
+/// relation: [`parse_fact`] without building the fact.
+fn parse_fact_into<'t, V: From<Atom<'t>>>(
     sig: &Signature,
-    text: &str,
+    text: &'t str,
     line: usize,
-    values: &mut Vec<Value>,
+    values: &mut Vec<V>,
 ) -> Result<RelId, FormatError> {
     let text = text.trim();
     let open = text
@@ -157,7 +151,7 @@ fn parse_fact_into(
         sig.require(text[..open].trim()).map_err(|e| FormatError::new(line, e.to_string()))?;
     let body = &text[open + 1..text.len() - 1];
     let start = values.len();
-    values.extend(body.split(',').map(|t| parse_value(t.trim())));
+    values.extend(body.split(',').map(|t| V::from(Atom::from_token(t.trim()))));
     let (expected, got) = (sig.arity(rel), values.len() - start);
     if got != expected {
         let relation = sig.symbol(rel).name().to_owned();
@@ -168,8 +162,9 @@ fn parse_fact_into(
 }
 
 /// A `prefer` or `repair` reference to a fact: its relation and where
-/// its values start in the parser's reference arena. References
-/// resolve to fact ids once every `fact` line is in.
+/// its atoms start in the parser's reference arena, which borrows the
+/// workspace text. References resolve to fact ids once every `fact`
+/// line is in.
 type FactRef = (RelId, usize);
 
 fn parse_attr_list(text: &str, line: usize) -> Result<AttrSet, FormatError> {
@@ -199,13 +194,17 @@ fn parse_attr_list(text: &str, line: usize) -> Result<AttrSet, FormatError> {
 ///
 /// # Errors
 /// [`FormatError`] with a line number on the first problem.
-pub fn parse_workspace(text: &str) -> Result<Workspace, FormatError> {
-    // Pass 1: relations.
+pub fn parse_workspace<'t>(text: &'t str) -> Result<Workspace, FormatError> {
+    // Pass 1: relations, and a count of `fact` lines to size the
+    // instance by.
     let mut rels: Vec<(String, usize)> = Vec::new();
+    let mut fact_lines = 0;
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
         let l = raw.trim();
-        if let Some(rest) = l.strip_prefix("relation ") {
+        if l.starts_with("fact ") {
+            fact_lines += 1;
+        } else if let Some(rest) = l.strip_prefix("relation ") {
             let (name, arity) = rest
                 .rsplit_once('/')
                 .ok_or_else(|| FormatError::new(line, "expected `relation NAME/ARITY`"))?;
@@ -223,12 +222,12 @@ pub fn parse_workspace(text: &str) -> Result<Workspace, FormatError> {
         .map_err(|e| FormatError::new(0, e.to_string()))?;
 
     // Pass 2: everything else. Fact lines parse into one reused
-    // buffer; references keep their values in one arena.
+    // buffer; references keep their atoms in one arena.
     let mut fds: Vec<Fd> = Vec::new();
-    let mut instance = Instance::new(sig.clone());
+    let mut instance = Instance::with_capacity(sig.clone(), fact_lines);
     let mut values: Vec<Value> = Vec::new();
-    let mut arena: Vec<Value> = Vec::new();
-    let mut reference = |text: &str, line: usize| -> Result<FactRef, FormatError> {
+    let mut arena: Vec<Atom<'t>> = Vec::new();
+    let mut reference = |text: &'t str, line: usize| -> Result<FactRef, FormatError> {
         let start = arena.len();
         Ok((parse_fact_into(&sig, text, line, &mut arena)?, start))
     };
@@ -293,7 +292,7 @@ pub fn parse_workspace(text: &str) -> Result<Workspace, FormatError> {
 
     let resolve = |(rel, start): FactRef| {
         let arity = instance.signature().arity(rel);
-        instance.id_of_parts(rel, &arena[start..start + arity])
+        instance.id_of_atoms(rel, &arena[start..start + arity])
     };
     let mut edges: Vec<(FactId, FactId)> = Vec::new();
     for (line, a, b) in prefer_lines {
@@ -443,6 +442,38 @@ relation R/2|fact R(a, 1)|fact R(a, 1)|fd R: 1 -> 2|prefer R(a,1) > R( a , 1 ) =
         let ws = parse_workspace(later).unwrap();
         assert_eq!(ws.priority.edges(), &[(FactId(1), FactId(0))]);
         assert_eq!(ws.repair("J").unwrap().iter().collect::<Vec<_>>(), vec![FactId(1)]);
+    }
+
+    /// One token rule classifies values in `fact` lines, references,
+    /// delta ops and the `rpr-data` instance format: an `i64` when
+    /// `str::parse` accepts the token, a symbol otherwise.
+    #[test]
+    fn token_rule_is_pinned() {
+        let cases = [
+            ("+5", Atom::Int(5)),
+            ("-0", Atom::Int(0)),
+            ("007", Atom::Int(7)),
+            ("9223372036854775807", Atom::Int(i64::MAX)),
+            ("-9223372036854775808", Atom::Int(i64::MIN)),
+            ("9223372036854775808", Atom::Sym("9223372036854775808")),
+            ("1_000", Atom::Sym("1_000")),
+            ("x1", Atom::Sym("x1")),
+        ];
+        let sig = Signature::new([("R", 1)]).unwrap();
+        for (token, atom) in cases {
+            assert_eq!(Atom::from_token(token), atom, "{token}");
+            let fact = parse_fact(&sig, &format!("R({token})"), 1).unwrap();
+            assert_eq!(fact.get(1), &Value::from(atom), "{token}");
+            let data = rpr_data::parse_instance(sig.clone(), &format!("R({token})")).unwrap();
+            assert_eq!(data.fact(FactId(0)), &fact, "{token}");
+        }
+        // A fact written `R(+5)` is the fact a reference `R(5)` names.
+        let text = "relation R/1\nfact R(+5)\nfact R(007)\nfact R(1_000)\n\
+                    repair J: R(5); R(7); R(1_000)\n";
+        let ws = parse_workspace(text).unwrap();
+        assert_eq!(ws.repair("J").unwrap().len(), 3);
+        // `1000` is an int and `1_000` a symbol: not the same fact.
+        assert!(parse_workspace(&text.replace("; R(1_000)", "; R(1000)")).is_err());
     }
 
     #[test]

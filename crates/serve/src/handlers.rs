@@ -33,13 +33,14 @@ use crate::identity::translate;
 use crate::json::{parse_json, Json};
 use crate::metrics::Metrics;
 use rpr_core::{
-    Budget, CancelToken, CheckOutcome, CheckSession, DeltaSession, Outcome, ShardStore, Stop,
+    Budget, CancelToken, CheckOutcome, CheckSession, ContentLanes, DeltaSession, Outcome,
+    ShardStore, Stop,
 };
 use rpr_cqa::RepairSemantics;
 use rpr_data::{fingerprint::Fingerprint, FactSet};
 use rpr_format::{
-    delta_ops_from_strings, parse_workspace_raw, render_certificate, scan_object,
-    workspace_fingerprint, RawStr, SliceValue, Workspace,
+    delta_ops_from_strings, parse_workspace_raw, render_certificate, scan_object, RawStr,
+    SliceValue, Workspace,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -317,7 +318,13 @@ fn with_session(
     }
 
     let mut workspace = parse_workspace_raw(&ws_raw).map_err(workspace_error)?;
-    let fingerprint = workspace_fingerprint(&workspace);
+    let lanes = ContentLanes::new(
+        &workspace.schema,
+        &workspace.instance,
+        &workspace.priority,
+        workspace.mode,
+    );
+    let fingerprint = lanes.fingerprint();
     let repairs: Arc<[(String, FactSet)]> = std::mem::take(&mut workspace.repairs).into();
     // Validate before touching the cache so a broken workspace can
     // never leave a placeholder entry behind.
@@ -326,9 +333,10 @@ fn with_session(
     let budget = request_budget(state, body)?;
     let mut pi = Some(pi);
     let (slot, _) = state.cache.get_or_build(fingerprint, || {
-        let slot = SessionSlot::new(DeltaSession::prepare_with_store(
+        let slot = SessionSlot::new(DeltaSession::prepare_with_lanes(
             Arc::clone(&schema),
             pi.take().expect("build closure runs at most once"),
+            lanes,
             Some(Arc::clone(&state.shard_store)),
         ));
         // The new session's fact ids are the request's.
@@ -842,6 +850,7 @@ fn cqa_session(
 mod tests {
     use super::*;
     use crate::cache::CacheOutcome;
+    use rpr_format::workspace_fingerprint;
     use std::cell::Cell;
 
     type Hook = fn(&ServerState, Fingerprint);
