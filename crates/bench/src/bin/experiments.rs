@@ -2128,6 +2128,7 @@ fn e31() -> ExpResult {
         DeltaSession::prepare_with_store(schema_arc.clone(), pi_a, Some(Arc::clone(&store)));
     let mut fingerprints = vec![ds.fingerprint()];
     let mut min_step_hits = u64::MAX;
+    let mut apply_us = Vec::with_capacity(DELTA_STEPS);
     for step in 0..DELTA_STEPS {
         // Delete the interior fact of chain `step`: the chain splits,
         // the workspace fingerprint moves on, and every other
@@ -2142,7 +2143,9 @@ fn e31() -> ExpResult {
         )
         .map_err(|e| e.to_string())?;
         let before = store.stats();
+        let t = Instant::now();
         let report = ds.apply_delta(&[DeltaOp::DeleteFact(f)]).map_err(|e| e.to_string())?;
+        apply_us.push(t.elapsed().as_secs_f64() * 1e6);
         let after = store.stats();
         ensure(!report.rebuilt, "one-op batches take the patched path")?;
         let step_hits = after.hits - before.hits;
@@ -2274,8 +2277,10 @@ fn e31() -> ExpResult {
     drop(live_sessions);
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let [apply_p50, apply_p10, apply_p90] = quantiles(apply_us);
     let json = format!(
-        "{{\n  \"workload\": \"chain_components({COMPONENTS}, {SERVE_SIZE}) delta walk + {FINGERPRINTS} fingerprint variants; chain_components({COMPONENTS}, {HEAVY_SIZE}) warm-store throughput\",\n  \"machine\": {{\n    \"os\": \"{}\",\n    \"arch\": \"{}\",\n    \"cores\": {cores}\n  }},\n  \"bit_identity\": \"store-backed verdicts, fingerprints and witnesses identical to cold private rebuilds at every delta step\",\n  \"delta_reuse\": {{\n    \"steps\": {DELTA_STEPS},\n    \"distinct_fingerprints\": {},\n    \"min_store_hits_per_step\": {min_step_hits},\n    \"gate\": \">= 60/{COMPONENTS} shards re-attached from the store per step\"\n  }},\n  \"throughput\": {{\n    \"copy_per_session_best_us\": {private_us:.1},\n    \"store_backed_best_us\": {stored_us:.1},\n    \"speedup\": {store_speedup:.2},\n    \"gate\": \"store-backed build+check >= 2x copy-per-session\"\n  }},\n  \"dedup_bytes\": {{\n    \"fingerprints\": {FINGERPRINTS},\n    \"store_entries\": {},\n    \"first_fingerprint_bytes\": {first_bytes},\n    \"marginal_bytes_per_fingerprint\": {marginal_bytes},\n    \"gate\": \"marginal bytes < half the first fingerprint's (sub-linear growth)\"\n  }}\n}}\n",
+        "{{\n  \"workload\": \"chain_components({COMPONENTS}, {SERVE_SIZE}) delta walk + {FINGERPRINTS} fingerprint variants; chain_components({COMPONENTS}, {HEAVY_SIZE}) warm-store throughput\",\n  \"commit\": \"{}\",\n  \"machine\": {{\n    \"os\": \"{}\",\n    \"arch\": \"{}\",\n    \"cores\": {cores}\n  }},\n  \"bit_identity\": \"store-backed verdicts, fingerprints and witnesses identical to cold private rebuilds at every delta step\",\n  \"delta_reuse\": {{\n    \"steps\": {DELTA_STEPS},\n    \"distinct_fingerprints\": {},\n    \"min_store_hits_per_step\": {min_step_hits},\n    \"apply_delta_us\": {{\"median\": {apply_p50:.1}, \"p10\": {apply_p10:.1}, \"p90\": {apply_p90:.1}}},\n    \"gate\": \">= 60/{COMPONENTS} shards re-attached from the store per step\"\n  }},\n  \"throughput\": {{\n    \"copy_per_session_best_us\": {private_us:.1},\n    \"store_backed_best_us\": {stored_us:.1},\n    \"speedup\": {store_speedup:.2},\n    \"gate\": \"store-backed build+check >= 2x copy-per-session\"\n  }},\n  \"dedup_bytes\": {{\n    \"fingerprints\": {FINGERPRINTS},\n    \"store_entries\": {},\n    \"first_fingerprint_bytes\": {first_bytes},\n    \"marginal_bytes_per_fingerprint\": {marginal_bytes},\n    \"gate\": \"marginal bytes < half the first fingerprint's (sub-linear growth)\"\n  }}\n}}\n",
+        git_head(),
         std::env::consts::OS,
         std::env::consts::ARCH,
         fingerprints.len(),
@@ -2288,7 +2293,7 @@ fn e31() -> ExpResult {
         "extension: content-address shards in a shared store (two-tier sessions, cold eviction)"
             .into(),
         format!(
-            "measured: {DELTA_STEPS}-step delta walk over distinct fingerprints re-attaches >= {min_step_hits}/{COMPONENTS} shards per step (gate >=60)"
+            "measured: {DELTA_STEPS}-step delta walk over distinct fingerprints re-attaches >= {min_step_hits}/{COMPONENTS} shards per step (gate >=60); apply_delta median {apply_p50:.1}us (p10 {apply_p10:.1}, p90 {apply_p90:.1})"
         ),
         format!(
             "measured: warmed store build+check {stored_us:.0}us vs copy-per-session {private_us:.0}us -> {store_speedup:.1}x (gate >=2x)"
@@ -2351,15 +2356,21 @@ fn e32_two_keys(facts: usize) -> Result<(Schema, PrioritizedInstance), String> {
 
 /// Median, p10 and p90 (ms) of `reps` timed runs of `f`.
 fn e32_sample<T>(reps: usize, mut f: impl FnMut() -> T) -> [f64; 3] {
-    let mut ms: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    ms.sort_by(f64::total_cmp);
-    let q = |p: f64| ms[((ms.len() - 1) as f64 * p).round() as usize];
+    quantiles(
+        (0..reps)
+            .map(|_| {
+                let t = Instant::now();
+                std::hint::black_box(f());
+                t.elapsed().as_secs_f64() * 1e3
+            })
+            .collect(),
+    )
+}
+
+/// Median, p10 and p90 of a non-empty sample (nearest rank).
+fn quantiles(mut xs: Vec<f64>) -> [f64; 3] {
+    xs.sort_by(f64::total_cmp);
+    let q = |p: f64| xs[((xs.len() - 1) as f64 * p).round() as usize];
     [q(0.5), q(0.1), q(0.9)]
 }
 

@@ -20,6 +20,14 @@
 //!   (binary search on the canonical lhs/rhs projection order, so the
 //!   patch is bit-identical to `FdBlocks::build`); untouched relations
 //!   only remap ids, which preserves that order under dense renumbering.
+//! * **Shards** — clean shards are carried: each post-batch component
+//!   whose members come from a pre-batch component the batch left alone
+//!   keeps that component's `Arc<ShardData>` without a re-key (a store
+//!   hit in component order, as a lookup would count). Only dirty
+//!   components — touched by a delete, merged by an insert, or holding
+//!   an endpoint of a classical `prefer`/`unprefer` — are re-keyed from
+//!   their own bucket of priority edges. ccp Hard plans re-derive their
+//!   union layout and re-key every shard.
 //! * **Fingerprint** — the canonical 128-bit content fingerprint is
 //!   maintained as [`ContentLanes`], whose fact-multiset and
 //!   priority-edge-set lanes take O(1) add/remove, and cross-checked
@@ -43,7 +51,7 @@
 
 use crate::fingerprint::{content_fingerprint, ContentLanes};
 use crate::session::{CheckSession, SessionArtifacts};
-use crate::shard_store::ShardStore;
+use crate::shard_store::{ShardData, ShardStore};
 use rpr_classify::Complexity;
 use rpr_data::fingerprint::Fingerprint;
 use rpr_data::{Fact, FactId, FxHashMap, FxHashSet};
@@ -308,26 +316,36 @@ impl DeltaSession {
             for op in ops {
                 self.apply_op_patched(op, &mut tracker);
             }
-            if structural > 0 {
-                components_reused = self.finish_structural_batch(tracker);
+            let carry = if structural > 0 {
+                let (reused, carry) = self.finish_structural_batch(tracker);
+                components_reused = reused;
+                carry
             } else {
                 components_reused = self.artifacts.shard_count();
                 if priority_ops > 0 && self.artifacts.ccp_union.is_some() {
                     // ccp Hard shards follow conflict ∪ priority
                     // connectivity, so priority edits alone can split
-                    // or merge them.
+                    // or merge them: the union layout is re-derived and
+                    // every shard re-keyed.
                     self.artifacts.ccp_union = Some(SessionArtifacts::ccp_union_layout(
                         &self.artifacts.csr,
                         self.pi.priority(),
                     ));
+                    Vec::new()
+                } else {
+                    let art = &self.artifacts;
+                    tracker.carry(&art.components, &art.components, &art.exact_shards)
                 }
-            }
+            };
             if structural > 0 || priority_ops > 0 {
-                // Re-point the shard index: clean components resolve
-                // to their existing store entries (hits); dirtied
-                // components insert fresh shard entries under their
-                // new content fingerprints.
-                self.artifacts.attach_shards(&self.schema, &self.pi, self.store.as_deref());
+                // Re-point the shard index: clean components keep their
+                // handles (store hits, no re-key); dirtied components
+                // are re-keyed and resolved by content.
+                self.artifacts.attach_shards(&self.schema, &self.pi, self.store.as_deref(), carry);
+                debug_assert!(
+                    self.artifacts.shard_keys_match_rekey(&self.schema, &self.pi),
+                    "carried shard keys diverged from a full re-key"
+                );
             }
         }
         debug_assert_eq!(
@@ -386,13 +404,10 @@ impl DeltaSession {
                         // Batch-inserted facts have no base id and no
                         // edges; base facts keep their base degree.
                         if let Some(id) = inst.id_of(f) {
+                            let priority = self.pi.priority();
                             if member.get(f) != Some(&true)
-                                && self
-                                    .pi
-                                    .priority()
-                                    .edges()
-                                    .iter()
-                                    .any(|&(a, b)| a == id || b == id)
+                                && !(priority.worse_than(id).is_empty()
+                                    && priority.better_than(id).is_empty())
                             {
                                 return Err(DeltaError::HasEdges {
                                     op: i,
@@ -588,7 +603,16 @@ impl DeltaSession {
                     blocks.remap_remove(id);
                 }
             }
-            DeltaOp::SetPriority { .. } => self.apply_op_data(op),
+            DeltaOp::SetPriority { better, worse, .. } => {
+                let inst = self.pi.instance();
+                for f in [better, worse] {
+                    tracker.record_priority(
+                        &self.artifacts,
+                        inst.id_of(f).expect("validated endpoint"),
+                    );
+                }
+                self.apply_op_data(op);
+            }
         }
     }
 
@@ -597,9 +621,13 @@ impl DeltaSession {
     /// (not re-derived) for surviving facts, the component DFS re-runs
     /// only inside touched components, and clean shards are renumbered
     /// in place. Returns the number of nontrivial components reused
-    /// without a re-derivation.
-    fn finish_structural_batch(&mut self, tracker: ShardTracker) -> usize {
-        let ShardTracker { new_to_old, mut touched } = tracker;
+    /// without a re-derivation, and the shard carry for
+    /// [`attach_shards`](SessionArtifacts::attach_shards).
+    fn finish_structural_batch(
+        &mut self,
+        mut tracker: ShardTracker,
+    ) -> (usize, Vec<Option<Arc<ShardData>>>) {
+        let ShardTracker { new_to_old, touched, .. } = &mut tracker;
         let inst = self.pi.instance();
         debug_assert_eq!(inst.len(), new_to_old.len());
         // Rows of inserted facts: a single-FD relation reads them off its
@@ -626,7 +654,7 @@ impl DeltaSession {
                 old_to_new[o as usize] = i as u32;
             }
         }
-        let csr = CsrConflictGraph::patched(&art.csr, &old_to_new, &new_to_old, &inserted);
+        let csr = CsrConflictGraph::patched(&art.csr, &old_to_new, new_to_old, &inserted);
         debug_assert!(
             csr == CsrConflictGraph::new(&self.schema, inst),
             "patched CSR diverged from a from-scratch build"
@@ -637,17 +665,22 @@ impl DeltaSession {
             touched[art.components.component_of(FactId(new_to_old[g as usize]))] = true;
         }
         let (components, reused) =
-            ComponentLayout::patched(&art.components, &csr, &old_to_new, &new_to_old, &touched);
+            ComponentLayout::patched(&art.components, &csr, &old_to_new, new_to_old, touched);
         debug_assert!(
             components == ComponentLayout::from_csr(&csr),
             "patched component layout diverged from a from-scratch derivation"
         );
+        let carry = if art.ccp_union.is_some() {
+            // ccp Hard plans shard over the union layout, which is
+            // re-derived from scratch: nothing carries.
+            art.ccp_union = Some(SessionArtifacts::ccp_union_layout(&csr, self.pi.priority()));
+            Vec::new()
+        } else {
+            tracker.carry(&art.components, &components, &art.exact_shards)
+        };
         art.csr = csr;
         art.components = components;
-        if art.ccp_union.is_some() {
-            art.ccp_union = Some(SessionArtifacts::ccp_union_layout(&art.csr, self.pi.priority()));
-        }
-        reused
+        (reused, carry)
     }
 
     /// Number of nontrivial conflict components (session shards) in the
@@ -660,16 +693,19 @@ impl DeltaSession {
 
 /// Per-batch dirty-shard bookkeeping for the patched delta path: the
 /// dense id renumbering accumulated so far (`new_to_old`) plus which
-/// pre-batch components were structurally touched. Deletes dirty the
-/// deleted fact's whole component (removing a bridge fact can split
-/// it); inserts are resolved at batch finish from the final adjacency
-/// (an insert can merge several components).
+/// pre-batch components the batch touched. Deletes dirty the deleted
+/// fact's whole component (removing a bridge fact can split it);
+/// inserts are resolved at batch finish from the final adjacency (an
+/// insert can merge several components); priority ops dirty the shard
+/// content, not the structure, of their endpoints' components.
 struct ShardTracker {
     /// Current id → pre-batch id; `u32::MAX` for facts inserted by
     /// this batch.
     new_to_old: Vec<u32>,
-    /// Pre-batch component index → dirtied by this batch.
+    /// Pre-batch component index → structurally dirtied by this batch.
     touched: Vec<bool>,
+    /// Pre-batch component index → priority edges edited by this batch.
+    reprioritized: Vec<bool>,
 }
 
 impl ShardTracker {
@@ -677,7 +713,49 @@ impl ShardTracker {
         ShardTracker {
             new_to_old: (0..artifacts.components.universe() as u32).collect(),
             touched: vec![false; artifacts.components.len()],
+            reprioritized: vec![false; artifacts.components.len()],
         }
+    }
+
+    /// Records a priority op with endpoint `f` (current id). A
+    /// conflict-restricted edge joins two facts of one component, so
+    /// only that component's shard changes; an endpoint inserted by
+    /// this batch lies in a component the batch re-derives anyway.
+    fn record_priority(&mut self, artifacts: &SessionArtifacts, f: FactId) {
+        let old = self.new_to_old[f.index()];
+        if old != u32::MAX {
+            self.reprioritized[artifacts.components.component_of(FactId(old))] = true;
+        }
+    }
+
+    /// The shard carry of a classical plan (exact layout = conflict
+    /// components): for each component of the post-batch layout `new`
+    /// whose lead member comes from a pre-batch component of `old` the
+    /// batch left alone, that component's pre-batch shard. Such a
+    /// component has exactly the old members (renumbered in order) and
+    /// the old intra-component edges, so its shard and key are
+    /// unchanged. Empty when the plan keeps no shards.
+    fn carry(
+        &self,
+        old: &ComponentLayout,
+        new: &ComponentLayout,
+        shards: &[Option<Arc<ShardData>>],
+    ) -> Vec<Option<Arc<ShardData>>> {
+        if shards.is_empty() {
+            return Vec::new();
+        }
+        let mut carry = vec![None; new.len()];
+        for &c in new.nontrivial() {
+            let lead = self.new_to_old[new.component(c as usize)[0].index()];
+            if lead == u32::MAX {
+                continue;
+            }
+            let oc = old.component_of(FactId(lead));
+            if !self.touched[oc] && !self.reprioritized[oc] {
+                carry[c as usize] = shards[oc].clone();
+            }
+        }
+        carry
     }
 
     /// Records an append (the new fact holds the maximal id).
@@ -923,5 +1001,186 @@ mod tests {
         let report = ds.apply_delta(&[DeltaOp::InsertFact(one)]).unwrap();
         assert!(!report.rebuilt);
         assert_matches_cold(&ds);
+    }
+
+    /// `chain_components(64, 6)` under the per-chain priority
+    /// `f2 ≻ f1 ≻ f0`, prepared with or without a shard store.
+    fn chains(store: Option<Arc<ShardStore>>) -> DeltaSession {
+        let (schema, instance) = rpr_gen::chain_components(64, 6);
+        let at = |k: u32, i: u32| FactId(6 * k + i);
+        let edges = (0..64).flat_map(|k| [(at(k, 1), at(k, 0)), (at(k, 2), at(k, 1))]);
+        let priority = PriorityRelation::new(instance.len(), edges).unwrap();
+        let pi = PrioritizedInstance::conflict_restricted(&schema, instance, priority).unwrap();
+        DeltaSession::prepare_with_store(Arc::new(schema), pi, store)
+    }
+
+    /// Fact `i` of chain `k`, by content.
+    fn chain_fact(ds: &DeltaSession, k: usize, i: usize) -> Fact {
+        ds.prioritized().instance().fact(FactId((6 * k + i) as u32)).clone()
+    }
+
+    /// The shard handle of the component holding `f`.
+    fn shard_of(ds: &DeltaSession, f: &Fact) -> Arc<ShardData> {
+        let id = ds.prioritized().instance().id_of(f).expect("fact present");
+        let c = ds.artifacts.components.component_of(id);
+        Arc::clone(ds.artifacts.exact_shards[c].as_ref().expect("nontrivial component"))
+    }
+
+    /// Applies `ops` and returns which chains kept their pre-batch
+    /// shard handle (by `Arc::ptr_eq`), keyed by each chain's fact 0.
+    fn kept_chains(ds: &mut DeltaSession, ops: &[DeltaOp]) -> Vec<bool> {
+        let leads: Vec<Fact> = (0..64).map(|k| chain_fact(ds, k, 0)).collect();
+        let before: Vec<Arc<ShardData>> = leads.iter().map(|f| shard_of(ds, f)).collect();
+        let report = ds.apply_delta(ops).unwrap();
+        assert!(!report.rebuilt);
+        leads.iter().zip(&before).map(|(f, old)| Arc::ptr_eq(&shard_of(ds, f), old)).collect()
+    }
+
+    #[test]
+    fn one_op_delta_carries_every_clean_shard() {
+        for store in [None, Some(Arc::new(ShardStore::new()))] {
+            let mut ds = chains(store.clone());
+            let stats = store.as_ref().map(|s| s.stats());
+            // Fact 3 carries no edge; deleting it splits chain 5 in two.
+            let split = DeltaOp::DeleteFact(chain_fact(&ds, 5, 3));
+            let kept = kept_chains(&mut ds, &[split]);
+            assert_eq!(kept.iter().filter(|&&k| k).count(), 63);
+            assert!(!kept[5], "the split chain is re-keyed");
+            assert_eq!(ds.shard_count(), 65);
+            if let (Some(store), Some(before)) = (&store, stats) {
+                let after = store.stats();
+                assert_eq!(after.hits - before.hits, 63, "one hit per clean shard");
+                assert_eq!(after.misses - before.misses, 2, "one miss per dirty shard");
+            }
+        }
+    }
+
+    #[test]
+    fn classical_prefer_dirties_exactly_its_own_component() {
+        for store in [None, Some(Arc::new(ShardStore::new()))] {
+            let mut ds = chains(store.clone());
+            let stats = store.as_ref().map(|s| s.stats());
+            let (better, worse) = (chain_fact(&ds, 9, 4), chain_fact(&ds, 9, 3));
+            let old_key = shard_of(&ds, &better).fingerprint();
+            let kept = kept_chains(
+                &mut ds,
+                &[DeltaOp::SetPriority { better: better.clone(), worse, prefer: true }],
+            );
+            assert_eq!(kept.iter().filter(|&&k| k).count(), 63);
+            assert!(!kept[9]);
+            assert_ne!(shard_of(&ds, &better).fingerprint(), old_key);
+            if let (Some(store), Some(before)) = (&store, stats) {
+                let after = store.stats();
+                assert_eq!((after.hits - before.hits, after.misses - before.misses), (63, 1));
+            }
+        }
+    }
+
+    #[test]
+    fn insert_then_delete_in_one_batch_keeps_every_shard_and_memo() {
+        for store in [None, Some(Arc::new(ShardStore::new()))] {
+            let mut ds = chains(store.clone());
+            // Fill every shard's verdict memo.
+            let j = ds
+                .prioritized()
+                .instance()
+                .set_of(ds.prioritized().instance().fact_ids().filter(|f| f.index() % 6 % 2 == 0));
+            let verdict = ds.session().check(&j);
+            assert!(verdict.is_optimal());
+            let stats = store.as_ref().map(|s| s.stats());
+            // A fresh fact conflicting with chain 7's fact 0.
+            let sig = ds.prioritized().instance().signature().clone();
+            let f = Fact::parse_new(&sig, "R4", [v("a7_0"), v("b-new"), v("c-new")]).unwrap();
+            let kept =
+                kept_chains(&mut ds, &[DeltaOp::InsertFact(f.clone()), DeltaOp::DeleteFact(f)]);
+            assert!(kept.iter().all(|&k| k), "a batch that nets out dirties nothing");
+            if let (Some(store), Some(before)) = (&store, stats) {
+                let after = store.stats();
+                assert_eq!((after.hits - before.hits, after.misses - before.misses), (64, 0));
+            }
+            for shard in ds.artifacts.exact_shards.iter().flatten() {
+                assert_eq!(shard.memo_len(), 1, "verdict memos survive the batch");
+            }
+            assert_eq!(ds.session().check(&j), verdict);
+        }
+    }
+
+    #[test]
+    fn a_dirty_component_whose_content_comes_back_keeps_its_shard_and_memo() {
+        for store in [None, Some(Arc::new(ShardStore::new()))] {
+            let mut ds = chains(store.clone());
+            let inst = ds.prioritized().instance();
+            let j = inst.set_of(inst.fact_ids().filter(|f| f.index() % 6 % 2 == 0));
+            let verdict = ds.session().check(&j);
+            let stats = store.as_ref().map(|s| s.stats());
+            // Chain 9 is re-keyed (a priority op touched it) and lands
+            // on its pre-batch key.
+            let (better, worse) = (chain_fact(&ds, 9, 4), chain_fact(&ds, 9, 3));
+            let kept = kept_chains(
+                &mut ds,
+                &[
+                    DeltaOp::SetPriority {
+                        better: better.clone(),
+                        worse: worse.clone(),
+                        prefer: true,
+                    },
+                    DeltaOp::SetPriority { better: better.clone(), worse, prefer: false },
+                ],
+            );
+            assert!(kept.iter().all(|&k| k));
+            assert_eq!(shard_of(&ds, &better).memo_len(), 1, "the re-keyed shard keeps its memo");
+            if let (Some(store), Some(before)) = (&store, stats) {
+                let after = store.stats();
+                assert_eq!((after.hits - before.hits, after.misses - before.misses), (64, 0));
+            }
+            assert_eq!(ds.session().check(&j), verdict);
+        }
+    }
+
+    /// Deleting a fact and inserting it back moves it to the end of
+    /// the id order: its component keeps its content but not its local
+    /// coordinates, so the pre-batch shard must not be reused — neither
+    /// from a private session's own handles nor from the store. Every
+    /// candidate of random hard workspaces must then answer as a cold
+    /// build does.
+    #[test]
+    fn reordering_deltas_never_reuse_a_misaligned_shard() {
+        use rand::SeedableRng;
+        for seed in 0..48u64 {
+            let schema = rpr_gen::hard_schema(4);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let spec = rpr_gen::InstanceSpec { facts_per_relation: 9, domain: 3 };
+            let instance = rpr_gen::random_instance(&schema, spec, &mut rng);
+            let n = instance.len();
+            let cg = rpr_fd::ConflictGraph::new(&schema, &instance);
+            let priority = rpr_gen::random_conflict_priority(&cg, 0.5, &mut rng);
+            let pi = PrioritizedInstance::conflict_restricted(&schema, instance, priority).unwrap();
+            let schema = Arc::new(schema);
+            for d in (0..n as u32).map(FactId) {
+                let p = pi.priority();
+                if !(p.worse_than(d).is_empty() && p.better_than(d).is_empty()) {
+                    continue;
+                }
+                let f = pi.instance().fact(d).clone();
+                let ops = [DeltaOp::DeleteFact(f.clone()), DeltaOp::InsertFact(f)];
+                for store in [None, Some(Arc::new(ShardStore::new()))] {
+                    let mut ds =
+                        DeltaSession::prepare_with_store(Arc::clone(&schema), pi.clone(), store);
+                    ds.apply_delta(&ops).unwrap();
+                    let cold = DeltaSession::prepare(Arc::clone(&schema), ds.prioritized().clone());
+                    for bits in 0..1u32 << n {
+                        let j = ds
+                            .prioritized()
+                            .instance()
+                            .set_of((0..n as u32).filter(|b| bits >> b & 1 == 1).map(FactId));
+                        assert_eq!(
+                            ds.session().check(&j),
+                            cold.session().check(&j),
+                            "seed {seed}, fact {d:?} moved, candidate {j:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

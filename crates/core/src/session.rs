@@ -275,7 +275,7 @@ impl SessionArtifacts {
             ccp_union,
             exact_shards: Vec::new(),
         };
-        art.attach_shards(schema, pi, store);
+        art.attach_shards(schema, pi, store, Vec::new());
         art
     }
 
@@ -297,41 +297,77 @@ impl SessionArtifacts {
     }
 
     /// (Re)resolves the exact-path shard handles, through `store` when
-    /// attached. Both the cold build and the delta layer's
-    /// re-pointing path come through here: a component whose content
-    /// fingerprint is already resident — inserted by this workspace or
-    /// any other — is reused as-is (a store *hit*); only changed
-    /// components build new shard entries. Detached sessions get the
-    /// same reuse against their own previous handles, so delta patches
-    /// keep clean shards (and their verdict memos) either way.
+    /// attached. Both the cold build and the delta layer's re-pointing
+    /// path come through here.
+    ///
+    /// `carry[c]` is a pre-batch shard the delta layer proved still
+    /// current for component `c` of the exact layout (its content is
+    /// untouched by the batch); it is re-attached as-is, without
+    /// re-keying — through the store as a hit that bumps its LRU stamp,
+    /// in component order, exactly as a lookup of its key would. Cold
+    /// builds pass an empty carry. Every other nontrivial component is
+    /// keyed from its own bucket of priority edges
+    /// ([`ComponentLayout::bucket_edges`]), so keying costs
+    /// `O(n + E)` in all, and resolved by content: a key already
+    /// resident — inserted by this workspace or any other — is a store
+    /// hit, and a detached session reuses its own pre-attach handle
+    /// under that key, so a dirty component whose content came back
+    /// keeps its shard and verdict memo either way. Only new content
+    /// builds a shard.
     pub(crate) fn attach_shards(
         &mut self,
         schema: &Schema,
         pi: &PrioritizedInstance,
         store: Option<&ShardStore>,
+        mut carry: Vec<Option<Arc<ShardData>>>,
     ) {
-        let prev: rpr_data::FxHashMap<u128, Arc<ShardData>> =
-            self.exact_shards.drain(..).flatten().map(|s| (s.fingerprint().0, s)).collect();
-        let shards = match self.exact_layout() {
-            None => Vec::new(),
-            Some(layout) => {
-                let instance = pi.instance();
-                let priority = pi.priority();
-                let mut shards: Vec<Option<Arc<ShardData>>> = vec![None; layout.len()];
-                for &c in layout.nontrivial() {
-                    let c = c as usize;
-                    let fp = layout.shard_fingerprint(c, schema, instance, priority.edges());
-                    let members = layout.component(c);
-                    let build = || ShardData::build(fp, members, &self.csr, priority);
-                    shards[c] = Some(match store {
-                        Some(store) => store.get_or_insert(fp, build),
-                        None => prev.get(&fp.0).cloned().unwrap_or_else(|| Arc::new(build())),
-                    });
+        // The pre-attach handles stay pinned until the attach is done,
+        // so the store cannot evict a shard a dirty component re-keys to.
+        let pinned = std::mem::take(&mut self.exact_shards);
+        let Some(layout) = self.exact_layout() else { return };
+        let instance = pi.instance();
+        let buckets = layout.bucket_edges(pi.priority().edges());
+        let mut lock = store.map(ShardStore::lock);
+        let mut prev: Option<rpr_data::FxHashMap<u128, &Arc<ShardData>>> = None;
+        let mut shards: Vec<Option<Arc<ShardData>>> = vec![None; layout.len()];
+        for &c in layout.nontrivial() {
+            let c = c as usize;
+            let carried = carry.get_mut(c).and_then(Option::take);
+            shards[c] = Some(match (carried, lock.as_mut()) {
+                (Some(shard), Some(lock)) => lock.reattach(shard),
+                (Some(shard), None) => shard,
+                (None, lock) => {
+                    let edges = buckets.of(c);
+                    let fp = layout.shard_fingerprint(c, schema, instance, edges);
+                    let build = || ShardData::build(fp, layout.component(c), &self.csr, edges);
+                    match lock {
+                        Some(lock) => lock.get_or_insert(fp, build),
+                        None => prev
+                            .get_or_insert_with(|| {
+                                pinned.iter().flatten().map(|s| (s.fingerprint().0, s)).collect()
+                            })
+                            .get(&fp.0)
+                            .map_or_else(|| Arc::new(build()), |&s| Arc::clone(s)),
+                    }
                 }
-                shards
-            }
-        };
+            });
+        }
         self.exact_shards = shards;
+    }
+
+    /// Do the attached shard keys equal a full re-key — every
+    /// nontrivial component of the exact layout fingerprinted against
+    /// the workspace's whole edge list? The delta layer checks its
+    /// carried handles with this in debug builds.
+    pub(crate) fn shard_keys_match_rekey(&self, schema: &Schema, pi: &PrioritizedInstance) -> bool {
+        let Some(layout) = self.exact_layout() else { return self.exact_shards.is_empty() };
+        let edges = pi.priority().edges();
+        self.exact_shards.len() == layout.len()
+            && (0..layout.len()).all(|c| {
+                let key = (layout.component(c).len() > 1)
+                    .then(|| layout.shard_fingerprint(c, schema, pi.instance(), edges));
+                self.exact_shards[c].as_ref().map(|s| s.fingerprint()) == key
+            })
     }
 
     /// The thin per-workspace tier of the two-tier cache: the ordered

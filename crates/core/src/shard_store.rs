@@ -8,14 +8,14 @@
 //! [`crate::exact`] *in local coordinates*, and a memo of shard
 //! verdicts already computed. Shards are immutable and keyed by the
 //! canonical 128-bit fingerprint of their content
-//! ([`rpr_fd::ComponentLayout::shard_fingerprint`]): component facts,
-//! incident FDs, and intra-component priority edges. Because conflicts
-//! and (intra-component) priorities never leave a component, two
-//! workspaces whose fact ids differ wildly but whose component
-//! *content* agrees map to the same key and share one
-//! [`ShardData`] — the renumbering is absorbed by the local
-//! coordinate system (local id = rank of the fact in the component's
-//! ascending member list).
+//! ([`rpr_fd::ComponentLayout::shard_fingerprint`]): component facts in
+//! member order, incident FDs, and intra-component priority edges.
+//! Because conflicts and (intra-component) priorities never leave a
+//! component, two workspaces whose fact ids differ wildly but whose
+//! component *content* agrees, in the same relative order, map to the
+//! same key and share one [`ShardData`] — the renumbering is absorbed
+//! by the local coordinate system (local id = rank of the fact in the
+//! component's ascending member list).
 //!
 //! The [`ShardStore`] is the global tier: a ref-counted
 //! (`Arc`-backed) map from shard fingerprint to [`ShardData`] with
@@ -48,9 +48,8 @@ use crate::improvement::Improvement;
 use rpr_data::{FactId, FactSet, Fingerprint, FxHashMap};
 use rpr_engine::{Budget, Stop};
 use rpr_fd::ConflictRows;
-use rpr_priority::PriorityRelation;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A component-local improvement witness, in local coordinates.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -103,11 +102,16 @@ impl ShardData {
     /// `members` must be the component's member list, ascending — the
     /// slice `layout.component(c)` is. Conflict neighbors of a member
     /// never leave its component, so every edge maps to a local pair.
+    /// `edges` are priority edges `f ≻ g` in workspace order: the
+    /// component's bucket from
+    /// [`ComponentLayout::bucket_edges`](rpr_fd::ComponentLayout::bucket_edges),
+    /// or any superset of it — edges with an endpoint outside the
+    /// component are ignored.
     pub fn build(
         fingerprint: Fingerprint,
         members: &[FactId],
         cg: &impl ConflictRows,
-        priority: &PriorityRelation,
+        edges: &[(FactId, FactId)],
     ) -> ShardData {
         let k = members.len();
         let local = |g: FactId| -> Option<u32> { members.binary_search(&g).ok().map(|i| i as u32) };
@@ -123,7 +127,7 @@ impl ShardData {
         }
         let mut priority_edges = Vec::new();
         let mut better = vec![Vec::new(); k];
-        for &(f, g) in priority.edges() {
+        for &(f, g) in edges {
             if let (Some(lf), Some(lg)) = (local(f), local(g)) {
                 priority_edges.push((lf, lg));
                 better[lg as usize].push(lf);
@@ -424,20 +428,13 @@ impl ShardStore {
         key: Fingerprint,
         build: impl FnOnce() -> ShardData,
     ) -> Arc<ShardData> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner.entries.get_mut(&key.0) {
-            entry.stamp = tick;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(&entry.data);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let data = Arc::new(build());
-        debug_assert_eq!(data.fingerprint(), key, "shard built under the wrong key");
-        inner.entries.insert(key.0, StoreEntry { data: Arc::clone(&data), stamp: tick });
-        self.evict_cold(&mut inner);
-        data
+        self.lock().get_or_insert(key, build)
+    }
+
+    /// Takes the store lock for a run of lookups, so a session attach
+    /// resolves all its shards under one acquisition.
+    pub(crate) fn lock(&self) -> StoreLock<'_> {
+        StoreLock { store: self, inner: self.inner.lock().expect("shard store lock poisoned") }
     }
 
     /// Re-applies the byte ceiling, evicting cold shards LRU-first.
@@ -448,13 +445,14 @@ impl ShardStore {
         self.evict_cold(&mut inner);
     }
 
+    /// Evicts the oldest cold shard until resident bytes fit the
+    /// ceiling. Resident bytes are summed once; each victim's bytes are
+    /// then subtracted, which picks the same victims as re-summing
+    /// after every eviction.
     fn evict_cold(&self, inner: &mut StoreInner) {
         let Some(max) = self.bytes_max else { return };
-        loop {
-            let resident: u64 = inner.entries.values().map(|e| e.data.bytes() as u64).sum();
-            if resident <= max {
-                return;
-            }
+        let mut resident: u64 = inner.entries.values().map(|e| e.data.bytes() as u64).sum();
+        while resident > max {
             // Oldest cold shard: unreferenced outside the store.
             let victim = inner
                 .entries
@@ -462,9 +460,9 @@ impl ShardStore {
                 .filter(|(_, e)| Arc::strong_count(&e.data) == 1)
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(&k, _)| k);
-            match victim {
-                Some(k) => {
-                    inner.entries.remove(&k);
+            match victim.and_then(|k| inner.entries.remove(&k)) {
+                Some(evicted) => {
+                    resident = resident.saturating_sub(evicted.data.bytes() as u64);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
                 // Everything is pinned by live sessions: nothing we
@@ -499,5 +497,136 @@ impl ShardStore {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// The store locked for a run of lookups (see [`ShardStore::lock`]).
+/// Every lookup stamps and counts exactly as [`ShardStore::get_or_insert`]
+/// would, in call order.
+pub(crate) struct StoreLock<'a> {
+    store: &'a ShardStore,
+    inner: MutexGuard<'a, StoreInner>,
+}
+
+impl StoreLock<'_> {
+    /// [`ShardStore::get_or_insert`] under the held lock.
+    pub(crate) fn get_or_insert(
+        &mut self,
+        key: Fingerprint,
+        build: impl FnOnce() -> ShardData,
+    ) -> Arc<ShardData> {
+        self.resolve(key, || Arc::new(build()))
+    }
+
+    /// Re-attaches a shard the caller already holds: a hit that bumps
+    /// its LRU stamp, exactly as looking its key up would. (A held
+    /// shard is pinned, so it is always resident.)
+    pub(crate) fn reattach(&mut self, shard: Arc<ShardData>) -> Arc<ShardData> {
+        self.resolve(shard.fingerprint(), || shard)
+    }
+
+    fn resolve(
+        &mut self,
+        key: Fingerprint,
+        make: impl FnOnce() -> Arc<ShardData>,
+    ) -> Arc<ShardData> {
+        let inner = &mut *self.inner;
+        inner.tick += 1;
+        let tick = inner.tick;
+        if let Some(entry) = inner.entries.get_mut(&key.0) {
+            entry.stamp = tick;
+            self.store.hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(&entry.data);
+        }
+        self.store.misses.fetch_add(1, Ordering::Relaxed);
+        let data = make();
+        debug_assert_eq!(data.fingerprint(), key, "shard built under the wrong key");
+        inner.entries.insert(key.0, StoreEntry { data: Arc::clone(&data), stamp: tick });
+        self.store.evict_cold(inner);
+        data
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::SessionArtifacts;
+    use rand::{Rng, SeedableRng};
+    use rpr_fd::{ComponentLayout, CsrConflictGraph};
+
+    /// Every field of two shards, memo aside.
+    fn assert_same_shard(a: &ShardData, b: &ShardData) {
+        assert_eq!(a.fingerprint, b.fingerprint);
+        assert_eq!(a.k, b.k);
+        assert_eq!(a.offsets, b.offsets);
+        assert_eq!(a.neighbors, b.neighbors);
+        assert_eq!(a.priority_edges, b.priority_edges);
+        assert_eq!(a.better, b.better);
+        assert_eq!(a.base_bytes, b.base_bytes);
+    }
+
+    /// Keys and shards read from a component's edge bucket equal the
+    /// ones read from the workspace's whole edge list, on conflict
+    /// layouts (where cross-component edges are dropped) and on ccp
+    /// union layouts (where priority edges join components).
+    #[test]
+    fn bucketed_keys_and_shards_equal_unbucketed_ones() {
+        for seed in 0..24u64 {
+            let schema = rpr_gen::hard_schema(4);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let spec = rpr_gen::InstanceSpec { facts_per_relation: 40, domain: 5 };
+            let instance = rpr_gen::random_instance(&schema, spec, &mut rng);
+            let n = instance.len() as u32;
+            let cg = rpr_fd::ConflictGraph::new(&schema, &instance);
+            let mut priority = rpr_gen::random_conflict_priority(&cg, 0.5, &mut rng);
+            // Cross edges, skipping any that would close a cycle.
+            for _ in 0..8 {
+                let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+                let _ = priority.insert_edge(FactId(a), FactId(b));
+            }
+            let csr = CsrConflictGraph::new(&schema, &instance);
+            let union = SessionArtifacts::ccp_union_layout(&csr, &priority);
+            for layout in [ComponentLayout::from_csr(&csr), union] {
+                let buckets = layout.bucket_edges(priority.edges());
+                for &c in layout.nontrivial() {
+                    let c = c as usize;
+                    let (bucket, all) = (buckets.of(c), priority.edges());
+                    let key = layout.shard_fingerprint(c, &schema, &instance, bucket);
+                    assert_eq!(key, layout.shard_fingerprint(c, &schema, &instance, all));
+                    let members = layout.component(c);
+                    assert_same_shard(
+                        &ShardData::build(key, members, &csr, bucket),
+                        &ShardData::build(key, members, &csr, all),
+                    );
+                }
+            }
+        }
+    }
+
+    /// The byte ceiling evicts cold shards oldest-stamp first, never a
+    /// pinned one, and stops as soon as the rest fit.
+    #[test]
+    fn eviction_takes_the_oldest_cold_shards_first() {
+        let (schema, instance) = rpr_gen::chain_components(4, 3);
+        let csr = CsrConflictGraph::new(&schema, &instance);
+        let layout = ComponentLayout::from_csr(&csr);
+        let key = |c: usize| layout.shard_fingerprint(c, &schema, &instance, &[]);
+        let build = |c: usize| ShardData::build(key(c), layout.component(c), &csr, &[]);
+        let shard_bytes = build(0).bytes() as u64;
+        let store = ShardStore::with_bytes_max(Some(2 * shard_bytes));
+        let resident = |c: usize| store.inner.lock().unwrap().entries.contains_key(&key(c).0);
+        drop(store.get_or_insert(key(0), || build(0)));
+        drop(store.get_or_insert(key(1), || build(1)));
+        drop(store.get_or_insert(key(0), || build(0))); // 0 is now newer than 1
+        drop(store.get_or_insert(key(2), || build(2)));
+        assert!(!resident(1) && resident(0) && resident(2), "the oldest cold shard goes first");
+        let pinned = store.get_or_insert(key(3), || build(3));
+        assert!(
+            !resident(0) && resident(2) && resident(3),
+            "then the next oldest, never a pinned one"
+        );
+        assert_eq!(store.stats().evictions, 2);
+        assert_eq!(store.resident_bytes(), 2 * shard_bytes);
+        drop(pinned);
     }
 }

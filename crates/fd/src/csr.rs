@@ -694,19 +694,56 @@ impl ComponentLayout {
         (0..self.len()).map(|c| self.component(c).len()).max().unwrap_or(0)
     }
 
+    /// Groups `edges` by the component holding both endpoints, in one
+    /// stable counting-sort pass: each component's bucket keeps the
+    /// order of `edges`, so [`shard_fingerprint`](Self::shard_fingerprint)
+    /// and a shard build read only their own component's edges and
+    /// still see exactly what a filter over the whole list yields.
+    /// Edges whose endpoints lie in different components belong to no
+    /// shard and are dropped. `O(components + edges)`.
+    pub fn bucket_edges(&self, edges: &[(FactId, FactId)]) -> EdgeBuckets {
+        let inside = |&(a, b): &(FactId, FactId)| {
+            let c = self.comp_of[a.index()];
+            (c == self.comp_of[b.index()]).then_some(c as usize)
+        };
+        let mut offsets = vec![0u32; self.len() + 1];
+        for c in edges.iter().filter_map(inside) {
+            offsets[c + 1] += 1;
+        }
+        for c in 0..self.len() {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut cursor = offsets.clone();
+        let mut bucketed = vec![(FactId(0), FactId(0)); offsets[self.len()] as usize];
+        for e in edges {
+            if let Some(c) = inside(e) {
+                bucketed[cursor[c] as usize] = *e;
+                cursor[c] += 1;
+            }
+        }
+        EdgeBuckets { offsets, edges: bucketed }
+    }
+
     /// The canonical 128-bit content address of component `c`: a hash
-    /// over the member facts' *contents* (relation name + tuple values,
-    /// order-insensitive), the FDs of every relation present in the
+    /// over the member facts' *contents* (relation name + tuple values)
+    /// in ascending id order, the FDs of every relation present in the
     /// component, and the intra-component `priority` edges as ordered
     /// pairs of fact contents. Two components — in the same workspace
     /// or across workspaces with entirely different `FactId`
     /// numberings — get the same fingerprint iff they describe the same
-    /// shard-local checking problem, which is what lets the shard store
-    /// share one artifact between them.
+    /// shard-local checking problem in the same local coordinates
+    /// (local id = rank in the member list), which is what lets the
+    /// shard store share one artifact between them. An order-preserving
+    /// renumbering (dense deletes, appends) keeps the key; the same
+    /// facts in another relative order get another key, because a
+    /// shard built for one order answers for the wrong facts under the
+    /// other.
     ///
-    /// `priority` is the workspace's full edge list; edges with either
-    /// endpoint outside the component are ignored. Edges are hashed by
-    /// endpoint content, so renumbering-invariant.
+    /// `priority` is the component's bucket from
+    /// [`bucket_edges`](Self::bucket_edges) or the workspace's full edge
+    /// list — edges with either endpoint outside the component are
+    /// ignored, so both give the same key. Edges are hashed by endpoint
+    /// content, so renumbering-invariant.
     pub fn shard_fingerprint(
         &self,
         c: usize,
@@ -717,8 +754,14 @@ impl ComponentLayout {
         use rpr_data::{combine_unordered, fingerprint_fact, FingerprintBuilder};
         let sig = instance.signature();
         let members = self.component(c);
-        let facts_fp =
-            combine_unordered(members.iter().map(|&f| fingerprint_fact(sig, instance.fact(f))));
+        // Ordered: the shard's local ids are ranks in this member
+        // order, so only components listing the same facts in the same
+        // relative order may share a shard.
+        let mut facts = FingerprintBuilder::new();
+        for &f in members {
+            facts.fingerprint(fingerprint_fact(sig, instance.fact(f)));
+        }
+        let facts_fp = facts.finish();
         // Distinct relations of the component, each contributing its
         // full FD set (the conflicts the shard's facts can witness).
         let mut rels: Vec<_> = members.iter().map(|&f| instance.fact(f).rel()).collect();
@@ -748,6 +791,22 @@ impl ComponentLayout {
             .fingerprint(fds_fp)
             .fingerprint(edges_fp);
         b.finish()
+    }
+}
+
+/// Priority edges grouped per component by
+/// [`ComponentLayout::bucket_edges`], CSR-packed.
+#[derive(Clone, Debug, PartialEq)]
+pub struct EdgeBuckets {
+    /// `offsets[c]..offsets[c+1]` indexes `edges` for component `c`.
+    offsets: Vec<u32>,
+    edges: Vec<(FactId, FactId)>,
+}
+
+impl EdgeBuckets {
+    /// The edges inside component `c`, in the order they were given.
+    pub fn of(&self, c: usize) -> &[(FactId, FactId)] {
+        &self.edges[self.offsets[c] as usize..self.offsets[c + 1] as usize]
     }
 }
 
@@ -972,6 +1031,19 @@ mod tests {
         old = CsrConflictGraph::patched(&old, &old_to_new, &new_to_old, &inserted);
         assert_eq!(old, CsrConflictGraph::new(&schema, &i));
         assert_eq!(old.dense_row_count(), 41);
+    }
+
+    #[test]
+    fn edge_buckets_keep_edge_order_and_drop_cross_edges() {
+        // Components {0, 1, 4}, {2, 3}, {5}.
+        let f = FactId;
+        let layout = ComponentLayout::from_edges(6, [(f(0), f(1)), (f(1), f(4)), (f(2), f(3))]);
+        let edges = [(f(4), f(0)), (f(3), f(2)), (f(0), f(2)), (f(1), f(0)), (f(2), f(3))];
+        let buckets = layout.bucket_edges(&edges);
+        let c = |x: u32| layout.component_of(f(x));
+        assert_eq!(buckets.of(c(0)), &[(f(4), f(0)), (f(1), f(0))]);
+        assert_eq!(buckets.of(c(2)), &[(f(3), f(2)), (f(2), f(3))]);
+        assert!(buckets.of(c(5)).is_empty());
     }
 
     #[test]

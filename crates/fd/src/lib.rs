@@ -39,7 +39,7 @@ pub use armstrong::{derive, Derivation};
 pub use closure::{closure, closure_linear, equivalent, implies, is_superkey};
 pub use conflicts::{ConflictGraph, ConflictRows};
 pub use cover::{lhs_candidates, merge_by_lhs, minimal_cover, saturate};
-pub use csr::{ComponentLayout, CsrConflictGraph, Row as CsrRow};
+pub use csr::{ComponentLayout, CsrConflictGraph, EdgeBuckets, Row as CsrRow};
 pub use determiners::{
     hard_case_witnesses, is_minimal_determiner, is_nonredundant_determiner,
     is_nontrivial_determiner, minimal_determiners, minimal_nonredundant_determiners,
