@@ -1714,122 +1714,205 @@ fn e28() -> ExpResult {
 /// the mutated workspace — the exact work a server does on a session
 /// cache miss. Correctness is asserted in-run (the patched fingerprint
 /// must equal both the cold session's and the canonical workspace
-/// fingerprint after every batch) and the per-delta speedup is gated at
-/// ≥2x. Fresh numbers are committed to `BENCH_delta.json` so the perf
-/// trajectory lives in the repo, not in stale `target/` artifacts.
+/// fingerprint after every batch) and the median per-delta speedup over
+/// the repetitions is gated at ≥2x. A churn sweep then times single
+/// batches of growing size against a cold build, to place the point
+/// where patching stops paying (the `REBUILD_CHURN_PERCENT` crossover).
+/// Fresh numbers, with their commit and core count, are committed to
+/// `BENCH_delta.json` so the perf trajectory lives in the repo.
 fn e29() -> ExpResult {
-    use rpr_core::{DeltaOp, DeltaSession};
+    use rpr_core::{DeltaOp, DeltaSession, REBUILD_CHURN_PERCENT};
     use rpr_data::Fact;
     use rpr_format::{apply_ops_to_workspace, workspace_fingerprint, Workspace};
     use rpr_priority::PriorityMode;
     use std::sync::Arc;
-    use std::time::Duration;
 
     const N: usize = 600;
     const BATCHES: usize = 30;
     const INSERTS_PER_BATCH: usize = 4;
     const DELETES_PER_BATCH: usize = 4;
+    const REPS: usize = 5;
+    /// Churn levels of the crossover sweep, in percent of `N`; the
+    /// patched path is only reachable below `REBUILD_CHURN_PERCENT`.
+    const SWEEP: [usize; 7] = [1, 2, 5, 10, 15, 20, 24];
+    const SWEEP_TRIALS: usize = 9;
 
     let wl = single_fd_workload(N, 4, 0.3, 0x2915);
-    let mut ws = Workspace {
+    let ws0 = Workspace {
         schema: wl.schema,
         instance: wl.instance,
         priority: wl.priority,
         mode: PriorityMode::ConflictRestricted,
         repairs: Vec::new(),
     };
-    let schema = Arc::new(ws.schema.clone());
-    let mut ds =
-        DeltaSession::prepare(schema.clone(), ws.prioritized().map_err(|e| e.to_string())?);
-    ensure(ds.fingerprint() == workspace_fingerprint(&ws), "prepared session matches canonical")?;
-
+    let schema = Arc::new(ws0.schema.clone());
+    let dup = |ws: &Workspace| Workspace {
+        schema: ws.schema.clone(),
+        instance: ws.instance.clone(),
+        priority: ws.priority.clone(),
+        mode: ws.mode,
+        repairs: Vec::new(),
+    };
+    let prepare = |ws: &Workspace| -> Result<DeltaSession, String> {
+        Ok(DeltaSession::prepare(schema.clone(), ws.prioritized().map_err(|e| e.to_string())?))
+    };
     let mut rng = StdRng::seed_from_u64(0xE29);
     let mut next_val: i64 = 1_000_000;
-    let mut patched_total = Duration::ZERO;
-    let mut cold_total = Duration::ZERO;
-    let mut max_churn = 0.0f64;
-    for batch_no in 0..BATCHES {
-        // Generate against the evolving oracle workspace so every op is
-        // valid at its position in the batch (sequential semantics).
+    // Inserts of fresh facts, then deletes of edge-free facts, generated
+    // against the evolving oracle workspace so every op is valid at its
+    // position in the batch (sequential semantics).
+    let mut gen_batch = |ws: &mut Workspace, inserts: usize, deletes: usize| {
         let mut batch = Vec::new();
         let sig = ws.instance.signature().clone();
-        for _ in 0..INSERTS_PER_BATCH {
+        for _ in 0..inserts {
             let g = rng.random_range(0..(N as i64 / 4).max(1));
             let b = rng.random_range(0i64..4);
             let f = Fact::parse_new(&sig, "R", [g.into(), b.into(), next_val.into()])
                 .map_err(|e| e.to_string())?;
             next_val += 1;
-            let op = DeltaOp::InsertFact(f);
-            ws = apply_ops_to_workspace(&ws, std::slice::from_ref(&op))
-                .map_err(|e| e.to_string())?;
-            batch.push(op);
+            batch.push(DeltaOp::InsertFact(f));
         }
-        for _ in 0..DELETES_PER_BATCH {
-            // Any fact without incident priority edges can be deleted.
+        *ws = apply_ops_to_workspace(ws, &batch).map_err(|e| e.to_string())?;
+        for _ in 0..deletes {
             let n = ws.instance.len() as u32;
             let id = (0..n)
-                .map(|k| FactId((k + rng.random_range(0..n)) % n))
+                .map(|j| FactId((j + rng.random_range(0..n)) % n))
                 .find(|&id| ws.priority.edges().iter().all(|&(a, b)| a != id && b != id))
                 .ok_or("no edge-free fact to delete")?;
             let op = DeltaOp::DeleteFact(ws.instance.fact(id).clone());
-            ws = apply_ops_to_workspace(&ws, std::slice::from_ref(&op))
-                .map_err(|e| e.to_string())?;
+            *ws =
+                apply_ops_to_workspace(ws, std::slice::from_ref(&op)).map_err(|e| e.to_string())?;
             batch.push(op);
         }
-        let churn = batch.len() as f64 * 100.0 / ws.instance.len() as f64;
+        Ok::<_, String>(batch)
+    };
+
+    // The batch sequence and the workspace after each batch, generated
+    // once: every repetition replays the same stream.
+    let mut ws = dup(&ws0);
+    let mut stream: Vec<(Vec<DeltaOp>, Workspace)> = Vec::new();
+    let mut max_churn = 0.0f64;
+    for _ in 0..BATCHES {
+        let before = ws.instance.len();
+        let batch = gen_batch(&mut ws, INSERTS_PER_BATCH, DELETES_PER_BATCH)?;
+        let churn = batch.len() as f64 * 100.0 / before as f64;
         max_churn = max_churn.max(churn);
         ensure(churn <= 10.0, "delta batches stay at <=10% churn")?;
-
-        // The patched in-place path on the persistent session.
-        let t = Instant::now();
-        let report = ds.apply_delta(&batch).map_err(|e| e.to_string())?;
-        patched_total += t.elapsed();
-        ensure(!report.rebuilt, "low-churn batches must take the patched path")?;
-        ensure(report.applied == batch.len(), "every op in the batch applies")?;
-
-        // The cold rebuild a cache miss would pay: re-validate the
-        // mutated workspace and rebuild every artifact from scratch.
-        let t = Instant::now();
-        let cold =
-            DeltaSession::prepare(schema.clone(), ws.prioritized().map_err(|e| e.to_string())?);
-        cold_total += t.elapsed();
-
-        ensure(
-            ds.fingerprint() == cold.fingerprint()
-                && ds.fingerprint() == workspace_fingerprint(&ws),
-            &format!("batch {batch_no}: patched session diverged from the cold rebuild"),
-        )?;
+        stream.push((batch, dup(&ws)));
     }
 
-    let patched_us = patched_total.as_secs_f64() * 1e6 / BATCHES as f64;
-    let cold_us = cold_total.as_secs_f64() * 1e6 / BATCHES as f64;
-    let speedup = cold_us / patched_us;
+    let (mut patched_reps, mut cold_reps, mut speedup_reps) = (Vec::new(), Vec::new(), Vec::new());
+    for rep in 0..REPS {
+        let mut ds = prepare(&ws0)?;
+        ensure(
+            ds.fingerprint() == workspace_fingerprint(&ws0),
+            "prepared session matches canonical",
+        )?;
+        let (mut patched_us, mut cold_us) = (0.0, 0.0);
+        for (batch_no, (batch, after)) in stream.iter().enumerate() {
+            // The patched in-place path on the persistent session.
+            let t = Instant::now();
+            let report = ds.apply_delta(batch).map_err(|e| e.to_string())?;
+            patched_us += t.elapsed().as_secs_f64() * 1e6;
+            ensure(!report.rebuilt, "low-churn batches must take the patched path")?;
+            ensure(report.applied == batch.len(), "every op in the batch applies")?;
+            // The cold rebuild a cache miss would pay: re-validate the
+            // mutated workspace and rebuild every artifact from scratch.
+            let t = Instant::now();
+            let cold = prepare(after)?;
+            cold_us += t.elapsed().as_secs_f64() * 1e6;
+            ensure(
+                ds.fingerprint() == cold.fingerprint()
+                    && ds.fingerprint() == workspace_fingerprint(after),
+                &format!(
+                    "rep {rep} batch {batch_no}: patched session diverged from the cold rebuild"
+                ),
+            )?;
+        }
+        patched_reps.push(patched_us / BATCHES as f64);
+        cold_reps.push(cold_us / BATCHES as f64);
+        speedup_reps.push(cold_us / patched_us);
+    }
+    let [patched_p50, patched_p10, patched_p90] = quantiles(patched_reps);
+    let [cold_p50, cold_p10, cold_p90] = quantiles(cold_reps);
+    let [speedup_p50, speedup_p10, speedup_p90] = quantiles(speedup_reps);
     ensure(
-        speedup >= 2.0,
+        speedup_p50 >= 2.0,
         &format!(
-            "patched deltas must be >=2x faster than cold rebuilds ({patched_us:.1}us vs {cold_us:.1}us = {speedup:.1}x)"
+            "patched deltas must be >=2x faster than cold rebuilds (median {patched_p50:.1}us vs {cold_p50:.1}us = {speedup_p50:.1}x)"
         ),
     )?;
 
+    // The crossover sweep: one batch of `level`% churn, patched on a
+    // fresh session, against the cold build of its result.
+    let mut levels = Vec::new();
+    for level in SWEEP {
+        let k = (N * level / 200).max(1);
+        let mut after = dup(&ws0);
+        let batch = gen_batch(&mut after, k, k)?;
+        let (mut patched, mut cold) = (Vec::new(), Vec::new());
+        for _ in 0..SWEEP_TRIALS {
+            let mut ds = prepare(&ws0)?;
+            let t = Instant::now();
+            let report = ds.apply_delta(&batch).map_err(|e| e.to_string())?;
+            patched.push(t.elapsed().as_secs_f64() * 1e6);
+            ensure(!report.rebuilt, &format!("{level}% churn stays on the patched path"))?;
+            let t = Instant::now();
+            let rebuilt = prepare(&after)?;
+            cold.push(t.elapsed().as_secs_f64() * 1e6);
+            ensure(ds.fingerprint() == rebuilt.fingerprint(), "sweep batch patched like cold")?;
+        }
+        let (patched, cold) = (quantiles(patched)[0], quantiles(cold)[0]);
+        levels.push((level, 2 * k, patched, cold));
+    }
+    // Least-squares line through the patched times against churn; it
+    // meets the median cold build at the estimated crossover.
+    let m = levels.len() as f64;
+    let (sx, sy) =
+        levels.iter().fold((0.0, 0.0), |(sx, sy), &(l, _, p, _)| (sx + l as f64, sy + p));
+    let sxx: f64 = levels.iter().map(|&(l, ..)| (l as f64).powi(2)).sum();
+    let sxy: f64 = levels.iter().map(|&(l, _, p, _)| l as f64 * p).sum();
+    let slope = (m * sxy - sx * sy) / (m * sxx - sx * sx);
+    let intercept = (sy - slope * sx) / m;
+    let cold_median = quantiles(levels.iter().map(|&(.., c)| c).collect())[0];
+    let crossover = (cold_median - intercept) / slope;
+    let sweep_json: Vec<String> = levels
+        .iter()
+        .map(|&(level, ops, p, c)| {
+            format!(
+                "{{\"churn_percent\": {level}, \"ops\": {ops}, \"patched_us\": {p:.1}, \"cold_us\": {c:.1}, \"speedup\": {:.2}}}",
+                c / p
+            )
+        })
+        .collect();
+
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let json = format!(
-        "{{\n  \"workload\": \"single_fd_workload({N}, 4, 0.30), conflict-restricted, {BATCHES} batches of {} ops\",\n  \"machine\": {{\n    \"os\": \"{}\",\n    \"arch\": \"{}\",\n    \"cores\": {cores}\n  }},\n  \"batches\": {BATCHES},\n  \"ops_per_batch\": {},\n  \"max_churn_percent\": {max_churn:.2},\n  \"patched_mean_us\": {patched_us:.2},\n  \"cold_rebuild_mean_us\": {cold_us:.2},\n  \"speedup\": {speedup:.1},\n  \"gate\": \"patched >= 2x cold rebuild at <=10% churn\"\n}}\n",
+        "{{\n  \"workload\": \"single_fd_workload({N}, 4, 0.30), conflict-restricted, {BATCHES} batches of {} ops\",\n  \"commit\": \"{}\",\n  \"machine\": {{\n    \"os\": \"{}\",\n    \"arch\": \"{}\",\n    \"cores\": {cores}\n  }},\n  \"repetitions\": {REPS},\n  \"batches\": {BATCHES},\n  \"ops_per_batch\": {},\n  \"max_churn_percent\": {max_churn:.2},\n  \"patched_mean_us\": {{\"median\": {patched_p50:.2}, \"p10\": {patched_p10:.2}, \"p90\": {patched_p90:.2}}},\n  \"cold_rebuild_mean_us\": {{\"median\": {cold_p50:.2}, \"p10\": {cold_p10:.2}, \"p90\": {cold_p90:.2}}},\n  \"speedup\": {{\"median\": {speedup_p50:.2}, \"p10\": {speedup_p10:.2}, \"p90\": {speedup_p90:.2}}},\n  \"gate\": \"median patched >= 2x cold rebuild at <=10% churn\",\n  \"crossover\": {{\n    \"trials_per_level\": {SWEEP_TRIALS},\n    \"levels\": [\n      {}\n    ],\n    \"estimated_crossover_percent\": {crossover:.1},\n    \"rebuild_churn_percent\": {REBUILD_CHURN_PERCENT}\n  }}\n}}\n",
         INSERTS_PER_BATCH + DELETES_PER_BATCH,
+        git_head(),
         std::env::consts::OS,
         std::env::consts::ARCH,
         INSERTS_PER_BATCH + DELETES_PER_BATCH,
+        sweep_json.join(",\n      "),
     );
     let out_path = "BENCH_delta.json";
     std::fs::write(out_path, &json).map_err(|e| e.to_string())?;
 
+    let sweep_line: Vec<String> =
+        levels.iter().map(|&(l, _, p, c)| format!("{l}%: {:.2}x", c / p)).collect();
     Ok(vec![
         "extension: patch cached sessions in place instead of rebuilding them".into(),
         format!(
-            "measured: {BATCHES} batches x {} ops on {N} facts (max churn {max_churn:.1}%), all patched in place, fingerprints bit-identical to cold rebuilds",
+            "measured: {REPS} x {BATCHES} batches x {} ops on {N} facts (max churn {max_churn:.1}%), all patched in place, fingerprints bit-identical to cold rebuilds",
             INSERTS_PER_BATCH + DELETES_PER_BATCH,
         ),
         format!(
-            "measured: per-delta {patched_us:.0}us patched vs {cold_us:.0}us cold rebuild -> {speedup:.1}x (gate >=2x); {out_path} rewritten"
+            "measured: per-delta {patched_p50:.0}us patched (p10 {patched_p10:.0}, p90 {patched_p90:.0}) vs {cold_p50:.0}us cold rebuild -> median {speedup_p50:.1}x (p10 {speedup_p10:.1}, p90 {speedup_p90:.1}; gate >=2x); {out_path} rewritten"
+        ),
+        format!(
+            "measured: one-batch churn sweep, cold/patched {}; patching stops paying at ~{crossover:.0}% churn (rebuild threshold {REBUILD_CHURN_PERCENT}%)",
+            sweep_line.join(", ")
         ),
     ])
 }
@@ -2426,7 +2509,7 @@ fn e32() -> ExpResult {
             )?;
             let bitset_bytes = oracle.heap_bytes();
             drop(oracle);
-            let structure_bytes = art.structure_bytes();
+            let structure_bytes = art.structure_bytes(pi.instance());
             let csr_bytes = CheckSession::from_artifacts(&schema, &pi, &art).csr().heap_bytes();
             drop(art);
             let build = e32_sample(REPS, || SessionArtifacts::build(&schema, &pi));

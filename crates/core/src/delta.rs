@@ -7,19 +7,29 @@
 //! the whole session. A [`DeltaSession`] keeps those artifacts *live*
 //! under mutation:
 //!
-//! * **Conflict graph** — patched once per batch that touched facts,
-//!   by [`CsrConflictGraph::patched`]: surviving rows are remapped
-//!   through the dense renumbering, each inserted fact's row comes
-//!   from its single-FD relation's patched blocks or else one per-FD
-//!   scan of its relation, and its surviving neighbors gain it at the
-//!   end of their rows. `O(n + e)` per batch, with no bitset
-//!   intermediate.
-//! * **Components** — the component DFS re-runs only inside components
-//!   the batch touched; clean ones are renumbered in place.
+//! * **Ids** — stable for the whole batch. A delete tombstones its fact
+//!   ([`Instance::tombstone`](rpr_data::Instance::tombstone)): lookups
+//!   miss it at once, so `delete X; insert X` works, but no id moves.
+//!   Inserts append. At the end of the batch one order-preserving
+//!   compaction ([`PrioritizedInstance::remove_facts`]) drops every
+//!   tombstone, and each id-keyed structure below applies that same
+//!   [`Compaction`](rpr_data::Compaction) once.
+//! * **Conflict graph** — patched in place once per batch that touched
+//!   facts, by [`CsrConflictGraph::patch`]: one pass over the packed
+//!   neighbor array drops removed entries and renumbers the rest, each
+//!   inserted fact's row comes from its single-FD relation's patched
+//!   blocks or else one per-FD scan of its relation, and it is spliced
+//!   into its surviving neighbors' rows. A batch that only removes
+//!   facts it inserted itself (`insert F; delete F`) leaves the graph
+//!   untouched.
+//! * **Components** — [`ComponentLayout::patch`] re-runs the component
+//!   DFS only inside components the batch touched and splices them
+//!   back in min-member order; clean ones are renumbered in place.
 //! * **FD blocks** — the touched relation's blocks are edited in place
 //!   (binary search on the canonical lhs/rhs projection order, so the
-//!   patch is bit-identical to `FdBlocks::build`); untouched relations
-//!   only remap ids, which preserves that order under dense renumbering.
+//!   patch is bit-identical to `FdBlocks::build`); at the end of the
+//!   batch every block list is remapped once through the compaction,
+//!   which preserves that order.
 //! * **Shards** — clean shards are carried: each post-batch component
 //!   whose members come from a pre-batch component the batch left alone
 //!   keeps that component's `Arc<ShardData>` without a re-key (a store
@@ -34,14 +44,17 @@
 //!   against the from-scratch [`content_fingerprint`] in debug builds.
 //!
 //! **Atomicity.** [`apply_delta`](DeltaSession::apply_delta) validates
-//! the entire op sequence against a content-keyed simulation before
-//! touching anything; on any [`DeltaError`] the session is unchanged.
+//! the entire op sequence before touching anything, against an id-keyed
+//! overlay of the batch's membership and priority-edge edits on top of
+//! the current state; on any [`DeltaError`] the session is unchanged.
 //!
 //! **Bit-identity.** The id layout after a delta matches a from-scratch
-//! build over the mutated workspace: deletes renumber survivors densely
-//! (relative order preserved), inserts append. The differential suite
-//! checks verdicts, witnesses, certificates, and fingerprints of
-//! patched sessions against cold rebuilds over randomized op sequences.
+//! build over the mutated workspace: within the batch ids are stable,
+//! and the one compaction at its end renumbers survivors densely
+//! (relative order preserved) with inserts after them, in insertion
+//! order. The differential suite checks the CSR, the components,
+//! verdicts, witnesses, certificates, and fingerprints of patched
+//! sessions against cold rebuilds over randomized op sequences.
 //!
 //! **Rebuild threshold.** Batches whose structural churn (inserts +
 //! deletes) reaches [`REBUILD_CHURN_PERCENT`] of the instance fall back
@@ -56,7 +69,7 @@ use rpr_classify::Complexity;
 use rpr_data::fingerprint::Fingerprint;
 use rpr_data::{Fact, FactId, FxHashMap, FxHashSet};
 use rpr_fd::{ComponentLayout, CsrConflictGraph, Schema};
-use rpr_priority::{PrioritizedInstance, PriorityMode};
+use rpr_priority::{PrioritizedInstance, PriorityMode, PriorityRelation};
 use std::fmt;
 use std::sync::Arc;
 
@@ -290,7 +303,7 @@ impl DeltaSession {
     /// by the shard store.
     pub fn approx_bytes(&self) -> usize {
         let edges = self.pi.priority().edge_count() * 24;
-        self.pi.instance().heap_bytes() + edges + self.artifacts.structure_bytes()
+        self.pi.instance().heap_bytes() + edges + self.artifacts.structure_bytes(self.pi.instance())
     }
 
     /// Applies a batch of ops atomically: the whole sequence is
@@ -306,9 +319,11 @@ impl DeltaSession {
             && structural > 0;
         let mut components_reused = 0;
         if rebuilt {
+            let mut dead = Vec::new();
             for op in ops {
-                self.apply_op_data(op);
+                self.apply_op_data(op, &mut dead);
             }
+            self.pi.remove_facts(&dead);
             self.artifacts =
                 SessionArtifacts::build_with_store(&self.schema, &self.pi, self.store.as_deref());
         } else {
@@ -333,8 +348,10 @@ impl DeltaSession {
                     ));
                     Vec::new()
                 } else {
+                    tracker.settle();
                     let art = &self.artifacts;
-                    tracker.carry(&art.components, &art.components, &art.exact_shards)
+                    let clean = tracker.clean_shards(&art.components, &art.exact_shards, |f| f);
+                    carry(&art.components, clean)
                 }
             };
             if structural > 0 || priority_ops > 0 {
@@ -364,65 +381,104 @@ impl DeltaSession {
         })
     }
 
-    /// Validates the op sequence against a content-keyed simulation of
-    /// the current state without mutating anything. Returns the op
-    /// class counts on success.
+    /// Validates the op sequence without mutating anything and returns
+    /// the op class counts on success.
+    ///
+    /// Facts get the ids the batch will give them: a present fact keeps
+    /// its id, an insert takes the next free one, and a delete retires
+    /// its fact's id (a later re-insert gets a fresh one), exactly as
+    /// tombstones do in [`apply_delta`](Self::apply_delta). Only the
+    /// facts the batch names enter the membership overlay, and the
+    /// priority is read as the base relation's rows plus an overlay of
+    /// the edges the batch adds and removes, so a batch costs work in
+    /// its ops (and the cycle walks its `prefer`s need), not in the
+    /// workspace's edges.
     fn validate(&self, ops: &[DeltaOp]) -> Result<(usize, usize, usize), DeltaError> {
+        let inst = self.pi.instance();
+        let priority = self.pi.priority();
+        let sig = inst.signature();
+        let classical = self.pi.mode() == PriorityMode::ConflictRestricted;
+        let base = inst.len() as u32;
+        // Membership overlay, content → batch id (`None`: deleted);
+        // absent facts defer to the base instance.
+        let mut ids: FxHashMap<Fact, Option<u32>> = FxHashMap::default();
+        let id_of = |ids: &FxHashMap<Fact, Option<u32>>, f: &Fact| match ids.get(f) {
+            Some(&id) => id,
+            None => inst.id_of(f).map(|id| id.0),
+        };
+        let missing =
+            |op: usize, f: &Fact| DeltaError::MissingFact { op, fact: f.display(sig).to_string() };
+        let mut overlay = EdgeOverlay::default();
+        let (mut inserts, mut deletes, mut priority_ops) = (0usize, 0usize, 0usize);
+        for (i, op) in ops.iter().enumerate() {
+            match op {
+                DeltaOp::InsertFact(f) => {
+                    if id_of(&ids, f).is_some() {
+                        return Err(DeltaError::AlreadyPresent {
+                            op: i,
+                            fact: f.display(sig).to_string(),
+                        });
+                    }
+                    ids.insert(f.clone(), Some(base + inserts as u32));
+                    inserts += 1;
+                }
+                DeltaOp::DeleteFact(f) => {
+                    let Some(id) = id_of(&ids, f) else { return Err(missing(i, f)) };
+                    let base_degree = if id < base {
+                        priority.worse_than(FactId(id)).len()
+                            + priority.better_than(FactId(id)).len()
+                    } else {
+                        0
+                    };
+                    if base_degree as isize + overlay.degree(id) > 0 {
+                        return Err(DeltaError::HasEdges {
+                            op: i,
+                            fact: f.display(sig).to_string(),
+                        });
+                    }
+                    ids.insert(f.clone(), None);
+                    deletes += 1;
+                }
+                DeltaOp::SetPriority { better, worse, prefer } => {
+                    let Some(b) = id_of(&ids, better) else { return Err(missing(i, better)) };
+                    let Some(w) = id_of(&ids, worse) else { return Err(missing(i, worse)) };
+                    let present = overlay.added.contains(&(b, w))
+                        || (priority.prefers(FactId(b), FactId(w))
+                            && !overlay.removed.contains(&(b, w)));
+                    if *prefer {
+                        if present {
+                            return Err(DeltaError::DuplicateEdge { op: i });
+                        }
+                        if classical && !self.schema.conflicting(better, worse) {
+                            return Err(DeltaError::NotConflicting { op: i });
+                        }
+                        if overlay.reaches(priority, w, b) {
+                            return Err(DeltaError::Cyclic { op: i });
+                        }
+                        overlay.prefer(b, w);
+                    } else {
+                        if !present {
+                            return Err(DeltaError::MissingEdge { op: i });
+                        }
+                        overlay.unprefer(b, w);
+                    }
+                    priority_ops += 1;
+                }
+            }
+        }
+        Ok((inserts, deletes, priority_ops))
+    }
+
+    /// The validation [`validate`](Self::validate) replaced, kept as its
+    /// oracle: a content-keyed simulation holding a copy of every
+    /// priority edge by fact content.
+    #[cfg(test)]
+    fn validate_by_content(&self, ops: &[DeltaOp]) -> Result<(usize, usize, usize), DeltaError> {
         let inst = self.pi.instance();
         let sig = inst.signature();
         let classical = self.pi.mode() == PriorityMode::ConflictRestricted;
         // Membership overlay: absent key = defer to the base instance.
         let mut member: FxHashMap<Fact, bool> = FxHashMap::default();
-        // Batches without priority ops (the structural fast path) never
-        // mutate edges, so delete-degree checks can scan the base
-        // priority by id instead of paying for a content-keyed copy of
-        // every edge.
-        if !ops.iter().any(|op| matches!(op, DeltaOp::SetPriority { .. })) {
-            let (mut inserts, mut deletes) = (0usize, 0usize);
-            for (i, op) in ops.iter().enumerate() {
-                let present = |m: &FxHashMap<Fact, bool>, f: &Fact| {
-                    *m.get(f).unwrap_or(&inst.id_of(f).is_some())
-                };
-                match op {
-                    DeltaOp::InsertFact(f) => {
-                        if present(&member, f) {
-                            return Err(DeltaError::AlreadyPresent {
-                                op: i,
-                                fact: f.display(sig).to_string(),
-                            });
-                        }
-                        member.insert(f.clone(), true);
-                        inserts += 1;
-                    }
-                    DeltaOp::DeleteFact(f) => {
-                        if !present(&member, f) {
-                            return Err(DeltaError::MissingFact {
-                                op: i,
-                                fact: f.display(sig).to_string(),
-                            });
-                        }
-                        // Batch-inserted facts have no base id and no
-                        // edges; base facts keep their base degree.
-                        if let Some(id) = inst.id_of(f) {
-                            let priority = self.pi.priority();
-                            if member.get(f) != Some(&true)
-                                && !(priority.worse_than(id).is_empty()
-                                    && priority.better_than(id).is_empty())
-                            {
-                                return Err(DeltaError::HasEdges {
-                                    op: i,
-                                    fact: f.display(sig).to_string(),
-                                });
-                            }
-                        }
-                        member.insert(f.clone(), false);
-                        deletes += 1;
-                    }
-                    DeltaOp::SetPriority { .. } => unreachable!("checked above"),
-                }
-            }
-            return Ok((inserts, deletes, 0));
-        }
         // Priority edges and a worse-adjacency, both by fact content.
         let mut edges: FxHashSet<(Fact, Fact)> = FxHashSet::default();
         let mut worse_of: FxHashMap<Fact, Vec<Fact>> = FxHashMap::default();
@@ -434,6 +490,27 @@ impl DeltaSession {
             worse_of.entry(hi.clone()).or_default().push(lo.clone());
             edges.insert((hi, lo));
         }
+        // Does `from ≻ … ≻ to` hold (including the trivial `from == to`
+        // path, which rejects self-loops)?
+        let reaches = |worse_of: &FxHashMap<Fact, Vec<Fact>>, from: &Fact, to: &Fact| {
+            if from == to {
+                return true;
+            }
+            let mut seen: FxHashSet<&Fact> = FxHashSet::default();
+            let mut stack = vec![from];
+            seen.insert(from);
+            while let Some(node) = stack.pop() {
+                for succ in worse_of.get(node).map_or(&[][..], |v| v) {
+                    if succ == to {
+                        return true;
+                    }
+                    if seen.insert(succ) {
+                        stack.push(succ);
+                    }
+                }
+            }
+            false
+        };
         let (mut inserts, mut deletes, mut priority_ops) = (0usize, 0usize, 0usize);
         for (i, op) in ops.iter().enumerate() {
             let present =
@@ -482,7 +559,7 @@ impl DeltaSession {
                         if classical && !self.schema.conflicting(better, worse) {
                             return Err(DeltaError::NotConflicting { op: i });
                         }
-                        if Self::reaches(&worse_of, worse, better) {
+                        if reaches(&worse_of, worse, better) {
                             return Err(DeltaError::Cyclic { op: i });
                         }
                         *degree.entry(better.clone()).or_default() += 1;
@@ -508,31 +585,10 @@ impl DeltaSession {
         Ok((inserts, deletes, priority_ops))
     }
 
-    /// Does `from ≻ … ≻ to` hold in the simulated adjacency (including
-    /// the trivial `from == to` path, which rejects self-loops)?
-    fn reaches(worse_of: &FxHashMap<Fact, Vec<Fact>>, from: &Fact, to: &Fact) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut seen: FxHashSet<&Fact> = FxHashSet::default();
-        let mut stack = vec![from];
-        seen.insert(from);
-        while let Some(node) = stack.pop() {
-            for succ in worse_of.get(node).map_or(&[][..], |v| v) {
-                if succ == to {
-                    return true;
-                }
-                if seen.insert(succ) {
-                    stack.push(succ);
-                }
-            }
-        }
-        false
-    }
-
     /// Applies one validated op to the workspace and fingerprint lanes
-    /// only (cold-rebuild path: artifacts are rebuilt afterwards).
-    fn apply_op_data(&mut self, op: &DeltaOp) {
+    /// only. A delete tombstones its fact and records its id in `dead`
+    /// for the batch's one compaction.
+    fn apply_op_data(&mut self, op: &DeltaOp, dead: &mut Vec<FactId>) {
         let sig = self.pi.instance().signature().clone();
         match op {
             DeltaOp::InsertFact(f) => {
@@ -542,7 +598,8 @@ impl DeltaSession {
             DeltaOp::DeleteFact(f) => {
                 self.lanes.set_fact(&sig, f, false);
                 let id = self.pi.instance().id_of(f).expect("validated delete");
-                self.pi.remove_fact(id);
+                self.pi.tombstone_fact(id);
+                dead.push(id);
             }
             DeltaOp::SetPriority { better, worse, prefer } => {
                 self.lanes.set_edge(&sig, better, worse, *prefer);
@@ -559,22 +616,22 @@ impl DeltaSession {
         }
     }
 
-    /// Applies one validated op, patching the artifacts in place.
-    /// Blocks of the touched single-FD relation are edited in place
-    /// (canonical order makes the patch bit-identical to a rebuild);
-    /// blocks of *other* relations are only id-remapped on deletes.
-    /// `tracker` records which pre-batch components the op dirtied, so
-    /// [`finish_structural_batch`](Self::finish_structural_batch) can
-    /// skip the clean shards.
+    /// Applies one validated op, patching the artifacts in place. Ids
+    /// stay stable for the whole batch: blocks of the touched single-FD
+    /// relation are edited in place (canonical order makes the patch
+    /// bit-identical to a rebuild), and nothing is renumbered until
+    /// [`finish_structural_batch`](Self::finish_structural_batch)
+    /// compacts once. `tracker` records the batch's tombstones and
+    /// which pre-batch components the op dirtied, so the finish can skip
+    /// the clean shards.
     fn apply_op_patched(&mut self, op: &DeltaOp, tracker: &mut ShardTracker) {
         match op {
             DeltaOp::InsertFact(f) => {
                 let rel = f.rel();
                 let fd = self.artifacts.plan.single_fd(rel);
-                self.apply_op_data(op);
+                self.apply_op_data(op, &mut tracker.dead);
                 let inst = self.pi.instance();
                 let id = inst.id_of(f).expect("just inserted");
-                tracker.record_insert();
                 for dom in &mut self.artifacts.rel_domains {
                     dom.grow(inst.len());
                 }
@@ -595,13 +652,8 @@ impl DeltaSession {
                     }
                 }
                 tracker.record_delete(&self.artifacts, id);
-                self.apply_op_data(op);
-                for dom in &mut self.artifacts.rel_domains {
-                    dom.remove_shift(id);
-                }
-                for blocks in self.artifacts.rel_blocks.iter_mut().flatten() {
-                    blocks.remap_remove(id);
-                }
+                self.apply_op_data(op, &mut tracker.dead);
+                // The domain bit goes with the compaction.
             }
             DeltaOp::SetPriority { better, worse, .. } => {
                 let inst = self.pi.instance();
@@ -611,35 +663,43 @@ impl DeltaSession {
                         inst.id_of(f).expect("validated endpoint"),
                     );
                 }
-                self.apply_op_data(op);
+                self.apply_op_data(op, &mut tracker.dead);
             }
         }
     }
 
-    /// Re-derives the batch-amortized artifacts after structural ops,
-    /// scoped to the shards the batch dirtied: CSR rows are remapped
-    /// (not re-derived) for surviving facts, the component DFS re-runs
-    /// only inside touched components, and clean shards are renumbered
-    /// in place. Returns the number of nontrivial components reused
-    /// without a re-derivation, and the shard carry for
-    /// [`attach_shards`](SessionArtifacts::attach_shards).
+    /// Compacts the batch's tombstones away once and patches the
+    /// batch-amortized artifacts, scoped to the shards the batch
+    /// dirtied: the instance, priority, domains and blocks apply the one
+    /// [`Compaction`](rpr_data::Compaction); the CSR and the component
+    /// layout are patched in place (the component DFS re-runs only
+    /// inside touched components, clean ones are renumbered). Returns the number of nontrivial
+    /// components reused without a re-derivation, and the shard carry
+    /// for [`attach_shards`](SessionArtifacts::attach_shards).
     fn finish_structural_batch(
         &mut self,
         mut tracker: ShardTracker,
     ) -> (usize, Vec<Option<Arc<ShardData>>>) {
-        let ShardTracker { new_to_old, touched, .. } = &mut tracker;
+        let c = self.pi.remove_facts(&tracker.dead);
+        let art = &mut self.artifacts;
+        for dom in &mut art.rel_domains {
+            dom.compact(&c);
+        }
+        for blocks in art.rel_blocks.iter_mut().flatten() {
+            blocks.remap(&c);
+        }
+        // Rows of inserted facts, which hold the top ids: a single-FD
+        // relation reads them off its patched blocks (the group minus
+        // the fact's block); any other relation scans its facts.
         let inst = self.pi.instance();
-        debug_assert_eq!(inst.len(), new_to_old.len());
-        // Rows of inserted facts: a single-FD relation reads them off its
-        // patched blocks (the group minus the fact's block); any other
-        // relation scans its facts.
-        let first_new = new_to_old.iter().position(|&o| o == u32::MAX).unwrap_or(inst.len());
+        let first_new =
+            tracker.base - tracker.dead.iter().filter(|d| d.index() < tracker.base).count();
         let inserted: Vec<Vec<u32>> = (first_new..inst.len())
             .map(|x| {
                 let x = FactId(x as u32);
                 let rel = inst.fact(x).rel();
-                match self.artifacts.plan.single_fd(rel) {
-                    Some(fd) => self.artifacts.rel_blocks[rel.index()]
+                match art.plan.single_fd(rel) {
+                    Some(fd) => art.rel_blocks[rel.index()]
                         .as_ref()
                         .expect("blocks kept for every single-FD relation")
                         .conflict_row(inst, fd, x),
@@ -647,39 +707,37 @@ impl DeltaSession {
                 }
             })
             .collect();
-        let art = &mut self.artifacts;
-        let mut old_to_new = vec![u32::MAX; art.components.universe()];
-        for (i, &o) in new_to_old.iter().enumerate() {
-            if o != u32::MAX {
-                old_to_new[o as usize] = i as u32;
-            }
-        }
-        let csr = CsrConflictGraph::patched(&art.csr, &old_to_new, new_to_old, &inserted);
-        debug_assert!(
-            csr == CsrConflictGraph::new(&self.schema, inst),
-            "patched CSR diverged from a from-scratch build"
-        );
         // An inserted fact can *merge* components, so its surviving
         // neighbors' old components count as touched.
         for &g in inserted.iter().flatten().filter(|&&g| (g as usize) < first_new) {
-            touched[art.components.component_of(FactId(new_to_old[g as usize]))] = true;
+            tracker.touched.push(art.components.component_of(c.old_id(FactId(g))) as u32);
         }
-        let (components, reused) =
-            ComponentLayout::patched(&art.components, &csr, &old_to_new, new_to_old, touched);
+        tracker.settle();
+        let clean = if art.ccp_union.is_some() {
+            Vec::new()
+        } else {
+            tracker.clean_shards(&art.components, &art.exact_shards, |lead| {
+                c.new_id(lead).expect("a clean component lost no member")
+            })
+        };
+        art.csr.patch(&c, &inserted);
         debug_assert!(
-            components == ComponentLayout::from_csr(&csr),
+            art.csr == CsrConflictGraph::new(&self.schema, inst),
+            "patched CSR diverged from a from-scratch build"
+        );
+        let reused = art.components.patch(&art.csr, &c, &tracker.touched);
+        debug_assert!(
+            art.components == ComponentLayout::from_csr(&art.csr),
             "patched component layout diverged from a from-scratch derivation"
         );
         let carry = if art.ccp_union.is_some() {
             // ccp Hard plans shard over the union layout, which is
             // re-derived from scratch: nothing carries.
-            art.ccp_union = Some(SessionArtifacts::ccp_union_layout(&csr, self.pi.priority()));
+            art.ccp_union = Some(SessionArtifacts::ccp_union_layout(&art.csr, self.pi.priority()));
             Vec::new()
         } else {
-            tracker.carry(&art.components, &components, &art.exact_shards)
+            carry(&art.components, clean)
         };
-        art.csr = csr;
-        art.components = components;
         (reused, carry)
     }
 
@@ -691,92 +749,176 @@ impl DeltaSession {
     }
 }
 
+/// A batch's priority-edge edits over the base relation, by batch id
+/// (see [`DeltaSession::validate`]).
+#[derive(Default)]
+struct EdgeOverlay {
+    /// Edges the batch added that the base lacks.
+    added: FxHashSet<(u32, u32)>,
+    /// Base edges the batch removed.
+    removed: FxHashSet<(u32, u32)>,
+    /// `added`, by better endpoint, for the cycle walk.
+    added_worse: FxHashMap<u32, Vec<u32>>,
+    /// Net change of each endpoint's degree.
+    degree: FxHashMap<u32, isize>,
+}
+
+impl EdgeOverlay {
+    fn degree(&self, id: u32) -> isize {
+        self.degree.get(&id).copied().unwrap_or(0)
+    }
+
+    /// Records `b ≻ w`, absent so far.
+    fn prefer(&mut self, b: u32, w: u32) {
+        if !self.removed.remove(&(b, w)) {
+            self.added.insert((b, w));
+            self.added_worse.entry(b).or_default().push(w);
+        }
+        *self.degree.entry(b).or_default() += 1;
+        *self.degree.entry(w).or_default() += 1;
+    }
+
+    /// Drops `b ≻ w`, present so far.
+    fn unprefer(&mut self, b: u32, w: u32) {
+        if self.added.remove(&(b, w)) {
+            let row = self.added_worse.get_mut(&b).expect("added edges are indexed");
+            row.retain(|&x| x != w);
+        } else {
+            self.removed.insert((b, w));
+        }
+        *self.degree.entry(b).or_default() -= 1;
+        *self.degree.entry(w).or_default() -= 1;
+    }
+
+    /// Does `from ≻ … ≻ to` hold in `base` with the overlay applied
+    /// (including the trivial `from == to` path, which rejects
+    /// self-loops)?
+    fn reaches(&self, base: &PriorityRelation, from: u32, to: u32) -> bool {
+        if from == to {
+            return true;
+        }
+        let mut seen: FxHashSet<u32> = FxHashSet::default();
+        let mut stack = vec![from];
+        seen.insert(from);
+        while let Some(node) = stack.pop() {
+            let base_row =
+                if (node as usize) < base.len() { base.worse_than(FactId(node)) } else { &[] };
+            let kept = base_row.iter().map(|g| g.0).filter(|&g| !self.removed.contains(&(node, g)));
+            let added = self.added_worse.get(&node).into_iter().flatten().copied();
+            for succ in kept.chain(added) {
+                if succ == to {
+                    return true;
+                }
+                if seen.insert(succ) {
+                    stack.push(succ);
+                }
+            }
+        }
+        false
+    }
+}
+
+/// Places the clean pre-batch shards — each with its component's lead
+/// member in post-batch ids — at their components of the post-batch
+/// `layout`. A clean component has exactly its old members (renumbered
+/// in order) and its old intra-component edges, so its shard and key
+/// are unchanged. Empty when nothing carries.
+fn carry(
+    layout: &ComponentLayout,
+    clean: Vec<(FactId, Arc<ShardData>)>,
+) -> Vec<Option<Arc<ShardData>>> {
+    if clean.is_empty() {
+        return Vec::new();
+    }
+    let mut carry = vec![None; layout.len()];
+    for (lead, shard) in clean {
+        carry[layout.component_of(lead)] = Some(shard);
+    }
+    carry
+}
+
 /// Per-batch dirty-shard bookkeeping for the patched delta path: the
-/// dense id renumbering accumulated so far (`new_to_old`) plus which
-/// pre-batch components the batch touched. Deletes dirty the deleted
-/// fact's whole component (removing a bridge fact can split it);
-/// inserts are resolved at batch finish from the final adjacency (an
-/// insert can merge several components); priority ops dirty the shard
-/// content, not the structure, of their endpoints' components.
+/// batch's tombstones plus which pre-batch components it touched.
+/// Deletes dirty the deleted fact's whole component (removing a bridge
+/// fact can split it); inserts are resolved at batch finish from the
+/// final adjacency (an insert can merge several components); priority
+/// ops dirty the shard content, not the structure, of their endpoints'
+/// components.
 struct ShardTracker {
-    /// Current id → pre-batch id; `u32::MAX` for facts inserted by
-    /// this batch.
-    new_to_old: Vec<u32>,
-    /// Pre-batch component index → structurally dirtied by this batch.
-    touched: Vec<bool>,
-    /// Pre-batch component index → priority edges edited by this batch.
-    reprioritized: Vec<bool>,
+    /// Universe before the batch: batch ids from here on are facts the
+    /// batch inserted.
+    base: usize,
+    /// Batch ids the batch deleted, in op order.
+    dead: Vec<FactId>,
+    /// Pre-batch components structurally dirtied by this batch.
+    touched: Vec<u32>,
+    /// Pre-batch components whose priority edges this batch edited.
+    reprioritized: Vec<u32>,
 }
 
 impl ShardTracker {
     fn new(artifacts: &SessionArtifacts) -> Self {
         ShardTracker {
-            new_to_old: (0..artifacts.components.universe() as u32).collect(),
-            touched: vec![false; artifacts.components.len()],
-            reprioritized: vec![false; artifacts.components.len()],
+            base: artifacts.components.universe(),
+            dead: Vec::new(),
+            touched: Vec::new(),
+            reprioritized: Vec::new(),
         }
     }
 
-    /// Records a priority op with endpoint `f` (current id). A
+    /// Records a priority op with endpoint `f` (batch id). A
     /// conflict-restricted edge joins two facts of one component, so
     /// only that component's shard changes; an endpoint inserted by
     /// this batch lies in a component the batch re-derives anyway.
     fn record_priority(&mut self, artifacts: &SessionArtifacts, f: FactId) {
-        let old = self.new_to_old[f.index()];
-        if old != u32::MAX {
-            self.reprioritized[artifacts.components.component_of(FactId(old))] = true;
+        if f.index() < self.base {
+            self.reprioritized.push(artifacts.components.component_of(f) as u32);
         }
     }
 
-    /// The shard carry of a classical plan (exact layout = conflict
-    /// components): for each component of the post-batch layout `new`
-    /// whose lead member comes from a pre-batch component of `old` the
-    /// batch left alone, that component's pre-batch shard. Such a
-    /// component has exactly the old members (renumbered in order) and
-    /// the old intra-component edges, so its shard and key are
-    /// unchanged. Empty when the plan keeps no shards.
-    fn carry(
+    /// Records a delete of the batch id `d`.
+    fn record_delete(&mut self, artifacts: &SessionArtifacts, d: FactId) {
+        if d.index() < self.base {
+            self.touched.push(artifacts.components.component_of(d) as u32);
+        }
+    }
+
+    /// Sorts and deduplicates the dirty component lists.
+    fn settle(&mut self) {
+        for list in [&mut self.touched, &mut self.reprioritized] {
+            list.sort_unstable();
+            list.dedup();
+        }
+    }
+
+    /// The pre-batch shards of a classical plan (exact layout = conflict
+    /// components) that the batch left alone, each with its component's
+    /// lead member mapped through `new_id`. Call after
+    /// [`settle`](Self::settle) and before the layout is patched.
+    fn clean_shards(
         &self,
         old: &ComponentLayout,
-        new: &ComponentLayout,
         shards: &[Option<Arc<ShardData>>],
-    ) -> Vec<Option<Arc<ShardData>>> {
-        if shards.is_empty() {
-            return Vec::new();
-        }
-        let mut carry = vec![None; new.len()];
-        for &c in new.nontrivial() {
-            let lead = self.new_to_old[new.component(c as usize)[0].index()];
-            if lead == u32::MAX {
-                continue;
-            }
-            let oc = old.component_of(FactId(lead));
-            if !self.touched[oc] && !self.reprioritized[oc] {
-                carry[c as usize] = shards[oc].clone();
-            }
-        }
-        carry
-    }
-
-    /// Records an append (the new fact holds the maximal id).
-    fn record_insert(&mut self) {
-        self.new_to_old.push(u32::MAX);
-    }
-
-    /// Records a delete of the *current* id `d`, before renumbering.
-    fn record_delete(&mut self, artifacts: &SessionArtifacts, d: FactId) {
-        let old = self.new_to_old.remove(d.index());
-        if old != u32::MAX {
-            self.touched[artifacts.components.component_of(FactId(old))] = true;
-        }
+        new_id: impl Fn(FactId) -> FactId,
+    ) -> Vec<(FactId, Arc<ShardData>)> {
+        let dirty = |c: u32| {
+            self.touched.binary_search(&c).is_ok() || self.reprioritized.binary_search(&c).is_ok()
+        };
+        shards
+            .iter()
+            .enumerate()
+            .filter_map(|(c, shard)| {
+                let shard = shard.as_ref()?;
+                (!dirty(c as u32)).then(|| (new_id(old.component(c)[0]), Arc::clone(shard)))
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpr_data::{FactId, FactSet, Instance, Signature, Value};
-    use rpr_priority::PriorityRelation;
+    use rpr_data::{FactSet, Instance, Signature, Value};
 
     fn v(s: &str) -> Value {
         Value::sym(s)
@@ -976,7 +1118,8 @@ mod tests {
         // Besides the artifacts, at least every fact and every value of
         // its tuple: 4 facts of arity 3 per key.
         let ds = large_1fd(4000);
-        let workspace = ds.approx_bytes() - ds.artifacts.structure_bytes();
+        let workspace =
+            ds.approx_bytes() - ds.artifacts.structure_bytes(ds.prioritized().instance());
         let floor = 4 * 4000 * (std::mem::size_of::<Fact>() + 3 * std::mem::size_of::<Value>());
         assert!(workspace >= floor, "{workspace} workspace bytes for 16 000 facts, below {floor}");
     }
@@ -1179,6 +1322,108 @@ mod tests {
                             "seed {seed}, fact {d:?} moved, candidate {j:?}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// The block members the serve gauge counts from relation sizes
+    /// equal a walk over every block, before and after deltas.
+    #[test]
+    fn block_member_count_equals_the_walked_count() {
+        let walked = |ds: &DeltaSession| -> usize {
+            let blocks = ds.artifacts.rel_blocks.iter().flatten();
+            blocks.map(|b| b.groups().iter().flatten().flatten().count()).sum()
+        };
+        let counted = |ds: &DeltaSession| -> usize {
+            let inst = ds.prioritized().instance();
+            let rels = inst.signature().rel_ids();
+            rels.filter(|rel| ds.artifacts.rel_blocks[rel.index()].is_some())
+                .map(|rel| inst.facts_of(rel).len())
+                .sum()
+        };
+        let (schema, pi) = workspace();
+        let mut sessions = vec![DeltaSession::prepare(schema, pi), large_1fd(50), chains(None)];
+        for ds in &mut sessions {
+            assert_eq!(counted(ds), walked(ds));
+            let sig = ds.prioritized().instance().signature().clone();
+            let (rel, sym) = sig.iter().next().unwrap();
+            let fresh = Fact::new(
+                &sig,
+                rel,
+                rpr_data::Tuple::new((0..sym.arity()).map(|k| Value::sym(format!("zz{k}")))),
+            )
+            .unwrap();
+            let free = (0..ds.prioritized().instance().len() as u32).map(FactId).find(|&f| {
+                let p = ds.prioritized().priority();
+                p.worse_than(f).is_empty() && p.better_than(f).is_empty()
+            });
+            let victim = ds.prioritized().instance().fact(free.unwrap()).clone();
+            ds.apply_delta(&[DeltaOp::InsertFact(fresh), DeltaOp::DeleteFact(victim)]).unwrap();
+            assert_eq!(counted(ds), walked(ds));
+        }
+        // The chains are a hard schema: no blocks, counted as none.
+        assert!(sessions[..2].iter().all(|ds| walked(ds) > 0), "single-FD workspaces keep blocks");
+    }
+
+    /// One random op over a small pool of facts: mostly plausible,
+    /// often invalid (present inserts, absent deletes, duplicate or
+    /// cyclic or non-conflicting prefers), so every error class shows.
+    fn pooled_op(pool: &[Fact], kind: u8, a: usize, b: usize) -> DeltaOp {
+        let (fa, fb) = (pool[a % pool.len()].clone(), pool[b % pool.len()].clone());
+        match kind % 4 {
+            0 => DeltaOp::InsertFact(fa),
+            1 => DeltaOp::DeleteFact(fa),
+            k => DeltaOp::SetPriority { better: fa, worse: fb, prefer: k == 2 },
+        }
+    }
+
+    fn pool(ds: &DeltaSession) -> Vec<Fact> {
+        let sig = ds.prioritized().instance().signature().clone();
+        let mut pool = Vec::new();
+        for a in ["a", "b", "c"] {
+            for x in ["x", "y", "z"] {
+                pool.push(Fact::parse_new(&sig, "R", [v(a), v(x)]).unwrap());
+            }
+        }
+        for k in ["k", "j"] {
+            for x in ["1", "2"] {
+                pool.push(Fact::parse_new(&sig, "S", [v(k), v(x)]).unwrap());
+            }
+        }
+        pool
+    }
+
+    proptest::proptest! {
+        /// The id-keyed validation agrees with the content-keyed
+        /// simulation it replaced: the same op counts, or the same
+        /// first error. Accepted batches are applied, so later batches
+        /// validate against edges and ids earlier ones left behind, in
+        /// both priority modes.
+        #[test]
+        fn id_overlay_validation_matches_the_content_keyed_oracle(
+            ccp in proptest::prelude::any::<bool>(),
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0u8..4, 0usize..13, 0usize..13), 1..10),
+                1..8,
+            ),
+        ) {
+            let (schema, pi) = workspace();
+            let pi = if ccp {
+                let (i, p) = (pi.instance().clone(), pi.priority().clone());
+                PrioritizedInstance::cross_conflict(i, p)
+            } else {
+                pi
+            };
+            let mut ds = DeltaSession::prepare(schema, pi);
+            let pool = pool(&ds);
+            for batch in batches {
+                let ops: Vec<DeltaOp> =
+                    batch.into_iter().map(|(k, a, b)| pooled_op(&pool, k, a, b)).collect();
+                let want = ds.validate_by_content(&ops);
+                proptest::prop_assert_eq!(ds.validate(&ops), want.clone(), "{:?}", ops);
+                if want.is_ok() {
+                    ds.apply_delta(&ops).unwrap();
                 }
             }
         }

@@ -27,7 +27,7 @@
 //! scans (same witnesses, linear work).
 
 use crate::improvement::{CheckOutcome, Improvement};
-use rpr_data::{FactId, FactSet, Instance};
+use rpr_data::{Compaction, FactId, FactSet, Instance};
 use rpr_fd::grouping::cmp_on;
 use rpr_fd::{ConflictRows, Fd, FdGrouping};
 use rpr_priority::PriorityRelation;
@@ -49,21 +49,19 @@ impl FdBlocks {
         &self.groups
     }
 
-    /// Renumbers the ids after a base-instance delete at `d`: every id
-    /// above `d` shifts down by one. `d` itself must not appear in the
-    /// blocks (deletes of this relation rebuild its blocks instead).
-    /// Ids inside blocks stay ascending under the uniform shift, so the
-    /// remapped structure is exactly what [`FdBlocks::build`] over the
-    /// shrunken instance produces.
-    pub(crate) fn remap_remove(&mut self, d: FactId) {
-        for group in &mut self.groups {
-            for block in group {
-                for id in block.iter_mut() {
-                    debug_assert_ne!(*id, d, "deleted fact still present in untouched blocks");
-                    if *id > d {
-                        id.0 -= 1;
-                    }
-                }
+    /// Applies a delta batch's [`Compaction`]: every id moves to its
+    /// new number. Removed facts must already be out of the blocks
+    /// ([`remove`](Self::remove)). The renumbering is order-preserving,
+    /// so ids inside blocks stay ascending and the result is exactly
+    /// what [`FdBlocks::build`] over the compacted instance produces.
+    /// A batch that moves no surviving id leaves the blocks alone.
+    pub(crate) fn remap(&mut self, c: &Compaction) {
+        if c.first() >= c.after() {
+            return;
+        }
+        for id in self.groups.iter_mut().flatten().flatten() {
+            if id.index() >= c.first() {
+                *id = c.new_id(*id).expect("removed facts are out of the blocks");
             }
         }
     }
@@ -111,11 +109,12 @@ impl FdBlocks {
         }
     }
 
-    /// Patches out the fact `id` (still present in `instance`), dropping
-    /// its block and group if they become empty. The caller follows up
-    /// with [`remap_remove`](Self::remap_remove) once the instance has
-    /// shrunk. The result is exactly what [`build`](Self::build) over
-    /// the shrunken domain produces.
+    /// Patches out the fact `id` (its content still readable in
+    /// `instance`, as a tombstone's is), dropping its block and group if
+    /// they become empty. The caller follows up with
+    /// [`remap`](Self::remap) once the batch compacts the instance. The
+    /// result is exactly what [`build`](Self::build) over the shrunken
+    /// domain produces.
     pub(crate) fn remove(&mut self, instance: &Instance, fd: Fd, id: FactId) {
         let (gi, bi) = self.locate(instance, fd, id);
         let group = &mut self.groups[gi];

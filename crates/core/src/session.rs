@@ -387,20 +387,25 @@ impl SessionArtifacts {
         self.exact_shards.iter().flatten().map(|s| s.bytes()).sum()
     }
 
-    /// Heap bytes of the graph structure this session holds: the CSR
+    /// Heap bytes of the graph structure this session holds over
+    /// `instance`, the workspace it was built or patched for: the CSR
     /// conflict graph, the component layouts, the per-relation domain
     /// bitsets and the Lemma 4.2 blocks. Shards are counted by
     /// [`shard_bytes`](Self::shard_bytes).
-    pub fn structure_bytes(&self) -> usize {
+    ///
+    /// A relation's blocks list each of its facts once, so they are
+    /// counted from the relation's size instead of walked: the serve
+    /// layer re-reads this gauge after every delta.
+    pub fn structure_bytes(&self, instance: &Instance) -> usize {
         let domains: usize = self.rel_domains.iter().map(|d| 8 * d.universe().div_ceil(64)).sum();
-        let blocks: usize = self
-            .rel_blocks
-            .iter()
-            .flatten()
-            .map(|b| b.groups().iter().flatten().flatten().count() * 4)
+        let block_members: usize = instance
+            .signature()
+            .rel_ids()
+            .filter(|rel| self.rel_blocks[rel.index()].is_some())
+            .map(|rel| instance.facts_of(rel).len())
             .sum();
         let union = self.ccp_union.as_ref().map_or(0, ComponentLayout::heap_bytes);
-        self.csr.heap_bytes() + self.components.heap_bytes() + union + domains + blocks
+        self.csr.heap_bytes() + self.components.heap_bytes() + union + domains + 4 * block_members
     }
 
     /// The exact-path shard handles (component id → shard), for tests

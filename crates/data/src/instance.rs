@@ -28,11 +28,122 @@ impl FactId {
     }
 }
 
+/// One order-preserving compaction of a dense id range: removing some
+/// ids from `0..before` closes the survivors up to `0..after`, each
+/// keeping its relative order. A delta batch deletes by tombstone and
+/// compacts once at its end ([`Instance::remove_facts`]); every other
+/// id-keyed structure then applies the same compaction once. Ids below
+/// the first removed one keep their number, so applying it costs one
+/// pass over the ids from there on.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Compaction {
+    before: usize,
+    /// The removed ids, ascending.
+    removed: Vec<u32>,
+    /// The new id of each id from [`first`](Self::first) on, or
+    /// `u32::MAX` for a removed one.
+    tail: Vec<u32>,
+}
+
+impl Compaction {
+    /// The compaction removing `removed` (any order) from `0..before`.
+    ///
+    /// # Panics
+    /// Panics if an id is out of range or listed twice.
+    pub fn new(before: usize, removed: impl IntoIterator<Item = FactId>) -> Self {
+        let mut removed: Vec<u32> = removed.into_iter().map(|id| id.0).collect();
+        removed.sort_unstable();
+        assert!(removed.windows(2).all(|w| w[0] < w[1]), "an id is removed twice");
+        assert!(removed.last().is_none_or(|&r| (r as usize) < before), "removed id out of range");
+        let first = removed.first().map_or(before, |&r| r as usize);
+        let mut tail = Vec::with_capacity(before - first);
+        let (mut next, mut gone) = (first as u32, removed.iter().peekable());
+        for old in first as u32..before as u32 {
+            if gone.next_if_eq(&&old).is_some() {
+                tail.push(u32::MAX);
+            } else {
+                tail.push(next);
+                next += 1;
+            }
+        }
+        Compaction { before, removed, tail }
+    }
+
+    /// Size of the id range before the compaction.
+    pub fn before(&self) -> usize {
+        self.before
+    }
+
+    /// Size of the id range after the compaction.
+    pub fn after(&self) -> usize {
+        self.before - self.removed.len()
+    }
+
+    /// The smallest removed id (`before` when nothing is removed): ids
+    /// below keep their number, every survivor from here on moves down.
+    #[inline]
+    pub fn first(&self) -> usize {
+        self.before - self.tail.len()
+    }
+
+    /// The removed ids, ascending.
+    pub fn removed(&self) -> impl ExactSizeIterator<Item = FactId> + '_ {
+        self.removed.iter().map(|&r| FactId(r))
+    }
+
+    /// The new id of `old`, or `None` if it was removed.
+    #[inline]
+    pub fn new_id(&self, old: FactId) -> Option<FactId> {
+        match old.index().checked_sub(self.first()) {
+            None => Some(old),
+            Some(k) => Some(self.tail[k]).filter(|&id| id != u32::MAX).map(FactId),
+        }
+    }
+
+    /// The old id of the survivor now numbered `new`, by binary search
+    /// over the removed ids.
+    pub fn old_id(&self, new: FactId) -> FactId {
+        // `removed[j] - j` survivors precede the j-th removed id, so the
+        // removed ids below `new`'s old id are those with
+        // `removed[j] - j <= new`, a prefix of the list.
+        let (mut lo, mut hi) = (0, self.removed.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.removed[mid] as usize - mid <= new.index() {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        FactId(new.0 + lo as u32)
+    }
+
+    /// Applies the compaction to a vector indexed by old id: the
+    /// entries of removed ids are dropped and the rest close up in
+    /// order. Entries below [`first`](Self::first) are not touched.
+    ///
+    /// # Panics
+    /// Panics if `v` is not `before` long.
+    pub fn compact_vec<T>(&self, v: &mut Vec<T>) {
+        assert_eq!(v.len(), self.before, "vector indexed by another id range");
+        let first = self.first();
+        let mut kept = first;
+        for (k, &id) in self.tail.iter().enumerate() {
+            if id != u32::MAX {
+                v.swap(kept, first + k);
+                kept += 1;
+            }
+        }
+        v.truncate(kept);
+    }
+}
+
 /// A finite database instance: a set of facts over a signature.
 ///
-/// Facts are deduplicated on insertion; the id of a fact is stable for
-/// the lifetime of the instance. The instance is the only owner of its
-/// facts: the deduplicating index holds ids, not fact copies.
+/// Facts are deduplicated on insertion; the id of a fact is stable
+/// until a [`remove_facts`](Self::remove_facts) compaction closes up the
+/// ids it removes. The instance is the only owner of its facts: the
+/// deduplicating index holds ids, not fact copies.
 #[derive(Clone)]
 pub struct Instance {
     sig: SigRef,
@@ -102,27 +213,57 @@ impl Instance {
         Ok(self.insert(fact))
     }
 
-    /// Removes the fact with the given id, shifting every later id
-    /// down by one so the dense layout stays exactly what inserting the
-    /// surviving facts in order would produce. That canonical layout is
-    /// what lets a patched workspace stay bit-identical (fact ids,
-    /// certificates, rendered text) to a from-scratch parse of the
-    /// edited content. O(n) — a delete costs one sweep of the instance.
+    /// Tombstones the fact `id` for a batch of deletes: the id index
+    /// drops it at once, so lookups miss it and the same content can be
+    /// inserted again (under a fresh id), but no id moves — the fact
+    /// keeps its place in [`fact`](Self::fact), [`iter`](Self::iter),
+    /// [`facts_of`](Self::facts_of) and [`len`](Self::len) until
+    /// [`remove_facts`](Self::remove_facts) compacts it away. Ids stay
+    /// stable for the rest of the batch.
     ///
     /// # Panics
     /// Panics if the id is not from this instance.
-    pub fn remove_fact(&mut self, id: FactId) -> Fact {
-        self.index.remove(&self.facts, id);
-        let removed = self.facts.remove(id.index());
+    pub fn tombstone(&mut self, id: FactId) {
+        assert!(id.index() < self.len(), "fact id {} outside the instance", id.0);
+        self.index.unindex(&self.facts, id);
+    }
+
+    /// Removes the facts `ids` (tombstoned or not, in any order, each
+    /// once) in one order-preserving compaction: survivors keep their
+    /// relative order and close up densely, so the layout is exactly
+    /// what inserting the surviving facts in order would produce. That
+    /// canonical layout is what lets a patched workspace stay
+    /// bit-identical (fact ids, certificates, rendered text) to a
+    /// from-scratch parse of the edited content. Returns the
+    /// [`Compaction`] for the caller's other id-keyed structures.
+    ///
+    /// Ids below the smallest removed one keep their number: the cost
+    /// is one pass over the facts and per-relation lists from there on,
+    /// plus one sweep of the id index when a surviving fact moves.
+    ///
+    /// # Panics
+    /// Panics if an id is out of range or listed twice.
+    pub fn remove_facts(&mut self, ids: &[FactId]) -> Compaction {
+        let c = Compaction::new(self.len(), ids.iter().copied());
+        for &id in ids {
+            self.index.unindex(&self.facts, id);
+        }
+        c.compact_vec(&mut self.facts);
+        if c.first() < c.after() {
+            self.index.renumber(&c);
+        }
         for rel in &mut self.by_rel {
-            rel.retain(|&f| f != id);
-            for f in rel.iter_mut() {
-                if *f > id {
-                    f.0 -= 1;
+            let from = rel.partition_point(|f| f.index() < c.first());
+            let mut kept = from;
+            for i in from..rel.len() {
+                if let Some(id) = c.new_id(rel[i]) {
+                    rel[kept] = id;
+                    kept += 1;
                 }
             }
+            rel.truncate(kept);
         }
-        removed
+        c
     }
 
     /// The fact with the given id.
@@ -360,12 +501,14 @@ impl IdTable {
 
     /// Indexes `id`, the last fact of `facts` and not yet indexed,
     /// hashing to `hash`. Doubles the table first when it would pass
-    /// half full.
+    /// half full, re-placing the indexed ids only (a tombstone stays
+    /// out).
     fn insert_new(&mut self, facts: &[Fact], hash: u64, id: FactId) {
         if facts.len() * 2 > self.slots.len() {
-            self.slots = vec![FREE; (self.slots.len() * 2).max(8)];
-            for (i, fact) in facts[..facts.len() - 1].iter().enumerate() {
-                self.place(fact_hash(fact), i as u32);
+            let grown = vec![FREE; (self.slots.len() * 2).max(8)];
+            let old = std::mem::replace(&mut self.slots, grown);
+            for other in old.into_iter().filter(|&other| other != FREE) {
+                self.place(fact_hash(&facts[other as usize]), other);
             }
         }
         self.place(hash, id.0);
@@ -379,13 +522,19 @@ impl IdTable {
         self.slots[slot] = id;
     }
 
-    /// Unindexes `id` by backward-shift deletion, then renumbers every
-    /// later id down by one, as [`Instance::remove_fact`] renumbers
-    /// the facts. `facts` is still the layout before the removal.
-    fn remove(&mut self, facts: &[Fact], id: FactId) {
+    /// Unindexes `id` by backward-shift deletion; a no-op when `id` is
+    /// not indexed (already tombstoned). No other id changes.
+    fn unindex(&mut self, facts: &[Fact], id: FactId) {
+        if self.slots.is_empty() {
+            return;
+        }
         let mut hole = self.home(fact_hash(&facts[id.index()]));
-        while self.slots[hole] != id.0 {
-            hole = self.next(hole);
+        loop {
+            match self.slots[hole] {
+                FREE => return,
+                other if other == id.0 => break,
+                _ => hole = self.next(hole),
+            }
         }
         // Pull each later member of the probe run back into the hole
         // unless that would move it before its home slot.
@@ -404,9 +553,16 @@ impl IdTable {
             }
         }
         self.slots[hole] = FREE;
+    }
+
+    /// Renumbers every indexed id through `c`, whose removed ids are
+    /// already unindexed. Slots depend on content hashes only, so no
+    /// id changes slot.
+    fn renumber(&mut self, c: &Compaction) {
+        let first = c.first() as u32;
         for slot in &mut self.slots {
-            if *slot != FREE && *slot > id.0 {
-                *slot -= 1;
+            if *slot != FREE && *slot >= first {
+                *slot = c.new_id(FactId(*slot)).expect("removed ids are unindexed").0;
             }
         }
     }
@@ -504,28 +660,63 @@ impl FactSet {
         self.words.resize(new_universe.div_ceil(64), 0);
     }
 
-    /// Deletes position `id` from the universe entirely: the bit at
-    /// `id` is dropped and every higher bit shifts down by one, i.e.
-    /// the set follows [`Instance::remove_fact`]'s id renumbering.
+    /// Applies a batch's [`Compaction`] to the universe: the positions
+    /// it removes are dropped and every later position closes up, as
+    /// [`Instance::remove_facts`] renumbers the facts. Positions below
+    /// [`Compaction::first`] stay put, so the cost is one pass over the
+    /// words from there on, 64 bits at a time.
     ///
     /// # Panics
-    /// Panics if the id is outside the universe.
-    pub fn remove_shift(&mut self, id: FactId) {
-        let i = id.index();
-        assert!(i < self.universe, "fact id {i} outside universe {}", self.universe);
-        let w = i / 64;
-        let b = i % 64;
-        let low_mask = (1u64 << b) - 1;
-        let word = self.words[w];
-        self.words[w] = (word & low_mask) | ((word >> 1) & !low_mask);
-        for k in w + 1..self.words.len() {
-            let carry = self.words[k] & 1;
-            self.words[k - 1] |= carry << 63;
-            self.words[k] >>= 1;
+    /// Panics if the set's universe is not the compaction's `before`.
+    pub fn compact(&mut self, c: &Compaction) {
+        assert_eq!(self.universe, c.before(), "fact set over another id range");
+        // Each run of survivors between two removed positions moves
+        // down by the number of removed positions before it.
+        let (mut src, mut dst) = (c.first(), c.first());
+        for r in c.removed().map(FactId::index).chain([self.universe]) {
+            self.copy_down(src, dst, r - src);
+            dst += r - src;
+            src = r + 1;
         }
-        self.universe -= 1;
+        self.universe = c.after();
         self.words.truncate(self.universe.div_ceil(64));
         self.trim();
+    }
+
+    /// Copies the `len` bits at `src..` down to `dst..` (`dst <= src`)
+    /// in ascending chunks, so no chunk overwrites a bit not yet read.
+    fn copy_down(&mut self, mut src: usize, mut dst: usize, mut len: usize) {
+        if src == dst {
+            return;
+        }
+        while len > 0 {
+            let k = len.min(64);
+            let bits = self.read_bits(src, k);
+            self.write_bits(dst, k, bits);
+            (src, dst, len) = (src + k, dst + k, len - k);
+        }
+    }
+
+    /// The `k ≤ 64` bits at `pos..`, low bit first.
+    fn read_bits(&self, pos: usize, k: usize) -> u64 {
+        let (w, b) = (pos / 64, pos % 64);
+        let mut bits = self.words[w] >> b;
+        if b != 0 && w + 1 < self.words.len() {
+            bits |= self.words[w + 1] << (64 - b);
+        }
+        bits & low_bits(k)
+    }
+
+    /// Overwrites the `k ≤ 64` bits at `pos..` with `bits` (no higher
+    /// bit set).
+    fn write_bits(&mut self, pos: usize, k: usize, bits: u64) {
+        let (w, b) = (pos / 64, pos % 64);
+        let mask = low_bits(k);
+        self.words[w] = (self.words[w] & !(mask << b)) | (bits << b);
+        if b + k > 64 {
+            let high = mask >> (64 - b);
+            self.words[w + 1] = (self.words[w + 1] & !high) | (bits >> (64 - b));
+        }
     }
 
     /// `self ∪ other`.
@@ -620,6 +811,15 @@ impl FactSet {
                 Some(FactId((w * 64 + tz) as u32))
             })
         })
+    }
+}
+
+/// The `k ≤ 64` low bits set.
+fn low_bits(k: usize) -> u64 {
+    if k >= 64 {
+        u64::MAX
+    } else {
+        (1 << k) - 1
     }
 }
 
@@ -766,10 +966,11 @@ mod tests {
     }
 
     #[test]
-    fn remove_fact_shifts_ids_like_a_reinsert() {
+    fn remove_facts_shifts_ids_like_a_reinsert() {
         let mut i = small_instance();
-        let removed = i.remove_fact(FactId(1)); // R(a,c)
-        assert_eq!(removed.display(i.signature()).to_string(), "R(a,c)");
+        let removed = i.fact(FactId(1)).clone(); // R(a,c)
+        let c = i.remove_facts(&[FactId(1)]);
+        assert_eq!((c.before(), c.after(), c.first()), (3, 2, 1));
         assert_eq!(i.len(), 2);
         // Survivors keep their relative order under dense renumbering.
         assert_eq!(i.fact(FactId(0)).display(i.signature()).to_string(), "R(a,b)");
@@ -787,17 +988,57 @@ mod tests {
     }
 
     #[test]
-    fn factset_grow_and_remove_shift() {
+    fn a_tombstone_keeps_every_id_until_the_compaction() {
+        let mut i = small_instance();
+        let r_ac = i.fact(FactId(1)).clone();
+        i.tombstone(FactId(1));
+        // Lookups miss the tombstone; nothing else moves.
+        assert_eq!(i.id_of(&r_ac), None);
+        assert_eq!(i.len(), 3);
+        assert_eq!(i.fact(FactId(1)), &r_ac);
+        // Re-inserting its content appends a fresh id.
+        assert_eq!(i.insert(r_ac.clone()), FactId(3));
+        assert_eq!(i.id_of(&r_ac), Some(FactId(3)));
+        let c = i.remove_facts(&[FactId(1)]);
+        assert_eq!(c.new_id(FactId(3)), Some(FactId(2)));
+        assert_eq!(c.new_id(FactId(1)), None);
+        assert_eq!(c.old_id(FactId(2)), FactId(3));
+        assert_eq!(i.id_of(&r_ac), Some(FactId(2)));
+        let r = i.signature().rel_id("R").unwrap();
+        assert_eq!(i.facts_of(r), &[FactId(0), FactId(2)]);
+    }
+
+    #[test]
+    fn compaction_maps_both_ways() {
+        let c = Compaction::new(10, [FactId(7), FactId(2), FactId(3)]);
+        assert_eq!((c.first(), c.after()), (2, 7));
+        let survivors = [0u32, 1, 4, 5, 6, 8, 9];
+        for (new, &old) in survivors.iter().enumerate() {
+            assert_eq!(c.new_id(FactId(old)), Some(FactId(new as u32)));
+            assert_eq!(c.old_id(FactId(new as u32)), FactId(old));
+        }
+        assert_eq!(c.removed().collect::<Vec<_>>(), [FactId(2), FactId(3), FactId(7)]);
+        let mut v: Vec<u32> = (0..10).collect();
+        c.compact_vec(&mut v);
+        assert_eq!(v, survivors);
+        // Nothing removed: the identity.
+        let id = Compaction::new(4, []);
+        assert_eq!((id.first(), id.after()), (4, 4));
+        assert_eq!(id.new_id(FactId(3)), Some(FactId(3)));
+    }
+
+    #[test]
+    fn factset_grow_and_compact() {
         let mut s = FactSet::empty(130);
         for id in [3u32, 63, 64, 65, 129] {
             s.insert(FactId(id));
         }
-        // Deleting position 64 drops it and shifts 65→64, 129→128.
-        s.remove_shift(FactId(64));
+        // Removing position 64 drops it and shifts 65→64, 129→128.
+        s.compact(&Compaction::new(130, [FactId(64)]));
         assert_eq!(s.universe(), 129);
         assert_eq!(s.iter().map(|f| f.0).collect::<Vec<_>>(), vec![3, 63, 64, 128]);
-        // Deleting an absent position still renumbers the ones above.
-        s.remove_shift(FactId(0));
+        // Removing an absent position still renumbers the ones above.
+        s.compact(&Compaction::new(129, [FactId(0)]));
         assert_eq!(s.iter().map(|f| f.0).collect::<Vec<_>>(), vec![2, 62, 63, 127]);
         assert_eq!(s.universe(), 128);
         // Growing appends absent ids and permits inserting them.
@@ -808,8 +1049,36 @@ mod tests {
         assert!(s.contains(FactId(199)));
         // Shrinking a universe across a word boundary stays exact.
         let mut t = FactSet::full(65);
-        t.remove_shift(FactId(10));
+        t.compact(&Compaction::new(65, [FactId(10)]));
         assert_eq!(t, FactSet::full(64));
+    }
+
+    proptest! {
+        /// One compaction equals removing the same positions bit by bit,
+        /// highest first, from a plain bit vector.
+        #[test]
+        fn factset_compaction_matches_repeated_bit_removal(
+            universe in 0usize..300,
+            members in proptest::collection::vec(0usize..300, 0..120),
+            removed in proptest::collection::btree_set(0usize..300, 0..40),
+        ) {
+            let removed: Vec<usize> = removed.into_iter().filter(|&r| r < universe).collect();
+            let mut set = FactSet::empty(universe);
+            let mut model = vec![false; universe];
+            for m in members.into_iter().filter(|&m| m < universe) {
+                set.insert(FactId(m as u32));
+                model[m] = true;
+            }
+            for &r in removed.iter().rev() {
+                model.remove(r);
+            }
+            set.compact(&Compaction::new(universe, removed.iter().map(|&r| FactId(r as u32))));
+            let mut want = FactSet::empty(model.len());
+            for (i, _) in model.iter().enumerate().filter(|(_, &b)| b) {
+                want.insert(FactId(i as u32));
+            }
+            prop_assert_eq!(set, want);
+        }
     }
 
     #[test]
@@ -849,85 +1118,137 @@ mod tests {
     #[derive(Clone, Copy, Debug)]
     enum Op {
         Insert(usize),
-        Remove(usize),
+        /// Tombstone one live fact (a batch delete).
+        Tombstone(usize),
+        /// Compact the tombstones plus up to `.1` more picked facts.
+        Remove(usize, usize),
         Clone,
         Lookup(usize),
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        (0u8..8, 0usize..1 << 16).prop_map(|(kind, n)| match kind {
+        (0u8..9, 0usize..1 << 16, 0usize..4).prop_map(|(kind, n, k)| match kind {
             0..=3 => Op::Insert(n),
-            4 => Op::Remove(n),
-            5 => Op::Clone,
+            4 => Op::Tombstone(n),
+            5 => Op::Remove(n, k),
+            6 => Op::Clone,
             _ => Op::Lookup(n),
         })
     }
 
-    /// Asserts `inst` matches the model: a fact vector in id order and
-    /// the map a `HashMap<Fact, FactId>` index would hold.
-    fn assert_matches_model(inst: &Instance, facts: &[Fact], pool: &[Fact]) {
-        let model: HashMap<&Fact, FactId> =
-            facts.iter().enumerate().map(|(i, f)| (f, FactId(i as u32))).collect();
-        assert_eq!(inst.len(), facts.len());
+    /// The model: every fact slot in id order, tombstones included, and
+    /// which slots are tombstones.
+    struct Model {
+        facts: Vec<Fact>,
+        dead: Vec<bool>,
+    }
+
+    impl Model {
+        fn id_of(&self, fact: &Fact) -> Option<FactId> {
+            (0..self.facts.len())
+                .find(|&i| !self.dead[i] && &self.facts[i] == fact)
+                .map(|i| FactId(i as u32))
+        }
+    }
+
+    /// Asserts `inst` matches the model: the fact slots in id order
+    /// and the map a `HashMap<Fact, FactId>` index over the live slots
+    /// would hold.
+    fn assert_matches_model(inst: &Instance, model: &Model, pool: &[Fact]) {
+        let index: HashMap<&Fact, FactId> = model
+            .facts
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !model.dead[i])
+            .map(|(i, f)| (f, FactId(i as u32)))
+            .collect();
+        assert_eq!(inst.len(), model.facts.len());
         for (id, fact) in inst.iter() {
-            assert_eq!(fact, &facts[id.index()]);
+            assert_eq!(fact, &model.facts[id.index()]);
         }
         for fact in pool {
-            let want = model.get(fact).copied();
+            let want = index.get(fact).copied();
             assert_eq!(inst.id_of(fact), want, "{fact:?}");
             assert_eq!(inst.id_of_parts(fact.rel(), fact.tuple().values()), want, "{fact:?}");
             assert_eq!(inst.contains(fact), want.is_some());
         }
         for (r, _) in inst.signature().iter() {
             let want: Vec<FactId> =
-                inst.fact_ids().filter(|&id| facts[id.index()].rel() == r).collect();
+                inst.fact_ids().filter(|&id| model.facts[id.index()].rel() == r).collect();
             assert_eq!(inst.facts_of(r), want.as_slice());
         }
     }
 
     /// Replays `ops` on an instance and on the model, checking after
-    /// every step, and after every removal that the ids equal a fresh
-    /// insert of the survivors in order.
+    /// every step, and after every compaction that the ids equal a
+    /// fresh insert of the survivors in order.
     fn replay(sig: &SigRef, pool: &[Fact], ops: &[Op]) {
         let mut inst = Instance::new(sig.clone());
-        let mut facts: Vec<Fact> = Vec::new();
+        let mut model = Model { facts: Vec::new(), dead: Vec::new() };
         for &op in ops {
             match op {
                 Op::Insert(n) => {
                     let fact = &pool[n % pool.len()];
-                    let want = match facts.iter().position(|f| f == fact) {
-                        Some(i) => FactId(i as u32),
-                        None => {
-                            facts.push(fact.clone());
-                            FactId(facts.len() as u32 - 1)
-                        }
-                    };
+                    let want = model.id_of(fact).unwrap_or_else(|| {
+                        model.facts.push(fact.clone());
+                        model.dead.push(false);
+                        FactId(model.facts.len() as u32 - 1)
+                    });
                     assert_eq!(inst.insert(fact.clone()), want);
                 }
-                Op::Remove(n) if !facts.is_empty() => {
-                    let i = n % facts.len();
-                    assert_eq!(inst.remove_fact(FactId(i as u32)), facts.remove(i));
+                Op::Tombstone(n) => {
+                    let live: Vec<usize> =
+                        (0..model.facts.len()).filter(|&i| !model.dead[i]).collect();
+                    if !live.is_empty() {
+                        let i = live[n % live.len()];
+                        model.dead[i] = true;
+                        inst.tombstone(FactId(i as u32));
+                    }
+                }
+                Op::Remove(n, extra) => {
+                    let mut ids: Vec<FactId> = (0..model.facts.len())
+                        .filter(|&i| model.dead[i])
+                        .map(|i| FactId(i as u32))
+                        .collect();
+                    let live: Vec<usize> =
+                        (0..model.facts.len()).filter(|&i| !model.dead[i]).collect();
+                    for k in 0..extra.min(live.len()) {
+                        let id = FactId(live[n.wrapping_add(7 * k) % live.len()] as u32);
+                        if !ids.contains(&id) {
+                            ids.push(id);
+                        }
+                    }
+                    // Removal order must not matter.
+                    ids.reverse();
+                    let before = model.facts.len();
+                    let c = inst.remove_facts(&ids);
+                    let survivors: Vec<usize> =
+                        (0..before).filter(|&i| !ids.contains(&FactId(i as u32))).collect();
+                    for (new, &old) in survivors.iter().enumerate() {
+                        assert_eq!(c.new_id(FactId(old as u32)), Some(FactId(new as u32)));
+                        assert_eq!(c.old_id(FactId(new as u32)), FactId(old as u32));
+                    }
+                    model.facts = survivors.iter().map(|&i| model.facts[i].clone()).collect();
+                    model.dead = vec![false; model.facts.len()];
                     let mut fresh = Instance::new(sig.clone());
-                    for fact in &facts {
+                    for fact in &model.facts {
                         fresh.insert(fact.clone());
                     }
                     for (id, fact) in inst.iter() {
                         assert_eq!(fresh.id_of(fact), Some(id));
                     }
                 }
-                Op::Remove(_) => {}
                 Op::Clone => {
                     let copy = inst.clone();
-                    assert_matches_model(&inst, &facts, pool);
+                    assert_matches_model(&inst, &model, pool);
                     inst = copy;
                 }
                 Op::Lookup(n) => {
                     let fact = &pool[n % pool.len()];
-                    let want = facts.iter().position(|f| f == fact).map(|i| FactId(i as u32));
-                    assert_eq!(inst.id_of(fact), want);
+                    assert_eq!(inst.id_of(fact), model.id_of(fact));
                 }
             }
-            assert_matches_model(&inst, &facts, pool);
+            assert_matches_model(&inst, &model, pool);
         }
     }
 
@@ -1081,11 +1402,20 @@ mod tests {
         let sig = model_sig();
         let pool = colliding_pool(&sig);
         // Fill, then delete from the front, the back and the middle of
-        // one wrapped probe run.
+        // one wrapped probe run: one at a time, by tombstone batches,
+        // and several per compaction.
         for pick in [0usize, usize::MAX, 7] {
-            let mut ops: Vec<Op> = (0..pool.len()).map(Op::Insert).collect();
-            ops.extend((0..pool.len()).map(|_| Op::Remove(pick)));
-            replay(&sig, &pool, &ops);
+            for ops_per_fact in [
+                vec![Op::Remove(pick, 1)],
+                vec![Op::Tombstone(pick), Op::Tombstone(pick / 2), Op::Remove(pick, 0)],
+                vec![Op::Remove(pick, 3)],
+            ] {
+                let mut ops: Vec<Op> = (0..pool.len()).map(Op::Insert).collect();
+                for _ in 0..pool.len() {
+                    ops.extend(ops_per_fact.iter().copied());
+                }
+                replay(&sig, &pool, &ops);
+            }
         }
     }
 

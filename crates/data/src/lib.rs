@@ -35,7 +35,7 @@ pub use fingerprint::{
     fingerprint_value, Fingerprint, FingerprintBuilder,
 };
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
-pub use instance::{tuple, FactId, FactSet, Instance};
+pub use instance::{tuple, Compaction, FactId, FactSet, Instance};
 pub use parse::{parse_instance, render_instance};
 pub use signature::{RelId, RelationSymbol, Signature};
 pub use value::{Atom, Value};

@@ -12,7 +12,7 @@
 //!
 //! [`CsrConflictGraph::new`] builds the rows straight from a sort-based
 //! [`FdGrouping`] per relation and FD, with no bitset intermediate, and
-//! [`CsrConflictGraph::patched`] carries them across a delta batch. The
+//! [`CsrConflictGraph::patch`] carries them across a delta batch. The
 //! bitset [`ConflictGraph`] remains the oracle's graph; the two are
 //! pinned together by [`CsrConflictGraph::from_graph`] in tests.
 //! Neighbor lists are sorted ascending, so "first conflicting member of
@@ -23,7 +23,7 @@
 use crate::conflicts::{ConflictGraph, ConflictRows};
 use crate::grouping::FdGrouping;
 use crate::schema::Schema;
-use rpr_data::{FactId, FactSet, Instance};
+use rpr_data::{Compaction, FactId, FactSet, Instance};
 
 /// Sentinel in `dense_idx` marking a CSR-backed (sparse) row.
 const SPARSE: u32 = u32::MAX;
@@ -251,63 +251,218 @@ impl CsrConflictGraph {
             .collect()
     }
 
-    /// Repacks after a structural delta batch without re-deriving the
-    /// rows the batch left alone.
+    /// Patches the packing in place after a structural delta batch,
+    /// without re-deriving the rows the batch left alone.
     ///
-    /// `old` is the pre-batch packing. Ids were densely renumbered by
-    /// the batch: `old_to_new[o]` maps a surviving old id to its new id
-    /// (`u32::MAX` if deleted) and `new_to_old[i]` the inverse
-    /// (`u32::MAX` for facts inserted by the batch). Inserted facts hold
-    /// the top ids, above every survivor, and `inserted[k]` is the full
-    /// conflict row of the `k`-th of them — ascending, as
+    /// `c` is the batch's [`Compaction`] over its stable batch ids: the
+    /// ids below [`len`](Self::len) are the pre-batch facts, the rest
+    /// were inserted by the batch. The survivors of the pre-batch facts
+    /// close up to `0..s`, and the `inserted.len()` surviving inserted
+    /// facts hold the top new ids `s..c.after()`; `inserted[k]` is the
+    /// full conflict row of the `k`-th of them — new ids, ascending, as
     /// [`scan_row`](Self::scan_row) returns it.
     ///
-    /// A survivor's row is its old row — sparse or dense — remapped
-    /// through `old_to_new`, plus its inserted neighbors, which sort
-    /// after every survivor. Conflicts between two survivors depend only
-    /// on their content, so nothing else can change: the result is
-    /// identical to [`new`](Self::new) over the post-batch instance, in
-    /// `O(n + e)`.
-    pub fn patched(
-        old: &CsrConflictGraph,
-        old_to_new: &[u32],
-        new_to_old: &[u32],
-        inserted: &[Vec<u32>],
-    ) -> Self {
-        let n = new_to_old.len();
-        let first_new = n - inserted.len();
-        debug_assert!(new_to_old[..first_new].iter().all(|&o| o != u32::MAX));
-        debug_assert!(new_to_old[first_new..].iter().all(|&o| o == u32::MAX));
-        // (survivor, inserted neighbor), sorted: each survivor's extra
-        // neighbors in ascending order.
-        let mut extra: Vec<(u32, u32)> = inserted
+    /// A survivor's row is its old row renumbered, plus its inserted
+    /// neighbors, which sort after every survivor. Conflicts between two
+    /// survivors depend only on their content, so nothing else can
+    /// change. The patch runs in place:
+    /// - one forward pass over `neighbors` drops removed rows and
+    ///   entries and renumbers the rest (skipped when no pre-batch fact
+    ///   was removed);
+    /// - dense rows are compacted as bitsets;
+    /// - one backward pass, from the last row down to the first that
+    ///   grows, splices the inserted neighbors into their rows;
+    /// - the inserted rows are appended.
+    ///
+    /// Rows whose degree crosses the density threshold under the new
+    /// universe change representation, so the result is identical to
+    /// [`new`](Self::new) over the post-batch instance.
+    pub fn patch(&mut self, c: &Compaction, inserted: &[Vec<u32>]) {
+        let old_n = self.n;
+        let n = c.after();
+        let s = n - inserted.len();
+        let removes_old = c.first() < old_n;
+        debug_assert_eq!(s, old_n - c.removed().filter(|r| r.index() < old_n).count());
+        if !removes_old && inserted.is_empty() {
+            return;
+        }
+        // (survivor, inserted neighbor), sorted: each survivor's new
+        // neighbors in ascending order, grouped into one run per row.
+        let mut gained: Vec<(u32, u32)> = inserted
             .iter()
-            .zip(first_new as u32..)
+            .zip(s as u32..)
             .flat_map(|(row, x)| {
-                row.iter().take_while(|&&g| (g as usize) < first_new).map(move |&g| (g, x))
+                row.iter().take_while(|&&g| (g as usize) < s).map(move |&g| (g, x))
             })
             .collect();
-        extra.sort_unstable();
-        let added: usize = inserted.iter().map(Vec::len).sum();
-        let mut builder = Builder::new(n, old.neighbors.len() + 2 * added);
-        let mut extra = extra.into_iter().peekable();
-        // Deleted neighbors map to u32::MAX and are dropped; renumbering
-        // is order-preserving, so remapped rows stay sorted.
-        let live = |g: u32| Some(old_to_new[g as usize]).filter(|&g| g != u32::MAX);
-        for (i, &o) in new_to_old[..first_new].iter().enumerate() {
-            let gained =
-                std::iter::from_fn(|| extra.next_if(|&(v, _)| v as usize == i)).map(|(_, x)| x);
-            match old.row(FactId(o)) {
-                Row::Sparse(s) => builder.push_row(s.iter().filter_map(|&g| live(g)).chain(gained)),
-                Row::Dense(bits) => {
-                    builder.push_row(bits.iter().filter_map(|g| live(g.0)).chain(gained))
+        gained.sort_unstable();
+        // Each row with gains and its run, ascending.
+        let runs = || gained.chunk_by(|a, b| a.0 == b.0).map(|run| (run[0].0 as usize, run));
+        let old_dense = self.dense_rows.len();
+        // Pass 1, forward, only shrinking: drop removed rows and
+        // entries, renumber, and turn the rows the batch makes dense
+        // into bitsets. Writes never overtake reads.
+        let turns_dense = !removes_old
+            && runs().any(|(i, new)| {
+                self.dense_idx[i] == SPARSE
+                    && Self::is_dense(self.sparse_row(i).len() + new.len(), n)
+            });
+        if removes_old || turns_dense {
+            let mut at = runs().peekable();
+            let first = c.first();
+            let (mut kept, mut new_i, mut start) = (0usize, 0usize, 0usize);
+            for i in 0..old_n {
+                let end = self.offsets[i + 1] as usize;
+                if i < first || c.new_id(FactId(i as u32)).is_some() {
+                    let (d, row_start) = (self.dense_idx[i], kept);
+                    self.dense_idx[new_i] = d;
+                    let new = at.next_if(|&(r, _)| r == new_i).map_or(&[][..], |(_, run)| run);
+                    if d == SPARSE {
+                        let row = &mut self.neighbors[..end];
+                        if start == end || (row[end - 1] as usize) < first {
+                            // Every entry keeps its number: the row only
+                            // moves, if anything before it shrank.
+                            if kept != start {
+                                for r in start..end {
+                                    row[kept + r - start] = row[r];
+                                }
+                            }
+                            kept += end - start;
+                        } else {
+                            for r in start..end {
+                                let g = row[r];
+                                let g = if (g as usize) < first {
+                                    Some(FactId(g))
+                                } else {
+                                    c.new_id(FactId(g))
+                                };
+                                if let Some(g) = g {
+                                    row[kept] = g.0;
+                                    kept += 1;
+                                }
+                            }
+                        }
+                        if Self::is_dense(kept - row_start + new.len(), n) {
+                            let mut bits = FactSet::empty(n);
+                            for &g in &self.neighbors[row_start..kept] {
+                                bits.insert(FactId(g));
+                            }
+                            for &(_, x) in new {
+                                bits.insert(FactId(x));
+                            }
+                            kept = row_start;
+                            self.dense_idx[new_i] = self.dense_rows.len() as u32;
+                            self.dense_rows.push(bits);
+                        }
+                    }
+                    self.offsets[new_i + 1] = kept as u32;
+                    new_i += 1;
+                }
+                start = end;
+            }
+            self.neighbors.truncate(kept);
+            self.offsets.truncate(s + 1);
+            self.dense_idx.truncate(s);
+        }
+        // Dense pre-batch rows: compact the bitset, add the gains, and
+        // go back to a list when the row is no longer dense.
+        let mut turned_sparse: Vec<(usize, FactSet)> = Vec::new();
+        if old_dense > 0 {
+            let mut at = runs().peekable();
+            for i in 0..s {
+                let new = at.next_if(|&(r, _)| r == i).map_or(&[][..], |(_, run)| run);
+                let d = self.dense_idx[i];
+                if d == SPARSE || d as usize >= old_dense {
+                    continue;
+                }
+                let bits = &mut self.dense_rows[d as usize];
+                bits.grow(c.before());
+                bits.compact(c);
+                for &(_, x) in new {
+                    bits.insert(FactId(x));
+                }
+                if !Self::is_dense(bits.len(), n) {
+                    turned_sparse.push((i, std::mem::replace(bits, FactSet::empty(0))));
+                    self.dense_idx[i] = SPARSE;
                 }
             }
         }
-        for row in inserted {
-            builder.push_row(row.iter().copied());
+        // Pass 2, backward, only growing: each row that grows gets its
+        // new entries, and the rows between two growing rows move up as
+        // one block. Rows below the first one that grows stay put.
+        // (row, entries it gains, its new neighbors or, for a row back
+        // from a bitset, that bitset's index in `turned_sparse`).
+        let turned_at = |i: usize| turned_sparse.binary_search_by_key(&i, |&(r, _)| r).ok();
+        let mut growing: Vec<_> = runs()
+            .filter(|&(i, _)| self.dense_idx[i] == SPARSE && turned_at(i).is_none())
+            .map(|(i, new)| (i, new.len(), Ok(new)))
+            .chain(turned_sparse.iter().enumerate().map(|(k, (i, bits))| (*i, bits.len(), Err(k))))
+            .collect();
+        growing.sort_unstable_by_key(|&(i, ..)| i);
+        let old_total = self.neighbors.len();
+        let grown: usize = growing.iter().map(|&(_, k, _)| k).sum();
+        self.neighbors.resize(old_total + grown, 0);
+        // Rows from `hi` on are placed; `end` is their final start and
+        // `cur` their start before the pass (`offsets[hi]` already holds
+        // the final one).
+        let (mut hi, mut end, mut cur) = (s, self.neighbors.len(), old_total);
+        for &(g, gain, ref entries) in growing.iter().rev() {
+            let from = self.offsets[g] as usize;
+            let to = if g + 1 == hi { cur } else { self.offsets[g + 1] as usize };
+            let shift = end - cur;
+            self.neighbors.copy_within(to..cur, to + shift);
+            for o in &mut self.offsets[g + 1..hi] {
+                *o += shift as u32;
+            }
+            let row_end = to + shift;
+            let start = row_end - (to - from) - gain;
+            match *entries {
+                Err(k) => {
+                    let bits = &turned_sparse[k].1;
+                    for (slot, x) in self.neighbors[start..row_end].iter_mut().zip(bits.iter()) {
+                        *slot = x.0;
+                    }
+                }
+                Ok(new) => {
+                    self.neighbors.copy_within(from..to, start);
+                    let tail = &mut self.neighbors[start + (to - from)..row_end];
+                    for (slot, &(_, x)) in tail.iter_mut().zip(new) {
+                        *slot = x;
+                    }
+                }
+            }
+            self.offsets[g] = start as u32;
+            (hi, end, cur) = (g, start, from);
         }
-        builder.finish()
+        debug_assert_eq!(end, cur, "every grown entry placed");
+        self.offsets[s] = self.neighbors.len() as u32;
+        // The inserted rows, appended.
+        for row in inserted {
+            if Self::is_dense(row.len(), n) {
+                let mut bits = FactSet::empty(n);
+                for &g in row {
+                    bits.insert(FactId(g));
+                }
+                self.dense_idx.push(self.dense_rows.len() as u32);
+                self.dense_rows.push(bits);
+            } else {
+                self.neighbors.extend_from_slice(row);
+                self.dense_idx.push(SPARSE);
+            }
+            self.offsets.push(self.neighbors.len() as u32);
+        }
+        self.n = n;
+        // Dense rows are stored in row order: re-index them when the
+        // batch dropped, converted or added any.
+        let reorder = removes_old || turns_dense || !turned_sparse.is_empty();
+        if reorder && !self.dense_rows.is_empty() {
+            let mut rows: Vec<Option<FactSet>> =
+                std::mem::take(&mut self.dense_rows).into_iter().map(Some).collect();
+            for d in self.dense_idx.iter_mut().filter(|d| **d != SPARSE) {
+                self.dense_rows.push(rows[*d as usize].take().expect("one row per dense index"));
+                *d = self.dense_rows.len() as u32 - 1;
+            }
+        }
     }
 }
 
@@ -519,126 +674,135 @@ impl ComponentLayout {
         ComponentLayout { offsets, facts, comp_of, nontrivial }
     }
 
-    /// Rebuilds the layout after a structural delta batch, re-running
-    /// the component DFS only inside components the batch touched.
+    /// Patches the layout in place after a structural delta batch,
+    /// re-running the component DFS only where the batch changed the
+    /// graph.
     ///
-    /// `touched_old[c]` marks pre-batch components that lost a member,
-    /// gained an edge to an inserted fact, or otherwise changed;
-    /// members of untouched components are renumbered in place (the
-    /// dense renumbering is order-preserving, so sortedness and the
-    /// min-member component order survive). Inserted facts (where
-    /// `new_to_old` is `u32::MAX`) are always re-derived.
+    /// `csr` is the patched conflict graph and `c` the batch's
+    /// [`Compaction`] over its stable batch ids (see
+    /// [`CsrConflictGraph::patch`]). `touched` lists, ascending and
+    /// without repeats, the pre-batch components that lost a member or
+    /// gained an edge to an inserted fact. The other components keep
+    /// their members: the renumbering is order-preserving, so each is
+    /// renumbered in place and stays sorted. The surviving members of
+    /// the touched components and the surviving inserted facts are
+    /// re-derived by DFS, and the new components are spliced back in
+    /// min-member order. Components before the first touched one keep
+    /// their index; the cost is one pass over the renumbered ids, the
+    /// DFS of the touched region, and the member lists from the first
+    /// touched component on.
     ///
-    /// Returns the layout plus the number of untouched *nontrivial*
-    /// pre-batch components that were reused without a DFS — the
-    /// per-shard skip count surfaced through delta reports and serve
-    /// metrics. The result is bit-identical to `from_csr(csr)`.
-    pub fn patched(
-        old: &ComponentLayout,
-        csr: &CsrConflictGraph,
-        old_to_new: &[u32],
-        new_to_old: &[u32],
-        touched_old: &[bool],
-    ) -> (Self, usize) {
+    /// Returns the number of untouched *nontrivial* pre-batch
+    /// components — the per-shard skip count surfaced through delta
+    /// reports and serve metrics. The result is bit-identical to
+    /// [`from_csr`](Self::from_csr)`(csr)`.
+    pub fn patch(&mut self, csr: &CsrConflictGraph, c: &Compaction, touched: &[u32]) -> usize {
+        let old_n = self.comp_of.len();
         let n = csr.len();
-        debug_assert_eq!(n, new_to_old.len());
-        debug_assert_eq!(old.len(), touched_old.len());
-        // Canonical label of each fact's component: its minimal member.
-        let mut label = vec![u32::MAX; n];
-        let mut reused = 0usize;
-        for (c, &dirty) in touched_old.iter().enumerate() {
-            if dirty {
-                continue;
-            }
-            let members = old.component(c);
-            // Untouched components lost no members, so every mapping is
-            // live, and order preservation makes the first member the
-            // minimal one after renumbering too.
-            let lead = old_to_new[members[0].index()];
-            debug_assert_ne!(lead, u32::MAX);
-            for &m in members {
-                label[old_to_new[m.index()] as usize] = lead;
-            }
-            if members.len() > 1 {
-                reused += 1;
+        debug_assert_eq!(n, c.after());
+        debug_assert!(touched.windows(2).all(|w| w[0] < w[1]), "touched not ascending");
+        let s = old_n - c.removed().take_while(|r| r.index() < old_n).count();
+        let reused = self.nontrivial.len()
+            - touched.iter().filter(|&&t| self.component(t as usize).len() > 1).count();
+        if touched.is_empty() && s == n {
+            // Only facts the batch inserted were removed: no pre-batch
+            // id moved and no component changed.
+            return reused;
+        }
+        // The region to re-derive, ascending in new ids: the survivors
+        // of touched components, then the inserted facts.
+        let mut region: Vec<u32> = touched
+            .iter()
+            .flat_map(|&t| self.component(t as usize).iter().filter_map(|&m| c.new_id(m)))
+            .map(|m| m.0)
+            .collect();
+        region.sort_unstable();
+        region.extend(s as u32..n as u32);
+        if c.first() < old_n {
+            for m in &mut self.facts {
+                if m.index() >= c.first() {
+                    *m = c.new_id(*m).unwrap_or(FactId(u32::MAX));
+                }
             }
         }
-        // DFS the touched region over the patched adjacency. Edges
-        // cannot escape into untouched components: an old edge would
-        // have put both endpoints in the same (touched) component, and
-        // new edges only involve inserted facts, whose neighbors'
-        // components are marked touched by the caller.
-        let mut visited = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut members: Vec<u32> = Vec::new();
-        for i in 0..n {
-            if label[i] != u32::MAX || visited[i] {
+        self.comp_of.resize(c.before(), u32::MAX);
+        c.compact_vec(&mut self.comp_of);
+        // Derive the region's components. A DFS started from the
+        // smallest unclaimed region fact finds exactly its component
+        // (edges never leave the region: an old edge would have put
+        // both ends in one touched component, and a new edge has an
+        // inserted end whose neighbors' components count as touched),
+        // and its start is the component's minimal member, so the
+        // components come out in min-member order.
+        const PENDING: u32 = u32::MAX;
+        const CLAIMED: u32 = u32::MAX - 1;
+        for &f in &region {
+            self.comp_of[f as usize] = PENDING;
+        }
+        let (mut found, mut bounds, mut stack) =
+            (Vec::with_capacity(region.len()), vec![0], vec![]);
+        for &f in &region {
+            if self.comp_of[f as usize] != PENDING {
                 continue;
             }
-            visited[i] = true;
-            stack.push(i as u32);
-            members.clear();
+            self.comp_of[f as usize] = CLAIMED;
+            stack.push(f);
+            let start = found.len();
             while let Some(v) = stack.pop() {
-                members.push(v);
-                match csr.row(FactId(v)) {
-                    Row::Sparse(s) => {
-                        for &g in s {
-                            if !visited[g as usize] {
-                                debug_assert_eq!(label[g as usize], u32::MAX);
-                                visited[g as usize] = true;
-                                stack.push(g);
-                            }
-                        }
-                    }
-                    Row::Dense(bits) => {
-                        for g in bits.iter() {
-                            if !visited[g.index()] {
-                                debug_assert_eq!(label[g.index()], u32::MAX);
-                                visited[g.index()] = true;
-                                stack.push(g.0);
-                            }
-                        }
+                found.push(FactId(v));
+                for g in csr.neighbors(FactId(v)) {
+                    let slot = &mut self.comp_of[g.index()];
+                    debug_assert!(*slot >= CLAIMED, "an edge leaves the re-derived region");
+                    if *slot == PENDING {
+                        *slot = CLAIMED;
+                        stack.push(g.0);
                     }
                 }
             }
-            // The DFS started from the minimal unlabeled member, but
-            // the component may contain smaller ids discovered later in
-            // the walk — take the true minimum as the label.
-            let lead = *members.iter().min().unwrap();
-            for &m in &members {
-                label[m as usize] = lead;
+            found[start..].sort_unstable();
+            bounds.push(found.len());
+        }
+        // Splice: from the first touched component on, merge the
+        // untouched components with the derived ones by minimal member.
+        let c0 = touched.first().map_or(self.len(), |&t| t as usize);
+        let old_len = self.len();
+        let tail_offsets = self.offsets.split_off(c0 + 1);
+        let tail_facts = self.facts.split_off(self.offsets[c0] as usize);
+        let base = self.offsets[c0] as usize;
+        self.nontrivial.truncate(self.nontrivial.partition_point(|&x| (x as usize) < c0));
+        let old_members = |oc: usize| {
+            let from = if oc == c0 { base } else { tail_offsets[oc - c0 - 1] as usize };
+            &tail_facts[from - base..tail_offsets[oc - c0] as usize - base]
+        };
+        let mut untouched =
+            (c0..old_len).filter(|oc| touched.binary_search(&(*oc as u32)).is_err());
+        let mut derived = bounds.windows(2).map(|w| &found[w[0]..w[1]]);
+        let (mut next_old, mut next_new) = (untouched.next().map(old_members), derived.next());
+        loop {
+            let members = match (next_old, next_new) {
+                (Some(o), Some(d)) if o[0] < d[0] => next_old.take(),
+                (Some(_), None) => next_old.take(),
+                (_, Some(_)) => next_new.take(),
+                (None, None) => break,
+            }
+            .expect("a component was picked");
+            let ci = self.len() as u32;
+            for &m in members {
+                self.comp_of[m.index()] = ci;
+            }
+            self.facts.extend_from_slice(members);
+            self.offsets.push(self.facts.len() as u32);
+            if members.len() > 1 {
+                self.nontrivial.push(ci);
+            }
+            if next_old.is_none() {
+                next_old = untouched.next().map(old_members);
+            }
+            if next_new.is_none() {
+                next_new = derived.next();
             }
         }
-        // Flatten: scanning ascending, a fact equal to its label is the
-        // lead of a fresh component, and leads appear in min-member
-        // order — exactly the from_csr component order.
-        let mut index_of = vec![u32::MAX; n];
-        let mut sizes: Vec<u32> = Vec::new();
-        for (f, &l) in label.iter().enumerate() {
-            if l == f as u32 {
-                index_of[f] = sizes.len() as u32;
-                sizes.push(0);
-            }
-        }
-        for &l in &label {
-            sizes[index_of[l as usize] as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(sizes.len() + 1);
-        offsets.push(0u32);
-        for &s in &sizes {
-            offsets.push(offsets.last().unwrap() + s);
-        }
-        let mut cursor: Vec<u32> = offsets[..sizes.len()].to_vec();
-        let mut facts = vec![FactId(0); n];
-        let mut comp_of = vec![u32::MAX; n];
-        for (f, &l) in label.iter().enumerate() {
-            let c = index_of[l as usize];
-            facts[cursor[c as usize] as usize] = FactId(f as u32);
-            cursor[c as usize] += 1;
-            comp_of[f] = c;
-        }
-        let nontrivial = (0..sizes.len() as u32).filter(|&c| sizes[c as usize] > 1).collect();
-        (ComponentLayout { offsets, facts, comp_of, nontrivial }, reused)
+        reused
     }
 
     /// Number of components (including singletons).
@@ -813,7 +977,7 @@ impl EdgeBuckets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpr_data::{Signature, Value};
+    use rpr_data::{Fact, Signature, Value};
 
     fn star(n_leaves: usize) -> (Schema, Instance) {
         // R(k, v) with key 1: one hub key shared by all facts → clique;
@@ -943,94 +1107,237 @@ mod tests {
         (schema, i)
     }
 
-    /// One structural op of a delta batch.
+    /// One structural op of a delta batch, by fact content.
     enum Op {
-        Delete(u32),
-        Insert(&'static str, &'static str),
+        Delete(Fact),
+        Insert(Fact),
     }
 
-    /// Applies `ops` as one batch and checks the patched packing
-    /// against a from-scratch build of the mutated instance.
-    fn assert_patch_matches_cold(schema: &Schema, i: &mut Instance, ops: &[Op]) {
-        let old = CsrConflictGraph::new(schema, i);
-        let mut new_to_old: Vec<u32> = (0..i.len() as u32).collect();
+    fn lib(a: &str, b: &str) -> Fact {
+        let (_, i) = libloc();
+        Fact::parse_new(i.signature(), "LibLoc", [Value::sym(a), Value::sym(b)]).unwrap()
+    }
+
+    /// Applies `ops` as one batch the way the delta layer does — a
+    /// delete tombstones, one compaction at the end — then patches the
+    /// packing and the layout in place.
+    fn apply_batch(
+        schema: &Schema,
+        i: &mut Instance,
+        csr: &mut CsrConflictGraph,
+        layout: &mut ComponentLayout,
+        ops: &[Op],
+    ) -> usize {
+        let base = i.len();
+        let (mut dead, mut touched) = (Vec::new(), Vec::new());
         for op in ops {
-            match *op {
-                Op::Delete(d) => {
-                    i.remove_fact(FactId(d));
-                    new_to_old.remove(d as usize);
+            match op {
+                Op::Delete(f) => {
+                    let id = i.id_of(f).expect("deleted fact present");
+                    i.tombstone(id);
+                    dead.push(id);
+                    if id.index() < base {
+                        touched.push(layout.component_of(id) as u32);
+                    }
                 }
-                Op::Insert(a, b) => {
-                    i.insert_named("LibLoc", [Value::sym(a), Value::sym(b)]).unwrap();
-                    new_to_old.push(u32::MAX);
+                Op::Insert(f) => {
+                    assert!(i.id_of(f).is_none(), "inserted fact absent");
+                    i.insert(f.clone());
                 }
             }
         }
-        let mut old_to_new = vec![u32::MAX; old.len()];
-        for (n, &o) in new_to_old.iter().enumerate() {
-            if o != u32::MAX {
-                old_to_new[o as usize] = n as u32;
-            }
+        let c = i.remove_facts(&dead);
+        let s = base - dead.iter().filter(|d| d.index() < base).count();
+        let inserted: Vec<Vec<u32>> =
+            (s..i.len()).map(|x| CsrConflictGraph::scan_row(schema, i, FactId(x as u32))).collect();
+        // An inserted fact merges its surviving neighbors' components.
+        for &g in inserted.iter().flatten().filter(|&&g| (g as usize) < s) {
+            touched.push(layout.component_of(c.old_id(FactId(g))) as u32);
         }
-        let first_new = new_to_old.iter().position(|&o| o == u32::MAX).unwrap_or(i.len());
-        let inserted: Vec<Vec<u32>> = (first_new..i.len())
-            .map(|x| CsrConflictGraph::scan_row(schema, i, FactId(x as u32)))
-            .collect();
-        let patched = CsrConflictGraph::patched(&old, &old_to_new, &new_to_old, &inserted);
-        assert_eq!(patched, CsrConflictGraph::new(schema, i));
-        assert_eq!(patched, CsrConflictGraph::from_graph(&ConflictGraph::new(schema, i)));
+        touched.sort_unstable();
+        touched.dedup();
+        csr.patch(&c, &inserted);
+        layout.patch(csr, &c, &touched)
+    }
+
+    /// Patches one batch and checks both structures against
+    /// from-scratch builds of the mutated instance.
+    fn assert_patch_matches_cold(schema: &Schema, i: &mut Instance, ops: &[Op]) {
+        let mut csr = CsrConflictGraph::new(schema, i);
+        let mut layout = ComponentLayout::from_csr(&csr);
+        apply_batch(schema, i, &mut csr, &mut layout, ops);
+        assert_eq!(csr, CsrConflictGraph::new(schema, i));
+        assert_eq!(csr, CsrConflictGraph::from_graph(&ConflictGraph::new(schema, i)));
+        assert_eq!(layout, ComponentLayout::from_csr(&csr));
     }
 
     #[test]
     fn patched_deletes_match_cold_build() {
         let (schema, mut i) = libloc();
         // A fact from the middle, then from the front, one batch each.
-        assert_patch_matches_cold(&schema, &mut i, &[Op::Delete(2)]);
-        assert_patch_matches_cold(&schema, &mut i, &[Op::Delete(0)]);
+        assert_patch_matches_cold(&schema, &mut i, &[Op::Delete(lib("lib2", "almaden"))]);
+        assert_patch_matches_cold(&schema, &mut i, &[Op::Delete(lib("lib1", "almaden"))]);
+        // Several deletes in one batch, descending id order.
+        let batch = [Op::Delete(lib("lib3", "bascom")), Op::Delete(lib("lib2", "bascom"))];
+        assert_patch_matches_cold(&schema, &mut i, &batch);
     }
 
     #[test]
     fn patched_inserts_match_cold_build() {
         let (schema, mut i) = libloc();
         for (a, b) in [("lib4", "almaden"), ("lib1", "downtown"), ("lib9", "nowhere")] {
-            assert_patch_matches_cold(&schema, &mut i, &[Op::Insert(a, b)]);
+            assert_patch_matches_cold(&schema, &mut i, &[Op::Insert(lib(a, b))]);
         }
         // Several inserts conflicting with each other in one batch.
-        let batch = [Op::Insert("lib5", "x"), Op::Insert("lib5", "y"), Op::Insert("lib6", "x")];
+        let batch = [
+            Op::Insert(lib("lib5", "x")),
+            Op::Insert(lib("lib5", "y")),
+            Op::Insert(lib("lib6", "x")),
+        ];
         assert_patch_matches_cold(&schema, &mut i, &batch);
     }
 
     #[test]
     fn patched_interleaved_batches_match_cold_build() {
         let (schema, mut i) = libloc();
-        let batch = [Op::Delete(5), Op::Insert("lib2", "cambrian"), Op::Delete(1)];
+        let batch = [
+            Op::Delete(lib("lib3", "cambrian")),
+            Op::Insert(lib("lib2", "cambrian")),
+            Op::Delete(lib("lib1", "edenvale")),
+        ];
         assert_patch_matches_cold(&schema, &mut i, &batch);
         // Delete a fact and re-insert its content in the same batch; an
         // insert deleted again before the batch ends leaves no trace.
-        let batch = [Op::Delete(0), Op::Insert("lib1", "almaden"), Op::Insert("lib7", "q")];
+        let batch = [
+            Op::Delete(lib("lib1", "almaden")),
+            Op::Insert(lib("lib1", "almaden")),
+            Op::Insert(lib("lib7", "q")),
+        ];
         assert_patch_matches_cold(&schema, &mut i, &batch);
-        let last = i.len() as u32 - 1;
-        assert_patch_matches_cold(&schema, &mut i, &[Op::Insert("lib7", "r"), Op::Delete(last)]);
+        let batch = [Op::Insert(lib("lib7", "r")), Op::Delete(lib("lib7", "r"))];
+        assert_patch_matches_cold(&schema, &mut i, &batch);
     }
 
     #[test]
     fn patched_remaps_dense_rows() {
         // A 41-clique is dense; deleting and inserting members must
-        // remap old bitset rows and re-pack them.
+        // compact old bitset rows and add the new member to them.
         let (schema, mut i) = star(40);
         assert_eq!(CsrConflictGraph::new(&schema, &i).dense_row_count(), 41);
-        let mut old = CsrConflictGraph::new(&schema, &i);
-        i.remove_fact(FactId(3));
-        let id = i.insert_named("R", [Value::sym("hub"), Value::Int(99)]).unwrap();
-        let mut new_to_old: Vec<u32> = (0..41).filter(|&o| o != 3).collect();
-        new_to_old.push(u32::MAX);
-        let old_to_new: Vec<u32> =
-            (0..41u32).map(|o| if o == 3 { u32::MAX } else { o - u32::from(o > 3) }).collect();
-        assert_eq!(id, FactId(40));
-        let inserted = [CsrConflictGraph::scan_row(&schema, &i, id)];
-        old = CsrConflictGraph::patched(&old, &old_to_new, &new_to_old, &inserted);
-        assert_eq!(old, CsrConflictGraph::new(&schema, &i));
-        assert_eq!(old.dense_row_count(), 41);
+        let hub = |k: i64| {
+            Fact::parse_new(i.signature(), "R", [Value::sym("hub"), Value::Int(k)]).unwrap()
+        };
+        let batch = [Op::Delete(hub(3)), Op::Insert(hub(99))];
+        assert_patch_matches_cold(&schema, &mut i, &batch);
+        assert_eq!(CsrConflictGraph::new(&schema, &i).dense_row_count(), 41);
+    }
+
+    #[test]
+    fn rows_change_representation_when_the_universe_moves() {
+        // 6 two-fact groups plus isolated facts: degree 1 is sparse at
+        // n = 40 (32 ≤ 40) and dense at n = 31 (32 > 31).
+        let sig = Signature::new([("R", 2)]).unwrap();
+        let schema = Schema::from_named(sig.clone(), [("R", &[1][..], &[2][..])]).unwrap();
+        let mut i = Instance::new(sig.clone());
+        for k in 0..6 {
+            for v in 0..2 {
+                i.insert_named("R", [Value::Int(k), Value::Int(v)]).unwrap();
+            }
+        }
+        for k in 100..128 {
+            i.insert_named("R", [Value::Int(k), Value::Int(0)]).unwrap();
+        }
+        let r =
+            |k: i64, v: i64| Fact::parse_new(&sig, "R", [Value::Int(k), Value::Int(v)]).unwrap();
+        assert_eq!(CsrConflictGraph::new(&schema, &i).dense_row_count(), 0);
+        // Shrink below the threshold: every conflicted row goes dense.
+        let shrink: Vec<Op> = (100..109).map(|k| Op::Delete(r(k, 0))).collect();
+        assert_patch_matches_cold(&schema, &mut i, &shrink);
+        assert_eq!(CsrConflictGraph::new(&schema, &i).dense_row_count(), 12);
+        // Grow past it again (with a new conflict): back to lists.
+        let grow: Vec<Op> = (200..210)
+            .map(|k| Op::Insert(r(k, 0)))
+            .chain([Op::Insert(r(50, 0)), Op::Insert(r(50, 1))])
+            .collect();
+        assert_patch_matches_cold(&schema, &mut i, &grow);
+        assert_eq!(CsrConflictGraph::new(&schema, &i).dense_row_count(), 0);
+    }
+
+    #[test]
+    fn the_layout_splits_and_merges_in_one_batch() {
+        // Components {almaden, lib1, lib2, lib3 …}: LibLoc is connected
+        // through shared libraries and locations. Deleting a bridge
+        // splits; inserting a fact joining two libraries merges.
+        let (schema, mut i) = libloc();
+        let batch = [
+            Op::Delete(lib("lib1", "bascom")),
+            Op::Delete(lib("lib3", "bascom")),
+            Op::Insert(lib("lib8", "p")),
+            Op::Insert(lib("lib9", "p2")),
+            Op::Insert(lib("lib8", "p2")),
+        ];
+        assert_patch_matches_cold(&schema, &mut i, &batch);
+    }
+
+    proptest::proptest! {
+        /// Random batches of inserts and deletes — repeated contents,
+        /// delete-then-reinsert, insert-then-delete, rows crossing the
+        /// density threshold both ways — patch to exactly the
+        /// from-scratch packing and layout, batch after batch. Narrow
+        /// value domains over few facts make most rows dense; wide ones
+        /// over hundreds of facts keep them sparse, so runs of adjacent
+        /// rows gain entries in one batch.
+        #[test]
+        fn random_batches_patch_to_the_cold_build(
+            wide in proptest::prelude::any::<bool>(),
+            seed_facts in proptest::collection::vec((0u8..100, 0u8..100), 0..400),
+            batches in proptest::collection::vec(
+                proptest::collection::vec((proptest::prelude::any::<bool>(), 0u8..100, 0u8..100), 1..12),
+                1..6,
+            ),
+        ) {
+            let (schema, _) = libloc();
+            let sig = schema.signature().clone();
+            let (seeds, da, db) = if wide { (400, 100, 100) } else { (40, 6, 4) };
+            let f = |a: u8, b: u8| {
+                let (a, b) = (i64::from(a % da), i64::from(b % db));
+                Fact::parse_new(&sig, "LibLoc", [Value::Int(a), Value::Int(b)]).unwrap()
+            };
+            let mut i = Instance::new(sig.clone());
+            for &(a, b) in seed_facts.iter().take(seeds) {
+                i.insert(f(a, b));
+            }
+            let mut csr = CsrConflictGraph::new(&schema, &i);
+            let mut layout = ComponentLayout::from_csr(&csr);
+            for batch in batches {
+                // Each op is valid at its position: track membership.
+                let mut present: Vec<Fact> = i.iter().map(|(_, g)| g.clone()).collect();
+                let mut ops = Vec::new();
+                for (delete, a, b) in batch {
+                    let g = f(a, b);
+                    let at = present.iter().position(|p| p == &g);
+                    match (delete, at) {
+                        (true, Some(k)) => {
+                            present.remove(k);
+                            ops.push(Op::Delete(g));
+                        }
+                        (false, None) => {
+                            present.push(g.clone());
+                            ops.push(Op::Insert(g));
+                        }
+                        // A delete of an absent fact deletes a present one.
+                        (true, None) if !present.is_empty() => {
+                            let g = present.remove(usize::from(a) % present.len());
+                            ops.push(Op::Delete(g));
+                        }
+                        _ => {}
+                    }
+                }
+                apply_batch(&schema, &mut i, &mut csr, &mut layout, &ops);
+                proptest::prop_assert_eq!(&csr, &CsrConflictGraph::new(&schema, &i));
+                proptest::prop_assert_eq!(&layout, &ComponentLayout::from_csr(&csr));
+            }
+        }
     }
 
     #[test]

@@ -106,6 +106,9 @@ pub fn apply_ops_to_workspace(ws: &Workspace, ops: &[DeltaOp]) -> Result<Workspa
     let mut instance = ws.instance.clone();
     let mut edges: Vec<(FactId, FactId)> = ws.priority.edges().to_vec();
     let mut repairs = ws.repairs.clone();
+    // Ids stay stable for the whole op list: a delete tombstones its
+    // fact, and one compaction at the end renumbers everything.
+    let mut dead = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         let line = i + 1;
         let sig = instance.signature();
@@ -136,15 +139,8 @@ pub fn apply_ops_to_workspace(ws: &Workspace, ops: &[DeltaOp]) -> Result<Workspa
                         ),
                     });
                 }
-                instance.remove_fact(id);
-                let shift = |x: FactId| if x > id { FactId(x.0 - 1) } else { x };
-                for (a, b) in edges.iter_mut() {
-                    *a = shift(*a);
-                    *b = shift(*b);
-                }
-                for (_, set) in &mut repairs {
-                    set.remove_shift(id);
-                }
+                instance.tombstone(id);
+                dead.push(id);
             }
             DeltaOp::SetPriority { better, worse, prefer } => {
                 let bi = instance.id_of(better).ok_or_else(|| FormatError {
@@ -174,6 +170,14 @@ pub fn apply_ops_to_workspace(ws: &Workspace, ops: &[DeltaOp]) -> Result<Workspa
                 }
             }
         }
+    }
+    let c = instance.remove_facts(&dead);
+    for (a, b) in edges.iter_mut() {
+        (*a, *b) =
+            (c.new_id(*a).expect("edge ends survive"), c.new_id(*b).expect("edge ends survive"));
+    }
+    for (_, set) in &mut repairs {
+        set.compact(&c);
     }
     let priority = PriorityRelation::new(instance.len(), edges)
         .map_err(|e| FormatError { line: 0, message: format!("priority rejected: {e}") })?;

@@ -7,7 +7,7 @@
 //! carried in the type and checked at construction.
 
 use crate::relation::{PriorityError, PriorityRelation};
-use rpr_data::{Fact, FactId, Instance};
+use rpr_data::{Compaction, Fact, FactId, Instance};
 use rpr_fd::Schema;
 use std::fmt;
 
@@ -80,15 +80,33 @@ impl PrioritizedInstance {
         id
     }
 
-    /// Removes a fact, renumbering ids above it down by one.
+    /// Tombstones a fact for a batch of deletes (see
+    /// [`Instance::tombstone`]): lookups stop finding it at once, and no
+    /// id moves until [`remove_facts`](Self::remove_facts).
     ///
     /// # Panics
     /// Panics if the fact still participates in priority edges — the
     /// delta layer rejects such deletes with a typed error first.
-    pub fn remove_fact(&mut self, id: FactId) -> Fact {
-        let fact = self.instance.remove_fact(id);
-        self.priority.remove_fact(id);
-        fact
+    pub fn tombstone_fact(&mut self, id: FactId) {
+        assert!(
+            self.priority.worse_than(id).is_empty() && self.priority.better_than(id).is_empty(),
+            "tombstone_fact: fact {} still has priority edges",
+            id.0
+        );
+        self.instance.tombstone(id);
+    }
+
+    /// Removes the facts `ids` in one order-preserving compaction of the
+    /// instance and the priority ([`Instance::remove_facts`],
+    /// [`PriorityRelation::remove_facts`]) and returns it, so the
+    /// caller can apply the same renumbering to its own structures.
+    ///
+    /// # Panics
+    /// Panics if a fact still participates in priority edges.
+    pub fn remove_facts(&mut self, ids: &[FactId]) -> Compaction {
+        let c = self.instance.remove_facts(ids);
+        self.priority.remove_facts(&c);
+        c
     }
 
     /// Adds the priority edge `f ≻ g`, preserving the mode invariant:
@@ -254,8 +272,12 @@ mod tests {
         // Deleting requires shedding edges first; then ids renumber.
         assert!(pi.remove_edge(FactId(0), FactId(1)));
         assert!(pi.remove_edge(FactId(3), FactId(0)));
-        let removed = pi.remove_fact(FactId(0));
-        assert_eq!(*removed.get(2), v("x"));
+        let removed = pi.instance().fact(FactId(0)).clone();
+        pi.tombstone_fact(FactId(0));
+        assert_eq!(pi.instance().id_of(&removed), None);
+        assert_eq!(pi.instance().len(), 4, "a tombstone keeps its id until the compaction");
+        let c = pi.remove_facts(&[FactId(0)]);
+        assert_eq!(c.new_id(FactId(3)), Some(FactId(2)));
         assert_eq!(pi.instance().len(), 3);
         assert_eq!(pi.priority().len(), 3);
     }

@@ -5,7 +5,7 @@
 //! `g`". Acyclicity is part of the definition — a cyclic relation is
 //! rejected at construction time.
 
-use rpr_data::{FactId, FactSet, FxHashSet};
+use rpr_data::{Compaction, FactId, FactSet, FxHashSet};
 use std::fmt;
 
 /// Errors raised while building priority relations.
@@ -212,34 +212,49 @@ impl PriorityRelation {
         true
     }
 
-    /// Removes fact `d` from the universe, renumbering ids above `d`
-    /// down by one — the same dense layout a rebuild over the shrunken
-    /// instance produces.
+    /// Applies a delta batch's [`Compaction`] (see
+    /// [`Instance::remove_facts`](rpr_data::Instance::remove_facts)):
+    /// the removed facts leave the universe and every later id closes
+    /// up — the same dense layout a rebuild over the compacted instance
+    /// produces. Edges and the `prefers` index are renumbered only when
+    /// some edge endpoint actually moves, and then once for the whole
+    /// batch.
     ///
     /// # Panics
-    /// Panics if `d` still has incident edges; the delta layer rejects
+    /// Panics if the compaction is over another universe, or if a
+    /// removed fact still has incident edges; the delta layer rejects
     /// such deletes before getting here.
-    pub fn remove_fact(&mut self, d: FactId) {
-        assert!(d.index() < self.n, "remove_fact: id out of range");
-        assert!(
-            self.worse[d.index()].is_empty() && self.better[d.index()].is_empty(),
-            "remove_fact: fact {} still has priority edges",
-            d.0
-        );
-        let shift = |id: FactId| if id > d { FactId(id.0 - 1) } else { id };
-        self.worse.remove(d.index());
-        self.better.remove(d.index());
-        for row in self.worse.iter_mut().chain(self.better.iter_mut()) {
-            for id in row.iter_mut() {
-                *id = shift(*id);
-            }
+    pub fn remove_facts(&mut self, c: &Compaction) {
+        assert_eq!(c.before(), self.n, "compaction over another universe");
+        for d in c.removed() {
+            assert!(
+                self.worse[d.index()].is_empty() && self.better[d.index()].is_empty(),
+                "remove_facts: fact {} still has priority edges",
+                d.0
+            );
         }
+        c.compact_vec(&mut self.worse);
+        c.compact_vec(&mut self.better);
+        self.n = c.after();
+        let first = c.first();
+        if self.edges.iter().all(|&(a, b)| a.index() < first && b.index() < first) {
+            return;
+        }
+        let new_id = |id: FactId| c.new_id(id).expect("edge endpoints survive");
         for (a, b) in self.edges.iter_mut() {
-            *a = shift(*a);
-            *b = shift(*b);
+            (*a, *b) = (new_id(*a), new_id(*b));
+        }
+        // Each row lists its edges in edge-list order: rebuild the
+        // non-empty ones from the renumbered list.
+        for &(a, b) in &self.edges {
+            self.worse[a.index()].clear();
+            self.better[b.index()].clear();
+        }
+        for &(a, b) in &self.edges {
+            self.worse[a.index()].push(b);
+            self.better[b.index()].push(a);
         }
         self.edge_set = self.edges.iter().map(|&(a, b)| (a.0, b.0)).collect();
-        self.n -= 1;
     }
 
     /// A directed path `from ≻ … ≻ to`, if one exists.
@@ -495,12 +510,12 @@ mod tests {
     }
 
     #[test]
-    fn grow_and_remove_fact_renumber() {
+    fn grow_and_remove_facts_renumber() {
         let mut p = PriorityRelation::new(3, [(f(0), f(2))]).unwrap();
         p.grow(5);
         p.insert_edge(f(4), f(3)).unwrap();
         // Remove fact 1 (no incident edges): ids above shift down.
-        p.remove_fact(f(1));
+        p.remove_facts(&Compaction::new(5, [f(1)]));
         let fresh = PriorityRelation::new(4, [(f(0), f(1)), (f(3), f(2))]).unwrap();
         assert_eq!(p.edges(), fresh.edges());
         assert!(p.prefers(f(0), f(1)));
@@ -511,9 +526,60 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "still has priority edges")]
-    fn remove_fact_with_edges_panics() {
+    fn remove_facts_with_edges_panics() {
         let mut p = PriorityRelation::new(2, [(f(0), f(1))]).unwrap();
-        p.remove_fact(f(0));
+        p.remove_facts(&Compaction::new(2, [f(0)]));
+    }
+
+    /// Every query of `p` equals the same query of `q`.
+    fn assert_same_relation(p: &PriorityRelation, q: &PriorityRelation) {
+        assert_eq!(p.len(), q.len());
+        assert_eq!(p.edges(), q.edges());
+        for a in (0..p.len() as u32).map(f) {
+            assert_eq!(p.worse_than(a), q.worse_than(a));
+            assert_eq!(p.better_than(a), q.better_than(a));
+            for b in (0..p.len() as u32).map(f) {
+                assert_eq!(p.prefers(a, b), q.prefers(a, b));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// A compaction equals a rebuild from the renumbered edge list,
+        /// whichever edge-free facts it removes.
+        #[test]
+        fn remove_facts_matches_a_rebuild_from_the_renumbered_edges(
+            n in 1usize..40,
+            raw_edges in proptest::collection::vec((0usize..40, 0usize..40), 0..60),
+            picks in proptest::collection::vec(0usize..40, 0..12),
+        ) {
+            // Down-pointing edges stay acyclic; unprefer a few so rows
+            // see removals too.
+            let edges: Vec<(FactId, FactId)> = raw_edges
+                .into_iter()
+                .map(|(a, b)| (a % n, b % n))
+                .filter(|(a, b)| a < b)
+                .map(|(a, b)| (f(a as u32), f(b as u32)))
+                .collect();
+            let mut p = PriorityRelation::new(n, edges.iter().copied()).unwrap();
+            for &(a, b) in edges.iter().step_by(3) {
+                p.remove_edge(a, b);
+            }
+            let incident = |x: FactId| !p.worse_than(x).is_empty() || !p.better_than(x).is_empty();
+            let mut removed: Vec<FactId> =
+                picks.into_iter().map(|k| f((k % n) as u32)).filter(|&x| !incident(x)).collect();
+            removed.sort_unstable();
+            removed.dedup();
+            let c = Compaction::new(n, removed.iter().copied());
+            let renumbered: Vec<(FactId, FactId)> = p
+                .edges()
+                .iter()
+                .map(|&(a, b)| (c.new_id(a).unwrap(), c.new_id(b).unwrap()))
+                .collect();
+            let want = PriorityRelation::new(c.after(), renumbered).unwrap();
+            p.remove_facts(&c);
+            assert_same_relation(&p, &want);
+        }
     }
 
     #[test]

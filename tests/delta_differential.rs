@@ -250,3 +250,119 @@ fn heavy_churn_rebuild_agrees_with_cold() {
     ws = apply_ops_to_workspace(&ws, &ops).unwrap();
     assert_matches_cold(&mut rng, &ds, &ws, "rebuild path");
 }
+
+/// A workspace wide enough that batches of up to six structural ops
+/// stay under the rebuild threshold: eight two-fact `R` groups (one
+/// edge each in the first four) and two `S` chains under two keys.
+fn wide() -> Workspace {
+    let mut text =
+        String::from("relation R/3\nrelation S/2\nfd R: 1 -> 2\nfd S: 1 -> 2\nfd S: 2 -> 1\n");
+    for k in 0..8 {
+        for b in 0..2 {
+            text.push_str(&format!("fact R({k}, {b}, {k})\n"));
+        }
+    }
+    for base in [0, 10] {
+        for i in base..base + 3 {
+            text.push_str(&format!("fact S({i}, {i})\nfact S({i}, {})\n", i + 1));
+        }
+    }
+    for k in 0..4 {
+        text.push_str(&format!("prefer R({k}, 0, {k}) > R({k}, 1, {k})\n"));
+    }
+    parse_workspace(&text).unwrap()
+}
+
+/// Applies `ops` as one batch to a fresh patched session over `ws`
+/// and checks it on the patched path against a cold build of the
+/// oracle's result, report included.
+fn assert_batch_matches_cold(ws: &Workspace, ops: &[DeltaOp], context: &str) {
+    let mut rng = StdRng::seed_from_u64(0xB47C);
+    let mut ds = DeltaSession::prepare(Arc::new(ws.schema.clone()), ws.prioritized().unwrap());
+    let report = ds.apply_delta(ops).unwrap();
+    assert!(!report.rebuilt, "{context}: the batch must take the patched path");
+    let after = apply_ops_to_workspace(ws, ops).unwrap();
+    let pi_cold = after.prioritized().unwrap();
+    let cold = CheckSession::new(&after.schema, &pi_cold);
+    assert_eq!(report.applied, ops.len());
+    assert_eq!(report.components_total, cold.components().nontrivial().len(), "{context}");
+    assert_matches_cold(&mut rng, &ds, &after, context);
+}
+
+fn fact_of(ws: &Workspace, text: &str) -> Fact {
+    let (rel, args) = text.trim_end_matches(')').split_once('(').unwrap();
+    let values = args.split(',').map(|a| Value::int(a.trim().parse::<i64>().unwrap()));
+    Fact::parse_new(ws.instance.signature(), rel, values).unwrap()
+}
+
+fn delete(ws: &Workspace, text: &str) -> DeltaOp {
+    DeltaOp::DeleteFact(fact_of(ws, text))
+}
+
+fn insert(ws: &Workspace, text: &str) -> DeltaOp {
+    DeltaOp::InsertFact(fact_of(ws, text))
+}
+
+#[test]
+fn a_tombstoned_fact_reinserted_in_its_batch_moves_to_the_end() {
+    let ws = wide();
+    // `S(1, 1)` bridges its chain: the delete splits, the re-insert
+    // merges it back with the fact at the top id.
+    let ops = [delete(&ws, "S(1, 1)"), insert(&ws, "S(1, 1)")];
+    assert_batch_matches_cold(&ws, &ops, "delete X; insert X");
+    let ops = [delete(&ws, "R(5, 0, 5)"), insert(&ws, "R(5, 0, 5)"), delete(&ws, "R(5, 0, 5)")];
+    assert_batch_matches_cold(&ws, &ops, "delete X; insert X; delete X");
+}
+
+#[test]
+fn a_fact_inserted_and_deleted_in_one_batch_leaves_no_trace() {
+    let ws = wide();
+    let ops = [insert(&ws, "S(2, 12)"), delete(&ws, "S(2, 12)")];
+    assert_batch_matches_cold(&ws, &ops, "insert X; delete X");
+    // Between two real edits, and joining two chains while it lives.
+    let ops = [
+        delete(&ws, "S(0, 0)"),
+        insert(&ws, "S(2, 12)"),
+        insert(&ws, "R(9, 0, 9)"),
+        delete(&ws, "S(2, 12)"),
+    ];
+    assert_batch_matches_cold(&ws, &ops, "insert X; delete X among edits");
+}
+
+#[test]
+fn several_deletes_in_any_id_order_compact_once() {
+    let ws = wide();
+    let picks = ["R(4, 1, 4)", "R(6, 0, 6)", "S(10, 11)", "S(12, 13)"];
+    let ascending: Vec<DeltaOp> = picks.iter().map(|f| delete(&ws, f)).collect();
+    assert_batch_matches_cold(&ws, &ascending, "ascending deletes");
+    let descending: Vec<DeltaOp> = picks.iter().rev().map(|f| delete(&ws, f)).collect();
+    assert_batch_matches_cold(&ws, &descending, "descending deletes");
+    let interleaved: Vec<DeltaOp> = [2, 0, 3, 1].iter().map(|&k| delete(&ws, picks[k])).collect();
+    assert_batch_matches_cold(&ws, &interleaved, "interleaved deletes");
+}
+
+#[test]
+fn deletes_of_the_first_and_the_last_id() {
+    let ws = wide();
+    let n = ws.instance.len() as u32;
+    let (first, last) =
+        (ws.instance.fact(FactId(0)).clone(), ws.instance.fact(FactId(n - 1)).clone());
+    // Fact 0 carries an edge in `wide`: drop the edge in the batch too.
+    let better = ws.instance.fact(FactId(0)).clone();
+    let worse = ws.instance.fact(FactId(1)).clone();
+    let unprefer = DeltaOp::SetPriority { better, worse, prefer: false };
+    let ops = [unprefer.clone(), DeltaOp::DeleteFact(first.clone())];
+    assert_batch_matches_cold(&ws, &ops, "delete id 0");
+    assert_batch_matches_cold(&ws, &[DeltaOp::DeleteFact(last.clone())], "delete the maximal id");
+    let both = [DeltaOp::DeleteFact(last), unprefer, DeltaOp::DeleteFact(first)];
+    assert_batch_matches_cold(&ws, &both, "delete the maximal id, then id 0");
+}
+
+#[test]
+fn one_batch_splits_a_component_and_merges_two() {
+    let ws = wide();
+    // Deleting `S(1, 1)` splits the first chain; `S(2, 10)` joins its
+    // upper part to the second chain, one key each.
+    let ops = [delete(&ws, "S(1, 1)"), insert(&ws, "S(2, 10)")];
+    assert_batch_matches_cold(&ws, &ops, "split and merge");
+}
