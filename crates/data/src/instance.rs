@@ -311,8 +311,17 @@ impl Instance {
     /// Heap bytes owned by the instance: the fact vector, every boxed
     /// tuple, the id index and the per-relation id lists. Values'
     /// own allocations (symbol text, pairs) are shared and not counted.
+    ///
+    /// O(relations): every tuple has its relation's arity, so the
+    /// tuple total is read off the per-relation id lists (tombstones
+    /// included, as they still hold their facts) without a fact walk.
     pub fn heap_bytes(&self) -> usize {
-        let tuples: usize = self.facts.iter().map(|f| f.tuple().len()).sum();
+        let tuples: usize = self
+            .by_rel
+            .iter()
+            .enumerate()
+            .map(|(rel, ids)| ids.len() * self.sig.arity(RelId(rel as u32)))
+            .sum();
         let by_rel: usize = self.by_rel.iter().map(Vec::capacity).sum();
         self.facts.capacity() * size_of::<Fact>()
             + tuples * size_of::<Value>()
@@ -1425,6 +1434,36 @@ mod tests {
         let floor = 3 * size_of::<Fact>() + 5 * size_of::<Value>() + 3 * size_of::<u32>();
         assert!(i.heap_bytes() >= floor, "{} < {floor}", i.heap_bytes());
         assert_eq!(Instance::new(model_sig()).heap_bytes(), 2 * size_of::<Vec<FactId>>());
+    }
+
+    #[test]
+    fn heap_bytes_equals_the_walked_tuple_sum() {
+        // The per-relation arity sum against a walk over every fact.
+        let walked = |i: &Instance| {
+            let tuples: usize = i.facts.iter().map(|f| f.tuple().len()).sum();
+            let by_rel: usize = i.by_rel.iter().map(Vec::capacity).sum();
+            i.facts.capacity() * size_of::<Fact>()
+                + tuples * size_of::<Value>()
+                + i.index.slots.capacity() * size_of::<u32>()
+                + i.by_rel.capacity() * size_of::<Vec<FactId>>()
+                + by_rel * size_of::<FactId>()
+        };
+        let sig = model_sig();
+        let pool = mixed_pool(&sig);
+        let mut i = Instance::new(sig);
+        for fact in &pool {
+            i.insert(fact.clone());
+            assert_eq!(i.heap_bytes(), walked(&i));
+        }
+        for id in [1, 4, 7] {
+            i.tombstone(FactId(id));
+            assert_eq!(i.heap_bytes(), walked(&i), "after tombstoning {id}");
+        }
+        i.remove_facts(&[FactId(1), FactId(4), FactId(7), FactId(0), FactId(12)]);
+        assert_eq!(i.heap_bytes(), walked(&i), "after remove_facts");
+        let survivors = i.len();
+        i.remove_facts(&(0..survivors as u32).map(FactId).collect::<Vec<_>>());
+        assert_eq!(i.heap_bytes(), walked(&i), "after removing every fact");
     }
 
     #[test]

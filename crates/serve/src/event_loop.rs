@@ -21,9 +21,12 @@
 //! [`JobQueue`] (admission control happens at dispatch: a full queue
 //! turns into an immediate `503 + Retry-After` response without
 //! consuming a worker). Workers hand finished [`Response`]s back over
-//! an mpsc channel and wake the loop by writing one byte to a
-//! loopback socket pair, so a completion is picked up within one poll
-//! round-trip rather than one poll timeout.
+//! an mpsc channel and wake the loop by writing one byte to a Unix
+//! socket pair ([`wake_pair`](crate::server::wake_pair)), so a
+//! completion is picked up within one poll round-trip rather than one
+//! poll timeout. One read drains the wake bytes: `poll` is
+//! level-triggered, so a byte written after that read wakes the next
+//! round instead of being lost.
 //!
 //! Responses are written in request order per connection: at most one
 //! request per connection is in flight at a time, later pipelined
@@ -34,7 +37,7 @@
 use crate::http::{parse_request, HttpError, Parsed, Response};
 use crate::metrics::Metrics;
 use crate::poll::{poll, raw_fd, PollFd, POLLIN, POLLOUT, READABLE};
-use crate::server::ServeConfig;
+use crate::server::{ServeConfig, WakeStream};
 use crate::ServerState;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -47,7 +50,7 @@ use std::time::{Duration, Instant};
 /// Poll timeout: the upper bound on how stale the drain flag or an
 /// idle-timeout deadline can get. Completions and fresh I/O interrupt
 /// the wait via readiness, so this is a heartbeat, not a latency floor.
-const POLL_TICK_MS: i32 = 25;
+pub(crate) const POLL_TICK_MS: i32 = 25;
 
 /// Per-connection bound on framed-but-undispatched requests. Past it
 /// the loop stops reading the socket (TCP backpressure) instead of
@@ -158,9 +161,12 @@ struct Conn {
     framed: u64,
     /// Responses rendered over the lifetime (per-connection histogram).
     responded: u64,
-    /// No more requests will be read: cap reached, framing error, peer
-    /// EOF, or drain.
+    /// No more requests will be framed: cap reached, framing error,
+    /// drain, or peer EOF with no complete request left in `buf`.
     stop_reading: bool,
+    /// The peer finished sending: the socket is not read again, but
+    /// complete requests still in `buf` are framed and answered.
+    peer_eof: bool,
     /// The response that ends the connection has been rendered; close
     /// once the outbox flushes.
     close_after_flush: bool,
@@ -185,6 +191,7 @@ impl Conn {
             framed: 0,
             responded: 0,
             stop_reading: false,
+            peer_eof: false,
             close_after_flush: false,
             pending_error: None,
             lingering: None,
@@ -214,7 +221,7 @@ pub(crate) struct EventLoop<'a> {
     pub jobs: &'a Arc<JobQueue>,
     pub completions: &'a Receiver<Completion>,
     /// Read side of the worker → loop wake-up socket pair.
-    pub wake_rx: &'a TcpStream,
+    pub wake_rx: &'a WakeStream,
     /// Observed in addition to `state.drain` (signal handlers).
     pub signal_drain: &'a AtomicBool,
 }
@@ -271,8 +278,11 @@ impl EventLoop<'_> {
             }
             for (&id, conn) in &conns {
                 let mut events = 0i16;
+                // `pump` frames until `pending` is full or `buf` holds no
+                // complete request, so a short `pending` means the socket
+                // is the only source of the next request.
                 if conn.lingering.is_some()
-                    || (!conn.stop_reading && conn.pending.len() < PIPELINE_MAX)
+                    || (!conn.stop_reading && !conn.peer_eof && conn.pending.len() < PIPELINE_MAX)
                 {
                     events |= POLLIN;
                 }
@@ -291,14 +301,7 @@ impl EventLoop<'_> {
             // Consume wake-up bytes (their only content is "look at the
             // completion channel").
             if fds[0].revents & READABLE != 0 {
-                loop {
-                    match (&*self.wake_rx).read(&mut chunk) {
-                        Ok(0) => break,
-                        Ok(_) => continue,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => break,
-                    }
-                }
+                drain_wake(self.wake_rx, &mut chunk);
             }
 
             // Apply completed responses before touching sockets, so a
@@ -358,7 +361,7 @@ impl EventLoop<'_> {
                 let Some(conn) = conns.get_mut(&id) else { continue };
                 let mut keep = true;
                 if revents & READABLE != 0 {
-                    keep = self.read_and_frame(conn, &mut chunk, now);
+                    keep = self.read_socket(conn, &mut chunk, now);
                     if keep {
                         self.pump(id, conn, draining);
                     }
@@ -412,10 +415,10 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Reads everything the socket has, frames pipelined requests off
-    /// the buffer front. Returns `false` when the connection must close
-    /// immediately (hard error, or EOF with nothing left to answer).
-    fn read_and_frame(&self, conn: &mut Conn, chunk: &mut [u8], now: Instant) -> bool {
+    /// Reads everything the socket has into the connection buffer.
+    /// Returns `false` when the connection must close immediately (hard
+    /// error, or EOF with nothing left to answer).
+    fn read_socket(&self, conn: &mut Conn, chunk: &mut [u8], now: Instant) -> bool {
         let mut saw_eof = false;
         loop {
             match conn.stream.read(chunk) {
@@ -444,9 +447,26 @@ impl EventLoop<'_> {
             // Only EOF (or the deadline sweep) ends a lingering socket.
             return !saw_eof;
         }
+        if saw_eof {
+            // Peer finished sending (maybe after pipelining several
+            // requests): answer what is buffered, then close.
+            conn.peer_eof = true;
+            self.frame(conn);
+            if conn.is_quiet() {
+                return false;
+            }
+        }
+        true
+    }
 
-        // Frame as many complete requests as the buffer holds.
+    /// Frames complete requests off the buffer front until `pending`
+    /// is full or the buffer holds none. Called before and after every
+    /// dispatch, so requests buffered past `PIPELINE_MAX` are framed
+    /// as their predecessors complete, whether or not the socket reads
+    /// again.
+    fn frame(&self, conn: &mut Conn) {
         let mut offset = 0;
+        let mut exhausted = false;
         while !conn.stop_reading && conn.pending.len() < PIPELINE_MAX {
             match parse_request(&conn.buf[offset..]) {
                 Ok(Parsed::Complete { request: _, consumed }) => {
@@ -469,7 +489,10 @@ impl EventLoop<'_> {
                         conn.stop_reading = true;
                     }
                 }
-                Ok(Parsed::Partial) => break,
+                Ok(Parsed::Partial) => {
+                    exhausted = true;
+                    break;
+                }
                 Err(err) => {
                     conn.pending_error = Some(match err {
                         HttpError::TooLarge => {
@@ -479,7 +502,9 @@ impl EventLoop<'_> {
                             400,
                             format!(r#"{{"error":"malformed request: {what}"}}"#),
                         ),
-                        HttpError::Io(_) => return false,
+                        // Framing reads no socket; answered as a
+                        // worker answers it.
+                        HttpError::Io(_) => Response::json(400, r#"{"error":"malformed request"}"#),
                     });
                     conn.stop_reading = true;
                     break;
@@ -489,23 +514,21 @@ impl EventLoop<'_> {
         if offset > 0 {
             conn.buf.drain(..offset);
         }
-
-        if saw_eof {
-            // Peer finished sending (maybe after pipelining several
-            // requests): answer what is queued, then close.
+        if conn.peer_eof && (exhausted || conn.buf.is_empty()) {
+            // Nothing more can arrive to complete what is left.
             conn.stop_reading = true;
-            if conn.is_quiet() {
-                return false;
-            }
         }
-        true
     }
 
-    /// Dispatches this connection's next pending request (admission
-    /// control included) and, once nothing is left, the deferred
-    /// framing error.
+    /// Frames what the buffer holds, dispatches this connection's next
+    /// pending request (admission control included) and, once nothing
+    /// is left, the deferred framing error.
     fn pump(&self, conn_id: u64, conn: &mut Conn, draining: bool) {
-        while !conn.inflight {
+        loop {
+            self.frame(conn);
+            if conn.inflight {
+                break;
+            }
             let Some(raw) = conn.pending.pop_front() else {
                 if let Some(err) = conn.pending_error.take() {
                     self.render(conn, &err, true, draining);
@@ -585,5 +608,183 @@ impl EventLoop<'_> {
             conn.buf.clear();
         }
         true
+    }
+}
+
+/// Reads the pending wake-up bytes, stopping at the first short read:
+/// a read that did not fill `chunk` emptied the socket as it stood, so
+/// a further read would only return `WouldBlock`. A byte written after
+/// that read keeps the socket readable, and the next (level-triggered)
+/// `poll` reports it.
+fn drain_wake(wake_rx: &WakeStream, chunk: &mut [u8]) {
+    loop {
+        match (&*wake_rx).read(chunk) {
+            Ok(n) if n == chunk.len() => continue,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            _ => break,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::{wake_pair, Server};
+    use std::io::Write;
+    use std::net::SocketAddr;
+
+    /// Does `poll` report the wake socket readable within `timeout_ms`?
+    fn readable(rx: &WakeStream, timeout_ms: i32) -> bool {
+        let mut set = [PollFd { fd: raw_fd(rx), events: POLLIN, revents: 0 }];
+        poll(&mut set, timeout_ms).unwrap() > 0 && set[0].revents & READABLE != 0
+    }
+
+    // The portable `poll` reports every socket ready, so only the
+    // syscall shim can show a socket empty.
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[test]
+    fn a_wake_after_a_short_drain_read_is_seen_by_the_next_poll() {
+        let (rx, tx) = wake_pair().unwrap();
+        let mut chunk = [0u8; 4];
+        assert!(!readable(&rx, 0));
+        for pending in [3, 4, 8, 10] {
+            (&tx).write_all(&vec![1u8; pending]).unwrap();
+            assert!(readable(&rx, 1000), "{pending} bytes pending");
+            // Full reads go on, the first short (or empty) read stops.
+            drain_wake(&rx, &mut chunk);
+            assert!(!readable(&rx, 0), "the drain left bytes of {pending}");
+            // A byte written after that read keeps the socket readable
+            // for the next round.
+            (&tx).write_all(&[1]).unwrap();
+            assert!(readable(&rx, 1000), "the late byte after {pending} was lost");
+            drain_wake(&rx, &mut chunk);
+        }
+    }
+
+    /// Two repairs, one optimal and one improvable, under eight names.
+    const WS: &str = "relation R/2\nfd R: 1 -> 2\nfact R(k, x)\nfact R(k, y)\n\
+                      prefer R(k, x) > R(k, y)\nrepair J0: R(k, x)\nrepair J1: R(k, y)\n\
+                      repair J2: R(k, x)\nrepair J3: R(k, y)\nrepair J4: R(k, x)\n\
+                      repair J5: R(k, y)\nrepair J6: R(k, x)\nrepair J7: R(k, y)\n";
+
+    fn check_request(repair: usize, close: bool) -> Vec<u8> {
+        let workspace = crate::json::Json::str(WS).render();
+        let body = format!(r#"{{"workspace":{workspace},"repairs":["J{repair}"]}}"#);
+        let connection = if close { "close" } else { "keep-alive" };
+        let head = format!(
+            "POST /check HTTP/1.1\r\ncontent-length: {}\r\nconnection: {connection}\r\n\r\n",
+            body.len()
+        );
+        [head.into_bytes(), body.into_bytes()].concat()
+    }
+
+    /// Splits a stream of `Content-Length`-framed responses into
+    /// `(status, body)` pairs.
+    fn responses(mut raw: &[u8]) -> Vec<(u16, String)> {
+        let mut out = Vec::new();
+        while !raw.is_empty() {
+            let end = raw.windows(4).position(|w| w == b"\r\n\r\n").expect("header end") + 4;
+            let head = std::str::from_utf8(&raw[..end]).unwrap();
+            let status = head[9..12].parse().unwrap();
+            let length: usize = head
+                .lines()
+                .find_map(|l| l.strip_prefix("content-length: "))
+                .and_then(|v| v.trim().parse().ok())
+                .expect("content-length");
+            out.push((status, String::from_utf8(raw[end..end + length].to_vec()).unwrap()));
+            raw = &raw[end + length..];
+        }
+        out
+    }
+
+    /// Pipelines `count` checks on a fresh connection and returns the
+    /// responses in arrival order. The last request asks to close, or
+    /// with `half_close` the client shuts its sending side instead.
+    fn pipelined_burst(
+        addr: SocketAddr,
+        first: usize,
+        count: usize,
+        half_close: bool,
+    ) -> Vec<(u16, String)> {
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let requests: Vec<u8> = (0..count)
+            .flat_map(|i| check_request((first + i) % 8, !half_close && i + 1 == count))
+            .collect();
+        // Written from another thread, so responses flow back while
+        // later requests are still going out.
+        let sender = std::thread::spawn(move || {
+            writer.write_all(&requests).unwrap();
+            if half_close {
+                writer.shutdown(std::net::Shutdown::Write).unwrap();
+            }
+        });
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw).unwrap();
+        sender.join().unwrap();
+        responses(&raw)
+    }
+
+    /// A 240-request pipelined burst on one connection plus three
+    /// concurrent bursts, under `jobs` workers. Two bursts outrun the
+    /// per-connection pipeline bound, one of them ending in the peer's
+    /// EOF rather than `Connection: close`.
+    fn burst(jobs: usize) {
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            jobs: Some(jobs),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        let token = server.drain_token();
+        let running = std::thread::spawn(move || server.run().unwrap());
+        // The one cold build; every burst request is a cache hit.
+        assert_eq!(pipelined_burst(addr, 0, 1, false)[0].0, 200);
+
+        let bursts = [(0, 240, false), (1, 100, true), (2, 40, false), (3, 40, true)];
+        let start = Instant::now();
+        let clients: Vec<_> = bursts
+            .iter()
+            .map(|&(first, count, half_close)| {
+                std::thread::spawn(move || pipelined_burst(addr, first, count, half_close))
+            })
+            .collect();
+        for (client, (first, count, _)) in clients.into_iter().zip(bursts) {
+            let got = client.join().unwrap();
+            assert_eq!(got.len(), count, "jobs {jobs}: a burst lost responses");
+            for (i, (status, body)) in got.iter().enumerate() {
+                assert_eq!(*status, 200, "{body}");
+                let repair = format!(r#""repair":"J{}""#, (first + i) % 8);
+                assert!(body.contains(&repair), "jobs {jobs}: response {i} out of order: {body}");
+            }
+        }
+        let elapsed = start.elapsed();
+        let total: usize = bursts.iter().map(|&(_, count, _)| count).sum();
+        // A completion stranded until the poll tick costs a whole tick;
+        // the burst must finish far below one tick per request.
+        let bound = Duration::from_millis(total as u64 * POLL_TICK_MS as u64 / 10);
+        assert!(
+            elapsed < bound,
+            "jobs {jobs}: {total} requests took {elapsed:?} (bound {bound:?})"
+        );
+
+        let (status, text) = crate::http::client_call(&addr.to_string(), "GET", "/metrics", b"")
+            .expect("metrics scrape");
+        assert_eq!(status, 200);
+        // The warmup, every burst request, and the scrape itself.
+        let text = String::from_utf8(text).unwrap();
+        let expected = format!("rpr_requests_total {}\n", total + 2);
+        assert!(text.contains(&expected), "jobs {jobs}: want {expected} in\n{text}");
+        token.cancel();
+        running.join().unwrap();
+    }
+
+    #[test]
+    fn pipelined_bursts_come_back_whole_in_order_and_without_tick_stalls() {
+        for jobs in [2, 4] {
+            burst(jobs);
+        }
     }
 }

@@ -30,7 +30,7 @@
 use crate::cache::{SessionCache, SessionSlot, Source};
 use crate::http::{Request, Response};
 use crate::identity::translate;
-use crate::json::{parse_json, Json};
+use crate::json::object;
 use crate::metrics::Metrics;
 use rpr_core::{
     Budget, CancelToken, CheckOutcome, CheckSession, ContentLanes, DeltaSession, Outcome,
@@ -160,8 +160,14 @@ fn workspace_error(e: rpr_format::FormatError) -> Response {
     error_response(400, &format!("workspace: {e}"))
 }
 
-fn error_response(status: u16, message: &str) -> Response {
-    Response::json(status, Json::obj([("error", Json::str(message))]).render())
+/// The `{"error": message}` answer.
+pub(crate) fn error_response(status: u16, message: &str) -> Response {
+    Response::json(
+        status,
+        object(|o| {
+            o.str("error", message);
+        }),
+    )
 }
 
 /// The top-level fields a POST body may carry, as borrowed spans of
@@ -440,12 +446,21 @@ impl<'a> ActiveSession<'a> {
     }
 }
 
-fn base_response(active: &ActiveSession<'_>) -> Vec<(&'static str, Json)> {
-    vec![
-        ("fingerprint", Json::str(active.fingerprint.to_hex())),
-        ("cached", Json::Bool(active.cached)),
-        ("complexity", Json::str(complexity_str(active.get().complexity()))),
-    ]
+/// The members every workspace-carrying response shares.
+struct Head {
+    cached: bool,
+    complexity: &'static str,
+    fingerprint: Fingerprint,
+}
+
+impl Head {
+    fn of(active: &ActiveSession<'_>) -> Head {
+        Head {
+            cached: active.cached,
+            complexity: complexity_str(active.get().complexity()),
+            fingerprint: active.fingerprint,
+        }
+    }
 }
 
 fn complexity_str(c: rpr_classify::Complexity) -> &'static str {
@@ -461,19 +476,26 @@ fn classify(state: &ServerState, req: &Request<'_>) -> Result<Response, Response
     let body = parse_body(req)?;
     with_session(state, &body, |active| {
         active.count(state);
-        let mut fields = base_response(&active);
-        fields.push(("status", Json::str("done")));
-        fields.push((
-            "mode",
-            Json::str(match active.get().prioritized().mode() {
-                rpr_priority::PriorityMode::ConflictRestricted => "conflict",
-                rpr_priority::PriorityMode::CrossConflict => "ccp",
-            }),
-        ));
         Ok(Response::json(
             200,
-            Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect()).render(),
+            classify_body(&Head::of(&active), active.get().prioritized().mode()),
         ))
+    })
+}
+
+fn classify_body(head: &Head, mode: rpr_priority::PriorityMode) -> String {
+    object(|o| {
+        o.bool("cached", head.cached)
+            .str("complexity", head.complexity)
+            .str("fingerprint", &head.fingerprint.to_hex())
+            .str(
+                "mode",
+                match mode {
+                    rpr_priority::PriorityMode::ConflictRestricted => "conflict",
+                    rpr_priority::PriorityMode::CrossConflict => "ccp",
+                },
+            )
+            .str("status", "done");
     })
 }
 
@@ -594,65 +616,73 @@ fn check_session(
         return Err(error_response(500, "certificate audit failed"));
     }
 
-    let mut results = Vec::with_capacity(run.outcomes.len());
-    let mut exceeded_report: Option<String> = None;
-    let mut any_cancelled = false;
-    let mut any_panicked = false;
-    let mut issued = 0u64;
-    for (((name, _), outcome), cert) in candidates.iter().zip(&run.outcomes).zip(&run.certs) {
-        let mut entry = vec![("repair".to_owned(), Json::str(name.clone()))];
-        match outcome {
-            Outcome::Done(check_outcome) => {
-                entry.push(("status".to_owned(), Json::str("done")));
-                entry.push(("optimal".to_owned(), Json::Bool(check_outcome.is_optimal())));
-                entry.push(("verdict".to_owned(), Json::str(verdict_str(check_outcome))));
-                if let Some(text) = cert {
-                    entry.push(("certificate".to_owned(), Json::str(text.clone())));
-                    issued += 1;
-                }
-            }
-            Outcome::Exceeded { report, .. } => {
-                entry.push(("status".to_owned(), Json::str("exceeded")));
-                exceeded_report.get_or_insert_with(|| report.to_json());
-            }
-            Outcome::Cancelled { .. } => {
-                entry.push(("status".to_owned(), Json::str("cancelled")));
-                any_cancelled = true;
-            }
-            Outcome::Panicked { report, .. } => {
-                entry.push(("status".to_owned(), Json::str("panicked")));
-                entry.push(("panic".to_owned(), Json::str(report.to_string())));
-                any_panicked = true;
-            }
-        }
-        results.push(Json::Obj(entry.into_iter().collect()));
-    }
+    // Certificates exist for completed verdicts only.
+    let issued = run.certs.iter().flatten().count() as u64;
     if issued > 0 {
         state.metrics.certificates_issued_total.fetch_add(issued, Ordering::Relaxed);
     }
-
-    let mut fields = base_response(active);
-    fields.push(("results", Json::Arr(results)));
-    let status = if any_cancelled {
-        fields.push(("status", Json::str("cancelled")));
-        503
-    } else if let Some(report) = exceeded_report {
-        fields.push(("status", Json::str("exceeded")));
-        fields.push(("budget_report", parse_json(&report).unwrap_or(Json::Null)));
-        422
-    } else if any_panicked {
-        fields.push(("status", Json::str("panicked")));
-        500
-    } else {
-        fields.push(("status", Json::str("done")));
-        200
-    };
-    let body = Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect()).render();
+    let (status, body) = check_body(&Head::of(active), &candidates, &run.outcomes, &run.certs);
     let mut response = Response::json(status, body);
     if status == 503 {
         response = response.with_header("retry-after", "1");
     }
     Ok(response)
+}
+
+/// The `/check` status and body. Any cancelled candidate makes the
+/// batch a 503, else any exceeded one a 422 carrying the first trip's
+/// `budget_report`, else any panicked one a 500.
+fn check_body(
+    head: &Head,
+    candidates: &[(String, FactSet)],
+    outcomes: &[Outcome<CheckOutcome>],
+    certs: &[Option<String>],
+) -> (u16, String) {
+    let exceeded = outcomes.iter().find_map(|outcome| match outcome {
+        Outcome::Exceeded { report, .. } => Some(report),
+        _ => None,
+    });
+    let any = |f: fn(&Outcome<CheckOutcome>) -> bool| outcomes.iter().any(f);
+    let (status, status_str) = if any(|o| matches!(o, Outcome::Cancelled { .. })) {
+        (503, "cancelled")
+    } else if exceeded.is_some() {
+        (422, "exceeded")
+    } else if any(|o| matches!(o, Outcome::Panicked { .. })) {
+        (500, "panicked")
+    } else {
+        (200, "done")
+    };
+    let body = object(|o| {
+        if let (422, Some(report)) = (status, exceeded) {
+            o.raw("budget_report", &report.to_json());
+        }
+        o.bool("cached", head.cached)
+            .str("complexity", head.complexity)
+            .str("fingerprint", &head.fingerprint.to_hex());
+        let results = candidates.iter().zip(outcomes).zip(certs);
+        o.objects("results", results, |e, (((name, _), outcome), cert)| match outcome {
+            Outcome::Done(check_outcome) => {
+                if let Some(text) = cert {
+                    e.str("certificate", text);
+                }
+                e.bool("optimal", check_outcome.is_optimal())
+                    .str("repair", name)
+                    .str("status", "done")
+                    .str("verdict", verdict_str(check_outcome));
+            }
+            Outcome::Exceeded { .. } => {
+                e.str("repair", name).str("status", "exceeded");
+            }
+            Outcome::Cancelled { .. } => {
+                e.str("repair", name).str("status", "cancelled");
+            }
+            Outcome::Panicked { report, .. } => {
+                e.str("panic", &report.to_string()).str("repair", name).str("status", "panicked");
+            }
+        })
+        .str("status", status_str);
+    });
+    (status, body)
 }
 
 fn verdict_str(outcome: &CheckOutcome) -> &'static str {
@@ -708,14 +738,7 @@ fn delta(state: &ServerState, req: &Request<'_>) -> Result<Response, Response> {
     // not seen.
     let current = session.fingerprint();
     if current != fingerprint {
-        return Err(Response::json(
-            409,
-            Json::obj([
-                ("error", Json::str("fingerprint is stale: the session was mutated concurrently")),
-                ("fingerprint", Json::str(current.to_hex())),
-            ])
-            .render(),
-        ));
+        return Err(Response::json(409, stale_body(current)));
     }
     let ops = delta_ops_from_strings(session.prioritized().instance().signature(), &op_strings)
         .map_err(|e| error_response(400, &format!("ops: {e}")))?;
@@ -728,11 +751,7 @@ fn delta(state: &ServerState, req: &Request<'_>) -> Result<Response, Response> {
             return Err(error_response(503, "server is draining").with_header("retry-after", "1"));
         }
         Err(Stop::Exceeded(report)) => {
-            let fields = [
-                ("status", Json::str("exceeded")),
-                ("budget_report", parse_json(&report.to_json()).unwrap_or(Json::Null)),
-            ];
-            return Err(Response::json(422, Json::obj(fields).render()));
+            return Err(Response::json(422, delta_exceeded_body(&report)));
         }
     }
     let report = session.apply_delta(&ops).map_err(|e| error_response(400, &e.to_string()))?;
@@ -751,20 +770,44 @@ fn delta(state: &ServerState, req: &Request<'_>) -> Result<Response, Response> {
         .component_skips_total
         .fetch_add(report.components_reused as u64, Ordering::Relaxed);
     state.metrics.session_components.store(session.shard_count() as u64, Ordering::Relaxed);
-    let fields = [
-        ("fingerprint", Json::str(new_fp.to_hex())),
-        ("previous_fingerprint", Json::str(fingerprint.to_hex())),
-        ("status", Json::str("done")),
-        ("applied", Json::Int(report.applied as i64)),
-        ("inserts", Json::Int(report.inserts as i64)),
-        ("deletes", Json::Int(report.deletes as i64)),
-        ("priority_ops", Json::Int(report.priority_ops as i64)),
-        ("rebuilt", Json::Bool(report.rebuilt)),
-        ("components_total", Json::Int(report.components_total as i64)),
-        ("components_reused", Json::Int(report.components_reused as i64)),
-        ("complexity", Json::str(complexity_str(session.complexity()))),
-    ];
-    Ok(Response::json(200, Json::obj(fields).render()))
+    let complexity = complexity_str(session.complexity());
+    Ok(Response::json(200, delta_body(&report, new_fp, fingerprint, complexity)))
+}
+
+/// The 409 of a `/delta` that named a fingerprint the session left.
+fn stale_body(current: Fingerprint) -> String {
+    object(|o| {
+        o.str("error", "fingerprint is stale: the session was mutated concurrently")
+            .str("fingerprint", &current.to_hex());
+    })
+}
+
+/// The 422 of a `/delta` whose ops overran the request budget.
+fn delta_exceeded_body(report: &rpr_core::BudgetReport) -> String {
+    object(|o| {
+        o.raw("budget_report", &report.to_json()).str("status", "exceeded");
+    })
+}
+
+fn delta_body(
+    report: &rpr_core::DeltaReport,
+    fingerprint: Fingerprint,
+    previous: Fingerprint,
+    complexity: &str,
+) -> String {
+    object(|o| {
+        o.int("applied", report.applied as i64)
+            .str("complexity", complexity)
+            .int("components_reused", report.components_reused as i64)
+            .int("components_total", report.components_total as i64)
+            .int("deletes", report.deletes as i64)
+            .str("fingerprint", &fingerprint.to_hex())
+            .int("inserts", report.inserts as i64)
+            .str("previous_fingerprint", &previous.to_hex())
+            .int("priority_ops", report.priority_ops as i64)
+            .bool("rebuilt", report.rebuilt)
+            .str("status", "done");
+    })
 }
 
 /// `POST /cqa` — consistent query answering over the cached session.
@@ -796,60 +839,50 @@ fn cqa_session(
     let session: CheckSession<'_> = ds.session().with_jobs(state.jobs);
     let outcome = rpr_cqa::answers_session_bounded(&session, &query, semantics, &active.budget);
 
-    let mut fields = base_response(active);
-    let render_answers = |answers: &rpr_cqa::CqaAnswers| {
-        [
-            (
-                "certain",
-                Json::Arr(answers.certain.iter().map(|t| Json::str(t.to_string())).collect()),
-            ),
-            (
-                "possible",
-                Json::Arr(answers.possible.iter().map(|t| Json::str(t.to_string())).collect()),
-            ),
-            ("repair_count", Json::Int(answers.repair_count as i64)),
-        ]
-    };
-    let (status, retry) = match &outcome {
-        Outcome::Done(answers) => {
-            fields.push(("status", Json::str("done")));
-            for (k, v) in render_answers(answers) {
-                fields.push((k, v));
-            }
-            (200, false)
-        }
-        Outcome::Exceeded { partial, report } => {
-            fields.push(("status", Json::str("exceeded")));
-            fields.push(("budget_report", parse_json(&report.to_json()).unwrap_or(Json::Null)));
-            if let Some(answers) = partial {
-                for (k, v) in render_answers(answers) {
-                    fields.push((k, v));
-                }
-            }
-            (422, false)
-        }
-        Outcome::Cancelled { .. } => {
-            fields.push(("status", Json::str("cancelled")));
-            (503, true)
-        }
-        Outcome::Panicked { report, .. } => {
-            fields.push(("status", Json::str("panicked")));
-            fields.push(("panic", Json::str(report.to_string())));
-            (500, false)
-        }
-    };
-    let body = Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect()).render();
+    let (status, body) = cqa_body(&Head::of(active), &outcome);
     let mut response = Response::json(status, body);
-    if retry {
+    if status == 503 {
         response = response.with_header("retry-after", "1");
     }
     Ok(response)
+}
+
+/// The `/cqa` status and body; an exceeded run carries its partial
+/// answers, when it has any, beside the `budget_report`.
+fn cqa_body(head: &Head, outcome: &Outcome<rpr_cqa::CqaAnswers>) -> (u16, String) {
+    let (status, status_str, answers) = match outcome {
+        Outcome::Done(answers) => (200, "done", Some(answers)),
+        Outcome::Exceeded { partial, .. } => (422, "exceeded", partial.as_ref()),
+        Outcome::Cancelled { .. } => (503, "cancelled", None),
+        Outcome::Panicked { .. } => (500, "panicked", None),
+    };
+    let body = object(|o| {
+        if let Outcome::Exceeded { report, .. } = outcome {
+            o.raw("budget_report", &report.to_json());
+        }
+        o.bool("cached", head.cached);
+        if let Some(answers) = answers {
+            o.strs("certain", answers.certain.iter().map(ToString::to_string));
+        }
+        o.str("complexity", head.complexity).str("fingerprint", &head.fingerprint.to_hex());
+        if let Outcome::Panicked { report, .. } = outcome {
+            o.str("panic", &report.to_string());
+        }
+        if let Some(answers) = answers {
+            o.strs("possible", answers.possible.iter().map(ToString::to_string))
+                .int("repair_count", answers.repair_count as i64);
+        }
+        o.str("status", status_str);
+    });
+    (status, body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::CacheOutcome;
+    use crate::json::{parse_json, Json};
+    use proptest::prelude::*;
     use rpr_format::workspace_fingerprint;
     use std::cell::Cell;
 
@@ -890,12 +923,12 @@ mod tests {
         }
     }
 
-    fn check_body(ws: &str) -> Vec<u8> {
+    fn workspace_body(ws: &str) -> Vec<u8> {
         format!("{{\"workspace\":{}}}", Json::str(ws).render()).into_bytes()
     }
 
     fn post_check(state: &ServerState, ws: &str) -> Response {
-        let body = check_body(ws);
+        let body = workspace_body(ws);
         handle(state, &Request { method: "POST", path: "/check", body: &body, close: false })
     }
 
@@ -1156,6 +1189,386 @@ mod tests {
         assert_eq!(state.metrics.cache_misses_total.load(Ordering::Relaxed), 3);
         assert_eq!(state.metrics.cache_hits_total.load(Ordering::Relaxed), 9);
         assert_eq!(state.metrics.cache_byte_hits_total.load(Ordering::Relaxed), 9);
+    }
+
+    /// The bodies as the handlers rendered them through a [`Json`]
+    /// tree: the oracle every direct body is compared with.
+    mod tree {
+        use super::*;
+
+        fn render(fields: Vec<(&str, Json)>) -> String {
+            Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect()).render()
+        }
+
+        fn head(head: &Head) -> Vec<(&'static str, Json)> {
+            vec![
+                ("fingerprint", Json::str(head.fingerprint.to_hex())),
+                ("cached", Json::Bool(head.cached)),
+                ("complexity", Json::str(head.complexity)),
+            ]
+        }
+
+        fn report(report: &rpr_core::BudgetReport) -> Json {
+            parse_json(&report.to_json()).unwrap_or(Json::Null)
+        }
+
+        pub fn error(message: &str) -> String {
+            Json::obj([("error", Json::str(message))]).render()
+        }
+
+        pub fn classify(h: &Head, mode: rpr_priority::PriorityMode) -> String {
+            let mut fields = head(h);
+            fields.push(("status", Json::str("done")));
+            fields.push((
+                "mode",
+                Json::str(match mode {
+                    rpr_priority::PriorityMode::ConflictRestricted => "conflict",
+                    rpr_priority::PriorityMode::CrossConflict => "ccp",
+                }),
+            ));
+            render(fields)
+        }
+
+        pub fn check(
+            h: &Head,
+            candidates: &[(String, FactSet)],
+            outcomes: &[Outcome<CheckOutcome>],
+            certs: &[Option<String>],
+        ) -> (u16, String) {
+            let mut results = Vec::new();
+            let mut exceeded_report = None;
+            let mut any_cancelled = false;
+            let mut any_panicked = false;
+            for (((name, _), outcome), cert) in candidates.iter().zip(outcomes).zip(certs) {
+                let mut entry = vec![("repair".to_owned(), Json::str(name.clone()))];
+                match outcome {
+                    Outcome::Done(check_outcome) => {
+                        entry.push(("status".to_owned(), Json::str("done")));
+                        entry.push(("optimal".to_owned(), Json::Bool(check_outcome.is_optimal())));
+                        entry.push(("verdict".to_owned(), Json::str(verdict_str(check_outcome))));
+                        if let Some(text) = cert {
+                            entry.push(("certificate".to_owned(), Json::str(text.clone())));
+                        }
+                    }
+                    Outcome::Exceeded { report, .. } => {
+                        entry.push(("status".to_owned(), Json::str("exceeded")));
+                        exceeded_report.get_or_insert(report);
+                    }
+                    Outcome::Cancelled { .. } => {
+                        entry.push(("status".to_owned(), Json::str("cancelled")));
+                        any_cancelled = true;
+                    }
+                    Outcome::Panicked { report, .. } => {
+                        entry.push(("status".to_owned(), Json::str("panicked")));
+                        entry.push(("panic".to_owned(), Json::str(report.to_string())));
+                        any_panicked = true;
+                    }
+                }
+                results.push(Json::Obj(entry.into_iter().collect()));
+            }
+            let mut fields = head(h);
+            fields.push(("results", Json::Arr(results)));
+            let status = if any_cancelled {
+                fields.push(("status", Json::str("cancelled")));
+                503
+            } else if let Some(r) = exceeded_report {
+                fields.push(("status", Json::str("exceeded")));
+                fields.push(("budget_report", report(r)));
+                422
+            } else if any_panicked {
+                fields.push(("status", Json::str("panicked")));
+                500
+            } else {
+                fields.push(("status", Json::str("done")));
+                200
+            };
+            (status, render(fields))
+        }
+
+        pub fn cqa(h: &Head, outcome: &Outcome<rpr_cqa::CqaAnswers>) -> (u16, String) {
+            let mut fields = head(h);
+            let answers = |fields: &mut Vec<_>, answers: &rpr_cqa::CqaAnswers| {
+                let strs = |set: &std::collections::BTreeSet<rpr_data::Tuple>| {
+                    Json::Arr(set.iter().map(|t| Json::str(t.to_string())).collect())
+                };
+                fields.push(("certain", strs(&answers.certain)));
+                fields.push(("possible", strs(&answers.possible)));
+                fields.push(("repair_count", Json::Int(answers.repair_count as i64)));
+            };
+            let status = match outcome {
+                Outcome::Done(a) => {
+                    fields.push(("status", Json::str("done")));
+                    answers(&mut fields, a);
+                    200
+                }
+                Outcome::Exceeded { partial, report: r } => {
+                    fields.push(("status", Json::str("exceeded")));
+                    fields.push(("budget_report", report(r)));
+                    if let Some(a) = partial {
+                        answers(&mut fields, a);
+                    }
+                    422
+                }
+                Outcome::Cancelled { .. } => {
+                    fields.push(("status", Json::str("cancelled")));
+                    503
+                }
+                Outcome::Panicked { report, .. } => {
+                    fields.push(("status", Json::str("panicked")));
+                    fields.push(("panic", Json::str(report.to_string())));
+                    500
+                }
+            };
+            (status, render(fields))
+        }
+
+        pub fn delta(
+            r: &rpr_core::DeltaReport,
+            fingerprint: Fingerprint,
+            previous: Fingerprint,
+            complexity: &str,
+        ) -> String {
+            Json::obj([
+                ("fingerprint", Json::str(fingerprint.to_hex())),
+                ("previous_fingerprint", Json::str(previous.to_hex())),
+                ("status", Json::str("done")),
+                ("applied", Json::Int(r.applied as i64)),
+                ("inserts", Json::Int(r.inserts as i64)),
+                ("deletes", Json::Int(r.deletes as i64)),
+                ("priority_ops", Json::Int(r.priority_ops as i64)),
+                ("rebuilt", Json::Bool(r.rebuilt)),
+                ("components_total", Json::Int(r.components_total as i64)),
+                ("components_reused", Json::Int(r.components_reused as i64)),
+                ("complexity", Json::str(complexity)),
+            ])
+            .render()
+        }
+
+        pub fn stale(current: Fingerprint) -> String {
+            Json::obj([
+                ("error", Json::str("fingerprint is stale: the session was mutated concurrently")),
+                ("fingerprint", Json::str(current.to_hex())),
+            ])
+            .render()
+        }
+
+        pub fn delta_exceeded(r: &rpr_core::BudgetReport) -> String {
+            Json::obj([("status", Json::str("exceeded")), ("budget_report", report(r))]).render()
+        }
+    }
+
+    /// Asserts a direct body equals the tree's byte for byte, except
+    /// inside `budget_report`: the direct body splices
+    /// [`BudgetReport::to_json`](rpr_core::BudgetReport::to_json) as is
+    /// where the tree re-rendered it, so that member is compared parsed.
+    fn assert_same_body(direct: &str, tree: &str, report: Option<&rpr_core::BudgetReport>) {
+        let (mut direct, mut tree) = (direct.to_owned(), tree.to_owned());
+        if let Some(report) = report {
+            let text = report.to_json();
+            let parsed = parse_json(&text).unwrap();
+            assert_eq!(direct.matches(&text).count(), 1, "{direct}");
+            assert_eq!(tree.matches(&parsed.render()).count(), 1, "{tree}");
+            direct = direct.replacen(&text, "null", 1);
+            tree = tree.replacen(&parsed.render(), "null", 1);
+        }
+        assert_eq!(direct, tree);
+    }
+
+    fn fp(seed: u8) -> Fingerprint {
+        Fingerprint::from_hex(&format!("{seed:02x}").repeat(16)).unwrap()
+    }
+
+    fn budget_report(deadline: bool) -> rpr_core::BudgetReport {
+        rpr_core::BudgetReport {
+            reason: if deadline {
+                rpr_core::ExceedReason::DeadlineExpired
+            } else {
+                rpr_core::ExceedReason::WorkExhausted
+            },
+            work_done: 1234,
+            max_work: (!deadline).then_some(1000),
+            elapsed: Duration::from_micros(2500),
+            deadline: deadline.then(|| Duration::from_millis(2)),
+        }
+    }
+
+    fn panic_report(message: &str) -> rpr_core::PanicReport {
+        rpr_core::PanicReport { message: message.to_owned(), context: "batch candidate 1".into() }
+    }
+
+    /// WS_A plus an improvable candidate: real `Done` outcomes, and
+    /// real certificates when `certify`.
+    fn done_run(certify: bool) -> (Vec<(String, FactSet)>, CheckRun) {
+        let ws = rpr_format::parse_workspace(&format!("{WS_A}repair K: R(k, y)\n")).unwrap();
+        let candidates = ws.repairs.clone();
+        let ds = DeltaSession::prepare(Arc::new(ws.schema.clone()), ws.prioritized().unwrap());
+        let sets: Vec<FactSet> = candidates.iter().map(|(_, s)| s.clone()).collect();
+        let run = run_check(&state(1), &ds, &sets, &Budget::unlimited(), certify);
+        assert!(run.outcomes.iter().all(Outcome::is_done));
+        (candidates, run)
+    }
+
+    fn heads() -> [Head; 2] {
+        [
+            Head { cached: true, complexity: "ptime", fingerprint: fp(0xab) },
+            Head { cached: false, complexity: "conp-complete", fingerprint: fp(0x01) },
+        ]
+    }
+
+    #[test]
+    fn check_bodies_match_the_tree() {
+        for certify in [false, true] {
+            let (mut candidates, run) = done_run(certify);
+            assert_eq!(run.certs.iter().flatten().count(), if certify { 2 } else { 0 });
+            let mut outcomes = run.outcomes.clone();
+            let mut certs = run.certs.clone();
+            // Appends one candidate per stopped outcome: every status
+            // of the batch is then reachable by taking a prefix.
+            let stopped = [
+                Outcome::Exceeded { partial: None, report: budget_report(false) },
+                Outcome::Exceeded { partial: None, report: budget_report(true) },
+                Outcome::Panicked { partial: None, report: panic_report("boom \"x\"") },
+                Outcome::Cancelled { partial: None },
+            ];
+            for (i, outcome) in stopped.into_iter().enumerate() {
+                candidates.push((format!("S{i}"), FactSet::empty(2)));
+                outcomes.push(outcome);
+                certs.push(None);
+            }
+            let mut statuses = Vec::new();
+            for head in heads() {
+                // Done only; + exceeded; + panicked; + cancelled; and a
+                // panicked candidate without an exceeded one.
+                for n in [2, 3, 4, 5, 6] {
+                    let args = (&candidates[..n], &outcomes[..n], &certs[..n]);
+                    let (status, direct) = check_body(&head, args.0, args.1, args.2);
+                    let (tree_status, tree) = tree::check(&head, args.0, args.1, args.2);
+                    assert_eq!(status, tree_status);
+                    let report = (status == 422).then(|| budget_report(false));
+                    assert_same_body(&direct, &tree, report.as_ref());
+                    statuses.push(status);
+                }
+                fn pick<T: Clone>(v: &[T]) -> Vec<T> {
+                    [0, 1, 4].iter().map(|&i| v[i].clone()).collect()
+                }
+                let (c, o, k) = (pick(&candidates), pick(&outcomes), pick(&certs));
+                let (status, direct) = check_body(&head, &c, &o, &k);
+                let (tree_status, tree) = tree::check(&head, &c, &o, &k);
+                assert_eq!((status, direct), (tree_status, tree));
+                statuses.push(status);
+            }
+            statuses.sort_unstable();
+            statuses.dedup();
+            assert_eq!(statuses, [200, 422, 500, 503]);
+        }
+    }
+
+    #[test]
+    fn classify_delta_and_error_bodies_match_the_tree() {
+        for head in heads() {
+            for mode in [
+                rpr_priority::PriorityMode::ConflictRestricted,
+                rpr_priority::PriorityMode::CrossConflict,
+            ] {
+                assert_eq!(classify_body(&head, mode), tree::classify(&head, mode));
+            }
+        }
+        for rebuilt in [false, true] {
+            let report = rpr_core::DeltaReport {
+                applied: 7,
+                inserts: 3,
+                deletes: 2,
+                priority_ops: 2,
+                rebuilt,
+                components_total: 12,
+                components_reused: 11,
+            };
+            for complexity in ["ptime", "conp-complete"] {
+                assert_eq!(
+                    delta_body(&report, fp(2), fp(3), complexity),
+                    tree::delta(&report, fp(2), fp(3), complexity)
+                );
+            }
+        }
+        assert_eq!(stale_body(fp(9)), tree::stale(fp(9)));
+        for deadline in [false, true] {
+            let report = budget_report(deadline);
+            let direct = delta_exceeded_body(&report);
+            assert_same_body(&direct, &tree::delta_exceeded(&report), Some(&report));
+        }
+        for message in ["unknown path", "workspace: line 3: `fd R: 1 -> 9`", ""] {
+            let response = error_response(404, message);
+            assert_eq!(std::str::from_utf8(&response.body).unwrap(), tree::error(message));
+        }
+    }
+
+    fn answers(symbols: &[&str], repair_count: usize) -> rpr_cqa::CqaAnswers {
+        let tuple = |s: &str| rpr_data::Tuple::new([rpr_data::Value::sym(s)]);
+        rpr_cqa::CqaAnswers {
+            certain: symbols.iter().take(1).map(|s| tuple(s)).collect(),
+            possible: symbols.iter().map(|s| tuple(s)).collect(),
+            repair_count,
+        }
+    }
+
+    #[test]
+    fn cqa_bodies_match_the_tree() {
+        let report = budget_report(false);
+        let outcomes = [
+            Outcome::Done(answers(&["a", "b"], 3)),
+            Outcome::Done(answers(&[], 1)),
+            Outcome::Exceeded { partial: Some(answers(&["c"], 2)), report: report.clone() },
+            Outcome::Exceeded { partial: None, report: report.clone() },
+            Outcome::Cancelled { partial: None },
+            Outcome::Panicked { partial: None, report: panic_report("cqa \\ worker") },
+        ];
+        for head in heads() {
+            for outcome in &outcomes {
+                let (status, direct) = cqa_body(&head, outcome);
+                let (tree_status, tree) = tree::cqa(&head, outcome);
+                assert_eq!(status, tree_status);
+                let report = matches!(outcome, Outcome::Exceeded { .. }).then_some(&report);
+                assert_same_body(&direct, &tree, report);
+            }
+        }
+    }
+
+    /// Characters a name or message may carry that need escaping, or
+    /// span several UTF-8 bytes.
+    const AWKWARD: &[char] = &[
+        '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1}', '\u{8}', '\u{c}', '\u{1f}', '\u{7f}',
+        ' ', 'a', 'Z', '0', 'é', '€', '\u{2028}', '😀',
+    ];
+
+    fn awkward_text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0..AWKWARD.len(), 0..16)
+            .prop_map(|picks| picks.into_iter().map(|i| AWKWARD[i]).collect())
+    }
+
+    proptest! {
+        #[test]
+        fn awkward_names_and_messages_render_as_the_tree_does(
+            name in awkward_text(),
+            message in awkward_text(),
+            symbol in awkward_text(),
+        ) {
+            let (mut candidates, run) = done_run(false);
+            candidates[0].0 = name.clone();
+            candidates[1].0 = message.clone();
+            let mut outcomes = run.outcomes.clone();
+            outcomes[1] = Outcome::Panicked { partial: None, report: panic_report(&message) };
+            for head in heads() {
+                let (status, direct) = check_body(&head, &candidates, &outcomes, &run.certs);
+                prop_assert_eq!((status, direct), tree::check(&head, &candidates, &outcomes, &run.certs));
+                let panicked = Outcome::Panicked { partial: None, report: panic_report(&message) };
+                for outcome in [Outcome::Done(answers(&[&symbol, &name], 2)), panicked] {
+                    prop_assert_eq!(cqa_body(&head, &outcome), tree::cqa(&head, &outcome));
+                }
+            }
+            let response = error_response(400, &message);
+            prop_assert_eq!(std::str::from_utf8(&response.body).unwrap(), tree::error(&message));
+            prop_assert_eq!(parse_json(&tree::error(&message)).unwrap(), Json::obj([("error", Json::str(message))]));
+        }
     }
 
     #[test]

@@ -1,13 +1,23 @@
-//! A minimal JSON value, parser, and writer.
+//! A minimal JSON value, parser, and writers.
 //!
 //! The workspace builds without registry access, so the service
 //! hand-rolls the subset of JSON it needs: UTF-8 text, objects with
 //! string keys, arrays, strings with standard escapes, `i64`/`f64`
 //! numbers, booleans and null. Parsing is recursive-descent with a
 //! depth limit; writing always produces valid, minimally-escaped JSON.
+//!
+//! Two writers share one string escaper and one integer format:
+//!
+//! * [`Json::render`] renders a value tree (clients, tests, and the
+//!   oracle the direct writer is tested against);
+//! * [`object`] writes a response body straight into its `String`,
+//!   members in ascending key order — the order a [`Json::Obj`]
+//!   renders — so a body is byte-identical to the tree it replaces
+//!   without allocating one.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Maximum nesting depth accepted by the parser (request bodies are
 /// flat; anything deeper is hostile or broken).
@@ -116,7 +126,7 @@ fn write_json(out: &mut String, v: &Json) {
         Json::Null => out.push_str("null"),
         Json::Bool(true) => out.push_str("true"),
         Json::Bool(false) => out.push_str("false"),
-        Json::Int(i) => out.push_str(&i.to_string()),
+        Json::Int(i) => write_int(out, *i),
         Json::Float(x) => {
             if x.is_finite() {
                 out.push_str(&format!("{x}"));
@@ -150,20 +160,138 @@ fn write_json(out: &mut String, v: &Json) {
     }
 }
 
+fn write_int(out: &mut String, i: i64) {
+    let _ = write!(out, "{i}");
+}
+
+/// Writes `s` as a quoted JSON string. Every byte that needs an escape
+/// is ASCII, so the text between two of them is copied as one slice.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Writes one JSON object built by `build` and returns its text.
+///
+/// A response body goes straight to bytes this way, with no [`Json`]
+/// tree in between. Members must be written in ascending key order
+/// (byte order, as a `BTreeMap` sorts them); debug builds assert it.
+pub fn object(build: impl FnOnce(&mut ObjectWriter<'_>)) -> String {
+    let mut out = String::new();
+    ObjectWriter::write(&mut out, build);
+    out
+}
+
+/// The members of one object under construction; see [`object`].
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    /// The last key written (`None` before the first member).
+    last: Option<&'static str>,
+}
+
+impl<'a> ObjectWriter<'a> {
+    fn write(out: &'a mut String, build: impl FnOnce(&mut ObjectWriter<'_>)) {
+        out.push('{');
+        let mut members = ObjectWriter { out, last: None };
+        build(&mut members);
+        members.out.push('}');
+    }
+
+    /// Starts the member `key` and returns the buffer its value goes to.
+    fn key(&mut self, key: &'static str) -> &mut String {
+        if let Some(last) = self.last {
+            debug_assert!(last < key, "object keys must ascend: `{last}` then `{key}`");
+            self.out.push(',');
+        }
+        self.last = Some(key);
+        write_escaped(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &'static str, value: &str) -> &mut Self {
+        write_escaped(self.key(key), value);
+        self
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, key: &'static str, value: bool) -> &mut Self {
+        self.key(key).push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// An integer member.
+    pub fn int(&mut self, key: &'static str, value: i64) -> &mut Self {
+        write_int(self.key(key), value);
+        self
+    }
+
+    /// A member whose value is `json`, one complete JSON value, spliced
+    /// in verbatim.
+    pub fn raw(&mut self, key: &'static str, json: &str) -> &mut Self {
+        debug_assert!(parse_json(json).is_ok(), "not one JSON value: {json}");
+        self.key(key).push_str(json);
+        self
+    }
+
+    /// An array-of-strings member.
+    pub fn strs<S: AsRef<str>>(
+        &mut self,
+        key: &'static str,
+        items: impl IntoIterator<Item = S>,
+    ) -> &mut Self {
+        let out = self.key(key);
+        out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_escaped(out, item.as_ref());
+        }
+        out.push(']');
+        self
+    }
+
+    /// An array-of-objects member: `each` writes the members of the
+    /// object for one item.
+    pub fn objects<T>(
+        &mut self,
+        key: &'static str,
+        items: impl IntoIterator<Item = T>,
+        mut each: impl FnMut(&mut ObjectWriter<'_>, T),
+    ) -> &mut Self {
+        let out = self.key(key);
+        out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            ObjectWriter::write(out, |members| each(members, item));
+        }
+        out.push(']');
+        self
+    }
 }
 
 /// A JSON parse error with a byte offset.
@@ -403,6 +531,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_basics() {
@@ -433,6 +562,89 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("{\"a\":1} x").is_err());
         assert!(parse_json(&("[".repeat(100) + &"]".repeat(100))).is_err());
+    }
+
+    #[test]
+    fn the_writer_renders_what_the_tree_renders() {
+        let direct = object(|o| {
+            o.raw("a", r#"{"z":1,"b":[true,null]}"#)
+                .bool("b", false)
+                .int("c", -42)
+                .objects("d", ["x", "y\"z"], |e, s| {
+                    e.int("n", s.len() as i64).str("s", s);
+                })
+                .objects("e", Vec::<u8>::new(), |_, _| {})
+                .str("f", "tab\there")
+                .strs("g", ["", "\u{1}"])
+                .strs("h", Vec::<String>::new());
+        });
+        let tree = Json::obj([
+            ("a", parse_json(r#"{"b":[true,null],"z":1}"#).unwrap()),
+            ("b", Json::Bool(false)),
+            ("c", Json::Int(-42)),
+            (
+                "d",
+                Json::Arr(vec![
+                    Json::obj([("n", Json::Int(1)), ("s", Json::str("x"))]),
+                    Json::obj([("n", Json::Int(3)), ("s", Json::str("y\"z"))]),
+                ]),
+            ),
+            ("e", Json::Arr(vec![])),
+            ("f", Json::str("tab\there")),
+            ("g", Json::Arr(vec![Json::str(""), Json::str("\u{1}")])),
+            ("h", Json::Arr(vec![])),
+        ]);
+        // `raw` splices its text as given; the tree re-sorts it.
+        assert_eq!(direct.replace(r#"{"z":1,"b":[true,null]}"#, "R"), {
+            tree.render().replace(r#"{"b":[true,null],"z":1}"#, "R")
+        });
+        assert_eq!(parse_json(&direct).unwrap(), tree);
+        assert_eq!(object(|_| {}), "{}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "object keys must ascend")]
+    fn the_writer_rejects_keys_out_of_order() {
+        object(|o| {
+            o.str("status", "done").bool("cached", true);
+        });
+    }
+
+    /// The escaper as it was written char by char: the reference for
+    /// the run-copying one.
+    fn escaped_by_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn escaping_copies_runs_and_escapes_like_the_char_loop(
+            codes in proptest::collection::vec(0u32..0x2_0000, 0..24),
+        ) {
+            // Mostly control and ASCII characters, some multi-byte ones.
+            let text: String = codes
+                .into_iter()
+                .filter_map(|c| char::from_u32(if c % 4 == 0 { c } else { c % 0x80 }))
+                .collect();
+            let mut out = String::new();
+            write_escaped(&mut out, &text);
+            prop_assert_eq!(&out, &escaped_by_char(&text));
+            prop_assert_eq!(parse_json(&out).unwrap(), Json::str(text));
+        }
     }
 
     #[test]

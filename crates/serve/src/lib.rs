@@ -41,8 +41,9 @@
 //! * [`server`] — configuration, worker pool, graceful drain via
 //!   [`CancelToken`](rpr_core::CancelToken);
 //! * [`handlers`] — budgeted endpoint logic (outcome → status
-//!   mapping), over `rpr_format`'s from-slice JSON scanner (no
-//!   document tree on the hot path);
+//!   mapping): request bodies are read with `rpr_format`'s from-slice
+//!   JSON scanner and response bodies written with
+//!   [`json::object`], so no document tree is built either way;
 //! * [`metrics`] — atomic counters and fixed-bucket histograms;
 //! * [`http`] / [`json`] — hand-rolled framing (the build environment
 //!   vendors no HTTP or JSON crates): zero-copy request parsing over

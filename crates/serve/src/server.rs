@@ -12,7 +12,7 @@
 //!   from the bounded queue, route + compute + respond, each request
 //!   wrapped in `catch_unwind` so a handler panic downs one response,
 //!   not the pool; finished responses travel back over an mpsc channel
-//!   and a one-byte write to a loopback wake-up socket;
+//!   and a one-byte write to a Unix socket pair that wakes the loop;
 //! * **drain** — a [`CancelToken`] shared with every request budget.
 //!   `SIGTERM`/`SIGINT` (opt-in) or `POST /shutdown` fires it: the
 //!   loop stops accepting, closes idle keep-alive connections, answers
@@ -229,12 +229,32 @@ impl Server {
     }
 }
 
-/// A loopback socket pair used to wake the event loop from workers
-/// (std exposes no `pipe(2)`; a localhost TCP pair is the portable
-/// equivalent). Both ends are nonblocking: the reader drains on wake,
-/// and a writer whose byte hits a full buffer can skip the write — a
-/// full buffer already guarantees a pending wake-up.
-fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
+/// One end of the socket pair workers wake the event loop through: a
+/// Unix stream socket where there is one, else a loopback TCP
+/// connection (the platforms where [`poll`](crate::poll) falls back to
+/// its everything-ready tick).
+#[cfg(unix)]
+pub(crate) type WakeStream = std::os::unix::net::UnixStream;
+#[cfg(not(unix))]
+pub(crate) type WakeStream = TcpStream;
+
+/// The `(read, write)` ends of the worker → loop wake-up pair. A Unix
+/// socket pair queues the byte straight onto its peer, where loopback
+/// TCP runs it through the whole TCP/IP stack, so a wake costs a
+/// fraction of a loopback TCP round trip. Both ends are nonblocking:
+/// the reader drains on wake, and a writer whose byte hits a full
+/// buffer can skip the write — a full buffer already guarantees a
+/// pending wake-up.
+#[cfg(unix)]
+pub(crate) fn wake_pair() -> std::io::Result<(WakeStream, WakeStream)> {
+    let (rx, tx) = WakeStream::pair()?;
+    rx.set_nonblocking(true)?;
+    tx.set_nonblocking(true)?;
+    Ok((rx, tx))
+}
+
+#[cfg(not(unix))]
+pub(crate) fn wake_pair() -> std::io::Result<(WakeStream, WakeStream)> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let tx = TcpStream::connect(listener.local_addr()?)?;
     let (rx, _) = listener.accept()?;
@@ -270,7 +290,7 @@ fn worker_loop(
     jobs: &JobQueue,
     state: &ServerState,
     completions: &mpsc::Sender<Completion>,
-    wake: &TcpStream,
+    wake: &WakeStream,
 ) {
     while let Some(job) = jobs.pop() {
         Metrics::gauge_dec(&state.metrics.queue_depth);
@@ -322,20 +342,15 @@ fn serve_request(raw: &[u8], state: &ServerState) -> (Response, bool) {
     }
     // Panic isolation: a handler bug downs this response, not the
     // worker (and therefore not the pool).
-    let response = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        handle(state, &request)
-    })) {
-        Ok(response) => response,
-        Err(payload) => {
-            state.metrics.panicked_total.fetch_add(1, Ordering::Relaxed);
-            let message = rpr_core::PanicReport::from_payload("request handler", payload);
-            Response::json(
-                500,
-                crate::json::Json::obj([("error", crate::json::Json::str(message.to_string()))])
-                    .render(),
-            )
-        }
-    };
+    let response =
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle(state, &request))) {
+            Ok(response) => response,
+            Err(payload) => {
+                state.metrics.panicked_total.fetch_add(1, Ordering::Relaxed);
+                let message = rpr_core::PanicReport::from_payload("request handler", payload);
+                crate::handlers::error_response(500, &message.to_string())
+            }
+        };
     (response, close)
 }
 
