@@ -14,6 +14,10 @@
 //! with [`render_certificate`]'s output, which makes certificates safe
 //! to cache, diff, and hash.
 //!
+//! [`render_certificate`] writes straight into one presized `String`:
+//! value encodings are escaped in place and integers formatted on the
+//! stack, with no buffer per value.
+//!
 //! Tuple values use a tagged, injective string encoding ([`encode_value`]):
 //! `i<decimal>` for integers, `s<byte-len>:<bytes>` for symbols, and
 //! `p(<enc>,<enc>)` for pairs. `Display` is *not* injective
@@ -37,39 +41,83 @@ pub const CERT_V: u64 = 1;
 /// `i<decimal>` (ints), `s<len>:<bytes>` (symbols, length-prefixed so
 /// arbitrary content cannot collide), `p(<enc>,<enc>)` (pairs).
 pub fn encode_value(v: &Value, out: &mut String) {
+    write_value(v, out, |s, out| out.push_str(s));
+}
+
+/// [`encode_value`] with each symbol's bytes written by `symbol`: the
+/// tags, lengths and punctuation need no JSON escape, so escaping the
+/// symbols is enough to embed an encoding in a JSON string.
+fn write_value(v: &Value, out: &mut String, symbol: fn(&str, &mut String)) {
     match v {
         Value::Int(i) => {
             out.push('i');
-            out.push_str(&i.to_string());
+            push_int(*i, out);
         }
         Value::Sym(s) => {
             out.push('s');
-            out.push_str(&s.len().to_string());
+            push_uint(s.len() as u64, out);
             out.push(':');
-            out.push_str(s);
+            symbol(s, out);
         }
         Value::Pair(p) => {
             out.push_str("p(");
-            encode_value(&p.0, out);
+            write_value(&p.0, out, symbol);
             out.push(',');
-            encode_value(&p.1, out);
+            write_value(&p.1, out, symbol);
             out.push(')');
         }
     }
 }
 
-fn push_json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Appends `n` in decimal without allocating.
+fn push_uint(mut n: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
+fn push_int(i: i64, out: &mut String) {
+    if i < 0 {
+        out.push('-');
+    }
+    push_uint(i.unsigned_abs(), out);
+}
+
+/// Appends `s` with `"` and `\` escaped and control characters as
+/// `\u00XX`; the text between two escapes is copied as one slice.
+fn push_escaped(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        out.push('\\');
+        match b {
+            b'"' | b'\\' => out.push(b as char),
+            _ => {
+                out.push_str("u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 15)] as char);
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+fn push_json_str(s: &str, out: &mut String) {
+    out.push('"');
+    push_escaped(s, out);
     out.push('"');
 }
 
@@ -79,7 +127,7 @@ fn push_attrs(attrs: AttrSet, out: &mut String) {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&a.to_string());
+        push_uint(a as u64, out);
     }
     out.push(']');
 }
@@ -90,7 +138,7 @@ fn push_ids(ids: &[FactId], out: &mut String) {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&id.0.to_string());
+        push_uint(id.0.into(), out);
     }
     out.push(']');
 }
@@ -102,9 +150,9 @@ fn push_pairs(pairs: &[(FactId, FactId)], out: &mut String) {
             out.push(',');
         }
         out.push('[');
-        out.push_str(&a.0.to_string());
+        push_uint(a.0.into(), out);
         out.push(',');
-        out.push_str(&b.0.to_string());
+        push_uint(b.0.into(), out);
         out.push(']');
     }
     out.push(']');
@@ -128,7 +176,7 @@ fn push_relation_class(class: &RelationClass, out: &mut String) {
         }
         RelationClass::Hard(case) => {
             out.push_str("{\"kind\":\"hard\",\"case\":");
-            out.push_str(&case.number().to_string());
+            push_uint(case.number().into(), out);
             match case {
                 HardCase::ThreeOrMoreKeys(keys) => {
                     out.push_str(",\"keys\":[");
@@ -167,7 +215,7 @@ fn push_classification(classification: &ClassificationCert, out: &mut String) {
                     out.push(',');
                 }
                 out.push('[');
-                out.push_str(&rel.0.to_string());
+                push_uint(rel.0.into(), out);
                 out.push(',');
                 push_relation_class(class, out);
                 out.push(']');
@@ -196,9 +244,9 @@ fn push_classification(classification: &ClassificationCert, out: &mut String) {
         }
         ClassificationCert::Ccp(CcpClass::Hard { not_primary_key, not_constant_attribute }) => {
             out.push_str("{\"scope\":\"ccp\",\"kind\":\"hard\",\"not_primary_key\":");
-            out.push_str(&not_primary_key.0.to_string());
+            push_uint(not_primary_key.0.into(), out);
             out.push_str(",\"not_constant_attribute\":");
-            out.push_str(&not_constant_attribute.0.to_string());
+            push_uint(not_constant_attribute.0.into(), out);
             out.push('}');
         }
     }
@@ -206,13 +254,13 @@ fn push_classification(classification: &ClassificationCert, out: &mut String) {
 
 fn push_block(block: &BlockEvidence, out: &mut String) {
     out.push_str("{\"rel\":");
-    out.push_str(&block.rel.0.to_string());
+    push_uint(block.rel.0.into(), out);
     out.push_str(",\"lhs\":");
     push_attrs(block.fd.lhs, out);
     out.push_str(",\"rhs\":");
     push_attrs(block.fd.rhs, out);
     out.push_str(",\"group\":");
-    out.push_str(&block.group.0.to_string());
+    push_uint(block.group.0.into(), out);
     out.push_str(",\"consistency\":");
     push_ids(&block.consistency, out);
     out.push_str(",\"maximality\":");
@@ -224,9 +272,9 @@ fn push_verdict(verdict: &CertVerdict, out: &mut String) {
     match verdict {
         CertVerdict::Inconsistent { f, g } => {
             out.push_str("{\"kind\":\"inconsistent\",\"f\":");
-            out.push_str(&f.0.to_string());
+            push_uint(f.0.into(), out);
             out.push_str(",\"g\":");
-            out.push_str(&g.0.to_string());
+            push_uint(g.0.into(), out);
             out.push('}');
         }
         CertVerdict::Improvable(w) => {
@@ -268,9 +316,14 @@ pub fn render_certificate(
     cert: &Certificate,
 ) -> String {
     let sig = schema.signature();
-    let mut out = String::with_capacity(256 + instance.len() * 32);
+    // Room for the facts (a value takes about 16 bytes), the priority
+    // edges and a candidate-sized verdict, so the text is written in
+    // place rather than regrown.
+    let max_arity = sig.rel_ids().map(|rel| sig.arity(rel)).max().unwrap_or(0);
+    let edges = priority.edges().len();
+    let mut out = String::with_capacity(256 + instance.len() * (12 + 16 * max_arity) + edges * 12);
     out.push_str("{\"cert_v\":");
-    out.push_str(&CERT_V.to_string());
+    push_uint(CERT_V, &mut out);
     out.push_str(",\"kind\":\"");
     out.push_str(if cert.check.is_some() { "check" } else { "classification" });
     out.push_str("\",\"mode\":\"");
@@ -286,7 +339,7 @@ pub fn render_certificate(
         out.push('[');
         push_json_str(sig.symbol(rel).name(), &mut out);
         out.push(',');
-        out.push_str(&sig.arity(rel).to_string());
+        push_uint(sig.arity(rel) as u64, &mut out);
         out.push(']');
     }
     out.push_str("],\"fds\":[");
@@ -295,7 +348,7 @@ pub fn render_certificate(
             out.push(',');
         }
         out.push('[');
-        out.push_str(&fd.rel.0.to_string());
+        push_uint(fd.rel.0.into(), &mut out);
         out.push(',');
         push_attrs(fd.lhs, &mut out);
         out.push(',');
@@ -308,15 +361,15 @@ pub fn render_certificate(
             out.push(',');
         }
         out.push('[');
-        out.push_str(&fact.rel().0.to_string());
+        push_uint(fact.rel().0.into(), &mut out);
         out.push_str(",[");
         for (k, v) in fact.tuple().values().iter().enumerate() {
             if k > 0 {
                 out.push(',');
             }
-            let mut enc = String::new();
-            encode_value(v, &mut enc);
-            push_json_str(&enc, &mut out);
+            out.push('"');
+            write_value(v, &mut out, push_escaped);
+            out.push('"');
         }
         out.push_str("]]");
     }
@@ -415,7 +468,7 @@ pub fn render_value(v: &CertValue) -> String {
 
 fn render_into(v: &CertValue, out: &mut String) {
     match v {
-        CertValue::Int(i) => out.push_str(&i.to_string()),
+        CertValue::Int(i) => push_int(*i, out),
         CertValue::Str(s) => push_json_str(s, out),
         CertValue::Arr(items) => {
             out.push('[');

@@ -566,6 +566,8 @@ fn run_check(
 /// Audits every rendered certificate; returns the number that failed
 /// (and counts them in `rpr_audit_failures_total`).
 fn audit_certs(state: &ServerState, certs: &[Option<String>]) -> usize {
+    #[cfg(test)]
+    tests::audited(certs.iter().flatten().count());
     let failures = certs.iter().flatten().filter(|text| rpr_audit::audit(text).is_err()).count();
     if failures > 0 {
         state.metrics.audit_failures_total.fetch_add(failures as u64, Ordering::Relaxed);
@@ -597,6 +599,8 @@ fn check_session(
     // degrades to a counted miss — rebuild from the request's own
     // workspace and recompute — instead of serving the cached lie. A
     // byte hit did not parse the request, so this rare branch does.
+    // Certificates that pass it are audited: it is their self-audit.
+    let mut unaudited = !active.cached;
     if body.certify && active.cached && audit_certs(state, &run.certs) > 0 {
         state.metrics.cache_misses_total.fetch_add(1, Ordering::Relaxed);
         let ws_raw = body.workspace.expect("a served request carries a workspace");
@@ -608,11 +612,14 @@ fn check_session(
         let (schema, pi) = workspace.into_prioritized().map_err(workspace_error)?;
         let fresh = DeltaSession::prepare(Arc::new(schema), pi);
         run = run_check(state, &fresh, &own, &active.budget, true);
+        unaudited = true;
     }
 
     // Self-audit: never send a certificate this server cannot itself
-    // re-validate — a failed audit is a 500, not a wrong 200.
-    if body.certify && state.self_audit && audit_certs(state, &run.certs) > 0 {
+    // re-validate — a failed audit is a 500, not a wrong 200. Each
+    // certificate is audited once: only fresh ones (a cold session's,
+    // or a rebuild's) are still unaudited here.
+    if body.certify && state.self_audit && unaudited && audit_certs(state, &run.certs) > 0 {
         return Err(error_response(500, "certificate audit failed"));
     }
 
@@ -898,6 +905,21 @@ mod tests {
         if let Some(hook) = AFTER_INSERT.take() {
             hook(state, fingerprint);
         }
+    }
+
+    thread_local! {
+        /// Certificates audited on this thread (`handle` runs on the
+        /// caller's thread in these tests).
+        static AUDITS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn audited(certificates: usize) {
+        AUDITS.set(AUDITS.get() + certificates);
+    }
+
+    /// The certificates audited since the last call.
+    fn audits() -> usize {
+        AUDITS.replace(0)
     }
 
     /// R(k,x) preferred over R(k,y); repair J = {R(k,x)} is optimal.
@@ -1580,5 +1602,66 @@ mod tests {
         assert_eq!(body_json(&warm).get("cached").and_then(Json::as_bool), Some(true));
         assert_eq!(state.metrics.cache_collisions_total.load(Ordering::Relaxed), 0);
         assert_eq!(state.metrics.cache_hits_total.load(Ordering::Relaxed), 1);
+    }
+
+    fn post_certify(state: &ServerState, ws: &str) -> Response {
+        let mut body = workspace_body(ws);
+        body.truncate(body.len() - 1);
+        body.extend_from_slice(b",\"certify\":true}");
+        handle(state, &Request { method: "POST", path: "/check", body: &body, close: false })
+    }
+
+    fn self_auditing(cache_capacity: usize) -> ServerState {
+        ServerState { self_audit: true, ..state(cache_capacity) }
+    }
+
+    #[test]
+    fn a_cached_self_audited_certify_audits_each_certificate_once() {
+        let state = self_auditing(2);
+        audits();
+        // WS_A declares one repair, so each certify issues one certificate.
+        assert_eq!(post_certify(&state, WS_A).status, 200);
+        assert_eq!(audits(), 1, "a cold certify is self-audited once");
+        for _ in 0..3 {
+            let warm = post_certify(&state, WS_A);
+            assert_eq!(body_json(&warm).get("cached").and_then(Json::as_bool), Some(true));
+            assert_eq!(audits(), 1, "the cache-hit audit is the self-audit");
+        }
+        assert_eq!(state.metrics.audit_failures_total.load(Ordering::Relaxed), 0);
+        assert_eq!(state.metrics.cache_misses_total.load(Ordering::Relaxed), 1);
+        assert_eq!(state.metrics.certificates_issued_total.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn a_cold_certify_audits_once_under_self_audit_and_never_without() {
+        let plain = state(2);
+        audits();
+        assert_eq!(post_certify(&plain, WS_A).status, 200);
+        assert_eq!(audits(), 0, "no self-audit, no cached session to distrust");
+        assert_eq!(post_certify(&plain, WS_A).status, 200);
+        assert_eq!(audits(), 1, "a cached certify is audited once either way");
+
+        let auditing = self_auditing(2);
+        assert_eq!(post_certify(&auditing, WS_B).status, 200);
+        assert_eq!(audits(), 1);
+        // A check without `certify` renders and audits nothing.
+        assert_eq!(post_check(&auditing, WS_B).status, 200);
+        assert_eq!(audits(), 0);
+    }
+
+    /// Corrupted certificates: a cold certify fails its one self-audit;
+    /// a cached one fails the cache-hit audit, degrades to a counted
+    /// miss, and its rebuilt certificates fail their own self-audit.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn corrupted_certificates_are_audited_once_per_rendering() {
+        let state = ServerState { corrupt_certificates: true, ..self_auditing(2) };
+        audits();
+        assert_eq!(post_certify(&state, WS_A).status, 500);
+        assert_eq!(audits(), 1);
+        assert_eq!(post_certify(&state, WS_A).status, 500);
+        assert_eq!(audits(), 2);
+        assert_eq!(state.metrics.audit_failures_total.load(Ordering::Relaxed), 3);
+        assert_eq!(state.metrics.cache_misses_total.load(Ordering::Relaxed), 2);
     }
 }

@@ -164,26 +164,45 @@ fn write_int(out: &mut String, i: i64) {
     let _ = write!(out, "{i}");
 }
 
+/// The escape of each byte: 0 for none, `u` for `\u00XX`, else the
+/// character after the backslash.
+const ESCAPE: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = b'u';
+        b += 1;
+    }
+    table[b'\n' as usize] = b'n';
+    table[b'\r' as usize] = b'r';
+    table[b'\t' as usize] = b't';
+    table[b'"' as usize] = b'"';
+    table[b'\\' as usize] = b'\\';
+    table
+};
+
 /// Writes `s` as a quoted JSON string. Every byte that needs an escape
-/// is ASCII, so the text between two of them is copied as one slice.
+/// is ASCII, so the text between two of them is copied as one slice;
+/// the room reserved up front fits an escape in every eighth byte (a
+/// certificate quotes about one in nine) without regrowing.
 fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + s.len() / 8 + 2);
     out.push('"');
     let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escape = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
-            _ => continue,
-        };
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = ESCAPE[usize::from(b)];
+        if escape == 0 {
+            continue;
+        }
         out.push_str(&s[run..i]);
-        if escape.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
+        out.push('\\');
+        if escape == b'u' {
+            out.push_str("u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 15)]));
         } else {
-            out.push_str(escape);
+            out.push(char::from(escape));
         }
         run = i + 1;
     }
@@ -645,6 +664,18 @@ mod tests {
             prop_assert_eq!(&out, &escaped_by_char(&text));
             prop_assert_eq!(parse_json(&out).unwrap(), Json::str(text));
         }
+    }
+
+    #[test]
+    fn a_certificate_sized_string_escapes_like_the_char_loop() {
+        let corpus = include_str!("../../audit/tests/corpus/certificates.jsonl");
+        let cert = corpus.lines().max_by_key(|line| line.len()).unwrap();
+        assert!(cert.len() > 20_000);
+        let text = format!("{cert}\u{1}\t\\ é");
+        let mut out = String::from("{\"certificate\":");
+        write_escaped(&mut out, &text);
+        assert_eq!(out[15..], escaped_by_char(&text));
+        assert_eq!(parse_json(&out[15..]).unwrap(), Json::str(text));
     }
 
     #[test]
