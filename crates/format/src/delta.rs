@@ -22,7 +22,7 @@
 //! differential suites check `DeltaSession::apply_delta` against it
 //! bit-for-bit.
 
-use crate::format::{parse_fact, FormatError, Workspace};
+use crate::format::{parse_fact, trim, FormatError, Workspace};
 use rpr_core::DeltaOp;
 use rpr_data::{FactId, Signature};
 use rpr_priority::PriorityRelation;
@@ -33,7 +33,7 @@ use rpr_priority::PriorityRelation;
 /// # Errors
 /// [`FormatError`] naming the offending line/op.
 pub fn parse_delta_op(sig: &Signature, text: &str, line: usize) -> Result<DeltaOp, FormatError> {
-    let l = text.trim();
+    let l = trim(text);
     if let Some(rest) = l.strip_prefix("insert ") {
         return Ok(DeltaOp::InsertFact(parse_fact(sig, rest, line)?));
     }
@@ -68,8 +68,8 @@ pub fn parse_delta_op(sig: &Signature, text: &str, line: usize) -> Result<DeltaO
 /// [`FormatError`] with the 1-based line of the first bad op.
 pub fn parse_delta_script(sig: &Signature, text: &str) -> Result<Vec<DeltaOp>, FormatError> {
     let mut ops = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let l = raw.trim();
+    for (idx, raw) in text.split('\n').enumerate() {
+        let l = trim(raw);
         if l.is_empty() || l.starts_with('#') {
             continue;
         }

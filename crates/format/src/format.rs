@@ -124,48 +124,144 @@ impl fmt::Display for FormatError {
 
 impl std::error::Error for FormatError {}
 
+/// Is `b` a character `str::trim` strips that fits in one byte? These
+/// are the ASCII members of Unicode `White_Space`, which include
+/// U+000B (`u8::is_ascii_whitespace` leaves it out).
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' ')
+}
+
+/// `str::trim`, ASCII first: strips ASCII whitespace by bytes, and
+/// calls `str::trim` only when what is left starts or ends with a
+/// non-ASCII byte (a multibyte character, perhaps U+00A0 or U+2003).
+pub(crate) fn trim(s: &str) -> &str {
+    let b = s.as_bytes();
+    let (mut start, mut end) = (0, b.len());
+    while start < end && is_ascii_space(b[start]) {
+        start += 1;
+    }
+    while end > start && is_ascii_space(b[end - 1]) {
+        end -= 1;
+    }
+    let t = &s[start..end];
+    if start < end && (!b[start].is_ascii() || !b[end - 1].is_ascii()) {
+        t.trim()
+    } else {
+        t
+    }
+}
+
+/// The atom a trimmed token names, by [`Atom::from_token`]'s rule.
+/// `str::parse::<i64>` accepts only tokens that start with a digit or
+/// a sign, so any other token is a symbol without a parse attempt.
+fn atom(token: &str) -> Atom<'_> {
+    match token.as_bytes().first() {
+        Some(b'0'..=b'9' | b'+' | b'-') => Atom::from_token(token),
+        _ => Atom::Sym(token),
+    }
+}
+
+/// A `prefer` or `repair` reference to a fact: its id when the fact was
+/// already in the instance as the reference was read, otherwise its
+/// relation and where its atoms start in the reader's arena. Forward
+/// references resolve once every `fact` line is in.
+#[derive(Clone, Copy)]
+enum FactRef {
+    Known(FactId),
+    Forward(RelId, usize),
+}
+
+/// Tokenizes `NAME(v1, …, vn)` texts against a signature. One reader
+/// serves a whole workspace, so its buffers are reused from line to
+/// line and the atoms borrow the workspace text.
+struct FactReader<'s, 't> {
+    sig: &'s Signature,
+    /// The relation name last looked up and its id: consecutive lines
+    /// mostly name the same relation.
+    last: Option<(&'t str, RelId)>,
+    /// The atoms of the text read last.
+    atoms: Vec<Atom<'t>>,
+    /// The atoms of the forward references, one after another.
+    arena: Vec<Atom<'t>>,
+}
+
+impl<'s, 't> FactReader<'s, 't> {
+    fn new(sig: &'s Signature) -> Self {
+        FactReader { sig, last: None, atoms: Vec::new(), arena: Vec::new() }
+    }
+
+    /// Reads `NAME(v1, …, vn)` into [`atoms`](Self::atoms) and returns
+    /// its relation, checking the arity. `(` is the first one in the
+    /// text, `)` its last byte, and the values split at every `,` of
+    /// one scan of the bytes between.
+    fn read(&mut self, text: &'t str, line: usize) -> Result<RelId, FormatError> {
+        let text = trim(text);
+        let bytes = text.as_bytes();
+        let open = bytes.iter().position(|&b| b == b'(').ok_or_else(|| {
+            FormatError::new(line, format!("expected Relation(...), got `{text}`"))
+        })?;
+        if bytes.last() != Some(&b')') {
+            return Err(FormatError::new(line, "missing `)`"));
+        }
+        let name = trim(&text[..open]);
+        let rel = match self.last {
+            Some((last, rel)) if last == name => rel,
+            _ => {
+                let rel =
+                    self.sig.require(name).map_err(|e| FormatError::new(line, e.to_string()))?;
+                self.last = Some((name, rel));
+                rel
+            }
+        };
+        self.atoms.clear();
+        let close = bytes.len() - 1;
+        let mut start = open + 1;
+        for at in open + 1..close {
+            if bytes[at] == b',' {
+                self.atoms.push(atom(trim(&text[start..at])));
+                start = at + 1;
+            }
+        }
+        self.atoms.push(atom(trim(&text[start..close])));
+        let (expected, got) = (self.sig.arity(rel), self.atoms.len());
+        if got != expected {
+            let relation = self.sig.symbol(rel).name().to_owned();
+            let e = DataError::ArityMismatch { relation, expected, got };
+            return Err(FormatError::new(line, e.to_string()));
+        }
+        Ok(rel)
+    }
+
+    /// Reads a fact: [`read`](Self::read), then the tuple built
+    /// straight from the atoms.
+    fn fact(&mut self, text: &'t str, line: usize) -> Result<Fact, FormatError> {
+        let rel = self.read(text, line)?;
+        let tuple = Tuple::new(self.atoms.iter().map(|&a| Value::from(a)));
+        Ok(Fact::new(self.sig, rel, tuple).expect("read checked the arity"))
+    }
+
+    /// Reads a reference, resolving it at once when `instance` already
+    /// holds its fact; otherwise its atoms wait in the arena.
+    fn reference(
+        &mut self,
+        instance: &Instance,
+        text: &'t str,
+        line: usize,
+    ) -> Result<FactRef, FormatError> {
+        let rel = self.read(text, line)?;
+        if let Some(id) = instance.id_of_atoms(rel, &self.atoms) {
+            return Ok(FactRef::Known(id));
+        }
+        let start = self.arena.len();
+        self.arena.extend_from_slice(&self.atoms);
+        Ok(FactRef::Forward(rel, start))
+    }
+}
+
 /// Parses `NAME(v1, …, vn)` into a fact.
 pub(crate) fn parse_fact(sig: &Signature, text: &str, line: usize) -> Result<Fact, FormatError> {
-    let mut values: Vec<Value> = Vec::new();
-    let rel = parse_fact_into(sig, text, line, &mut values)?;
-    Ok(Fact::new(sig, rel, Tuple::new(values)).expect("parse_fact_into checked the arity"))
+    FactReader::new(sig).fact(text, line)
 }
-
-/// Parses `NAME(v1, …, vn)`, appending its values to `values` — as
-/// [`Value`]s, or as [`Atom`]s borrowing `text` — and returns the
-/// relation: [`parse_fact`] without building the fact.
-fn parse_fact_into<'t, V: From<Atom<'t>>>(
-    sig: &Signature,
-    text: &'t str,
-    line: usize,
-    values: &mut Vec<V>,
-) -> Result<RelId, FormatError> {
-    let text = text.trim();
-    let open = text
-        .find('(')
-        .ok_or_else(|| FormatError::new(line, format!("expected Relation(...), got `{text}`")))?;
-    if !text.ends_with(')') {
-        return Err(FormatError::new(line, "missing `)`"));
-    }
-    let rel =
-        sig.require(text[..open].trim()).map_err(|e| FormatError::new(line, e.to_string()))?;
-    let body = &text[open + 1..text.len() - 1];
-    let start = values.len();
-    values.extend(body.split(',').map(|t| V::from(Atom::from_token(t.trim()))));
-    let (expected, got) = (sig.arity(rel), values.len() - start);
-    if got != expected {
-        let relation = sig.symbol(rel).name().to_owned();
-        let e = DataError::ArityMismatch { relation, expected, got };
-        return Err(FormatError::new(line, e.to_string()));
-    }
-    Ok(rel)
-}
-
-/// A `prefer` or `repair` reference to a fact: its relation and where
-/// its atoms start in the parser's reference arena, which borrows the
-/// workspace text. References resolve to fact ids once every `fact`
-/// line is in.
-type FactRef = (RelId, usize);
 
 fn parse_attr_list(text: &str, line: usize) -> Result<AttrSet, FormatError> {
     let text = text.trim();
@@ -192,16 +288,19 @@ fn parse_attr_list(text: &str, line: usize) -> Result<AttrSet, FormatError> {
 
 /// Parses a workspace file.
 ///
+/// Lines split at `\n` and are trimmed as by `str::trim` (a `\r` before
+/// the `\n` goes with the rest of the whitespace).
+///
 /// # Errors
 /// [`FormatError`] with a line number on the first problem.
-pub fn parse_workspace<'t>(text: &'t str) -> Result<Workspace, FormatError> {
+pub fn parse_workspace(text: &str) -> Result<Workspace, FormatError> {
     // Pass 1: relations, and a count of `fact` lines to size the
     // instance by.
     let mut rels: Vec<(String, usize)> = Vec::new();
     let mut fact_lines = 0;
-    for (idx, raw) in text.lines().enumerate() {
+    for (idx, raw) in text.split('\n').enumerate() {
         let line = idx + 1;
-        let l = raw.trim();
+        let l = trim(raw);
         if l.starts_with("fact ") {
             fact_lines += 1;
         } else if let Some(rest) = l.strip_prefix("relation ") {
@@ -221,27 +320,29 @@ pub fn parse_workspace<'t>(text: &'t str) -> Result<Workspace, FormatError> {
     let sig = Signature::new(rels.iter().map(|(n, a)| (n.as_str(), *a)))
         .map_err(|e| FormatError::new(0, e.to_string()))?;
 
-    // Pass 2: everything else. Fact lines parse into one reused
-    // buffer; references keep their atoms in one arena.
+    // Pass 2: everything else. A reference to a fact already read
+    // resolves as it is read; only forward references wait.
     let mut fds: Vec<Fd> = Vec::new();
     let mut instance = Instance::with_capacity(sig.clone(), fact_lines);
-    let mut values: Vec<Value> = Vec::new();
-    let mut arena: Vec<Atom<'t>> = Vec::new();
-    let mut reference = |text: &'t str, line: usize| -> Result<FactRef, FormatError> {
-        let start = arena.len();
-        Ok((parse_fact_into(&sig, text, line, &mut arena)?, start))
-    };
+    let mut reader = FactReader::new(&sig);
     let mut prefer_lines: Vec<(usize, FactRef, FactRef)> = Vec::new();
     let mut mode = PriorityMode::ConflictRestricted;
     let mut repairs: Vec<(String, Vec<FactRef>)> = Vec::new();
 
-    for (idx, raw) in text.lines().enumerate() {
+    for (idx, raw) in text.split('\n').enumerate() {
         let line = idx + 1;
-        let l = raw.trim();
-        if l.is_empty() || l.starts_with('#') || l.starts_with("relation ") {
+        let l = trim(raw);
+        if let Some(rest) = l.strip_prefix("fact ") {
+            instance.insert(reader.fact(rest, line)?);
+        } else if let Some(rest) = l.strip_prefix("prefer ") {
+            let (a, b) = rest
+                .split_once('>')
+                .ok_or_else(|| FormatError::new(line, "expected `prefer FACT > FACT`"))?;
+            let a = reader.reference(&instance, a, line)?;
+            prefer_lines.push((line, a, reader.reference(&instance, b, line)?));
+        } else if l.is_empty() || l.starts_with('#') || l.starts_with("relation ") {
             continue;
-        }
-        if let Some(rest) = l.strip_prefix("fd ") {
+        } else if let Some(rest) = l.strip_prefix("fd ") {
             let (rel_name, spec) = rest
                 .split_once(':')
                 .ok_or_else(|| FormatError::new(line, "expected `fd NAME: lhs -> rhs`"))?;
@@ -255,16 +356,6 @@ pub fn parse_workspace<'t>(text: &'t str) -> Result<Workspace, FormatError> {
                 return Err(FormatError::new(line, "FD mentions attributes beyond the arity"));
             }
             fds.push(fd);
-        } else if let Some(rest) = l.strip_prefix("fact ") {
-            let rel = parse_fact_into(&sig, rest, line, &mut values)?;
-            let tuple = Tuple::new(values.drain(..));
-            instance
-                .insert(Fact::new(&sig, rel, tuple).expect("parse_fact_into checked the arity"));
-        } else if let Some(rest) = l.strip_prefix("prefer ") {
-            let (a, b) = rest
-                .split_once('>')
-                .ok_or_else(|| FormatError::new(line, "expected `prefer FACT > FACT`"))?;
-            prefer_lines.push((line, reference(a, line)?, reference(b, line)?));
         } else if let Some(rest) = l.strip_prefix("mode ") {
             mode = match rest.trim() {
                 "ccp" | "cross-conflict" => PriorityMode::CrossConflict,
@@ -277,9 +368,9 @@ pub fn parse_workspace<'t>(text: &'t str) -> Result<Workspace, FormatError> {
                 .ok_or_else(|| FormatError::new(line, "expected `repair NAME: FACT; …`"))?;
             let mut facts = Vec::new();
             for part in body.split(';') {
-                let part = part.trim();
+                let part = trim(part);
                 if !part.is_empty() {
-                    facts.push(reference(part, line)?);
+                    facts.push(reader.reference(&instance, part, line)?);
                 }
             }
             repairs.push((name.trim().to_owned(), facts));
@@ -287,14 +378,18 @@ pub fn parse_workspace<'t>(text: &'t str) -> Result<Workspace, FormatError> {
             return Err(FormatError::new(line, format!("unrecognized directive `{l}`")));
         }
     }
+    let arena = reader.arena;
 
     let schema = Schema::new(sig, fds).map_err(|e| FormatError::new(0, e.to_string()))?;
 
-    let resolve = |(rel, start): FactRef| {
-        let arity = instance.signature().arity(rel);
-        instance.id_of_atoms(rel, &arena[start..start + arity])
+    let resolve = |r: FactRef| match r {
+        FactRef::Known(id) => Some(id),
+        FactRef::Forward(rel, start) => {
+            let arity = instance.signature().arity(rel);
+            instance.id_of_atoms(rel, &arena[start..start + arity])
+        }
     };
-    let mut edges: Vec<(FactId, FactId)> = Vec::new();
+    let mut edges: Vec<(FactId, FactId)> = Vec::with_capacity(prefer_lines.len());
     for (line, a, b) in prefer_lines {
         let ai = resolve(a)
             .ok_or_else(|| FormatError::new(line, "preferred fact not declared with `fact`"))?;

@@ -5,7 +5,8 @@
 //! `g`". Acyclicity is part of the definition — a cyclic relation is
 //! rejected at construction time.
 
-use rpr_data::{Compaction, FactId, FactSet, FxHashSet};
+use rpr_data::{Compaction, FactId, FactSet, FxHashMap, FxHashSet};
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// Errors raised while building priority relations.
@@ -81,12 +82,14 @@ impl PriorityRelation {
     where
         I: IntoIterator<Item = (FactId, FactId)>,
     {
+        let edge_iter = edge_iter.into_iter();
+        let hint = edge_iter.size_hint().0;
         let mut rel = PriorityRelation {
             n,
             worse: vec![Vec::new(); n],
             better: vec![Vec::new(); n],
-            edge_set: FxHashSet::default(),
-            edges: Vec::new(),
+            edge_set: FxHashSet::with_capacity_and_hasher(hint, Default::default()),
+            edges: Vec::with_capacity(hint),
         };
         for (f, g) in edge_iter {
             if f.index() >= n {
@@ -257,23 +260,28 @@ impl PriorityRelation {
         self.edge_set = self.edges.iter().map(|&(a, b)| (a.0, b.0)).collect();
     }
 
-    /// A directed path `from ≻ … ≻ to`, if one exists.
+    /// A directed path `from ≻ … ≻ to`, if one exists: the first one a
+    /// depth-first search from `from` reaches. The parents live in a
+    /// map, so a search costs what it reaches, not the universe.
     fn path_between(&self, from: FactId, to: FactId) -> Option<Vec<FactId>> {
         if from == to {
             return Some(vec![from]);
         }
-        let mut parent: Vec<Option<FactId>> = vec![None; self.n];
+        if self.worse[from.index()].is_empty() || self.better[to.index()].is_empty() {
+            return None;
+        }
+        let mut parent: FxHashMap<FactId, FactId> = FxHashMap::default();
         let mut stack = vec![from];
-        parent[from.index()] = Some(from);
+        parent.insert(from, from);
         while let Some(node) = stack.pop() {
             for &succ in &self.worse[node.index()] {
-                if parent[succ.index()].is_none() {
-                    parent[succ.index()] = Some(node);
+                if let Entry::Vacant(slot) = parent.entry(succ) {
+                    slot.insert(node);
                     if succ == to {
                         let mut path = vec![to];
                         let mut cur = to;
                         while cur != from {
-                            cur = parent[cur.index()].expect("reached chain");
+                            cur = parent[&cur];
                             path.push(cur);
                         }
                         path.reverse();
@@ -317,19 +325,26 @@ impl PriorityRelation {
         }
     }
 
-    /// Finds a cycle, if any (used during construction).
+    /// Finds a cycle, if any (used during construction): the first back
+    /// edge of a depth-first search that starts from each fact in id
+    /// order. One stack serves every start, and a fact with no `worse`
+    /// edge starts none, since no cycle leaves it.
     fn find_cycle(&self) -> Option<Vec<FactId>> {
         // Iterative DFS with colors; parent chain recovers the cycle.
         const WHITE: u8 = 0;
         const GRAY: u8 = 1;
         const BLACK: u8 = 2;
+        if self.edges.is_empty() {
+            return None;
+        }
         let mut color = vec![WHITE; self.n];
         let mut parent: Vec<Option<FactId>> = vec![None; self.n];
+        let mut stack: Vec<(FactId, usize)> = Vec::new();
         for start in 0..self.n {
-            if color[start] != WHITE {
+            if color[start] != WHITE || self.worse[start].is_empty() {
                 continue;
             }
-            let mut stack: Vec<(FactId, usize)> = vec![(FactId(start as u32), 0)];
+            stack.push((FactId(start as u32), 0));
             color[start] = GRAY;
             while let Some(&mut (node, ref mut next)) = stack.last_mut() {
                 if *next < self.worse[node.index()].len() {
