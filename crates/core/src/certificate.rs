@@ -29,7 +29,7 @@
 //! Serialization lives in `rpr-format::certificate_json`; the
 //! independent validator is the dependency-free `rpr-audit` crate.
 
-use crate::global_1fd::FdBlocks;
+use crate::global_1fd::{beaten_by, FdBlocks};
 use crate::improvement::CheckOutcome;
 use crate::session::{CheckSession, Plan};
 use rpr_classify::{CcpClass, RelationClass};
@@ -223,14 +223,14 @@ impl CheckSession<'_> {
         match art.plan() {
             Plan::Classical(class) => {
                 for (rel, rc) in class.per_relation() {
-                    let RelationClass::SingleFd(fd) = rc else {
+                    let RelationClass::SingleFd(_) = rc else {
                         all_single_fd = false;
                         continue;
                     };
                     let fb = art.rel_blocks()[rel.index()]
                         .as_ref()
                         .expect("blocks cached for every single-FD relation");
-                    blocks.extend(self.group_evidence(*rel, *fd, fb, j));
+                    blocks.extend(self.group_evidence(*rel, fb, j));
                 }
             }
             Plan::Ccp(_) => all_single_fd = false,
@@ -246,38 +246,37 @@ impl CheckSession<'_> {
     /// Evidence for every multi-block group of one single-FD relation:
     /// the selected block of `J` and, per alternative block, a selected
     /// fact the alternative cannot beat.
-    fn group_evidence(&self, rel: RelId, fd: Fd, fb: &FdBlocks, j: &FactSet) -> Vec<BlockEvidence> {
+    fn group_evidence(&self, rel: RelId, fb: &FdBlocks, j: &FactSet) -> Vec<BlockEvidence> {
         let priority = self.priority();
         let mut out = Vec::new();
-        for group in fb.groups() {
-            if group.len() < 2 {
+        for g in 0..fb.group_count() {
+            let blocks = fb.group(g);
+            if blocks.len() < 2 {
                 continue; // single-block groups admit no swap
             }
             // J is a repair, so every group has J-members and they all
             // sit in one block.
-            let Some(bf) = group.iter().position(|b| b.iter().any(|id| j.contains(*id))) else {
+            let Some(bf) = blocks.clone().find(|&b| fb.block(b).iter().any(|id| j.contains(*id)))
+            else {
                 continue;
             };
             let selected: Vec<FactId> =
-                group[bf].iter().copied().filter(|id| j.contains(*id)).collect();
-            let maximality = group
-                .iter()
-                .enumerate()
-                .filter(|(bg, _)| *bg != bf)
-                .map(|(_, block)| {
+                fb.block(bf).iter().copied().filter(|id| j.contains(*id)).collect();
+            let maximality = blocks
+                .clone()
+                .filter(|&b| b != bf)
+                .map(|b| {
+                    let block = fb.block(b);
                     let unbeaten = selected
                         .iter()
                         .copied()
-                        .find(|&u| !block.iter().any(|&g| priority.prefers(g, u)))
+                        .find(|&u| !beaten_by(priority, block, u))
                         .expect("optimal verdicts admit no improving block swap");
-                    let rep =
-                        block.iter().copied().min().expect("blocks are nonempty by construction");
-                    (rep, unbeaten)
+                    (block[0], unbeaten)
                 })
                 .collect();
-            let group_id =
-                group.iter().flatten().copied().min().expect("groups are nonempty by construction");
-            out.push(BlockEvidence { rel, fd, group: group_id, consistency: selected, maximality });
+            let group = blocks.map(|b| fb.block(b)[0]).min().expect("groups are nonempty");
+            out.push(BlockEvidence { rel, fd: fb.fd(), group, consistency: selected, maximality });
         }
         out
     }

@@ -28,7 +28,7 @@
 //! * **FD blocks** — the touched relation's blocks are edited in place
 //!   (binary search on the canonical lhs/rhs projection order, so the
 //!   patch is bit-identical to `FdBlocks::build`); at the end of the
-//!   batch every block list is remapped once through the compaction,
+//!   batch every grouping is remapped once through the compaction,
 //!   which preserves that order.
 //! * **Shards** — clean shards are carried: each post-batch component
 //!   whose members come from a pre-batch component the batch left alone
@@ -628,7 +628,6 @@ impl DeltaSession {
         match op {
             DeltaOp::InsertFact(f) => {
                 let rel = f.rel();
-                let fd = self.artifacts.plan.single_fd(rel);
                 self.apply_op_data(op, &mut tracker.dead);
                 let inst = self.pi.instance();
                 let id = inst.id_of(f).expect("just inserted");
@@ -636,20 +635,15 @@ impl DeltaSession {
                     dom.grow(inst.len());
                 }
                 self.artifacts.rel_domains[rel.index()].insert(id);
-                if let Some(fd) = fd {
-                    if let Some(blocks) = self.artifacts.rel_blocks[rel.index()].as_mut() {
-                        blocks.insert(inst, fd, id);
-                    }
+                if let Some(blocks) = self.artifacts.rel_blocks[rel.index()].as_mut() {
+                    blocks.insert(inst, id);
                 }
             }
             DeltaOp::DeleteFact(f) => {
                 let rel = f.rel();
-                let fd = self.artifacts.plan.single_fd(rel);
                 let id = self.pi.instance().id_of(f).expect("validated delete");
-                if let Some(fd) = fd {
-                    if let Some(blocks) = self.artifacts.rel_blocks[rel.index()].as_mut() {
-                        blocks.remove(self.pi.instance(), fd, id);
-                    }
+                if let Some(blocks) = self.artifacts.rel_blocks[rel.index()].as_mut() {
+                    blocks.remove(self.pi.instance(), id);
                 }
                 tracker.record_delete(&self.artifacts, id);
                 self.apply_op_data(op, &mut tracker.dead);
@@ -697,12 +691,8 @@ impl DeltaSession {
         let inserted: Vec<Vec<u32>> = (first_new..inst.len())
             .map(|x| {
                 let x = FactId(x as u32);
-                let rel = inst.fact(x).rel();
-                match art.plan.single_fd(rel) {
-                    Some(fd) => art.rel_blocks[rel.index()]
-                        .as_ref()
-                        .expect("blocks kept for every single-FD relation")
-                        .conflict_row(inst, fd, x),
+                match &art.rel_blocks[inst.fact(x).rel().index()] {
+                    Some(blocks) => blocks.conflict_row(inst, x),
                     None => CsrConflictGraph::scan_row(&self.schema, inst, x),
                 }
             })
@@ -1333,7 +1323,7 @@ mod tests {
     fn block_member_count_equals_the_walked_count() {
         let walked = |ds: &DeltaSession| -> usize {
             let blocks = ds.artifacts.rel_blocks.iter().flatten();
-            blocks.map(|b| b.groups().iter().flatten().flatten().count()).sum()
+            blocks.map(|b| (0..b.group_count()).flat_map(|g| b.blocks(g)).flatten().count()).sum()
         };
         let counted = |ds: &DeltaSession| -> usize {
             let inst = ds.prioritized().instance();

@@ -11,7 +11,7 @@
 //! `dichotomy_gap` measures exactly this fall-back against the
 //! polynomial algorithms.
 
-use crate::improvement::{is_global_improvement, CheckOutcome, Improvement};
+use crate::improvement::{inconsistency, is_global_improvement, CheckOutcome, Improvement};
 use crate::pareto::find_pareto_improvement;
 use rpr_data::FactSet;
 use rpr_engine::{Budget, Outcome, Stop};
@@ -44,11 +44,8 @@ pub(crate) fn check_global_exact_stop(
     j: &FactSet,
     budget: &Budget,
 ) -> Result<CheckOutcome, Stop> {
-    // Repair pre-checks.
-    for f in j.iter() {
-        if let Some(g) = cg.conflicts_among(f, j).next() {
-            return Ok(CheckOutcome::Inconsistent(f, g));
-        }
+    if let Some(incons) = inconsistency(cg, j) {
+        return Ok(incons);
     }
     // Cheap sound pre-check: a Pareto improvement is a global
     // improvement (and covers non-maximality).

@@ -16,300 +16,177 @@
 //! and `g`, so we test each ordered pair of blocks once. §4.1 notes
 //! that this procedure also subsumes the non-maximality and Pareto
 //! cases, because a proper consistent superset is itself a global
-//! improvement — we still pre-check maximality to give the cheaper
-//! witness first.
+//! improvement — we still report an addable fact first, as the cheaper
+//! witness.
+//!
+//! One pass over the groups ([`scan_groups`]) decides all three: the
+//! repair pre-checks (consistency, maximality) and the swap scan. The
+//! sequential entry point runs it over every group; a session fans it
+//! out over group ranges and [merges](GroupScan::merge) the results,
+//! which gives the same verdict and witness.
 //!
 //! The block structure depends only on `(instance, fd, domain)`, never
 //! on the candidate `J` — so amortized callers
 //! ([`CheckSession`](crate::session::CheckSession)) build [`FdBlocks`]
-//! once and call [`check_global_1fd_with_blocks`] per candidate, which
-//! also runs the repair pre-checks block-wise instead of via bitset
-//! scans (same witnesses, linear work).
+//! once and call [`check_global_1fd_with_blocks`] per candidate.
 
 use crate::improvement::{CheckOutcome, Improvement};
-use rpr_data::{Compaction, FactId, FactSet, Instance};
-use rpr_fd::grouping::cmp_on;
+use rpr_data::{FactId, FactSet, Instance};
 use rpr_fd::{ConflictRows, Fd, FdGrouping};
 use rpr_priority::PriorityRelation;
+use std::ops::Range;
 
-/// The block structure of one relation's facts under a single FD:
-/// groups share the `A`-projection; blocks within a group share the
-/// `B`-projection. Facts in different blocks of one group conflict;
-/// facts in the same block, or in different groups, never do.
-pub struct FdBlocks {
-    /// `groups[g]` = list of blocks; each block is a list of fact ids.
-    groups: Vec<Vec<Vec<FactId>>>,
+/// The block structure of one relation's facts under a single FD is the
+/// relation's flat [`FdGrouping`]: groups share the `A`-projection;
+/// blocks within a group share the `B`-projection. Facts in different
+/// blocks of one group conflict; facts in the same block, or in
+/// different groups, never do. [`FdBlocks::build`] groups a domain;
+/// the delta layer patches the grouping in place.
+pub type FdBlocks = FdGrouping;
+
+/// Does some fact of `block` (ids ascending) beat `f`? Reads `f`'s
+/// `better_than` row, which is short where the block may be long.
+pub(crate) fn beaten_by(priority: &PriorityRelation, block: &[FactId], f: FactId) -> bool {
+    priority.better_than(f).iter().any(|g| block.binary_search(g).is_ok())
 }
 
-impl FdBlocks {
-    /// The group/block structure: `groups()[g]` lists the blocks of
-    /// group `g`, each a list of fact ids (certificate emission walks
-    /// this to package per-block evidence).
-    pub(crate) fn groups(&self) -> &[Vec<Vec<FactId>>] {
-        &self.groups
+/// A Lemma 4.2 block swap `J[f ↔ g]`: J's block `from` of group `group`
+/// out, block `to` of the same group in (blocks numbered across the
+/// grouping). Ordered by group first, so the least swap is the first
+/// one in group order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Swap {
+    group: usize,
+    from: usize,
+    to: usize,
+}
+
+/// What one pass of `GRepCheck1FD` found over a range of groups. Each
+/// field is a least element over the range, so the scans of disjoint
+/// ranges [`merge`](Self::merge) into the scan of their union, and the
+/// verdict reads off the merged scan: an inconsistency first, then an
+/// addable fact, then a swap.
+#[derive(Default)]
+pub(crate) struct GroupScan {
+    /// The least `f ∈ J` conflicting inside `J`, with its least partner.
+    incons: Option<(FactId, FactId)>,
+    /// The least fact addable to `J` without conflict.
+    addable: Option<FactId>,
+    /// The first improving swap in group order.
+    swap: Option<Swap>,
+}
+
+fn least<T: Ord>(a: Option<T>, b: Option<T>) -> Option<T> {
+    a.into_iter().chain(b).min()
+}
+
+impl GroupScan {
+    /// The scan of two disjoint group ranges together.
+    pub(crate) fn merge(self, other: GroupScan) -> GroupScan {
+        GroupScan {
+            incons: least(self.incons, other.incons),
+            addable: least(self.addable, other.addable),
+            swap: least(self.swap, other.swap),
+        }
     }
 
-    /// Applies a delta batch's [`Compaction`]: every id moves to its
-    /// new number. Removed facts must already be out of the blocks
-    /// ([`remove`](Self::remove)). The renumbering is order-preserving,
-    /// so ids inside blocks stay ascending and the result is exactly
-    /// what [`FdBlocks::build`] over the compacted instance produces.
-    /// A batch that moves no surviving id leaves the blocks alone.
-    pub(crate) fn remap(&mut self, c: &Compaction) {
-        if c.first() >= c.after() {
-            return;
+    /// The verdict, with its witness sets built for the winning group
+    /// only. `cg` and `priority` are read by debug assertions alone.
+    pub(crate) fn outcome(
+        self,
+        cg: &impl ConflictRows,
+        priority: &PriorityRelation,
+        blocks: &FdBlocks,
+        j: &FactSet,
+    ) -> CheckOutcome {
+        let set = |ids: &[FactId]| {
+            let mut set = FactSet::empty(j.universe());
+            ids.iter().for_each(|&id| set.insert(id));
+            set
+        };
+        if let Some((f, g)) = self.incons {
+            debug_assert!(cg.neighbors(f).any(|x| x == g));
+            return CheckOutcome::Inconsistent(f, g);
         }
-        for id in self.groups.iter_mut().flatten().flatten() {
-            if id.index() >= c.first() {
-                *id = c.new_id(*id).expect("removed facts are out of the blocks");
+        let witness = match (self.addable, self.swap) {
+            (Some(g), _) => {
+                debug_assert!(!cg.conflicts_with_set(g, j));
+                Improvement::adding(j.universe(), g)
             }
-        }
-    }
-
-    /// Groups `domain`'s facts by `A`- then `B`-projection.
-    ///
-    /// Grouping is the sort-based [`FdGrouping`] (in-place attribute
-    /// comparisons, no projection tuples), and the resulting group and
-    /// block order is *canonical* — groups sorted by `A`-projection,
-    /// blocks within a group by `B`-projection, ids within a block
-    /// ascending — so two builds over equal content produce identical
-    /// structures, and [`insert`](Self::insert) /
-    /// [`remove`](Self::remove) can patch the structure in place while
-    /// staying bit-identical to a from-scratch build.
-    pub fn build(instance: &Instance, fd: Fd, domain: &FactSet) -> FdBlocks {
-        Self::from_grouping(&FdGrouping::new(instance, fd, domain.iter()))
-    }
-
-    /// The block structure of an existing grouping — sessions group a
-    /// single-FD relation once and derive both these blocks and its CSR
-    /// conflict rows from it.
-    pub fn from_grouping(grouping: &FdGrouping) -> FdBlocks {
-        let groups = (0..grouping.group_count())
-            .map(|g| grouping.blocks(g).map(<[FactId]>::to_vec).collect())
-            .collect();
-        FdBlocks { groups }
-    }
-
-    /// Patches in the fact `id`, freshly appended to `instance` (so it
-    /// carries the maximal id). Binary-searches the canonical order for
-    /// its group and block; the result is exactly what
-    /// [`build`](Self::build) over the grown domain produces.
-    pub(crate) fn insert(&mut self, instance: &Instance, fd: Fd, id: FactId) {
-        match self.groups.binary_search_by(|g| cmp_on(instance, g[0][0], id, fd.lhs)) {
-            Ok(gi) => {
-                let group = &mut self.groups[gi];
-                match group.binary_search_by(|b| cmp_on(instance, b[0], id, fd.rhs)) {
-                    // The appended id is maximal, so a push keeps the
-                    // block's ids ascending.
-                    Ok(bi) => group[bi].push(id),
-                    Err(bi) => group.insert(bi, vec![id]),
-                }
+            (None, Some(s)) => {
+                Improvement { removed: set(blocks.block(s.from)), added: set(blocks.block(s.to)) }
             }
-            Err(gi) => self.groups.insert(gi, vec![vec![id]]),
-        }
-    }
-
-    /// Patches out the fact `id` (its content still readable in
-    /// `instance`, as a tombstone's is), dropping its block and group if
-    /// they become empty. The caller follows up with
-    /// [`remap`](Self::remap) once the batch compacts the instance. The
-    /// result is exactly what [`build`](Self::build) over the shrunken
-    /// domain produces.
-    pub(crate) fn remove(&mut self, instance: &Instance, fd: Fd, id: FactId) {
-        let (gi, bi) = self.locate(instance, fd, id);
-        let group = &mut self.groups[gi];
-        let block = &mut group[bi];
-        let pos = block.iter().position(|&x| x == id).expect("deleted fact is in its block");
-        block.remove(pos);
-        if block.is_empty() {
-            group.remove(bi);
-        }
-        if self.groups[gi].is_empty() {
-            self.groups.remove(gi);
-        }
-    }
-
-    /// The group and block indices of the fact `id`, present in the
-    /// blocks, by binary search on the canonical order.
-    fn locate(&self, instance: &Instance, fd: Fd, id: FactId) -> (usize, usize) {
-        let gi = self
-            .groups
-            .binary_search_by(|g| cmp_on(instance, g[0][0], id, fd.lhs))
-            .expect("the fact's group is present");
-        let bi = self.groups[gi]
-            .binary_search_by(|b| cmp_on(instance, b[0], id, fd.rhs))
-            .expect("the fact's block is present");
-        (gi, bi)
-    }
-
-    /// The conflict row of the fact `id` (present in the blocks):
-    /// every fact in another block of its group, ascending. Two binary
-    /// searches plus the group's size, where a scan of the relation
-    /// costs `O(|rel|)`.
-    pub(crate) fn conflict_row(&self, instance: &Instance, fd: Fd, id: FactId) -> Vec<u32> {
-        let (gi, bi) = self.locate(instance, fd, id);
-        let mut row: Vec<u32> = self.groups[gi]
-            .iter()
-            .enumerate()
-            .filter(|&(b, _)| b != bi)
-            .flat_map(|(_, block)| block.iter().map(|g| g.0))
-            .collect();
-        row.sort_unstable();
-        row
-    }
-
-    /// The minimal `f ∈ j` conflicting inside `j`, with its minimal
-    /// conflict partner — the witness the sequential bitset scan
-    /// `for f in j { cg.conflicts_in(f, j).first() }` finds. Two
-    /// `j`-facts conflict iff they sit in different blocks of one
-    /// group.
-    fn consistency_witness(&self, j: &FactSet) -> Option<(FactId, FactId)> {
-        let mut best: Option<(FactId, FactId)> = None;
-        for group in &self.groups {
-            if group.len() < 2 {
-                continue;
-            }
-            // The two minimal j-members in distinct blocks, if any.
-            let mut lo: Option<FactId> = None;
-            let mut hi: Option<FactId> = None;
-            for block in group {
-                let Some(&m) = block.iter().find(|id| j.contains(**id)) else {
-                    continue;
-                };
-                // Each block is visited once, so `m` is always from a
-                // block other than `lo`'s: the loser goes into `hi`.
-                match lo {
-                    None => lo = Some(m),
-                    Some(f0) if m < f0 => {
-                        lo = Some(m);
-                        hi = Some(hi.map_or(f0, |h| h.min(f0)));
-                    }
-                    Some(_) => hi = Some(hi.map_or(m, |h| h.min(m))),
-                }
-            }
-            if let (Some(f), Some(g)) = (lo, hi) {
-                if best.is_none_or(|(bf, _)| f < bf) {
-                    best = Some((f, g));
-                }
-            }
-        }
-        best
-    }
-
-    /// The minimal fact of the domain addable to `j` without conflict
-    /// (`j` assumed consistent): any fact of a group without j-members,
-    /// or a fact of the j-block itself that is missing from `j`.
-    fn maximality_witness(&self, j: &FactSet) -> Option<FactId> {
-        let mut best: Option<FactId> = None;
-        for group in &self.groups {
-            let j_block = group.iter().position(|b| b.iter().any(|id| j.contains(*id)));
-            let candidate = match j_block {
-                // No j-members: every fact of the group is addable.
-                None => group.iter().flatten().copied().min(),
-                // Same-block facts agree on A and B — no conflict.
-                Some(bf) => group[bf].iter().copied().find(|id| !j.contains(*id)),
-            };
-            if let Some(c) = candidate {
-                if best.is_none_or(|b| c < b) {
-                    best = Some(c);
-                }
-            }
-        }
-        best
+            (None, None) => return CheckOutcome::Optimal,
+        };
+        debug_assert!(witness.is_valid_global_improvement(cg, priority, j));
+        CheckOutcome::Improvable(witness)
     }
 }
 
-/// Per-group-range evaluation of the three 1FD phases, produced by
-/// [`eval_1fd_groups`] so sessions can fan the group axis out over
-/// workers and reduce deterministically (see
-/// `CheckSession::check_1fd_sharded`).
-pub(crate) struct GroupRangeEval {
-    /// Minimal-`f` consistency witness among the range's groups.
-    pub incons: Option<(FactId, FactId)>,
-    /// Minimal addable fact among the range's groups.
-    pub max_wit: Option<FactId>,
-    /// First improvable `(group index, witness)` in the range, in group
-    /// then block order.
-    pub improvable: Option<(usize, Improvement)>,
-}
-
-/// Evaluates consistency, maximality, and the block-swap scan for the
-/// groups in `range` only. Reducing range results hierarchically —
-/// min-by-`f` inconsistency first, then min maximality witness, then
-/// the improvable hit with the smallest group index — reproduces the
-/// sequential [`check_global_1fd_with_blocks`] verdict and witness
-/// exactly, because that function's phases are themselves global
-/// min-reductions (consistency, maximality) or first-in-group-order
-/// scans (improvability).
-pub(crate) fn eval_1fd_groups(
+/// One allocation-free pass of `GRepCheck1FD` over the groups in
+/// `groups`. Per group it finds the block holding `J`'s members (two
+/// such blocks are an inconsistency), the least fact addable to `J`,
+/// and — while neither the range nor the group has settled the verdict
+/// otherwise — the first block whose swap for `J`'s block improves `J`.
+///
+/// With `consistent`, the caller has already found `J` consistent (the
+/// session pre-pass), so the pass stops looking at a group's blocks
+/// once it has found `J`'s.
+pub(crate) fn scan_groups(
     priority: &PriorityRelation,
     blocks: &FdBlocks,
     j: &FactSet,
-    range: std::ops::Range<usize>,
-) -> GroupRangeEval {
-    let mut out = GroupRangeEval { incons: None, max_wit: None, improvable: None };
-    for gi in range {
-        let group = &blocks.groups[gi];
-        // Phase 1: the two minimal j-members in distinct blocks.
-        if group.len() >= 2 {
-            let mut lo: Option<FactId> = None;
-            let mut hi: Option<FactId> = None;
-            for block in group {
-                let Some(&m) = block.iter().find(|id| j.contains(**id)) else {
-                    continue;
-                };
-                match lo {
-                    None => lo = Some(m),
-                    Some(f0) if m < f0 => {
-                        lo = Some(m);
-                        hi = Some(hi.map_or(f0, |h| h.min(f0)));
+    groups: Range<usize>,
+    consistent: bool,
+) -> GroupScan {
+    let mut out = GroupScan::default();
+    for g in groups {
+        // J's block, and the two least of the blocks' least J-members:
+        // a second block with J-members makes the group inconsistent.
+        let (mut j_block, mut lo, mut hi) = (None, None, None);
+        for b in blocks.group(g) {
+            let Some(&m) = blocks.block(b).iter().find(|&&id| j.contains(id)) else { continue };
+            match lo {
+                None => {
+                    (j_block, lo) = (Some(b), Some(m));
+                    if consistent {
+                        break;
                     }
-                    Some(_) => hi = Some(hi.map_or(m, |h| h.min(m))),
                 }
-            }
-            if let (Some(f), Some(g)) = (lo, hi) {
-                if out.incons.is_none_or(|(bf, _)| f < bf) {
-                    out.incons = Some((f, g));
-                }
+                Some(l) if m < l => (lo, hi) = (Some(m), Some(l)),
+                Some(_) => hi = least(hi, Some(m)),
             }
         }
-        // Phase 2: minimal addable fact (meaningful only when the
-        // reduce finds no inconsistency anywhere).
-        let j_block = group.iter().position(|b| b.iter().any(|id| j.contains(*id)));
-        let candidate = match j_block {
-            None => group.iter().flatten().copied().min(),
-            Some(bf) => group[bf].iter().copied().find(|id| !j.contains(*id)),
-        };
-        if let Some(c) = candidate {
-            if out.max_wit.is_none_or(|b| c < b) {
-                out.max_wit = Some(c);
-            }
-        }
-        // Phase 3: first improvable block swap in this group.
-        if out.improvable.is_some() || group.len() < 2 {
+        if let (Some(f), Some(partner)) = (lo, hi) {
+            out.incons = least(out.incons, Some((f, partner)));
             continue;
         }
-        let Some(bf) = j_block else { continue };
-        let removed: Vec<FactId> = group[bf].iter().copied().filter(|id| j.contains(*id)).collect();
-        for (bg, block) in group.iter().enumerate() {
-            if bg == bf {
-                continue;
-            }
-            let improves =
-                removed.iter().all(|&f_prime| block.iter().any(|&g| priority.prefers(g, f_prime)));
-            if improves {
-                let mut rem = FactSet::empty(j.universe());
-                for &f in &removed {
-                    rem.insert(f);
-                }
-                let mut add = FactSet::empty(j.universe());
-                for &g in block {
-                    add.insert(g);
-                }
-                out.improvable = Some((gi, Improvement { removed: rem, added: add }));
-                break;
-            }
+        if out.incons.is_some() {
+            continue; // only a lesser inconsistency can change the verdict
         }
+        let Some(from) = j_block else {
+            // Every fact of a group without J-members is addable.
+            let heads = blocks.group(g).map(|b| blocks.block(b)[0]).min();
+            out.addable = least(out.addable, heads);
+            continue;
+        };
+        // A fact of J's block missing from J agrees with J's members on
+        // A and B, so it is addable.
+        let removed = blocks.block(from);
+        if let Some(&a) = removed.iter().find(|&&id| !j.contains(id)) {
+            out.addable = least(out.addable, Some(a));
+            continue;
+        }
+        if out.addable.is_some() || out.swap.is_some() {
+            continue;
+        }
+        // J holds all of block `from`. J[f↔g] improves J iff every
+        // removed fact is beaten by some fact of the added block.
+        let to = blocks.group(g).filter(|&to| to != from).find(|&to| {
+            let added = blocks.block(to);
+            removed.iter().all(|&f| beaten_by(priority, added, f))
+        });
+        out.swap = to.map(|to| Swap { group: g, from, to });
     }
     out
 }
@@ -334,65 +211,17 @@ pub fn check_global_1fd(
 }
 
 /// [`check_global_1fd`] against a prebuilt block structure — the
-/// amortized path: no hashing, no bitset-row scans, `O(|domain|)` per
-/// call. Outcomes and witnesses are identical to the one-shot entry
-/// point.
+/// amortized path: no hashing, no bitset-row scans, one pass of
+/// `O(|domain|)` per call that also decides the repair pre-checks.
+/// Outcomes and witnesses are identical to the one-shot entry point.
 pub fn check_global_1fd_with_blocks(
     cg: &impl ConflictRows,
     priority: &PriorityRelation,
     blocks: &FdBlocks,
     j: &FactSet,
 ) -> CheckOutcome {
-    let _ = cg; // only read by debug assertions
-
-    // Repair pre-checks: J must be consistent and maximal in `domain`.
-    if let Some((f, g)) = blocks.consistency_witness(j) {
-        debug_assert!(cg.neighbors(f).any(|x| x == g));
-        return CheckOutcome::Inconsistent(f, g);
-    }
-    if let Some(g) = blocks.maximality_witness(j) {
-        debug_assert!(!cg.conflicts_with_set(g, j));
-        let mut added = FactSet::empty(j.universe());
-        added.insert(g);
-        return CheckOutcome::Improvable(Improvement {
-            removed: FactSet::empty(j.universe()),
-            added,
-        });
-    }
-
-    for group in &blocks.groups {
-        if group.len() < 2 {
-            continue; // no conflicts inside a single block
-        }
-        // J ∩ group lives in exactly one block (J is consistent).
-        let j_block: Option<usize> = group.iter().position(|b| b.iter().any(|id| j.contains(*id)));
-        let Some(bf) = j_block else { continue };
-        let removed: Vec<FactId> = group[bf].iter().copied().filter(|id| j.contains(*id)).collect();
-        for (bg, block) in group.iter().enumerate() {
-            if bg == bf {
-                continue;
-            }
-            // J[f↔g]: remove `removed`, add the whole candidate block.
-            // Global improvement ⇔ every removed fact is beaten by some
-            // added fact.
-            let improves =
-                removed.iter().all(|&f_prime| block.iter().any(|&g| priority.prefers(g, f_prime)));
-            if improves {
-                let mut rem = FactSet::empty(j.universe());
-                for &f in &removed {
-                    rem.insert(f);
-                }
-                let mut add = FactSet::empty(j.universe());
-                for &g in block {
-                    add.insert(g);
-                }
-                let witness = Improvement { removed: rem, added: add };
-                debug_assert!(witness.is_valid_global_improvement(cg, priority, j));
-                return CheckOutcome::Improvable(witness);
-            }
-        }
-    }
-    CheckOutcome::Optimal
+    scan_groups(priority, blocks, j, 0..blocks.group_count(), false)
+        .outcome(cg, priority, blocks, j)
 }
 
 #[cfg(test)]
@@ -482,6 +311,13 @@ mod tests {
         groups.into_values().map(|g| g.into_values().collect()).collect()
     }
 
+    /// The groups of a grouping, nested, for comparison.
+    fn nested(blocks: &FdBlocks) -> Vec<Vec<Vec<FactId>>> {
+        (0..blocks.group_count())
+            .map(|g| blocks.blocks(g).map(<[FactId]>::to_vec).collect())
+            .collect()
+    }
+
     #[test]
     fn shared_grouping_builds_the_definitional_blocks() {
         use rand::rngs::StdRng;
@@ -495,13 +331,11 @@ mod tests {
                 let spec = InstanceSpec { facts_per_relation: 80, domain };
                 let i = random_instance(&schema, spec, &mut rng);
                 let blocks = FdBlocks::build(&i, fd, &i.full_set());
-                assert_eq!(blocks.groups(), reference_groups(&i, fd));
-                let grouping = FdGrouping::new(&i, fd, i.facts_of(fd.rel).iter().copied());
-                assert_eq!(FdBlocks::from_grouping(&grouping).groups(), blocks.groups());
+                assert_eq!(nested(&blocks), reference_groups(&i, fd));
             }
         }
         let (_, i, fd) = bookloc();
-        assert_eq!(FdBlocks::build(&i, fd, &i.full_set()).groups(), reference_groups(&i, fd));
+        assert_eq!(nested(&FdBlocks::build(&i, fd, &i.full_set())), reference_groups(&i, fd));
     }
 
     #[test]
@@ -523,61 +357,60 @@ mod tests {
 
     #[test]
     fn block_wise_prechecks_match_bitset_scans() {
-        // The cached path's consistency/maximality witnesses must be
-        // exactly what the sequential bitset scans produce, on every
+        // The consistency and maximality witnesses of the one pass must
+        // be exactly what the sequential bitset scans produce, on every
         // subset of a small instance.
         let (schema, i, fd) = bookloc();
         let cg = ConflictGraph::new(&schema, &i);
+        let p = PriorityRelation::empty(i.len());
         let blocks = FdBlocks::build(&i, fd, &i.full_set());
         for bits in 0u32..(1 << i.len()) {
             let j = i.set_of((0..i.len() as u32).filter(|b| bits >> b & 1 == 1).map(FactId));
+            let outcome = check_global_1fd_with_blocks(&cg, &p, &blocks, &j);
             let scan_incons = j.iter().find_map(|f| cg.conflicts_in(f, &j).first().map(|g| (f, g)));
-            assert_eq!(blocks.consistency_witness(&j), scan_incons, "J = {bits:b}");
-            if scan_incons.is_none() {
-                let scan_max =
-                    i.full_set().difference(&j).iter().find(|&g| !cg.conflicts_with_set(g, &j));
-                assert_eq!(blocks.maximality_witness(&j), scan_max, "J = {bits:b}");
-            }
+            let scan_max =
+                i.full_set().difference(&j).iter().find(|&g| !cg.conflicts_with_set(g, &j));
+            let expected = match (scan_incons, scan_max) {
+                (Some((f, g)), _) => CheckOutcome::Inconsistent(f, g),
+                (None, Some(g)) => CheckOutcome::Improvable(Improvement {
+                    removed: i.empty_set(),
+                    added: i.set_of([g]),
+                }),
+                // An empty priority admits no swap.
+                (None, None) => CheckOutcome::Optimal,
+            };
+            assert_eq!(outcome, expected, "J = {bits:b}");
         }
     }
 
     #[test]
-    fn range_eval_reduce_matches_sequential_on_every_subset() {
+    fn range_scans_merge_to_the_whole_scan_on_every_subset() {
         // Split the groups into every possible two-range partition and
-        // check that the hierarchical reduce reproduces the sequential
-        // verdict and witness on every candidate subset.
+        // check that the merged scans reproduce the sequential verdict
+        // and witness on every candidate subset, whether or not the
+        // scans may assume consistency.
         let (schema, i, fd) = bookloc();
         let cg = ConflictGraph::new(&schema, &i);
         let p = PriorityRelation::new(i.len(), [(FactId(2), FactId(0)), (FactId(2), FactId(1))])
             .unwrap();
         let blocks = FdBlocks::build(&i, fd, &i.full_set());
-        let n_groups = blocks.groups().len();
+        let n_groups = blocks.group_count();
         for bits in 0u32..(1 << i.len()) {
             let j = i.set_of((0..i.len() as u32).filter(|b| bits >> b & 1 == 1).map(FactId));
             let sequential = check_global_1fd_with_blocks(&cg, &p, &blocks, &j);
+            let consistent = cg.is_consistent_set(&j);
             for split in 0..=n_groups {
-                let parts = [
-                    eval_1fd_groups(&p, &blocks, &j, 0..split),
-                    eval_1fd_groups(&p, &blocks, &j, split..n_groups),
-                ];
-                let incons = parts.iter().filter_map(|e| e.incons).min_by_key(|&(f, _)| f);
-                let reduced = if let Some((f, g)) = incons {
-                    CheckOutcome::Inconsistent(f, g)
-                } else if let Some(g) = parts.iter().filter_map(|e| e.max_wit).min() {
-                    let mut added = FactSet::empty(j.universe());
-                    added.insert(g);
-                    CheckOutcome::Improvable(Improvement {
-                        removed: FactSet::empty(j.universe()),
-                        added,
-                    })
-                } else if let Some((_, imp)) =
-                    parts.into_iter().filter_map(|e| e.improvable).min_by_key(|&(gi, _)| gi)
-                {
-                    CheckOutcome::Improvable(imp)
-                } else {
-                    CheckOutcome::Optimal
-                };
-                assert_eq!(reduced, sequential, "J = {bits:b}, split at {split}");
+                for assume in [false, consistent] {
+                    let merged = scan_groups(&p, &blocks, &j, 0..split, assume).merge(scan_groups(
+                        &p,
+                        &blocks,
+                        &j,
+                        split..n_groups,
+                        assume,
+                    ));
+                    let reduced = merged.outcome(&cg, &p, &blocks, &j);
+                    assert_eq!(reduced, sequential, "J = {bits:b}, split at {split}");
+                }
             }
         }
     }

@@ -43,7 +43,7 @@
 //!
 //! [`ConflictGraph`]: rpr_fd::ConflictGraph
 
-use crate::improvement::{CheckOutcome, Improvement};
+use crate::improvement::{inconsistency, CheckOutcome, Improvement};
 use crate::pareto::find_pareto_improvement;
 use rpr_data::{AttrSet, FactId, FactSet, Instance};
 use rpr_fd::ConflictRows;
@@ -191,14 +191,22 @@ pub fn check_global_2keys<R: ConflictRows>(
     domain: &FactSet,
     j: &FactSet,
 ) -> CheckOutcome {
-    debug_assert!(j.is_subset(domain));
+    inconsistency(rows, j)
+        .unwrap_or_else(|| check_consistent_2keys(instance, rows, priority, (a1, a2), domain, j))
+}
 
-    // Repair pre-checks.
-    for f in j.iter() {
-        if let Some(g) = rows.conflicts_among(f, j).next() {
-            return CheckOutcome::Inconsistent(f, g);
-        }
-    }
+/// [`check_global_2keys`] for a `j` already known to be consistent: a
+/// session's pre-pass has decided that for the whole candidate.
+pub(crate) fn check_consistent_2keys<R: ConflictRows>(
+    instance: &Instance,
+    rows: &R,
+    priority: &PriorityRelation,
+    keys: (AttrSet, AttrSet),
+    domain: &FactSet,
+    j: &FactSet,
+) -> CheckOutcome {
+    debug_assert!(j.is_subset(domain));
+    debug_assert!(rows.is_consistent_set(j));
     // Step 1 of Figure 4: Pareto improvement (also covers
     // non-maximality via the vacuous-superset case).
     if let Some(imp) = find_pareto_improvement(rows, priority, j, domain) {
@@ -206,7 +214,7 @@ pub fn check_global_2keys<R: ConflictRows>(
         return CheckOutcome::Improvable(imp);
     }
     // Step 2: cycles in G12 and G21.
-    for graph in build_graphs(instance, rows, priority, (a1, a2), domain, j) {
+    for graph in build_graphs(instance, rows, priority, keys, domain, j) {
         if let Some(imp) = graph.find_cycle_improvement(j.universe()) {
             debug_assert!(imp.is_valid_global_improvement(rows, priority, j));
             return CheckOutcome::Improvable(imp);

@@ -10,7 +10,9 @@
 //! schema — and the checker simply enumerates them and tests each as a
 //! global improvement of `J`.
 
-use crate::improvement::{is_global_improvement, CheckOutcome, Improvement};
+use crate::improvement::{
+    addition, inconsistency, is_global_improvement, CheckOutcome, Improvement,
+};
 use rpr_data::{AttrSet, FactSet, FxHashMap, Instance, Tuple};
 use rpr_fd::ConflictRows;
 use rpr_priority::PriorityRelation;
@@ -65,22 +67,22 @@ pub fn check_global_ccp_const(
     constant_attrs: &[AttrSet],
     j: &FactSet,
 ) -> CheckOutcome {
-    // Repair pre-checks.
-    for f in j.iter() {
-        if let Some(g) = cg.conflicts_among(f, j).next() {
-            return CheckOutcome::Inconsistent(f, g);
-        }
-    }
-    let outside = j.complement();
-    for g in outside.iter() {
-        if !cg.conflicts_with_set(g, j) {
-            let mut added = FactSet::empty(j.universe());
-            added.insert(g);
-            return CheckOutcome::Improvable(Improvement {
-                removed: FactSet::empty(j.universe()),
-                added,
-            });
-        }
+    inconsistency(cg, j)
+        .unwrap_or_else(|| check_consistent_ccp_const(instance, cg, priority, constant_attrs, j))
+}
+
+/// [`check_global_ccp_const`] for a `j` already known to be consistent:
+/// a session's pre-pass has decided that for the whole candidate.
+pub(crate) fn check_consistent_ccp_const(
+    instance: &Instance,
+    cg: &impl ConflictRows,
+    priority: &PriorityRelation,
+    constant_attrs: &[AttrSet],
+    j: &FactSet,
+) -> CheckOutcome {
+    debug_assert!(cg.is_consistent_set(j));
+    if let Some(imp) = addition(cg, j) {
+        return CheckOutcome::Improvable(imp);
     }
 
     for candidate in enumerate_const_attr_repairs(instance, constant_attrs) {

@@ -9,7 +9,7 @@
 //! A simple cycle `f1 → g1 → … → gk → f1` encodes the improvement
 //! `(J \ {f1..fk}) ∪ {g1..gk}`, consistent because all FDs are keys.
 
-use crate::improvement::{CheckOutcome, Improvement};
+use crate::improvement::{addition, inconsistency, CheckOutcome, Improvement};
 use rpr_data::{FactId, FactSet};
 use rpr_fd::ConflictRows;
 use rpr_priority::PriorityRelation;
@@ -24,23 +24,21 @@ pub fn check_global_ccp_pk(
     priority: &PriorityRelation,
     j: &FactSet,
 ) -> CheckOutcome {
-    // Repair pre-checks ("We assume that J is a repair, since the
-    // problem is straightforward otherwise").
-    for f in j.iter() {
-        if let Some(g) = cg.conflicts_among(f, j).next() {
-            return CheckOutcome::Inconsistent(f, g);
-        }
-    }
-    let outside = j.complement();
-    for g in outside.iter() {
-        if !cg.conflicts_with_set(g, j) {
-            let mut added = FactSet::empty(j.universe());
-            added.insert(g);
-            return CheckOutcome::Improvable(Improvement {
-                removed: FactSet::empty(j.universe()),
-                added,
-            });
-        }
+    inconsistency(cg, j).unwrap_or_else(|| check_consistent_ccp_pk(cg, priority, j))
+}
+
+/// [`check_global_ccp_pk`] for a `j` already known to be consistent: a
+/// session's pre-pass has decided that for the whole candidate.
+pub(crate) fn check_consistent_ccp_pk(
+    cg: &impl ConflictRows,
+    priority: &PriorityRelation,
+    j: &FactSet,
+) -> CheckOutcome {
+    debug_assert!(cg.is_consistent_set(j));
+    // The rest of the repair pre-checks ("We assume that J is a
+    // repair, since the problem is straightforward otherwise").
+    if let Some(imp) = addition(cg, j) {
+        return CheckOutcome::Improvable(imp);
     }
 
     // DFS over G_{J, I\J}, walking J-facts; each move goes

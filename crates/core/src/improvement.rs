@@ -19,6 +19,14 @@ pub struct Improvement {
 }
 
 impl Improvement {
+    /// The vacuous exchange adding `g` and removing nothing: the
+    /// witness of a non-maximal `J`.
+    pub(crate) fn adding(universe: usize, g: FactId) -> Self {
+        let mut added = FactSet::empty(universe);
+        added.insert(g);
+        Improvement { removed: FactSet::empty(universe), added }
+    }
+
     /// Applies the exchange to `j`.
     pub fn apply(&self, j: &FactSet) -> FactSet {
         j.difference(&self.removed).union(&self.added)
@@ -38,6 +46,21 @@ impl Improvement {
         let j2 = self.apply(j);
         cg.is_consistent_set(&j2) && is_global_improvement(priority, j, &j2)
     }
+}
+
+/// The repair pre-check of the one-shot checkers: the least `f ∈ j`
+/// conflicting inside `j`, with its least partner. Session checks skip
+/// it, because their pre-pass has already decided it for all of `J`.
+pub(crate) fn inconsistency(rows: &impl ConflictRows, j: &FactSet) -> Option<CheckOutcome> {
+    j.iter()
+        .find_map(|f| rows.conflicts_among(f, j).next().map(|g| CheckOutcome::Inconsistent(f, g)))
+}
+
+/// The least fact outside a consistent `j` that conflicts with no
+/// member of `j`, as the exchange adding it.
+pub(crate) fn addition(rows: &impl ConflictRows, j: &FactSet) -> Option<Improvement> {
+    let g = j.complement().iter().find(|&g| !rows.conflicts_with_set(g, j))?;
+    Some(Improvement::adding(j.universe(), g))
 }
 
 /// Definition 2.4: is `j2` a **global improvement** of `j`?

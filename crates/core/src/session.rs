@@ -58,10 +58,10 @@
 //! The bounded paths share the implementation, so surviving candidates
 //! of a degraded batch are bit-identical to an unbounded run too.
 
-use crate::global_1fd::{check_global_1fd_with_blocks, eval_1fd_groups, FdBlocks};
-use crate::global_2keys::check_global_2keys;
-use crate::global_ccp_const::check_global_ccp_const;
-use crate::global_ccp_pk::check_global_ccp_pk;
+use crate::global_1fd::{scan_groups, FdBlocks};
+use crate::global_2keys::check_consistent_2keys;
+use crate::global_ccp_const::check_consistent_ccp_const;
+use crate::global_ccp_pk::check_consistent_ccp_pk;
 use crate::improvement::{CheckOutcome, Improvement};
 use crate::pareto::find_pareto_improvement;
 use crate::shard_store::{SessionIndex, ShardData, ShardStore};
@@ -210,18 +210,25 @@ impl SessionArtifacts {
         instance: &Instance,
         plan: &Plan,
     ) -> (CsrConflictGraph, Vec<Option<FdBlocks>>) {
-        let mut rel_blocks: Vec<Option<FdBlocks>> =
-            schema.signature().rel_ids().map(|_| None).collect();
         let mut groupings = Vec::new();
+        // The single-FD relation each grouping is the blocks of, if any.
+        let mut owners = Vec::new();
         for rel in schema.signature().rel_ids() {
             match plan.single_fd(rel) {
                 Some(fd) => {
-                    let grouping =
-                        FdGrouping::new(instance, fd, instance.facts_of(rel).iter().copied());
-                    rel_blocks[rel.index()] = Some(FdBlocks::from_grouping(&grouping));
-                    groupings.push(grouping);
+                    groupings.push(FdGrouping::new(
+                        instance,
+                        fd,
+                        instance.facts_of(rel).iter().copied(),
+                    ));
+                    owners.push(Some(rel));
                 }
-                None => groupings.extend(FdGrouping::for_relation(schema, instance, rel)),
+                None => {
+                    for grouping in FdGrouping::for_relation(schema, instance, rel) {
+                        groupings.push(grouping);
+                        owners.push(None);
+                    }
+                }
             }
         }
         let csr = CsrConflictGraph::from_groupings(instance.len(), &groupings);
@@ -231,6 +238,13 @@ impl SessionArtifacts {
             csr == CsrConflictGraph::from_graph(&ConflictGraph::new(schema, instance)),
             "session conflict rows diverged from the schema's"
         );
+        let mut rel_blocks: Vec<Option<FdBlocks>> =
+            schema.signature().rel_ids().map(|_| None).collect();
+        for (grouping, owner) in groupings.into_iter().zip(owners) {
+            if let Some(rel) = owner {
+                rel_blocks[rel.index()] = Some(grouping);
+            }
+        }
         (csr, rel_blocks)
     }
 
@@ -681,9 +695,12 @@ impl<'a> CheckSession<'a> {
     /// The single check implementation behind every entry point: one
     /// work unit per candidate plus the per-relation and exact-search
     /// charges below, all against the one shared `budget`.
+    ///
+    /// Consistency is decided here, once, for all of `J`: every
+    /// algorithm below starts from a consistent candidate. The witness
+    /// is the one each one-shot checker's own pre-check reports.
     fn check_stop(&self, j: &FactSet, jobs: usize, budget: &Budget) -> Result<CheckOutcome, Stop> {
         budget.step()?;
-        // Global consistency first (gives the cheapest witnesses).
         if let Some((f, g)) = self.consistency_witness(j, jobs) {
             return Ok(CheckOutcome::Inconsistent(f, g));
         }
@@ -776,9 +793,14 @@ impl<'a> CheckSession<'a> {
                     .expect("blocks cached for every single-FD relation");
                 self.check_1fd_sharded(priority, blocks, &j_rel, jobs)
             }
-            RelationClass::TwoKeys(a1, a2) => {
-                check_global_2keys(instance, &self.art.csr, priority, *a1, *a2, domain, &j_rel)
-            }
+            RelationClass::TwoKeys(a1, a2) => check_consistent_2keys(
+                instance,
+                &self.art.csr,
+                priority,
+                (*a1, *a2),
+                domain,
+                &j_rel,
+            ),
             RelationClass::Hard(_) => self.check_exact_sharded(
                 priority,
                 domain,
@@ -801,9 +823,11 @@ impl<'a> CheckSession<'a> {
         let priority = self.pi.priority();
         budget.step()?;
         Ok(match class {
-            CcpClass::PrimaryKeyAssignment(_) => check_global_ccp_pk(&self.art.csr, priority, j),
+            CcpClass::PrimaryKeyAssignment(_) => {
+                check_consistent_ccp_pk(&self.art.csr, priority, j)
+            }
             CcpClass::ConstantAttributeAssignment(consts) => {
-                check_global_ccp_const(instance, &self.art.csr, priority, consts, j)
+                check_consistent_ccp_const(instance, &self.art.csr, priority, consts, j)
             }
             CcpClass::Hard { .. } => {
                 // Plain conflict components are NOT sound shards here:
@@ -821,11 +845,9 @@ impl<'a> CheckSession<'a> {
         })
     }
 
-    /// The single-FD check with its group axis fanned out: each worker
-    /// evaluates a contiguous group range, and the hierarchical reduce
-    /// (min-`f` inconsistency, then min maximality witness, then the
-    /// improvable hit with the smallest group index) reproduces the
-    /// sequential verdict and witness exactly.
+    /// The single-FD check on a consistent `j_rel`, with its group axis
+    /// fanned out: each worker scans a contiguous group range, and the
+    /// merged scans give the sequential verdict and witness exactly.
     fn check_1fd_sharded(
         &self,
         priority: &PriorityRelation,
@@ -833,39 +855,21 @@ impl<'a> CheckSession<'a> {
         j_rel: &FactSet,
         jobs: usize,
     ) -> CheckOutcome {
-        let n_groups = blocks.groups().len();
+        debug_assert!(self.art.csr.is_consistent_set(j_rel));
+        let n_groups = blocks.group_count();
         let parallel = jobs > 1 && n_groups > 1 && j_rel.universe() >= PARALLEL_PREPASS_MIN_FACTS;
-        if !parallel {
-            return check_global_1fd_with_blocks(&self.art.csr, priority, blocks, j_rel);
-        }
-        let workers = jobs.min(n_groups);
-        let chunk = n_groups.div_ceil(workers);
-        let ranges: Vec<std::ops::Range<usize>> = (0..workers)
-            .map(|w| (w * chunk).min(n_groups)..((w + 1) * chunk).min(n_groups))
-            .collect();
-        let parts = rethrow(self.fan_out_n(jobs, ranges.len(), |i| {
-            eval_1fd_groups(priority, blocks, j_rel, ranges[i].clone())
-        }));
-        if let Some((f, g)) = parts.iter().filter_map(|e| e.incons).min_by_key(|&(f, _)| f) {
-            debug_assert!(self.art.csr.conflicting(f, g));
-            return CheckOutcome::Inconsistent(f, g);
-        }
-        if let Some(g) = parts.iter().filter_map(|e| e.max_wit).min() {
-            debug_assert!(!self.art.csr.conflicts_with_set(g, j_rel));
-            let mut added = FactSet::empty(j_rel.universe());
-            added.insert(g);
-            return CheckOutcome::Improvable(Improvement {
-                removed: FactSet::empty(j_rel.universe()),
-                added,
-            });
-        }
-        match parts.into_iter().filter_map(|e| e.improvable).min_by_key(|&(gi, _)| gi) {
-            Some((_, imp)) => {
-                debug_assert!(imp.is_valid_global_improvement(&self.art.csr, priority, j_rel));
-                CheckOutcome::Improvable(imp)
-            }
-            None => CheckOutcome::Optimal,
-        }
+        let scan = if parallel {
+            let workers = jobs.min(n_groups);
+            let chunk = n_groups.div_ceil(workers);
+            let parts = rethrow(self.fan_out_n(jobs, workers, |w| {
+                let groups = (w * chunk).min(n_groups)..((w + 1) * chunk).min(n_groups);
+                scan_groups(priority, blocks, j_rel, groups, true)
+            }));
+            parts.into_iter().reduce(|a, b| a.merge(b)).expect("at least one worker")
+        } else {
+            scan_groups(priority, blocks, j_rel, 0..n_groups, true)
+        };
+        scan.outcome(&self.art.csr, priority, blocks, j_rel)
     }
 
     /// The exponential fall-back, decomposed over `layout`'s nontrivial

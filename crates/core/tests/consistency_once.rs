@@ -1,0 +1,148 @@
+//! Consistency decided once: a session decides consistency for the
+//! whole candidate in its pre-pass, so its PTIME checks (single FD, two
+//! keys, ccp primary keys, ccp constant attributes) start from a
+//! consistent `J`, while the public one-shot checkers run their own
+//! pre-check. On inconsistent, non-maximal, improvable and optimal
+//! candidates, the session's outcome — witness included — must equal
+//! the one-shot checker's, at one and at four jobs.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rpr_classify::{classify_schema, classify_schema_ccp, CcpClass, RelationClass};
+use rpr_core::{
+    check_global_1fd, check_global_2keys, check_global_ccp_const, check_global_ccp_pk,
+    enumerate_repairs_bounded, Budget, CheckOutcome, CheckSession,
+};
+use rpr_data::{FactSet, Signature};
+use rpr_fd::{ConflictGraph, Schema};
+use rpr_gen::schemas::{single_fd_schema, two_keys_schema};
+use rpr_gen::{random_ccp_priority, random_conflict_priority, random_instance, InstanceSpec};
+use rpr_priority::PrioritizedInstance;
+
+/// The four PTIME classes, by their schemas.
+fn schemas() -> [(&'static str, Schema); 4] {
+    let two = |rels: [(&'static str, usize); 2]| Signature::new(rels).unwrap();
+    [
+        ("single FD", single_fd_schema(3, &[1], &[2])),
+        ("two keys", two_keys_schema(2, &[1], &[2])),
+        (
+            "ccp primary keys",
+            Schema::from_named(
+                two([("R", 2), ("S", 3)]),
+                [("R", &[1][..], &[2][..]), ("S", &[1][..], &[2, 3][..])],
+            )
+            .unwrap(),
+        ),
+        (
+            "ccp constant attributes",
+            Schema::from_named(
+                two([("R", 2), ("S", 2)]),
+                [("R", &[][..], &[2][..]), ("S", &[][..], &[1][..])],
+            )
+            .unwrap(),
+        ),
+    ]
+}
+
+/// The one-shot checker of `schema`'s class, with its own pre-check.
+fn one_shot(schema: &Schema, pi: &PrioritizedInstance, j: &FactSet) -> CheckOutcome {
+    let (instance, p) = (pi.instance(), pi.priority());
+    let cg = ConflictGraph::new(schema, instance);
+    let full = instance.full_set();
+    if pi.mode() == rpr_priority::PriorityMode::CrossConflict {
+        return match classify_schema_ccp(schema) {
+            CcpClass::PrimaryKeyAssignment(_) => check_global_ccp_pk(&cg, p, j),
+            CcpClass::ConstantAttributeAssignment(consts) => {
+                check_global_ccp_const(instance, &cg, p, &consts, j)
+            }
+            CcpClass::Hard { .. } => unreachable!("the ccp schemas are tractable"),
+        };
+    }
+    match classify_schema(schema).per_relation()[0].1 {
+        RelationClass::SingleFd(fd) => check_global_1fd(instance, &cg, p, fd, &full, j),
+        RelationClass::TwoKeys(a1, a2) => check_global_2keys(instance, &cg, p, a1, a2, &full, j),
+        RelationClass::Hard(_) => unreachable!("the classical schemas are tractable"),
+    }
+}
+
+/// The name of `schema`'s class under the dichotomy of its mode.
+fn class_name(schema: &Schema, ccp: bool) -> &'static str {
+    if ccp {
+        return match classify_schema_ccp(schema) {
+            CcpClass::PrimaryKeyAssignment(_) => "ccp primary keys",
+            CcpClass::ConstantAttributeAssignment(_) => "ccp constant attributes",
+            CcpClass::Hard { .. } => "ccp hard",
+        };
+    }
+    match classify_schema(schema).per_relation()[0].1 {
+        RelationClass::SingleFd(_) => "single FD",
+        RelationClass::TwoKeys(..) => "two keys",
+        RelationClass::Hard(_) => "hard",
+    }
+}
+
+/// Which kind an outcome is: inconsistent, non-maximal, improvable by
+/// an exchange, or optimal.
+fn kind(outcome: &CheckOutcome) -> usize {
+    match outcome {
+        CheckOutcome::Inconsistent(..) => 0,
+        CheckOutcome::Improvable(imp) if imp.removed.is_empty() => 1,
+        CheckOutcome::Improvable(_) => 2,
+        CheckOutcome::Optimal => 3,
+    }
+}
+
+#[test]
+fn session_outcomes_equal_the_one_shot_checkers() {
+    for (index, (name, schema)) in schemas().into_iter().enumerate() {
+        let ccp = index >= 2;
+        assert_eq!(class_name(&schema, ccp), name);
+        let mut kinds = [0usize; 4];
+        for seed in 0..150 {
+            let mut rng = StdRng::seed_from_u64(0xC0_5157 + seed);
+            let spec = InstanceSpec { facts_per_relation: 3 + seed as usize % 4, domain: 3 };
+            let instance = random_instance(&schema, spec, &mut rng);
+            let cg = ConflictGraph::new(&schema, &instance);
+            let density = [0.3, 0.7, 1.0][seed as usize % 3];
+            let pi = if ccp {
+                let p = random_ccp_priority(&cg, density, 3, &mut rng);
+                PrioritizedInstance::cross_conflict(instance.clone(), p)
+            } else {
+                let p = random_conflict_priority(&cg, density, &mut rng);
+                PrioritizedInstance::conflict_restricted(&schema, instance.clone(), p).unwrap()
+            };
+            let repairs =
+                enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
+                    .expect_done("repair enumeration");
+            let mut js = vec![instance.empty_set(), instance.full_set()];
+            for r in repairs {
+                if let Some(f) = r.first() {
+                    let mut partial = r.clone();
+                    partial.remove(f);
+                    js.push(partial);
+                }
+                // One conflicting outside fact makes the repair inconsistent.
+                if let Some(g) = r.complement().first() {
+                    let mut bad = r.clone();
+                    bad.insert(g);
+                    js.push(bad);
+                }
+                js.push(r);
+            }
+            let sessions = [1, 4].map(|jobs| CheckSession::new(&schema, &pi).with_jobs(jobs));
+            for j in &js {
+                let expected = one_shot(&schema, &pi, j);
+                kinds[kind(&expected)] += 1;
+                for s in &sessions {
+                    assert_eq!(
+                        s.check(j),
+                        expected,
+                        "{name}, seed {seed}, {} jobs, {j:?}",
+                        s.jobs()
+                    );
+                }
+            }
+        }
+        assert!(kinds.iter().all(|&k| k > 0), "{name}: every outcome kind is covered: {kinds:?}");
+    }
+}

@@ -9,9 +9,13 @@
 //!
 //! One [`FdGrouping`] feeds both the CSR conflict rows
 //! ([`CsrConflictGraph::from_groupings`](crate::CsrConflictGraph::from_groupings))
-//! and the Lemma 4.2 block structure of `GRepCheck1FD`, so a session
-//! groups each single-FD relation once. The comparisons are value-wise
-//! in place: no projection tuple is ever materialized.
+//! and, kept as it is, serves as the Lemma 4.2 block structure of
+//! `GRepCheck1FD`, so a session groups each single-FD relation once.
+//! [`insert`](FdGrouping::insert), [`remove`](FdGrouping::remove) and
+//! [`remap`](FdGrouping::remap) patch the flat arrays in place as a
+//! delta edits the instance, and the result is exactly what a fresh
+//! grouping of the edited relation produces. The comparisons are
+//! value-wise in place: no projection tuple is ever materialized.
 //!
 //! The sort runs on *abbreviated keys* (PostgreSQL's trick for sorting
 //! text): each fact carries one `u64` per side, an order-preserving
@@ -22,8 +26,9 @@
 
 use crate::fd::Fd;
 use crate::schema::Schema;
-use rpr_data::{AttrSet, FactId, Instance, RelId, Value};
+use rpr_data::{AttrSet, Compaction, FactId, FactSet, Instance, RelId, Value};
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Compares two facts on an attribute set, value-wise in place.
 pub fn cmp_on(instance: &Instance, x: FactId, y: FactId, attrs: AttrSet) -> Ordering {
@@ -35,6 +40,13 @@ pub fn cmp_on(instance: &Instance, x: FactId, y: FactId, attrs: AttrSet) -> Orde
         }
     }
     Ordering::Equal
+}
+
+/// Adds `by` to every start in `starts`.
+fn shift(starts: &mut [u32], by: i32) {
+    for s in starts {
+        *s = s.wrapping_add_signed(by);
+    }
 }
 
 /// The abbreviated key of a value: `x < y` whenever
@@ -78,6 +90,8 @@ struct Keyed {
 /// groupings over equal content are therefore identical.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FdGrouping {
+    /// The FD the facts are grouped under.
+    fd: Fd,
     /// Fact ids sorted by `A`-projection, then `B`-projection, then id.
     sorted: Vec<FactId>,
     /// Start of every block in `sorted`, then `sorted.len()`.
@@ -126,7 +140,13 @@ impl FdGrouping {
         group_starts.push(block_starts.len() as u32);
         block_starts.push(keyed.len() as u32);
         let sorted = keyed.into_iter().map(|k| k.id).collect();
-        FdGrouping { sorted, block_starts, group_starts }
+        FdGrouping { fd, sorted, block_starts, group_starts }
+    }
+
+    /// Groups the facts of `domain` (facts of `fd`'s relation) under
+    /// `fd`: the Lemma 4.2 block structure of a single-FD relation.
+    pub fn build(instance: &Instance, fd: Fd, domain: &FactSet) -> Self {
+        Self::new(instance, fd, domain.iter())
     }
 
     /// One grouping of `rel`'s facts per non-trivial FD of `schema` on
@@ -144,20 +164,139 @@ impl FdGrouping {
             .map(move |&fd| FdGrouping::new(instance, fd, facts.iter().copied()))
     }
 
+    /// The FD the facts are grouped under.
+    pub fn fd(&self) -> Fd {
+        self.fd
+    }
+
     /// Number of groups (distinct `A`-projections).
     pub fn group_count(&self) -> usize {
         self.group_starts.len() - 1
     }
 
+    /// The indices of group `g`'s blocks, for [`block`](Self::block).
+    pub fn group(&self, g: usize) -> Range<usize> {
+        self.group_starts[g] as usize..self.group_starts[g + 1] as usize
+    }
+
     /// The blocks of group `g`, in canonical order; each block's ids
     /// ascend.
     pub fn blocks(&self, g: usize) -> impl Iterator<Item = &[FactId]> + '_ {
-        let (first, last) = (self.group_starts[g] as usize, self.group_starts[g + 1] as usize);
-        (first..last).map(move |b| self.block(b))
+        self.group(g).map(move |b| self.block(b))
     }
 
-    fn block(&self, b: usize) -> &[FactId] {
-        &self.sorted[self.block_starts[b] as usize..self.block_starts[b + 1] as usize]
+    /// The ids of block `b` (numbered across all groups), ascending.
+    pub fn block(&self, b: usize) -> &[FactId] {
+        self.span(b, b + 1)
+    }
+
+    /// The facts of blocks `first..last`, in canonical order.
+    fn span(&self, first: usize, last: usize) -> &[FactId] {
+        &self.sorted[self.block_starts[first] as usize..self.block_starts[last] as usize]
+    }
+
+    /// The group holding `id`'s `A`-projection, or where a group for it
+    /// would go, by binary search on the canonical order.
+    fn find_group(&self, instance: &Instance, id: FactId) -> Result<usize, usize> {
+        let firsts = &self.group_starts[..self.group_count()];
+        firsts.binary_search_by(|&b| cmp_on(instance, self.block(b as usize)[0], id, self.fd.lhs))
+    }
+
+    /// The block of group `g` holding `id`'s `B`-projection, or where a
+    /// block for it would go, numbered across all groups.
+    fn find_block(&self, instance: &Instance, id: FactId, g: usize) -> Result<usize, usize> {
+        let blocks = self.group(g);
+        let starts = &self.block_starts[blocks.clone()];
+        starts
+            .binary_search_by(|&s| cmp_on(instance, self.sorted[s as usize], id, self.fd.rhs))
+            .map(|b| blocks.start + b)
+            .map_err(|b| blocks.start + b)
+    }
+
+    /// The group and block of the fact `id`, present in the grouping.
+    fn locate(&self, instance: &Instance, id: FactId) -> (usize, usize) {
+        let g = self.find_group(instance, id).expect("the fact's group is present");
+        (g, self.find_block(instance, id, g).expect("the fact's block is present"))
+    }
+
+    /// Patches in the fact `id`, freshly appended to `instance` (so it
+    /// carries the maximal id and goes last in its block). The result
+    /// is exactly what [`new`](Self::new) over the grown domain
+    /// produces.
+    pub fn insert(&mut self, instance: &Instance, id: FactId) {
+        let (g, b, grows) = match self.find_group(instance, id) {
+            Ok(g) => match self.find_block(instance, id, g) {
+                Ok(b) => (g, b, true),
+                Err(b) => (g, b, false),
+            },
+            Err(g) => {
+                // A new group opens with its one block where the next
+                // group's first block is now.
+                let b = self.group_starts[g];
+                self.group_starts.insert(g, b);
+                (g, b as usize, false)
+            }
+        };
+        if grows {
+            let at = self.block_starts[b + 1];
+            debug_assert!(self.block(b).last().is_none_or(|&last| last < id), "appended id");
+            self.sorted.insert(at as usize, id);
+            shift(&mut self.block_starts[b + 1..], 1);
+        } else {
+            let at = self.block_starts[b];
+            self.sorted.insert(at as usize, id);
+            self.block_starts.insert(b, at);
+            shift(&mut self.block_starts[b + 1..], 1);
+            shift(&mut self.group_starts[g + 1..], 1);
+        }
+    }
+
+    /// Patches out the fact `id` (its content still readable in
+    /// `instance`, as a tombstone's is), dropping its block and group if
+    /// they become empty. The caller follows up with
+    /// [`remap`](Self::remap) once the instance compacts. The result is
+    /// exactly what [`new`](Self::new) over the shrunken domain
+    /// produces.
+    pub fn remove(&mut self, instance: &Instance, id: FactId) {
+        let (g, b) = self.locate(instance, id);
+        let pos = self.block(b).binary_search(&id).expect("the fact is in its block");
+        self.sorted.remove(self.block_starts[b] as usize + pos);
+        shift(&mut self.block_starts[b + 1..], -1);
+        if self.block_starts[b] == self.block_starts[b + 1] {
+            self.block_starts.remove(b);
+            shift(&mut self.group_starts[g + 1..], -1);
+            if self.group_starts[g] == self.group_starts[g + 1] {
+                self.group_starts.remove(g);
+            }
+        }
+    }
+
+    /// Applies a [`Compaction`]: every id moves to its new number.
+    /// Removed facts must already be out of the grouping
+    /// ([`remove`](Self::remove)). The renumbering preserves order, so
+    /// ids inside blocks stay ascending.
+    pub fn remap(&mut self, c: &Compaction) {
+        if c.first() >= c.after() {
+            return;
+        }
+        for id in &mut self.sorted {
+            if id.index() >= c.first() {
+                *id = c.new_id(*id).expect("removed facts are out of the grouping");
+            }
+        }
+    }
+
+    /// The conflict row of the fact `id` (present in the grouping):
+    /// every fact in another block of its group, ascending. Two binary
+    /// searches plus the group's size, where a scan of the relation
+    /// costs `O(|rel|)`.
+    pub fn conflict_row(&self, instance: &Instance, id: FactId) -> Vec<u32> {
+        let (g, b) = self.locate(instance, id);
+        let blocks = self.group(g);
+        let others = self.span(blocks.start, b).iter().chain(self.span(b + 1, blocks.end));
+        let mut row: Vec<u32> = others.map(|f| f.0).collect();
+        row.sort_unstable();
+        row
     }
 
     /// For every fact sitting in a group of two or more blocks: the fact
@@ -166,13 +305,11 @@ impl FdGrouping {
     /// then id — not by id alone).
     pub(crate) fn conflict_runs(&self) -> impl Iterator<Item = (FactId, [&[FactId]; 2])> + '_ {
         (0..self.group_count()).flat_map(move |g| {
-            let (first, last) = (self.group_starts[g] as usize, self.group_starts[g + 1] as usize);
-            let (gs, ge) = (self.block_starts[first] as usize, self.block_starts[last] as usize);
+            let Range { start: first, end: last } = self.group(g);
             let blocks = if last - first >= 2 { first..last } else { 0..0 };
             blocks.flat_map(move |b| {
-                let (bs, be) = (self.block_starts[b] as usize, self.block_starts[b + 1] as usize);
-                let runs = [&self.sorted[gs..bs], &self.sorted[be..ge]];
-                self.sorted[bs..be].iter().map(move |&f| (f, runs))
+                let runs = [self.span(first, b), self.span(b + 1, last)];
+                self.block(b).iter().map(move |&f| (f, runs))
             })
         })
     }
@@ -207,7 +344,7 @@ mod tests {
         }
         group_starts.push(block_starts.len() as u32);
         block_starts.push(sorted.len() as u32);
-        FdGrouping { sorted, block_starts, group_starts }
+        FdGrouping { fd, sorted, block_starts, group_starts }
     }
 
     /// Values whose abbreviated keys tie without the values being equal,
