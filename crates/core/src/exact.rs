@@ -10,10 +10,15 @@
 //! wall-clock deadline, or cancel it cooperatively. The benchmark
 //! `dichotomy_gap` measures exactly this fall-back against the
 //! polynomial algorithms.
+//!
+//! `LocalGraph` holds the one search. It runs in local coordinates
+//! over an ascending member list: sessions run it once per component
+//! shard ([`crate::shard_store::ShardData`]), and
+//! [`check_global_exact_bounded`] runs it once over its whole domain.
 
-use crate::improvement::{inconsistency, is_global_improvement, CheckOutcome, Improvement};
+use crate::improvement::{inconsistency, CheckOutcome, Improvement};
 use crate::pareto::find_pareto_improvement;
-use rpr_data::FactSet;
+use rpr_data::{FactId, FactSet};
 use rpr_engine::{Budget, Outcome, Stop};
 use rpr_fd::ConflictRows;
 use rpr_priority::PriorityRelation;
@@ -22,6 +27,8 @@ use rpr_priority::PriorityRelation;
 /// repairs contained in `domain` (pass the full set for whole-instance
 /// checking). The search charges one work unit per recursion node and
 /// honours the budget's deadline and cancellation token.
+///
+/// `j` must be a subset of `domain`.
 pub fn check_global_exact_bounded(
     cg: &impl ConflictRows,
     priority: &PriorityRelation,
@@ -35,15 +42,15 @@ pub fn check_global_exact_bounded(
     }
 }
 
-/// The search proper, with [`Stop`] as the control-flow error so the
-/// session dispatch can propagate it with `?`.
-pub(crate) fn check_global_exact_stop(
+/// The search proper, with [`Stop`] as the control-flow error.
+fn check_global_exact_stop(
     cg: &impl ConflictRows,
     priority: &PriorityRelation,
     domain: &FactSet,
     j: &FactSet,
     budget: &Budget,
 ) -> Result<CheckOutcome, Stop> {
+    debug_assert!(j.is_subset(domain), "the candidate must lie inside the domain");
     if let Some(incons) = inconsistency(cg, j) {
         return Ok(incons);
     }
@@ -53,12 +60,15 @@ pub(crate) fn check_global_exact_stop(
         return Ok(CheckOutcome::Improvable(imp));
     }
 
-    // Exhaustive search over repairs within the domain. We enumerate
-    // maximal consistent subsets of `domain` by branching over its
-    // facts; each leaf is tested as a global improvement.
-    let facts: Vec<_> = domain.iter().collect();
-    Ok(match exhaustive_improvement(cg, priority, &facts, j, budget)? {
-        Some(imp) => {
+    // The whole domain as one local view. Conflicts leaving the domain
+    // are dropped: such a neighbour is never in a repair of the domain.
+    let members: Vec<FactId> = domain.iter().collect();
+    let edges = members.iter().flat_map(|&g| priority.better_than(g).iter().map(move |&f| (f, g)));
+    let (view, _) = LocalGraph::new(&members, cg, edges);
+    let (found, _) = view.search(&view.localize(&members, j), budget)?;
+    Ok(match found {
+        Some(local) => {
+            let imp = view.globalize(&members, j.universe(), &local);
             debug_assert!(imp.is_valid_global_improvement(cg, priority, j));
             CheckOutcome::Improvable(imp)
         }
@@ -66,71 +76,172 @@ pub(crate) fn check_global_exact_stop(
     })
 }
 
-/// The exhaustive core: branches over `facts` (sorted ascending),
-/// enumerating the maximal consistent subsets of that universe, and
-/// returns the first global improvement of `j` found, if any.
-///
-/// `j` must be the candidate restricted to the same universe as
-/// `facts`. Sessions call this once per conflict component (`facts` =
-/// the component's members, `j` = the candidate ∩ component):
-/// improvements never span components, so a component-local hit is a
-/// valid global improvement, and the search pays `2^|component|`
-/// instead of `2^|domain|`. One work unit is charged per recursion
-/// node.
-pub(crate) fn exhaustive_improvement<R: ConflictRows>(
-    cg: &R,
-    priority: &PriorityRelation,
-    facts: &[rpr_data::FactId],
-    j: &FactSet,
-    budget: &Budget,
-) -> Result<Option<Improvement>, Stop> {
-    struct Search<'a, R> {
-        cg: &'a R,
-        priority: &'a PriorityRelation,
-        j: &'a FactSet,
-        facts: &'a [rpr_data::FactId],
-        budget: &'a Budget,
-        found: Option<Improvement>,
-    }
+/// The conflict and priority structure of an ascending member list, in
+/// local coordinates: local id `l` ∈ `0..k` is the rank of a fact in
+/// the member list. Mapping a global candidate in and a witness back
+/// out through the member slice is the only per-call work it requires.
+#[derive(PartialEq, Eq, Debug)]
+pub(crate) struct LocalGraph {
+    /// CSR offsets into `neighbors`: the conflict neighbors of local
+    /// fact `l` are `neighbors[offsets[l]..offsets[l + 1]]`.
+    offsets: Vec<u32>,
+    /// Conflict adjacency in local ids, ascending within each row.
+    neighbors: Vec<u32>,
+    /// `better[l]` = local facts preferred over `l` (dispatch plan for
+    /// the improvement test at search leaves).
+    better: Vec<Vec<u32>>,
+}
 
-    impl<R: ConflictRows> Search<'_, R> {
-        fn recurse(&mut self, idx: usize, current: &mut FactSet) -> Result<(), Stop> {
-            if self.found.is_some() {
-                return Ok(());
-            }
-            self.budget.step()?;
-            if idx == self.facts.len() {
-                // Maximality within the branching universe.
-                let maximal = self
-                    .facts
-                    .iter()
-                    .all(|&f| current.contains(f) || self.cg.conflicts_with_set(f, current));
-                if maximal && is_global_improvement(self.priority, self.j, current) {
-                    self.found = Some(Improvement {
-                        removed: self.j.difference(current),
-                        added: current.difference(self.j),
-                    });
+impl LocalGraph {
+    /// Builds the graph over `members` (ascending). `edges` are
+    /// priority edges `f ≻ g`; those with an endpoint outside `members`
+    /// are ignored. Conflict neighbors outside `members` are dropped
+    /// too, and their number is returned with the graph.
+    pub(crate) fn new(
+        members: &[FactId],
+        cg: &impl ConflictRows,
+        edges: impl IntoIterator<Item = (FactId, FactId)>,
+    ) -> (LocalGraph, usize) {
+        let local = |g: FactId| -> Option<u32> { members.binary_search(&g).ok().map(|i| i as u32) };
+        let mut offsets = Vec::with_capacity(members.len() + 1);
+        let mut neighbors = Vec::new();
+        let mut dropped = 0;
+        offsets.push(0u32);
+        for &f in members {
+            for g in cg.neighbors(f) {
+                match local(g) {
+                    Some(l) => neighbors.push(l),
+                    None => dropped += 1,
                 }
-                return Ok(());
             }
-            let f = self.facts[idx];
-            if self.cg.conflicts_with_set(f, current) {
-                return self.recurse(idx + 1, current);
-            }
-            current.insert(f);
-            self.recurse(idx + 1, current)?;
-            current.remove(f);
-            if self.cg.neighbors(f).next().is_some() {
-                self.recurse(idx + 1, current)?;
-            }
-            Ok(())
+            offsets.push(neighbors.len() as u32);
         }
+        let mut better = vec![Vec::new(); members.len()];
+        for (f, g) in edges {
+            if let (Some(lf), Some(lg)) = (local(f), local(g)) {
+                better[lg as usize].push(lf);
+            }
+        }
+        (LocalGraph { offsets, neighbors, better }, dropped)
     }
 
-    let mut current = FactSet::empty(j.universe());
-    let mut search = Search { cg, priority, j, facts, budget, found: None };
-    search.recurse(0, &mut current)?;
-    Ok(search.found)
+    /// Number of members `k`.
+    pub(crate) fn len(&self) -> usize {
+        self.better.len()
+    }
+
+    /// Estimated resident bytes.
+    pub(crate) fn bytes(&self) -> usize {
+        4 * self.offsets.len()
+            + 4 * self.neighbors.len()
+            + self.better.iter().map(|b| 4 * b.len() + 24).sum::<usize>()
+    }
+
+    fn row(&self, l: usize) -> &[u32] {
+        &self.neighbors[self.offsets[l] as usize..self.offsets[l + 1] as usize]
+    }
+
+    /// Restricts a global candidate to the local universe.
+    pub(crate) fn localize(&self, members: &[FactId], j: &FactSet) -> FactSet {
+        let mut local = FactSet::empty(self.len());
+        for (l, &g) in members.iter().enumerate() {
+            if j.contains(g) {
+                local.insert(FactId(l as u32));
+            }
+        }
+        local
+    }
+
+    /// Maps a local witness back to global ids in a universe of
+    /// `universe` facts.
+    pub(crate) fn globalize(
+        &self,
+        members: &[FactId],
+        universe: usize,
+        imp: &Improvement,
+    ) -> Improvement {
+        let lift = |set: &FactSet| {
+            let mut out = FactSet::empty(universe);
+            for l in set.iter() {
+                out.insert(members[l.index()]);
+            }
+            out
+        };
+        Improvement { removed: lift(&imp.removed), added: lift(&imp.added) }
+    }
+
+    /// The exhaustive search: branches over the local facts in order
+    /// (include first, exclude only for facts with conflicts),
+    /// enumerating the maximal consistent subsets of the members, and
+    /// returns the first global improvement of the local candidate `j`
+    /// found, in local coordinates, with the number of recursion nodes
+    /// visited. One work unit is charged per node.
+    pub(crate) fn search(
+        &self,
+        j: &FactSet,
+        budget: &Budget,
+    ) -> Result<(Option<Improvement>, u64), Stop> {
+        struct Search<'a> {
+            graph: &'a LocalGraph,
+            j: &'a FactSet,
+            budget: &'a Budget,
+            nodes: u64,
+            found: Option<Improvement>,
+            /// `blocked[l]` = members of the current set conflicting
+            /// with `l`, kept as facts enter and leave the set.
+            blocked: Vec<u32>,
+        }
+        impl Search<'_> {
+            fn recurse(&mut self, idx: usize, current: &mut FactSet) -> Result<(), Stop> {
+                if self.found.is_some() {
+                    return Ok(());
+                }
+                self.budget.step()?;
+                self.nodes += 1;
+                if idx == self.graph.len() {
+                    let maximal =
+                        (0..idx).all(|l| self.blocked[l] > 0 || current.contains(FactId(l as u32)));
+                    if maximal && self.is_improvement(current) {
+                        self.found = Some(Improvement {
+                            removed: self.j.difference(current),
+                            added: current.difference(self.j),
+                        });
+                    }
+                    return Ok(());
+                }
+                if self.blocked[idx] > 0 {
+                    return self.recurse(idx + 1, current);
+                }
+                let row = self.graph.row(idx);
+                current.insert(FactId(idx as u32));
+                row.iter().for_each(|&g| self.blocked[g as usize] += 1);
+                self.recurse(idx + 1, current)?;
+                current.remove(FactId(idx as u32));
+                row.iter().for_each(|&g| self.blocked[g as usize] -= 1);
+                if !row.is_empty() {
+                    self.recurse(idx + 1, current)?;
+                }
+                Ok(())
+            }
+
+            /// `is_global_improvement` in local coordinates.
+            fn is_improvement(&self, j2: &FactSet) -> bool {
+                if self.j == j2 {
+                    return false;
+                }
+                let lost = self.j.difference(j2);
+                let gained = j2.difference(self.j);
+                lost.iter().all(|f_prime| {
+                    self.graph.better[f_prime.index()].iter().any(|&g| gained.contains(FactId(g)))
+                })
+            }
+        }
+        let mut current = FactSet::empty(self.len());
+        let blocked = vec![0; self.len()];
+        let mut search = Search { graph: self, j, budget, nodes: 0, found: None, blocked };
+        search.recurse(0, &mut current)?;
+        Ok((search.found, search.nodes))
+    }
 }
 
 #[cfg(test)]

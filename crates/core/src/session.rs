@@ -879,9 +879,9 @@ impl<'a> CheckSession<'a> {
     /// pre-checks pass, any global improvement exchanges facts inside a
     /// single component (conflict components classically; union
     /// components in ccp mode, where priority edges also bind), so the
-    /// search runs per shard — `2^(max component size)` instead of
-    /// `2^(domain size)` — and a component-local hit is returned as the
-    /// global witness.
+    /// one exact search of [`crate::exact`] runs per shard —
+    /// `2^(max component size)` instead of `2^(domain size)` — and a
+    /// component-local hit is returned as the global witness.
     ///
     /// Every shard charges the one shared budget, as relations and
     /// batch candidates do: there is no per-shard allowance. Completed
@@ -916,10 +916,11 @@ impl<'a> CheckSession<'a> {
             .filter(|&c| domain.contains(layout.component(c)[0]))
             .collect();
         let search = |c: usize| -> Result<Option<Improvement>, Stop> {
-            // The per-component searches run on content-addressed
-            // shards in local coordinates: identical recursion, but the
-            // artifact (and its verdict memo) is shared across every
-            // session whose component content matches.
+            // Each component runs the one exact search (the one the
+            // one-shot runs over its whole domain) on its
+            // content-addressed shard, whose local graph and verdict
+            // memo are shared across every session whose component
+            // content matches.
             let shard = self.art.exact_shards[c]
                 .as_ref()
                 .expect("shard attached for every nontrivial exact component");

@@ -2,11 +2,11 @@
 //! session cache.
 //!
 //! A **shard** is the per-component unit of exact checking: the local
-//! conflict adjacency of one conflict component (or one union
-//! component in ccp mode), its intra-component priority edges, the
-//! dispatch metadata needed to run the exhaustive search of
-//! [`crate::exact`] *in local coordinates*, and a memo of shard
-//! verdicts already computed. Shards are immutable and keyed by the
+//! graph of one conflict component (or one union component in ccp
+//! mode) — its conflict rows and intra-component priority rows *in
+//! local coordinates*, over which the exhaustive search of
+//! [`crate::exact`] runs — and a memo of shard verdicts already
+//! computed. Shards are immutable and keyed by the
 //! canonical 128-bit fingerprint of their content
 //! ([`rpr_fd::ComponentLayout::shard_fingerprint`]): component facts in
 //! member order, incident FDs, and intra-component priority edges.
@@ -26,24 +26,23 @@
 //! a hot shard pinned by a live session can never be dropped out from
 //! under it — "evicts cold, never hot" is structural, not a policy.
 //!
-//! ## Bit-identity discipline
+//! ## Bit-identity
 //!
-//! The local search in [`ShardData`] replicates
-//! [`crate::exact::exhaustive_improvement`] *exactly*: same branch
-//! order (include first, exclude only for facts with conflicts), one
-//! budget step per recursion node, same maximality and
-//! global-improvement leaf tests. The verdict memo is consulted only
-//! when replaying the recorded search could not possibly trip the
-//! caller's budget: a memo hit bulk-charges the recorded node count
-//! via [`Budget::try_charge`], which rolls back and reports `false`
-//! when the charge would trip — the caller then falls back to the real
-//! search, which re-charges step-by-step and trips exactly where a
-//! cold session would.
+//! A shard runs the one exhaustive search of [`crate::exact`] (the
+//! search [`crate::check_global_exact_bounded`] runs over its whole
+//! domain), so a cold shard check is that search by construction. The
+//! verdict memo is consulted only when replaying the recorded search
+//! could not possibly trip the caller's budget: a memo hit
+//! bulk-charges the recorded node count via [`Budget::try_charge`],
+//! which rolls back and reports `false` when the charge would trip —
+//! the caller then falls back to the real search, which re-charges
+//! step-by-step and trips exactly where a cold session would.
 //!
 //! A memo hit therefore charges the same total work and returns the
 //! same verdict and witness as a cold run, so store-backed sessions
 //! are bit-identical to private-shard builds.
 
+use crate::exact::LocalGraph;
 use crate::improvement::Improvement;
 use rpr_data::{FactId, FactSet, Fingerprint, FxHashMap};
 use rpr_engine::{Budget, Stop};
@@ -51,43 +50,24 @@ use rpr_fd::ConflictRows;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// A component-local improvement witness, in local coordinates.
-#[derive(Clone, PartialEq, Eq, Debug)]
-struct LocalImprovement {
-    removed: FactSet,
-    added: FactSet,
-}
-
-/// One memoized shard verdict: the search result for a candidate
-/// restricted to this shard, plus the exact number of recursion nodes
-/// the search visited (= budget work units it charged).
+/// One memoized shard verdict: the search result (a witness in local
+/// coordinates) for a candidate restricted to this shard, plus the
+/// exact number of recursion nodes the search visited (= budget work
+/// units it charged).
 #[derive(Clone, Debug)]
 struct MemoEntry {
-    found: Option<LocalImprovement>,
+    found: Option<Improvement>,
     steps: u64,
 }
 
 /// Immutable per-component shard artifact, shared across sessions and
 /// across workspace fingerprints.
 ///
-/// Local coordinates: local id `l` ∈ `0..k` is the rank of the fact in
-/// the component's ascending global member list. Mapping a global
-/// candidate in and a witness back out through the member slice is the
-/// only per-session work a shard requires.
+/// Its local graph is in local coordinates over the component's
+/// ascending global member list, which each call passes in.
 pub struct ShardData {
     fingerprint: Fingerprint,
-    /// Component size `k`.
-    k: usize,
-    /// CSR offsets into `neighbors`: the conflict neighbors of local
-    /// fact `l` are `neighbors[offsets[l]..offsets[l + 1]]`.
-    offsets: Vec<u32>,
-    /// Conflict adjacency in local ids, ascending within each row.
-    neighbors: Vec<u32>,
-    /// Intra-component priority edges `(f, g)` meaning `f ≻ g`, local.
-    priority_edges: Vec<(u32, u32)>,
-    /// `better[l]` = local facts preferred over `l` (dispatch plan for
-    /// the improvement test at search leaves).
-    better: Vec<Vec<u32>>,
+    graph: LocalGraph,
     /// Verdict memo: candidate ∩ component (local) → search result.
     memo: Mutex<FxHashMap<FactSet, MemoEntry>>,
     /// Estimated resident bytes of the immutable part.
@@ -113,38 +93,12 @@ impl ShardData {
         cg: &impl ConflictRows,
         edges: &[(FactId, FactId)],
     ) -> ShardData {
-        let k = members.len();
-        let local = |g: FactId| -> Option<u32> { members.binary_search(&g).ok().map(|i| i as u32) };
-        let mut offsets = Vec::with_capacity(k + 1);
-        let mut neighbors = Vec::new();
-        offsets.push(0u32);
-        for &f in members {
-            for g in cg.neighbors(f) {
-                let l = local(g).expect("conflict neighbor escapes its component");
-                neighbors.push(l);
-            }
-            offsets.push(neighbors.len() as u32);
-        }
-        let mut priority_edges = Vec::new();
-        let mut better = vec![Vec::new(); k];
-        for &(f, g) in edges {
-            if let (Some(lf), Some(lg)) = (local(f), local(g)) {
-                priority_edges.push((lf, lg));
-                better[lg as usize].push(lf);
-            }
-        }
-        let base_bytes = 4 * offsets.len()
-            + 4 * neighbors.len()
-            + 8 * priority_edges.len()
-            + better.iter().map(|b| 4 * b.len() + 24).sum::<usize>()
-            + 160;
+        let (graph, escaped) = LocalGraph::new(members, cg, edges.iter().copied());
+        assert_eq!(escaped, 0, "conflict neighbor escapes its component");
+        let base_bytes = graph.bytes() + 160;
         ShardData {
             fingerprint,
-            k,
-            offsets,
-            neighbors,
-            priority_edges,
-            better,
+            graph,
             memo: Mutex::new(FxHashMap::default()),
             base_bytes,
             memo_bytes: AtomicUsize::new(0),
@@ -158,13 +112,13 @@ impl ShardData {
 
     /// Component size.
     pub fn len(&self) -> usize {
-        self.k
+        self.graph.len()
     }
 
     /// Is the shard over an empty component? (Never true in practice —
     /// only nontrivial components are sharded.)
     pub fn is_empty(&self) -> bool {
-        self.k == 0
+        self.len() == 0
     }
 
     /// Number of memoized shard verdicts.
@@ -177,115 +131,8 @@ impl ShardData {
         self.base_bytes + self.memo_bytes.load(Ordering::Relaxed)
     }
 
-    /// Intra-component priority edge count (local dispatch metadata).
-    pub fn priority_edge_count(&self) -> usize {
-        self.priority_edges.len()
-    }
-
-    fn row(&self, l: u32) -> &[u32] {
-        &self.neighbors[self.offsets[l as usize] as usize..self.offsets[l as usize + 1] as usize]
-    }
-
-    fn conflicts_with_set(&self, l: u32, set: &FactSet) -> bool {
-        self.row(l).iter().any(|&g| set.contains(FactId(g)))
-    }
-
-    /// Restricts a global candidate to this shard's local universe.
-    fn localize(&self, members: &[FactId], j: &FactSet) -> FactSet {
-        let mut local = FactSet::empty(self.k);
-        for (l, &g) in members.iter().enumerate() {
-            if j.contains(g) {
-                local.insert(FactId(l as u32));
-            }
-        }
-        local
-    }
-
-    /// Maps a local witness back to global ids.
-    fn globalize(
-        &self,
-        members: &[FactId],
-        universe: usize,
-        imp: &LocalImprovement,
-    ) -> Improvement {
-        let lift = |set: &FactSet| {
-            let mut out = FactSet::empty(universe);
-            for l in set.iter() {
-                out.insert(members[l.index()]);
-            }
-            out
-        };
-        Improvement { removed: lift(&imp.removed), added: lift(&imp.added) }
-    }
-
-    /// The exhaustive search of [`crate::exact::exhaustive_improvement`]
-    /// in local coordinates: identical branch order, one budget step
-    /// per recursion node, identical leaf tests. Returns the witness
-    /// (if any) and the exact node count for the memo.
-    fn search_local(
-        &self,
-        j: &FactSet,
-        budget: &Budget,
-    ) -> Result<(Option<LocalImprovement>, u64), Stop> {
-        struct Search<'a> {
-            shard: &'a ShardData,
-            j: &'a FactSet,
-            budget: &'a Budget,
-            nodes: u64,
-            found: Option<LocalImprovement>,
-        }
-        impl Search<'_> {
-            fn recurse(&mut self, idx: usize, current: &mut FactSet) -> Result<(), Stop> {
-                if self.found.is_some() {
-                    return Ok(());
-                }
-                self.budget.step()?;
-                self.nodes += 1;
-                if idx == self.shard.k {
-                    let maximal = (0..self.shard.k as u32).all(|l| {
-                        current.contains(FactId(l)) || self.shard.conflicts_with_set(l, current)
-                    });
-                    if maximal && self.is_improvement(current) {
-                        self.found = Some(LocalImprovement {
-                            removed: self.j.difference(current),
-                            added: current.difference(self.j),
-                        });
-                    }
-                    return Ok(());
-                }
-                let l = idx as u32;
-                if self.shard.conflicts_with_set(l, current) {
-                    return self.recurse(idx + 1, current);
-                }
-                current.insert(FactId(l));
-                self.recurse(idx + 1, current)?;
-                current.remove(FactId(l));
-                if !self.shard.row(l).is_empty() {
-                    self.recurse(idx + 1, current)?;
-                }
-                Ok(())
-            }
-
-            /// `is_global_improvement` in local coordinates.
-            fn is_improvement(&self, j2: &FactSet) -> bool {
-                if self.j == j2 {
-                    return false;
-                }
-                let lost = self.j.difference(j2);
-                let gained = j2.difference(self.j);
-                lost.iter().all(|f_prime| {
-                    self.shard.better[f_prime.index()].iter().any(|&g| gained.contains(FactId(g)))
-                })
-            }
-        }
-        let mut current = FactSet::empty(self.k);
-        let mut search = Search { shard: self, j, budget, nodes: 0, found: None };
-        search.recurse(0, &mut current)?;
-        Ok((search.found, search.nodes))
-    }
-
-    fn memoize(&self, key: FactSet, found: Option<LocalImprovement>, steps: u64) {
-        let words = self.k.div_ceil(64);
+    fn memoize(&self, key: FactSet, found: Option<Improvement>, steps: u64) {
+        let words = self.len().div_ceil(64);
         let witness_bytes = match &found {
             Some(_) => 2 * (8 * words + 40),
             None => 0,
@@ -313,18 +160,19 @@ impl ShardData {
         j: &FactSet,
         budget: &Budget,
     ) -> Result<Option<Improvement>, Stop> {
-        let local_j = self.localize(members, j);
+        let local_j = self.graph.localize(members, j);
         let memo_hit = {
             let memo = self.memo.lock().unwrap();
             memo.get(&local_j).map(|e| (e.found.clone(), e.steps))
         };
+        let globalize = |imp: &Improvement| self.graph.globalize(members, j.universe(), imp);
         if let Some((found, steps)) = memo_hit {
             if budget.try_charge(steps)? {
-                return Ok(found.as_ref().map(|imp| self.globalize(members, j.universe(), imp)));
+                return Ok(found.as_ref().map(globalize));
             }
         }
-        let (found, nodes) = self.search_local(&local_j, budget)?;
-        let out = found.as_ref().map(|imp| self.globalize(members, j.universe(), imp));
+        let (found, nodes) = self.graph.search(&local_j, budget)?;
+        let out = found.as_ref().map(globalize);
         self.memoize(local_j, found, nodes);
         Ok(out)
     }
@@ -557,11 +405,7 @@ mod tests {
     /// Every field of two shards, memo aside.
     fn assert_same_shard(a: &ShardData, b: &ShardData) {
         assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.k, b.k);
-        assert_eq!(a.offsets, b.offsets);
-        assert_eq!(a.neighbors, b.neighbors);
-        assert_eq!(a.priority_edges, b.priority_edges);
-        assert_eq!(a.better, b.better);
+        assert_eq!(a.graph, b.graph);
         assert_eq!(a.base_bytes, b.base_bytes);
     }
 
