@@ -2109,10 +2109,15 @@ fn e30() -> ExpResult {
         whole == local.check(&j_c),
         "whole-domain and component-local searches agree on the verdict",
     )?;
-    let local_us = best_of(50, || {
-        let _ = local.check(&j_c);
-        Ok(())
-    })?;
+    // Each repetition times the first check of a fresh session, so the
+    // component-local searches run instead of the shards' verdict memo.
+    let mut local_us = f64::INFINITY;
+    for _ in 0..50 {
+        let fresh = CheckSession::new(&schema_c, &pi_c).with_jobs(1);
+        let t = Instant::now();
+        let _ = fresh.check(&j_c);
+        local_us = local_us.min(t.elapsed().as_secs_f64() * 1e6);
+    }
     let whole_us = best_of(10, || {
         check_global_exact_bounded(
             cg,
@@ -2185,7 +2190,8 @@ fn e30() -> ExpResult {
     )?;
 
     let json = format!(
-        "{{\n  \"workload\": \"workloads/many_components.rpr = chain_components({COMPONENTS}, {SERVE_SIZE}); chain_components({COMPONENTS}, {HEAVY_SIZE}) heavy shards; chain_components(4, {SERVE_SIZE}) local-vs-whole\",\n  \"machine\": {{\n    \"os\": \"{}\",\n    \"arch\": \"{}\",\n    \"cores\": {cores}\n  }},\n  \"bit_identity\": \"verdicts and witnesses identical at jobs 1/2/8 on optimal, improvable and inconsistent candidates\",\n  \"shard_balance\": {{\n    \"components\": {COMPONENTS},\n    \"total_over_max_exponential_work\": {balance},\n    \"gate\": \"balance >= 4 (machine-independent available parallelism)\"\n  }},\n  \"throughput\": {{\n    \"jobs1_best_us\": {t1_us:.1},\n    \"jobs8_best_us\": {t8_us:.1},\n    \"speedup\": {jobs_speedup:.2},\n    \"wall_clock_gated\": {wall_clock_gated},\n    \"gate\": \"speedup >= 4x enforced only when cores >= 8 (cores recorded above)\"\n  }},\n  \"component_local_exact\": {{\n    \"sharded_best_us\": {local_us:.1},\n    \"whole_domain_best_us\": {whole_us:.1},\n    \"speedup\": {local_speedup:.1},\n    \"gate\": \"component-local >= 10x whole-domain\"\n  }},\n  \"delta_shard_reuse\": {{\n    \"batches\": {DELTA_BATCHES},\n    \"components_reused_per_batch\": {},\n    \"patched_mean_us\": {patched_us:.1},\n    \"cold_artifact_rebuild_mean_us\": {cold_us:.1},\n    \"speedup\": {delta_speedup:.1},\n    \"gate\": \"63/64 shards reused and patched >= 2x cold\"\n  }}\n}}\n",
+        "{{\n  \"workload\": \"workloads/many_components.rpr = chain_components({COMPONENTS}, {SERVE_SIZE}); chain_components({COMPONENTS}, {HEAVY_SIZE}) heavy shards; chain_components(4, {SERVE_SIZE}) local-vs-whole\",\n  \"commit\": \"{}\",\n  \"machine\": {{\n    \"os\": \"{}\",\n    \"arch\": \"{}\",\n    \"cores\": {cores}\n  }},\n  \"bit_identity\": \"verdicts and witnesses identical at jobs 1/2/8 on optimal, improvable and inconsistent candidates\",\n  \"shard_balance\": {{\n    \"components\": {COMPONENTS},\n    \"total_over_max_exponential_work\": {balance},\n    \"gate\": \"balance >= 4 (machine-independent available parallelism)\"\n  }},\n  \"throughput\": {{\n    \"jobs1_best_us\": {t1_us:.1},\n    \"jobs8_best_us\": {t8_us:.1},\n    \"speedup\": {jobs_speedup:.2},\n    \"wall_clock_gated\": {wall_clock_gated},\n    \"gate\": \"speedup >= 4x enforced only when cores >= 8 (cores recorded above)\"\n  }},\n  \"component_local_exact\": {{\n    \"sharded_best_us\": {local_us:.1},\n    \"whole_domain_best_us\": {whole_us:.1},\n    \"speedup\": {local_speedup:.1},\n    \"gate\": \"component-local >= 10x whole-domain, each timing a fresh session's first check\"\n  }},\n  \"delta_shard_reuse\": {{\n    \"batches\": {DELTA_BATCHES},\n    \"components_reused_per_batch\": {},\n    \"patched_mean_us\": {patched_us:.1},\n    \"cold_artifact_rebuild_mean_us\": {cold_us:.1},\n    \"speedup\": {delta_speedup:.1},\n    \"gate\": \"63/64 shards reused and patched >= 2x cold\"\n  }}\n}}\n",
+        git_head(),
         std::env::consts::OS,
         std::env::consts::ARCH,
         COMPONENTS - 1,
@@ -2538,14 +2544,15 @@ fn e32() -> ExpResult {
             let art = SessionArtifacts::build(&schema, &pi);
             let oracle = ConflictGraph::new(&schema, pi.instance());
             ensure(
-                CheckSession::from_artifacts(&schema, &pi, &art).csr()
+                CheckSession::from_artifacts(&schema, &pi, &art).conflict_graph()
                     == &CsrConflictGraph::from_graph(&oracle),
                 &format!("{shape}/{facts}: session graph differs from the oracle's packing"),
             )?;
             let bitset_bytes = oracle.heap_bytes();
             drop(oracle);
             let structure_bytes = art.structure_bytes(pi.instance());
-            let csr_bytes = CheckSession::from_artifacts(&schema, &pi, &art).csr().heap_bytes();
+            let csr_bytes =
+                CheckSession::from_artifacts(&schema, &pi, &art).conflict_graph().heap_bytes();
             drop(art);
             let build = e32_sample(REPS, || SessionArtifacts::build(&schema, &pi));
             let bitset = e32_sample(REPS, || ConflictGraph::new(&schema, pi.instance()));

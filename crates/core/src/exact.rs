@@ -171,8 +171,8 @@ impl LocalGraph {
     }
 
     /// The exhaustive search: branches over the local facts in order
-    /// (include first, exclude only for facts with conflicts),
-    /// enumerating the maximal consistent subsets of the members, and
+    /// (include first, exclude only for facts with conflicts), reaching
+    /// every maximal consistent subset of the members as a leaf, and
     /// returns the first global improvement of the local candidate `j`
     /// found, in local coordinates, with the number of recursion nodes
     /// visited. One work unit is charged per node.
@@ -199,9 +199,9 @@ impl LocalGraph {
                 self.budget.step()?;
                 self.nodes += 1;
                 if idx == self.graph.len() {
-                    let maximal =
-                        (0..idx).all(|l| self.blocked[l] > 0 || current.contains(FactId(l as u32)));
-                    if maximal && self.is_improvement(current) {
+                    // No maximality test: an improving `K` missing a free
+                    // `f` comes after the leaf `K ∪ {f}`, also improving.
+                    if self.is_improvement(current) {
                         self.found = Some(Improvement {
                             removed: self.j.difference(current),
                             added: current.difference(self.j),

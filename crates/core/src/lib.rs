@@ -42,7 +42,6 @@ pub mod global_2keys;
 pub mod global_ccp_const;
 pub mod global_ccp_pk;
 pub mod improvement;
-pub mod owned;
 pub mod pareto;
 pub mod session;
 pub mod shard_store;
@@ -75,10 +74,9 @@ pub use global_ccp_const::{
 };
 pub use global_ccp_pk::check_global_ccp_pk;
 pub use improvement::{is_global_improvement, is_pareto_improvement, CheckOutcome, Improvement};
-pub use owned::OwnedCheckSession;
 pub use pareto::{find_pareto_improvement, is_pareto_optimal, is_pareto_optimal_brute};
 // The execution-control vocabulary of the bounded entry points, so
 // downstream crates need not depend on rpr-engine directly.
 pub use rpr_engine::{Budget, BudgetReport, CancelToken, ExceedReason, Outcome, PanicReport, Stop};
 pub use session::{default_jobs, resolve_jobs, CheckSession, SessionArtifacts};
-pub use shard_store::{SessionIndex, ShardData, ShardStore, ShardStoreStats};
+pub use shard_store::{ShardData, ShardStore, ShardStoreStats};

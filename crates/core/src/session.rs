@@ -64,11 +64,11 @@ use crate::global_ccp_const::check_consistent_ccp_const;
 use crate::global_ccp_pk::check_consistent_ccp_pk;
 use crate::improvement::{CheckOutcome, Improvement};
 use crate::pareto::find_pareto_improvement;
-use crate::shard_store::{SessionIndex, ShardData, ShardStore};
+use crate::shard_store::{ShardData, ShardStore};
 use rpr_classify::{
     classify_schema, classify_schema_ccp, CcpClass, Complexity, RelationClass, SchemaClass,
 };
-use rpr_data::{FactId, FactSet, Fingerprint, Instance};
+use rpr_data::{FactId, FactSet, Instance};
 use rpr_engine::{Budget, Outcome, PanicReport, Stop};
 use rpr_fd::{
     ComponentLayout, ConflictGraph, ConflictRows, CsrConflictGraph, Fd, FdGrouping, Schema,
@@ -384,15 +384,6 @@ impl SessionArtifacts {
             })
     }
 
-    /// The thin per-workspace tier of the two-tier cache: the ordered
-    /// shard keys this workspace's exact path dispatches to, bound to
-    /// its content fingerprint.
-    pub fn session_index(&self, workspace: Fingerprint) -> SessionIndex {
-        let keys =
-            self.exact_shards.iter().filter_map(|s| s.as_ref().map(|s| s.fingerprint())).collect();
-        SessionIndex::new(workspace, keys)
-    }
-
     /// Estimated resident bytes of the shard handles this session
     /// holds. With a store attached these bytes are *shared* — summing
     /// them across sessions double-counts, which is exactly what the
@@ -466,8 +457,8 @@ impl SessionArtifacts {
 }
 
 /// Owned or borrowed artifacts: sessions built directly own theirs;
-/// views vended by [`OwnedCheckSession`] (or over externally cached
-/// artifacts) borrow.
+/// sessions over externally cached artifacts (a serving-layer cache
+/// slot, a [`DeltaSession`](crate::DeltaSession)) borrow.
 enum ArtRef<'a> {
     Owned(Box<SessionArtifacts>),
     Borrowed(&'a SessionArtifacts),
@@ -575,8 +566,9 @@ impl<'a> CheckSession<'a> {
         &self.art.csr
     }
 
-    /// The cached conflict graph — the same [`CsrConflictGraph`] as
-    /// [`conflict_graph`](Self::conflict_graph).
+    /// The same [`CsrConflictGraph`] as
+    /// [`conflict_graph`](Self::conflict_graph), which callers should
+    /// use; the benchmark package's trace still calls this name.
     pub fn csr(&self) -> &CsrConflictGraph {
         &self.art.csr
     }

@@ -178,32 +178,6 @@ impl ShardData {
     }
 }
 
-/// A thin per-workspace index: the workspace fingerprint plus the
-/// ordered list of shard keys its exact path dispatches to. This is
-/// the second tier of the cache — everything heavy lives behind the
-/// keys in the [`ShardStore`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SessionIndex {
-    workspace: Fingerprint,
-    shard_keys: Vec<Fingerprint>,
-}
-
-impl SessionIndex {
-    pub(crate) fn new(workspace: Fingerprint, shard_keys: Vec<Fingerprint>) -> SessionIndex {
-        SessionIndex { workspace, shard_keys }
-    }
-
-    /// The workspace content fingerprint this index belongs to.
-    pub fn workspace(&self) -> Fingerprint {
-        self.workspace
-    }
-
-    /// Shard keys in dispatch order (ascending minimal member).
-    pub fn shard_keys(&self) -> &[Fingerprint] {
-        &self.shard_keys
-    }
-}
-
 struct StoreEntry {
     data: Arc<ShardData>,
     stamp: u64,

@@ -8,7 +8,7 @@
 //! questions by enumeration under an engine [`Budget`], which is
 //! the best known general tool.
 
-use rpr_core::{Budget, CheckSession, Outcome};
+use rpr_core::{Budget, Outcome};
 use rpr_data::FactSet;
 use rpr_fd::ConflictGraph;
 use rpr_priority::PriorityRelation;
@@ -34,19 +34,6 @@ impl RepairSpace {
         budget: &Budget,
     ) -> Outcome<Self> {
         rpr_core::globally_optimal_repairs_bounded(cg, priority, budget)
-            .map(|optimal| RepairSpace { optimal })
-    }
-
-    /// Computes the space against an amortized [`CheckSession`] under an
-    /// engine [`Budget`]: the session's cached conflict graph drives the
-    /// enumeration, and optimality is decided by its dispatched
-    /// (parallel) checker rather than the pairwise oracle. Agrees with
-    /// [`RepairSpace::compute_bounded`] when the budget does not trip. The
-    /// session variant confirms candidates one by one against the whole
-    /// instance, so on degradation the partial space is a sound subset
-    /// of the optimal repairs.
-    pub fn compute_session_bounded(session: &CheckSession<'_>, budget: &Budget) -> Outcome<Self> {
-        rpr_core::globally_optimal_repairs_session_bounded(session, budget)
             .map(|optimal| RepairSpace { optimal })
     }
 

@@ -19,13 +19,6 @@ use rpr_data::{FxHashMap, Value};
 /// to terms (variables or constants) of the target query.
 pub type Homomorphism = FxHashMap<u32, Term>;
 
-fn apply(h: &Homomorphism, t: &Term) -> Term {
-    match t {
-        Term::Const(c) => Term::Const(c.clone()),
-        Term::Var(v) => h.get(v).cloned().unwrap_or(Term::Var(*v)),
-    }
-}
-
 fn atom_matches(h: &mut Homomorphism, src: &Atom, dst: &Atom) -> Option<Vec<u32>> {
     if src.rel != dst.rel || src.terms.len() != dst.terms.len() {
         return None;
@@ -145,15 +138,6 @@ pub fn minimize(q: &ConjunctiveQuery) -> ConjunctiveQuery {
             return current;
         }
     }
-}
-
-/// Dresses the helper: substitute a homomorphism through a query
-/// (useful for debugging and tests).
-pub fn apply_homomorphism(h: &Homomorphism, q: &ConjunctiveQuery) -> Vec<Atom> {
-    q.atoms
-        .iter()
-        .map(|a| Atom { rel: a.rel, terms: a.terms.iter().map(|t| apply(h, t)).collect() })
-        .collect()
 }
 
 /// Convenience for building constant terms in tests.

@@ -12,7 +12,9 @@
 //! escaped as `\"`, `\\`, and `\u00XX` for control characters only.
 //! [`parse_certificate`] + [`render_value`] round-trip byte-identically
 //! with [`render_certificate`]'s output, which makes certificates safe
-//! to cache, diff, and hash.
+//! to cache, diff, and hash. [`parse_certificate`] builds its tree from
+//! the request scanner ([`crate::json_slice`]), the one JSON grammar
+//! outside `rpr-audit`.
 //!
 //! [`render_certificate`] writes straight into one presized `String`:
 //! value encodings are escaped in place and integers formatted on the
@@ -25,6 +27,7 @@
 //! soundness needs value equality to coincide with encoding equality.
 
 use crate::format::FormatError;
+use crate::json_slice::{scan_object, scan_value, RawStr, SliceValue};
 use rpr_classify::{CcpClass, HardCase, RelationClass};
 use rpr_core::certificate::{
     BlockEvidence, CertVerdict, Certificate, ClassificationCert, OptimalScope,
@@ -444,18 +447,85 @@ impl CertValue {
     }
 }
 
-/// Parses a certificate document (strict JSON, integers only).
+/// Parses a certificate document: JSON by the request scanner's grammar
+/// ([`scan_value`]), holding objects without duplicate keys, arrays,
+/// strings without surrogate escapes, and integers only.
 ///
 /// # Errors
-/// [`FormatError`] (line 1) describing the first malformed byte.
+/// [`FormatError`] (line 1) naming the byte of the first syntax error,
+/// or of the string or innermost object a value breaks these rules in.
 pub fn parse_certificate(text: &str) -> Result<CertValue, FormatError> {
-    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing bytes after certificate"));
+    let error = |offset: usize, message: &str| FormatError {
+        line: 1,
+        message: format!("byte {offset}: {message}"),
+    };
+    let value = scan_value(text).map_err(|e| error(e.offset, e.message))?;
+    cert_value(value, text)
+        .map_err(|(span, message)| error(span.as_ptr() as usize - text.as_ptr() as usize, message))
+}
+
+/// A rule broken, with the span of `text` it was broken in.
+type CertError<'a> = (&'a str, &'static str);
+
+/// One scanned value as a [`CertValue`]; `within` is the innermost
+/// object around it, or the whole document.
+fn cert_value<'a>(value: SliceValue<'a>, within: &'a str) -> Result<CertValue, CertError<'a>> {
+    match value {
+        SliceValue::Int(i) => Ok(CertValue::Int(i)),
+        SliceValue::Str(s) => cert_str(s).map(CertValue::Str),
+        SliceValue::Arr(items) => items
+            .into_iter()
+            .map(|item| cert_value(item, within))
+            .collect::<Result<_, _>>()
+            .map(CertValue::Arr),
+        SliceValue::Obj(span) => {
+            let mut fields = Vec::new();
+            let mut result = Ok(());
+            scan_object(span, |key, value| {
+                if result.is_ok() {
+                    result = cert_field(&mut fields, key, value, span);
+                }
+            })
+            .expect("a scanned object scans again");
+            result.map(|()| CertValue::Obj(fields))
+        }
+        SliceValue::Float(_) => Err((within, "certificates contain integers only")),
+        SliceValue::Null | SliceValue::Bool(_) => {
+            Err((within, "certificates hold objects, arrays, strings, and integers only"))
+        }
     }
-    Ok(v)
+}
+
+/// Appends the field `key: value` of the object `span`.
+fn cert_field<'a>(
+    fields: &mut Vec<(String, CertValue)>,
+    key: RawStr<'a>,
+    value: SliceValue<'a>,
+    span: &'a str,
+) -> Result<(), CertError<'a>> {
+    let key = cert_str(key)?;
+    if fields.iter().any(|(k, _)| *k == key) {
+        return Err((span, "duplicate field"));
+    }
+    fields.push((key, cert_value(value, span)?));
+    Ok(())
+}
+
+/// A decoded string. Certificates escape control characters only; a
+/// `\u` escape of a surrogate (always half of a pair, as the scanner
+/// rejects lone halves) is refused.
+fn cert_str(s: RawStr<'_>) -> Result<String, CertError<'_>> {
+    let mut rest = s.escaped();
+    while let Some(at) = rest.find('\\') {
+        let escape = &rest[at + 1..];
+        if escape.starts_with('u')
+            && matches!(u32::from_str_radix(&escape[1..5], 16), Ok(0xD800..=0xDFFF))
+        {
+            return Err((s.escaped(), "surrogate escapes are not used by certificates"));
+        }
+        rest = &escape[1..];
+    }
+    Ok(s.cow().into_owned())
 }
 
 /// Renders a parsed document back to canonical bytes (compact, field
@@ -492,185 +562,6 @@ fn render_into(v: &CertValue, out: &mut String) {
             }
             out.push('}');
         }
-    }
-}
-
-struct Parser<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, message: impl Into<String>) -> FormatError {
-        FormatError { line: 1, message: format!("byte {}: {}", self.pos, message.into()) }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), FormatError> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<CertValue, FormatError> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(CertValue::Str(self.string()?)),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err(
-                "unexpected byte (certificates hold objects, arrays, strings, and integers only)",
-            )),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn object(&mut self) -> Result<CertValue, FormatError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(CertValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(self.err(format!("duplicate field {key:?}")));
-            }
-            fields.push((key, val));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(CertValue::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<CertValue, FormatError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(CertValue::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(CertValue::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, FormatError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let cp = self.hex4()?;
-                            let c = char::from_u32(cp).ok_or_else(|| {
-                                self.err("surrogate escapes are not used by certificates")
-                            })?;
-                            out.push(c);
-                            // hex4 leaves pos on its last digit.
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Copy the run up to the next quote, escape or control
-                    // byte in one go. The input is a `&str` and the run
-                    // stops before an ASCII byte, so the slice is whole
-                    // UTF-8.
-                    let start = self.pos;
-                    while let Some(&b) = self.bytes.get(self.pos) {
-                        if b == b'"' || b == b'\\' || b < 0x20 {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    out.push_str(&self.text[start..self.pos]);
-                }
-            }
-        }
-    }
-
-    /// Parses the 4 hex digits after `\u`; leaves `pos` on the last
-    /// digit (the caller advances past it).
-    fn hex4(&mut self) -> Result<u32, FormatError> {
-        let mut cp = 0u32;
-        for _ in 0..4 {
-            self.pos += 1;
-            let d = match self.bytes.get(self.pos) {
-                Some(b @ b'0'..=b'9') => (b - b'0') as u32,
-                Some(b @ b'a'..=b'f') => (b - b'a' + 10) as u32,
-                Some(b @ b'A'..=b'F') => (b - b'A' + 10) as u32,
-                _ => return Err(self.err("bad \\u escape")),
-            };
-            cp = cp * 16 + d;
-        }
-        Ok(cp)
-    }
-
-    fn number(&mut self) -> Result<CertValue, FormatError> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if matches!(self.bytes.get(self.pos), Some(b'.' | b'e' | b'E')) {
-            return Err(self.err("certificates contain integers only"));
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        text.parse::<i64>()
-            .map(CertValue::Int)
-            .map_err(|_| self.err(format!("bad integer {text:?}")))
     }
 }
 

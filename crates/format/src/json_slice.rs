@@ -12,7 +12,8 @@
 //!   decoding ([`RawStr::cow`]) is deferred until a field is actually
 //!   wanted, and borrows when the span contains no escapes;
 //! * numbers/booleans are decoded in place;
-//! * nested objects are *validated and skipped*, never materialized;
+//! * nested objects are validated and handed over as their span of the
+//!   input ([`SliceValue::Obj`]), never materialized;
 //! * arrays are scanned shallowly (their elements follow these same
 //!   rules).
 //!
@@ -23,16 +24,20 @@
 //! with the same offsets and messages.
 //!
 //! The scanner validates the entire document (including unused fields
-//! and trailing input), so accepting a body via this path is exactly as
-//! strict as the tree parser. [`parse_workspace_raw`] then unescapes a
-//! scanned `workspace` field to a `Cow` — at most one transient
-//! `String`, none when the span is escape-free — and runs the text
-//! parser on it.
+//! and trailing input), and it is the only JSON grammar outside the
+//! auditor: the serving layer's `Json` tree and the certificate tree
+//! ([`crate::parse_certificate`]) are built from [`scan_value`], reading
+//! each nested object by [`scan_object`] over its span.
+//! [`parse_workspace_raw`] unescapes a scanned `workspace` field to a
+//! `Cow` — at most one transient `String`, none when the span is
+//! escape-free — and runs the text parser on it.
 
 use crate::format::{parse_workspace, FormatError, Workspace};
 use std::borrow::Cow;
 
-/// Maximum nesting depth (matches the serving layer's tree parser).
+/// Maximum nesting depth: the containers open at once. The `Json` and
+/// certificate trees are built from this scanner, so it is their limit
+/// too.
 const MAX_DEPTH: u32 = 64;
 
 /// A syntax error, with the byte offset it was detected at.
@@ -86,18 +91,13 @@ impl<'a> RawStr<'a> {
                 Some(b'r') => out.push('\r'),
                 Some(b't') => out.push('\t'),
                 Some(b'u') => {
-                    let hi = hex4(raw, at);
+                    let mut code = hex4(raw, at);
                     at += 4;
-                    let mut code = hi;
-                    // Surrogate pair: the low half must follow as
-                    // another \u escape.
-                    let low_follows = raw.get(at..).is_some_and(|r| r.starts_with("\\u"));
-                    if (0xD800..0xDC00).contains(&hi) && low_follows {
-                        let lo = hex4(raw, at + 2);
-                        if (0xDC00..0xE000).contains(&lo) {
-                            at += 6;
-                            code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                        }
+                    // A high surrogate: the scanner checked that a
+                    // `\u` low half follows.
+                    if (0xD800..0xDC00).contains(&code) {
+                        code = 0x10000 + ((code - 0xD800) << 10) + (hex4(raw, at + 2) - 0xDC00);
+                        at += 6;
                     }
                     out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                 }
@@ -158,8 +158,9 @@ pub enum SliceValue<'a> {
     Str(RawStr<'a>),
     /// An array; elements are themselves shallow.
     Arr(Vec<SliceValue<'a>>),
-    /// A nested object — validated and skipped, not materialized.
-    Obj,
+    /// A nested object, validated but not materialized: its span of the
+    /// input, `{` to `}`. [`scan_object`] reads its fields.
+    Obj(&'a str),
 }
 
 impl<'a> SliceValue<'a> {
@@ -201,13 +202,20 @@ pub fn scan_object<'a>(
     if is_object {
         s.object(1, Some(&mut field))?;
     } else {
-        s.value(1)?;
+        s.value(0)?;
     }
-    s.skip_ws();
-    if s.pos < s.bytes.len() {
-        return Err(s.err("trailing characters after value"));
-    }
+    s.end()?;
     Ok(is_object)
+}
+
+/// Scans `text` as one JSON document of any shape and returns its top
+/// level shallowly, as [`scan_object`] hands over a field. The whole
+/// document is validated, trailing garbage included.
+pub fn scan_value(text: &str) -> Result<SliceValue<'_>, SliceError> {
+    let mut s = Scanner { bytes: text.as_bytes(), text, pos: 0 };
+    let value = s.value(0)?;
+    s.end()?;
+    Ok(value)
 }
 
 struct Scanner<'a> {
@@ -233,6 +241,23 @@ impl<'a> Scanner<'a> {
         }
     }
 
+    /// Only whitespace may follow the document.
+    fn end(&mut self) -> Result<(), SliceError> {
+        self.skip_ws();
+        if self.pos < self.bytes.len() {
+            return Err(self.err("trailing characters after value"));
+        }
+        Ok(())
+    }
+
+    /// Opening a container at nesting `level` (1 = the top level).
+    fn nest(&self, level: u32) -> Result<(), SliceError> {
+        if level > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        Ok(())
+    }
+
     fn expect(&mut self, byte: u8, message: &'static str) -> Result<(), SliceError> {
         if self.peek() == Some(byte) {
             self.pos += 1;
@@ -242,18 +267,18 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// Scans one value shallowly. `depth` counts containers entered.
+    /// Scans one value shallowly. `depth` counts the containers around
+    /// it.
     fn value(&mut self, depth: u32) -> Result<SliceValue<'a>, SliceError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
         self.skip_ws();
         match self.peek() {
             Some(b'{') => {
+                let start = self.pos;
                 self.object(depth + 1, None)?;
-                Ok(SliceValue::Obj)
+                Ok(SliceValue::Obj(&self.text[start..self.pos]))
             }
             Some(b'[') => {
+                self.nest(depth + 1)?;
                 self.pos += 1;
                 let mut items = Vec::new();
                 self.skip_ws();
@@ -283,16 +308,15 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// Scans `{...}`; fields go to `sink` when provided (the top-level
-    /// object), otherwise the contents are validated and discarded.
+    /// Scans `{...}` at nesting `level`; fields go to `sink` when
+    /// provided (the top-level object), otherwise the contents are
+    /// validated and discarded.
     fn object(
         &mut self,
-        depth: u32,
+        level: u32,
         mut sink: Option<FieldSink<'_, 'a>>,
     ) -> Result<(), SliceError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
+        self.nest(level)?;
         self.expect(b'{', "expected `{`")?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -304,7 +328,7 @@ impl<'a> Scanner<'a> {
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':', "expected `:` after object key")?;
-            let value = self.value(depth)?;
+            let value = self.value(level)?;
             if let Some(sink) = sink.as_mut() {
                 sink(key, value);
             }
@@ -345,24 +369,7 @@ impl<'a> Scanner<'a> {
                     self.pos += 1;
                     return Ok(RawStr { raw });
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.pos += 1;
-                        }
-                        Some(b'u') => {
-                            self.pos += 1;
-                            for _ in 0..4 {
-                                if !matches!(self.peek(), Some(c) if c.is_ascii_hexdigit()) {
-                                    return Err(self.err("bad \\u escape"));
-                                }
-                                self.pos += 1;
-                            }
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
+                Some(b'\\') => self.escape()?,
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 // A plain byte of a tail shorter than a word. UTF-8
                 // lead and continuation bytes are all >= 0x80, so the
@@ -371,6 +378,48 @@ impl<'a> Scanner<'a> {
                 None => return Err(self.err("unterminated string")),
             }
         }
+    }
+
+    /// Scans one escape, `self.pos` on its backslash. A `\u` escape of
+    /// a UTF-16 surrogate must be a high half followed at once by a
+    /// `\u` low half; a lone half is an error at its backslash.
+    fn escape(&mut self) -> Result<(), SliceError> {
+        let backslash = self.pos;
+        self.pos += 1;
+        match self.peek() {
+            Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => self.pos += 1,
+            Some(b'u') => {
+                let paired = match self.code_unit()? {
+                    0xD800..=0xDBFF => {
+                        self.bytes[self.pos..].starts_with(b"\\u") && {
+                            self.pos += 1;
+                            (0xDC00..0xE000).contains(&self.code_unit()?)
+                        }
+                    }
+                    0xDC00..=0xDFFF => false,
+                    _ => true,
+                };
+                if !paired {
+                    return Err(SliceError { offset: backslash, message: "lone surrogate" });
+                }
+            }
+            _ => return Err(self.err("unknown escape")),
+        }
+        Ok(())
+    }
+
+    /// Scans the `u` and four hex digits of a `\u` escape.
+    fn code_unit(&mut self) -> Result<u32, SliceError> {
+        self.pos += 1;
+        let mut code = 0;
+        for _ in 0..4 {
+            let Some(digit) = self.peek().and_then(|c| char::from(c).to_digit(16)) else {
+                return Err(self.err("bad \\u escape"));
+            };
+            code = code * 16 + digit;
+            self.pos += 1;
+        }
+        Ok(code)
     }
 
     /// Advances past plain string bytes (anything but `"`, `\` and a
@@ -481,24 +530,8 @@ mod tests {
                     s.pos += 1;
                     return Ok(RawStr { raw });
                 }
-                Some(b'\\') => {
-                    s.pos += 1;
-                    match s.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            s.pos += 1;
-                        }
-                        Some(b'u') => {
-                            s.pos += 1;
-                            for _ in 0..4 {
-                                if !matches!(s.peek(), Some(c) if c.is_ascii_hexdigit()) {
-                                    return Err(s.err("bad \\u escape"));
-                                }
-                                s.pos += 1;
-                            }
-                        }
-                        _ => return Err(s.err("unknown escape")),
-                    }
-                }
+                // Escapes are scanned one at a time by both loops.
+                Some(b'\\') => s.escape()?,
                 Some(c) if c < 0x20 => return Err(s.err("control character in string")),
                 Some(_) => {
                     // Skip over one UTF-8 scalar (input is &str, so
@@ -639,29 +672,50 @@ mod tests {
         }
     }
 
-    /// A piece of a *valid* string body: [`piece`]'s plain text, valid
-    /// escapes, `\u` escapes and multi-byte scalars, plus paired and
-    /// lone surrogates and `\u0000`.
-    fn valid_piece(kind: u8, seed: u32) -> String {
-        let hex = |code: u32| format!("\\u{code:04x}");
-        // Either end of each surrogate range, or a value inside it.
+    /// A surrogate pair's high and low halves: either end of each
+    /// range, or a value inside it.
+    fn surrogates(seed: u32) -> (u32, u32) {
         let end = (seed >> 24) as usize % 3;
         let high = [0xD800, 0xDBFF, 0xD800 + seed % 0x400][end];
         let low = [0xDC00, 0xDFFF, 0xDC00 + (seed >> 10) % 0x400][end];
+        (high, low)
+    }
+
+    /// A piece of a *valid* string body: [`piece`]'s plain text, valid
+    /// escapes, `\u` escapes and multi-byte scalars, plus surrogate
+    /// pairs, `\u` escapes next to the surrogate ranges and `\u0000`.
+    fn valid_piece(kind: u8, seed: u32) -> String {
+        let hex = |code: u32| format!("\\u{code:04x}");
+        let (high, low) = surrogates(seed);
         match kind {
-            // `piece`'s first eight escapes are its valid ones.
+            // `piece`'s first eight escapes are its valid ones, and its
+            // `\u` escapes stay valid outside the surrogate range.
             3 => piece(3, seed % 8),
+            4 if (0xD800..0xE000).contains(&(seed >> 16)) => hex(seed >> 16 ^ 0x2000),
             0 | 4 | 7 | 8 | 9 => piece(kind, seed),
             1 => format!("{}{}", hex(high), hex(low)),
-            2 => hex(high),
-            5 => hex(low),
-            // A high surrogate followed by a `\u` escape just outside
-            // the low range, or anywhere else.
-            6 => {
-                let next = [0xDBFF, 0xE000, seed % 0xDC00, 0xE000 + seed % 0x2000];
-                format!("{}{}", hex(high), hex(next[(seed >> 20) as usize % 4]))
-            }
+            2 => format!("\\u{high:04X}\\u{low:04X}"),
+            // Just below and just above the surrogate ranges.
+            5 => hex([0xD7FF, 0xE000][seed as usize % 2]),
+            // A pair followed by a second pair.
+            6 => format!("{}{}{}{}", hex(high), hex(low), hex(low ^ 0x800), hex(high ^ 0x800)),
             _ => "\\u0000".into(),
+        }
+    }
+
+    /// A lone surrogate half in `body`, as a `\u` escape: a lone low
+    /// half, a high half at the end, or a high half followed by
+    /// anything but a `\u` low half.
+    fn lone_surrogate(seed: u32) -> String {
+        let hex = |code: u32| format!("\\u{code:04x}");
+        let (high, low) = surrogates(seed);
+        let next = [0xDBFF, 0xE000, seed % 0xDC00, 0xE000 + seed % 0x2000];
+        match seed % 5 {
+            0 => hex(low),
+            1 => hex(high),
+            2 => format!("{}x", hex(high)),
+            3 => format!("{}\\n", hex(high)),
+            _ => format!("{}{}", hex(high), hex(next[(seed >> 20) as usize % 4])),
         }
     }
 
@@ -675,6 +729,18 @@ mod tests {
             let scanned = Scanner { bytes: doc.as_bytes(), text: &doc, pos: 0 }.string();
             prop_assert_eq!(scanned, Ok(RawStr { raw: &body }), "{:?} must scan whole", body);
             prop_assert_eq!(RawStr { raw: &body }.cow(), cow_charwise(&body), "{:?}", body);
+        }
+
+        #[test]
+        fn lone_surrogates_are_rejected_at_their_escape(
+            pieces in proptest::collection::vec((0u8..11, any::<u32>()), 0..6),
+            seed in any::<u32>(),
+        ) {
+            let before: String = pieces.iter().map(|&(kind, seed)| valid_piece(kind, seed)).collect();
+            let doc = format!("{{\"k\": \"{before}{}\"}}", lone_surrogate(seed));
+            let offset = 7 + before.len();
+            let want = Err(SliceError { offset, message: "lone surrogate" });
+            prop_assert_eq!(scan_object(&doc, |_, _| ()), want, "{:?}", doc);
         }
 
         #[test]
@@ -750,12 +816,54 @@ mod tests {
     }
 
     #[test]
+    fn lone_surrogates_are_rejected() {
+        let lone = |offset| Err(SliceError { offset, message: "lone surrogate" });
+        assert_eq!(scan_value(r#""x\ud800""#), lone(2));
+        assert_eq!(scan_value(r#""x\udc00""#), lone(2));
+        assert_eq!(scan_value(r#""\ud83d\u0041""#), lone(1));
+        assert_eq!(scan_value(r#""\ud83d\ud83d\ude00""#), lone(1));
+        let bad_low = SliceError { offset: 12, message: "bad \\u escape" };
+        assert_eq!(scan_value(r#""\ud83d\ude0""#), Err(bad_low));
+    }
+
+    #[test]
     fn arrays_scan_shallowly_and_objects_skip() {
         let got = fields(r#"{"repairs": ["J", "K"], "nested": {"deep": [1, {"x": 2}]}}"#);
         let SliceValue::Arr(items) = &got[0].1 else { panic!("array expected") };
         assert!(items[0].as_raw_str().unwrap().is("J"));
         assert!(items[1].as_raw_str().unwrap().is("K"));
-        assert_eq!(got[1].1, SliceValue::Obj);
+        assert_eq!(got[1].1, SliceValue::Obj(r#"{"deep": [1, {"x": 2}]}"#));
+    }
+
+    #[test]
+    fn scan_value_reads_any_top_level_and_objects_by_span() {
+        assert_eq!(scan_value(" 7 "), Ok(SliceValue::Int(7)));
+        assert_eq!(scan_value(r#" {"a": {}} "#), Ok(SliceValue::Obj(r#"{"a": {}}"#)));
+        let Ok(SliceValue::Arr(items)) = scan_value(r#"[{"b": [2]}, "x"]"#) else {
+            panic!("array expected")
+        };
+        let SliceValue::Obj(span) = items[0] else { panic!("object expected") };
+        let mut inner = Vec::new();
+        assert_eq!(scan_object(span, |k, v| inner.push((k.escaped(), v))), Ok(true));
+        assert_eq!(inner, [("b", SliceValue::Arr(vec![SliceValue::Int(2)]))]);
+        assert!(scan_value("1 2").is_err());
+        assert!(scan_value("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_to_64_containers_of_either_kind() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            for inner in ["1", "[]", "{}"] {
+                let nest = |n: usize| format!("{}{inner}{}", open.repeat(n), close.repeat(n));
+                // `inner` itself opens a container unless it is `1`.
+                let limit = if inner == "1" { 64 } else { 63 };
+                assert!(scan_value(&nest(limit)).is_ok(), "{}", nest(limit));
+                assert!(scan_object(&nest(limit), |_, _| ()).is_ok());
+                let deep = SliceError { offset: 64 * open.len(), message: "nesting too deep" };
+                assert_eq!(scan_value(&nest(limit + 1)), Err(deep));
+                assert_eq!(scan_object(&nest(limit + 1), |_, _| ()), Err(deep));
+            }
+        }
     }
 
     #[test]

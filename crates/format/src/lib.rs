@@ -40,6 +40,8 @@ pub use delta::{
 };
 pub use fingerprint::{schema_fingerprint, workspace_fingerprint};
 pub use format::{parse_workspace, render_workspace, FormatError, Workspace};
-pub use json_slice::{parse_workspace_raw, scan_object, RawStr, SliceError, SliceValue};
+pub use json_slice::{
+    parse_workspace_raw, scan_object, scan_value, RawStr, SliceError, SliceValue,
+};
 pub use query_parse::{parse_query, QueryError};
 pub use store::{decode, encode, is_binary, StoreError};

@@ -1004,6 +1004,34 @@ mod tests {
     }
 
     #[test]
+    fn lone_surrogate_escapes_are_a_400_and_pairs_decode() {
+        let state = state(2);
+        // `\\n` is a JSON escape inside the body's `workspace` string.
+        let body = |a: &str, b: &str| {
+            format!(
+                "{{\"workspace\":\"relation R/2\\nfd R: 1 -> 2\\nfact R(x{a}, a)\\n\
+                 fact R(x{b}, b)\\nrepair J: R(x{a}, a); R(x{b}, b)\\n\"}}"
+            )
+        };
+        let post = |body: &str| {
+            let body = body.as_bytes();
+            handle(&state, &Request { method: "POST", path: "/check", body, close: false })
+        };
+        for (a, b) in [(r"\ud800", r"\udc00"), (r"\ud83d", "y"), ("y", r"\ude00")] {
+            let response = post(&body(a, b));
+            assert_eq!(response.status, 400, "{a} {b}");
+            let text = String::from_utf8(response.body).unwrap();
+            assert!(text.contains("lone surrogate"), "{a} {b}: got {text}");
+        }
+        // A pair decodes to the character it encodes.
+        let escaped = post(&body(r"\ud83d\ude00", "y"));
+        let raw = post(&body("😀", "y"));
+        assert_eq!((escaped.status, raw.status), (200, 200));
+        let fingerprint = |r: &Response| body_json(r).get("fingerprint").cloned().unwrap();
+        assert_eq!(fingerprint(&escaped), fingerprint(&raw));
+    }
+
+    #[test]
     fn budget_overrides_reject_non_integers() {
         let state = state(2);
         let body =

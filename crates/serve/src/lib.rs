@@ -64,6 +64,6 @@ pub mod server;
 pub use cache::{CacheOutcome, SessionCache, SessionSlot};
 pub use handlers::{BudgetDefaults, ServerState};
 pub use http::{client_call, HttpClient};
-pub use json::{parse_json, Json, JsonError};
+pub use json::{parse_json, Json};
 pub use metrics::Metrics;
 pub use server::{ServeConfig, Server};

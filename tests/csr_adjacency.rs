@@ -149,7 +149,11 @@ fn assert_direct_build_matches(name: &str, schema: &Schema, instance: &Instance)
         PriorityRelation::empty(instance.len()),
     )
     .unwrap();
-    assert_eq!(CheckSession::new(schema, &pi).csr(), &packed, "{name}: session build differs");
+    assert_eq!(
+        CheckSession::new(schema, &pi).conflict_graph(),
+        &packed,
+        "{name}: session build differs"
+    );
 }
 
 #[test]

@@ -141,7 +141,11 @@ fn assert_matches_cold(rng: &mut StdRng, ds: &DeltaSession, ws: &Workspace, cont
 
     // The patched structure itself, in every build profile (the patch
     // path's own equality checks are debug assertions).
-    assert_eq!(patched.csr(), cold.csr(), "{context}: patched CSR diverged from a cold build");
+    assert_eq!(
+        patched.conflict_graph(),
+        cold.conflict_graph(),
+        "{context}: patched CSR diverged from a cold build"
+    );
     assert_eq!(
         patched.components(),
         cold.components(),
