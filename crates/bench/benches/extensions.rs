@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rpr_bench::single_fd_workload;
 use rpr_core::construct_globally_optimal_repair;
-use rpr_fd::{discover_fds, ConflictGraph, DiscoveryOptions};
+use rpr_fd::{discover_fds, CsrConflictGraph, DiscoveryOptions};
 use rpr_gen::{simulate_feed, trust_then_recency_priority, FeedSpec, SourceSpec};
 
 fn bench_construct(c: &mut Criterion) {
@@ -48,7 +48,7 @@ fn bench_feed_cleaning(c: &mut Criterion) {
         let feed = simulate_feed(&spec, &mut rng);
         group.bench_with_input(BenchmarkId::from_parameter(entities), &entities, |b, _| {
             b.iter(|| {
-                let cg = ConflictGraph::new(&feed.schema, &feed.instance);
+                let cg = CsrConflictGraph::new(&feed.schema, &feed.instance);
                 let p = trust_then_recency_priority(&feed, &["gold", "bulk", "scrape"]);
                 let cleaned = construct_globally_optimal_repair(&cg, &p);
                 feed.accuracy(&cleaned)

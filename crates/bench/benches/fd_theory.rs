@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rpr_bench::single_fd_workload;
 use rpr_data::AttrSet;
-use rpr_fd::{closure, closure_linear, minimal_cover, ConflictGraph};
+use rpr_fd::{closure, closure_linear, minimal_cover, CsrConflictGraph};
 use rpr_gen::random_schema;
 
 fn bench_closure(c: &mut Criterion) {
@@ -50,7 +50,7 @@ fn bench_conflict_graph(c: &mut Criterion) {
     for &n in &[200usize, 800, 3200] {
         let w = single_fd_workload(n, 6, 0.6, 54);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| ConflictGraph::new(&w.schema, &w.instance).len())
+            b.iter(|| CsrConflictGraph::new(&w.schema, &w.instance).len())
         });
     }
     group.finish();

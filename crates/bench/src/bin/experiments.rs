@@ -24,7 +24,7 @@ use rpr_core::{
 };
 use rpr_cqa::{answers_bounded, atom, ConjunctiveQuery, RepairSemantics, RepairSpace};
 use rpr_data::{AttrSet, FactId, Instance, RelId, Signature, Value};
-use rpr_fd::{closure, equivalent, ConflictGraph, Fd, Schema};
+use rpr_fd::{closure, equivalent, CsrConflictGraph, Fd, Schema};
 use rpr_gen::{ccp_hard_schema, example_3_3_schema, hard_schema, random_schema, RunningExample};
 use rpr_priority::{PrioritizedInstance, PriorityRelation};
 use rpr_reductions::{
@@ -32,6 +32,11 @@ use rpr_reductions::{
     map_input, CaseOneMapping, FactMapping, UGraph,
 };
 use std::time::Instant;
+
+/// The bitset conflict graph `rpr-fd` keeps as its test reference: the
+/// oracle of e32's gates.
+#[path = "../../../fd/tests/reference/conflicts.rs"]
+mod reference;
 
 type ExpResult = Result<Vec<String>, String>;
 
@@ -240,7 +245,7 @@ fn e01() -> ExpResult {
     ensure(ex.instance.len() == 13, "Figure 1 has 13 facts")?;
     ensure(!ex.schema.is_consistent(&ex.instance), "I violates Δ")?;
     let f = RunningExample::fact_ids();
-    let cg = ConflictGraph::new(&ex.schema, &ex.instance);
+    let cg = CsrConflictGraph::new(&ex.schema, &ex.instance);
     ensure(cg.conflicting(f.g1f1, f.f1d3), "{g1f1,f1d3} is a δ1-conflict")?;
     ensure(cg.conflicting(f.d1a, f.d1e), "{d1a,d1e} is a δ2-conflict")?;
     ensure(cg.conflicting(f.d1a, f.g2a), "{d1a,g2a} is a δ3-conflict")?;
@@ -277,7 +282,7 @@ fn e02() -> ExpResult {
 // ---------------------------------------------------------------- E03
 fn e03() -> ExpResult {
     let ex = RunningExample::new();
-    let cg = ConflictGraph::new(&ex.schema, &ex.instance);
+    let cg = CsrConflictGraph::new(&ex.schema, &ex.instance);
     let (j1, j2, j3, j4) = (ex.j1(), ex.j2(), ex.j3(), ex.j4());
     for (n, j) in [("J1", &j1), ("J2", &j2), ("J3", &j3), ("J4", &j4)] {
         ensure(cg.is_repair(j), &format!("{n} is a repair"))?;
@@ -410,7 +415,7 @@ fn e07() -> ExpResult {
     let lib = ex.schema.signature().rel_id("LibLoc").unwrap();
     let domain = ex.instance.rel_set(lib);
     let j = ex.instance.set_of([f.d1a, f.f2b, f.f3c]);
-    let cg = ConflictGraph::new(&ex.schema, &ex.instance);
+    let cg = CsrConflictGraph::new(&ex.schema, &ex.instance);
     let outcome = rpr_core::check_global_2keys(
         &ex.instance,
         &cg,
@@ -489,7 +494,7 @@ fn e09() -> ExpResult {
     k2.add_edge(0, 1);
     for (name, graph) in [("2 isolated vertices", UGraph::new(2)), ("K2 (Figure 5)", k2)] {
         let gadget = hamiltonian_gadget(&graph);
-        let cg = ConflictGraph::new(&gadget.schema, gadget.prioritized.instance());
+        let cg = CsrConflictGraph::new(&gadget.schema, gadget.prioritized.instance());
         let outcome = check_global_exact_bounded(
             &cg,
             gadget.prioritized.priority(),
@@ -516,7 +521,7 @@ fn e09() -> ExpResult {
     {
         let pi = graph.hamiltonian_cycle().ok_or("test graph should be Hamiltonian")?;
         let gadget = hamiltonian_gadget(&graph);
-        let cg = ConflictGraph::new(&gadget.schema, gadget.prioritized.instance());
+        let cg = CsrConflictGraph::new(&gadget.schema, gadget.prioritized.instance());
         let (removed, added) = improvement_from_cycle(&gadget, &pi);
         let imp = Improvement { removed, added };
         ensure(
@@ -575,7 +580,7 @@ fn e10() -> ExpResult {
         [AttrSet::from_attrs([1, 2]), AttrSet::from_attrs([2, 3]), AttrSet::from_attrs([3, 4])];
     let pi_map = CaseOneMapping::new("R", 5, &keys).map_err(|e| e.to_string())?;
     let (mapped, j2) = map_input(&pi_map, &gadget.prioritized, &gadget.j);
-    let dst_cg = ConflictGraph::new(pi_map.target_schema(), mapped.instance());
+    let dst_cg = CsrConflictGraph::new(pi_map.target_schema(), mapped.instance());
     let outcome = check_global_exact_bounded(
         &dst_cg,
         mapped.priority(),
@@ -642,7 +647,7 @@ fn e12() -> ExpResult {
     for (a, b) in [("0", "1"), ("0", "2"), ("0", "c"), ("1", "a"), ("1", "b"), ("1", "3")] {
         i.insert_named("R", [Value::sym(a), Value::sym(b)]).unwrap();
     }
-    let cg = ConflictGraph::new(&schema, &i);
+    let cg = CsrConflictGraph::new(&schema, &i);
     let p = PriorityRelation::new(
         i.len(),
         [
@@ -833,7 +838,7 @@ fn e16() -> ExpResult {
             let y = rng.random_range(0..3);
             instance.insert_named("B", [Value::Int(x), Value::Int(y)]).unwrap();
         }
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let priority = rpr_gen::random_conflict_priority(&cg, 0.6, &mut rng);
         let pi =
             PrioritizedInstance::conflict_restricted(&schema, instance.clone(), priority.clone())
@@ -974,7 +979,7 @@ fn e18() -> ExpResult {
     let x1 = instance.insert_named("R", [v("g"), v("X1"), v("1")]).unwrap();
     let x2 = instance.insert_named("R", [v("g"), v("X2"), v("1")]).unwrap();
     let priority = PriorityRelation::new(instance.len(), [(x1, j1), (x2, j2)]).unwrap();
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let j = instance.set_of([j1, j2]);
     ensure(
         is_globally_optimal_brute_bounded(
@@ -1032,7 +1037,7 @@ fn e19() -> ExpResult {
     .ok_or("preferred CQA exceeded its budget")?;
     ensure(all.certain.is_empty(), "no certain answers over all repairs")?;
     ensure(global.certain.len() == 1, "exactly one certain answer over g-repairs")?;
-    let cg = ConflictGraph::new(&ex.schema, &ex.instance);
+    let cg = CsrConflictGraph::new(&ex.schema, &ex.instance);
     let space = RepairSpace::compute_bounded(
         &cg,
         &ex.priority,
@@ -1155,7 +1160,7 @@ fn e22() -> ExpResult {
     for seed in 0..trials {
         let mut rng = StdRng::seed_from_u64(4000 + seed);
         let feed = simulate_feed(&spec, &mut rng);
-        let cg = ConflictGraph::new(&feed.schema, &feed.instance);
+        let cg = CsrConflictGraph::new(&feed.schema, &feed.instance);
         let priority = trust_then_recency_priority(&feed, &["gold", "bulk", "scrape"]);
         let cleaned = construct_globally_optimal_repair(&cg, &priority);
         policy_acc += feed.accuracy(&cleaned);
@@ -1201,7 +1206,7 @@ fn e23() -> ExpResult {
     ensure(!entity_determines_value, "dirty data must violate entity→value")?;
     // …but the policy-cleaned repair does, and the mined schema is then
     // tractable (indeed a primary-key assignment for ccp too).
-    let cg = ConflictGraph::new(&feed.schema, &feed.instance);
+    let cg = CsrConflictGraph::new(&feed.schema, &feed.instance);
     let priority = trust_then_recency_priority(&feed, &["gold", "scrape"]);
     let cleaned = construct_globally_optimal_repair(&cg, &priority);
     let clean_inst = feed.instance.materialize(&cleaned);
@@ -1240,7 +1245,7 @@ fn e24() -> ExpResult {
     let pi =
         PrioritizedInstance::conflict_restricted(&w.schema, w.instance.clone(), w.priority.clone())
             .map_err(|e| e.to_string())?;
-    let cg = ConflictGraph::new(&w.schema, &w.instance);
+    let cg = CsrConflictGraph::new(&w.schema, &w.instance);
     let mut rng = StdRng::seed_from_u64(7);
     let candidates: Vec<rpr_data::FactSet> =
         (0..n_candidates).map(|_| rpr_gen::random_repair(&cg, &mut rng)).collect();
@@ -1326,7 +1331,7 @@ fn e25() -> ExpResult {
     let pi =
         PrioritizedInstance::conflict_restricted(&w.schema, w.instance.clone(), w.priority.clone())
             .map_err(|e| e.to_string())?;
-    let cg = ConflictGraph::new(&w.schema, &w.instance);
+    let cg = CsrConflictGraph::new(&w.schema, &w.instance);
     let mut rng = StdRng::seed_from_u64(11);
     let candidates: Vec<rpr_data::FactSet> =
         (0..n_candidates).map(|_| rpr_gen::random_repair(&cg, &mut rng)).collect();
@@ -2518,8 +2523,9 @@ fn git_head() -> String {
 
 /// One conflict graph. Sessions hold only the CSR conflict graph, built
 /// straight from the per-FD lhs/rhs grouping; the bitset
-/// `ConflictGraph` is the oracle's. On the serving benchmark's
-/// single-FD and two-keys shapes at 4k/20k/50k facts this records the
+/// `ConflictGraph` kept as `rpr-fd`'s test reference is the oracle. On
+/// the serving benchmark's single-FD and two-keys shapes at
+/// 4k/20k/50k facts this records the
 /// `SessionArtifacts::build` time and the session's structure bytes
 /// beside what the oracle graph costs (its build time and bitset
 /// bytes). Gates (committed to `BENCH_session.json`): the session graph
@@ -2527,8 +2533,8 @@ fn git_head() -> String {
 /// an eighth of the bitset bytes at every size; and at 50k facts a
 /// whole session build beats the bitset graph build alone.
 fn e32() -> ExpResult {
+    use reference::{same_graph, ConflictGraph};
     use rpr_core::SessionArtifacts;
-    use rpr_fd::CsrConflictGraph;
     type Shape = fn(usize) -> Result<(Schema, PrioritizedInstance), String>;
     const SIZES: [usize; 3] = [4_000, 20_000, 50_000];
     const REPS: usize = 7;
@@ -2544,8 +2550,10 @@ fn e32() -> ExpResult {
             let art = SessionArtifacts::build(&schema, &pi);
             let oracle = ConflictGraph::new(&schema, pi.instance());
             ensure(
-                CheckSession::from_artifacts(&schema, &pi, &art).conflict_graph()
-                    == &CsrConflictGraph::from_graph(&oracle),
+                same_graph(
+                    &oracle,
+                    CheckSession::from_artifacts(&schema, &pi, &art).conflict_graph(),
+                ),
                 &format!("{shape}/{facts}: session graph differs from the oracle's packing"),
             )?;
             let bitset_bytes = oracle.heap_bytes();

@@ -15,7 +15,7 @@ pub mod load;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rpr_data::{FactSet, Instance};
-use rpr_fd::{ConflictGraph, Schema};
+use rpr_fd::{CsrConflictGraph, Schema};
 use rpr_gen::{
     random_ccp_priority, random_conflict_priority, random_instance, single_fd_schema,
     two_keys_schema, InstanceSpec,
@@ -36,8 +36,8 @@ pub struct Workload {
 
 impl Workload {
     /// Builds the conflict graph of the workload.
-    pub fn conflict_graph(&self) -> ConflictGraph {
-        ConflictGraph::new(&self.schema, &self.instance)
+    pub fn conflict_graph(&self) -> CsrConflictGraph {
+        CsrConflictGraph::new(&self.schema, &self.instance)
     }
 }
 
@@ -47,7 +47,7 @@ fn finish(
     priority: PriorityRelation,
     rng: &mut StdRng,
 ) -> Workload {
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let j = rpr_gen::random_repair(&cg, rng);
     Workload { schema, instance, priority, j }
 }
@@ -67,7 +67,7 @@ pub fn single_fd_workload(n: usize, group: u32, density: f64, seed: u64) -> Work
         let c = rng.random_range(0..1000) as i64;
         instance.insert_named("R", [g.into(), b.into(), c.into()]).expect("fits schema");
     }
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let priority = random_conflict_priority(&cg, density, &mut rng);
     finish(schema, instance, priority, &mut rng)
 }
@@ -80,7 +80,7 @@ pub fn two_keys_workload(n: usize, slots: u32, density: f64, seed: u64) -> Workl
     let mut rng = StdRng::seed_from_u64(seed);
     let instance =
         random_instance(&schema, InstanceSpec { facts_per_relation: n, domain: slots }, &mut rng);
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let priority = random_conflict_priority(&cg, density, &mut rng);
     finish(schema, instance, priority, &mut rng)
 }
@@ -94,7 +94,7 @@ pub fn ccp_pk_workload(n: usize, domain: u32, cross: usize, seed: u64) -> Worklo
     let mut rng = StdRng::seed_from_u64(seed);
     let instance =
         random_instance(&schema, InstanceSpec { facts_per_relation: n / 2, domain }, &mut rng);
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let priority = random_ccp_priority(&cg, 0.6, cross, &mut rng);
     finish(schema, instance, priority, &mut rng)
 }
@@ -108,7 +108,7 @@ pub fn ccp_const_workload(n: usize, domain: u32, cross: usize, seed: u64) -> Wor
     let mut rng = StdRng::seed_from_u64(seed);
     let instance =
         random_instance(&schema, InstanceSpec { facts_per_relation: n / 2, domain }, &mut rng);
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let priority = random_ccp_priority(&cg, 0.6, cross, &mut rng);
     finish(schema, instance, priority, &mut rng)
 }
@@ -130,7 +130,7 @@ pub fn hard_s4_workload(n: usize, domain: u32, density: f64, seed: u64) -> Workl
         let c = rng.random_range(0..domain) as i64;
         instance.insert_named("R4", [g.into(), b.into(), c.into()]).expect("fits schema");
     }
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let priority = random_conflict_priority(&cg, density, &mut rng);
     finish(schema, instance, priority, &mut rng)
 }

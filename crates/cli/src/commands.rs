@@ -12,7 +12,8 @@ use rpr_core::{
 use rpr_cqa::{answers_session_bounded, repairs_under_session_bounded, RepairSemantics};
 use rpr_data::FactSet;
 use rpr_fd::{
-    discover_fds_for, is_3nf, is_bcnf, merge_by_lhs, minimal_cover, ConflictGraph, DiscoveryOptions,
+    discover_fds_for, is_3nf, is_bcnf, merge_by_lhs, minimal_cover, CsrConflictGraph,
+    DiscoveryOptions,
 };
 use std::fmt::Write;
 
@@ -391,7 +392,7 @@ pub fn cqa(
 /// `rpr construct FILE` — build one globally-optimal repair
 /// (polynomial, any schema).
 pub fn construct(ws: &Workspace) -> String {
-    let cg = ConflictGraph::new(&ws.schema, &ws.instance);
+    let cg = CsrConflictGraph::new(&ws.schema, &ws.instance);
     let j = construct_globally_optimal_repair(&cg, &ws.priority);
     format!("globally-optimal repair: {}\n", ws.instance.render_set(&j))
 }
@@ -665,7 +666,7 @@ repair bad: BookLoc(b1, drama, lib3); LibLoc(lib1, almaden)
         let report = construct(&ws);
         assert!(report.contains("globally-optimal repair:"));
         // The constructed repair passes the checker.
-        let cg = ConflictGraph::new(&ws.schema, &ws.instance);
+        let cg = CsrConflictGraph::new(&ws.schema, &ws.instance);
         let j = construct_globally_optimal_repair(&cg, &ws.priority);
         let pi = ws.prioritized().unwrap();
         assert!(GRepairChecker::new(ws.schema.clone()).check(&pi, &j).is_optimal());
@@ -681,7 +682,7 @@ repair bad: BookLoc(b1, drama, lib3); LibLoc(lib1, almaden)
         // mining correctly reports that no FD constrains LibLoc:
         assert!(report.contains("LibLoc: 0 minimal FD(s)"), "{report}");
         // Mining a *clean* repair of the data recovers LibLoc's key.
-        let cg = ConflictGraph::new(&ws.schema, &ws.instance);
+        let cg = CsrConflictGraph::new(&ws.schema, &ws.instance);
         let clean = construct_globally_optimal_repair(&cg, &ws.priority);
         let clean_ws = Workspace {
             schema: ws.schema.clone(),

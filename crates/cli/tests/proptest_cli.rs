@@ -35,7 +35,7 @@ fn workspace_strategy() -> impl Strategy<Value = Workspace> {
             }
             // Rank-oriented subset of pairs (acyclic by construction);
             // in classical mode restrict to conflicting pairs.
-            let cg = rpr_fd::ConflictGraph::new(&schema, &instance);
+            let cg = rpr_fd::CsrConflictGraph::new(&schema, &instance);
             let n = instance.len();
             let mut edges = Vec::new();
             let mut k = 0;
@@ -56,7 +56,7 @@ fn workspace_strategy() -> impl Strategy<Value = Workspace> {
             }
             let priority = PriorityRelation::new(n, edges).unwrap();
             // One named repair: the greedy completion of ∅.
-            let j = cg.extend_to_repair(&instance.empty_set());
+            let j = cg.extend_greedily(&instance.empty_set(), instance.fact_ids());
             Workspace {
                 schema,
                 instance,

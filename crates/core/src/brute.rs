@@ -28,14 +28,14 @@ use crate::improvement::{is_global_improvement, Improvement};
 use crate::session::CheckSession;
 use rpr_data::{FactId, FactSet};
 use rpr_engine::{Budget, Outcome, Stop};
-use rpr_fd::ConflictRows;
+use rpr_fd::CsrConflictGraph;
 use rpr_priority::PriorityRelation;
 
 /// Enumerates all repairs (maximal consistent subinstances) of the
 /// instance underlying `cg`, one work unit per recursion node. On
 /// [`Outcome::Exceeded`]/[`Outcome::Cancelled`] the partial answer is
 /// the repairs enumerated before the limit tripped.
-pub fn enumerate_repairs_bounded(cg: &impl ConflictRows, budget: &Budget) -> Outcome<Vec<FactSet>> {
+pub fn enumerate_repairs_bounded(cg: &CsrConflictGraph, budget: &Budget) -> Outcome<Vec<FactSet>> {
     let mut out = Vec::new();
     match for_each_repair_stop(cg, budget, |r| {
         out.push(r.clone());
@@ -50,7 +50,7 @@ pub fn enumerate_repairs_bounded(cg: &impl ConflictRows, budget: &Budget) -> Out
 /// (`visit` returns `false`), or a budget stop. Any partial answer
 /// lives in the visitor's state.
 pub fn for_each_repair_bounded(
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     budget: &Budget,
     visit: impl FnMut(&FactSet) -> bool,
 ) -> Outcome<()> {
@@ -63,7 +63,7 @@ pub fn for_each_repair_bounded(
 /// The enumeration proper: depth-first in/out branching over facts in
 /// id order, one work unit per recursion node.
 fn for_each_repair_stop(
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     budget: &Budget,
     mut visit: impl FnMut(&FactSet) -> bool,
 ) -> Result<(), Stop> {
@@ -73,7 +73,7 @@ fn for_each_repair_stop(
     // leaves we keep exactly the maximal sets (every excluded fact must
     // conflict).
     fn recurse(
-        cg: &impl ConflictRows,
+        cg: &CsrConflictGraph,
         i: usize,
         current: &mut FactSet,
         budget: &Budget,
@@ -119,7 +119,7 @@ fn for_each_repair_stop(
 /// trips (the scan stops at the first one), so degraded outcomes carry
 /// no partial.
 pub fn find_global_improvement_brute_bounded(
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     j: &FactSet,
     budget: &Budget,
@@ -131,7 +131,7 @@ pub fn find_global_improvement_brute_bounded(
 }
 
 fn find_global_improvement_stop(
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     j: &FactSet,
     budget: &Budget,
@@ -150,7 +150,7 @@ fn find_global_improvement_stop(
 
 /// Is `j` a globally-optimal repair, by definition (oracle)?
 pub fn is_globally_optimal_brute_bounded(
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     j: &FactSet,
     budget: &Budget,
@@ -162,7 +162,7 @@ pub fn is_globally_optimal_brute_bounded(
 }
 
 fn is_globally_optimal_stop(
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     j: &FactSet,
     budget: &Budget,
@@ -181,7 +181,7 @@ fn is_globally_optimal_stop(
 /// post-pass is bounded too; on degradation the partial answer is the
 /// prefix of repairs already confirmed optimal.
 pub fn globally_optimal_repairs_bounded(
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     budget: &Budget,
 ) -> Outcome<Vec<FactSet>> {
@@ -217,7 +217,7 @@ pub fn globally_optimal_repairs_bounded(
 /// (the "unambiguous cleaning" question of the concluding remarks). The
 /// partial count on degradation is a lower bound.
 pub fn count_globally_optimal_repairs_bounded(
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     budget: &Budget,
 ) -> Outcome<usize> {
@@ -281,7 +281,7 @@ pub fn count_globally_optimal_repairs_session_bounded(
 mod tests {
     use super::*;
     use rpr_data::{Instance, Signature, Value};
-    use rpr_fd::{ConflictGraph, Schema};
+    use rpr_fd::{CsrConflictGraph, Schema};
 
     // Work charged on the `grouped` fixture under its chain priority:
     // 30 recursion nodes enumerate its six repairs; the optimal repair is
@@ -297,7 +297,7 @@ mod tests {
     }
 
     /// R(a,1..3) ∪ R(b,1..2) under R:1→2: repairs pick one fact per group.
-    fn grouped() -> (ConflictGraph, Instance) {
+    fn grouped() -> (CsrConflictGraph, Instance) {
         let sig = Signature::new([("R", 2)]).unwrap();
         let schema = Schema::from_named(sig.clone(), [("R", &[1][..], &[2][..])]).unwrap();
         let mut i = Instance::new(sig);
@@ -307,7 +307,7 @@ mod tests {
         for x in ["1", "2"] {
             i.insert_named("R", [v("b"), v(x)]).unwrap();
         }
-        (ConflictGraph::new(&schema, &i), i)
+        (CsrConflictGraph::new(&schema, &i), i)
     }
 
     #[test]
@@ -333,7 +333,7 @@ mod tests {
         let mut i = Instance::new(sig);
         i.insert_named("R", [v("a"), v("1")]).unwrap();
         i.insert_named("R", [v("b"), v("1")]).unwrap();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let repairs = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
             .expect_done("conflict-free enumeration");
         assert_eq!(repairs.len(), 1);
@@ -345,7 +345,7 @@ mod tests {
         let sig = Signature::new([("R", 2)]).unwrap();
         let schema = Schema::from_named(sig.clone(), [("R", &[1][..], &[2][..])]).unwrap();
         let i = Instance::new(sig);
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let repairs = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1024))
             .expect_done("empty enumeration");
         assert_eq!(repairs.len(), 1);

@@ -186,7 +186,7 @@ mod tests {
     use super::*;
     use crate::brute::{enumerate_repairs_bounded, is_globally_optimal_brute_bounded};
     use rpr_data::{FactId, Instance, Signature, Value};
-    use rpr_fd::ConflictGraph;
+    use rpr_fd::CsrConflictGraph;
     use rpr_priority::PriorityRelation;
 
     fn v(s: &str) -> Value {
@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn classical_checker_matches_oracle_on_every_repair() {
         let (schema, i, p) = running();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let checker = GRepairChecker::new(schema.clone());
         assert_eq!(checker.complexity(), Complexity::PolynomialTime);
         let pi = PrioritizedInstance::conflict_restricted(&schema, i.clone(), p.clone()).unwrap();
@@ -289,7 +289,7 @@ mod tests {
             i.insert_named("R", [v(a), v(b), v(c)]).unwrap();
         }
         let p = PriorityRelation::new(i.len(), [(FactId(0), FactId(1))]).unwrap();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let checker = GRepairChecker::new(schema.clone());
         assert_eq!(checker.complexity(), Complexity::ConpComplete);
         let pi = PrioritizedInstance::conflict_restricted(&schema, i, p.clone()).unwrap();
@@ -323,7 +323,7 @@ mod tests {
         i.insert_named("R", [v("b"), v("1")]).unwrap();
         // ccp edge between non-conflicting facts:
         let p = PriorityRelation::new(i.len(), [(FactId(2), FactId(0))]).unwrap();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let pi = PrioritizedInstance::cross_conflict(i, p.clone());
         for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
             .expect_done("repair enumeration")
@@ -351,7 +351,7 @@ mod tests {
         i.insert_named("R", [v("b"), v("x")]).unwrap();
         i.insert_named("R", [v("c"), v("y")]).unwrap();
         let p = PriorityRelation::new(i.len(), [(FactId(2), FactId(0))]).unwrap();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let pi = PrioritizedInstance::cross_conflict(i, p.clone());
         for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
             .expect_done("repair enumeration")
@@ -380,7 +380,7 @@ mod tests {
             i.insert_named("R", [v(a), v(b), v(c)]).unwrap();
         }
         let p = PriorityRelation::new(i.len(), [(FactId(2), FactId(0))]).unwrap();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let pi = PrioritizedInstance::cross_conflict(i, p.clone());
         for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
             .expect_done("repair enumeration")

@@ -19,9 +19,8 @@
 //! inclusion chain C ⊆ G ⊆ P constructively: the returned repair is
 //! simultaneously completion-, globally- and Pareto-optimal.
 
-use crate::completion::greedy_repair_in_order;
 use rpr_data::FactSet;
-use rpr_fd::ConflictGraph;
+use rpr_fd::CsrConflictGraph;
 use rpr_priority::PriorityRelation;
 
 /// Builds a repair with **no global improvement** under `priority`
@@ -30,7 +29,7 @@ use rpr_priority::PriorityRelation;
 ///
 /// ```
 /// use rpr_data::{Instance, Signature, Value};
-/// use rpr_fd::{ConflictGraph, Schema};
+/// use rpr_fd::{CsrConflictGraph, Schema};
 /// use rpr_priority::PriorityRelation;
 /// use rpr_core::construct_globally_optimal_repair;
 ///
@@ -40,16 +39,15 @@ use rpr_priority::PriorityRelation;
 /// let worse = i.insert_named("R", ["k".into(), "v1".into()]).unwrap();
 /// let better = i.insert_named("R", ["k".into(), "v2".into()]).unwrap();
 /// let p = PriorityRelation::new(2, [(better, worse)]).unwrap();
-/// let cg = ConflictGraph::new(&schema, &i);
+/// let cg = CsrConflictGraph::new(&schema, &i);
 /// let j = construct_globally_optimal_repair(&cg, &p);
 /// assert!(j.contains(better) && !j.contains(worse));
 /// ```
 pub fn construct_globally_optimal_repair(
-    cg: &ConflictGraph,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
 ) -> FactSet {
-    let order = priority.topological_order();
-    greedy_repair_in_order(cg, &order)
+    cg.extend_greedily(&FactSet::empty(cg.len()), priority.topological_order())
 }
 
 #[cfg(test)]
@@ -80,7 +78,7 @@ mod tests {
                 InstanceSpec { facts_per_relation: 9, domain: 3 },
                 &mut rng,
             );
-            let cg = rpr_fd::ConflictGraph::new(&schema, &instance);
+            let cg = rpr_fd::CsrConflictGraph::new(&schema, &instance);
             let p = random_conflict_priority(&cg, 0.6, &mut rng);
             let j = construct_globally_optimal_repair(&cg, &p);
             assert!(cg.is_repair(&j), "seed {seed}");
@@ -109,7 +107,7 @@ mod tests {
                 InstanceSpec { facts_per_relation: 8, domain: 3 },
                 &mut rng,
             );
-            let cg = rpr_fd::ConflictGraph::new(&schema, &instance);
+            let cg = rpr_fd::CsrConflictGraph::new(&schema, &instance);
             let p = random_ccp_priority(&cg, 0.5, 10, &mut rng);
             let j = construct_globally_optimal_repair(&cg, &p);
             assert!(cg.is_repair(&j));
@@ -136,7 +134,7 @@ mod tests {
         instance.insert_named("R", [v("g"), v("best")]).unwrap(); // 0
         instance.insert_named("R", [v("g"), v("mid")]).unwrap(); // 1
         instance.insert_named("R", [v("g"), v("worst")]).unwrap(); // 2
-        let cg = rpr_fd::ConflictGraph::new(&schema, &instance);
+        let cg = rpr_fd::CsrConflictGraph::new(&schema, &instance);
         let p = PriorityRelation::new(
             3,
             [
@@ -155,7 +153,7 @@ mod tests {
     fn empty_instance_and_empty_priority() {
         let schema = schema();
         let instance = Instance::new(schema.signature().clone());
-        let cg = rpr_fd::ConflictGraph::new(&schema, &instance);
+        let cg = rpr_fd::CsrConflictGraph::new(&schema, &instance);
         let p = PriorityRelation::empty(0);
         assert!(construct_globally_optimal_repair(&cg, &p).is_empty());
     }

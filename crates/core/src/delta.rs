@@ -1285,7 +1285,7 @@ mod tests {
             let spec = rpr_gen::InstanceSpec { facts_per_relation: 9, domain: 3 };
             let instance = rpr_gen::random_instance(&schema, spec, &mut rng);
             let n = instance.len();
-            let cg = rpr_fd::ConflictGraph::new(&schema, &instance);
+            let cg = rpr_fd::CsrConflictGraph::new(&schema, &instance);
             let priority = rpr_gen::random_conflict_priority(&cg, 0.5, &mut rng);
             let pi = PrioritizedInstance::conflict_restricted(&schema, instance, priority).unwrap();
             let schema = Arc::new(schema);

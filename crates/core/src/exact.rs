@@ -20,7 +20,7 @@ use crate::improvement::{inconsistency, CheckOutcome, Improvement};
 use crate::pareto::find_pareto_improvement;
 use rpr_data::{FactId, FactSet};
 use rpr_engine::{Budget, Outcome, Stop};
-use rpr_fd::ConflictRows;
+use rpr_fd::CsrConflictGraph;
 use rpr_priority::PriorityRelation;
 
 /// Exhaustively searches for a global improvement of `j` among the
@@ -30,7 +30,7 @@ use rpr_priority::PriorityRelation;
 ///
 /// `j` must be a subset of `domain`.
 pub fn check_global_exact_bounded(
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     domain: &FactSet,
     j: &FactSet,
@@ -44,7 +44,7 @@ pub fn check_global_exact_bounded(
 
 /// The search proper, with [`Stop`] as the control-flow error.
 fn check_global_exact_stop(
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     domain: &FactSet,
     j: &FactSet,
@@ -99,7 +99,7 @@ impl LocalGraph {
     /// too, and their number is returned with the graph.
     pub(crate) fn new(
         members: &[FactId],
-        cg: &impl ConflictRows,
+        cg: &CsrConflictGraph,
         edges: impl IntoIterator<Item = (FactId, FactId)>,
     ) -> (LocalGraph, usize) {
         let local = |g: FactId| -> Option<u32> { members.binary_search(&g).ok().map(|i| i as u32) };
@@ -249,7 +249,7 @@ mod tests {
     use super::*;
     use crate::brute::{enumerate_repairs_bounded, is_globally_optimal_brute_bounded};
     use rpr_data::{FactId, Instance, Signature, Value};
-    use rpr_fd::{ConflictGraph, Schema};
+    use rpr_fd::{CsrConflictGraph, Schema};
     use std::time::Duration;
 
     fn v(s: &str) -> Value {
@@ -257,7 +257,7 @@ mod tests {
     }
 
     /// S4 = {1→2, 2→3} over a ternary relation — a hard schema.
-    fn s4_instance() -> (ConflictGraph, Instance) {
+    fn s4_instance() -> (CsrConflictGraph, Instance) {
         let sig = Signature::new([("R", 3)]).unwrap();
         let schema =
             Schema::from_named(sig.clone(), [("R", &[1][..], &[2][..]), ("R", &[2][..], &[3][..])])
@@ -268,7 +268,7 @@ mod tests {
         {
             i.insert_named("R", [v(a), v(b), v(c)]).unwrap();
         }
-        (ConflictGraph::new(&schema, &i), i)
+        (CsrConflictGraph::new(&schema, &i), i)
     }
 
     #[test]

@@ -32,7 +32,7 @@
 
 use crate::improvement::{CheckOutcome, Improvement};
 use rpr_data::{FactId, FactSet, Instance};
-use rpr_fd::{ConflictRows, Fd, FdGrouping};
+use rpr_fd::{CsrConflictGraph, Fd, FdGrouping};
 use rpr_priority::PriorityRelation;
 use std::ops::Range;
 
@@ -94,7 +94,7 @@ impl GroupScan {
     /// only. `cg` and `priority` are read by debug assertions alone.
     pub(crate) fn outcome(
         self,
-        cg: &impl ConflictRows,
+        cg: &CsrConflictGraph,
         priority: &PriorityRelation,
         blocks: &FdBlocks,
         j: &FactSet,
@@ -200,7 +200,7 @@ pub(crate) fn scan_groups(
 /// witness. One-shot convenience over [`check_global_1fd_with_blocks`].
 pub fn check_global_1fd(
     instance: &Instance,
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     fd: Fd,
     domain: &FactSet,
@@ -215,7 +215,7 @@ pub fn check_global_1fd(
 /// `O(|domain|)` per call that also decides the repair pre-checks.
 /// Outcomes and witnesses are identical to the one-shot entry point.
 pub fn check_global_1fd_with_blocks(
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     blocks: &FdBlocks,
     j: &FactSet,
@@ -230,7 +230,7 @@ mod tests {
     use crate::brute::is_globally_optimal_brute_bounded;
     use rpr_data::{Signature, Value};
     use rpr_engine::Budget;
-    use rpr_fd::{ConflictGraph, Schema};
+    use rpr_fd::{CsrConflictGraph, Schema};
 
     fn v(s: &str) -> Value {
         Value::sym(s)
@@ -259,7 +259,7 @@ mod tests {
         // J = {g1f1, g1f2, f2p1}; J[g1f1 ↔ f1d3] must drop BOTH g1f1 and
         // g1f2 and add f1d3.
         let (schema, i, fd) = bookloc();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let p = PriorityRelation::new(i.len(), [(FactId(2), FactId(0)), (FactId(2), FactId(1))])
             .unwrap();
         // With f1d3 preferred over both g-facts, J (completed to a
@@ -279,7 +279,7 @@ mod tests {
         // Example 2.3's priority: g ≻ f ⇒ J containing the g-block is
         // optimal, J' containing f1d3 is improvable.
         let (schema, i, fd) = bookloc();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let p = PriorityRelation::new(i.len(), [(FactId(0), FactId(2)), (FactId(1), FactId(2))])
             .unwrap();
         let j_good = i.set_of([0, 1, 3, 4].map(FactId));
@@ -341,7 +341,7 @@ mod tests {
     #[test]
     fn inconsistent_and_non_maximal_inputs() {
         let (schema, i, fd) = bookloc();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let p = PriorityRelation::empty(i.len());
         let bad = i.set_of([0, 2].map(FactId));
         assert!(matches!(
@@ -358,16 +358,16 @@ mod tests {
     #[test]
     fn block_wise_prechecks_match_bitset_scans() {
         // The consistency and maximality witnesses of the one pass must
-        // be exactly what the sequential bitset scans produce, on every
+        // be exactly what the sequential row scans produce, on every
         // subset of a small instance.
         let (schema, i, fd) = bookloc();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let p = PriorityRelation::empty(i.len());
         let blocks = FdBlocks::build(&i, fd, &i.full_set());
         for bits in 0u32..(1 << i.len()) {
             let j = i.set_of((0..i.len() as u32).filter(|b| bits >> b & 1 == 1).map(FactId));
             let outcome = check_global_1fd_with_blocks(&cg, &p, &blocks, &j);
-            let scan_incons = j.iter().find_map(|f| cg.conflicts_in(f, &j).first().map(|g| (f, g)));
+            let scan_incons = j.iter().find_map(|f| cg.first_conflict_in(f, &j).map(|g| (f, g)));
             let scan_max =
                 i.full_set().difference(&j).iter().find(|&g| !cg.conflicts_with_set(g, &j));
             let expected = match (scan_incons, scan_max) {
@@ -390,7 +390,7 @@ mod tests {
         // and witness on every candidate subset, whether or not the
         // scans may assume consistency.
         let (schema, i, fd) = bookloc();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let p = PriorityRelation::new(i.len(), [(FactId(2), FactId(0)), (FactId(2), FactId(1))])
             .unwrap();
         let blocks = FdBlocks::build(&i, fd, &i.full_set());
@@ -434,7 +434,7 @@ mod tests {
             i.insert_named("R", [v(a), v(b)]).unwrap();
         }
         let fd = schema.fds()[0];
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let p = PriorityRelation::new(
             i.len(),
             [

@@ -35,18 +35,17 @@
 //! `f′ ≻ partner_A2(f′)`, and the mirrored edge to `G21`. An outside
 //! fact agreeing with one `J` fact on *both* keys gives a self-loop.
 //!
-//! Rows come from any [`ConflictRows`] source: sessions pass their
-//! cached CSR, one-shot callers the bitset [`ConflictGraph`]. The DFS
-//! starts from `J` facts in ascending order and tries each vertex's
-//! reverse edges in ascending outside-fact order, which fixes the
-//! witness independently of the row representation.
+//! Rows come from the [`CsrConflictGraph`]: a session's cached one, or
+//! one a one-shot caller builds. The DFS starts from `J` facts in
+//! ascending order and tries each vertex's reverse edges in ascending
+//! outside-fact order, which fixes the witness.
 //!
-//! [`ConflictGraph`]: rpr_fd::ConflictGraph
+//! [`CsrConflictGraph`]: rpr_fd::CsrConflictGraph
 
 use crate::improvement::{inconsistency, CheckOutcome, Improvement};
 use crate::pareto::find_pareto_improvement;
 use rpr_data::{AttrSet, FactId, FactSet, Instance};
-use rpr_fd::ConflictRows;
+use rpr_fd::CsrConflictGraph;
 use rpr_priority::PriorityRelation;
 
 /// A reverse edge `(from, to, via)`: the outside fact `via` beats the
@@ -66,7 +65,7 @@ struct ExchangeGraph {
 /// outside facts of `domain`.
 fn build_graphs(
     instance: &Instance,
-    rows: &impl ConflictRows,
+    rows: &CsrConflictGraph,
     priority: &PriorityRelation,
     (a1, a2): (AttrSet, AttrSet),
     domain: &FactSet,
@@ -180,11 +179,10 @@ impl ExchangeGraph {
 
 /// Runs `GRepCheck2Keys` for the facts in `domain` (one relation),
 /// under the two incomparable keys `a1`, `a2` to which `Δ|R` is
-/// equivalent. `rows` is the conflict adjacency of `instance`: a
-/// session's CSR or a plain [`ConflictGraph`](rpr_fd::ConflictGraph).
-pub fn check_global_2keys<R: ConflictRows>(
+/// equivalent. `rows` is the conflict graph of `instance`.
+pub fn check_global_2keys(
     instance: &Instance,
-    rows: &R,
+    rows: &CsrConflictGraph,
     priority: &PriorityRelation,
     a1: AttrSet,
     a2: AttrSet,
@@ -197,9 +195,9 @@ pub fn check_global_2keys<R: ConflictRows>(
 
 /// [`check_global_2keys`] for a `j` already known to be consistent: a
 /// session's pre-pass has decided that for the whole candidate.
-pub(crate) fn check_consistent_2keys<R: ConflictRows>(
+pub(crate) fn check_consistent_2keys(
     instance: &Instance,
-    rows: &R,
+    rows: &CsrConflictGraph,
     priority: &PriorityRelation,
     keys: (AttrSet, AttrSet),
     domain: &FactSet,
@@ -229,7 +227,7 @@ mod tests {
     use crate::brute::{enumerate_repairs_bounded, is_globally_optimal_brute_bounded};
     use rpr_data::{Signature, Value};
     use rpr_engine::Budget;
-    use rpr_fd::{ConflictGraph, Schema};
+    use rpr_fd::{CsrConflictGraph, Schema};
 
     fn v(s: &str) -> Value {
         Value::sym(s)
@@ -277,7 +275,7 @@ mod tests {
         // has exactly two: lib2 → almaden (g2a ≻ f2b) and lib1 → bascom
         // (e1b ≻ d1a).
         let (schema, i, p) = libloc();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let j = i.set_of([0, 3, 5].map(FactId));
         let a1 = AttrSet::singleton(1);
         let a2 = AttrSet::singleton(2);
@@ -301,10 +299,6 @@ mod tests {
         let imp = g21.find_cycle_improvement(i.len()).unwrap();
         assert_eq!(imp.removed.iter().collect::<Vec<_>>(), vec![FactId(0), FactId(3)]);
         assert_eq!(imp.added.iter().collect::<Vec<_>>(), vec![FactId(2), FactId(6)]);
-        // The CSR rows a session passes build the same graphs.
-        let csr = rpr_fd::CsrConflictGraph::from_graph(&cg);
-        let [c12, c21] = build_graphs(&i, &csr, &p, (a1, a2), &i.full_set(), &j);
-        assert_eq!((c12.edges, c21.edges), (g12.edges, g21.edges));
     }
 
     #[test]
@@ -321,7 +315,7 @@ mod tests {
         let mut i = Instance::new(sig);
         i.insert_named("R", [v("k"), v("v"), v("old")]).unwrap(); // 0
         i.insert_named("R", [v("k"), v("v"), v("new")]).unwrap(); // 1
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let p = PriorityRelation::new(i.len(), [(FactId(1), FactId(0))]).unwrap();
         let j = i.set_of([FactId(0)]);
         let a1 = AttrSet::singleton(1);
@@ -342,7 +336,7 @@ mod tests {
     #[test]
     fn j2_is_globally_optimal_j1_is_not() {
         let (schema, i, p) = libloc();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let a1 = AttrSet::singleton(1);
         let a2 = AttrSet::singleton(2);
         // J2 ∩ LibLoc = {d1e, g2a, e3b}.
@@ -372,7 +366,7 @@ mod tests {
         i.insert_named("R", [v("2"), v("b")]).unwrap(); // 1
         i.insert_named("R", [v("2"), v("a")]).unwrap(); // 2
         i.insert_named("R", [v("1"), v("b")]).unwrap(); // 3
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let p = PriorityRelation::new(i.len(), [(FactId(2), FactId(1)), (FactId(3), FactId(0))])
             .unwrap();
         let j = i.set_of([0, 1].map(FactId));
@@ -413,7 +407,7 @@ mod tests {
     #[test]
     fn agrees_with_brute_force_on_all_repairs() {
         let (schema, i, p) = libloc();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let repairs = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 22))
             .expect_done("repair enumeration");
         assert!(!repairs.is_empty());
@@ -454,7 +448,7 @@ mod tests {
         i.insert_named("R", [v("2"), v("m"), v("b"), v("q")]).unwrap(); // 1
         i.insert_named("R", [v("2"), v("m"), v("a"), v("r")]).unwrap(); // 2
         i.insert_named("R", [v("1"), v("m"), v("b"), v("s")]).unwrap(); // 3
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let p = PriorityRelation::new(i.len(), [(FactId(2), FactId(1)), (FactId(3), FactId(0))])
             .unwrap();
         let a1 = AttrSet::from_attrs([1, 2]);

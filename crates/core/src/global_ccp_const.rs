@@ -14,7 +14,7 @@ use crate::improvement::{
     addition, inconsistency, is_global_improvement, CheckOutcome, Improvement,
 };
 use rpr_data::{AttrSet, FactSet, FxHashMap, Instance, Tuple};
-use rpr_fd::ConflictRows;
+use rpr_fd::CsrConflictGraph;
 use rpr_priority::PriorityRelation;
 
 /// The consistent partitions of each relation (§7.2.2), given the
@@ -62,7 +62,7 @@ pub fn enumerate_const_attr_repairs(
 /// Runs the Proposition 7.5 check on the whole instance.
 pub fn check_global_ccp_const(
     instance: &Instance,
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     constant_attrs: &[AttrSet],
     j: &FactSet,
@@ -75,7 +75,7 @@ pub fn check_global_ccp_const(
 /// a session's pre-pass has decided that for the whole candidate.
 pub(crate) fn check_consistent_ccp_const(
     instance: &Instance,
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     constant_attrs: &[AttrSet],
     j: &FactSet,
@@ -102,7 +102,7 @@ mod tests {
     use crate::brute::{enumerate_repairs_bounded, is_globally_optimal_brute_bounded};
     use rpr_data::{FactId, Signature, Value};
     use rpr_engine::Budget;
-    use rpr_fd::{ConflictGraph, Schema};
+    use rpr_fd::{CsrConflictGraph, Schema};
 
     fn v(s: &str) -> Value {
         Value::sym(s)
@@ -136,7 +136,7 @@ mod tests {
         let repairs = enumerate_const_attr_repairs(&i, &consts);
         assert_eq!(repairs.len(), 4); // 2 × 2
                                       // They are exactly the brute-force repairs.
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let mut brute = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
             .expect_done("repair enumeration");
         let mut fast = repairs.clone();
@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn cross_relation_ccp_improvement() {
         let (schema, i, consts) = setup();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         // S(s,1) ≻ R(a,x) and R(a,y) ≻ S(t,1): improving the {x}-side
         // repair requires switching both relations.
         let p = PriorityRelation::new(i.len(), [(FactId(3), FactId(0)), (FactId(2), FactId(4))])
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn witness_is_checked() {
         let (schema, i, consts) = setup();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         // Prefer the y-partition over each x-fact.
         let p = PriorityRelation::new(i.len(), [(FactId(2), FactId(0)), (FactId(2), FactId(1))])
             .unwrap();
@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn non_repairs_rejected() {
         let (schema, i, consts) = setup();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let p = PriorityRelation::empty(i.len());
         let bad = i.set_of([0, 2].map(FactId)); // x and y facts conflict
         assert!(matches!(

@@ -11,7 +11,7 @@
 
 use crate::improvement::{addition, inconsistency, CheckOutcome, Improvement};
 use rpr_data::{FactId, FactSet};
-use rpr_fd::ConflictRows;
+use rpr_fd::CsrConflictGraph;
 use rpr_priority::PriorityRelation;
 
 /// Runs the Lemma 7.3 check on the whole instance.
@@ -20,7 +20,7 @@ use rpr_priority::PriorityRelation;
 /// [`CcpChecker`](crate::checker::CcpChecker)): the schema is a
 /// primary-key assignment, so every conflict is a key-agreement.
 pub fn check_global_ccp_pk(
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     j: &FactSet,
 ) -> CheckOutcome {
@@ -30,7 +30,7 @@ pub fn check_global_ccp_pk(
 /// [`check_global_ccp_pk`] for a `j` already known to be consistent: a
 /// session's pre-pass has decided that for the whole candidate.
 pub(crate) fn check_consistent_ccp_pk(
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     j: &FactSet,
 ) -> CheckOutcome {
@@ -101,7 +101,7 @@ pub(crate) fn check_consistent_ccp_pk(
 /// Two-step successors of a `J`-fact in `G_{J, I\J}`: pairs `(g, f′)`
 /// where `f` conflicts with `g ∈ I \ J` and `g ≻ f′ ∈ J`.
 fn successors(
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     j: &FactSet,
     f: FactId,
@@ -123,7 +123,7 @@ mod tests {
     use crate::brute::{enumerate_repairs_bounded, is_globally_optimal_brute_bounded};
     use rpr_data::{Instance, Signature, Value};
     use rpr_engine::Budget;
-    use rpr_fd::{ConflictGraph, Schema};
+    use rpr_fd::{CsrConflictGraph, Schema};
 
     fn v(s: &str) -> Value {
         Value::sym(s)
@@ -133,7 +133,7 @@ mod tests {
     /// I = {(0,1),(0,2),(0,c),(1,a),(1,b),(1,3)},
     /// priorities R(0,c) ≻ R(1,b) ≻ R(1,c)… (the second chain is
     /// R(1,3) ≻ R(0,2) ≻ R(0,1)), J = {R(0,2), R(1,b)}.
-    fn example_7_2() -> (ConflictGraph, Instance, PriorityRelation) {
+    fn example_7_2() -> (CsrConflictGraph, Instance, PriorityRelation) {
         let sig = Signature::new([("R", 2)]).unwrap();
         let schema = Schema::from_named(sig.clone(), [("R", &[1][..], &[2][..])]).unwrap();
         let mut i = Instance::new(sig);
@@ -141,7 +141,7 @@ mod tests {
             i.insert_named("R", [v(a), v(b)]).unwrap();
         }
         // ids: 0:(0,1) 1:(0,2) 2:(0,c) 3:(1,a) 4:(1,b) 5:(1,3)
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let p = PriorityRelation::new(
             i.len(),
             [
@@ -204,7 +204,7 @@ mod tests {
         i.insert_named("R", [v("k"), v("y")]).unwrap(); // 1
         i.insert_named("S", [v("m"), v("u")]).unwrap(); // 2
         i.insert_named("S", [v("m"), v("w")]).unwrap(); // 3
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         // R(k,y) ≻ S(m,u) and S(m,w) ≻ R(k,x): improving J={R(k,x),S(m,u)}
         // requires swapping both relations at once.
         let p = PriorityRelation::new(i.len(), [(FactId(1), FactId(2)), (FactId(3), FactId(0))])

@@ -2,7 +2,7 @@
 //! improvement witnesses.
 
 use rpr_data::{FactId, FactSet};
-use rpr_fd::ConflictRows;
+use rpr_fd::CsrConflictGraph;
 use rpr_priority::PriorityRelation;
 
 /// A proposed exchange turning `J` into `J′ = (J \ removed) ∪ added`.
@@ -36,7 +36,7 @@ impl Improvement {
     /// yields a consistent global improvement of `j`.
     pub fn is_valid_global_improvement(
         &self,
-        cg: &impl ConflictRows,
+        cg: &CsrConflictGraph,
         priority: &PriorityRelation,
         j: &FactSet,
     ) -> bool {
@@ -51,14 +51,14 @@ impl Improvement {
 /// The repair pre-check of the one-shot checkers: the least `f ∈ j`
 /// conflicting inside `j`, with its least partner. Session checks skip
 /// it, because their pre-pass has already decided it for all of `J`.
-pub(crate) fn inconsistency(rows: &impl ConflictRows, j: &FactSet) -> Option<CheckOutcome> {
+pub(crate) fn inconsistency(rows: &CsrConflictGraph, j: &FactSet) -> Option<CheckOutcome> {
     j.iter()
         .find_map(|f| rows.conflicts_among(f, j).next().map(|g| CheckOutcome::Inconsistent(f, g)))
 }
 
 /// The least fact outside a consistent `j` that conflicts with no
 /// member of `j`, as the exchange adding it.
-pub(crate) fn addition(rows: &impl ConflictRows, j: &FactSet) -> Option<Improvement> {
+pub(crate) fn addition(rows: &CsrConflictGraph, j: &FactSet) -> Option<Improvement> {
     let g = j.complement().iter().find(|&g| !rows.conflicts_with_set(g, j))?;
     Some(Improvement::adding(j.universe(), g))
 }
@@ -117,7 +117,7 @@ impl CheckOutcome {
 mod tests {
     use super::*;
     use rpr_data::{Instance, Signature, Value};
-    use rpr_fd::{ConflictGraph, Schema};
+    use rpr_fd::{CsrConflictGraph, Schema};
 
     fn v(s: &str) -> Value {
         Value::sym(s)
@@ -126,7 +126,7 @@ mod tests {
     /// Example 2.5's improvements, restricted to the LibLoc relation
     /// where all the action happens:
     /// J1 ∩ LibLoc = {d1e, f2b, f3a}, J2 ∩ LibLoc = {d1e, g2a, e3b}.
-    fn setup() -> (ConflictGraph, Instance, PriorityRelation) {
+    fn setup() -> (CsrConflictGraph, Instance, PriorityRelation) {
         let sig = Signature::new([("LibLoc", 2)]).unwrap();
         let schema = Schema::from_named(
             sig.clone(),
@@ -146,7 +146,7 @@ mod tests {
         ] {
             i.insert_named("LibLoc", [v(a), v(b)]).unwrap();
         }
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         // Example 2.3: g ≻ f and e ≻ d for conflicting pairs.
         let edges = [
             (FactId(2), FactId(3)), // g2a ≻ f2b

@@ -58,7 +58,7 @@ pub use certificate::{
 };
 pub use checker::{CcpChecker, GRepairChecker, Method};
 pub use completion::{
-    completion_optimal_repairs_brute, greedy_repair, greedy_repair_in_order, is_completion_optimal,
+    completion_optimal_repairs_brute, greedy_repair, is_completion_optimal,
     is_completion_optimal_brute,
 };
 pub use construct::construct_globally_optimal_repair;

@@ -23,7 +23,7 @@
 use crate::improvement::{is_pareto_improvement, Improvement};
 use rpr_data::FactSet;
 use rpr_engine::{Budget, Outcome};
-use rpr_fd::ConflictRows;
+use rpr_fd::CsrConflictGraph;
 use rpr_priority::PriorityRelation;
 
 /// Finds a Pareto improvement of the consistent set `j` within `domain`
@@ -32,14 +32,12 @@ use rpr_priority::PriorityRelation;
 ///
 /// Pass `domain = I` for whole-instance checking; the per-relation
 /// decomposition of Proposition 3.5 passes the facts of one relation.
-/// `cg` may be any [`ConflictRows`] source (a session's CSR or the
-/// bitset graph); the scan allocates nothing until it returns a
-/// witness.
+/// The scan allocates nothing until it returns a witness.
 ///
 /// # Panics
 /// Debug-asserts that `j ⊆ domain` and `j` is consistent.
-pub fn find_pareto_improvement<R: ConflictRows>(
-    cg: &R,
+pub fn find_pareto_improvement(
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     j: &FactSet,
     domain: &FactSet,
@@ -69,7 +67,7 @@ pub fn find_pareto_improvement<R: ConflictRows>(
 ///
 /// Returns `false` for inconsistent `j` (an inconsistent set is not a
 /// repair at all).
-pub fn is_pareto_optimal(cg: &impl ConflictRows, priority: &PriorityRelation, j: &FactSet) -> bool {
+pub fn is_pareto_optimal(cg: &CsrConflictGraph, priority: &PriorityRelation, j: &FactSet) -> bool {
     if !cg.is_consistent_set(j) {
         return false;
     }
@@ -82,7 +80,7 @@ pub fn is_pareto_optimal(cg: &impl ConflictRows, priority: &PriorityRelation, j:
 /// that Pareto-improves `j`. Degraded outcomes carry no partial (a
 /// prefix of the repairs cannot confirm optimality).
 pub fn is_pareto_optimal_brute(
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     j: &FactSet,
     budget: &Budget,
@@ -102,14 +100,14 @@ pub fn is_pareto_optimal_brute(
 mod tests {
     use super::*;
     use rpr_data::{FactId, Instance, Signature, Value};
-    use rpr_fd::{ConflictGraph, Schema};
+    use rpr_fd::{CsrConflictGraph, Schema};
 
     fn v(s: &str) -> Value {
         Value::sym(s)
     }
 
     /// The full running example (Figure 1 + Example 2.3).
-    fn running() -> (ConflictGraph, Instance, PriorityRelation) {
+    fn running() -> (CsrConflictGraph, Instance, PriorityRelation) {
         let sig = Signature::new([("BookLoc", 3), ("LibLoc", 2)]).unwrap();
         let schema = Schema::from_named(
             sig.clone(),
@@ -144,7 +142,7 @@ mod tests {
         ] {
             i.insert_named("LibLoc", [v(a), v(b)]).unwrap();
         }
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         // Example 2.3: g_y ≻ f_x for conflicting pairs (BookLoc: the g
         // facts beat the conflicting f fact f1d3), e_y ≻ d_x (LibLoc).
         // Example 2.3's g ≻ f and e ≻ d edges on conflicting pairs:

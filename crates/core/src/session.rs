@@ -13,9 +13,8 @@
 //! * the conflict graph, held once, as a [`CsrConflictGraph`] built
 //!   straight from a sort-based lhs/rhs [`FdGrouping`] per relation
 //!   and FD — every algorithm (consistency pre-pass, 2-keys, ccp,
-//!   Pareto, exact shards) reads it through
-//!   [`ConflictRows`], so memory is `O(n + e)`, not a bitset row per
-//!   conflicted fact,
+//!   Pareto, exact shards) reads this one graph, so memory is
+//!   `O(n + e)`, not a bitset row per conflicted fact,
 //! * the Lemma 4.2 block structure of each single-FD relation, derived
 //!   from the same grouping as that relation's conflict rows,
 //! * the connected components of the conflict graph (parallel
@@ -70,9 +69,7 @@ use rpr_classify::{
 };
 use rpr_data::{FactId, FactSet, Instance};
 use rpr_engine::{Budget, Outcome, PanicReport, Stop};
-use rpr_fd::{
-    ComponentLayout, ConflictGraph, ConflictRows, CsrConflictGraph, Fd, FdGrouping, Schema,
-};
+use rpr_fd::{ComponentLayout, CsrConflictGraph, Fd, FdGrouping, Schema};
 use rpr_priority::{PrioritizedInstance, PriorityMode, PriorityRelation};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -232,10 +229,8 @@ impl SessionArtifacts {
             }
         }
         let csr = CsrConflictGraph::from_groupings(instance.len(), &groupings);
-        // The hash-grouped bitset graph shares no code with
-        // `FdGrouping`, so this checks the sort, too.
         debug_assert!(
-            csr == CsrConflictGraph::from_graph(&ConflictGraph::new(schema, instance)),
+            csr == CsrConflictGraph::new(schema, instance),
             "session conflict rows diverged from the schema's"
         );
         let mut rel_blocks: Vec<Option<FdBlocks>> =
@@ -559,9 +554,8 @@ impl<'a> CheckSession<'a> {
         self.jobs
     }
 
-    /// The cached conflict graph (the session holds only this CSR
-    /// form; every checker and session oracle takes it through
-    /// [`ConflictRows`]).
+    /// The cached conflict graph, which every checker and session
+    /// oracle reads.
     pub fn conflict_graph(&self) -> &CsrConflictGraph {
         &self.art.csr
     }
@@ -704,7 +698,7 @@ impl<'a> CheckSession<'a> {
 
     /// The minimal fact of `j` conflicting inside `j`, with its minimal
     /// conflict partner — exactly the witness the sequential loop
-    /// `for f in j.iter() { cg.conflicts_in(f, j).first() }` finds.
+    /// `for f in j.iter() { cg.first_conflict_in(f, j) }` finds.
     fn consistency_witness(&self, j: &FactSet, jobs: usize) -> Option<(FactId, FactId)> {
         let nontrivial = self.art.components.nontrivial();
         let parallel =
@@ -1015,7 +1009,7 @@ mod tests {
     use crate::brute::enumerate_repairs_bounded;
     use crate::checker::{CcpChecker, GRepairChecker};
     use rpr_data::{Signature, Value};
-    use rpr_fd::ConflictGraph;
+    use rpr_fd::CsrConflictGraph;
 
     fn v(s: &str) -> Value {
         Value::sym(s)
@@ -1071,7 +1065,7 @@ mod tests {
 
     /// Candidate sets beyond repairs: inconsistent and non-maximal
     /// subsets, so witnesses of every flavor get compared.
-    fn candidates(i: &Instance, cg: &ConflictGraph) -> Vec<FactSet> {
+    fn candidates(i: &Instance, cg: &CsrConflictGraph) -> Vec<FactSet> {
         let mut out = enumerate_repairs_bounded(cg, &Budget::unlimited().with_max_work(1 << 20))
             .expect_done("repair enumeration");
         out.push(i.empty_set());
@@ -1084,7 +1078,7 @@ mod tests {
     #[test]
     fn session_is_bit_identical_to_checker_at_all_jobs() {
         let (schema, i, p) = running();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let checker = GRepairChecker::new(schema.clone());
         let pi = PrioritizedInstance::conflict_restricted(&schema, i.clone(), p).unwrap();
         for jobs in [1, 2, 8] {
@@ -1098,7 +1092,7 @@ mod tests {
     #[test]
     fn batch_matches_individual_checks() {
         let (schema, i, p) = running();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let pi = PrioritizedInstance::conflict_restricted(&schema, i.clone(), p).unwrap();
         let session = CheckSession::new(&schema, &pi).with_jobs(4);
         let js = candidates(&i, &cg);
@@ -1112,7 +1106,7 @@ mod tests {
     #[test]
     fn bounded_batch_matches_unbounded_batch_under_an_unlimited_budget() {
         let (schema, i, p) = running();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let pi = PrioritizedInstance::conflict_restricted(&schema, i.clone(), p).unwrap();
         let session = CheckSession::new(&schema, &pi).with_jobs(4);
         let js = candidates(&i, &cg);
@@ -1129,7 +1123,7 @@ mod tests {
     #[test]
     fn bounded_batch_observes_cancellation_between_candidates() {
         let (schema, i, p) = running();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let pi = PrioritizedInstance::conflict_restricted(&schema, i.clone(), p).unwrap();
         let session = CheckSession::new(&schema, &pi).with_jobs(2);
         let js = candidates(&i, &cg);
@@ -1148,7 +1142,7 @@ mod tests {
     #[test]
     fn bounded_check_exhausts_a_tiny_work_allowance() {
         let (schema, i, p) = running();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let pi = PrioritizedInstance::conflict_restricted(&schema, i.clone(), p).unwrap();
         let session = CheckSession::new(&schema, &pi).with_jobs(1);
         let repair = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
@@ -1172,7 +1166,7 @@ mod tests {
         i.insert_named("R", [v("a"), v("2")]).unwrap();
         i.insert_named("R", [v("b"), v("1")]).unwrap();
         let p = PriorityRelation::new(i.len(), [(FactId(2), FactId(0))]).unwrap();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let checker = CcpChecker::new(schema.clone());
         let pi = PrioritizedInstance::cross_conflict(i.clone(), p);
         for jobs in [1, 4] {

@@ -46,7 +46,7 @@ use crate::exact::LocalGraph;
 use crate::improvement::Improvement;
 use rpr_data::{FactId, FactSet, Fingerprint, FxHashMap};
 use rpr_engine::{Budget, Stop};
-use rpr_fd::ConflictRows;
+use rpr_fd::CsrConflictGraph;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -90,7 +90,7 @@ impl ShardData {
     pub fn build(
         fingerprint: Fingerprint,
         members: &[FactId],
-        cg: &impl ConflictRows,
+        cg: &CsrConflictGraph,
         edges: &[(FactId, FactId)],
     ) -> ShardData {
         let (graph, escaped) = LocalGraph::new(members, cg, edges.iter().copied());
@@ -395,7 +395,7 @@ mod tests {
             let spec = rpr_gen::InstanceSpec { facts_per_relation: 40, domain: 5 };
             let instance = rpr_gen::random_instance(&schema, spec, &mut rng);
             let n = instance.len() as u32;
-            let cg = rpr_fd::ConflictGraph::new(&schema, &instance);
+            let cg = rpr_fd::CsrConflictGraph::new(&schema, &instance);
             let mut priority = rpr_gen::random_conflict_priority(&cg, 0.5, &mut rng);
             // Cross edges, skipping any that would close a cycle.
             for _ in 0..8 {

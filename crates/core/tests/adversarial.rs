@@ -10,7 +10,7 @@ use rpr_core::{
     GRepairChecker, Outcome,
 };
 use rpr_data::{Instance, Value};
-use rpr_fd::{ConflictGraph, Schema};
+use rpr_fd::{CsrConflictGraph, Schema};
 use rpr_gen::{ccp_hard_schema, hard_schema};
 use rpr_priority::{PrioritizedInstance, PriorityRelation};
 use std::time::{Duration, Instant};
@@ -110,7 +110,7 @@ fn hard_schemas_trip_the_deadline_promptly() {
         // inside the deadline, with the blowup concentrated in a
         // single conflict component (see `single_component_blowup`).
         let instance = single_component_blowup(i, &schema);
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         // An empty priority makes every repair globally optimal, so
         // confirming the candidate forces the full exponential search.
         let priority = PriorityRelation::empty(instance.len());
@@ -141,7 +141,7 @@ fn ccp_hard_schemas_trip_the_deadline_promptly() {
         } else {
             dense_ternary(&schema, 18, 6)
         };
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let priority = PriorityRelation::empty(instance.len());
         let j = construct_globally_optimal_repair(&cg, &priority);
         let pi = PrioritizedInstance::cross_conflict(instance, priority);
@@ -157,7 +157,7 @@ fn ccp_hard_schemas_trip_the_deadline_promptly() {
 fn blowup_enumeration_trips_the_deadline_with_a_partial_prefix() {
     let schema = hard_schema(4);
     let instance = dense_ternary(&schema, 14, 4);
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let deadline = Duration::from_millis(50);
     let budget = Budget::unlimited().with_deadline(deadline);
     let start = Instant::now();
@@ -182,7 +182,7 @@ fn blowup_enumeration_trips_the_deadline_with_a_partial_prefix() {
 fn work_budgets_trip_near_the_requested_allowance() {
     let schema = hard_schema(4);
     let instance = dense_ternary(&schema, 12, 4);
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let priority = PriorityRelation::empty(instance.len());
     let j = construct_globally_optimal_repair(&cg, &priority);
     let pi = PrioritizedInstance::conflict_restricted(&schema, instance, priority).unwrap();

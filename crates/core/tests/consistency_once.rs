@@ -14,7 +14,7 @@ use rpr_core::{
     enumerate_repairs_bounded, Budget, CheckOutcome, CheckSession,
 };
 use rpr_data::{FactSet, Signature};
-use rpr_fd::{ConflictGraph, Schema};
+use rpr_fd::{CsrConflictGraph, Schema};
 use rpr_gen::schemas::{single_fd_schema, two_keys_schema};
 use rpr_gen::{random_ccp_priority, random_conflict_priority, random_instance, InstanceSpec};
 use rpr_priority::PrioritizedInstance;
@@ -47,7 +47,7 @@ fn schemas() -> [(&'static str, Schema); 4] {
 /// The one-shot checker of `schema`'s class, with its own pre-check.
 fn one_shot(schema: &Schema, pi: &PrioritizedInstance, j: &FactSet) -> CheckOutcome {
     let (instance, p) = (pi.instance(), pi.priority());
-    let cg = ConflictGraph::new(schema, instance);
+    let cg = CsrConflictGraph::new(schema, instance);
     let full = instance.full_set();
     if pi.mode() == rpr_priority::PriorityMode::CrossConflict {
         return match classify_schema_ccp(schema) {
@@ -102,7 +102,7 @@ fn session_outcomes_equal_the_one_shot_checkers() {
             let mut rng = StdRng::seed_from_u64(0xC0_5157 + seed);
             let spec = InstanceSpec { facts_per_relation: 3 + seed as usize % 4, domain: 3 };
             let instance = random_instance(&schema, spec, &mut rng);
-            let cg = ConflictGraph::new(&schema, &instance);
+            let cg = CsrConflictGraph::new(&schema, &instance);
             let density = [0.3, 0.7, 1.0][seed as usize % 3];
             let pi = if ccp {
                 let p = random_ccp_priority(&cg, density, 3, &mut rng);

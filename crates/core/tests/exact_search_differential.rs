@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use rpr_core::{check_global_exact_bounded, enumerate_repairs_bounded, CheckOutcome};
 use rpr_data::{FactSet, Value};
 use rpr_engine::{Budget, ExceedReason, Outcome};
-use rpr_fd::{ComponentLayout, ConflictGraph, ConflictRows, CsrConflictGraph};
+use rpr_fd::{ComponentLayout, CsrConflictGraph};
 use rpr_gen::{random_ccp_priority, random_conflict_priority, random_instance, InstanceSpec};
 use rpr_priority::PriorityRelation;
 
@@ -33,7 +33,7 @@ const PADDING: usize = 60;
 /// Runs the one search and the reference under equal allowances,
 /// returning both outcomes and the work each charged.
 fn run_both(
-    cg: &ConflictGraph,
+    cg: &CsrConflictGraph,
     p: &PriorityRelation,
     domain: &FactSet,
     j: &FactSet,
@@ -47,18 +47,6 @@ fn run_both(
         Err(stop) => Outcome::from_stop(stop, None),
     };
     ((new, new_budget.work_done()), (old, old_budget.work_done()))
-}
-
-/// A maximal consistent subset of `domain` containing the consistent
-/// `base`, extended by ascending id.
-fn extend_to_repair(cg: &ConflictGraph, domain: &FactSet, base: &FactSet) -> FactSet {
-    let mut out = base.clone();
-    for f in domain.iter() {
-        if !out.contains(f) && !cg.conflicts_with_set(f, &out) {
-            out.insert(f);
-        }
-    }
-    out
 }
 
 /// Tallies of what the cases covered, so a generator change that stops
@@ -88,7 +76,7 @@ fn one_search_matches_the_reference_search() {
                 instance.insert_named("R4", fresh).unwrap();
             }
         }
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let ccp = seed % 2 == 1;
         let p = if ccp {
             random_ccp_priority(&cg, 0.45, rng.random_range(1..=6), &mut rng)
@@ -174,7 +162,7 @@ fn one_search_matches_the_reference_search() {
             for j in &candidates {
                 let j = j.intersect(&domain);
                 if cg.is_consistent_set(&j) {
-                    restricted.push(extend_to_repair(&cg, &domain, &j));
+                    restricted.push(cg.extend_greedily(&j, domain.iter()));
                 }
                 restricted.push(j);
             }

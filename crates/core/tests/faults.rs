@@ -42,7 +42,7 @@ fn s4_input() -> (Schema, PrioritizedInstance) {
 
 /// All repairs of the instance — the batch of candidates to check.
 fn candidates(schema: &Schema, pi: &PrioritizedInstance) -> Vec<FactSet> {
-    let cg = rpr_fd::ConflictGraph::new(schema, pi.instance());
+    let cg = rpr_fd::CsrConflictGraph::new(schema, pi.instance());
     enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
         .expect_done("repair enumeration")
 }

@@ -8,7 +8,7 @@ use rpr_core::{
     is_globally_optimal_brute_bounded, is_pareto_improvement, Budget, Improvement,
 };
 use rpr_data::{FactId, FactSet, Instance, Signature, Value};
-use rpr_fd::{ConflictGraph, Schema};
+use rpr_fd::{CsrConflictGraph, Schema};
 use rpr_priority::PriorityRelation;
 
 /// A complete random single-FD input: instance, conflict-restricted
@@ -33,7 +33,7 @@ fn input() -> impl Strategy<Value = Input> {
             for (a, b, c) in rows {
                 instance.insert_named("R", [Value::Int(a), Value::Int(b), Value::Int(c)]).unwrap();
             }
-            let cg = ConflictGraph::new(&schema, &instance);
+            let cg = CsrConflictGraph::new(&schema, &instance);
             let edges: Vec<(FactId, FactId)> = cg
                 .edges()
                 .into_iter()
@@ -58,7 +58,7 @@ proptest! {
 
     #[test]
     fn pareto_improvement_implies_global_improvement(inp in input()) {
-        let cg = ConflictGraph::new(&inp.schema, &inp.instance);
+        let cg = CsrConflictGraph::new(&inp.schema, &inp.instance);
         let repairs = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
             .expect_done("repair enumeration");
         for j in &repairs {
@@ -77,7 +77,7 @@ proptest! {
         // contradict acyclicity on the swapped difference)… the cheap
         // checkable part: irreflexivity and one-directionality for
         // singleton swaps.
-        let cg = ConflictGraph::new(&inp.schema, &inp.instance);
+        let cg = CsrConflictGraph::new(&inp.schema, &inp.instance);
         let repairs = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
             .expect_done("repair enumeration");
         for j in &repairs {
@@ -88,7 +88,7 @@ proptest! {
 
     #[test]
     fn pareto_witness_validates_and_flags_match(inp in input()) {
-        let cg = ConflictGraph::new(&inp.schema, &inp.instance);
+        let cg = CsrConflictGraph::new(&inp.schema, &inp.instance);
         let full = FactSet::full(inp.instance.len());
         for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
             .expect_done("repair enumeration")
@@ -114,7 +114,7 @@ proptest! {
 
     #[test]
     fn single_fd_checker_matches_oracle(inp in input()) {
-        let cg = ConflictGraph::new(&inp.schema, &inp.instance);
+        let cg = CsrConflictGraph::new(&inp.schema, &inp.instance);
         let fd = inp.schema.fds()[0];
         let full = FactSet::full(inp.instance.len());
         for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
@@ -135,7 +135,7 @@ proptest! {
 
     #[test]
     fn improvement_apply_roundtrip(inp in input()) {
-        let cg = ConflictGraph::new(&inp.schema, &inp.instance);
+        let cg = CsrConflictGraph::new(&inp.schema, &inp.instance);
         let repairs = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
             .expect_done("repair enumeration");
         for j in &repairs {

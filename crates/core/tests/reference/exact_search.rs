@@ -10,12 +10,12 @@
 use rpr_core::{find_pareto_improvement, is_global_improvement, CheckOutcome, Improvement};
 use rpr_data::FactSet;
 use rpr_engine::{Budget, Stop};
-use rpr_fd::ConflictRows;
+use rpr_fd::CsrConflictGraph;
 use rpr_priority::PriorityRelation;
 
 /// The repair pre-check of the one-shot checkers: the least `f ∈ j`
 /// conflicting inside `j`, with its least partner.
-fn inconsistency(rows: &impl ConflictRows, j: &FactSet) -> Option<CheckOutcome> {
+fn inconsistency(rows: &CsrConflictGraph, j: &FactSet) -> Option<CheckOutcome> {
     j.iter()
         .find_map(|f| rows.conflicts_among(f, j).next().map(|g| CheckOutcome::Inconsistent(f, g)))
 }
@@ -23,7 +23,7 @@ fn inconsistency(rows: &impl ConflictRows, j: &FactSet) -> Option<CheckOutcome> 
 /// The search proper, with [`Stop`] as the control-flow error so the
 /// session dispatch can propagate it with `?`.
 pub fn check_global_exact_stop(
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     domain: &FactSet,
     j: &FactSet,
@@ -62,15 +62,15 @@ pub fn check_global_exact_stop(
 /// valid global improvement, and the search pays `2^|component|`
 /// instead of `2^|domain|`. One work unit is charged per recursion
 /// node.
-pub fn exhaustive_improvement<R: ConflictRows>(
-    cg: &R,
+pub fn exhaustive_improvement(
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     facts: &[rpr_data::FactId],
     j: &FactSet,
     budget: &Budget,
 ) -> Result<Option<Improvement>, Stop> {
-    struct Search<'a, R> {
-        cg: &'a R,
+    struct Search<'a> {
+        cg: &'a CsrConflictGraph,
         priority: &'a PriorityRelation,
         j: &'a FactSet,
         facts: &'a [rpr_data::FactId],
@@ -78,7 +78,7 @@ pub fn exhaustive_improvement<R: ConflictRows>(
         found: Option<Improvement>,
     }
 
-    impl<R: ConflictRows> Search<'_, R> {
+    impl Search<'_> {
         fn recurse(&mut self, idx: usize, current: &mut FactSet) -> Result<(), Stop> {
             if self.found.is_some() {
                 return Ok(());

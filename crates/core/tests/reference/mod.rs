@@ -11,7 +11,7 @@
 use rpr_core::{CheckOutcome, Improvement};
 use rpr_data::{Compaction, FactId, FactSet, Instance};
 use rpr_fd::grouping::cmp_on;
-use rpr_fd::{ConflictRows, Fd, FdGrouping};
+use rpr_fd::{CsrConflictGraph, Fd, FdGrouping};
 use rpr_priority::PriorityRelation;
 
 /// The nested block structure: groups in `A`-projection order, blocks
@@ -142,7 +142,7 @@ impl NestedBlocks {
 
 /// The three-pass check over the nested blocks.
 pub fn check_with_blocks(
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     blocks: &NestedBlocks,
     j: &FactSet,

@@ -18,7 +18,7 @@ use reference::NestedBlocks;
 use rpr_core::global_1fd::{check_global_1fd_with_blocks, FdBlocks};
 use rpr_core::{check_global_1fd, CheckOutcome, CheckSession};
 use rpr_data::{FactId, FactSet, Instance, Value};
-use rpr_fd::{ConflictGraph, Fd, Schema};
+use rpr_fd::{CsrConflictGraph, Fd, Schema};
 use rpr_gen::schemas::single_fd_schema;
 use rpr_priority::{PrioritizedInstance, PriorityRelation};
 
@@ -76,12 +76,12 @@ fn relation(rng: &mut Rng, shape: usize, facts: usize) -> (Schema, Instance, Fd)
 /// A random conflict-restricted priority, acyclic by orienting every
 /// edge from the higher to the lower of a random rank. Returns the
 /// ranks too.
-fn priority(rng: &mut Rng, cg: &ConflictGraph, n: usize) -> (PriorityRelation, Vec<usize>) {
+fn priority(rng: &mut Rng, cg: &CsrConflictGraph, n: usize) -> (PriorityRelation, Vec<usize>) {
     let rank: Vec<usize> = (0..n).map(|_| rng.below(1 << 20)).collect();
     let density = rng.below(101);
     let mut edges = Vec::new();
     for a in 0..n as u32 {
-        for b in cg.conflicts_of(FactId(a)).iter().filter(|b| b.0 > a) {
+        for b in cg.neighbors(FactId(a)).filter(|b| b.0 > a) {
             if rng.chance(density) {
                 let (a, b) = (FactId(a), b);
                 edges.push(if (rank[a.index()], a) > (rank[b.index()], b) {
@@ -149,7 +149,7 @@ fn differential(rng: &mut Rng, shape: usize, facts: usize) -> [usize; 4] {
     let (schema, instance, fd) = relation(rng, shape, facts);
     let n = instance.len();
     assert!(facts < 4096 || n >= 4096, "a large case reaches the parallel threshold");
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let (p, rank) = priority(rng, &cg, n);
     let domain = instance.full_set();
     let nested = NestedBlocks::build(&instance, fd, &domain);

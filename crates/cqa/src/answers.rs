@@ -15,7 +15,7 @@ use rpr_core::{
     Budget, CheckSession, Outcome,
 };
 use rpr_data::{FactSet, Instance, Tuple};
-use rpr_fd::{ConflictGraph, ConflictRows, Schema};
+use rpr_fd::{CsrConflictGraph, Schema};
 use rpr_priority::PriorityRelation;
 use std::collections::BTreeSet;
 
@@ -91,7 +91,7 @@ impl std::str::FromStr for RepairSemantics {
 ///   holds the completion-optimal repairs confirmed before the stop.
 pub fn repairs_under_bounded(
     semantics: RepairSemantics,
-    cg: &impl ConflictRows,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     budget: &Budget,
 ) -> Outcome<Vec<FactSet>> {
@@ -200,7 +200,7 @@ pub fn answers_bounded(
     semantics: RepairSemantics,
     budget: &Budget,
 ) -> Outcome<CqaAnswers> {
-    let cg = ConflictGraph::new(schema, instance);
+    let cg = CsrConflictGraph::new(schema, instance);
     repairs_under_bounded(semantics, &cg, priority, budget)
         .map(|repairs| quantify(instance, query, &repairs))
 }
@@ -259,7 +259,7 @@ mod tests {
     #[test]
     fn semantics_shrink_the_repair_set() {
         let (schema, i, p) = setup();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let under = |sem| {
             repairs_under_bounded(sem, &cg, &p, &Budget::unlimited().with_max_work(1 << 20))
                 .expect_done("repairs under a semantics")
@@ -344,7 +344,7 @@ mod tests {
     #[test]
     fn bounded_returns_pinned_values_under_unlimited_budgets() {
         let (schema, i, p) = setup();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let budget = Budget::unlimited();
         // Repairs {a, c} and {b, c}, in enumeration order; a ≻ b leaves
         // only {a, c} under every preferred semantics.
@@ -390,7 +390,7 @@ mod tests {
     #[test]
     fn bounded_degrades_per_semantics_on_truncated_enumeration() {
         let (schema, i, p) = setup();
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         // Enumeration alone needs more than 2 units here, so every
         // semantics sees a truncated repair enumeration.
         let budget = Budget::unlimited().with_max_work(2);

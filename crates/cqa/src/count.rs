@@ -10,7 +10,7 @@
 
 use rpr_core::{Budget, Outcome};
 use rpr_data::FactSet;
-use rpr_fd::ConflictGraph;
+use rpr_fd::CsrConflictGraph;
 use rpr_priority::PriorityRelation;
 
 /// Summary of the globally-optimal repair space of an instance.
@@ -29,7 +29,7 @@ impl RepairSpace {
     /// [`globally_optimal_repairs_bounded`](rpr_core::globally_optimal_repairs_bounded)
     /// for the exact partial-result semantics.
     pub fn compute_bounded(
-        cg: &ConflictGraph,
+        cg: &CsrConflictGraph,
         priority: &PriorityRelation,
         budget: &Budget,
     ) -> Outcome<Self> {
@@ -58,7 +58,7 @@ mod tests {
     use rpr_data::{FactId, Instance, Signature, Value};
     use rpr_fd::Schema;
 
-    fn setup(edges: &[(u32, u32)]) -> (ConflictGraph, PriorityRelation) {
+    fn setup(edges: &[(u32, u32)]) -> (CsrConflictGraph, PriorityRelation) {
         let sig = Signature::new([("R", 2)]).unwrap();
         let schema = Schema::from_named(sig.clone(), [("R", &[1][..], &[2][..])]).unwrap();
         let mut i = Instance::new(sig);
@@ -68,7 +68,7 @@ mod tests {
         i.insert_named("R", [v("g"), v("c")]).unwrap();
         let p = PriorityRelation::new(i.len(), edges.iter().map(|&(a, b)| (FactId(a), FactId(b))))
             .unwrap();
-        (ConflictGraph::new(&schema, &i), p)
+        (CsrConflictGraph::new(&schema, &i), p)
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::homomorphism::is_contained_in;
 use crate::query::ConjunctiveQuery;
 use rpr_core::{Budget, Outcome};
 use rpr_data::{Instance, Tuple};
-use rpr_fd::{ConflictGraph, Schema};
+use rpr_fd::{CsrConflictGraph, Schema};
 use rpr_priority::PriorityRelation;
 use std::collections::BTreeSet;
 
@@ -113,7 +113,7 @@ pub fn ucq_answers_bounded(
     semantics: RepairSemantics,
     budget: &Budget,
 ) -> Outcome<crate::answers::CqaAnswers> {
-    let cg = ConflictGraph::new(schema, instance);
+    let cg = CsrConflictGraph::new(schema, instance);
     repairs_under_bounded(semantics, &cg, priority, budget)
         .map(|repairs| quantify_ucq(instance, query, &repairs))
 }

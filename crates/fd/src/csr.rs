@@ -1,26 +1,29 @@
-//! CSR-packed conflict adjacency: the conflict graph sessions build,
-//! keep, patch and check against.
+//! The conflict graph, CSR-packed.
 //!
-//! [`CsrConflictGraph`] stores each fact's conflict row as a sorted
-//! `u32` neighbor list in compressed sparse row form — one neighbor
-//! array plus per-fact offsets — and keeps a bitset row only for facts
-//! whose degree exceeds a density threshold (where the bitset is at
-//! most comparably sized and intersection wins). Memory is therefore
-//! `O(n + e)` for `e` conflict edges on sparse instances, where a
-//! bitset row per conflicted fact costs `Θ(n/8)` bytes regardless of
-//! degree.
+//! For FD constraints, inconsistency is a *pairwise* phenomenon: an
+//! instance violates `Δ` iff it contains two conflicting facts (§2.2).
+//! Every repair notion in the paper is therefore governed by the
+//! *conflict graph* of the base instance `I`: facts are vertices, and
+//! edges join δ-conflicting pairs. Repairs of `I` are exactly the
+//! maximal independent sets of this graph.
+//!
+//! [`CsrConflictGraph`] is the one representation of that graph, for
+//! sessions, one-shot checkers and oracles alike. It stores each fact's
+//! conflict row as a sorted `u32` neighbor list in compressed sparse
+//! row form — one neighbor array plus per-fact offsets — and keeps a
+//! bitset row only for facts whose degree exceeds a density threshold
+//! (where the bitset is at most comparably sized and intersection
+//! wins). Memory is therefore `O(n + e)` for `e` conflict edges on
+//! sparse instances, where a bitset row per conflicted fact costs
+//! `Θ(n/8)` bytes regardless of degree.
 //!
 //! [`CsrConflictGraph::new`] builds the rows straight from a sort-based
-//! [`FdGrouping`] per relation and FD, with no bitset intermediate, and
-//! [`CsrConflictGraph::patch`] carries them across a delta batch. The
-//! bitset [`ConflictGraph`] remains the oracle's graph; the two are
-//! pinned together by [`CsrConflictGraph::from_graph`] in tests.
-//! Neighbor lists are sorted ascending, so "first conflicting member of
-//! a set" queries return exactly the fact that
-//! [`ConflictGraph::conflicts_in`]`.first()` would — the checkers rely
-//! on this to keep witnesses bit-identical across representations.
+//! [`FdGrouping`] per relation and FD, and [`CsrConflictGraph::patch`]
+//! carries them across a delta batch. Every row query answers in
+//! ascending id order, so "first conflicting member of a set" is the
+//! minimal one — the checkers rely on this for deterministic
+//! witnesses.
 
-use crate::conflicts::{ConflictGraph, ConflictRows};
 use crate::grouping::FdGrouping;
 use crate::schema::Schema;
 use rpr_data::{Compaction, FactId, FactSet, Instance};
@@ -57,23 +60,8 @@ impl CsrConflictGraph {
         degree * 32 > n
     }
 
-    /// Packs an existing [`ConflictGraph`] into hybrid CSR form — the
-    /// bridge from the oracle's bitset graph, used by tests to pin
-    /// [`new`](Self::new) to it.
-    pub fn from_graph(cg: &ConflictGraph) -> Self {
-        let n = cg.len();
-        let mut builder = Builder::new(n, 0);
-        for i in 0..n {
-            // FactSet iteration is ascending, so the row is sorted.
-            builder.push_row(cg.conflicts_of(FactId(i as u32)).iter().map(|id| id.0));
-        }
-        builder.finish()
-    }
-
-    /// Builds the conflict graph of `instance` under `schema` straight
-    /// into CSR form: one [`FdGrouping`] per relation and non-trivial
-    /// FD, no bitset intermediate. Identical to
-    /// `from_graph(&ConflictGraph::new(schema, instance))`.
+    /// Builds the conflict graph of `instance` under `schema`: one
+    /// [`FdGrouping`] per relation and non-trivial FD.
     pub fn new(schema: &Schema, instance: &Instance) -> Self {
         let groupings: Vec<FdGrouping> = schema
             .signature()
@@ -162,7 +150,7 @@ impl CsrConflictGraph {
     }
 
     /// Number of conflict edges, each unordered pair counted once —
-    /// `ConflictGraph::edges().len()` without walking every bitset row.
+    /// `edges().len()` without listing them.
     pub fn edge_count(&self) -> usize {
         let dense: usize = self.dense_rows.iter().map(FactSet::len).sum();
         (self.neighbors.len() + dense) / 2
@@ -205,11 +193,8 @@ impl CsrConflictGraph {
         }
     }
 
-    /// The minimal member of `set` conflicting with `id`.
-    ///
-    /// Agrees exactly with `ConflictGraph::conflicts_in(id, set).first()`
-    /// because sparse rows are sorted ascending and bitset iteration is
-    /// ascending.
+    /// The minimal member of `set` conflicting with `id`: the first
+    /// item of [`conflicts_among`](Self::conflicts_among).
     pub fn first_conflict_in(&self, id: FactId, set: &FactSet) -> Option<FactId> {
         match self.row(id) {
             Row::Sparse(s) => s.iter().map(|&g| FactId(g)).find(|&g| set.contains(g)),
@@ -217,21 +202,72 @@ impl CsrConflictGraph {
         }
     }
 
-    /// The members of `set` conflicting with `id`, as a bitset.
-    pub fn conflicts_in(&self, id: FactId, set: &FactSet) -> FactSet {
-        match self.row(id) {
-            Row::Sparse(s) => {
-                let mut out = FactSet::empty(self.n);
-                for &g in s {
-                    let g = FactId(g);
-                    if set.contains(g) {
-                        out.insert(g);
-                    }
-                }
-                out
-            }
-            Row::Dense(bits) => bits.intersect(set),
+    /// The facts conflicting with `id`, in ascending id order.
+    pub fn neighbors(&self, id: FactId) -> impl Iterator<Item = FactId> + '_ {
+        // One of the two halves is empty, as in `conflicts_among`.
+        let (sparse, dense): (&[u32], _) = match self.row(id) {
+            Row::Sparse(s) => (s, None),
+            Row::Dense(bits) => (&[], Some(bits.iter())),
+        };
+        sparse.iter().map(|&g| FactId(g)).chain(dense.into_iter().flatten())
+    }
+
+    /// The members of `set` conflicting with `id`, in ascending id
+    /// order, without allocating.
+    pub fn conflicts_among<'a>(
+        &'a self,
+        id: FactId,
+        set: &'a FactSet,
+    ) -> impl Iterator<Item = FactId> + 'a {
+        // One of the two halves is empty; chaining them gives both
+        // representations a single iterator type.
+        let (sparse, dense): (&[u32], _) = match self.row(id) {
+            Row::Sparse(s) => (s, None),
+            Row::Dense(bits) => (&[], Some(bits.iter_intersect(set))),
+        };
+        let sparse = sparse.iter().map(|&g| FactId(g)).filter(move |&g| set.contains(g));
+        sparse.chain(dense.into_iter().flatten())
+    }
+
+    /// All conflict edges `(a, b)` with `a < b`, sorted
+    /// lexicographically.
+    pub fn edges(&self) -> Vec<(FactId, FactId)> {
+        let mut out = Vec::with_capacity(self.edge_count());
+        for a in (0..self.n as u32).map(FactId) {
+            out.extend(self.neighbors(a).filter(|&b| a < b).map(|b| (a, b)));
         }
+        out
+    }
+
+    /// Is the subinstance consistent (an independent set)?
+    pub fn is_consistent_set(&self, set: &FactSet) -> bool {
+        set.iter().all(|id| !self.conflicts_with_set(id, set))
+    }
+
+    /// Is the subinstance a repair of the base instance — a *maximal*
+    /// consistent subinstance (§2.4, following Arenas et al.)? Every
+    /// outside fact must conflict with the set.
+    pub fn is_repair(&self, set: &FactSet) -> bool {
+        self.is_consistent_set(set)
+            && set.complement().iter().all(|id| self.conflicts_with_set(id, set))
+    }
+
+    /// The greedy repair: starting from the consistent set `base`, walk
+    /// `order` and keep each fact that conflicts with nothing kept so
+    /// far. When `order` lists every fact, the result is a repair.
+    pub fn extend_greedily(
+        &self,
+        base: &FactSet,
+        order: impl IntoIterator<Item = FactId>,
+    ) -> FactSet {
+        debug_assert!(self.is_consistent_set(base));
+        let mut kept = base.clone();
+        for f in order {
+            if !kept.contains(f) && !self.conflicts_with_set(f, &kept) {
+                kept.insert(f);
+            }
+        }
+        kept
     }
 
     /// The conflict row of fact `x` by one scan of its relation: the
@@ -522,40 +558,6 @@ impl Builder {
         self.neighbors.shrink_to_fit();
         let Builder { n, offsets, neighbors, dense_idx, dense_rows } = self;
         CsrConflictGraph { n, offsets, neighbors, dense_idx, dense_rows }
-    }
-}
-
-impl ConflictRows for CsrConflictGraph {
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn neighbors(&self, id: FactId) -> impl Iterator<Item = FactId> + '_ {
-        // One of the two halves is empty, as in `conflicts_among`.
-        let (sparse, dense): (&[u32], _) = match self.row(id) {
-            Row::Sparse(s) => (s, None),
-            Row::Dense(bits) => (&[], Some(bits.iter())),
-        };
-        sparse.iter().map(|&g| FactId(g)).chain(dense.into_iter().flatten())
-    }
-
-    fn conflicts_with_set(&self, id: FactId, set: &FactSet) -> bool {
-        CsrConflictGraph::conflicts_with_set(self, id, set)
-    }
-
-    fn conflicts_among<'a>(
-        &'a self,
-        id: FactId,
-        set: &'a FactSet,
-    ) -> impl Iterator<Item = FactId> + 'a {
-        // One of the two halves is empty; chaining them gives both
-        // representations a single iterator type.
-        let (sparse, dense): (&[u32], _) = match self.row(id) {
-            Row::Sparse(s) => (s, None),
-            Row::Dense(bits) => (&[], Some(bits.iter_intersect(set))),
-        };
-        let sparse = sparse.iter().map(|&g| FactId(g)).filter(move |&g| set.contains(g));
-        sparse.chain(dense.into_iter().flatten())
     }
 }
 
@@ -995,8 +997,7 @@ mod tests {
     #[test]
     fn dense_rows_kick_in_for_cliques() {
         let (schema, i) = star(200);
-        let cg = ConflictGraph::new(&schema, &i);
-        let csr = CsrConflictGraph::from_graph(&cg);
+        let csr = CsrConflictGraph::new(&schema, &i);
         // Every vertex has degree 200 in a 201-vertex graph → dense.
         assert_eq!(csr.dense_row_count(), 201);
         assert_eq!(csr.packed_neighbor_count(), 0);
@@ -1014,13 +1015,14 @@ mod tests {
                 inst.insert_named("R", [Value::Int(k), Value::Int(v)]).unwrap();
             }
         }
-        let cg = ConflictGraph::new(&schema, &inst);
-        let csr = CsrConflictGraph::from_graph(&cg);
+        let csr = CsrConflictGraph::new(&schema, &inst);
         assert_eq!(csr.dense_row_count(), 0);
         assert_eq!(csr.packed_neighbor_count(), 200);
         assert_eq!(ComponentLayout::from_csr(&csr).len(), 100);
-        for (a, b) in cg.edges() {
-            assert!(csr.conflicting(a, b));
+        let edges = csr.edges();
+        assert_eq!(edges.len(), 100);
+        for (a, b) in edges {
+            assert_eq!((a.0, b.0), (a.0 & !1, a.0 | 1), "the two facts of one key");
             assert!(csr.conflicting(b, a));
         }
     }
@@ -1066,20 +1068,6 @@ mod tests {
         assert_eq!(layout.component(1), &[FactId(3)]);
         assert_eq!(layout.component(2), &[FactId(4), FactId(5)]);
         assert_eq!(layout.nontrivial(), &[0, 2]);
-    }
-
-    #[test]
-    fn queries_agree_with_bitset_graph() {
-        let (schema, i) = star(40);
-        let cg = ConflictGraph::new(&schema, &i);
-        let csr = CsrConflictGraph::from_graph(&cg);
-        let set = i.set_of([FactId(3), FactId(17), FactId(29)]);
-        for f in i.fact_ids() {
-            assert_eq!(csr.first_conflict_in(f, &set), cg.conflicts_in(f, &set).first(),);
-            assert_eq!(csr.conflicts_with_set(f, &set), cg.conflicts_with_set(f, &set));
-            assert_eq!(csr.degree(f), cg.conflicts_of(f).len());
-        }
-        assert_eq!(csr.is_consistent_set(&set), cg.is_consistent_set(&set));
     }
 
     /// LibLoc of the running example under Δ = {1→2, 2→1}: two FDs, so
@@ -1167,7 +1155,6 @@ mod tests {
         let mut layout = ComponentLayout::from_csr(&csr);
         apply_batch(schema, i, &mut csr, &mut layout, ops);
         assert_eq!(csr, CsrConflictGraph::new(schema, i));
-        assert_eq!(csr, CsrConflictGraph::from_graph(&ConflictGraph::new(schema, i)));
         assert_eq!(layout, ComponentLayout::from_csr(&csr));
     }
 
@@ -1354,10 +1341,77 @@ mod tests {
     }
 
     #[test]
-    fn direct_build_matches_bitset_packing() {
-        for (schema, i) in [star(200), star(3), libloc()] {
-            let cg = ConflictGraph::new(&schema, &i);
-            assert_eq!(CsrConflictGraph::new(&schema, &i), CsrConflictGraph::from_graph(&cg));
+    fn running_example_conflicts() {
+        let (schema, i) = libloc();
+        let g = CsrConflictGraph::new(&schema, &i);
+        // {d1a, d1e} conflict via 1→2.
+        assert!(g.conflicting(FactId(0), FactId(1)));
+        // {d1a, g2a} conflict via 2→1 (Example 2.2's δ3-conflict).
+        assert!(g.conflicting(FactId(0), FactId(2)));
+        // d1a and f2b share nothing.
+        assert!(!g.conflicting(FactId(0), FactId(3)));
+        // Symmetry.
+        for (a, b) in g.edges() {
+            assert!(g.conflicting(b, a));
         }
+    }
+
+    #[test]
+    fn consistency_and_repairs() {
+        let (schema, i) = libloc();
+        let g = CsrConflictGraph::new(&schema, &i);
+        // J2's LibLoc part from Example 2.5: {d1e, g2a, e3b} = ids {1,2,7}.
+        let j2 = i.set_of([FactId(1), FactId(2), FactId(7)]);
+        assert!(g.is_consistent_set(&j2));
+        assert!(g.is_repair(&j2));
+        assert!(schema.is_consistent(&i.materialize(&j2)));
+        assert!(!schema.is_consistent(&i));
+        // Not maximal: drop e3b.
+        let partial = i.set_of([FactId(1), FactId(2)]);
+        assert!(g.is_consistent_set(&partial));
+        assert!(!g.is_repair(&partial));
+        // Inconsistent: d1a + d1e.
+        let bad = i.set_of([FactId(0), FactId(1)]);
+        assert!(!g.is_consistent_set(&bad));
+        assert!(!g.is_repair(&bad));
+        // The greedy extension in id order completes the partial set.
+        let ext = g.extend_greedily(&partial, i.fact_ids());
+        assert!(g.is_repair(&ext));
+        assert!(partial.is_subset(&ext));
+    }
+
+    #[test]
+    fn conflicts_in_set_queries() {
+        let (schema, i) = libloc();
+        let g = CsrConflictGraph::new(&schema, &i);
+        let j = i.set_of([FactId(0), FactId(3), FactId(5)]); // d1a, f2b, f3c
+                                                             // e1b (6) conflicts with d1a (same lib1) and f2b (same bascom).
+        let c: Vec<_> = g.conflicts_among(FactId(6), &j).collect();
+        assert_eq!(c, vec![FactId(0), FactId(3)]);
+        assert_eq!(g.first_conflict_in(FactId(6), &j), Some(FactId(0)));
+        assert!(g.conflicts_with_set(FactId(6), &j));
+    }
+
+    #[test]
+    fn trivial_fds_produce_no_conflicts() {
+        let sig = Signature::new([("R", 2)]).unwrap();
+        let r = sig.rel_id("R").unwrap();
+        let schema = Schema::new(sig.clone(), [crate::Fd::from_attrs(r, [1, 2], [1])]).unwrap();
+        let mut i = Instance::new(sig);
+        i.insert_named("R", [Value::sym("a"), Value::sym("b")]).unwrap();
+        i.insert_named("R", [Value::sym("a"), Value::sym("c")]).unwrap();
+        let g = CsrConflictGraph::new(&schema, &i);
+        assert!(g.edges().is_empty());
+        assert!(g.is_repair(&i.full_set()));
+        assert!(schema.is_consistent(&i));
+    }
+
+    #[test]
+    fn empty_instance() {
+        let (schema, _) = libloc();
+        let empty = Instance::new(schema.signature().clone());
+        let g = CsrConflictGraph::new(&schema, &empty);
+        assert!(g.is_empty());
+        assert!(g.is_repair(&empty.empty_set()));
     }
 }

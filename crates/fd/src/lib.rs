@@ -15,14 +15,13 @@
 //!   non-redundant / minimal determiners of §5.2;
 //! * [`CsrConflictGraph`] — δ-conflicts and the conflict graph whose
 //!   maximal independent sets are exactly the repairs, built from the
-//!   per-FD lhs/rhs [`FdGrouping`]; the bitset [`ConflictGraph`] is the
-//!   oracle's form of the same graph.
+//!   per-FD lhs/rhs [`FdGrouping`]: the one graph that sessions,
+//!   one-shot checkers and oracles share.
 
 #![warn(missing_docs)]
 
 pub mod armstrong;
 pub mod closure;
-pub mod conflicts;
 pub mod cover;
 pub mod csr;
 pub mod determiners;
@@ -37,7 +36,6 @@ pub mod stats;
 
 pub use armstrong::{derive, Derivation};
 pub use closure::{closure, closure_linear, equivalent, implies, is_superkey};
-pub use conflicts::{ConflictGraph, ConflictRows};
 pub use cover::{lhs_candidates, merge_by_lhs, minimal_cover, saturate};
 pub use csr::{ComponentLayout, CsrConflictGraph, EdgeBuckets, Row as CsrRow};
 pub use determiners::{

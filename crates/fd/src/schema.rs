@@ -3,6 +3,7 @@
 use crate::closure::closure;
 use crate::cover::{merge_by_lhs, minimal_cover};
 use crate::fd::Fd;
+use crate::grouping::FdGrouping;
 use rpr_data::{AttrSet, DataError, Fact, Instance, RelId, SigRef};
 use std::fmt;
 
@@ -100,9 +101,13 @@ impl Schema {
         f.rel() == g.rel() && self.fds_for(f.rel()).iter().any(|&d| self.is_delta_conflict(d, f, g))
     }
 
-    /// Does the instance satisfy `Δ` (§2.2)?
+    /// Does the instance satisfy `Δ` (§2.2)? It does iff no lhs group
+    /// of any FD's grouping holds two rhs blocks.
     pub fn is_consistent(&self, instance: &Instance) -> bool {
-        crate::conflicts::ConflictGraph::first_conflict(self, instance).is_none()
+        self.sig.rel_ids().all(|rel| {
+            FdGrouping::for_relation(self, instance, rel)
+                .all(|g| (0..g.group_count()).all(|k| g.group(k).len() < 2))
+        })
     }
 }
 

@@ -7,7 +7,7 @@
 //! per-group choice space, and the count of conflict-free facts is the
 //! part of the database every repair keeps.
 
-use crate::conflicts::ConflictGraph;
+use crate::csr::CsrConflictGraph;
 use crate::schema::Schema;
 use rpr_data::{FactId, Instance};
 use std::fmt;
@@ -30,12 +30,12 @@ pub struct ConflictStats {
 impl ConflictStats {
     /// Computes the statistics.
     pub fn compute(schema: &Schema, instance: &Instance) -> Self {
-        let cg = ConflictGraph::new(schema, instance);
+        let cg = CsrConflictGraph::new(schema, instance);
         let sig = schema.signature();
         let mut conflicted = 0usize;
         let mut max_degree = 0usize;
         for i in 0..instance.len() {
-            let deg = cg.conflicts_of(FactId(i as u32)).len();
+            let deg = cg.degree(FactId(i as u32));
             if deg > 0 {
                 conflicted += 1;
             }

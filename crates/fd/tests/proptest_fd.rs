@@ -1,11 +1,14 @@
 //! Property-based tests for FD theory: the closure-operator laws,
 //! cover equivalence, key minimality, and conflict-graph invariants.
 
+#[path = "reference/conflicts.rs"]
+mod reference;
+
 use proptest::prelude::*;
 use rpr_data::{AttrSet, Instance, RelId, Signature, Value};
 use rpr_fd::{
     as_key_set, candidate_keys, closure, equivalent, implies, is_superkey, minimal_cover,
-    minimize_key, ConflictGraph, Fd, Schema,
+    minimize_key, CsrConflictGraph, Fd, Schema,
 };
 
 const ARITY: usize = 5;
@@ -126,7 +129,7 @@ proptest! {
                 .insert_named("R", [Value::Int(a), Value::Int(b), Value::Int(c)])
                 .unwrap();
         }
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         for (a, fa) in instance.iter() {
             for (b, fb) in instance.iter() {
                 if a >= b { continue; }
@@ -141,7 +144,7 @@ proptest! {
     }
 
     #[test]
-    fn extend_to_repair_yields_repairs(
+    fn greedy_extension_yields_repairs(
         rows in proptest::collection::vec((0i64..4, 0i64..4), 1..16),
     ) {
         let sig = Signature::new([("R", 2)]).unwrap();
@@ -150,8 +153,42 @@ proptest! {
         for (a, b) in rows {
             instance.insert_named("R", [Value::Int(a), Value::Int(b)]).unwrap();
         }
-        let cg = ConflictGraph::new(&schema, &instance);
-        let r = cg.extend_to_repair(&instance.empty_set());
+        let cg = CsrConflictGraph::new(&schema, &instance);
+        let r = cg.extend_greedily(&instance.empty_set(), instance.fact_ids());
         prop_assert!(cg.is_repair(&r));
+    }
+
+    /// `Schema::is_consistent` reads the sort-based grouping; the
+    /// reference finds a conflicting pair by hashing projections. Two
+    /// relations with random FDs (trivial ones included) over small
+    /// domains, so both answers come up.
+    #[test]
+    fn is_consistent_matches_the_reference_first_conflict(
+        r_rows in proptest::collection::vec((0i64..3, 0i64..3, 0i64..3), 0..12),
+        s_rows in proptest::collection::vec((0i64..3, 0i64..3), 0..8),
+        r_fds in proptest::collection::vec(fd(), 0..3),
+        s_fds in proptest::collection::vec(fd(), 0..3),
+    ) {
+        let sig = Signature::new([("R", 3), ("S", 2)]).unwrap();
+        let restrict = |d: Fd, rel: u32, arity: usize| {
+            let full = AttrSet::full(arity);
+            Fd::new(RelId(rel), d.lhs.intersect(full), d.rhs.intersect(full))
+        };
+        let fds = r_fds
+            .into_iter()
+            .map(|d| restrict(d, 0, 3))
+            .chain(s_fds.into_iter().map(|d| restrict(d, 1, 2)));
+        let schema = Schema::new(sig.clone(), fds).unwrap();
+        let mut instance = Instance::new(sig);
+        for (a, b, c) in r_rows {
+            instance.insert_named("R", [Value::Int(a), Value::Int(b), Value::Int(c)]).unwrap();
+        }
+        for (a, b) in s_rows {
+            instance.insert_named("S", [Value::Int(a), Value::Int(b)]).unwrap();
+        }
+        prop_assert_eq!(
+            schema.is_consistent(&instance),
+            reference::ConflictGraph::first_conflict(&schema, &instance).is_none()
+        );
     }
 }

@@ -402,7 +402,7 @@ fn both_writers(ws: &Workspace, picks: &[u8]) -> Vec<(String, String)> {
     // A greedy repair in priority order (optimal), the full set
     // (inconsistent when anything conflicts), the empty set
     // (improvable), and subsets picked by the bit masks in `picks`.
-    let cg = rpr_fd::ConflictGraph::new(&ws.schema, &ws.instance);
+    let cg = rpr_fd::CsrConflictGraph::new(&ws.schema, &ws.instance);
     let greedy = rpr_core::construct_globally_optimal_repair(&cg, &ws.priority);
     let mut sets = vec![greedy, ws.instance.full_set(), ws.instance.empty_set()];
     for &mask in picks {

@@ -121,7 +121,7 @@ pub fn trust_then_recency_priority(
         let ts = f.get(4).as_int().unwrap_or(0);
         (r, ts)
     };
-    let cg = rpr_fd::ConflictGraph::new(&feed.schema, &feed.instance);
+    let cg = rpr_fd::CsrConflictGraph::new(&feed.schema, &feed.instance);
     let mut edges: Vec<(FactId, FactId)> = Vec::new();
     for (a, b) in cg.edges() {
         let (ra, rb) = (rank(feed.instance.fact(a)), rank(feed.instance.fact(b)));
@@ -160,7 +160,7 @@ mod tests {
         assert!(feed.instance.len() > 40, "multiple reports per entity expected");
         // Entities reported by ≥2 sources conflict (same key, different
         // source/ts at least).
-        let cg = rpr_fd::ConflictGraph::new(&feed.schema, &feed.instance);
+        let cg = rpr_fd::CsrConflictGraph::new(&feed.schema, &feed.instance);
         assert!(!cg.edges().is_empty());
     }
 
@@ -168,7 +168,7 @@ mod tests {
     fn trusted_policy_beats_random_repairs_on_accuracy() {
         let mut rng = StdRng::seed_from_u64(71);
         let feed = simulate_feed(&spec(), &mut rng);
-        let cg = rpr_fd::ConflictGraph::new(&feed.schema, &feed.instance);
+        let cg = rpr_fd::CsrConflictGraph::new(&feed.schema, &feed.instance);
         let priority = trust_then_recency_priority(&feed, &["gold", "bulk", "scrape"]);
         // Clean with the policy priority.
         let order = priority.topological_order();

@@ -183,7 +183,7 @@ impl Default for RunningExample {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpr_fd::ConflictGraph;
+    use rpr_fd::CsrConflictGraph;
 
     #[test]
     fn figure_1_shape() {
@@ -201,7 +201,7 @@ mod tests {
     fn example_2_2_conflicts_present() {
         let ex = RunningExample::new();
         let f = RunningExample::fact_ids();
-        let cg = ConflictGraph::new(&ex.schema, &ex.instance);
+        let cg = CsrConflictGraph::new(&ex.schema, &ex.instance);
         // {g1f1, f1d3} is a δ1-conflict, {d1a, d1e} a δ2-conflict,
         // {d1a, g2a} a δ3-conflict.
         assert!(cg.conflicting(f.g1f1, f.f1d3));
@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn example_2_5_sets_are_repairs() {
         let ex = RunningExample::new();
-        let cg = ConflictGraph::new(&ex.schema, &ex.instance);
+        let cg = CsrConflictGraph::new(&ex.schema, &ex.instance);
         for (name, j) in [("J1", ex.j1()), ("J2", ex.j2()), ("J3", ex.j3()), ("J4", ex.j4())] {
             assert!(cg.is_repair(&j), "{name} must be a repair");
             assert_eq!(j.len(), 7, "{name} has 7 facts");

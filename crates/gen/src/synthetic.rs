@@ -8,7 +8,7 @@
 
 use rand::Rng;
 use rpr_data::{FactId, FactSet, Instance, Value};
-use rpr_fd::{ConflictGraph, Schema};
+use rpr_fd::{CsrConflictGraph, Schema};
 use rpr_priority::PriorityRelation;
 
 /// Parameters for random instance generation.
@@ -46,7 +46,7 @@ pub fn random_instance<R: Rng>(schema: &Schema, spec: InstanceSpec, rng: &mut R)
 /// conflicting pair is oriented (from a hidden random total order) with
 /// probability `density`.
 pub fn random_conflict_priority<R: Rng>(
-    cg: &ConflictGraph,
+    cg: &CsrConflictGraph,
     density: f64,
     rng: &mut R,
 ) -> PriorityRelation {
@@ -64,7 +64,7 @@ pub fn random_conflict_priority<R: Rng>(
 /// pairs as above, plus `extra_cross` uniformly random (possibly
 /// non-conflicting) pairs, all oriented by a hidden total order.
 pub fn random_ccp_priority<R: Rng>(
-    cg: &ConflictGraph,
+    cg: &CsrConflictGraph,
     density: f64,
     extra_cross: usize,
     rng: &mut R,
@@ -142,20 +142,14 @@ pub fn chain_components(components: usize, size: usize) -> (Schema, Instance) {
 }
 
 /// Draws a random repair: greedy completion over a random fact order.
-pub fn random_repair<R: Rng>(cg: &ConflictGraph, rng: &mut R) -> FactSet {
+pub fn random_repair<R: Rng>(cg: &CsrConflictGraph, rng: &mut R) -> FactSet {
     let mut order: Vec<FactId> = (0..cg.len() as u32).map(FactId).collect();
     // Fisher–Yates shuffle.
     for i in (1..order.len()).rev() {
         let j = rng.random_range(0..=i);
         order.swap(i, j);
     }
-    let mut kept = FactSet::empty(cg.len());
-    for f in order {
-        if !cg.conflicts_with_set(f, &kept) {
-            kept.insert(f);
-        }
-    }
-    kept
+    cg.extend_greedily(&FactSet::empty(cg.len()), order)
 }
 
 #[cfg(test)]
@@ -181,7 +175,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let i =
             random_instance(&schema, InstanceSpec { facts_per_relation: 40, domain: 4 }, &mut rng);
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         assert!(!cg.edges().is_empty());
     }
 
@@ -191,7 +185,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let i =
             random_instance(&schema, InstanceSpec { facts_per_relation: 30, domain: 6 }, &mut rng);
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let p = random_conflict_priority(&cg, 0.8, &mut rng);
         for &(a, b) in p.edges() {
             assert!(cg.conflicting(a, b), "edge must join conflicting facts");
@@ -207,7 +201,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let i =
             random_instance(&schema, InstanceSpec { facts_per_relation: 30, domain: 4 }, &mut rng);
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let p = random_ccp_priority(&cg, 0.5, 40, &mut rng);
         assert!(p.edge_count() > 0);
         assert_eq!(p.topological_order().len(), i.len());
@@ -219,7 +213,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let i =
             random_instance(&schema, InstanceSpec { facts_per_relation: 40, domain: 4 }, &mut rng);
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         for _ in 0..20 {
             let j = random_repair(&cg, &mut rng);
             assert!(cg.is_repair(&j));
@@ -230,10 +224,10 @@ mod tests {
     fn chain_components_are_disjoint_paths() {
         let (schema, i) = chain_components(5, 7);
         assert_eq!(i.len(), 35);
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         // A path of m facts has exactly m-1 edges; chains are disjoint.
         assert_eq!(cg.edges().len(), 5 * 6);
-        let layout = rpr_fd::ComponentLayout::from_csr(&rpr_fd::CsrConflictGraph::from_graph(&cg));
+        let layout = rpr_fd::ComponentLayout::from_csr(&cg);
         assert_eq!(layout.nontrivial().len(), 5);
         for &c in layout.nontrivial() {
             assert_eq!(layout.component(c as usize).len(), 7);
@@ -254,7 +248,7 @@ mod tests {
                 InstanceSpec { facts_per_relation: 20, domain: 4 },
                 &mut rng,
             );
-            let cg = ConflictGraph::new(&schema, &i);
+            let cg = CsrConflictGraph::new(&schema, &i);
             let p = random_conflict_priority(&cg, 0.7, &mut rng);
             (i.len(), p.edges().to_vec())
         };

@@ -34,7 +34,7 @@
 #![warn(missing_docs)]
 
 use rpr_data::{Fact, FactId, Instance, Value};
-use rpr_fd::{ConflictGraph, Schema};
+use rpr_fd::{CsrConflictGraph, Schema};
 use rpr_priority::{PriorityError, PriorityRelation};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -244,7 +244,7 @@ impl Policy {
         let mut edges: Vec<(FactId, FactId)> = Vec::new();
         match scope {
             PriorityScope::ConflictsOnly => {
-                let cg = ConflictGraph::new(schema, instance);
+                let cg = CsrConflictGraph::new(schema, instance);
                 for (a, b) in cg.edges() {
                     match self.compare(schema, instance.fact(a), instance.fact(b)) {
                         Ordering::Greater => edges.push((a, b)),
@@ -317,7 +317,7 @@ mod tests {
         assert!(p.prefers(FactId(1), FactId(0)));
         assert!(p.prefers(FactId(2), FactId(3)) ^ p.prefers(FactId(3), FactId(2)));
         // Total policies yield unambiguous cleanings.
-        let cg = ConflictGraph::new(&schema, &i);
+        let cg = CsrConflictGraph::new(&schema, &i);
         let j = construct_globally_optimal_repair(&cg, &p);
         assert!(is_globally_optimal_brute_bounded(
             &cg,

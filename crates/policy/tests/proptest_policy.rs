@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rpr_data::{Instance, Signature, Value};
-use rpr_fd::{ConflictGraph, Schema};
+use rpr_fd::{CsrConflictGraph, Schema};
 use rpr_policy::{Policy, PriorityScope, Rule};
 
 fn schema() -> Schema {
@@ -70,7 +70,7 @@ proptest! {
         for r in rules {
             policy = policy.rule(r);
         }
-        let cg = ConflictGraph::new(&schema, &inst);
+        let cg = CsrConflictGraph::new(&schema, &inst);
         let conflicts = policy.compile(&schema, &inst, PriorityScope::ConflictsOnly).unwrap();
         let all = policy.compile(&schema, &inst, PriorityScope::AllPairs).unwrap();
         // Same orientation on conflicting pairs; nothing extra.
@@ -93,7 +93,7 @@ proptest! {
     ) {
         let schema = schema();
         let inst = instance(&rows);
-        let cg = ConflictGraph::new(&schema, &inst);
+        let cg = CsrConflictGraph::new(&schema, &inst);
         let p = Policy::new()
             .break_ties_lexicographically()
             .compile(&schema, &inst, PriorityScope::ConflictsOnly)

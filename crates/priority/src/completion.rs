@@ -14,7 +14,7 @@
 
 use crate::relation::PriorityRelation;
 use rpr_data::FactId;
-use rpr_fd::ConflictGraph;
+use rpr_fd::CsrConflictGraph;
 
 /// Error returned when an enumeration exceeds its budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +33,7 @@ impl std::error::Error for BudgetExceeded {}
 
 /// The unordered conflict pairs not yet ordered by `priority`.
 pub fn unordered_conflicts(
-    cg: &ConflictGraph,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
 ) -> Vec<(FactId, FactId)> {
     cg.edges()
@@ -44,7 +44,7 @@ pub fn unordered_conflicts(
 
 /// Is `candidate` a completion of `base` w.r.t. the conflict graph?
 pub fn is_completion(
-    cg: &ConflictGraph,
+    cg: &CsrConflictGraph,
     base: &PriorityRelation,
     candidate: &PriorityRelation,
 ) -> bool {
@@ -64,7 +64,7 @@ pub fn is_completion(
 /// [`BudgetExceeded`] if more than `budget` orientation assignments
 /// would have to be explored.
 pub fn completions(
-    cg: &ConflictGraph,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     budget: usize,
 ) -> Result<Vec<PriorityRelation>, BudgetExceeded> {
@@ -102,14 +102,14 @@ mod tests {
 
     /// Three facts R(a,1), R(a,2), R(a,3) under R:1→2 — a conflict
     /// triangle.
-    fn triangle() -> (ConflictGraph, usize) {
+    fn triangle() -> (CsrConflictGraph, usize) {
         let sig = Signature::new([("R", 2)]).unwrap();
         let schema = Schema::from_named(sig.clone(), [("R", &[1][..], &[2][..])]).unwrap();
         let mut i = Instance::new(sig);
         for x in ["1", "2", "3"] {
             i.insert_named("R", [v("a"), v(x)]).unwrap();
         }
-        (ConflictGraph::new(&schema, &i), i.len())
+        (CsrConflictGraph::new(&schema, &i), i.len())
     }
 
     #[test]

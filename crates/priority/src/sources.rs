@@ -18,7 +18,7 @@
 
 use crate::relation::PriorityRelation;
 use rpr_data::{FactId, Instance};
-use rpr_fd::{ConflictGraph, Schema};
+use rpr_fd::{CsrConflictGraph, Schema};
 
 /// Builds a conflict-restricted priority from per-fact scores (higher
 /// score = preferred): `f ≻ g` iff `f` and `g` conflict and
@@ -32,7 +32,7 @@ pub fn from_scores_conflict_restricted(
     scores: &[i64],
 ) -> PriorityRelation {
     assert_eq!(scores.len(), instance.len(), "one score per fact");
-    let cg = ConflictGraph::new(schema, instance);
+    let cg = CsrConflictGraph::new(schema, instance);
     let mut edges = Vec::new();
     for (a, b) in cg.edges() {
         match scores[a.index()].cmp(&scores[b.index()]) {
@@ -82,7 +82,7 @@ pub fn restrict_to_conflicts(
     instance: &Instance,
     priority: &PriorityRelation,
 ) -> PriorityRelation {
-    let cg = ConflictGraph::new(schema, instance);
+    let cg = CsrConflictGraph::new(schema, instance);
     let edges: Vec<(FactId, FactId)> =
         priority.edges().iter().copied().filter(|&(a, b)| cg.conflicting(a, b)).collect();
     PriorityRelation::new(instance.len(), edges)

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use rpr_data::{FactId, Instance, Signature, Value};
-use rpr_fd::{ConflictGraph, Schema};
+use rpr_fd::{CsrConflictGraph, Schema};
 use rpr_priority::{completions, is_completion, unordered_conflicts, PriorityRelation};
 
 const N: usize = 10;
@@ -86,7 +86,7 @@ proptest! {
         for (a, b) in rows {
             instance.insert_named("R", [Value::Int(a), Value::Int(b)]).unwrap();
         }
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let conflict_edges = cg.edges();
         prop_assume!(conflict_edges.len() <= 8);
         // Base priority: orient a bitmask-selected subset by id.

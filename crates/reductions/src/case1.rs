@@ -144,7 +144,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rpr_core::{enumerate_repairs_bounded, is_globally_optimal_brute_bounded, Budget};
     use rpr_data::{FactId, Instance};
-    use rpr_fd::ConflictGraph;
+    use rpr_fd::CsrConflictGraph;
     use rpr_priority::{PrioritizedInstance, PriorityRelation};
 
     fn source_fact(pi: &CaseOneMapping, c: (i64, i64, i64)) -> Fact {
@@ -244,12 +244,12 @@ mod tests {
         )
         .unwrap();
 
-        let src_cg = ConflictGraph::new(pi.source_schema(), &instance);
+        let src_cg = CsrConflictGraph::new(pi.source_schema(), &instance);
         for j in enumerate_repairs_bounded(&src_cg, &Budget::unlimited().with_max_work(1 << 20))
             .expect_done("repair enumeration")
         {
             let (mapped, j2) = map_input(&pi, &input, &j);
-            let dst_cg = ConflictGraph::new(pi.target_schema(), mapped.instance());
+            let dst_cg = CsrConflictGraph::new(pi.target_schema(), mapped.instance());
             let src_ans = is_globally_optimal_brute_bounded(
                 &src_cg,
                 &priority,

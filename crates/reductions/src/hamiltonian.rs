@@ -53,13 +53,13 @@ fn vertex(j: usize) -> Value {
 ///
 /// ```
 /// use rpr_reductions::{hamiltonian_gadget, UGraph};
-/// use rpr_fd::ConflictGraph;
+/// use rpr_fd::CsrConflictGraph;
 ///
 /// // Figure 5's graph: two vertices joined by an edge.
 /// let mut g = UGraph::new(2);
 /// g.add_edge(0, 1);
 /// let gadget = hamiltonian_gadget(&g);
-/// let cg = ConflictGraph::new(&gadget.schema, gadget.prioritized.instance());
+/// let cg = CsrConflictGraph::new(&gadget.schema, gadget.prioritized.instance());
 /// assert!(cg.is_repair(&gadget.j));
 /// // 5 facts per (position, vertex) pair + one per (position, edge end):
 /// assert_eq!(gadget.prioritized.instance().len(), 5 * 4 + 4);
@@ -205,11 +205,11 @@ mod tests {
     use rpr_core::{
         check_global_exact_bounded, is_global_improvement, Budget, CheckOutcome, Improvement,
     };
-    use rpr_fd::ConflictGraph;
+    use rpr_fd::CsrConflictGraph;
 
-    fn build(graph: &UGraph) -> (HamiltonianGadget, ConflictGraph) {
+    fn build(graph: &UGraph) -> (HamiltonianGadget, CsrConflictGraph) {
         let g = hamiltonian_gadget(graph);
-        let cg = ConflictGraph::new(&g.schema, g.prioritized.instance());
+        let cg = CsrConflictGraph::new(&g.schema, g.prioritized.instance());
         (g, cg)
     }
 
@@ -288,7 +288,7 @@ mod tests {
             (UGraph::new(2), false),
         ] {
             let (pi, mapped, j) = hamiltonian_input_for_keys(&graph, "T", 4, &keys).unwrap();
-            let cg = ConflictGraph::new(pi.target_schema(), mapped.instance());
+            let cg = CsrConflictGraph::new(pi.target_schema(), mapped.instance());
             let outcome = check_global_exact_bounded(
                 &cg,
                 mapped.priority(),

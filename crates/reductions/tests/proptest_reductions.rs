@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use rpr_core::Improvement;
 use rpr_data::{AttrSet, Fact, Value};
-use rpr_fd::ConflictGraph;
+use rpr_fd::CsrConflictGraph;
 use rpr_reductions::{
     check_injective, check_preserves_consistency, hamiltonian_gadget, improvement_from_cycle,
     CaseOneMapping, FactMapping, UGraph,
@@ -78,7 +78,7 @@ proptest! {
     #[test]
     fn gadget_is_always_well_formed(g in graph()) {
         let gadget = hamiltonian_gadget(&g);
-        let cg = ConflictGraph::new(&gadget.schema, gadget.prioritized.instance());
+        let cg = CsrConflictGraph::new(&gadget.schema, gadget.prioritized.instance());
         // J is a repair, and the construction sizes are as specified.
         prop_assert!(cg.is_repair(&gadget.j));
         let n = g.len();
@@ -91,7 +91,7 @@ proptest! {
     fn proof_improvement_validates_on_every_hamiltonian_graph(g in graph()) {
         if let Some(pi) = g.hamiltonian_cycle() {
             let gadget = hamiltonian_gadget(&g);
-            let cg = ConflictGraph::new(&gadget.schema, gadget.prioritized.instance());
+            let cg = CsrConflictGraph::new(&gadget.schema, gadget.prioritized.instance());
             let (removed, added) = improvement_from_cycle(&gadget, &pi);
             let imp = Improvement { removed, added };
             prop_assert!(imp.is_valid_global_improvement(

@@ -44,7 +44,7 @@ fn main() {
         .expect("policies compile to acyclic priorities");
     println!("compiled priority: {} edges", priority.edge_count());
 
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let cleaned = construct_globally_optimal_repair(&cg, &priority);
     println!("\ncleaned table: {}", instance.render_set(&cleaned));
 

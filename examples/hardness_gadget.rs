@@ -14,7 +14,7 @@ use preferred_repairs::reductions::{
 fn check_graph(name: &str, graph: &UGraph) {
     let gadget = hamiltonian_gadget(graph);
     let instance = gadget.prioritized.instance();
-    let cg = ConflictGraph::new(&gadget.schema, instance);
+    let cg = CsrConflictGraph::new(&gadget.schema, instance);
     println!(
         "{name}: {} vertices, {} edges → gadget instance of {} facts, |J| = {}",
         graph.len(),
@@ -61,7 +61,7 @@ fn main() {
     {
         let pi = graph.hamiltonian_cycle().expect("these graphs are Hamiltonian");
         let gadget = hamiltonian_gadget(&graph);
-        let cg = ConflictGraph::new(&gadget.schema, gadget.prioritized.instance());
+        let cg = CsrConflictGraph::new(&gadget.schema, gadget.prioritized.instance());
         let (removed, added) = improvement_from_cycle(&gadget, &pi);
         let imp = Improvement { removed, added };
         let ok = imp.is_valid_global_improvement(&cg, gadget.prioritized.priority(), &gadget.j);
@@ -79,7 +79,7 @@ fn main() {
     let gadget = hamiltonian_gadget(&graph);
     use preferred_repairs::reductions::FactMapping;
     let (mapped, j2) = map_input(&pi_map, &gadget.prioritized, &gadget.j);
-    let dst_cg = ConflictGraph::new(pi_map.target_schema(), mapped.instance());
+    let dst_cg = CsrConflictGraph::new(pi_map.target_schema(), mapped.instance());
     let outcome = check_global_exact_bounded(
         &dst_cg,
         mapped.priority(),

@@ -23,7 +23,7 @@ fn main() {
         println!("  {}: {:?}", sig.symbol(*rel).name(), c);
     }
 
-    let cg = ConflictGraph::new(&ex.schema, instance);
+    let cg = CsrConflictGraph::new(&ex.schema, instance);
     println!("\nconflicts: {} pairs", cg.edges().len());
 
     // Example 2.5: check the four candidate repairs.

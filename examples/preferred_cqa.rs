@@ -56,7 +56,7 @@ fn main() {
     }
 
     // Counting and uniqueness (the concluding-remarks questions).
-    let cg = ConflictGraph::new(&ex.schema, instance);
+    let cg = CsrConflictGraph::new(&ex.schema, instance);
     let space = RepairSpace::compute_bounded(
         &cg,
         &ex.priority,

@@ -49,7 +49,7 @@ fn main() {
 
     // Enumerate the classical repairs, then check each with the
     // dispatching polynomial checker.
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let checker = GRepairChecker::new(schema.clone());
     println!("\nrepairs and their status:");
     for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))

@@ -60,7 +60,7 @@ fn main() {
     let checker = CcpChecker::new(schema.clone());
     println!("\nchecker method: {:?}", checker.method());
 
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     println!("\nrepairs:");
     for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
         .expect_done("repair enumeration")

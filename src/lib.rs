@@ -72,6 +72,6 @@ pub mod prelude {
     pub use rpr_core::{CcpChecker, CheckOutcome, GRepairChecker, Improvement, Method};
     pub use rpr_data::{AttrSet, Fact, FactId, FactSet, Instance, Signature, Tuple, Value};
     pub use rpr_engine::{Budget, BudgetReport, CancelToken, Outcome};
-    pub use rpr_fd::{ConflictGraph, Fd, Schema};
+    pub use rpr_fd::{CsrConflictGraph, Fd, Schema};
     pub use rpr_priority::{PrioritizedInstance, PriorityBuilder, PriorityMode, PriorityRelation};
 }

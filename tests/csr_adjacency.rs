@@ -1,25 +1,34 @@
-//! CSR / bitset adjacency equivalence over the named schema corpus.
+//! The CSR conflict graph against the bitset reference.
 //!
-//! The hybrid [`CsrConflictGraph`] must answer every adjacency query
-//! identically to the bitset [`ConflictGraph`] it was packed from —
-//! including on facts whose bitset row was never allocated (the lazy
-//! shared empty row in `crates/fd/src/conflicts.rs`), which a packing
+//! [`CsrConflictGraph`] is the only conflict graph: sessions, one-shot
+//! checkers and the brute-force oracles all run on it. This suite ties
+//! it to the definition through the bitset `ConflictGraph` kept in
+//! `crates/fd/tests/reference/conflicts.rs`, which hashes projected
+//! tuples and shares no code with the sort-based `FdGrouping` the CSR
+//! is built from. Every build — [`CsrConflictGraph::new`], and the
+//! session's build that groups single-FD relations under their one
+//! equivalent FD — must pack exactly the reference's rows, on the named
+//! corpus and on every schema generator the differential suites feed
+//! to the brute oracles; and every row query, the edge list, the
+//! repair tests, the greedy loop and [`ConflictStats`] must answer as
+//! the reference does. That includes facts whose bitset row was never
+//! allocated (the reference's lazy shared empty row), which a packing
 //! bug could easily mistake for "no row yet" rather than "no
 //! conflicts".
-//!
-//! The direct sort-based build ([`CsrConflictGraph::new`], and the
-//! session's build that groups single-FD relations under their one
-//! equivalent FD) must produce exactly the packing of the oracle's
-//! bitset graph.
+
+#[path = "../crates/fd/tests/reference/conflicts.rs"]
+mod reference;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use reference::{same_graph, ConflictGraph};
 use rpr_core::CheckSession;
 use rpr_data::{FactId, FactSet, Instance, Signature, Value};
-use rpr_fd::{ComponentLayout, ConflictGraph, ConflictRows, CsrConflictGraph, Schema};
+use rpr_fd::{ComponentLayout, ConflictStats, CsrConflictGraph, Schema};
 use rpr_gen::schemas;
 use rpr_gen::synthetic::{random_instance, InstanceSpec};
 use rpr_priority::{PrioritizedInstance, PriorityRelation};
+use rpr_reductions::{hamiltonian_gadget, UGraph};
 
 /// The named schema corpus from `rpr-gen`, spanning every §5.2 class.
 fn corpus() -> Vec<(&'static str, Schema)> {
@@ -34,6 +43,19 @@ fn corpus() -> Vec<(&'static str, Schema)> {
     ]
 }
 
+/// A random schema from `rpr_gen::random_schema` (the classifier
+/// oracles' generator) with a random instance over it.
+fn random_schema_instance(seed: u64, facts_per_relation: usize) -> (Schema, Instance) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let arity = rng.random_range(2..=4);
+    let n_fds = rng.random_range(0..=3);
+    let schema = schemas::random_schema(&mut rng, arity, n_fds, 2);
+    let domain = rng.random_range(1..=5);
+    let spec = InstanceSpec { facts_per_relation, domain };
+    let instance = random_instance(&schema, spec, &mut rng);
+    (schema, instance)
+}
+
 fn random_set<R: Rng>(instance: &Instance, rng: &mut R) -> FactSet {
     let mut s = instance.empty_set();
     for id in instance.fact_ids() {
@@ -44,13 +66,95 @@ fn random_set<R: Rng>(instance: &Instance, rng: &mut R) -> FactSet {
     s
 }
 
-fn walk(rows: &impl ConflictRows, id: FactId, set: &FactSet) -> Vec<FactId> {
-    rows.conflicts_among(id, set).collect()
+fn shuffled<R: Rng>(instance: &Instance, rng: &mut R) -> Vec<FactId> {
+    let mut order: Vec<FactId> = instance.fact_ids().collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.random_range(0..=i));
+    }
+    order
 }
 
-/// Every query the checkers issue, on every fact, must agree between
-/// representations — on dense instances (small domain, many conflicts)
-/// and sparse ones alike.
+/// Holds every query of the CSR built from `instance` to the
+/// reference's answer: the packing, the edge list in order, each row
+/// (degree, neighbors, pairwise probes), set queries on random probe
+/// sets, the repair tests and the greedy loop.
+fn assert_queries_match<R: Rng>(name: &str, schema: &Schema, instance: &Instance, rng: &mut R) {
+    let cg = ConflictGraph::new(schema, instance);
+    let csr = CsrConflictGraph::new(schema, instance);
+    assert!(same_graph(&cg, &csr), "{name}: the CSR does not pack the reference's rows");
+    assert_eq!(csr.len(), cg.len(), "{name}");
+    assert_eq!(csr.is_empty(), cg.is_empty(), "{name}");
+    assert_eq!(csr.edges(), cg.edges(), "{name}: edge list or its order");
+    assert_eq!(csr.edge_count(), cg.edges().len(), "{name}: edge count");
+    // Greedy repairs: in id order from a consistent base (the
+    // reference's `extend_to_repair`), and in random orders, where
+    // every dropped fact must conflict with a fact kept before it.
+    let mut probes: Vec<FactSet> = (0..4).map(|_| random_set(instance, rng)).collect();
+    for _ in 0..3 {
+        let order = shuffled(instance, rng);
+        let kept = csr.extend_greedily(&instance.empty_set(), order.iter().copied());
+        assert!(cg.is_repair(&kept), "{name}: a greedy walk must end in a repair");
+        let mut seen = instance.empty_set();
+        for &f in &order {
+            if !kept.contains(f) {
+                assert!(cg.conflicts_with_set(f, &seen.intersect(&kept)), "{name}: {f:?} dropped");
+            }
+            seen.insert(f);
+        }
+        // A prefix of the walk is a consistent base.
+        let mut base = instance.empty_set();
+        for &f in order.iter().take(order.len() / 3) {
+            if kept.contains(f) {
+                base.insert(f);
+            }
+        }
+        assert_eq!(
+            csr.extend_greedily(&base, instance.fact_ids()),
+            cg.extend_to_repair(&base),
+            "{name}: greedy extension in id order"
+        );
+        probes.push(base);
+        probes.push(kept);
+    }
+    for f in instance.fact_ids() {
+        let row = cg.conflicts_of(f);
+        assert_eq!(csr.degree(f), row.len(), "{name}: degree of {f:?}");
+        assert!(csr.neighbors(f).eq(row.iter()), "{name}: neighbors of {f:?}");
+        for g in instance.fact_ids() {
+            assert_eq!(
+                csr.conflicting(f, g),
+                cg.conflicting(f, g),
+                "{name}: edge query ({f:?},{g:?})"
+            );
+        }
+        for set in &probes {
+            let expected: Vec<FactId> = cg.conflicts_in(f, set).iter().collect();
+            assert_eq!(
+                csr.conflicts_among(f, set).collect::<Vec<_>>(),
+                expected,
+                "{name}: the allocation-free row walk of {f:?}"
+            );
+            assert_eq!(
+                csr.first_conflict_in(f, set),
+                expected.first().copied(),
+                "{name}: first conflict witness for {f:?}"
+            );
+            assert_eq!(
+                csr.conflicts_with_set(f, set),
+                cg.conflicts_with_set(f, set),
+                "{name}: membership probe for {f:?}"
+            );
+        }
+    }
+    for set in &probes {
+        assert_eq!(csr.is_consistent_set(set), cg.is_consistent_set(set), "{name}: consistency");
+        assert_eq!(csr.is_repair(set), cg.is_repair(set), "{name}: repair test");
+    }
+}
+
+/// Every query the checkers issue, on every fact, must agree with the
+/// reference — on dense instances (small domain, many conflicts) and
+/// sparse ones alike.
 #[test]
 fn csr_rows_match_bitset_rows_on_corpus() {
     let mut rng = StdRng::seed_from_u64(0xC5_0FF5E7);
@@ -58,48 +162,103 @@ fn csr_rows_match_bitset_rows_on_corpus() {
         for domain in [2u32, 6, 40] {
             let spec = InstanceSpec { facts_per_relation: 60, domain };
             let instance = random_instance(&schema, spec, &mut rng);
-            let cg = ConflictGraph::new(&schema, &instance);
-            let csr = CsrConflictGraph::from_graph(&cg);
-            assert_eq!(csr.len(), cg.len(), "{name}");
-            assert_eq!(csr.edge_count(), cg.edges().len(), "{name}: edge count");
-            let probes: Vec<FactSet> = (0..4).map(|_| random_set(&instance, &mut rng)).collect();
-            for f in instance.fact_ids() {
-                let row = cg.conflicts_of(f);
-                assert_eq!(csr.degree(f), row.len(), "{name}: degree of {f:?}");
-                for g in instance.fact_ids() {
-                    assert_eq!(
-                        csr.conflicting(f, g),
-                        cg.conflicting(f, g),
-                        "{name}: edge query ({f:?},{g:?})"
-                    );
+            assert_queries_match(name, &schema, &instance, &mut rng);
+        }
+    }
+}
+
+#[test]
+fn csr_queries_match_the_reference_on_random_schemas() {
+    let mut rng = StdRng::seed_from_u64(0x5EED_0C5A);
+    for seed in 0..40u64 {
+        let (schema, instance) = random_schema_instance(seed, 50);
+        assert_queries_match(&format!("random schema seed {seed}"), &schema, &instance, &mut rng);
+    }
+}
+
+/// `ConflictStats` read off the CSR equal the same statistics read off
+/// the reference's rows.
+#[test]
+fn conflict_stats_match_the_reference() {
+    let mut cases: Vec<(String, Schema, Instance)> = Vec::new();
+    let mut rng = StdRng::seed_from_u64(0x57A7_5EED);
+    for (name, schema) in corpus() {
+        for domain in [1u32, 3, 40] {
+            let spec = InstanceSpec { facts_per_relation: 40, domain };
+            let instance = random_instance(&schema, spec, &mut rng);
+            cases.push((format!("{name}/{domain}"), schema.clone(), instance));
+        }
+    }
+    for seed in 0..20u64 {
+        let (schema, instance) = random_schema_instance(seed, 30);
+        cases.push((format!("random schema seed {seed}"), schema, instance));
+    }
+    for (name, schema, instance) in cases {
+        let cg = ConflictGraph::new(&schema, &instance);
+        let edges = cg.edges();
+        let degrees: Vec<usize> = instance.fact_ids().map(|f| cg.conflicts_of(f).len()).collect();
+        let sig = schema.signature();
+        let per_relation: Vec<(String, usize, usize)> = sig
+            .rel_ids()
+            .map(|rel| {
+                let pairs = edges.iter().filter(|(a, _)| instance.fact(*a).rel() == rel).count();
+                (sig.symbol(rel).name().to_owned(), instance.facts_of(rel).len(), pairs)
+            })
+            .collect();
+        let expected = ConflictStats {
+            facts: instance.len(),
+            conflict_pairs: edges.len(),
+            conflicted_facts: degrees.iter().filter(|&&d| d > 0).count(),
+            max_degree: degrees.iter().copied().max().unwrap_or(0),
+            per_relation,
+        };
+        assert_eq!(ConflictStats::compute(&schema, &instance), expected, "{name}");
+    }
+}
+
+/// The brute oracles of the differential suites run on the CSR of
+/// these generators' instances, so the CSR must be the reference graph
+/// on each: instances over `random_schema`, the two-keys benchmark
+/// workload, the chain components of the sharding suites and the
+/// Theorem 5.1 Hamiltonian-cycle gadget.
+#[test]
+fn csr_build_matches_the_reference_on_every_oracle_generator() {
+    let mut rng = StdRng::seed_from_u64(0x02AC_1E00);
+    for seed in 0..20u64 {
+        let (schema, instance) = random_schema_instance(seed, 40);
+        assert_direct_build_matches(&format!("random schema seed {seed}"), &schema, &instance);
+    }
+    for (n, slots, density, seed) in [(60, 3, 0.5, 1), (200, 5, 0.3, 2), (400, 8, 0.9, 3)] {
+        let w = rpr_bench::two_keys_workload(n, slots, density, seed);
+        let name = format!("two_keys_workload {n}/{slots}");
+        assert_direct_build_matches(&name, &w.schema, &w.instance);
+        assert_queries_match(&name, &w.schema, &w.instance, &mut rng);
+    }
+    for (components, size) in [(1, 1), (3, 7), (8, 6)] {
+        let (schema, instance) = rpr_gen::chain_components(components, size);
+        let name = format!("chain_components {components}x{size}");
+        assert_direct_build_matches(&name, &schema, &instance);
+        assert_queries_match(&name, &schema, &instance, &mut rng);
+    }
+    let mut graphs = vec![UGraph::cycle(4), UGraph::complete(4), UGraph::path(5)];
+    for _ in 0..4 {
+        let n = rng.random_range(2..=5);
+        let mut g = UGraph::new(n);
+        for a in 0..n {
+            for b in a + 1..n {
+                if rng.random_bool(0.5) {
+                    g.add_edge(a, b);
                 }
-                for set in &probes {
-                    assert_eq!(
-                        csr.conflicts_in(f, set).iter().collect::<Vec<_>>(),
-                        cg.conflicts_in(f, set).iter().collect::<Vec<_>>(),
-                        "{name}: conflicts_in({f:?})"
-                    );
-                    assert_eq!(
-                        csr.first_conflict_in(f, set),
-                        cg.conflicts_in(f, set).first(),
-                        "{name}: first conflict witness for {f:?}"
-                    );
-                    assert_eq!(
-                        csr.conflicts_with_set(f, set),
-                        cg.conflicts_with_set(f, set),
-                        "{name}: membership probe for {f:?}"
-                    );
-                    // The allocation-free row walk the checkers share.
-                    let expected: Vec<FactId> = cg.conflicts_in(f, set).iter().collect();
-                    assert_eq!(walk(&csr, f, set), expected, "{name}: CSR row walk of {f:?}");
-                    assert_eq!(walk(&cg, f, set), expected, "{name}: bitset row walk of {f:?}");
-                }
-            }
-            for set in &probes {
-                assert_eq!(csr.is_consistent_set(set), cg.is_consistent_set(set), "{name}");
-                assert_eq!(ConflictRows::is_consistent_set(&cg, set), cg.is_consistent_set(set));
             }
         }
+        graphs.push(g);
+    }
+    for (k, graph) in graphs.iter().enumerate() {
+        let gadget = hamiltonian_gadget(graph);
+        let instance = gadget.prioritized.instance();
+        let name = format!("hamiltonian gadget {k}");
+        assert_direct_build_matches(&name, &gadget.schema, instance);
+        assert_queries_match(&name, &gadget.schema, instance, &mut rng);
     }
 }
 
@@ -119,15 +278,15 @@ fn lazy_empty_rows_pack_to_empty_csr_ranges() {
     for k in 1..50 {
         instance.insert_named("R", [rpr_data::Value::Int(k), rpr_data::Value::Int(0)]).unwrap();
     }
-    let cg = ConflictGraph::new(&schema, &instance);
-    let csr = CsrConflictGraph::from_graph(&cg);
+    let csr = CsrConflictGraph::new(&schema, &instance);
+    assert!(same_graph(&ConflictGraph::new(&schema, &instance), &csr));
     assert_eq!(csr.packed_neighbor_count(), 2, "only the one conflict edge is packed");
     let everything = instance.full_set();
     for id in instance.fact_ids().skip(2) {
         assert_eq!(csr.degree(id), 0);
         assert!(!csr.conflicts_with_set(id, &everything));
         assert_eq!(csr.first_conflict_in(id, &everything), None);
-        assert!(csr.conflicts_in(id, &everything).is_empty());
+        assert_eq!(csr.conflicts_among(id, &everything).next(), None);
     }
     assert_eq!(csr.first_conflict_in(FactId(0), &everything), Some(FactId(1)));
     // Components: one edge + 49 singletons.
@@ -137,12 +296,12 @@ fn lazy_empty_rows_pack_to_empty_csr_ranges() {
     assert_eq!(layout.max_component_size(), 2);
 }
 
-/// `CsrConflictGraph::new` and a classical session's graph both equal
-/// the packing of the oracle's bitset graph.
+/// `CsrConflictGraph::new` and a classical session's graph both pack
+/// the reference's bitset rows.
 fn assert_direct_build_matches(name: &str, schema: &Schema, instance: &Instance) {
-    let packed = CsrConflictGraph::from_graph(&ConflictGraph::new(schema, instance));
+    let cg = ConflictGraph::new(schema, instance);
     let direct = CsrConflictGraph::new(schema, instance);
-    assert_eq!(direct, packed, "{name}: direct build differs from the bitset packing");
+    assert!(same_graph(&cg, &direct), "{name}: direct build differs from the bitset packing");
     let pi = PrioritizedInstance::conflict_restricted(
         schema,
         instance.clone(),
@@ -151,7 +310,7 @@ fn assert_direct_build_matches(name: &str, schema: &Schema, instance: &Instance)
     .unwrap();
     assert_eq!(
         CheckSession::new(schema, &pi).conflict_graph(),
-        &packed,
+        &direct,
         "{name}: session build differs"
     );
 }
@@ -169,13 +328,7 @@ fn direct_build_matches_bitset_packing_on_corpus_and_random_schemas() {
         }
     }
     for seed in 0..40u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let arity = rng.random_range(2..=4);
-        let n_fds = rng.random_range(0..=3);
-        let schema = schemas::random_schema(&mut rng, arity, n_fds, 2);
-        let domain = rng.random_range(1..=5);
-        let instance =
-            random_instance(&schema, InstanceSpec { facts_per_relation: 50, domain }, &mut rng);
+        let (schema, instance) = random_schema_instance(seed, 50);
         assert_direct_build_matches(&format!("random schema seed {seed}"), &schema, &instance);
     }
 }

@@ -12,7 +12,7 @@ use preferred_repairs::core::{
     is_pareto_optimal, Budget,
 };
 use preferred_repairs::data::{FactId, Instance, RelId, Signature, Value};
-use preferred_repairs::fd::{as_key_set, is_bcnf, ConflictGraph, Schema};
+use preferred_repairs::fd::{as_key_set, is_bcnf, CsrConflictGraph, Schema};
 use preferred_repairs::gen::{random_conflict_priority, random_schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,7 +35,7 @@ fn proposition_3_5_decomposition() {
                 instance.insert_named(rel, [Value::Int(x), Value::Int(y)]).unwrap();
             }
         }
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let priority = random_conflict_priority(&cg, 0.6, &mut rng);
         for j in preferred_repairs::core::enumerate_repairs_bounded(
             &cg,
@@ -60,7 +60,7 @@ fn proposition_3_5_decomposition() {
                 // A sub-oracle: J∩R is g-optimal within R's facts iff no
                 // repair of the sub-instance improves it. Materialize.
                 let sub = instance.materialize(&domain);
-                let sub_cg = ConflictGraph::new(&schema, &sub);
+                let sub_cg = CsrConflictGraph::new(&schema, &sub);
                 // Translate ids: materialize preserves insertion order
                 // of the subset.
                 let translate: Vec<FactId> = domain.iter().collect();
@@ -143,7 +143,7 @@ fn constructor_lands_in_all_three_semantics() {
             let (x, y) = (rng.random_range(0..3), rng.random_range(0..3));
             instance.insert_named("B", [Value::Int(x), Value::Int(y)]).unwrap();
         }
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let priority = random_conflict_priority(&cg, 0.7, &mut rng);
         let j = construct_globally_optimal_repair(&cg, &priority);
         assert!(cg.is_repair(&j));

@@ -13,7 +13,7 @@
 
 use preferred_repairs::core::{CheckSession, DeltaOp, DeltaSession};
 use preferred_repairs::data::{Fact, FactId, FactSet, Value};
-use preferred_repairs::fd::ConflictGraph;
+use preferred_repairs::fd::CsrConflictGraph;
 use preferred_repairs::format::{
     apply_ops_to_workspace, parse_workspace, render_certificate, workspace_fingerprint, Workspace,
 };
@@ -81,7 +81,7 @@ fn random_op(rng: &mut StdRng, ws: &Workspace, graveyard: &mut Vec<Fact>) -> Opt
             // Prefer: a conflict-graph edge not yet in the priority,
             // oriented by the global rank.
             2 => {
-                let cg = ConflictGraph::new(&ws.schema, &ws.instance);
+                let cg = CsrConflictGraph::new(&ws.schema, &ws.instance);
                 let mut open: Vec<(FactId, FactId)> = cg
                     .edges()
                     .into_iter()

@@ -9,7 +9,7 @@ use preferred_repairs::core::{
     is_pareto_optimal_brute, Budget, GRepairChecker,
 };
 use preferred_repairs::data::AttrSet;
-use preferred_repairs::fd::ConflictGraph;
+use preferred_repairs::fd::CsrConflictGraph;
 use preferred_repairs::gen::{
     random_ccp_priority, random_conflict_priority, random_instance, single_fd_schema,
     two_keys_schema, InstanceSpec,
@@ -29,7 +29,7 @@ fn single_fd_checker_vs_oracle_randomized() {
         let mut rng = StdRng::seed_from_u64(seed);
         let instance =
             random_instance(&schema, InstanceSpec { facts_per_relation: 9, domain: 3 }, &mut rng);
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let priority = random_conflict_priority(&cg, 0.6, &mut rng);
         let pi =
             PrioritizedInstance::conflict_restricted(&schema, instance.clone(), priority.clone())
@@ -61,7 +61,7 @@ fn two_keys_checker_vs_oracle_randomized() {
         let mut rng = StdRng::seed_from_u64(seed);
         let instance =
             random_instance(&schema, InstanceSpec { facts_per_relation: 8, domain: 4 }, &mut rng);
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let priority = random_conflict_priority(&cg, 0.7, &mut rng);
         let pi =
             PrioritizedInstance::conflict_restricted(&schema, instance.clone(), priority.clone())
@@ -93,7 +93,7 @@ fn generalized_two_keys_with_overlap_vs_oracle() {
         let mut rng = StdRng::seed_from_u64(seed);
         let instance =
             random_instance(&schema, InstanceSpec { facts_per_relation: 7, domain: 2 }, &mut rng);
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let priority = random_conflict_priority(&cg, 0.7, &mut rng);
         let pi =
             PrioritizedInstance::conflict_restricted(&schema, instance.clone(), priority.clone())
@@ -121,7 +121,7 @@ fn pareto_checker_vs_oracle_randomized() {
         let mut rng = StdRng::seed_from_u64(seed);
         let instance =
             random_instance(&schema, InstanceSpec { facts_per_relation: 9, domain: 3 }, &mut rng);
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let priority = random_conflict_priority(&cg, 0.5, &mut rng);
         for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(REPAIR_BUDGET))
             .expect_done("repair enumeration")
@@ -149,7 +149,7 @@ fn completion_checker_vs_completion_enumeration_randomized() {
         let mut rng = StdRng::seed_from_u64(seed);
         let instance =
             random_instance(&schema, InstanceSpec { facts_per_relation: 7, domain: 3 }, &mut rng);
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         // Keep the number of unordered conflict pairs enumerable.
         if cg.edges().len() > 14 {
             continue;
@@ -174,7 +174,7 @@ fn ccp_primary_key_vs_oracle_randomized() {
         let mut rng = StdRng::seed_from_u64(seed);
         let instance =
             random_instance(&schema, InstanceSpec { facts_per_relation: 8, domain: 3 }, &mut rng);
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let priority = random_ccp_priority(&cg, 0.5, 8, &mut rng);
         for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(REPAIR_BUDGET))
             .expect_done("repair enumeration")
@@ -205,7 +205,7 @@ fn ccp_constant_attribute_vs_oracle_randomized() {
         let mut rng = StdRng::seed_from_u64(seed);
         let instance =
             random_instance(&schema, InstanceSpec { facts_per_relation: 5, domain: 3 }, &mut rng);
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let priority = random_ccp_priority(&cg, 0.5, 6, &mut rng);
         for j in enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(REPAIR_BUDGET))
             .expect_done("repair enumeration")

@@ -8,7 +8,7 @@ use preferred_repairs::core::{
     CheckOutcome, GRepairChecker, Outcome,
 };
 use preferred_repairs::data::{AttrSet, Instance, Signature, Value, MAX_ARITY};
-use preferred_repairs::fd::{closure, ConflictGraph, Fd, Schema};
+use preferred_repairs::fd::{closure, CsrConflictGraph, Fd, Schema};
 use preferred_repairs::priority::{PrioritizedInstance, PriorityRelation};
 
 fn dense_conflicts(n: usize) -> (Schema, Instance) {
@@ -30,9 +30,9 @@ fn dense_conflicts(n: usize) -> (Schema, Instance) {
 #[test]
 fn every_budgeted_api_respects_its_budget() {
     let (schema, i) = dense_conflicts(6);
-    let cg = ConflictGraph::new(&schema, &i);
+    let cg = CsrConflictGraph::new(&schema, &i);
     let p = PriorityRelation::empty(i.len());
-    let j = cg.extend_to_repair(&i.empty_set());
+    let j = cg.extend_greedily(&i.empty_set(), i.fact_ids());
 
     assert!(matches!(
         enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(3)),
@@ -76,8 +76,8 @@ fn hard_schema_checker_surfaces_budget_errors() {
         }
     }
     let p = PriorityRelation::empty(i.len());
-    let cg = ConflictGraph::new(&schema, &i);
-    let j = cg.extend_to_repair(&i.empty_set());
+    let cg = CsrConflictGraph::new(&schema, &i);
+    let j = cg.extend_greedily(&i.empty_set(), i.fact_ids());
     let pi = PrioritizedInstance::conflict_restricted(&schema, i, p).unwrap();
     let checker = GRepairChecker::new(schema);
     let budget = Budget::unlimited().with_max_work(4);
@@ -122,7 +122,7 @@ fn max_arity_relation_works_end_to_end() {
     };
     let a = i.insert_named("Wide", row(1)).unwrap();
     let b = i.insert_named("Wide", row(2)).unwrap();
-    let cg = ConflictGraph::new(&schema, &i);
+    let cg = CsrConflictGraph::new(&schema, &i);
     assert!(cg.conflicting(a, b)); // same key, different payload
     assert_eq!(closure(AttrSet::singleton(1), schema.fds()), AttrSet::full(MAX_ARITY));
     let p = PriorityRelation::new(2, [(a, b)]).unwrap();
@@ -138,7 +138,7 @@ fn unicode_symbols_are_plain_values() {
     let mut i = Instance::new(sig);
     let a = i.insert_named("Ünïcode", [Value::sym("clé"), Value::sym("数値")]).unwrap();
     let b = i.insert_named("Ünïcode", [Value::sym("clé"), Value::sym("другое")]).unwrap();
-    let cg = ConflictGraph::new(&schema, &i);
+    let cg = CsrConflictGraph::new(&schema, &i);
     assert!(cg.conflicting(a, b));
     assert!(i.render_set(&i.set_of([a])).contains("数値"));
 }
@@ -170,7 +170,7 @@ fn singleton_j_against_everything_conflicting() {
         i.insert_named("R", [Value::sym("k"), Value::Int(n)]).unwrap(); // share the key
     }
     let p = PriorityRelation::empty(i.len());
-    let cg = ConflictGraph::new(&schema, &i);
+    let cg = CsrConflictGraph::new(&schema, &i);
     let j = i.set_of([hub]);
     assert!(cg.is_repair(&j));
     let pi = PrioritizedInstance::conflict_restricted(&schema, i, p).unwrap();

@@ -10,7 +10,7 @@ use preferred_repairs::core::{
     is_pareto_optimal_brute, Budget,
 };
 use preferred_repairs::data::{AttrSet, FactId, FactSet, Instance, Signature, Value};
-use preferred_repairs::fd::{ConflictGraph, Schema};
+use preferred_repairs::fd::{CsrConflictGraph, Schema};
 use preferred_repairs::priority::PriorityRelation;
 
 /// All instances over the cross product `doms`, as bitmask subsets of
@@ -55,7 +55,7 @@ fn priority_assignments(
 fn run_exhaustive(
     schema: &Schema,
     doms: (i64, i64),
-    check: impl Fn(&Instance, &ConflictGraph, &PriorityRelation, &FactSet) -> bool,
+    check: impl Fn(&Instance, &CsrConflictGraph, &PriorityRelation, &FactSet) -> bool,
 ) -> usize {
     let pool = fact_pool(schema.signature(), doms);
     let mut checked = 0usize;
@@ -66,7 +66,7 @@ fn run_exhaustive(
                 instance.insert_named("R", [Value::Int(a), Value::Int(b)]).unwrap();
             }
         }
-        let cg = ConflictGraph::new(schema, &instance);
+        let cg = CsrConflictGraph::new(schema, &instance);
         let pairs = cg.edges();
         if pairs.len() > 4 {
             continue; // keep 3^p bounded; densest instances are covered below 5 pairs
@@ -146,7 +146,7 @@ fn ccp_primary_key_exhaustive_small_scope() {
                 all_pairs.push((FactId(x as u32), FactId(y as u32)));
             }
         }
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let repairs = preferred_repairs::core::enumerate_repairs_bounded(
             &cg,
             &Budget::unlimited().with_max_work(1 << 20),
@@ -183,7 +183,7 @@ fn pareto_and_completion_exhaustive_small_scope() {
                 instance.insert_named("R", [Value::Int(a), Value::Int(b)]).unwrap();
             }
         }
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let pairs = cg.edges();
         if pairs.len() > 3 {
             continue;

@@ -4,7 +4,7 @@
 
 use preferred_repairs::classify::{classify_schema, Complexity};
 use preferred_repairs::core::{construct_globally_optimal_repair, Budget, GRepairChecker};
-use preferred_repairs::fd::{discover_fds_for, ConflictGraph, DiscoveryOptions};
+use preferred_repairs::fd::{discover_fds_for, CsrConflictGraph, DiscoveryOptions};
 use preferred_repairs::gen::{simulate_feed, FeedSpec, SourceSpec};
 use preferred_repairs::policy::{Policy, PriorityScope};
 use preferred_repairs::priority::PrioritizedInstance;
@@ -37,7 +37,7 @@ fn policy_cleaning_pipeline() {
     let priority =
         policy.compile(&feed.schema, &feed.instance, PriorityScope::ConflictsOnly).unwrap();
 
-    let cg = ConflictGraph::new(&feed.schema, &feed.instance);
+    let cg = CsrConflictGraph::new(&feed.schema, &feed.instance);
     let cleaned = construct_globally_optimal_repair(&cg, &priority);
     assert!(cg.is_repair(&cleaned));
 
@@ -75,7 +75,7 @@ fn total_policies_make_the_cleaning_unambiguous() {
         .break_ties_lexicographically();
     let priority =
         policy.compile(&feed.schema, &feed.instance, PriorityScope::ConflictsOnly).unwrap();
-    let cg = ConflictGraph::new(&feed.schema, &feed.instance);
+    let cg = CsrConflictGraph::new(&feed.schema, &feed.instance);
     // Every conflicting pair is ordered (timestamps are distinct and
     // the tie-break is total) ⇒ there is exactly one optimal repair —
     // verified against the definitional enumeration on a subsample.

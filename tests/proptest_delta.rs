@@ -10,7 +10,7 @@
 
 use preferred_repairs::core::{CheckSession, DeltaOp, DeltaSession};
 use preferred_repairs::data::{Fact, FactId, Instance, Signature, Value};
-use preferred_repairs::fd::{ConflictGraph, Schema};
+use preferred_repairs::fd::{CsrConflictGraph, Schema};
 use preferred_repairs::format::{apply_ops_to_workspace, workspace_fingerprint, Workspace};
 use preferred_repairs::priority::{PriorityMode, PriorityRelation};
 use proptest::prelude::*;
@@ -95,7 +95,7 @@ fn decode_op(seed: u64, ws: &Workspace) -> Option<DeltaOp> {
         }
         2 => {
             // Prefer: an open conflict edge, rank-oriented.
-            let cg = ConflictGraph::new(&ws.schema, &ws.instance);
+            let cg = CsrConflictGraph::new(&ws.schema, &ws.instance);
             let open: Vec<(FactId, FactId)> = cg
                 .edges()
                 .into_iter()

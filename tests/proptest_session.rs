@@ -10,7 +10,7 @@ use preferred_repairs::core::{
     GRepairChecker,
 };
 use preferred_repairs::data::{FactId, FactSet, Instance, Signature, Value};
-use preferred_repairs::fd::{ConflictGraph, Schema};
+use preferred_repairs::fd::{CsrConflictGraph, Schema};
 use preferred_repairs::priority::{PrioritizedInstance, PriorityRelation};
 use proptest::prelude::*;
 
@@ -59,7 +59,7 @@ impl Input {
 
     /// Conflict-restricted priority: a rank-ordered subset of the
     /// conflict edges (acyclic by construction).
-    fn conflict_priority(&self, cg: &ConflictGraph) -> PriorityRelation {
+    fn conflict_priority(&self, cg: &CsrConflictGraph) -> PriorityRelation {
         let edges: Vec<(FactId, FactId)> = cg
             .edges()
             .into_iter()
@@ -89,7 +89,7 @@ impl Input {
 
     /// Repairs plus inconsistent and non-maximal sets, so every
     /// outcome variant (and witness) gets compared.
-    fn candidates(&self, cg: &ConflictGraph) -> Vec<FactSet> {
+    fn candidates(&self, cg: &CsrConflictGraph) -> Vec<FactSet> {
         let mut out = enumerate_repairs_bounded(cg, &Budget::unlimited().with_max_work(BUDGET))
             .expect_done("repair enumeration");
         out.push(self.instance.empty_set());
@@ -106,7 +106,7 @@ proptest! {
 
     #[test]
     fn classical_session_agrees_with_checker_and_oracle(inp in input()) {
-        let cg = ConflictGraph::new(&inp.schema, &inp.instance);
+        let cg = CsrConflictGraph::new(&inp.schema, &inp.instance);
         let priority = inp.conflict_priority(&cg);
         let pi = PrioritizedInstance::conflict_restricted(
             &inp.schema,
@@ -138,7 +138,7 @@ proptest! {
 
     #[test]
     fn ccp_session_agrees_with_checker_and_oracle(inp in input()) {
-        let cg = ConflictGraph::new(&inp.schema, &inp.instance);
+        let cg = CsrConflictGraph::new(&inp.schema, &inp.instance);
         let priority = inp.ccp_priority();
         let pi = PrioritizedInstance::cross_conflict(inp.instance.clone(), priority.clone());
         let checker = CcpChecker::new(inp.schema.clone());
@@ -163,7 +163,7 @@ proptest! {
 
     #[test]
     fn batch_results_are_bitwise_equal_to_single_checks(inp in input()) {
-        let cg = ConflictGraph::new(&inp.schema, &inp.instance);
+        let cg = CsrConflictGraph::new(&inp.schema, &inp.instance);
         let priority = inp.conflict_priority(&cg);
         let pi = PrioritizedInstance::conflict_restricted(
             &inp.schema,

@@ -7,7 +7,7 @@ use preferred_repairs::core::{
     is_pareto_optimal, Budget, GRepairChecker,
 };
 use preferred_repairs::data::AttrSet;
-use preferred_repairs::fd::ConflictGraph;
+use preferred_repairs::fd::CsrConflictGraph;
 use preferred_repairs::gen::RunningExample;
 
 #[test]
@@ -25,7 +25,7 @@ fn example_2_2_closures_and_conflicts() {
     assert!(!ex.schema.is_consistent(&ex.instance));
     // The specific conflicts the example lists.
     let f = RunningExample::fact_ids();
-    let cg = ConflictGraph::new(&ex.schema, &ex.instance);
+    let cg = CsrConflictGraph::new(&ex.schema, &ex.instance);
     assert!(cg.conflicting(f.g1f1, f.f1d3)); // δ1-conflict
     assert!(cg.conflicting(f.d1a, f.d1e)); // δ2-conflict
     assert!(cg.conflicting(f.d1a, f.g2a)); // δ3-conflict
@@ -45,7 +45,7 @@ fn example_3_2_classification() {
 fn example_2_5_improvement_claims() {
     let ex = RunningExample::new();
     let (j1, j2, j3, j4) = (ex.j1(), ex.j2(), ex.j3(), ex.j4());
-    let cg = ConflictGraph::new(&ex.schema, &ex.instance);
+    let cg = CsrConflictGraph::new(&ex.schema, &ex.instance);
     for (name, j) in [("J1", &j1), ("J2", &j2), ("J3", &j3), ("J4", &j4)] {
         assert!(cg.is_repair(j), "{name} is a repair");
     }
@@ -88,7 +88,7 @@ fn example_2_5_improvement_claims() {
 #[test]
 fn dispatching_checker_agrees_with_oracle_on_the_example() {
     let ex = RunningExample::new();
-    let cg = ConflictGraph::new(&ex.schema, &ex.instance);
+    let cg = CsrConflictGraph::new(&ex.schema, &ex.instance);
     let checker = GRepairChecker::new(ex.schema.clone());
     let pi = ex.prioritized();
     for j in preferred_repairs::core::enumerate_repairs_bounded(

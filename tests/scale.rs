@@ -8,7 +8,7 @@ use preferred_repairs::core::{
     GRepairChecker,
 };
 use preferred_repairs::data::{Instance, Signature, Value};
-use preferred_repairs::fd::{ConflictGraph, Schema};
+use preferred_repairs::fd::{CsrConflictGraph, Schema};
 use preferred_repairs::priority::{
     from_scores_conflict_restricted, PrioritizedInstance, PriorityRelation,
 };
@@ -43,7 +43,7 @@ fn big_keyed_instance(n: usize, seed: u64) -> (Schema, Instance, Vec<i64>) {
 fn thirty_thousand_facts_classical_pipeline() {
     let (schema, instance, timestamps) = big_keyed_instance(30_000, 1);
     let priority = from_scores_conflict_restricted(&schema, &instance, &timestamps);
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let j = construct_globally_optimal_repair(&cg, &priority);
     assert!(cg.is_repair(&j));
     assert!(is_pareto_optimal(&cg, &priority, &j));
@@ -67,7 +67,7 @@ fn thirty_thousand_facts_ccp_pipeline() {
     let (schema, instance, timestamps) = big_keyed_instance(30_000, 3);
     // ccp: timestamps order everything (quadratic edge count would be
     // too much; order only conflicts plus a sampled cross slice).
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let mut edges = Vec::new();
     for (a, b) in cg.edges() {
         let (ta, tb) = (timestamps[a.index()], timestamps[b.index()]);
@@ -107,7 +107,7 @@ fn sparse_instances_do_not_pay_quadratic_memory() {
     for k in 0..60_000i64 {
         instance.insert_named("R", [Value::Int(k), Value::Int(k)]).unwrap();
     }
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     assert!(cg.edges().is_empty());
     assert!(cg.is_repair(&instance.full_set()));
     let p = PriorityRelation::empty(instance.len());

@@ -8,7 +8,7 @@ use preferred_repairs::core::{
     is_completion_optimal_brute, is_globally_optimal_brute_bounded, is_pareto_optimal, Budget,
 };
 use preferred_repairs::data::{FactId, Instance, Signature, Value};
-use preferred_repairs::fd::{ConflictGraph, Schema};
+use preferred_repairs::fd::{CsrConflictGraph, Schema};
 use preferred_repairs::gen::{
     random_conflict_priority, random_instance, single_fd_schema, InstanceSpec,
 };
@@ -40,7 +40,7 @@ fn proposition_10_iii_of_staworko_et_al_is_refuted() {
     let x1 = instance.insert_named("R", [v("g"), v("X1"), v("1")]).unwrap();
     let x2 = instance.insert_named("R", [v("g"), v("X2"), v("1")]).unwrap();
     let priority = PriorityRelation::new(instance.len(), [(x1, j1), (x2, j2)]).unwrap();
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let j = instance.set_of([j1, j2]);
     assert!(cg.is_repair(&j));
 
@@ -84,7 +84,7 @@ fn semantics_inclusion_chain_randomized() {
         let mut rng = StdRng::seed_from_u64(seed);
         let instance =
             random_instance(&schema, InstanceSpec { facts_per_relation: 7, domain: 3 }, &mut rng);
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         if cg.edges().len() > 14 {
             continue;
         }
@@ -122,7 +122,7 @@ fn semantics_inclusion_chain_randomized() {
 #[test]
 fn pareto_strictly_weaker_than_global_on_the_running_example() {
     let ex = preferred_repairs::gen::RunningExample::new();
-    let cg = ConflictGraph::new(&ex.schema, &ex.instance);
+    let cg = CsrConflictGraph::new(&ex.schema, &ex.instance);
     let variant = ex.priority_without_g2a_edges();
     let j3 = ex.j3();
     assert!(is_pareto_optimal(&cg, &variant, &j3));
@@ -179,7 +179,7 @@ fn total_priorities_collapse_the_semantics() {
         ],
     )
     .unwrap();
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let g: Vec<_> = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
         .expect_done("repair enumeration")
         .into_iter()

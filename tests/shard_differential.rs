@@ -15,7 +15,7 @@ use rpr_core::{
 };
 use rpr_data::{Fact, FactId, FactSet, Value};
 use rpr_engine::{Budget, ExceedReason, Outcome};
-use rpr_fd::{ConflictGraph, Schema};
+use rpr_fd::{CsrConflictGraph, Schema};
 use rpr_gen::{
     ccp_hard_schema, chain_components, hard_schema, random_ccp_priority, random_conflict_priority,
     random_instance, InstanceSpec,
@@ -83,7 +83,7 @@ fn random_hard_schema_is_bit_identical_across_jobs() {
             InstanceSpec { facts_per_relation: 10 + round, domain: 3 },
             &mut rng,
         );
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let priority = random_conflict_priority(&cg, 0.6, &mut rng);
         let pi =
             PrioritizedInstance::conflict_restricted(&schema, instance.clone(), priority).unwrap();
@@ -117,7 +117,7 @@ fn ccp_hard_with_cross_component_edges_is_bit_identical() {
             InstanceSpec { facts_per_relation: 9 + round, domain: 3 },
             &mut rng,
         );
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         // Sb = {1→2} yields per-`a`-group components; the extra cross
         // pairs almost surely join distinct components.
         let priority = random_ccp_priority(&cg, 0.5, 8, &mut rng);
@@ -229,7 +229,7 @@ fn assert_matches_cold_rebuild(schema: &Arc<Schema>, ds: &DeltaSession) {
     assert_eq!(ds.shard_count(), cold.shard_count(), "patched shards = cold shards");
     let patched_session = ds.session();
     let cold_session = cold.session();
-    let cg = ConflictGraph::new(schema, ds.prioritized().instance());
+    let cg = CsrConflictGraph::new(schema, ds.prioritized().instance());
     let optimal = construct_globally_optimal_repair(&cg, ds.prioritized().priority());
     for j in
         [optimal, ds.prioritized().instance().empty_set(), ds.prioritized().instance().full_set()]
@@ -314,7 +314,7 @@ proptest! {
             InstanceSpec { facts_per_relation: 9, domain: 3 },
             &mut rng,
         );
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let priority = random_conflict_priority(&cg, 0.7, &mut rng);
         let pi = PrioritizedInstance::conflict_restricted(
             &schema,

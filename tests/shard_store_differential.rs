@@ -17,7 +17,7 @@ use rpr_core::{
 };
 use rpr_data::{Fact, FactId, FactSet, Value};
 use rpr_engine::{Budget, ExceedReason, Outcome};
-use rpr_fd::{ComponentLayout, ConflictGraph, CsrConflictGraph, Schema};
+use rpr_fd::{ComponentLayout, CsrConflictGraph, Schema};
 use rpr_gen::{
     chain_components, hard_schema, random_conflict_priority, random_instance, InstanceSpec,
 };
@@ -169,7 +169,7 @@ fn store_backed_delta_chain_matches_cold_private_rebuild() {
             let cold = DeltaSession::prepare(schema.clone(), cold_pi);
             assert_eq!(ds.fingerprint(), cold.fingerprint());
             assert_eq!(ds.shard_count(), cold.shard_count());
-            let cg = ConflictGraph::new(&schema, ds.prioritized().instance());
+            let cg = CsrConflictGraph::new(&schema, ds.prioritized().instance());
             let optimal = construct_globally_optimal_repair(&cg, ds.prioritized().priority());
             for j in [
                 optimal,
@@ -328,8 +328,8 @@ fn seen_shards() -> &'static Mutex<HashMap<u128, ShardContent>> {
 /// Registers every nontrivial component of the workspace; panics if a
 /// fingerprint maps to two distinct contents.
 fn assert_fingerprints_injective(schema: &Schema, pi: &PrioritizedInstance) {
-    let cg = ConflictGraph::new(schema, pi.instance());
-    let layout = ComponentLayout::from_csr(&CsrConflictGraph::from_graph(&cg));
+    let cg = CsrConflictGraph::new(schema, pi.instance());
+    let layout = ComponentLayout::from_csr(&cg);
     let mut seen = seen_shards().lock().unwrap();
     for &c in layout.nontrivial() {
         let c = c as usize;
@@ -354,8 +354,8 @@ fn chain_shard_fingerprints_are_injective_and_reused() {
     assert_fingerprints_injective(&schema, &pi);
     // The 8 chains are pairwise distinct contents (namespaced values):
     // 8 distinct fingerprints.
-    let cg = ConflictGraph::new(&schema, pi.instance());
-    let layout = ComponentLayout::from_csr(&CsrConflictGraph::from_graph(&cg));
+    let cg = CsrConflictGraph::new(&schema, pi.instance());
+    let layout = ComponentLayout::from_csr(&cg);
     let fps: std::collections::HashSet<u128> = layout
         .nontrivial()
         .iter()
@@ -380,7 +380,7 @@ proptest! {
             InstanceSpec { facts_per_relation: 9, domain: 3 },
             &mut rng,
         );
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let priority = random_conflict_priority(&cg, 0.6, &mut rng);
         let pi = PrioritizedInstance::conflict_restricted(
             &schema,
@@ -403,7 +403,7 @@ proptest! {
             InstanceSpec { facts_per_relation: 9, domain: 3 },
             &mut rng,
         );
-        let cg = ConflictGraph::new(&schema, &instance);
+        let cg = CsrConflictGraph::new(&schema, &instance);
         let priority = random_conflict_priority(&cg, 0.7, &mut rng);
         let pi = PrioritizedInstance::conflict_restricted(
             &schema,

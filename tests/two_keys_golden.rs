@@ -5,8 +5,8 @@
 //! implementation; the J-fact-vertex one reproduces them bit for bit.
 //! Any change to the DFS start order, the per-vertex edge order, the
 //! Pareto step or the pre-check witnesses moves them. Each case checks every
-//! candidate three ways — the public `check_global_2keys` over the
-//! bitset conflict graph, a `CheckSession` (CSR rows, session
+//! candidate three ways — the public `check_global_2keys` over a
+//! one-shot conflict graph, a `CheckSession` (its cached graph, session
 //! dispatch), and the session's rendered certificate — and folds the
 //! `Debug`/JSON bytes into one FNV-1a digest.
 //!
@@ -20,7 +20,7 @@ use rpr_core::{
     check_global_2keys, enumerate_repairs_bounded, find_pareto_improvement, Budget, CheckOutcome,
 };
 use rpr_data::{AttrSet, FactSet, Instance, Value};
-use rpr_fd::{ConflictGraph, Schema};
+use rpr_fd::{CsrConflictGraph, Schema};
 use rpr_gen::{random_conflict_priority, random_repair, two_keys_schema};
 use rpr_priority::{PrioritizedInstance, PriorityRelation};
 
@@ -58,7 +58,7 @@ struct Case {
 
 impl Case {
     fn digest(&self) -> Digest {
-        let cg = ConflictGraph::new(&self.schema, &self.instance);
+        let cg = CsrConflictGraph::new(&self.schema, &self.instance);
         let pi = PrioritizedInstance::conflict_restricted(
             &self.schema,
             self.instance.clone(),
@@ -93,7 +93,7 @@ impl Case {
 
 /// Applies Pareto improvements until none is left: the result is
 /// Pareto-optimal, so any remaining improvement is a G12/G21 cycle.
-fn pareto_climb(cg: &ConflictGraph, priority: &PriorityRelation, j: &FactSet) -> FactSet {
+fn pareto_climb(cg: &CsrConflictGraph, priority: &PriorityRelation, j: &FactSet) -> FactSet {
     let full = FactSet::full(j.universe());
     let mut j = j.clone();
     for _ in 0..10_000 {
@@ -108,7 +108,7 @@ fn pareto_climb(cg: &ConflictGraph, priority: &PriorityRelation, j: &FactSet) ->
 /// Random repairs, their Pareto-optimal climbs, a non-maximal subset
 /// and an inconsistent superset of each.
 fn sampled_candidates(
-    cg: &ConflictGraph,
+    cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     rng: &mut StdRng,
     count: usize,
@@ -163,7 +163,7 @@ fn ternary_case(seed: u64) -> Case {
         let vals = [rng.random_range(0..3), rng.random_range(0..3), rng.random_range(0..2)];
         instance.insert_named("R", vals.map(|x: i64| Value::Int(x))).expect("fits schema");
     }
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let priority = random_conflict_priority(&cg, 0.8, &mut rng);
     let mut candidates =
         enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(ENUM_BUDGET))
@@ -217,7 +217,7 @@ fn ring_case(seed: u64) -> Case {
             tier.push(*t);
         }
     }
-    let cg = ConflictGraph::new(&schema, &instance);
+    let cg = CsrConflictGraph::new(&schema, &instance);
     let mut edges = Vec::new();
     for (a, b) in cg.edges() {
         let (hi, lo) = if tier[a.index()] >= tier[b.index()] { (a, b) } else { (b, a) };
@@ -232,7 +232,7 @@ fn ring_case(seed: u64) -> Case {
     }
     let priority = PriorityRelation::new(instance.len(), edges).expect("tier-oriented");
     let a_facts = instance.fact_ids().filter(|f| tier[f.index()] == 1);
-    let j = cg.extend_to_repair(&instance.set_of(a_facts));
+    let j = cg.extend_greedily(&instance.set_of(a_facts), instance.fact_ids());
     let mut candidates = vec![pareto_climb(&cg, &priority, &j), j];
     candidates.extend(sampled_candidates(&cg, &priority, &mut rng, 4));
     Case {
