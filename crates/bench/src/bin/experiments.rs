@@ -1819,7 +1819,7 @@ fn e29() -> ExpResult {
                 .map(|j| FactId((j + rng.random_range(0..n)) % n))
                 .find(|&id| ws.priority.edges().iter().all(|&(a, b)| a != id && b != id))
                 .ok_or("no edge-free fact to delete")?;
-            let op = DeltaOp::DeleteFact(ws.instance.fact(id).clone());
+            let op = DeltaOp::DeleteFact(ws.instance.fact(id).to_fact());
             *ws =
                 apply_ops_to_workspace(ws, std::slice::from_ref(&op)).map_err(|e| e.to_string())?;
             batch.push(op);
@@ -2483,6 +2483,81 @@ fn e32_two_keys(facts: usize) -> Result<(Schema, PrioritizedInstance), String> {
     Ok((schema, pi))
 }
 
+/// The serving benchmark's `hit_large` single-FD text at `facts`
+/// facts: keys `k<tok><n>`, one `prefer` per key and a repair of two
+/// facts per key (1k `prefer`s and a 2k-member repair at 4k facts).
+fn e32_single_fd_text(facts: usize, tok: &str) -> String {
+    let mut out = String::from("relation R/3\n\nfd R: 1 -> 2\n\n");
+    let f = |k: usize, b: u8, c: u8| format!("R(k{tok}{k}, {b}, {c})");
+    for k in 0..facts / 4 {
+        for (b, c) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            out.push_str(&format!("fact {}\n", f(k, b, c)));
+        }
+    }
+    out.push('\n');
+    for k in 0..facts / 4 {
+        out.push_str(&format!("prefer {} > {}\n", f(k, 0, 0), f(k, 1, 0)));
+    }
+    let repair: Vec<String> = (0..facts / 4).flat_map(|k| [f(k, 0, 0), f(k, 0, 1)]).collect();
+    out.push_str(&format!("repair J: {}\n", repair.join("; ")));
+    out
+}
+
+/// The serving benchmark's `hit_large` two-keys text at `facts` facts:
+/// preferred 4-cycles `S(x<tok><i>, y<tok><i>)` …, one `prefer` and two
+/// repair members per cycle.
+fn e32_two_keys_text(facts: usize, tok: &str) -> String {
+    let mut out = String::from("relation S/2\n\nfd S: 1 -> 2\nfd S: 2 -> 1\n\n");
+    let f = |i: usize, a: &str, b: &str| format!("S({a}{tok}{i}, {b}{tok}{i})");
+    for i in 0..facts / 4 {
+        for (a, b) in [("x", "y"), ("x", "z"), ("w", "y"), ("w", "z")] {
+            out.push_str(&format!("fact {}\n", f(i, a, b)));
+        }
+    }
+    out.push('\n');
+    for i in 0..facts / 4 {
+        out.push_str(&format!("prefer {} > {}\n", f(i, "x", "y"), f(i, "x", "z")));
+    }
+    let repair: Vec<String> =
+        (0..facts / 4).flat_map(|i| [f(i, "x", "y"), f(i, "w", "z")]).collect();
+    out.push_str(&format!("repair J: {}\n", repair.join("; ")));
+    out
+}
+
+/// The stages of a server's cold miss on `text`, each as e32_sample's
+/// `[median, p10, p90]` ms: the parse, the content fingerprint, the
+/// preparation (validation plus the session build), and the whole miss.
+fn e32_cold_miss(reps: usize, text: &str) -> Result<[[f64; 3]; 4], String> {
+    use rpr_core::{ContentLanes, DeltaSession};
+    use rpr_format::{parse_workspace, Workspace};
+    use std::sync::Arc;
+    let parse = || parse_workspace(text).map_err(|e| e.to_string());
+    let lanes = |ws: &Workspace| ContentLanes::new(&ws.schema, &ws.instance, &ws.priority, ws.mode);
+    let prepare = |ws: Workspace, lanes: ContentLanes| {
+        let (schema, pi) = ws.into_prioritized().expect("the workspace validates");
+        DeltaSession::prepare_with_lanes(Arc::new(schema), pi, lanes, None)
+    };
+    let ws = parse()?;
+    // One whole miss untimed, so the heap has grown to a miss's size.
+    let (schema, pi) = parse()?.into_prioritized().map_err(|e| e.to_string())?;
+    drop(DeltaSession::prepare(Arc::new(schema), pi));
+    let parse_ms = e32_sample(reps, || parse_workspace(text));
+    let fingerprint_ms = e32_sample(reps, || lanes(&ws).fingerprint());
+    let mut inputs =
+        (0..reps).map(|_| parse().map(|ws| (lanes(&ws), ws))).collect::<Result<Vec<_>, _>>()?;
+    let prepare_ms = e32_sample(reps, || {
+        let (lanes, ws) = inputs.pop().expect("one input per rep");
+        prepare(ws, lanes)
+    });
+    let miss_ms = e32_sample(reps, || {
+        let ws = parse_workspace(text).expect("the text parses");
+        let lanes = lanes(&ws);
+        let _ = std::hint::black_box(lanes.fingerprint());
+        prepare(ws, lanes)
+    });
+    Ok([parse_ms, fingerprint_ms, prepare_ms, miss_ms])
+}
+
 /// Median, p10 and p90 (ms) of `reps` timed runs of `f`.
 fn e32_sample<T>(reps: usize, mut f: impl FnMut() -> T) -> [f64; 3] {
     quantiles(
@@ -2532,6 +2607,11 @@ fn git_head() -> String {
 /// equals the packing of the oracle graph; structure bytes stay under
 /// an eighth of the bitset bytes at every size; and at 50k facts a
 /// whole session build beats the bitset graph build alone.
+///
+/// It also times a server's cold miss by stage — parse, fingerprint,
+/// prepare — on the benchmark's `hit_large` texts at the same sizes
+/// (`cold_miss` rows). A `cold_miss_baseline` line already in the file
+/// (the same rows measured on an earlier commit) is carried over.
 fn e32() -> ExpResult {
     use reference::{same_graph, ConflictGraph};
     use rpr_core::SessionArtifacts;
@@ -2544,6 +2624,33 @@ fn e32() -> ExpResult {
         "extension: sessions build, keep, patch and check one CSR conflict graph (no bitset copy)"
             .to_owned(),
     ];
+    // The cold misses run first, on the heap the process starts with,
+    // before the session rows grow and free it.
+    type Text = fn(usize, &str) -> String;
+    let texts: [(&str, Text); 2] =
+        [("single_fd_text", e32_single_fd_text), ("two_keys_text", e32_two_keys_text)];
+    let mut misses = Vec::new();
+    for (shape, make) in texts {
+        for facts in SIZES {
+            let [parse, fingerprint, prepare, miss] = e32_cold_miss(REPS, &make(facts, "qzx"))?;
+            lines.push(format!(
+                "measured: cold miss {shape} {facts} facts: parse {:.2}ms + fingerprint {:.2}ms \
+                 + prepare {:.2}ms, whole miss {:.2}ms (p10 {:.2}, p90 {:.2})",
+                parse[0], fingerprint[0], prepare[0], miss[0], miss[1], miss[2]
+            ));
+            let ms = |q: [f64; 3]| {
+                format!("{{\"median\": {:.3}, \"p10\": {:.3}, \"p90\": {:.3}}}", q[0], q[1], q[2])
+            };
+            misses.push(format!(
+                "    {{\"shape\": \"{shape}\", \"facts\": {facts}, \"parse_ms\": {}, \
+                 \"fingerprint_ms\": {}, \"prepare_ms\": {}, \"cold_miss_ms\": {}}}",
+                ms(parse),
+                ms(fingerprint),
+                ms(prepare),
+                ms(miss)
+            ));
+        }
+    }
     for (shape, make) in shapes {
         for facts in SIZES {
             let (schema, pi) = make(facts)?;
@@ -2597,6 +2704,13 @@ fn e32() -> ExpResult {
             ));
         }
     }
+    let out_path = "BENCH_session.json";
+    let baseline = std::fs::read_to_string(out_path)
+        .ok()
+        .and_then(|old| {
+            old.lines().find(|l| l.starts_with("  \"cold_miss_baseline\":")).map(str::to_owned)
+        })
+        .map_or(String::new(), |line| format!(",\n{}", line.trim_end_matches(',')));
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let json = format!(
         "{{\n  \"workload\": \"serving-benchmark shapes: single-FD R(k,b,c) 1->2 and two-keys \
@@ -2604,13 +2718,13 @@ fn e32() -> ExpResult {
          {{\n    \"os\": \"{}\",\n    \"arch\": \"{}\",\n    \"cores\": {cores}\n  }},\n  \
          \"reps\": {REPS},\n  \"gates\": \"session graph == oracle packing; structure bytes \
          < bitset bytes / 8; at 50k the session build beats the bitset graph build\",\n  \
-         \"rows\": [\n{}\n  ]\n}}\n",
+         \"rows\": [\n{}\n  ],\n  \"cold_miss\": [\n{}\n  ]{baseline}\n}}\n",
         git_head(),
         std::env::consts::OS,
         std::env::consts::ARCH,
         rows.join(",\n"),
+        misses.join(",\n"),
     );
-    let out_path = "BENCH_session.json";
     std::fs::write(out_path, &json).map_err(|e| e.to_string())?;
     lines.push(format!("{out_path} rewritten"));
     Ok(lines)

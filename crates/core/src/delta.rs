@@ -295,8 +295,9 @@ impl DeltaSession {
 
     /// Approximate resident bytes of the workspace plus artifacts
     /// (cache-sizing gauge): the instance's
-    /// [`heap_bytes`](rpr_data::Instance::heap_bytes) (facts, tuples,
-    /// id index), priority edges, and the session's
+    /// [`heap_bytes`](rpr_data::Instance::heap_bytes) (fact rows, id
+    /// index, and the value dictionary with its symbol text and pairs,
+    /// each distinct value once), priority edges, and the session's
     /// [`structure_bytes`](SessionArtifacts::structure_bytes) — CSR
     /// conflict graph, component layout, domain bitsets, FD blocks.
     /// Linear in the workspace for sparse conflicts; shards are counted
@@ -484,7 +485,7 @@ impl DeltaSession {
         let mut worse_of: FxHashMap<Fact, Vec<Fact>> = FxHashMap::default();
         let mut degree: FxHashMap<Fact, usize> = FxHashMap::default();
         for &(hi, lo) in self.pi.priority().edges() {
-            let (hi, lo) = (inst.fact(hi).clone(), inst.fact(lo).clone());
+            let (hi, lo) = (inst.fact(hi).to_fact(), inst.fact(lo).to_fact());
             *degree.entry(hi.clone()).or_default() += 1;
             *degree.entry(lo.clone()).or_default() += 1;
             worse_of.entry(hi.clone()).or_default().push(lo.clone());
@@ -586,20 +587,22 @@ impl DeltaSession {
     }
 
     /// Applies one validated op to the workspace and fingerprint lanes
-    /// only. A delete tombstones its fact and records its id in `dead`
-    /// for the batch's one compaction.
-    fn apply_op_data(&mut self, op: &DeltaOp, dead: &mut Vec<FactId>) {
+    /// only, returning the id of the fact it inserts or deletes. A
+    /// delete tombstones its fact and records its id in `dead` for the
+    /// batch's one compaction.
+    fn apply_op_data(&mut self, op: &DeltaOp, dead: &mut Vec<FactId>) -> Option<FactId> {
         let sig = self.pi.instance().signature().clone();
         match op {
             DeltaOp::InsertFact(f) => {
                 self.lanes.set_fact(&sig, f, true);
-                self.pi.insert_fact(f.clone());
+                Some(self.pi.insert_fact(f))
             }
             DeltaOp::DeleteFact(f) => {
                 self.lanes.set_fact(&sig, f, false);
                 let id = self.pi.instance().id_of(f).expect("validated delete");
                 self.pi.tombstone_fact(id);
                 dead.push(id);
+                Some(id)
             }
             DeltaOp::SetPriority { better, worse, prefer } => {
                 self.lanes.set_edge(&sig, better, worse, *prefer);
@@ -612,6 +615,7 @@ impl DeltaSession {
                 } else {
                     self.pi.remove_edge(bi, wi);
                 }
+                None
             }
         }
     }
@@ -628,9 +632,8 @@ impl DeltaSession {
         match op {
             DeltaOp::InsertFact(f) => {
                 let rel = f.rel();
-                self.apply_op_data(op, &mut tracker.dead);
+                let id = self.apply_op_data(op, &mut tracker.dead).expect("an insert has a fact");
                 let inst = self.pi.instance();
-                let id = inst.id_of(f).expect("just inserted");
                 for dom in &mut self.artifacts.rel_domains {
                     dom.grow(inst.len());
                 }
@@ -640,13 +643,12 @@ impl DeltaSession {
                 }
             }
             DeltaOp::DeleteFact(f) => {
-                let rel = f.rel();
-                let id = self.pi.instance().id_of(f).expect("validated delete");
-                if let Some(blocks) = self.artifacts.rel_blocks[rel.index()].as_mut() {
+                // The tombstone keeps the fact's content for the blocks.
+                let id = self.apply_op_data(op, &mut tracker.dead).expect("a delete has a fact");
+                if let Some(blocks) = self.artifacts.rel_blocks[f.rel().index()].as_mut() {
                     blocks.remove(self.pi.instance(), id);
                 }
                 tracker.record_delete(&self.artifacts, id);
-                self.apply_op_data(op, &mut tracker.dead);
                 // The domain bit goes with the compaction.
             }
             DeltaOp::SetPriority { better, worse, .. } => {
@@ -908,7 +910,7 @@ impl ShardTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpr_data::{FactSet, Instance, Signature, Value};
+    use rpr_data::{FactSet, Instance, Signature, Value, ValueId};
 
     fn v(s: &str) -> Value {
         Value::sym(s)
@@ -1105,12 +1107,14 @@ mod tests {
             large as f64 <= 2.2 * small as f64,
             "doubling the workspace took the estimate from {small} to {large} bytes"
         );
-        // Besides the artifacts, at least every fact and every value of
-        // its tuple: 4 facts of arity 3 per key.
+        // Besides the artifacts, at least every fact's relation and row
+        // of value ids (4 facts of arity 3 per key) and each of the
+        // 4000 distinct keys once.
         let ds = large_1fd(4000);
         let workspace =
             ds.approx_bytes() - ds.artifacts.structure_bytes(ds.prioritized().instance());
-        let floor = 4 * 4000 * (std::mem::size_of::<Fact>() + 3 * std::mem::size_of::<Value>());
+        let row = std::mem::size_of::<rpr_data::RelId>() + 3 * std::mem::size_of::<ValueId>();
+        let floor = 4 * 4000 * row + 4000 * std::mem::size_of::<Value>();
         assert!(workspace >= floor, "{workspace} workspace bytes for 16 000 facts, below {floor}");
     }
 
@@ -1149,7 +1153,7 @@ mod tests {
 
     /// Fact `i` of chain `k`, by content.
     fn chain_fact(ds: &DeltaSession, k: usize, i: usize) -> Fact {
-        ds.prioritized().instance().fact(FactId((6 * k + i) as u32)).clone()
+        ds.prioritized().instance().fact(FactId((6 * k + i) as u32)).to_fact()
     }
 
     /// The shard handle of the component holding `f`.
@@ -1294,7 +1298,7 @@ mod tests {
                 if !(p.worse_than(d).is_empty() && p.better_than(d).is_empty()) {
                     continue;
                 }
-                let f = pi.instance().fact(d).clone();
+                let f = pi.instance().fact(d).to_fact();
                 let ops = [DeltaOp::DeleteFact(f.clone()), DeltaOp::InsertFact(f)];
                 for store in [None, Some(Arc::new(ShardStore::new()))] {
                     let mut ds =
@@ -1348,7 +1352,7 @@ mod tests {
                 let p = ds.prioritized().priority();
                 p.worse_than(f).is_empty() && p.better_than(f).is_empty()
             });
-            let victim = ds.prioritized().instance().fact(free.unwrap()).clone();
+            let victim = ds.prioritized().instance().fact(free.unwrap()).to_fact();
             ds.apply_delta(&[DeltaOp::InsertFact(fresh), DeltaOp::DeleteFact(victim)]).unwrap();
             assert_eq!(counted(ds), walked(ds));
         }

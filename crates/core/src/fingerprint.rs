@@ -17,7 +17,8 @@
 //! mutations and must agree bit-for-bit with a from-scratch build.
 
 use rpr_data::fingerprint::{
-    combine_unordered, fingerprint_fact, Fingerprint, FingerprintBuilder, UnorderedAccumulator,
+    combine_unordered, fingerprint_fact, fingerprint_facts, Fingerprint, FingerprintBuilder,
+    UnorderedAccumulator,
 };
 use rpr_data::{fingerprint_signature, Fact, Instance, Signature};
 use rpr_fd::Schema;
@@ -76,8 +77,7 @@ impl ContentLanes {
         mode: PriorityMode,
     ) -> Self {
         let sig = instance.signature();
-        let digests: Vec<Fingerprint> =
-            instance.iter().map(|(_, f)| fingerprint_fact(sig, f)).collect();
+        let digests = fingerprint_facts(instance);
         let edges = priority
             .edges()
             .iter()

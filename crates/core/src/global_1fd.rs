@@ -81,6 +81,12 @@ fn least<T: Ord>(a: Option<T>, b: Option<T>) -> Option<T> {
 }
 
 impl GroupScan {
+    /// The least `f ∈ J` conflicting inside `J`, with its least partner
+    /// (only found by a scan not told that `J` is consistent).
+    pub(crate) fn inconsistency(&self) -> Option<(FactId, FactId)> {
+        self.incons
+    }
+
     /// The scan of two disjoint group ranges together.
     pub(crate) fn merge(self, other: GroupScan) -> GroupScan {
         GroupScan {

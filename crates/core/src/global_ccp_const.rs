@@ -13,7 +13,7 @@
 use crate::improvement::{
     addition, inconsistency, is_global_improvement, CheckOutcome, Improvement,
 };
-use rpr_data::{AttrSet, FactSet, FxHashMap, Instance, Tuple};
+use rpr_data::{AttrSet, FactSet, FxHashMap, Instance, ValueId};
 use rpr_fd::CsrConflictGraph;
 use rpr_priority::PriorityRelation;
 
@@ -24,10 +24,11 @@ pub fn consistent_partitions(instance: &Instance, constant_attrs: &[AttrSet]) ->
     let mut out = Vec::with_capacity(sig.len());
     for rel in sig.rel_ids() {
         let b = constant_attrs[rel.index()];
-        let mut groups: FxHashMap<Tuple, FactSet> = FxHashMap::default();
+        let mut groups: FxHashMap<Vec<ValueId>, FactSet> = FxHashMap::default();
         for &id in instance.facts_of(rel) {
+            let f = instance.fact(id);
             groups
-                .entry(instance.fact(id).project(b))
+                .entry(b.iter().map(|a| f.id(a)).collect())
                 .or_insert_with(|| instance.empty_set())
                 .insert(id);
         }

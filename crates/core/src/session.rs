@@ -57,7 +57,7 @@
 //! The bounded paths share the implementation, so surviving candidates
 //! of a degraded batch are bit-identical to an unbounded run too.
 
-use crate::global_1fd::{scan_groups, FdBlocks};
+use crate::global_1fd::{scan_groups, FdBlocks, GroupScan};
 use crate::global_2keys::check_consistent_2keys;
 use crate::global_ccp_const::check_consistent_ccp_const;
 use crate::global_ccp_pk::check_consistent_ccp_pk;
@@ -684,9 +684,16 @@ impl<'a> CheckSession<'a> {
     ///
     /// Consistency is decided here, once, for all of `J`: every
     /// algorithm below starts from a consistent candidate. The witness
-    /// is the one each one-shot checker's own pre-check reports.
+    /// is the one each one-shot checker's own pre-check reports. When
+    /// every relation is single-FD, the `GRepCheck1FD` passes decide it
+    /// themselves ([`check_all_single_fd`](Self::check_all_single_fd)).
     fn check_stop(&self, j: &FactSet, jobs: usize, budget: &Budget) -> Result<CheckOutcome, Stop> {
         budget.step()?;
+        if let Plan::Classical(class) = &self.art.plan {
+            if class.per_relation().iter().all(|(_, c)| matches!(c, RelationClass::SingleFd(_))) {
+                return self.check_all_single_fd(class, j, jobs, budget);
+            }
+        }
         if let Some((f, g)) = self.consistency_witness(j, jobs) {
             return Ok(CheckOutcome::Inconsistent(f, g));
         }
@@ -694,6 +701,46 @@ impl<'a> CheckSession<'a> {
             Plan::Classical(class) => self.check_classical(class, j, jobs, budget),
             Plan::Ccp(class) => self.check_ccp(class, j, jobs, budget),
         }
+    }
+
+    /// [`check_classical`](Self::check_classical) for a plan whose
+    /// relations are all single-FD, with consistency decided inside the
+    /// one pass per relation instead of by a pre-pass over the conflict
+    /// rows: each relation's pass reports its least inconsistent `J`
+    /// fact with that fact's least partner, and the least over the
+    /// relations is the pre-pass witness, since conflicts never leave a
+    /// relation. The relations are scanned one after another, each
+    /// with its groups fanned out over `jobs`, and charged one unit
+    /// each up to the first non-optimal one.
+    fn check_all_single_fd(
+        &self,
+        class: &SchemaClass,
+        j: &FactSet,
+        jobs: usize,
+        budget: &Budget,
+    ) -> Result<CheckOutcome, Stop> {
+        let blocks = |rel: rpr_data::RelId| {
+            self.art.rel_blocks[rel.index()]
+                .as_ref()
+                .expect("blocks cached for every single-FD relation")
+        };
+        let scans: Vec<(GroupScan, FactSet)> = (class.per_relation().iter())
+            .map(|&(rel, _)| {
+                let j_rel = j.intersect(&self.art.rel_domains[rel.index()]);
+                (self.scan_1fd(blocks(rel), &j_rel, jobs, false), j_rel)
+            })
+            .collect();
+        if let Some((f, g)) = scans.iter().filter_map(|(s, _)| s.inconsistency()).min() {
+            return Ok(CheckOutcome::Inconsistent(f, g));
+        }
+        for (&(rel, _), (scan, j_rel)) in class.per_relation().iter().zip(scans) {
+            budget.step()?;
+            let outcome = scan.outcome(&self.art.csr, self.pi.priority(), blocks(rel), &j_rel);
+            if !outcome.is_optimal() {
+                return Ok(outcome);
+            }
+        }
+        Ok(CheckOutcome::Optimal)
     }
 
     /// The minimal fact of `j` conflicting inside `j`, with its minimal
@@ -777,7 +824,7 @@ impl<'a> CheckSession<'a> {
                 let blocks = self.art.rel_blocks[rel.index()]
                     .as_ref()
                     .expect("blocks cached for every single-FD relation");
-                self.check_1fd_sharded(priority, blocks, &j_rel, jobs)
+                self.check_1fd_sharded(blocks, &j_rel, jobs)
             }
             RelationClass::TwoKeys(a1, a2) => check_consistent_2keys(
                 instance,
@@ -831,31 +878,37 @@ impl<'a> CheckSession<'a> {
         })
     }
 
-    /// The single-FD check on a consistent `j_rel`, with its group axis
-    /// fanned out: each worker scans a contiguous group range, and the
-    /// merged scans give the sequential verdict and witness exactly.
-    fn check_1fd_sharded(
+    /// The single-FD check on a consistent `j_rel`.
+    fn check_1fd_sharded(&self, blocks: &FdBlocks, j_rel: &FactSet, jobs: usize) -> CheckOutcome {
+        debug_assert!(self.art.csr.is_consistent_set(j_rel));
+        let scan = self.scan_1fd(blocks, j_rel, jobs, true);
+        scan.outcome(&self.art.csr, self.pi.priority(), blocks, j_rel)
+    }
+
+    /// One `GRepCheck1FD` pass over `blocks`, its group axis fanned
+    /// out: each worker scans a contiguous group range, and the merged
+    /// scans give the sequential verdict and witness exactly.
+    /// `consistent` is [`scan_groups`]'s.
+    fn scan_1fd(
         &self,
-        priority: &PriorityRelation,
         blocks: &FdBlocks,
         j_rel: &FactSet,
         jobs: usize,
-    ) -> CheckOutcome {
-        debug_assert!(self.art.csr.is_consistent_set(j_rel));
+        consistent: bool,
+    ) -> GroupScan {
+        let priority = self.pi.priority();
         let n_groups = blocks.group_count();
         let parallel = jobs > 1 && n_groups > 1 && j_rel.universe() >= PARALLEL_PREPASS_MIN_FACTS;
-        let scan = if parallel {
-            let workers = jobs.min(n_groups);
-            let chunk = n_groups.div_ceil(workers);
-            let parts = rethrow(self.fan_out_n(jobs, workers, |w| {
-                let groups = (w * chunk).min(n_groups)..((w + 1) * chunk).min(n_groups);
-                scan_groups(priority, blocks, j_rel, groups, true)
-            }));
-            parts.into_iter().reduce(|a, b| a.merge(b)).expect("at least one worker")
-        } else {
-            scan_groups(priority, blocks, j_rel, 0..n_groups, true)
-        };
-        scan.outcome(&self.art.csr, priority, blocks, j_rel)
+        if !parallel {
+            return scan_groups(priority, blocks, j_rel, 0..n_groups, consistent);
+        }
+        let workers = jobs.min(n_groups);
+        let chunk = n_groups.div_ceil(workers);
+        let parts = rethrow(self.fan_out_n(jobs, workers, |w| {
+            let groups = (w * chunk).min(n_groups)..((w + 1) * chunk).min(n_groups);
+            scan_groups(priority, blocks, j_rel, groups, consistent)
+        }));
+        parts.into_iter().reduce(|a, b| a.merge(b)).expect("at least one worker")
     }
 
     /// The exponential fall-back, decomposed over `layout`'s nontrivial

@@ -7,13 +7,13 @@
 //! the one-shot checker's, at one and at four jobs.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rpr_classify::{classify_schema, classify_schema_ccp, CcpClass, RelationClass};
 use rpr_core::{
     check_global_1fd, check_global_2keys, check_global_ccp_const, check_global_ccp_pk,
     enumerate_repairs_bounded, Budget, CheckOutcome, CheckSession,
 };
-use rpr_data::{FactSet, Signature};
+use rpr_data::{FactId, FactSet, Instance, Signature};
 use rpr_fd::{CsrConflictGraph, Schema};
 use rpr_gen::schemas::{single_fd_schema, two_keys_schema};
 use rpr_gen::{random_ccp_priority, random_conflict_priority, random_instance, InstanceSpec};
@@ -145,4 +145,88 @@ fn session_outcomes_equal_the_one_shot_checkers() {
         }
         assert!(kinds.iter().all(|&k| k > 0), "{name}: every outcome kind is covered: {kinds:?}");
     }
+}
+
+/// The witness of the conflict-row pre-pass: the least fact of `j`
+/// conflicting inside `j`, with its least partner.
+fn pre_pass_witness(cg: &CsrConflictGraph, j: &FactSet) -> Option<(FactId, FactId)> {
+    j.iter().find_map(|f| cg.first_conflict_in(f, j).map(|g| (f, g)))
+}
+
+/// Sessions over schemas whose relations are all single-FD decide
+/// consistency inside their `GRepCheck1FD` passes: on random candidates
+/// (most of them inconsistent) the witness is the pre-pass witness, and
+/// a consistent candidate gets the first non-optimal one-shot outcome
+/// in relation order — at one and at four jobs, on instances small and
+/// large enough for the passes to fan out.
+#[test]
+fn single_fd_sessions_report_the_pre_pass_witness() {
+    let sig = Signature::new([("R", 3), ("S", 2), ("T", 3), ("U", 2)]).unwrap();
+    let several = Schema::from_named(
+        sig,
+        [("R", &[1][..], &[2][..]), ("S", &[1][..], &[2][..]), ("T", &[1, 2][..], &[3][..])],
+    )
+    .unwrap();
+    // One relation: four jobs fan its groups out instead of relations.
+    let one = single_fd_schema(3, &[1], &[2]);
+    let (mut inconsistent, mut consistent) = (0, 0);
+    for (seed, schema) in (0..80u64).zip([several, one].iter().cycle()) {
+        let class = classify_schema(schema);
+        assert!(class.per_relation().iter().all(|(_, c)| matches!(c, RelationClass::SingleFd(_))));
+        let facts =
+            if seed % 10 >= 8 { 6000 / class.per_relation().len() } else { 4 + seed as usize % 9 };
+        let domain = if facts > 100 { 40 } else { 3 };
+        let mut rng = StdRng::seed_from_u64(0x0_5CA9 + seed);
+        let spec = InstanceSpec { facts_per_relation: facts, domain };
+        // The generator inserts relation by relation; reinsert in a
+        // shuffled order so the relations' ids interleave.
+        let generated = random_instance(schema, spec, &mut rng);
+        let mut order: Vec<FactId> = generated.fact_ids().collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.random_range(0..i + 1));
+        }
+        let mut instance = Instance::new(schema.signature().clone());
+        for id in order {
+            instance.insert(generated.fact(id).to_fact());
+        }
+        let cg = CsrConflictGraph::new(schema, &instance);
+        let p = random_conflict_priority(&cg, 0.5, &mut rng);
+        let pi = PrioritizedInstance::conflict_restricted(schema, instance.clone(), p).unwrap();
+        let sessions = [1, 4].map(|jobs| CheckSession::new(schema, &pi).with_jobs(jobs));
+        for density in [0.02, 0.1, 0.3, 0.6, 1.0] {
+            let mut j = instance.empty_set();
+            for f in instance.fact_ids() {
+                if rng.random_bool(density) {
+                    j.insert(f);
+                }
+            }
+            let expected = match pre_pass_witness(&cg, &j) {
+                Some((f, g)) => {
+                    inconsistent += 1;
+                    CheckOutcome::Inconsistent(f, g)
+                }
+                None => {
+                    consistent += 1;
+                    (class.per_relation().iter())
+                        .map(|&(rel, ref c)| {
+                            let RelationClass::SingleFd(fd) = *c else { unreachable!() };
+                            let domain = instance.rel_set(rel);
+                            let j_rel = j.intersect(&domain);
+                            check_global_1fd(&instance, &cg, pi.priority(), fd, &domain, &j_rel)
+                        })
+                        .find(|o| !o.is_optimal())
+                        .unwrap_or(CheckOutcome::Optimal)
+                }
+            };
+            for s in &sessions {
+                assert_eq!(
+                    s.check(&j),
+                    expected,
+                    "seed {seed}, {} jobs, density {density}",
+                    s.jobs()
+                );
+            }
+        }
+    }
+    assert!(inconsistent >= 100 && consistent >= 20, "{inconsistent} / {consistent}");
 }

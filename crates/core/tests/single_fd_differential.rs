@@ -219,7 +219,7 @@ fn patched_groupings_equal_a_fresh_build() {
                     instance.tombstone(id);
                     dead.push(id);
                 } else if !pool.is_empty() {
-                    let fact = pool.fact(FactId(rng.below(pool.len()) as u32)).clone();
+                    let fact = pool.fact(FactId(rng.below(pool.len()) as u32)).to_fact();
                     let before = instance.len();
                     let id = instance.insert(fact);
                     if id.index() == before {

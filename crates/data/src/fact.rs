@@ -5,6 +5,7 @@
 //! their sets of facts.
 
 use crate::attrset::AttrSet;
+use crate::dict::ValueId;
 use crate::error::DataError;
 use crate::signature::{RelId, Signature};
 use crate::value::Value;
@@ -74,15 +75,23 @@ impl fmt::Debug for Tuple {
 
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(")?;
-        for (i, v) in self.0.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{v}")?;
-        }
-        write!(f, ")")
+        write_row(f, &self.0)
     }
+}
+
+/// Writes values as `(v1,…,vn)`.
+fn write_row<'v>(
+    f: &mut fmt::Formatter<'_>,
+    values: impl IntoIterator<Item = &'v Value>,
+) -> fmt::Result {
+    write!(f, "(")?;
+    for (i, v) in values.into_iter().enumerate() {
+        if i > 0 {
+            write!(f, ",")?;
+        }
+        write!(f, "{v}")?;
+    }
+    write!(f, ")")
 }
 
 /// A fact `R(t)`.
@@ -141,17 +150,14 @@ impl Fact {
         self.tuple.project(attrs)
     }
 
-    /// Do the two facts agree on all attributes of `attrs`?
-    ///
-    /// Facts of different relations never agree (they are incomparable in
-    /// the paper's model because FDs are per-relation).
-    pub fn agrees_on(&self, other: &Fact, attrs: AttrSet) -> bool {
-        self.rel == other.rel && self.tuple.agrees_on(&other.tuple, attrs)
+    /// The values, in attribute order.
+    pub fn values(&self) -> &[Value] {
+        self.tuple.values()
     }
 
     /// Renders the fact with its relation name.
     pub fn display<'a>(&'a self, sig: &'a Signature) -> FactDisplay<'a> {
-        FactDisplay { fact: self, sig }
+        FactDisplay { name: sig.symbol(self.rel).name(), values: Row::Owned(self.values()) }
     }
 }
 
@@ -161,15 +167,192 @@ impl fmt::Debug for Fact {
     }
 }
 
+/// A fact of an instance, borrowed: its relation and its row of
+/// [`ValueId`]s, each read through the instance's value dictionary.
+/// Copying the view copies three words.
+#[derive(Clone, Copy)]
+pub struct FactRef<'a> {
+    rel: RelId,
+    ids: &'a [ValueId],
+    dict: &'a [Value],
+}
+
+impl<'a> FactRef<'a> {
+    /// The view of the row `ids` of relation `rel` over the dictionary
+    /// slots `dict`.
+    pub(crate) fn new(rel: RelId, ids: &'a [ValueId], dict: &'a [Value]) -> Self {
+        FactRef { rel, ids, dict }
+    }
+
+    /// The relation this fact belongs to.
+    pub fn rel(self) -> RelId {
+        self.rel
+    }
+
+    /// Width of the fact (its relation's arity).
+    pub fn len(self) -> usize {
+        self.ids.len()
+    }
+
+    /// Is the fact empty? (Never true for well-formed facts.)
+    pub fn is_empty(self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The value at (1-based) attribute `attr`.
+    ///
+    /// # Panics
+    /// Panics if `attr` is `0` or exceeds the width.
+    #[inline]
+    pub fn get(self, attr: usize) -> &'a Value {
+        &self.dict[self.ids[attr - 1].index()]
+    }
+
+    /// The dictionary id of the value at (1-based) attribute `attr`:
+    /// two facts of one instance hold equal values there exactly when
+    /// the ids are equal.
+    #[inline]
+    pub fn id(self, attr: usize) -> ValueId {
+        self.ids[attr - 1]
+    }
+
+    /// The row of value ids, in attribute order.
+    pub fn ids(self) -> &'a [ValueId] {
+        self.ids
+    }
+
+    /// The values, in attribute order.
+    pub fn values(self) -> impl ExactSizeIterator<Item = &'a Value> + Clone + 'a {
+        let dict = self.dict;
+        self.ids.iter().map(move |id| &dict[id.index()])
+    }
+
+    /// The projection `f[A]` (§4.2), owned.
+    pub fn project(self, attrs: AttrSet) -> Tuple {
+        Tuple(attrs.iter().map(|a| self.get(a).clone()).collect())
+    }
+
+    /// The fact as an owned [`Fact`].
+    pub fn to_fact(self) -> Fact {
+        Fact { rel: self.rel, tuple: Tuple(self.values().cloned().collect()) }
+    }
+
+    /// Do the two facts agree on all attributes of `attrs`? Facts of
+    /// different relations never do. Facts of one instance compare ids.
+    pub fn agrees_on(self, other: FactRef<'_>, attrs: AttrSet) -> bool {
+        self.rel == other.rel
+            && if std::ptr::eq(self.dict, other.dict) {
+                attrs.iter().all(|a| self.id(a) == other.id(a))
+            } else {
+                attrs.iter().all(|a| self.get(a) == other.get(a))
+            }
+    }
+
+    /// Renders the fact with its relation name.
+    pub fn display(self, sig: &'a Signature) -> FactDisplay<'a> {
+        FactDisplay { name: sig.symbol(self.rel).name(), values: Row::Ids(self.ids, self.dict) }
+    }
+}
+
+impl PartialEq for FactRef<'_> {
+    fn eq(&self, other: &FactRef<'_>) -> bool {
+        self.rel == other.rel && self.len() == other.len() && self.values().eq(other.values())
+    }
+}
+
+impl PartialEq<Fact> for FactRef<'_> {
+    fn eq(&self, other: &Fact) -> bool {
+        self.rel == other.rel && self.len() == other.tuple.len() && self.values().eq(other.values())
+    }
+}
+
+impl PartialEq<&Fact> for FactRef<'_> {
+    fn eq(&self, other: &&Fact) -> bool {
+        self == *other
+    }
+}
+
+impl PartialEq<FactRef<'_>> for Fact {
+    fn eq(&self, other: &FactRef<'_>) -> bool {
+        other == self
+    }
+}
+
+impl fmt::Debug for FactRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "r{}", self.rel.0)?;
+        write_row(f, self.values())
+    }
+}
+
+/// A fact's content, owned ([`&Fact`](Fact)) or borrowed from an
+/// instance ([`FactRef`]): what content digests and FD tests read.
+pub trait FactContent<'v>: Copy {
+    /// The relation.
+    fn rel(self) -> RelId;
+    /// The values, in attribute order.
+    fn values(self) -> impl Iterator<Item = &'v Value>;
+    /// The value at (1-based) attribute `attr`.
+    fn get(self, attr: usize) -> &'v Value;
+}
+
+impl<'v> FactContent<'v> for &'v Fact {
+    fn rel(self) -> RelId {
+        self.rel
+    }
+    fn values(self) -> impl Iterator<Item = &'v Value> {
+        self.tuple.0.iter()
+    }
+    fn get(self, attr: usize) -> &'v Value {
+        self.tuple.get(attr)
+    }
+}
+
+impl<'v> FactContent<'v> for FactRef<'v> {
+    fn rel(self) -> RelId {
+        self.rel
+    }
+    fn values(self) -> impl Iterator<Item = &'v Value> {
+        FactRef::values(self)
+    }
+    fn get(self, attr: usize) -> &'v Value {
+        FactRef::get(self, attr)
+    }
+}
+
+impl<'v> FactContent<'v> for &FactRef<'v> {
+    fn rel(self) -> RelId {
+        self.rel
+    }
+    fn values(self) -> impl Iterator<Item = &'v Value> {
+        FactRef::values(*self)
+    }
+    fn get(self, attr: usize) -> &'v Value {
+        FactRef::get(*self, attr)
+    }
+}
+
+/// A row of values to render: owned by a fact, or ids read through a
+/// dictionary.
+#[derive(Clone, Copy)]
+enum Row<'a> {
+    Owned(&'a [Value]),
+    Ids(&'a [ValueId], &'a [Value]),
+}
+
 /// Helper for rendering a fact with its relation name resolved.
 pub struct FactDisplay<'a> {
-    fact: &'a Fact,
-    sig: &'a Signature,
+    name: &'a str,
+    values: Row<'a>,
 }
 
 impl fmt::Display for FactDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{}", self.sig.symbol(self.fact.rel).name(), self.fact.tuple)
+        write!(f, "{}", self.name)?;
+        match self.values {
+            Row::Owned(values) => write_row(f, values),
+            Row::Ids(ids, dict) => write_row(f, ids.iter().map(|id| &dict[id.index()])),
+        }
     }
 }
 
@@ -217,11 +400,24 @@ mod tests {
 
     #[test]
     fn facts_of_different_relations_never_agree() {
-        let sig = sig();
-        let f = Fact::parse_new(&sig, "S", [v("a"), v("b")]).unwrap();
-        let g = Fact::parse_new(&sig, "R", [v("a"), v("b"), v("c")]).unwrap();
-        assert!(!f.agrees_on(&g, AttrSet::EMPTY));
-        assert!(!f.agrees_on(&g, AttrSet::singleton(1)));
+        let mut i = crate::Instance::new(sig());
+        let f = i.insert_named("S", [v("a"), v("b")]).unwrap();
+        let g = i.insert_named("R", [v("a"), v("b"), v("c")]).unwrap();
+        let h = i.insert_named("R", [v("a"), v("x"), v("c")]).unwrap();
+        let (f, g, h) = (i.fact(f), i.fact(g), i.fact(h));
+        assert!(!f.agrees_on(g, AttrSet::EMPTY));
+        assert!(!f.agrees_on(g, AttrSet::singleton(1)));
+        // Facts of one relation compare by value id; of another
+        // instance, by value.
+        assert!(g.agrees_on(h, AttrSet::from_attrs([1, 3])));
+        assert!(!g.agrees_on(h, AttrSet::from_attrs([1, 2])));
+        // Another instance numbers the same values differently.
+        let mut other = crate::Instance::new(sig());
+        let x = other.insert_named("R", [v("c"), v("x"), v("a")]).unwrap();
+        let y = other.insert_named("R", [v("a"), v("x"), v("c")]).unwrap();
+        assert!(g.agrees_on(other.fact(y), AttrSet::from_attrs([1, 3])));
+        assert!(!g.agrees_on(other.fact(y), AttrSet::from_attrs([2])));
+        assert!(!g.agrees_on(other.fact(x), AttrSet::from_attrs([1])));
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! `rpr-serve::identity` does exactly that, so a collision there
 //! degrades to a cache miss, never to a wrong answer.
 
-use crate::fact::Fact;
+use crate::fact::FactContent;
 use crate::instance::Instance;
 use crate::signature::Signature;
 use crate::value::Value;
@@ -273,13 +273,36 @@ fn mix_value(b: &mut FingerprintBuilder, v: &Value) {
 /// Digest of one fact: the relation *name* (not the numeric id, so the
 /// digest survives signature reordering) plus the tuple values in
 /// attribute order.
-pub fn fingerprint_fact(sig: &Signature, fact: &Fact) -> Fingerprint {
+pub fn fingerprint_fact<'v>(sig: &Signature, fact: impl FactContent<'v>) -> Fingerprint {
     let mut b = FingerprintBuilder::new();
     b.str(sig.symbol(fact.rel()).name());
-    for v in fact.tuple().values() {
+    for v in fact.values() {
         mix_value(&mut b, v);
     }
     b.finish()
+}
+
+/// [`fingerprint_fact`] of every fact of `instance`, in id order. Each
+/// relation's name is mixed once, into a builder every fact of the
+/// relation starts from.
+pub fn fingerprint_facts(instance: &Instance) -> Vec<Fingerprint> {
+    let named: Vec<FingerprintBuilder> = (instance.signature().iter())
+        .map(|(_, sym)| {
+            let mut b = FingerprintBuilder::new();
+            b.str(sym.name());
+            b
+        })
+        .collect();
+    instance
+        .iter()
+        .map(|(_, f)| {
+            let mut b = named[f.rel().index()].clone();
+            for v in f.values() {
+                mix_value(&mut b, v);
+            }
+            b.finish()
+        })
+        .collect()
 }
 
 /// Digest of a signature: the *set* of `name/arity` symbols,
@@ -299,13 +322,14 @@ pub fn fingerprint_instance(instance: &Instance) -> Fingerprint {
     let sig = instance.signature();
     let mut b = FingerprintBuilder::new();
     b.fingerprint(fingerprint_signature(sig));
-    b.fingerprint(combine_unordered(instance.iter().map(|(_, f)| fingerprint_fact(sig, f))));
+    b.fingerprint(combine_unordered(fingerprint_facts(instance)));
     b.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fact::Fact;
     use crate::instance::Instance;
     use crate::signature::Signature;
 

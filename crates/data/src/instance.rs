@@ -8,10 +8,13 @@
 //! (global/Pareto improvement tests, graph constructions) is
 //! word-parallel and allocation-free.
 
+use crate::attrset::MAX_ARITY;
+use crate::dict::{ValueDict, ValueId};
 use crate::error::DataError;
-use crate::fact::{Fact, SigRef, Tuple};
+use crate::fact::{Fact, FactContent, FactRef, SigRef, Tuple};
 use crate::hash::FxHasher;
 use crate::signature::RelId;
+use crate::table::IdTable;
 use crate::value::{Atom, Value};
 use std::fmt;
 use std::hash::Hasher;
@@ -142,12 +145,21 @@ impl Compaction {
 ///
 /// Facts are deduplicated on insertion; the id of a fact is stable
 /// until a [`remove_facts`](Self::remove_facts) compaction closes up the
-/// ids it removes. The instance is the only owner of its facts: the
-/// deduplicating index holds ids, not fact copies.
+/// ids it removes. Each distinct value is stored once, in the
+/// instance's value dictionary; each fact is a row of [`ValueId`]s in
+/// one flat arena, read through the [`FactRef`] view
+/// [`fact`](Self::fact) returns. The deduplicating fact index hashes
+/// and compares those rows.
 #[derive(Clone)]
 pub struct Instance {
     sig: SigRef,
-    facts: Vec<Fact>,
+    dict: ValueDict,
+    /// The relation of each fact.
+    rels: Vec<RelId>,
+    /// Where each fact's row starts in `cells`, then `cells.len()`.
+    starts: Vec<u32>,
+    /// Every fact's row of value ids, in fact order.
+    cells: Vec<ValueId>,
     index: IdTable,
     by_rel: Vec<Vec<FactId>>,
 }
@@ -159,15 +171,23 @@ impl Instance {
     }
 
     /// Creates an empty instance with room for `facts` facts: the fact
-    /// vector and the id index are sized once, so inserting up to that
-    /// many facts never regrows or rehashes them. Both get the size
-    /// `facts` inserts into an empty instance would grow them to, so
-    /// the next insert (a delta's, say) does not reallocate either.
+    /// vectors and the id index are sized once, so inserting up to that
+    /// many facts never regrows or rehashes them. Each gets the size
+    /// `facts` inserts into an empty instance would grow it to, so the
+    /// next insert (a delta's, say) does not reallocate either. The
+    /// value arena is sized for facts of the widest relation.
     pub fn with_capacity(sig: SigRef, facts: usize) -> Self {
         let nrels = sig.len();
+        let width = sig.iter().map(|(_, sym)| sym.arity()).max().unwrap_or(0);
+        let room = |n: usize| if n == 0 { 0 } else { n.next_power_of_two() };
+        let mut starts = Vec::with_capacity(room(facts + 1));
+        starts.push(0);
         Instance {
             sig,
-            facts: Vec::with_capacity(if facts == 0 { 0 } else { facts.next_power_of_two() }),
+            dict: ValueDict::default(),
+            rels: Vec::with_capacity(room(facts)),
+            starts,
+            cells: Vec::with_capacity(room(facts * width)),
             index: IdTable::with_capacity(facts),
             by_rel: vec![Vec::new(); nrels],
         }
@@ -180,25 +200,77 @@ impl Instance {
 
     /// Number of facts.
     pub fn len(&self) -> usize {
-        self.facts.len()
+        self.rels.len()
     }
 
     /// Is the instance empty?
     pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
+        self.rels.is_empty()
     }
 
     /// Inserts a fact, returning its id (existing id if already present).
     pub fn insert(&mut self, fact: Fact) -> FactId {
-        let hash = fact_hash(&fact);
-        if let Some(id) = self.index.get(&self.facts, hash, |f| f == &fact) {
-            return id;
+        self.insert_values(fact.rel(), fact.values())
+    }
+
+    /// Inserts the fact `rel(values)`, interning each value, and returns
+    /// its id (the existing id if already present).
+    ///
+    /// # Panics
+    /// Panics if the width is not `rel`'s arity.
+    pub fn insert_values(&mut self, rel: RelId, values: &[Value]) -> FactId {
+        self.insert_row(rel, values, ValueDict::intern)
+    }
+
+    /// Inserts the fact `rel(atoms)` whose values are given as borrowed
+    /// tokens: a value already in the dictionary is not built again.
+    ///
+    /// # Panics
+    /// Panics if the width is not `rel`'s arity.
+    pub fn insert_atoms(&mut self, rel: RelId, atoms: &[Atom<'_>]) -> FactId {
+        self.insert_row(rel, atoms, |dict, &atom| dict.intern_atom(atom))
+    }
+
+    /// Interns `items` onto the end of the arena as a row of `rel`,
+    /// then keeps it as a new fact unless the index already holds the
+    /// row, in which case the row and its uses are taken back.
+    fn insert_row<T>(
+        &mut self,
+        rel: RelId,
+        items: &[T],
+        intern: impl Fn(&mut ValueDict, &T) -> ValueId,
+    ) -> FactId {
+        assert_eq!(items.len(), self.sig.arity(rel), "row width is not the arity");
+        let start = self.cells.len();
+        for item in items {
+            let id = intern(&mut self.dict, item);
+            self.cells.push(id);
         }
-        let id = FactId(self.facts.len() as u32);
-        self.by_rel[fact.rel().index()].push(id);
-        self.facts.push(fact);
-        self.index.insert_new(&self.facts, hash, id);
+        let row = &self.cells[start..];
+        let hash = row_hash(rel, row);
+        if let Some(id) = self.index.get(hash, |f| self.row_is(f, rel, row)) {
+            for k in start..self.cells.len() {
+                self.dict.release(self.cells[k]);
+            }
+            self.cells.truncate(start);
+            return FactId(id);
+        }
+        let id = FactId(self.len() as u32);
+        self.rels.push(rel);
+        self.starts.push(u32::try_from(self.cells.len()).expect("fact rows outgrow u32 offsets"));
+        self.by_rel[rel.index()].push(id);
+        let (rels, starts, cells) = (&self.rels, &self.starts, &self.cells);
+        self.index.insert_new(rels.len(), hash, id.0, |f| fact_hash(rels, starts, cells, f));
         id
+    }
+
+    /// Is fact `f` the row `rel(row)`?
+    fn row_is(&self, f: u32, rel: RelId, row: &[ValueId]) -> bool {
+        self.rels[f as usize] == rel && self.row(f as usize) == row
+    }
+
+    fn row(&self, f: usize) -> &[ValueId] {
+        &self.cells[self.starts[f] as usize..self.starts[f + 1] as usize]
     }
 
     /// Inserts a fact given by relation name and values.
@@ -216,7 +288,8 @@ impl Instance {
     /// Tombstones the fact `id` for a batch of deletes: the id index
     /// drops it at once, so lookups miss it and the same content can be
     /// inserted again (under a fresh id), but no id moves — the fact
-    /// keeps its place in [`fact`](Self::fact), [`iter`](Self::iter),
+    /// keeps its place (and its values their uses) in
+    /// [`fact`](Self::fact), [`iter`](Self::iter),
     /// [`facts_of`](Self::facts_of) and [`len`](Self::len) until
     /// [`remove_facts`](Self::remove_facts) compacts it away. Ids stay
     /// stable for the rest of the batch.
@@ -225,7 +298,8 @@ impl Instance {
     /// Panics if the id is not from this instance.
     pub fn tombstone(&mut self, id: FactId) {
         assert!(id.index() < self.len(), "fact id {} outside the instance", id.0);
-        self.index.unindex(&self.facts, id);
+        let (rels, starts, cells) = (&self.rels, &self.starts, &self.cells);
+        self.index.unindex(id.0, |f| fact_hash(rels, starts, cells, f));
     }
 
     /// Removes the facts `ids` (tombstoned or not, in any order, each
@@ -234,21 +308,41 @@ impl Instance {
     /// what inserting the surviving facts in order would produce. That
     /// canonical layout is what lets a patched workspace stay
     /// bit-identical (fact ids, certificates, rendered text) to a
-    /// from-scratch parse of the edited content. Returns the
-    /// [`Compaction`] for the caller's other id-keyed structures.
+    /// from-scratch parse of the edited content. A value whose last use
+    /// goes is freed from the dictionary. Returns the [`Compaction`]
+    /// for the caller's other id-keyed structures.
     ///
     /// Ids below the smallest removed one keep their number: the cost
-    /// is one pass over the facts and per-relation lists from there on,
-    /// plus one sweep of the id index when a surviving fact moves.
+    /// is one pass over the facts, their rows and the per-relation
+    /// lists from there on, plus one sweep of the id index when a
+    /// surviving fact moves.
     ///
     /// # Panics
     /// Panics if an id is out of range or listed twice.
     pub fn remove_facts(&mut self, ids: &[FactId]) -> Compaction {
         let c = Compaction::new(self.len(), ids.iter().copied());
         for &id in ids {
-            self.index.unindex(&self.facts, id);
+            let (rels, starts, cells) = (&self.rels, &self.starts, &self.cells);
+            self.index.unindex(id.0, |f| fact_hash(rels, starts, cells, f));
+            for k in self.starts[id.index()]..self.starts[id.index() + 1] {
+                self.dict.release(self.cells[k as usize]);
+            }
         }
-        c.compact_vec(&mut self.facts);
+        // Close up the rows of the survivors from the first removed
+        // fact on, rewriting their starts.
+        let first = c.first();
+        let mut to = self.starts[first] as usize;
+        for old in first..c.before() {
+            let Some(new) = c.new_id(FactId(old as u32)) else { continue };
+            let (from, end) = (self.starts[old] as usize, self.starts[old + 1] as usize);
+            self.cells.copy_within(from..end, to);
+            self.starts[new.index()] = to as u32;
+            to += end - from;
+        }
+        self.cells.truncate(to);
+        self.starts.truncate(c.after());
+        self.starts.push(to as u32);
+        c.compact_vec(&mut self.rels);
         if c.first() < c.after() {
             self.index.renumber(&c);
         }
@@ -270,74 +364,113 @@ impl Instance {
     ///
     /// # Panics
     /// Panics if the id is not from this instance.
-    pub fn fact(&self, id: FactId) -> &Fact {
-        &self.facts[id.index()]
+    #[inline]
+    pub fn fact(&self, id: FactId) -> FactRef<'_> {
+        FactRef::new(self.rels[id.index()], self.row(id.index()), self.dict.slots())
     }
 
-    /// Looks up the id of a fact.
-    pub fn id_of(&self, fact: &Fact) -> Option<FactId> {
-        self.id_of_parts(fact.rel(), fact.tuple().values())
+    /// The value with the given id.
+    ///
+    /// # Panics
+    /// Panics if the id is outside the dictionary.
+    #[inline]
+    pub fn value(&self, id: ValueId) -> &Value {
+        self.dict.value(id)
+    }
+
+    /// The id of `v` in the dictionary, if some fact holds it.
+    pub fn value_id(&self, v: &Value) -> Option<ValueId> {
+        self.dict.get(v)
+    }
+
+    /// One past the largest value id in use: an array indexed by
+    /// [`ValueId`] needs this many entries.
+    pub fn value_bound(&self) -> usize {
+        self.dict.slots().len()
+    }
+
+    /// The live values with their ids, in id order.
+    pub fn values(&self) -> impl Iterator<Item = (ValueId, &Value)> {
+        let dict = &self.dict;
+        (0..self.value_bound() as u32)
+            .map(ValueId)
+            .filter(|&id| dict.uses(id) > 0)
+            .map(|id| (id, dict.value(id)))
+    }
+
+    /// How many attribute positions of stored facts (tombstones
+    /// included) hold the value `id`; 0 for an id not in use.
+    pub fn value_uses(&self, id: ValueId) -> u32 {
+        self.dict.uses(id)
+    }
+
+    /// Looks up the id of a fact, owned or borrowed from any instance.
+    pub fn id_of<'v>(&self, fact: impl FactContent<'v>) -> Option<FactId> {
+        self.id_of_values(fact.rel(), fact.values())
     }
 
     /// Looks up the id of the fact `rel(values)` without building it.
-    pub fn id_of_parts(&self, rel: RelId, values: &[Value]) -> Option<FactId> {
-        self.index.get(&self.facts, content_hash(rel, values), |f| {
-            f.rel() == rel && f.tuple().values() == values
-        })
+    pub fn id_of_values<'v>(
+        &self,
+        rel: RelId,
+        values: impl IntoIterator<Item = &'v Value>,
+    ) -> Option<FactId> {
+        let mut row = [ValueId(0); MAX_ARITY];
+        let mut width = 0;
+        for v in values {
+            *row.get_mut(width)? = self.dict.get(v)?;
+            width += 1;
+        }
+        self.id_of_ids(rel, &row[..width])
     }
 
     /// Looks up the id of the fact `rel(atoms)`, whose values are given
-    /// as borrowed tokens: [`id_of_parts`](Self::id_of_parts) without
+    /// as borrowed tokens: [`id_of_values`](Self::id_of_values) without
     /// building a single value.
     pub fn id_of_atoms(&self, rel: RelId, atoms: &[Atom<'_>]) -> Option<FactId> {
-        let mut h = FxHasher::default();
-        h.write_u32(rel.0);
-        for &atom in atoms {
-            hash_atom(&mut h, atom);
+        let mut row = [ValueId(0); MAX_ARITY];
+        for (slot, &atom) in row.iter_mut().zip(atoms) {
+            *slot = self.dict.get_atom(atom)?;
         }
-        self.index.get(&self.facts, h.finish(), |f| {
-            let values = f.tuple().values();
-            f.rel() == rel
-                && values.len() == atoms.len()
-                && atoms.iter().zip(values).all(|(a, v)| a == v)
-        })
+        self.id_of_ids(rel, row.get(..atoms.len())?)
+    }
+
+    /// Looks up the id of the fact `rel(ids)` given by dictionary ids.
+    pub fn id_of_ids(&self, rel: RelId, ids: &[ValueId]) -> Option<FactId> {
+        self.index.get(row_hash(rel, ids), |f| self.row_is(f, rel, ids)).map(FactId)
     }
 
     /// Does the instance contain the fact?
-    pub fn contains(&self, fact: &Fact) -> bool {
+    pub fn contains<'v>(&self, fact: impl FactContent<'v>) -> bool {
         self.id_of(fact).is_some()
     }
 
-    /// Heap bytes owned by the instance: the fact vector, every boxed
-    /// tuple, the id index and the per-relation id lists. Values'
-    /// own allocations (symbol text, pairs) are shared and not counted.
+    /// Heap bytes owned by the instance: the fact rows, the id index,
+    /// the per-relation id lists, and the value dictionary with what
+    /// its values own (symbol text and pairs, each counted once however
+    /// many facts hold it).
     ///
-    /// O(relations): every tuple has its relation's arity, so the
-    /// tuple total is read off the per-relation id lists (tombstones
-    /// included, as they still hold their facts) without a fact walk.
+    /// O(relations): the dictionary keeps its byte count as it interns
+    /// and frees.
     pub fn heap_bytes(&self) -> usize {
-        let tuples: usize = self
-            .by_rel
-            .iter()
-            .enumerate()
-            .map(|(rel, ids)| ids.len() * self.sig.arity(RelId(rel as u32)))
-            .sum();
         let by_rel: usize = self.by_rel.iter().map(Vec::capacity).sum();
-        self.facts.capacity() * size_of::<Fact>()
-            + tuples * size_of::<Value>()
-            + self.index.slots.capacity() * size_of::<u32>()
+        self.rels.capacity() * size_of::<RelId>()
+            + self.starts.capacity() * size_of::<u32>()
+            + self.cells.capacity() * size_of::<ValueId>()
+            + self.index.heap_bytes()
             + self.by_rel.capacity() * size_of::<Vec<FactId>>()
             + by_rel * size_of::<FactId>()
+            + self.dict.heap_bytes()
     }
 
-    /// Iterates `(FactId, &Fact)` in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (FactId, &Fact)> {
-        self.facts.iter().enumerate().map(|(i, f)| (FactId(i as u32), f))
+    /// Iterates `(FactId, FactRef)` in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (FactId, FactRef<'_>)> {
+        self.fact_ids().map(|id| (id, self.fact(id)))
     }
 
     /// All fact ids.
     pub fn fact_ids(&self) -> impl Iterator<Item = FactId> + '_ {
-        (0..self.facts.len() as u32).map(FactId)
+        (0..self.len() as u32).map(FactId)
     }
 
     /// The facts of one relation, in insertion order.
@@ -399,7 +532,8 @@ impl Instance {
     pub fn materialize(&self, set: &FactSet) -> Instance {
         let mut out = Instance::new(self.sig.clone());
         for id in set.iter() {
-            out.insert(self.fact(id).clone());
+            let f = self.fact(id);
+            out.insert_row(f.rel(), f.ids(), |dict, &v| dict.intern(self.value(v)));
         }
         out
     }
@@ -413,168 +547,20 @@ impl Instance {
     }
 }
 
-/// Hashes a fact by content, as the id index keys it.
-fn content_hash(rel: RelId, values: &[Value]) -> u64 {
+/// The fact index's hash of the row `rel(ids)`.
+fn row_hash(rel: RelId, ids: &[ValueId]) -> u64 {
     let mut h = FxHasher::default();
     h.write_u32(rel.0);
-    for v in values {
-        hash_value(&mut h, v);
+    for id in ids {
+        h.write_u32(id.0);
     }
     h.finish()
 }
 
-/// Hashes a value through its [`Atom`] form, so a value and the token
-/// naming it hash alike.
-fn hash_value(h: &mut FxHasher, v: &Value) {
-    match v {
-        Value::Int(n) => hash_atom(h, Atom::Int(*n)),
-        Value::Sym(s) => hash_atom(h, Atom::Sym(s)),
-        Value::Pair(p) => {
-            h.write_u8(2);
-            hash_value(h, &p.0);
-            hash_value(h, &p.1);
-        }
-    }
-}
-
-/// The id index's hash of one value token: its variant, then its
-/// integer or its bytes.
-fn hash_atom(h: &mut FxHasher, atom: Atom<'_>) {
-    match atom {
-        Atom::Int(n) => {
-            h.write_u8(0);
-            h.write_u64(n as u64);
-        }
-        Atom::Sym(s) => {
-            h.write_u8(1);
-            h.write(s.as_bytes());
-        }
-    }
-}
-
-fn fact_hash(fact: &Fact) -> u64 {
-    content_hash(fact.rel(), fact.tuple().values())
-}
-
-/// Marks a free slot of an [`IdTable`].
-const FREE: u32 = u32::MAX;
-
-/// The instance's deduplicating index: an open-addressing table of
-/// fact ids with linear probing, hashed by fact content and compared
-/// against the instance's own fact vector, so it stores no fact.
-/// Kept at most half full; a power of two long once non-empty.
-#[derive(Clone, Default)]
-struct IdTable {
-    slots: Vec<u32>,
-}
-
-impl IdTable {
-    /// A table that indexes `facts` facts without growing: the smallest
-    /// power of two at least twice as long, as `facts` inserts into an
-    /// empty table would leave it.
-    fn with_capacity(facts: usize) -> Self {
-        if facts == 0 {
-            return IdTable::default();
-        }
-        IdTable { slots: vec![FREE; (facts * 2).next_power_of_two().max(8)] }
-    }
-
-    /// The slot a hash probes first: its top bits, since FxHash mixes
-    /// the high bits of its final multiply best.
-    fn home(&self, hash: u64) -> usize {
-        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
-    }
-
-    fn next(&self, slot: usize) -> usize {
-        (slot + 1) & (self.slots.len() - 1)
-    }
-
-    /// The id of the fact hashing to `hash` that `is_it` accepts, if
-    /// present.
-    fn get(&self, facts: &[Fact], hash: u64, is_it: impl Fn(&Fact) -> bool) -> Option<FactId> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mut slot = self.home(hash);
-        loop {
-            let id = self.slots[slot];
-            if id == FREE {
-                return None;
-            }
-            if is_it(&facts[id as usize]) {
-                return Some(FactId(id));
-            }
-            slot = self.next(slot);
-        }
-    }
-
-    /// Indexes `id`, the last fact of `facts` and not yet indexed,
-    /// hashing to `hash`. Doubles the table first when it would pass
-    /// half full, re-placing the indexed ids only (a tombstone stays
-    /// out).
-    fn insert_new(&mut self, facts: &[Fact], hash: u64, id: FactId) {
-        if facts.len() * 2 > self.slots.len() {
-            let grown = vec![FREE; (self.slots.len() * 2).max(8)];
-            let old = std::mem::replace(&mut self.slots, grown);
-            for other in old.into_iter().filter(|&other| other != FREE) {
-                self.place(fact_hash(&facts[other as usize]), other);
-            }
-        }
-        self.place(hash, id.0);
-    }
-
-    fn place(&mut self, hash: u64, id: u32) {
-        let mut slot = self.home(hash);
-        while self.slots[slot] != FREE {
-            slot = self.next(slot);
-        }
-        self.slots[slot] = id;
-    }
-
-    /// Unindexes `id` by backward-shift deletion; a no-op when `id` is
-    /// not indexed (already tombstoned). No other id changes.
-    fn unindex(&mut self, facts: &[Fact], id: FactId) {
-        if self.slots.is_empty() {
-            return;
-        }
-        let mut hole = self.home(fact_hash(&facts[id.index()]));
-        loop {
-            match self.slots[hole] {
-                FREE => return,
-                other if other == id.0 => break,
-                _ => hole = self.next(hole),
-            }
-        }
-        // Pull each later member of the probe run back into the hole
-        // unless that would move it before its home slot.
-        let mask = self.slots.len() - 1;
-        let mut slot = hole;
-        loop {
-            slot = self.next(slot);
-            let other = self.slots[slot];
-            if other == FREE {
-                break;
-            }
-            let home = self.home(fact_hash(&facts[other as usize]));
-            if slot.wrapping_sub(home) & mask >= slot.wrapping_sub(hole) & mask {
-                self.slots[hole] = other;
-                hole = slot;
-            }
-        }
-        self.slots[hole] = FREE;
-    }
-
-    /// Renumbers every indexed id through `c`, whose removed ids are
-    /// already unindexed. Slots depend on content hashes only, so no
-    /// id changes slot.
-    fn renumber(&mut self, c: &Compaction) {
-        let first = c.first() as u32;
-        for slot in &mut self.slots {
-            if *slot != FREE && *slot >= first {
-                *slot = c.new_id(FactId(*slot)).expect("removed ids are unindexed").0;
-            }
-        }
-    }
+/// [`row_hash`] of the stored fact `f`.
+fn fact_hash(rels: &[RelId], starts: &[u32], cells: &[ValueId], f: u32) -> u64 {
+    let f = f as usize;
+    row_hash(rels[f], &cells[starts[f] as usize..starts[f + 1] as usize])
 }
 
 impl fmt::Debug for Instance {
@@ -879,7 +865,9 @@ pub fn tuple<const N: usize>(values: [impl Into<Value>; N]) -> Tuple {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dict::{payload_bytes, value_hash};
     use crate::signature::Signature;
+    use crate::table::FREE;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -977,7 +965,7 @@ mod tests {
     #[test]
     fn remove_facts_shifts_ids_like_a_reinsert() {
         let mut i = small_instance();
-        let removed = i.fact(FactId(1)).clone(); // R(a,c)
+        let removed = i.fact(FactId(1)).to_fact(); // R(a,c)
         let c = i.remove_facts(&[FactId(1)]);
         assert_eq!((c.before(), c.after(), c.first()), (3, 2, 1));
         assert_eq!(i.len(), 2);
@@ -999,7 +987,7 @@ mod tests {
     #[test]
     fn a_tombstone_keeps_every_id_until_the_compaction() {
         let mut i = small_instance();
-        let r_ac = i.fact(FactId(1)).clone();
+        let r_ac = i.fact(FactId(1)).to_fact();
         i.tombstone(FactId(1));
         // Lookups miss the tombstone; nothing else moves.
         assert_eq!(i.id_of(&r_ac), None);
@@ -1178,7 +1166,7 @@ mod tests {
         for fact in pool {
             let want = index.get(fact).copied();
             assert_eq!(inst.id_of(fact), want, "{fact:?}");
-            assert_eq!(inst.id_of_parts(fact.rel(), fact.tuple().values()), want, "{fact:?}");
+            assert_eq!(inst.id_of_values(fact.rel(), fact.values()), want, "{fact:?}");
             assert_eq!(inst.contains(fact), want.is_some());
         }
         for (r, _) in inst.signature().iter() {
@@ -1280,20 +1268,20 @@ mod tests {
         pool
     }
 
-    /// Facts whose top six hash bits are all ones: every table up to 64
-    /// slots homes them all on its last slot, so each probe run
-    /// collides and wraps around to slot 0.
+    /// Facts whose values' top six hash bits are all ones: every
+    /// dictionary index up to 64 slots homes them all on its last slot,
+    /// so each probe run collides and wraps around to slot 0.
     fn colliding_pool(sig: &SigRef) -> Vec<Fact> {
         let s = sig.rel_id("S").unwrap();
         let pool: Vec<Fact> = (0..)
             .map(|n| Fact::new(sig, s, Tuple::new([Value::Int(n)])).unwrap())
-            .filter(|f| fact_hash(f) >> 58 == 63)
+            .filter(|f| value_hash(f.get(1)) >> 58 == 63)
             .take(30)
             .collect();
         let mut table = IdTable { slots: vec![FREE; 64] };
-        assert!(pool.iter().all(|f| table.home(fact_hash(f)) == 63));
+        assert!(pool.iter().all(|f| table.home(value_hash(f.get(1))) == 63));
         table.slots.truncate(8);
-        assert!(pool.iter().all(|f| table.home(fact_hash(f)) == 7));
+        assert!(pool.iter().all(|f| table.home(value_hash(f.get(1))) == 7));
         pool
     }
 
@@ -1361,7 +1349,7 @@ mod tests {
                 if let Some(atoms) = atoms_of(values) {
                     prop_assert_eq!(
                         inst.id_of_atoms(fact.rel(), &atoms),
-                        inst.id_of_parts(fact.rel(), values),
+                        inst.id_of_values(fact.rel(), values),
                         "{:?}",
                         fact
                     );
@@ -1400,7 +1388,8 @@ mod tests {
         // no rehash, and no reallocation on the next insert either.
         assert_eq!(sized.index.slots.len(), slots);
         assert_eq!(grown.index.slots.len(), slots);
-        assert_eq!(sized.facts.capacity(), grown.facts.capacity());
+        assert_eq!(sized.rels.capacity(), grown.rels.capacity());
+        assert_eq!(sized.starts.capacity(), grown.starts.capacity());
         for fact in &pool {
             assert_eq!(sized.id_of(fact), grown.id_of(fact));
         }
@@ -1429,47 +1418,84 @@ mod tests {
     }
 
     #[test]
-    fn heap_bytes_counts_facts_tuples_and_index() {
+    fn heap_bytes_counts_rows_index_and_values() {
         let i = small_instance();
-        let floor = 3 * size_of::<Fact>() + 5 * size_of::<Value>() + 3 * size_of::<u32>();
+        let symbols = 4 * (2 * size_of::<usize>() + 1);
+        let floor = 3 * size_of::<RelId>()
+            + 5 * size_of::<ValueId>()
+            + 4 * size_of::<Value>()
+            + symbols
+            + 3 * size_of::<u32>();
         assert!(i.heap_bytes() >= floor, "{} < {floor}", i.heap_bytes());
-        assert_eq!(Instance::new(model_sig()).heap_bytes(), 2 * size_of::<Vec<FactId>>());
+        assert_eq!(
+            Instance::new(model_sig()).heap_bytes(),
+            2 * size_of::<Vec<FactId>>() + size_of::<u32>()
+        );
+    }
+
+    /// The dictionary's running byte count against a walk over the live
+    /// values, and each use count against the occurrences in the rows.
+    fn assert_dictionary_walks(i: &Instance) {
+        let walked: usize = i.values().map(|(_, v)| payload_bytes(v)).sum();
+        assert_eq!(i.dict.payload, walked);
+        let mut uses = vec![0u32; i.value_bound()];
+        for id in &i.cells {
+            uses[id.index()] += 1;
+        }
+        for (v, &n) in uses.iter().enumerate() {
+            assert_eq!(i.value_uses(ValueId(v as u32)), n, "value {v}");
+        }
     }
 
     #[test]
-    fn heap_bytes_equals_the_walked_tuple_sum() {
-        // The per-relation arity sum against a walk over every fact.
-        let walked = |i: &Instance| {
-            let tuples: usize = i.facts.iter().map(|f| f.tuple().len()).sum();
-            let by_rel: usize = i.by_rel.iter().map(Vec::capacity).sum();
-            i.facts.capacity() * size_of::<Fact>()
-                + tuples * size_of::<Value>()
-                + i.index.slots.capacity() * size_of::<u32>()
-                + i.by_rel.capacity() * size_of::<Vec<FactId>>()
-                + by_rel * size_of::<FactId>()
-        };
+    fn the_running_byte_count_equals_the_walked_one() {
         let sig = model_sig();
         let pool = mixed_pool(&sig);
         let mut i = Instance::new(sig);
         for fact in &pool {
             i.insert(fact.clone());
-            assert_eq!(i.heap_bytes(), walked(&i));
+            assert_dictionary_walks(&i);
         }
         for id in [1, 4, 7] {
             i.tombstone(FactId(id));
-            assert_eq!(i.heap_bytes(), walked(&i), "after tombstoning {id}");
+            assert_dictionary_walks(&i);
         }
         i.remove_facts(&[FactId(1), FactId(4), FactId(7), FactId(0), FactId(12)]);
-        assert_eq!(i.heap_bytes(), walked(&i), "after remove_facts");
+        assert_dictionary_walks(&i);
         let survivors = i.len();
         i.remove_facts(&(0..survivors as u32).map(FactId).collect::<Vec<_>>());
-        assert_eq!(i.heap_bytes(), walked(&i), "after removing every fact");
+        assert_dictionary_walks(&i);
+        assert_eq!(i.values().count(), 0);
+    }
+
+    #[test]
+    fn heap_bytes_follows_a_long_symbol_in_and_out() {
+        const LONG: usize = 16 * 1024;
+        let sig = model_sig();
+        let mut i = Instance::with_capacity(sig.clone(), 64);
+        for n in 0..8 {
+            i.insert_named("S", [Value::Int(n)]).unwrap();
+        }
+        let before = i.heap_bytes();
+        let long = Value::sym("x".repeat(LONG));
+        let id = i.insert_named("S", [long.clone()]).unwrap();
+        let with_one = i.heap_bytes();
+        assert!(with_one >= before + LONG, "{with_one} < {before} + {LONG}");
+        // A second fact holding the same symbol adds no text.
+        let twice = i.insert_named("R", [long.clone(), Value::Int(0)]).unwrap();
+        let with_both = i.heap_bytes();
+        assert!(with_both < with_one + LONG / 4, "the repeated symbol counted twice");
+        // Deleting both, with compaction, gives the text back.
+        i.remove_facts(&[id, twice]);
+        assert_eq!(i.value_id(&long), None);
+        assert!(i.heap_bytes() + LONG <= with_both, "{} not lowered", i.heap_bytes());
+        assert!(i.heap_bytes() < before + LONG / 4, "{} vs {before}", i.heap_bytes());
     }
 
     #[test]
     fn set_of_facts_checks_membership() {
         let i = small_instance();
-        let present = i.fact(FactId(0)).clone();
+        let present = i.fact(FactId(0)).to_fact();
         assert_eq!(i.set_of_facts([&present]).unwrap().len(), 1);
         let absent = Fact::parse_new(i.signature(), "S", [Value::sym("zz")]).unwrap();
         assert!(i.set_of_facts([&absent]).is_err());

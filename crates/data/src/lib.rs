@@ -2,9 +2,11 @@
 //!
 //! This crate implements the data model of §2.1 of *Dichotomies in the
 //! Complexity of Preferred Repairs* (Fagin, Kimelfeld, Kolaitis, PODS
-//! 2015): constants, tuples, facts, relational signatures and instances,
-//! plus the two bitset work-horses every algorithm in the upper crates
-//! relies on:
+//! 2015): constants, tuples, facts, relational signatures and instances
+//! (each instance stores every distinct constant once, in its value
+//! dictionary, and its facts as rows of [`ValueId`]s read through
+//! [`FactRef`] views), plus the two bitset work-horses every algorithm
+//! in the upper crates relies on:
 //!
 //! * [`AttrSet`] — subsets of the attribute universe `⟦R⟧` as one
 //!   machine word (FD sides, closures, the `A⁺`/`Â` sets of §5.2);
@@ -18,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod attrset;
+pub mod dict;
 pub mod error;
 pub mod fact;
 pub mod fingerprint;
@@ -25,14 +28,16 @@ pub mod hash;
 pub mod instance;
 pub mod parse;
 pub mod signature;
+mod table;
 pub mod value;
 
 pub use attrset::{AttrSet, MAX_ARITY};
+pub use dict::ValueId;
 pub use error::DataError;
-pub use fact::{Fact, SigRef, Tuple};
+pub use fact::{Fact, FactContent, FactRef, SigRef, Tuple};
 pub use fingerprint::{
-    combine_unordered, fingerprint_fact, fingerprint_instance, fingerprint_signature,
-    fingerprint_value, Fingerprint, FingerprintBuilder,
+    combine_unordered, fingerprint_fact, fingerprint_facts, fingerprint_instance,
+    fingerprint_signature, fingerprint_value, Fingerprint, FingerprintBuilder,
 };
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use instance::{tuple, Compaction, FactId, FactSet, Instance};

@@ -1298,7 +1298,7 @@ mod tests {
             let mut layout = ComponentLayout::from_csr(&csr);
             for batch in batches {
                 // Each op is valid at its position: track membership.
-                let mut present: Vec<Fact> = i.iter().map(|(_, g)| g.clone()).collect();
+                let mut present: Vec<Fact> = i.iter().map(|(_, g)| g.to_fact()).collect();
                 let mut ops = Vec::new();
                 for (delete, a, b) in batch {
                     let g = f(a, b);

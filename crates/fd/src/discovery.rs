@@ -18,7 +18,7 @@
 //! FD miner; the `max_lhs` knob bounds the search).
 
 use crate::fd::Fd;
-use rpr_data::{AttrSet, FxHashMap, Instance, RelId, Tuple};
+use rpr_data::{AttrSet, FxHashSet, Instance, RelId, ValueId};
 
 /// Options for [`discover_fds`].
 #[derive(Clone, Copy, Debug)]
@@ -36,9 +36,10 @@ impl Default for DiscoveryOptions {
 /// The number of distinct `attrs`-projections among the relation's
 /// facts (the partition rank).
 fn partition_rank(instance: &Instance, rel: RelId, attrs: AttrSet) -> usize {
-    let mut groups: FxHashMap<Tuple, ()> = FxHashMap::default();
+    let mut groups: FxHashSet<Vec<ValueId>> = FxHashSet::default();
     for &id in instance.facts_of(rel) {
-        groups.insert(instance.fact(id).project(attrs), ());
+        let f = instance.fact(id);
+        groups.insert(attrs.iter().map(|a| f.id(a)).collect());
     }
     groups.len()
 }

@@ -17,26 +17,32 @@
 //! grouping of the edited relation produces. The comparisons are
 //! value-wise in place: no projection tuple is ever materialized.
 //!
-//! The sort runs on *abbreviated keys* (PostgreSQL's trick for sorting
-//! text): each fact carries one `u64` per side, an order-preserving
-//! digest of its first `A`-value and its first `B`-value. Most
-//! comparisons are settled by two integer compares; only equal keys
-//! fall back to the full value-wise [`cmp_on`], so the order is exactly
-//! the value order.
+//! The sort runs on *ranks*: each distinct value the facts hold on
+//! `A ∪ B` is ranked once by [`Value`](rpr_data::Value)'s order, and
+//! each fact is keyed by its row of ranks, packed into one `u64`
+//! whenever the row fits. Equal values share one dictionary id, so a
+//! rank per id is a rank per value, and comparing ranks compares
+//! values: the order is exactly the value order.
+//!
+//! Conflicts do not depend on that order, only on which facts share a
+//! group and a block. [`for_relation`](FdGrouping::for_relation), which
+//! only derives conflicts, keys the facts by their rows of raw value
+//! ids instead and reads no value at all.
 
 use crate::fd::Fd;
 use crate::schema::Schema;
-use rpr_data::{AttrSet, Compaction, FactId, FactSet, Instance, RelId, Value};
+use rpr_data::{AttrSet, Compaction, FactId, FactSet, Instance, RelId, ValueId};
 use std::cmp::Ordering;
 use std::ops::Range;
 
-/// Compares two facts on an attribute set, value-wise in place.
+/// Compares two facts on an attribute set, value-wise in place; equal
+/// value ids settle an attribute without reading the values.
 pub fn cmp_on(instance: &Instance, x: FactId, y: FactId, attrs: AttrSet) -> Ordering {
     let (f, g) = (instance.fact(x), instance.fact(y));
     for a in attrs.iter() {
-        match f.get(a).cmp(g.get(a)) {
-            Ordering::Equal => continue,
-            ord => return ord,
+        let (u, v) = (f.id(a), g.id(a));
+        if u != v {
+            return instance.value(u).cmp(instance.value(v));
         }
     }
     Ordering::Equal
@@ -49,45 +55,38 @@ fn shift(starts: &mut [u32], by: i32) {
     }
 }
 
-/// The abbreviated key of a value: `x < y` whenever
-/// `abbreviate(x) < abbreviate(y)`, so unequal keys decide a comparison
-/// and equal keys decide nothing. The top two bits follow `Value`'s
-/// variant order (`Int < Sym < Pair`); the low 62 bits hold an `Int`'s
-/// sign-biased value without its two lowest bits, or a `Sym`'s first
-/// bytes, big-endian and zero-padded, without the two lowest bits of
-/// the eighth. A `Pair` keys by its tag alone. Embedded NULs, shared
-/// prefixes past the key and the dropped bits all tie.
-fn abbreviate(v: &Value) -> u64 {
-    match v {
-        Value::Int(n) => ((*n as u64) ^ (1 << 63)) >> 2,
-        Value::Sym(s) => {
-            let mut word = [0u8; 8];
-            let head = &s.as_bytes()[..s.len().min(8)];
-            word[..head.len()].copy_from_slice(head);
-            (1 << 62) | (u64::from_be_bytes(word) >> 2)
+/// The rank, by value order, of every value the facts `ids` hold on
+/// `attrs`, indexed by value id, and how many distinct values there are.
+fn rank_values(instance: &Instance, ids: &[FactId], attrs: AttrSet) -> (Vec<u32>, usize) {
+    let mut rank = vec![u32::MAX; instance.value_bound()];
+    let mut distinct = Vec::new();
+    for &id in ids {
+        let f = instance.fact(id);
+        for a in attrs.iter() {
+            let v = f.id(a);
+            if rank[v.index()] == u32::MAX {
+                rank[v.index()] = 0;
+                distinct.push(v);
+            }
         }
-        Value::Pair(_) => 2 << 62,
     }
-}
-
-/// The abbreviated key of a fact's first value on `attrs` (`0` for an
-/// empty side, on which every fact ties).
-fn side_key(instance: &Instance, id: FactId, attrs: AttrSet) -> u64 {
-    attrs.iter().next().map_or(0, |a| abbreviate(instance.fact(id).get(a)))
-}
-
-/// One fact of a grouping being sorted, with its two abbreviated keys.
-struct Keyed {
-    lhs: u64,
-    rhs: u64,
-    id: FactId,
+    distinct.sort_unstable_by(|&x, &y| instance.value(x).cmp(instance.value(y)));
+    for (r, v) in distinct.iter().enumerate() {
+        rank[v.index()] = r as u32;
+    }
+    (rank, distinct.len())
 }
 
 /// The facts of one relation grouped under one FD `A → B`, flat.
 ///
-/// The order is *canonical*: groups sorted by `A`-projection, blocks
-/// within a group by `B`-projection, ids within a block ascending. Two
-/// groupings over equal content are therefore identical.
+/// Built by [`new`](Self::new), the order is *canonical*: groups
+/// sorted by `A`-projection, blocks within a group by `B`-projection,
+/// ids within a block ascending. Two such groupings over equal content
+/// are therefore identical, and only they may be patched or searched
+/// ([`insert`](Self::insert), [`remove`](Self::remove),
+/// [`conflict_row`](Self::conflict_row)). The groupings of
+/// [`for_relation`](Self::for_relation) hold the same groups and blocks
+/// in value-id order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FdGrouping {
     /// The FD the facts are grouped under.
@@ -104,42 +103,78 @@ pub struct FdGrouping {
 impl FdGrouping {
     /// Groups `ids` (facts of `fd`'s relation) under `fd`.
     ///
-    /// Sorts on the abbreviated keys of each side, falling back to the
-    /// full [`cmp_on`] only where the keys tie, and splits groups and
-    /// blocks the same way.
+    /// Ranks each distinct value on `A ∪ B` once, then sorts the facts
+    /// on their rows of ranks (`A` first, then `B`, then id) and splits
+    /// groups and blocks where the rows change.
     pub fn new(instance: &Instance, fd: Fd, ids: impl IntoIterator<Item = FactId>) -> Self {
-        let lhs = |x: &Keyed, y: &Keyed| {
-            x.lhs.cmp(&y.lhs).then_with(|| cmp_on(instance, x.id, y.id, fd.lhs))
+        Self::ranked(instance, fd, ids.into_iter().collect(), true)
+    }
+
+    /// [`new`](Self::new) over `ids`, `pack` as in [`keyed`](Self::keyed).
+    fn ranked(instance: &Instance, fd: Fd, ids: Vec<FactId>, pack: bool) -> Self {
+        let (rank, distinct) = rank_values(instance, &ids, fd.lhs.union(fd.rhs));
+        Self::keyed(instance, fd, ids, |v| rank[v.index()], distinct, pack)
+    }
+
+    /// Groups `ids` by their rows of `key` over `A`, then `B`: `key`
+    /// maps each value id to a number below `keys`, equal numbers for
+    /// equal values. With `pack`, a row that fits in 64 bits is sorted
+    /// as one integer; otherwise, or without `pack`, as a slice.
+    fn keyed(
+        instance: &Instance,
+        fd: Fd,
+        ids: Vec<FactId>,
+        key: impl Fn(ValueId) -> u32,
+        keys: usize,
+        pack: bool,
+    ) -> Self {
+        debug_assert!(ids.iter().all(|&id| instance.fact(id).rel() == fd.rel), "foreign facts");
+        let key = &key;
+        let row = |id: FactId| {
+            let f = instance.fact(id);
+            fd.lhs.iter().chain(fd.rhs.iter()).map(move |a| key(f.id(a)))
         };
-        let rhs = |x: &Keyed, y: &Keyed| {
-            x.rhs.cmp(&y.rhs).then_with(|| cmp_on(instance, x.id, y.id, fd.rhs))
-        };
-        let mut keyed: Vec<Keyed> = ids
-            .into_iter()
-            .map(|id| {
-                debug_assert_eq!(instance.fact(id).rel(), fd.rel, "grouping foreign facts");
-                Keyed {
-                    lhs: side_key(instance, id, fd.lhs),
-                    rhs: side_key(instance, id, fd.rhs),
-                    id,
-                }
-            })
-            .collect();
-        keyed.sort_unstable_by(|x, y| lhs(x, y).then_with(|| rhs(x, y)).then(x.id.cmp(&y.id)));
+        let (lhs_len, width) = (fd.lhs.len(), fd.lhs.len() + fd.rhs.len());
+        let bits = (usize::BITS - keys.saturating_sub(1).leading_zeros()).max(1) as usize;
+        if pack && width * bits <= 64 {
+            let keyed = ids
+                .iter()
+                .map(|&id| (row(id).fold(0u64, |key, r| key << bits | u64::from(r)), id))
+                .collect();
+            let rhs_bits = ((width - lhs_len) * bits) as u32;
+            let lhs = |key: &u64| key.checked_shr(rhs_bits).unwrap_or(0);
+            Self::from_keyed(fd, keyed, |x, y| lhs(x) == lhs(y))
+        } else {
+            let rows: Vec<u32> = ids.iter().flat_map(|&id| row(id)).collect();
+            let keyed = (ids.iter().enumerate())
+                .map(|(i, &id)| (&rows[i * width..(i + 1) * width], id))
+                .collect();
+            Self::from_keyed(fd, keyed, |x: &&[u32], y: &&[u32]| x[..lhs_len] == y[..lhs_len])
+        }
+    }
+
+    /// Sorts `keyed` by key, then id, and splits a group wherever
+    /// `same_group` fails and a block wherever the key changes.
+    fn from_keyed<K: Ord>(
+        fd: Fd,
+        mut keyed: Vec<(K, FactId)>,
+        same_group: impl Fn(&K, &K) -> bool,
+    ) -> Self {
+        keyed.sort_unstable();
         let mut block_starts = Vec::new();
         let mut group_starts = Vec::new();
-        for (p, k) in keyed.iter().enumerate() {
-            let new_group = p == 0 || lhs(&keyed[p - 1], k) != Ordering::Equal;
+        for (p, (key, _)) in keyed.iter().enumerate() {
+            let new_group = p == 0 || !same_group(&keyed[p - 1].0, key);
             if new_group {
                 group_starts.push(block_starts.len() as u32);
             }
-            if new_group || rhs(&keyed[p - 1], k) != Ordering::Equal {
+            if new_group || keyed[p - 1].0 != *key {
                 block_starts.push(p as u32);
             }
         }
         group_starts.push(block_starts.len() as u32);
         block_starts.push(keyed.len() as u32);
-        let sorted = keyed.into_iter().map(|k| k.id).collect();
+        let sorted = keyed.into_iter().map(|(_, id)| id).collect();
         FdGrouping { fd, sorted, block_starts, group_starts }
     }
 
@@ -151,17 +186,17 @@ impl FdGrouping {
 
     /// One grouping of `rel`'s facts per non-trivial FD of `schema` on
     /// `rel` — together they witness every conflict of the relation.
+    /// The groups and blocks are [`new`](Self::new)'s, ordered by value
+    /// id rather than by value, so no value is compared.
     pub fn for_relation<'a>(
         schema: &'a Schema,
         instance: &'a Instance,
         rel: RelId,
     ) -> impl Iterator<Item = FdGrouping> + 'a {
         let facts = instance.facts_of(rel);
-        schema
-            .fds_for(rel)
-            .iter()
-            .filter(|fd| !fd.is_trivial())
-            .map(move |&fd| FdGrouping::new(instance, fd, facts.iter().copied()))
+        schema.fds_for(rel).iter().filter(|fd| !fd.is_trivial()).map(move |&fd| {
+            Self::keyed(instance, fd, facts.to_vec(), |v| v.0, instance.value_bound(), true)
+        })
     }
 
     /// The FD the facts are grouped under.
@@ -319,10 +354,10 @@ impl FdGrouping {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rpr_data::Signature;
+    use rpr_data::{Signature, Value};
 
-    /// The grouping by a full value-wise sort, without abbreviated
-    /// keys: the order [`FdGrouping::new`] must reproduce exactly.
+    /// The grouping by a full value-wise sort, without ranks: the order
+    /// [`FdGrouping::new`] must reproduce exactly.
     fn oracle(instance: &Instance, fd: Fd, ids: &[FactId]) -> FdGrouping {
         let mut sorted = ids.to_vec();
         sorted.sort_unstable_by(|&x, &y| {
@@ -347,8 +382,19 @@ mod tests {
         FdGrouping { fd, sorted, block_starts, group_starts }
     }
 
-    /// Values whose abbreviated keys tie without the values being equal,
-    /// or sit at the edges of a key's range.
+    /// The groups of a grouping as sets of blocks, in no order.
+    fn partition(g: &FdGrouping) -> Vec<Vec<Vec<FactId>>> {
+        let mut groups: Vec<Vec<Vec<FactId>>> =
+            (0..g.group_count()).map(|k| g.blocks(k).map(<[FactId]>::to_vec).collect()).collect();
+        for blocks in &mut groups {
+            blocks.sort();
+        }
+        groups.sort();
+        groups
+    }
+
+    /// Values of every kind, with shared prefixes, embedded NULs and the
+    /// ends of the integer range.
     fn tricky_values() -> Vec<Value> {
         let mut values: Vec<Value> = [i64::MIN, i64::MIN + 1, -5, -4, -1, 0, 1, 4, 5, 6, 7]
             .into_iter()
@@ -400,43 +446,47 @@ mod tests {
         instance
     }
 
-    #[test]
-    fn abbreviated_keys_preserve_the_value_order() {
-        let values = tricky_values();
-        for x in &values {
-            for y in &values {
-                let (kx, ky) = (abbreviate(x), abbreviate(y));
-                if kx != ky {
-                    assert_eq!(kx.cmp(&ky), x.cmp(y), "{x:?} vs {y:?}");
-                }
-            }
-        }
-        // The ties the fallback exists for.
-        for (x, y) in [(4, 7), (i64::MAX - 3, i64::MAX), (i64::MIN, i64::MIN + 1)] {
-            assert_eq!(abbreviate(&Value::Int(x)), abbreviate(&Value::Int(y)));
-        }
-        for (x, y) in [("a", "a\0"), ("abcdefg`", "abcdefgc"), ("abcdefghiX", "abcdefghiY")] {
-            assert_eq!(abbreviate(&Value::sym(x)), abbreviate(&Value::sym(y)));
-        }
-    }
-
     proptest! {
         #[test]
-        fn abbreviated_grouping_matches_the_full_sort(
+        fn ranked_grouping_matches_the_full_sort(
             palette in proptest::collection::vec(0usize..64, 6),
             rows in proptest::collection::vec((0usize..6, 0usize..6, 0usize..6, 0usize..6), 0..48),
             lhs in 0u64..16,
             rhs in 0u64..16,
+            pack in any::<bool>(),
         ) {
             let instance = instance_of(&palette, &rows);
             let r = instance.signature().rel_id("R").unwrap();
             let fd = Fd::new(r, AttrSet::from_bits(lhs), AttrSet::from_bits(rhs));
             let ids: Vec<FactId> = instance.fact_ids().collect();
-            prop_assert_eq!(FdGrouping::new(&instance, fd, ids.iter().copied()), oracle(&instance, fd, &ids));
+            let group = |ids: &[FactId]| FdGrouping::ranked(&instance, fd, ids.to_vec(), pack);
+            prop_assert_eq!(group(&ids), oracle(&instance, fd, &ids));
+            // Keyed by raw value ids: the same groups and blocks.
+            let by_ids = FdGrouping::keyed(&instance, fd, ids.clone(), |v| v.0, instance.value_bound(), pack);
+            prop_assert_eq!(partition(&by_ids), partition(&group(&ids)));
             // A subset in reverse order groups like the oracle too.
             let odd: Vec<FactId> = ids.iter().rev().copied().filter(|id| id.0 % 2 == 1).collect();
-            prop_assert_eq!(FdGrouping::new(&instance, fd, odd.iter().copied()), oracle(&instance, fd, &odd));
+            prop_assert_eq!(group(&odd), oracle(&instance, fd, &odd));
         }
+    }
+
+    #[test]
+    fn rows_too_wide_to_pack_sort_as_slices() {
+        // Eight attributes over 300 distinct values need 8 × 9 bits: the
+        // packed path declines and the slice path gives the oracle.
+        let sig = Signature::new([("W", 8)]).unwrap();
+        let w = sig.rel_id("W").unwrap();
+        let mut instance = Instance::new(sig);
+        for n in 0..300i64 {
+            let row = (0..8).map(|k| Value::Int((n * 7 + k * 13) % 300 - (n % 3) * 1000));
+            instance.insert_named("W", row).unwrap();
+        }
+        let fd = Fd::from_attrs(w, [1, 2, 3, 4], [5, 6, 7, 8]);
+        let ids: Vec<FactId> = instance.fact_ids().collect();
+        assert_eq!(
+            FdGrouping::new(&instance, fd, ids.iter().copied()),
+            oracle(&instance, fd, &ids)
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::closure::closure;
 use crate::cover::{merge_by_lhs, minimal_cover};
 use crate::fd::Fd;
 use crate::grouping::FdGrouping;
-use rpr_data::{AttrSet, DataError, Fact, Instance, RelId, SigRef};
+use rpr_data::{AttrSet, DataError, FactContent, Instance, RelId, SigRef};
 use std::fmt;
 
 /// A schema `S = (R, Δ)`.
@@ -85,11 +85,14 @@ impl Schema {
 
     /// Do the two facts form a `δ`-conflict for the specific FD `δ`
     /// (§2.2: agree on `A`, disagree somewhere in `B`)?
-    pub fn is_delta_conflict(&self, delta: Fd, f: &Fact, g: &Fact) -> bool {
-        f.rel() == delta.rel
-            && g.rel() == delta.rel
-            && f.agrees_on(g, delta.lhs)
-            && !f.agrees_on(g, delta.rhs)
+    pub fn is_delta_conflict<'f, 'g>(
+        &self,
+        delta: Fd,
+        f: impl FactContent<'f>,
+        g: impl FactContent<'g>,
+    ) -> bool {
+        let agree = |attrs: AttrSet| attrs.iter().all(|a| f.get(a) == g.get(a));
+        f.rel() == delta.rel && g.rel() == delta.rel && agree(delta.lhs) && !agree(delta.rhs)
     }
 
     /// Are the two facts conflicting (a `δ`-conflict for some `δ ∈ Δ`)?
@@ -97,7 +100,7 @@ impl Schema {
     /// For FD constraints this coincides with `{f, g}` being an
     /// inconsistent pair, and is therefore invariant under replacing `Δ`
     /// by an equivalent FD set.
-    pub fn conflicting(&self, f: &Fact, g: &Fact) -> bool {
+    pub fn conflicting<'f, 'g>(&self, f: impl FactContent<'f>, g: impl FactContent<'g>) -> bool {
         f.rel() == g.rel() && self.fds_for(f.rel()).iter().any(|&d| self.is_delta_conflict(d, f, g))
     }
 
@@ -127,7 +130,7 @@ impl fmt::Debug for Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpr_data::{Signature, Value};
+    use rpr_data::{Fact, Signature, Value};
 
     fn running_schema() -> Schema {
         // Example 2.2: BookLoc:1→2, LibLoc:1→2, LibLoc:2→1.

@@ -366,7 +366,7 @@ pub fn render_certificate(
         out.push('[');
         push_uint(fact.rel().0.into(), &mut out);
         out.push_str(",[");
-        for (k, v) in fact.tuple().values().iter().enumerate() {
+        for (k, v) in fact.values().enumerate() {
             if k > 0 {
                 out.push(',');
             }

@@ -232,16 +232,23 @@ impl<'s, 't> FactReader<'s, 't> {
         Ok(rel)
     }
 
-    /// Reads a fact: [`read`](Self::read), then the tuple built
-    /// straight from the atoms.
-    fn fact(&mut self, text: &'t str, line: usize) -> Result<Fact, FormatError> {
+    /// Reads a fact into `instance`: [`read`](Self::read), then each
+    /// atom interned straight into its value dictionary, so a value
+    /// already there is not built again.
+    fn insert(
+        &mut self,
+        instance: &mut Instance,
+        text: &'t str,
+        line: usize,
+    ) -> Result<FactId, FormatError> {
         let rel = self.read(text, line)?;
-        let tuple = Tuple::new(self.atoms.iter().map(|&a| Value::from(a)));
-        Ok(Fact::new(self.sig, rel, tuple).expect("read checked the arity"))
+        Ok(instance.insert_atoms(rel, &self.atoms))
     }
 
     /// Reads a reference, resolving it at once when `instance` already
-    /// holds its fact; otherwise its atoms wait in the arena.
+    /// holds its fact; otherwise its atoms wait in the arena. A token
+    /// missing from the value dictionary names no fact yet, so its
+    /// reference is a forward one.
     fn reference(
         &mut self,
         instance: &Instance,
@@ -260,7 +267,10 @@ impl<'s, 't> FactReader<'s, 't> {
 
 /// Parses `NAME(v1, …, vn)` into a fact.
 pub(crate) fn parse_fact(sig: &Signature, text: &str, line: usize) -> Result<Fact, FormatError> {
-    FactReader::new(sig).fact(text, line)
+    let mut reader = FactReader::new(sig);
+    let rel = reader.read(text, line)?;
+    let tuple = Tuple::new(reader.atoms.iter().map(|&a| Value::from(a)));
+    Ok(Fact::new(sig, rel, tuple).expect("read checked the arity"))
 }
 
 fn parse_attr_list(text: &str, line: usize) -> Result<AttrSet, FormatError> {
@@ -333,7 +343,7 @@ pub fn parse_workspace(text: &str) -> Result<Workspace, FormatError> {
         let line = idx + 1;
         let l = trim(raw);
         if let Some(rest) = l.strip_prefix("fact ") {
-            instance.insert(reader.fact(rest, line)?);
+            reader.insert(&mut instance, rest, line)?;
         } else if let Some(rest) = l.strip_prefix("prefer ") {
             let (a, b) = rest
                 .split_once('>')

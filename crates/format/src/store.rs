@@ -21,7 +21,7 @@
 //! ```
 
 use crate::format::Workspace;
-use rpr_data::{AttrSet, Fact, FactId, Instance, Signature, Tuple, Value};
+use rpr_data::{AttrSet, FactId, Instance, Signature, Value};
 use rpr_fd::{Fd, Schema};
 use rpr_priority::{PriorityMode, PriorityRelation};
 use std::fmt;
@@ -124,7 +124,7 @@ pub fn encode(ws: &Workspace) -> Result<Vec<u8>, StoreError> {
     buf.extend_from_slice(&(ws.instance.len() as u32).to_le_bytes());
     for (_, fact) in ws.instance.iter() {
         buf.extend_from_slice(&fact.rel().0.to_le_bytes());
-        for v in fact.tuple().values() {
+        for v in fact.values() {
             put_value(&mut buf, v)?;
         }
     }
@@ -246,19 +246,17 @@ pub fn decode(data: &[u8]) -> Result<Workspace, StoreError> {
         return Err(StoreError::Invalid("implausible fact count".into()));
     }
     let mut instance = Instance::new(sig.clone());
+    let mut values = Vec::new();
     for _ in 0..nfacts {
         let rel = rpr_data::RelId(r.u32()?);
         if rel.index() >= sig.len() {
             return Err(StoreError::Invalid("fact over unknown relation".into()));
         }
-        let arity = sig.arity(rel);
-        let mut values = Vec::with_capacity(arity);
-        for _ in 0..arity {
+        values.clear();
+        for _ in 0..sig.arity(rel) {
             values.push(r.value(0)?);
         }
-        let fact = Fact::new(&sig, rel, Tuple::new(values))
-            .map_err(|e| StoreError::Invalid(e.to_string()))?;
-        instance.insert(fact);
+        instance.insert_values(rel, &values);
     }
 
     let nedges = r.u32()? as usize;
@@ -300,6 +298,7 @@ pub fn decode(data: &[u8]) -> Result<Workspace, StoreError> {
 mod tests {
     use super::*;
     use crate::format::parse_workspace;
+    use rpr_data::Fact;
 
     const SAMPLE: &str = "\
 relation R/2
@@ -401,7 +400,7 @@ repair best: R(a, 2); S(x, y, 0)
         let ws = parse_workspace(&format!("relation R/1\nfact R({long})\n")).unwrap();
         let back = decode(&encode(&ws).unwrap()).unwrap();
         let fact = back.instance.iter().next().unwrap().1;
-        assert_eq!(fact.tuple().values()[0], Value::sym(long));
+        assert_eq!(fact.get(1), &Value::sym(long));
     }
 
     #[test]

@@ -303,7 +303,7 @@ mod oracle {
             out.push('[');
             out.push_str(&fact.rel().0.to_string());
             out.push_str(",[");
-            for (k, v) in fact.tuple().values().iter().enumerate() {
+            for (k, v) in fact.values().enumerate() {
                 if k > 0 {
                     out.push(',');
                 }

@@ -219,7 +219,7 @@ fn summary(ws: &Workspace) -> String {
     for i in 0..ws.instance.len() {
         let fact = ws.instance.fact(FactId(i as u32));
         out.push_str(&format!("{i}: {:?}", fact.rel()));
-        for value in fact.tuple().values() {
+        for value in fact.values() {
             // `Value`'s `Debug` prints `Int(5)` and `Sym("5")` alike.
             match value {
                 Value::Int(n) => out.push_str(&format!(" int {n}")),
@@ -260,7 +260,7 @@ fn assert_delta_ops_agree(ws: &Workspace, rng: &mut Rng) {
             return rng.pick(&["R(a)", "R(a, 1", "T(a, 1)", "R a, 1)", "R(+5, \u{A0}007)"]).into();
         }
         let f = ws.instance.fact(FactId(rng.below(ws.instance.len()) as u32));
-        let values: Vec<String> = f.tuple().values().iter().map(|v| v.to_string()).collect();
+        let values: Vec<String> = f.values().map(|v| v.to_string()).collect();
         let values: Vec<&str> = values.iter().map(String::as_str).collect();
         fact_text(rng, sig.symbol(f.rel()).name(), &values)
     };

@@ -111,7 +111,7 @@ pub fn trust_then_recency_priority(
     feed: &Feed,
     source_order: &[&str],
 ) -> rpr_priority::PriorityRelation {
-    let rank = |f: &rpr_data::Fact| -> (i64, i64) {
+    let rank = |f: rpr_data::FactRef<'_>| -> (i64, i64) {
         let src = f.get(3).as_sym().unwrap_or("");
         let r = source_order
             .iter()

@@ -242,11 +242,13 @@ impl Policy {
         scope: PriorityScope,
     ) -> Result<PriorityRelation, PriorityError> {
         let mut edges: Vec<(FactId, FactId)> = Vec::new();
+        // Rules score owned facts.
+        let facts: Vec<Fact> = instance.iter().map(|(_, f)| f.to_fact()).collect();
         match scope {
             PriorityScope::ConflictsOnly => {
                 let cg = CsrConflictGraph::new(schema, instance);
                 for (a, b) in cg.edges() {
-                    match self.compare(schema, instance.fact(a), instance.fact(b)) {
+                    match self.compare(schema, &facts[a.index()], &facts[b.index()]) {
                         Ordering::Greater => edges.push((a, b)),
                         Ordering::Less => edges.push((b, a)),
                         Ordering::Equal => {}
@@ -254,8 +256,8 @@ impl Policy {
                 }
             }
             PriorityScope::AllPairs => {
-                for (a, fa) in instance.iter() {
-                    for (b, fb) in instance.iter() {
+                for (a, fa) in instance.fact_ids().zip(&facts) {
+                    for (b, fb) in instance.fact_ids().zip(&facts) {
                         if a < b {
                             match self.compare(schema, fa, fb) {
                                 Ordering::Greater => edges.push((a, b)),

@@ -74,8 +74,8 @@ impl PrioritizedInstance {
     /// Appends a fact, growing the priority universe with it. Returns
     /// the new fact's id (or the existing id if the fact was already
     /// present — callers rejecting duplicates check membership first).
-    pub fn insert_fact(&mut self, fact: Fact) -> FactId {
-        let id = self.instance.insert(fact);
+    pub fn insert_fact(&mut self, fact: &Fact) -> FactId {
+        let id = self.instance.insert_values(fact.rel(), fact.values());
         self.priority.grow(self.instance.len());
         id
     }
@@ -241,8 +241,8 @@ mod tests {
     #[test]
     fn builder_by_fact_value() {
         let (schema, i) = setup();
-        let f0 = i.fact(FactId(0)).clone();
-        let f1 = i.fact(FactId(1)).clone();
+        let f0 = i.fact(FactId(0)).to_fact();
+        let f1 = i.fact(FactId(1)).to_fact();
         let mut b = PriorityBuilder::new(&i);
         b.prefer(&f1, &f0);
         let p = b.build().unwrap();
@@ -262,7 +262,7 @@ mod tests {
         assert!(pi.priority().prefers(FactId(0), FactId(1)));
         // A new fact grows the universe; edges to it work once it conflicts.
         let sig = pi.instance().signature().clone();
-        let id = pi.insert_fact(Fact::parse_new(&sig, "R", [v("a"), v("z")]).unwrap());
+        let id = pi.insert_fact(&Fact::parse_new(&sig, "R", [v("a"), v("z")]).unwrap());
         assert_eq!(id, FactId(3));
         pi.add_edge(&schema, FactId(3), FactId(0)).unwrap();
         assert!(matches!(
@@ -272,7 +272,7 @@ mod tests {
         // Deleting requires shedding edges first; then ids renumber.
         assert!(pi.remove_edge(FactId(0), FactId(1)));
         assert!(pi.remove_edge(FactId(3), FactId(0)));
-        let removed = pi.instance().fact(FactId(0)).clone();
+        let removed = pi.instance().fact(FactId(0)).to_fact();
         pi.tombstone_fact(FactId(0));
         assert_eq!(pi.instance().id_of(&removed), None);
         assert_eq!(pi.instance().len(), 4, "a tombstone keeps its id until the compaction");

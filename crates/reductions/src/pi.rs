@@ -35,7 +35,7 @@ pub fn map_instance<M: FactMapping>(pi: &M, instance: &Instance) -> (Instance, V
     let mut out = Instance::new(pi.target_schema().signature().clone());
     let mut translation = Vec::with_capacity(instance.len());
     for (_, fact) in instance.iter() {
-        translation.push(out.insert(pi.map_fact(fact)));
+        translation.push(out.insert(pi.map_fact(&fact.to_fact())));
     }
     (out, translation)
 }

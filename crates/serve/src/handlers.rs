@@ -1180,8 +1180,11 @@ mod tests {
         let session = slot.unwrap();
         let session = session.read();
         let instance = session.prioritized().instance();
-        let y =
-            rpr_format::parse_workspace(WS_YX).unwrap().instance.fact(rpr_data::FactId(0)).clone();
+        let y = rpr_format::parse_workspace(WS_YX)
+            .unwrap()
+            .instance
+            .fact(rpr_data::FactId(0))
+            .to_fact();
         assert_eq!(instance.id_of(&y), Some(rpr_data::FactId(1)));
         // The miss was served fresh; the later requests re-armed the
         // slot through a verified hit and then hit its bytes.

@@ -17,10 +17,11 @@
 //! pairs, plus the priority mode. Fact and edge sets are compared
 //! without building either: both instances deduplicate their facts and
 //! both priorities their edges, so equal counts plus resolving every
-//! fact and edge of one side in the other (by content, through
-//! [`Instance::id_of_parts`]) is set equality. It runs in O(content)
-//! and copies no fact — far cheaper than the artifact build a genuine
-//! miss pays.
+//! fact and edge of one side in the other is set equality. Each
+//! distinct value of one side is looked up once in the other's value
+//! dictionary; a fact then resolves by its row of value ids
+//! ([`Instance::id_of_ids`]). It runs in O(content) and copies no fact
+//! — far cheaper than the artifact build a genuine miss pays.
 //!
 //! Content equality does not make fact ids agree: two content-equal
 //! workspaces may declare their facts (or relations) in different
@@ -28,7 +29,7 @@
 //! cached session's ids by fact content ([`translate`]) before they are
 //! checked or certified there.
 
-use rpr_data::{AttrSet, FactId, FactSet, Instance, RelId, Signature};
+use rpr_data::{AttrSet, FactId, FactSet, Instance, RelId, Signature, ValueId, MAX_ARITY};
 use rpr_fd::Schema;
 use rpr_priority::PrioritizedInstance;
 use std::collections::HashSet;
@@ -50,10 +51,32 @@ fn rel_map(from: &Signature, to: &Signature) -> Vec<Option<RelId>> {
     from.iter().map(|(_, sym)| to.rel_id(sym.name())).collect()
 }
 
-/// The fact of `to` with the content of `from`'s fact `id`, if any.
-fn resolve(rels: &[Option<RelId>], from: &Instance, id: FactId, to: &Instance) -> Option<FactId> {
+/// Each value of `from`'s dictionary as the id of the equal value in
+/// `to`'s, if any: one lookup per distinct value, so a fact then
+/// resolves by its row of ids.
+fn value_map(from: &Instance, to: &Instance) -> Vec<Option<ValueId>> {
+    let mut map = vec![None; from.value_bound()];
+    for (id, v) in from.values() {
+        map[id.index()] = to.value_id(v);
+    }
+    map
+}
+
+/// The fact of `to` with the content of `from`'s fact `id`, if any,
+/// through the relation and value maps.
+fn resolve(
+    rels: &[Option<RelId>],
+    values: &[Option<ValueId>],
+    from: &Instance,
+    id: FactId,
+    to: &Instance,
+) -> Option<FactId> {
     let fact = from.fact(id);
-    to.id_of_parts(rels[fact.rel().index()]?, fact.tuple().values())
+    let mut row = [ValueId(0); MAX_ARITY];
+    for (slot, v) in row.iter_mut().zip(fact.ids()) {
+        *slot = values[v.index()]?;
+    }
+    to.id_of_ids(rels[fact.rel().index()]?, &row[..fact.len()])
 }
 
 /// Do the two `(schema, prioritized instance)` pairs describe the same
@@ -74,8 +97,9 @@ pub fn content_equal(
     {
         return false;
     }
-    let rels = rel_map(ai.signature(), bi.signature());
-    let Some(ids) = ai.fact_ids().map(|id| resolve(&rels, ai, id, bi)).collect::<Option<Vec<_>>>()
+    let (rels, values) = (rel_map(ai.signature(), bi.signature()), value_map(ai, bi));
+    let Some(ids) =
+        ai.fact_ids().map(|id| resolve(&rels, &values, ai, id, bi)).collect::<Option<Vec<_>>>()
     else {
         return false;
     };
@@ -89,7 +113,8 @@ pub(crate) fn translate(set: &FactSet, from: &Instance, to: &Instance) -> Option
     let rels = rel_map(from.signature(), to.signature());
     let mut out = to.empty_set();
     for id in set.iter() {
-        out.insert(resolve(&rels, from, id, to)?);
+        let fact = from.fact(id);
+        out.insert(to.id_of_values(rels[fact.rel().index()]?, fact.values())?);
     }
     Some(out)
 }
@@ -98,7 +123,7 @@ pub(crate) fn translate(set: &FactSet, from: &Instance, to: &Instance) -> Option
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rpr_data::{Fact, Value};
+    use rpr_data::{Fact, FactRef, Value};
     use rpr_priority::PriorityRelation;
 
     /// The declaration-order-independent identity of one fact: relation
@@ -113,8 +138,8 @@ mod tests {
         b_schema: &Schema,
         b: &PrioritizedInstance,
     ) -> bool {
-        fn fact_key(sig: &Signature, fact: &Fact) -> FactKey {
-            (sig.symbol(fact.rel()).name().to_owned(), fact.tuple().values().to_vec())
+        fn fact_key(sig: &Signature, fact: FactRef<'_>) -> FactKey {
+            (sig.symbol(fact.rel()).name().to_owned(), fact.values().cloned().collect())
         }
         fn fact_set(pi: &PrioritizedInstance) -> HashSet<FactKey> {
             let sig = pi.instance().signature();

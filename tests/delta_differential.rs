@@ -73,7 +73,7 @@ fn random_op(rng: &mut StdRng, ws: &Workspace, graveyard: &mut Vec<Fact>) -> Opt
                 }
                 let id = FactId(rng.random_range(0u32..n as u32));
                 if ws.priority.edges().iter().all(|&(a, b)| a != id && b != id) {
-                    let f = ws.instance.fact(id).clone();
+                    let f = ws.instance.fact(id).to_fact();
                     graveyard.push(f.clone());
                     return Some(DeltaOp::DeleteFact(f));
                 }
@@ -93,8 +93,8 @@ fn random_op(rng: &mut StdRng, ws: &Workspace, graveyard: &mut Vec<Fact>) -> Opt
                 }
                 let (better, worse) = open.swap_remove(rng.random_range(0..open.len()));
                 return Some(DeltaOp::SetPriority {
-                    better: ws.instance.fact(better).clone(),
-                    worse: ws.instance.fact(worse).clone(),
+                    better: ws.instance.fact(better).to_fact(),
+                    worse: ws.instance.fact(worse).to_fact(),
                     prefer: true,
                 });
             }
@@ -106,8 +106,8 @@ fn random_op(rng: &mut StdRng, ws: &Workspace, graveyard: &mut Vec<Fact>) -> Opt
                 }
                 let (a, b) = edges[rng.random_range(0..edges.len())];
                 return Some(DeltaOp::SetPriority {
-                    better: ws.instance.fact(a).clone(),
-                    worse: ws.instance.fact(b).clone(),
+                    better: ws.instance.fact(a).to_fact(),
+                    worse: ws.instance.fact(b).to_fact(),
                     prefer: false,
                 });
             }
@@ -216,7 +216,7 @@ fn delete_then_reinsert_round_trips_the_whole_session() {
     let ws = parse_workspace(BASE).unwrap();
     let before = workspace_fingerprint(&ws);
     let mut ds = DeltaSession::prepare(Arc::new(ws.schema.clone()), ws.prioritized().unwrap());
-    let victim = ws.instance.fact(FactId(4)).clone();
+    let victim = ws.instance.fact(FactId(4)).to_fact();
     ds.apply_delta(&[DeltaOp::DeleteFact(victim.clone())]).unwrap();
     assert_ne!(ds.fingerprint(), before, "deletion must change the fingerprint");
     ds.apply_delta(&[DeltaOp::InsertFact(victim)]).unwrap();
@@ -228,8 +228,8 @@ fn delete_then_reinsert_round_trips_the_whole_session() {
     let final_ws = apply_ops_to_workspace(
         &ws,
         &[
-            DeltaOp::DeleteFact(ws.instance.fact(FactId(4)).clone()),
-            DeltaOp::InsertFact(ws.instance.fact(FactId(4)).clone()),
+            DeltaOp::DeleteFact(ws.instance.fact(FactId(4)).to_fact()),
+            DeltaOp::InsertFact(ws.instance.fact(FactId(4)).to_fact()),
         ],
     )
     .unwrap();
@@ -350,10 +350,10 @@ fn deletes_of_the_first_and_the_last_id() {
     let ws = wide();
     let n = ws.instance.len() as u32;
     let (first, last) =
-        (ws.instance.fact(FactId(0)).clone(), ws.instance.fact(FactId(n - 1)).clone());
+        (ws.instance.fact(FactId(0)).to_fact(), ws.instance.fact(FactId(n - 1)).to_fact());
     // Fact 0 carries an edge in `wide`: drop the edge in the batch too.
-    let better = ws.instance.fact(FactId(0)).clone();
-    let worse = ws.instance.fact(FactId(1)).clone();
+    let better = ws.instance.fact(FactId(0)).to_fact();
+    let worse = ws.instance.fact(FactId(1)).to_fact();
     let unprefer = DeltaOp::SetPriority { better, worse, prefer: false };
     let ops = [unprefer.clone(), DeltaOp::DeleteFact(first.clone())];
     assert_batch_matches_cold(&ws, &ops, "delete id 0");

@@ -67,10 +67,10 @@ fn instance_fingerprint_ignores_fact_insertion_order() {
         // Rebuild the instance with facts inserted in reverse.
         let sig = w.instance.signature().clone();
         let mut reversed = preferred_repairs::data::Instance::new(sig.clone());
-        let facts: Vec<_> = w.instance.iter().map(|(_, f)| f.clone()).collect();
+        let facts: Vec<_> = w.instance.iter().map(|(_, f)| f).collect();
         for f in facts.iter().rev() {
             let name = sig.symbol(f.rel()).name().to_owned();
-            let values: Vec<_> = f.tuple().values().to_vec();
+            let values: Vec<_> = f.values().cloned().collect();
             reversed.insert_named(&name, values).unwrap();
         }
         assert_eq!(

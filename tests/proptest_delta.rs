@@ -91,7 +91,7 @@ fn decode_op(seed: u64, ws: &Workspace) -> Option<DeltaOp> {
                 .edges()
                 .iter()
                 .all(|&(a, b)| a != id && b != id)
-                .then(|| DeltaOp::DeleteFact(ws.instance.fact(id).clone()))
+                .then(|| DeltaOp::DeleteFact(ws.instance.fact(id).to_fact()))
         }
         2 => {
             // Prefer: an open conflict edge, rank-oriented.
@@ -107,8 +107,8 @@ fn decode_op(seed: u64, ws: &Workspace) -> Option<DeltaOp> {
             }
             let (better, worse) = open[((seed / 4) % open.len() as u64) as usize];
             Some(DeltaOp::SetPriority {
-                better: ws.instance.fact(better).clone(),
-                worse: ws.instance.fact(worse).clone(),
+                better: ws.instance.fact(better).to_fact(),
+                worse: ws.instance.fact(worse).to_fact(),
                 prefer: true,
             })
         }
@@ -120,8 +120,8 @@ fn decode_op(seed: u64, ws: &Workspace) -> Option<DeltaOp> {
             }
             let (a, b) = edges[((seed / 4) % edges.len() as u64) as usize];
             Some(DeltaOp::SetPriority {
-                better: ws.instance.fact(a).clone(),
-                worse: ws.instance.fact(b).clone(),
+                better: ws.instance.fact(a).to_fact(),
+                worse: ws.instance.fact(b).to_fact(),
                 prefer: false,
             })
         }

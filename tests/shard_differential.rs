@@ -289,8 +289,8 @@ fn priority_only_batches_reuse_every_shard() {
     let mut ds = DeltaSession::prepare(schema.clone(), pi);
     // f1 > f2 would close a cycle; f3 > f4 is fresh and legal (they
     // conflict via the shared second attribute).
-    let f3 = instance.fact(FactId(3)).clone();
-    let f4 = instance.fact(FactId(4)).clone();
+    let f3 = instance.fact(FactId(3)).to_fact();
+    let f4 = instance.fact(FactId(4)).to_fact();
     let report =
         ds.apply_delta(&[DeltaOp::SetPriority { better: f3, worse: f4, prefer: true }]).unwrap();
     assert!(!report.rebuilt);
