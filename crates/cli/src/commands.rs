@@ -81,20 +81,6 @@ fn targets(ws: &Workspace, name: Option<&str>) -> Result<Vec<(String, FactSet)>,
     }
 }
 
-/// Checks every candidate under `budget`. A lone candidate fans its own
-/// shards out across the session's workers; several fan out across
-/// candidates instead.
-fn check_all(
-    session: &CheckSession<'_>,
-    js: &[FactSet],
-    budget: &Budget,
-) -> Vec<Outcome<CheckOutcome>> {
-    match js {
-        [j] => vec![session.check_bounded(j, budget)],
-        _ => session.check_batch_bounded(js, budget),
-    }
-}
-
 /// `rpr certify FILE [NAME]` — canonical verdict certificates, one
 /// JSON document per line, each independently re-checkable with
 /// `rpr audit` (or any other implementation of the certificate
@@ -125,7 +111,7 @@ pub fn certify(
         emit(&session.certify_classification());
     } else {
         let js: Vec<FactSet> = targets(ws, name)?.into_iter().map(|(_, j)| j).collect();
-        for (j, outcome) in js.iter().zip(check_all(&session, &js, budget)) {
+        for (j, outcome) in js.iter().zip(session.check_batch_bounded(&js, budget)) {
             status = merge_status(status, status_of(&outcome));
             if let Outcome::Done(verdict) = outcome {
                 emit(&session.certify(j, &verdict));
@@ -234,8 +220,8 @@ fn merge_status(run: RunStatus, candidate: RunStatus) -> RunStatus {
 
 /// `rpr check FILE [NAME]` — check the named candidate repair (or all
 /// declared repairs) for global optimality under `budget`. One
-/// [`CheckSession`] with `jobs` workers is built for the workspace and
-/// shared by all candidates. A finished verdict also reports Pareto-
+/// [`CheckSession`] is built for the workspace and shared by all
+/// candidates, which fan out across `jobs` workers. A finished verdict also reports Pareto-
 /// and completion-optimality; one panicking or budget-tripping
 /// candidate degrades only its own line.
 ///
@@ -253,7 +239,7 @@ pub fn check(
     let session = CheckSession::new(&ws.schema, &pi).with_jobs(jobs);
     let cg = session.conflict_graph();
     let js: Vec<FactSet> = targets.iter().map(|(_, j)| j.clone()).collect();
-    let outcomes = check_all(&session, &js, budget);
+    let outcomes = session.check_batch_bounded(&js, budget);
     let mut out = String::new();
     let mut status = RunStatus::Done;
     for ((n, j), outcome) in targets.iter().zip(&outcomes) {

@@ -69,8 +69,9 @@ commands:
                                       rpr request http://127.0.0.1:7171/check db.rpr
 
 options:
-  --jobs N            worker threads for check/repairs/cqa parallel fan-out
-                      (default: available parallelism; 1 = sequential)
+  --jobs N            worker threads across candidates for check/repairs/cqa
+                      (default: available parallelism; 1 = sequential;
+                      one candidate's check always runs on one thread)
   --timeout-ms MS     wall-clock deadline for check/repairs/cqa/certify
   --max-work N        work-unit allowance for check/repairs/cqa/certify, shared
                       by the whole run (default 4194304 when none of

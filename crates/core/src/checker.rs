@@ -79,7 +79,7 @@ impl GRepairChecker {
     /// # Panics
     /// Panics if `pi` was validated in ccp mode (use [`CcpChecker`]).
     pub fn check(&self, pi: &PrioritizedInstance, j: &FactSet) -> CheckOutcome {
-        self.session(pi).with_jobs(1).check(j)
+        self.session(pi).check(j)
     }
 
     /// [`check`](GRepairChecker::check) under a caller-supplied
@@ -96,7 +96,7 @@ impl GRepairChecker {
         j: &FactSet,
         budget: &Budget,
     ) -> Outcome<CheckOutcome> {
-        self.session(pi).with_jobs(1).check_bounded(j, budget)
+        self.session(pi).check_bounded(j, budget)
     }
 
     /// Builds an amortized [`CheckSession`] over `pi`, reusing this
@@ -160,7 +160,7 @@ impl CcpChecker {
     /// [`CheckSession::check`]: on the hard side use
     /// [`check_bounded`](CcpChecker::check_bounded).
     pub fn check(&self, pi: &PrioritizedInstance, j: &FactSet) -> CheckOutcome {
-        self.session(pi).with_jobs(1).check(j)
+        self.session(pi).check(j)
     }
 
     /// [`check`](CcpChecker::check) under a caller-supplied [`Budget`];
@@ -171,7 +171,7 @@ impl CcpChecker {
         j: &FactSet,
         budget: &Budget,
     ) -> Outcome<CheckOutcome> {
-        self.session(pi).with_jobs(1).check_bounded(j, budget)
+        self.session(pi).check_bounded(j, budget)
     }
 
     /// Builds an amortized [`CheckSession`] over `pi`, reusing this

@@ -40,8 +40,9 @@
 //! counterexample.)
 
 use rpr_data::FactSet;
+use rpr_engine::{Budget, Outcome};
 use rpr_fd::CsrConflictGraph;
-use rpr_priority::{completions, BudgetExceeded as CompletionBudget, PriorityRelation};
+use rpr_priority::{completions, PriorityRelation};
 
 /// The repair greedily generated by a **total-on-conflicts** priority:
 /// scan facts in topological order, keep what is consistent.
@@ -93,41 +94,46 @@ pub fn is_completion_optimal(
 }
 
 /// Brute-force completion-optimal checking: enumerate every completion
-/// and compare `j` with its greedy repair.
-///
-/// # Errors
-/// [`CompletionBudget`] if completion enumeration blows the budget.
+/// under `budget` ([`completions`]: one work unit per orientation
+/// assignment) and compare `j` with its greedy repair. A degraded
+/// outcome carries no partial answer.
 pub fn is_completion_optimal_brute(
     cg: &CsrConflictGraph,
     priority: &PriorityRelation,
     j: &FactSet,
-    budget: usize,
-) -> Result<bool, CompletionBudget> {
+    budget: &Budget,
+) -> Outcome<bool> {
     if !cg.is_repair(j) {
-        return Ok(false);
+        return Outcome::Done(false);
     }
-    let all = completions(cg, priority, budget)?;
-    Ok(all.iter().any(|c| &greedy_repair(cg, c) == j))
+    match completions(cg, priority, budget) {
+        Outcome::Done(all) => Outcome::Done(all.iter().any(|c| &greedy_repair(cg, c) == j)),
+        Outcome::Exceeded { report, .. } => Outcome::Exceeded { partial: None, report },
+        Outcome::Cancelled { .. } => Outcome::Cancelled { partial: None },
+        Outcome::Panicked { report, .. } => Outcome::Panicked { partial: None, report },
+    }
 }
 
-/// All completion-optimal repairs, by brute force.
-///
-/// # Errors
-/// [`CompletionBudget`] if completion enumeration blows the budget.
+/// All completion-optimal repairs, by brute force under `budget`
+/// ([`completions`]: one work unit per orientation assignment). On
+/// degradation the partial answer is the greedy repairs of the
+/// completions enumerated before the stop, each completion-optimal.
 pub fn completion_optimal_repairs_brute(
     cg: &CsrConflictGraph,
     priority: &PriorityRelation,
-    budget: usize,
-) -> Result<Vec<FactSet>, CompletionBudget> {
-    let mut out: Vec<FactSet> = Vec::new();
-    for c in completions(cg, priority, budget)? {
-        let r = greedy_repair(cg, &c);
-        if !out.contains(&r) {
-            out.push(r);
+    budget: &Budget,
+) -> Outcome<Vec<FactSet>> {
+    completions(cg, priority, budget).map(|all| {
+        let mut out: Vec<FactSet> = Vec::new();
+        for c in all {
+            let r = greedy_repair(cg, &c);
+            if !out.contains(&r) {
+                out.push(r);
+            }
         }
-    }
-    out.sort();
-    Ok(out)
+        out.sort();
+        out
+    })
 }
 
 #[cfg(test)]
@@ -195,7 +201,13 @@ mod tests {
             .expect_done("repair enumeration")
         {
             let fast = is_completion_optimal(&cg, &p, &j);
-            let slow = is_completion_optimal_brute(&cg, &p, &j, 1 << 20).unwrap();
+            let slow = is_completion_optimal_brute(
+                &cg,
+                &p,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 20),
+            )
+            .expect_done("completion enumeration");
             assert_eq!(fast, slow, "disagreement on {}", i.render_set(&j));
         }
     }
@@ -207,7 +219,9 @@ mod tests {
         let (cg, i) = single_fd_instance(&[("a", "1"), ("a", "2"), ("b", "1"), ("b", "2")]);
         let p = PriorityRelation::new(i.len(), [(FactId(0), FactId(1)), (FactId(3), FactId(2))])
             .unwrap();
-        let c_repairs = completion_optimal_repairs_brute(&cg, &p, 1 << 20).unwrap();
+        let c_repairs =
+            completion_optimal_repairs_brute(&cg, &p, &Budget::unlimited().with_max_work(1 << 20))
+                .expect_done("completion enumeration");
         assert!(!c_repairs.is_empty());
         for j in &c_repairs {
             assert!(crate::brute::is_globally_optimal_brute_bounded(
@@ -257,7 +271,13 @@ mod tests {
         // neither of which can be kept before x. The AND/OR closure
         // correctly rejects:
         assert!(!is_completion_optimal(&cg, &p, &j));
-        assert!(!is_completion_optimal_brute(&cg, &p, &j, 1 << 20).unwrap());
+        assert!(!is_completion_optimal_brute(
+            &cg,
+            &p,
+            &j,
+            &Budget::unlimited().with_max_work(1 << 20)
+        )
+        .expect_done("completion enumeration"));
         // And J is still globally optimal here — a (single-instance)
         // separation between the C- and G-semantics.
         assert!(crate::brute::is_globally_optimal_brute_bounded(

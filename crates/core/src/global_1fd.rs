@@ -20,10 +20,7 @@
 //! witness.
 //!
 //! One pass over the groups ([`scan_groups`]) decides all three: the
-//! repair pre-checks (consistency, maximality) and the swap scan. The
-//! sequential entry point runs it over every group; a session fans it
-//! out over group ranges and [merges](GroupScan::merge) the results,
-//! which gives the same verdict and witness.
+//! repair pre-checks (consistency, maximality) and the swap scan.
 //!
 //! The block structure depends only on `(instance, fd, domain)`, never
 //! on the candidate `J` — so amortized callers
@@ -34,7 +31,6 @@ use crate::improvement::{CheckOutcome, Improvement};
 use rpr_data::{FactId, FactSet, Instance};
 use rpr_fd::{CsrConflictGraph, Fd, FdGrouping};
 use rpr_priority::PriorityRelation;
-use std::ops::Range;
 
 /// The block structure of one relation's facts under a single FD is the
 /// relation's flat [`FdGrouping`]: groups share the `A`-projection;
@@ -50,22 +46,16 @@ pub(crate) fn beaten_by(priority: &PriorityRelation, block: &[FactId], f: FactId
     priority.better_than(f).iter().any(|g| block.binary_search(g).is_ok())
 }
 
-/// A Lemma 4.2 block swap `J[f ↔ g]`: J's block `from` of group `group`
-/// out, block `to` of the same group in (blocks numbered across the
-/// grouping). Ordered by group first, so the least swap is the first
-/// one in group order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// A Lemma 4.2 block swap `J[f ↔ g]`: J's block `from` out, block `to`
+/// of the same group in (blocks numbered across the grouping).
 struct Swap {
-    group: usize,
     from: usize,
     to: usize,
 }
 
-/// What one pass of `GRepCheck1FD` found over a range of groups. Each
-/// field is a least element over the range, so the scans of disjoint
-/// ranges [`merge`](Self::merge) into the scan of their union, and the
-/// verdict reads off the merged scan: an inconsistency first, then an
-/// addable fact, then a swap.
+/// What one pass of `GRepCheck1FD` found over the groups, and the
+/// verdict reads off the scan: an inconsistency first, then an addable
+/// fact, then a swap.
 #[derive(Default)]
 pub(crate) struct GroupScan {
     /// The least `f ∈ J` conflicting inside `J`, with its least partner.
@@ -85,15 +75,6 @@ impl GroupScan {
     /// (only found by a scan not told that `J` is consistent).
     pub(crate) fn inconsistency(&self) -> Option<(FactId, FactId)> {
         self.incons
-    }
-
-    /// The scan of two disjoint group ranges together.
-    pub(crate) fn merge(self, other: GroupScan) -> GroupScan {
-        GroupScan {
-            incons: least(self.incons, other.incons),
-            addable: least(self.addable, other.addable),
-            swap: least(self.swap, other.swap),
-        }
     }
 
     /// The verdict, with its witness sets built for the winning group
@@ -129,11 +110,11 @@ impl GroupScan {
     }
 }
 
-/// One allocation-free pass of `GRepCheck1FD` over the groups in
-/// `groups`. Per group it finds the block holding `J`'s members (two
-/// such blocks are an inconsistency), the least fact addable to `J`,
-/// and — while neither the range nor the group has settled the verdict
-/// otherwise — the first block whose swap for `J`'s block improves `J`.
+/// One allocation-free pass of `GRepCheck1FD` over every group. Per
+/// group it finds the block holding `J`'s members (two such blocks are
+/// an inconsistency), the least fact addable to `J`, and — while no
+/// earlier group has settled the verdict otherwise — the first block
+/// whose swap for `J`'s block improves `J`.
 ///
 /// With `consistent`, the caller has already found `J` consistent (the
 /// session pre-pass), so the pass stops looking at a group's blocks
@@ -142,11 +123,10 @@ pub(crate) fn scan_groups(
     priority: &PriorityRelation,
     blocks: &FdBlocks,
     j: &FactSet,
-    groups: Range<usize>,
     consistent: bool,
 ) -> GroupScan {
     let mut out = GroupScan::default();
-    for g in groups {
+    for g in 0..blocks.group_count() {
         // J's block, and the two least of the blocks' least J-members:
         // a second block with J-members makes the group inconsistent.
         let (mut j_block, mut lo, mut hi) = (None, None, None);
@@ -192,7 +172,7 @@ pub(crate) fn scan_groups(
             let added = blocks.block(to);
             removed.iter().all(|&f| beaten_by(priority, added, f))
         });
-        out.swap = to.map(|to| Swap { group: g, from, to });
+        out.swap = to.map(|to| Swap { from, to });
     }
     out
 }
@@ -226,8 +206,7 @@ pub fn check_global_1fd_with_blocks(
     blocks: &FdBlocks,
     j: &FactSet,
 ) -> CheckOutcome {
-    scan_groups(priority, blocks, j, 0..blocks.group_count(), false)
-        .outcome(cg, priority, blocks, j)
+    scan_groups(priority, blocks, j, false).outcome(cg, priority, blocks, j)
 }
 
 #[cfg(test)]
@@ -386,38 +365,6 @@ mod tests {
                 (None, None) => CheckOutcome::Optimal,
             };
             assert_eq!(outcome, expected, "J = {bits:b}");
-        }
-    }
-
-    #[test]
-    fn range_scans_merge_to_the_whole_scan_on_every_subset() {
-        // Split the groups into every possible two-range partition and
-        // check that the merged scans reproduce the sequential verdict
-        // and witness on every candidate subset, whether or not the
-        // scans may assume consistency.
-        let (schema, i, fd) = bookloc();
-        let cg = CsrConflictGraph::new(&schema, &i);
-        let p = PriorityRelation::new(i.len(), [(FactId(2), FactId(0)), (FactId(2), FactId(1))])
-            .unwrap();
-        let blocks = FdBlocks::build(&i, fd, &i.full_set());
-        let n_groups = blocks.group_count();
-        for bits in 0u32..(1 << i.len()) {
-            let j = i.set_of((0..i.len() as u32).filter(|b| bits >> b & 1 == 1).map(FactId));
-            let sequential = check_global_1fd_with_blocks(&cg, &p, &blocks, &j);
-            let consistent = cg.is_consistent_set(&j);
-            for split in 0..=n_groups {
-                for assume in [false, consistent] {
-                    let merged = scan_groups(&p, &blocks, &j, 0..split, assume).merge(scan_groups(
-                        &p,
-                        &blocks,
-                        &j,
-                        split..n_groups,
-                        assume,
-                    ));
-                    let reduced = merged.outcome(&cg, &p, &blocks, &j);
-                    assert_eq!(reduced, sequential, "J = {bits:b}, split at {split}");
-                }
-            }
         }
     }
 

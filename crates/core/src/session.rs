@@ -17,18 +17,19 @@
 //!   `O(n + e)`, not a bitset row per conflicted fact,
 //! * the Lemma 4.2 block structure of each single-FD relation, derived
 //!   from the same grouping as that relation's conflict rows,
-//! * the connected components of the conflict graph (parallel
-//!   scheduling units for the pre-pass),
+//! * the connected components of the conflict graph (the exact
+//!   fall-back's shards),
 //! * the per-relation fact partitions (`rel_set` bitsets), and
 //! * the Theorem 3.1 / 7.1 classification driving the Prop 3.5
 //!   dispatch.
 //!
-//! Sessions also parallelize: the `jobs` knob (default: available
-//! parallelism) fans work out over dependency-free
-//! [`std::thread::scope`] workers — across connected components in the
-//! consistency pre-pass, across relation symbols in the classical
-//! per-relation dispatch, and across candidates in
-//! [`check_batch`](CheckSession::check_batch).
+//! One check runs on one thread: Prop 3.5 splits it by relation and
+//! the conflict components split the exact search further, and those
+//! pieces run one after another. The `jobs` knob (default: available
+//! parallelism) fans out across *candidates* only, over
+//! dependency-free [`std::thread::scope`] workers in
+//! [`check_batch`](CheckSession::check_batch) and
+//! [`check_batch_bounded`](CheckSession::check_batch_bounded).
 //!
 //! **Bounded checking.** [`check_bounded`](CheckSession::check_bounded)
 //! and [`check_batch_bounded`](CheckSession::check_batch_bounded) run
@@ -47,21 +48,16 @@
 //! [`Budget::unlimited`](rpr_engine::Budget::unlimited).
 //!
 //! **Bit-identity.** Every session result — outcome *and* witness — is
-//! identical to what the corresponding one-shot checker returns, at
-//! every `jobs` setting. This falls out of three invariants: CSR
+//! identical to what the corresponding one-shot checker returns. CSR
 //! neighbor lists are sorted ascending, so the first conflicting
-//! partner matches the bitset `first()`; the parallel pre-pass reduces
-//! to the *minimal* inconsistent fact, which is exactly the sequential
-//! first hit; and the parallel per-relation fan-out scans its results
-//! in `per_relation()` order, reproducing the sequential early exit.
-//! The bounded paths share the implementation, so surviving candidates
-//! of a degraded batch are bit-identical to an unbounded run too.
+//! partner the pre-pass finds is the least one, as in the one-shot
+//! pre-check.
 
-use crate::global_1fd::{scan_groups, FdBlocks, GroupScan};
+use crate::global_1fd::{scan_groups, FdBlocks};
 use crate::global_2keys::check_consistent_2keys;
 use crate::global_ccp_const::check_consistent_ccp_const;
 use crate::global_ccp_pk::check_consistent_ccp_pk;
-use crate::improvement::{CheckOutcome, Improvement};
+use crate::improvement::CheckOutcome;
 use crate::pareto::find_pareto_improvement;
 use crate::shard_store::{ShardData, ShardStore};
 use rpr_classify::{
@@ -76,13 +72,9 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Below this universe size a parallel consistency pre-pass costs more
-/// in thread startup than it saves.
-const PARALLEL_PREPASS_MIN_FACTS: usize = 4096;
-
-/// A fan-out task result: the task's value, or the panic payload the
-/// task unwound with. Captured per task so one panicking unit of work
-/// never poisons the scope join of its siblings.
+/// A batch task result: the candidate's value, or the panic payload it
+/// unwound with. Captured per task so one panicking candidate never
+/// poisons the scope join of its siblings.
 type TaskResult<T> = Result<T, Box<dyn Any + Send + 'static>>;
 
 /// Runs `task` with panics captured as values.
@@ -90,10 +82,9 @@ fn run_isolated<T>(task: impl FnOnce() -> T) -> TaskResult<T> {
     catch_unwind(AssertUnwindSafe(task))
 }
 
-/// Unwraps fan-out results for the unbounded entry points: every
-/// sibling has already finished, so resuming the first captured panic
-/// propagates it from `check`/`check_batch` without ever aborting a
-/// scope join.
+/// Unwraps batch results for the unbounded entry point: every sibling
+/// has already finished, so resuming the first captured panic
+/// propagates it from `check_batch` without ever aborting a scope join.
 fn rethrow<T>(results: Vec<TaskResult<T>>) -> Vec<T> {
     results
         .into_iter()
@@ -154,9 +145,8 @@ pub struct SessionArtifacts {
     /// on every check.
     pub(crate) rel_blocks: Vec<Option<FdBlocks>>,
     /// The connected components of the conflict graph, CSR-packed.
-    /// Shards: the consistency pre-pass, the per-component exact
-    /// fall-back, and the delta layer's dirty-component tracking all
-    /// schedule over this partition.
+    /// Shards: the per-component exact fall-back and the delta layer's
+    /// dirty-component tracking both work over this partition.
     pub(crate) components: ComponentLayout,
     /// Components of the *union* graph (conflict ∪ priority edges),
     /// built only for cross-conflict Hard plans: ccp priorities may
@@ -443,8 +433,8 @@ impl SessionArtifacts {
         &self.components
     }
 
-    /// Number of nontrivial conflict components — the session's
-    /// parallel scheduling units (the serve layer exports this as the
+    /// Number of nontrivial conflict components — the exact
+    /// fall-back's shards (the serve layer exports this as the
     /// `rpr_session_components` gauge).
     pub fn shard_count(&self) -> usize {
         self.components.nontrivial().len()
@@ -541,15 +531,16 @@ impl<'a> CheckSession<'a> {
         Self::from_artifacts_ref(schema, pi, ArtRef::Owned(Box::new(art)))
     }
 
-    /// Sets the worker count for parallel fan-out. `0` restores the
-    /// default (available parallelism); `1` forces sequential
-    /// execution.
+    /// Sets the worker count a batch fans its candidates out over. `0`
+    /// restores the default (available parallelism); `1` checks the
+    /// candidates one after another. A single check always runs on the
+    /// calling thread.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = if jobs == 0 { default_jobs() } else { jobs };
         self
     }
 
-    /// The worker count used for parallel fan-out.
+    /// The worker count a batch fans its candidates out over.
     pub fn jobs(&self) -> usize {
         self.jobs
     }
@@ -603,7 +594,7 @@ impl<'a> CheckSession<'a> {
     }
 
     /// Checks whether `j` is a globally-optimal repair, with the
-    /// session's cached invariants and parallel fan-out.
+    /// session's cached invariants.
     ///
     /// **Unbounded:** this runs the code of
     /// [`check_bounded`](CheckSession::check_bounded) under
@@ -612,7 +603,7 @@ impl<'a> CheckSession<'a> {
     /// propagates to the caller. Production callers pass a real
     /// [`Budget`] to the bounded form.
     pub fn check(&self, j: &FactSet) -> CheckOutcome {
-        unbounded(self.check_stop(j, self.jobs, &Budget::unlimited()))
+        unbounded(self.check_stop(j, &Budget::unlimited()))
     }
 
     /// Checks a batch of candidates, fanning out across them. Results
@@ -620,10 +611,8 @@ impl<'a> CheckSession<'a> {
     /// [`check`](CheckSession::check) per candidate. Unbounded, like
     /// `check`: see [`check_batch_bounded`](CheckSession::check_batch_bounded).
     pub fn check_batch(&self, js: &[FactSet]) -> Vec<CheckOutcome> {
-        // Inner checks stay sequential: the candidates themselves are
-        // the parallel unit.
         let budget = Budget::unlimited();
-        rethrow(self.fan_out(js.len(), |i| unbounded(self.check_stop(&js[i], 1, &budget))))
+        rethrow(self.fan_out(js.len(), |i| unbounded(self.check_stop(&js[i], &budget))))
     }
 
     /// [`check`](CheckSession::check) under a caller-supplied
@@ -633,7 +622,7 @@ impl<'a> CheckSession<'a> {
     /// token. A panic anywhere inside the check is captured as
     /// [`Outcome::Panicked`] instead of unwinding the caller.
     pub fn check_bounded(&self, j: &FactSet, budget: &Budget) -> Outcome<CheckOutcome> {
-        match run_isolated(|| self.check_stop(j, self.jobs, budget)) {
+        match run_isolated(|| self.check_stop(j, budget)) {
             Ok(Ok(outcome)) => Outcome::Done(outcome),
             Ok(Err(stop)) => Outcome::from_stop(stop, None),
             Err(payload) => Outcome::Panicked {
@@ -662,7 +651,7 @@ impl<'a> CheckSession<'a> {
             budget.checkpoint()?;
             #[cfg(feature = "faults")]
             budget.fault_panic_point(i);
-            self.check_stop(&js[i], 1, budget)
+            self.check_stop(&js[i], budget)
         });
         results
             .into_iter()
@@ -684,22 +673,24 @@ impl<'a> CheckSession<'a> {
     ///
     /// Consistency is decided here, once, for all of `J`: every
     /// algorithm below starts from a consistent candidate. The witness
-    /// is the one each one-shot checker's own pre-check reports. When
-    /// every relation is single-FD, the `GRepCheck1FD` passes decide it
+    /// is the one each one-shot checker's own pre-check reports — the
+    /// least inconsistent fact with its least partner. When every
+    /// relation is single-FD, the `GRepCheck1FD` passes decide it
     /// themselves ([`check_all_single_fd`](Self::check_all_single_fd)).
-    fn check_stop(&self, j: &FactSet, jobs: usize, budget: &Budget) -> Result<CheckOutcome, Stop> {
+    fn check_stop(&self, j: &FactSet, budget: &Budget) -> Result<CheckOutcome, Stop> {
         budget.step()?;
         if let Plan::Classical(class) = &self.art.plan {
             if class.per_relation().iter().all(|(_, c)| matches!(c, RelationClass::SingleFd(_))) {
-                return self.check_all_single_fd(class, j, jobs, budget);
+                return self.check_all_single_fd(class, j, budget);
             }
         }
-        if let Some((f, g)) = self.consistency_witness(j, jobs) {
+        let csr = &self.art.csr;
+        if let Some((f, g)) = j.iter().find_map(|f| csr.first_conflict_in(f, j).map(|g| (f, g))) {
             return Ok(CheckOutcome::Inconsistent(f, g));
         }
         match &self.art.plan {
-            Plan::Classical(class) => self.check_classical(class, j, jobs, budget),
-            Plan::Ccp(class) => self.check_ccp(class, j, jobs, budget),
+            Plan::Classical(class) => self.check_classical(class, j, budget),
+            Plan::Ccp(class) => self.check_ccp(class, j, budget),
         }
     }
 
@@ -709,25 +700,24 @@ impl<'a> CheckSession<'a> {
     /// rows: each relation's pass reports its least inconsistent `J`
     /// fact with that fact's least partner, and the least over the
     /// relations is the pre-pass witness, since conflicts never leave a
-    /// relation. The relations are scanned one after another, each
-    /// with its groups fanned out over `jobs`, and charged one unit
-    /// each up to the first non-optimal one.
+    /// relation. The relations are charged one unit each up to the
+    /// first non-optimal one.
     fn check_all_single_fd(
         &self,
         class: &SchemaClass,
         j: &FactSet,
-        jobs: usize,
         budget: &Budget,
     ) -> Result<CheckOutcome, Stop> {
+        let priority = self.pi.priority();
         let blocks = |rel: rpr_data::RelId| {
             self.art.rel_blocks[rel.index()]
                 .as_ref()
                 .expect("blocks cached for every single-FD relation")
         };
-        let scans: Vec<(GroupScan, FactSet)> = (class.per_relation().iter())
+        let scans: Vec<_> = (class.per_relation().iter())
             .map(|&(rel, _)| {
                 let j_rel = j.intersect(&self.art.rel_domains[rel.index()]);
-                (self.scan_1fd(blocks(rel), &j_rel, jobs, false), j_rel)
+                (scan_groups(priority, blocks(rel), &j_rel, false), j_rel)
             })
             .collect();
         if let Some((f, g)) = scans.iter().filter_map(|(s, _)| s.inconsistency()).min() {
@@ -735,7 +725,7 @@ impl<'a> CheckSession<'a> {
         }
         for (&(rel, _), (scan, j_rel)) in class.per_relation().iter().zip(scans) {
             budget.step()?;
-            let outcome = scan.outcome(&self.art.csr, self.pi.priority(), blocks(rel), &j_rel);
+            let outcome = scan.outcome(&self.art.csr, priority, blocks(rel), &j_rel);
             if !outcome.is_optimal() {
                 return Ok(outcome);
             }
@@ -743,63 +733,18 @@ impl<'a> CheckSession<'a> {
         Ok(CheckOutcome::Optimal)
     }
 
-    /// The minimal fact of `j` conflicting inside `j`, with its minimal
-    /// conflict partner — exactly the witness the sequential loop
-    /// `for f in j.iter() { cg.first_conflict_in(f, j) }` finds.
-    fn consistency_witness(&self, j: &FactSet, jobs: usize) -> Option<(FactId, FactId)> {
-        let nontrivial = self.art.components.nontrivial();
-        let parallel =
-            jobs > 1 && j.universe() >= PARALLEL_PREPASS_MIN_FACTS && nontrivial.len() > 1;
-        if !parallel {
-            return j.iter().find_map(|f| self.art.csr.first_conflict_in(f, j).map(|g| (f, g)));
-        }
-        // Conflicts never leave a component, so each component can be
-        // scanned independently; the global witness is the one with the
-        // minimal inconsistent fact. Singleton components have no
-        // conflicts and are skipped wholesale.
-        let per_component = rethrow(self.fan_out_n(jobs, nontrivial.len(), |c| {
-            self.art
-                .components
-                .component(nontrivial[c] as usize)
-                .iter()
-                .filter(|f| j.contains(**f))
-                .find_map(|&f| self.art.csr.first_conflict_in(f, j).map(|g| (f, g)))
-        }));
-        per_component.into_iter().flatten().min_by_key(|&(f, _)| f)
-    }
-
+    /// Prop 3.5: the relations one after another, in `per_relation()`
+    /// order, up to the first non-optimal outcome.
     fn check_classical(
         &self,
         class: &SchemaClass,
         j: &FactSet,
-        jobs: usize,
         budget: &Budget,
     ) -> Result<CheckOutcome, Stop> {
-        let rels = class.per_relation();
-        if jobs > 1 && rels.len() > 1 {
-            // Evaluate all relations concurrently, then scan in
-            // `per_relation()` order: the first error or non-optimal
-            // outcome is exactly what the sequential early exit
-            // returns. Each relation task runs its shards sequentially
-            // — the relations themselves are the parallel unit here.
-            let outcomes = rethrow(
-                self.fan_out_n(jobs, rels.len(), |i| self.check_relation(&rels[i], j, 1, budget)),
-            );
-            for outcome in outcomes {
-                match outcome? {
-                    o if !o.is_optimal() => return Ok(o),
-                    _ => {}
-                }
-            }
-        } else {
-            // A single classified relation (or sequential mode): route
-            // the jobs knob down so the relation's own shards fan out —
-            // intra-candidate parallelism.
-            for rc in rels {
-                let outcome = self.check_relation(rc, j, jobs, budget)?;
-                if !outcome.is_optimal() {
-                    return Ok(outcome);
-                }
+        for rc in class.per_relation() {
+            let outcome = self.check_relation(rc, j, budget)?;
+            if !outcome.is_optimal() {
+                return Ok(outcome);
             }
         }
         Ok(CheckOutcome::Optimal)
@@ -809,7 +754,6 @@ impl<'a> CheckSession<'a> {
         &self,
         (rel, class): &(rpr_data::RelId, RelationClass),
         j: &FactSet,
-        jobs: usize,
         budget: &Budget,
     ) -> Result<CheckOutcome, Stop> {
         let instance = self.pi.instance();
@@ -824,7 +768,9 @@ impl<'a> CheckSession<'a> {
                 let blocks = self.art.rel_blocks[rel.index()]
                     .as_ref()
                     .expect("blocks cached for every single-FD relation");
-                self.check_1fd_sharded(blocks, &j_rel, jobs)
+                debug_assert!(self.art.csr.is_consistent_set(&j_rel));
+                let scan = scan_groups(priority, blocks, &j_rel, true);
+                scan.outcome(&self.art.csr, priority, blocks, &j_rel)
             }
             RelationClass::TwoKeys(a1, a2) => check_consistent_2keys(
                 instance,
@@ -834,14 +780,9 @@ impl<'a> CheckSession<'a> {
                 domain,
                 &j_rel,
             ),
-            RelationClass::Hard(_) => self.check_exact_sharded(
-                priority,
-                domain,
-                &j_rel,
-                budget,
-                jobs,
-                &self.art.components,
-            )?,
+            RelationClass::Hard(_) => {
+                self.check_exact_sharded(priority, domain, &j_rel, budget, &self.art.components)?
+            }
         })
     }
 
@@ -849,7 +790,6 @@ impl<'a> CheckSession<'a> {
         &self,
         class: &CcpClass,
         j: &FactSet,
-        jobs: usize,
         budget: &Budget,
     ) -> Result<CheckOutcome, Stop> {
         let instance = self.pi.instance();
@@ -873,42 +813,9 @@ impl<'a> CheckSession<'a> {
                     .ccp_union
                     .as_ref()
                     .expect("union layout cached for every ccp Hard plan");
-                self.check_exact_sharded(priority, &instance.full_set(), j, budget, jobs, layout)?
+                self.check_exact_sharded(priority, &instance.full_set(), j, budget, layout)?
             }
         })
-    }
-
-    /// The single-FD check on a consistent `j_rel`.
-    fn check_1fd_sharded(&self, blocks: &FdBlocks, j_rel: &FactSet, jobs: usize) -> CheckOutcome {
-        debug_assert!(self.art.csr.is_consistent_set(j_rel));
-        let scan = self.scan_1fd(blocks, j_rel, jobs, true);
-        scan.outcome(&self.art.csr, self.pi.priority(), blocks, j_rel)
-    }
-
-    /// One `GRepCheck1FD` pass over `blocks`, its group axis fanned
-    /// out: each worker scans a contiguous group range, and the merged
-    /// scans give the sequential verdict and witness exactly.
-    /// `consistent` is [`scan_groups`]'s.
-    fn scan_1fd(
-        &self,
-        blocks: &FdBlocks,
-        j_rel: &FactSet,
-        jobs: usize,
-        consistent: bool,
-    ) -> GroupScan {
-        let priority = self.pi.priority();
-        let n_groups = blocks.group_count();
-        let parallel = jobs > 1 && n_groups > 1 && j_rel.universe() >= PARALLEL_PREPASS_MIN_FACTS;
-        if !parallel {
-            return scan_groups(priority, blocks, j_rel, 0..n_groups, consistent);
-        }
-        let workers = jobs.min(n_groups);
-        let chunk = n_groups.div_ceil(workers);
-        let parts = rethrow(self.fan_out_n(jobs, workers, |w| {
-            let groups = (w * chunk).min(n_groups)..((w + 1) * chunk).min(n_groups);
-            scan_groups(priority, blocks, j_rel, groups, consistent)
-        }));
-        parts.into_iter().reduce(|a, b| a.merge(b)).expect("at least one worker")
     }
 
     /// The exponential fall-back, decomposed over `layout`'s nontrivial
@@ -922,23 +829,21 @@ impl<'a> CheckSession<'a> {
     /// `2^(max component size)` instead of `2^(domain size)` — and a
     /// component-local hit is returned as the global witness.
     ///
-    /// Every shard charges the one shared budget, as relations and
-    /// batch candidates do: there is no per-shard allowance. Completed
-    /// checks return the same verdict and witness at every `jobs`
-    /// setting (results are scanned in component order); only *where*
-    /// a tight allowance trips under parallelism depends on scheduling.
+    /// The shards are searched in component order and every shard
+    /// charges the one shared budget, as relations and batch candidates
+    /// do: there is no per-shard allowance, and where a tight allowance
+    /// trips is the same on every run.
     fn check_exact_sharded(
         &self,
         priority: &PriorityRelation,
         domain: &FactSet,
         j_rel: &FactSet,
         budget: &Budget,
-        jobs: usize,
         layout: &ComponentLayout,
     ) -> Result<CheckOutcome, Stop> {
-        // `check_dispatch` already scanned all of J for a conflict, so
-        // only the Pareto pre-check is left; its witness is
-        // bit-identical to the one-shot `check_global_exact_bounded` one.
+        // `check_stop` already scanned all of J for a conflict, so only
+        // the Pareto pre-check is left; its witness is bit-identical to
+        // the one-shot `check_global_exact_bounded` one.
         debug_assert!(self.art.csr.is_consistent_set(j_rel));
         if let Some(imp) = find_pareto_improvement(&self.art.csr, priority, j_rel, domain) {
             return Ok(CheckOutcome::Improvable(imp));
@@ -948,40 +853,22 @@ impl<'a> CheckSession<'a> {
         // full set and keeps every shard). Trivial components cannot
         // host an improvement: a conflict-free (and, in ccp, priority-
         // free) fact belongs to every repair and beats nothing.
-        let shards: Vec<usize> = layout
-            .nontrivial()
-            .iter()
-            .map(|&c| c as usize)
-            .filter(|&c| domain.contains(layout.component(c)[0]))
-            .collect();
-        let search = |c: usize| -> Result<Option<Improvement>, Stop> {
+        for &c in layout.nontrivial() {
+            let members = layout.component(c as usize);
+            if !domain.contains(members[0]) {
+                continue;
+            }
             // Each component runs the one exact search (the one the
             // one-shot runs over its whole domain) on its
             // content-addressed shard, whose local graph and verdict
             // memo are shared across every session whose component
             // content matches.
-            let shard = self.art.exact_shards[c]
+            let shard = self.art.exact_shards[c as usize]
                 .as_ref()
                 .expect("shard attached for every nontrivial exact component");
-            let members = layout.component(c);
-            shard.check(members, j_rel, budget)
-        };
-        if jobs > 1 && shards.len() > 1 {
-            // All shards run concurrently; scanning the results in
-            // component order reproduces the sequential early exit.
-            let results = rethrow(self.fan_out_n(jobs, shards.len(), |i| search(shards[i])));
-            for r in results {
-                if let Some(imp) = r? {
-                    debug_assert!(imp.is_valid_global_improvement(&self.art.csr, priority, j_rel));
-                    return Ok(CheckOutcome::Improvable(imp));
-                }
-            }
-        } else {
-            for &c in &shards {
-                if let Some(imp) = search(c)? {
-                    debug_assert!(imp.is_valid_global_improvement(&self.art.csr, priority, j_rel));
-                    return Ok(CheckOutcome::Improvable(imp));
-                }
+            if let Some(imp) = shard.check(members, j_rel, budget)? {
+                debug_assert!(imp.is_valid_global_improvement(&self.art.csr, priority, j_rel));
+                return Ok(CheckOutcome::Improvable(imp));
             }
         }
         Ok(CheckOutcome::Optimal)
@@ -994,15 +881,7 @@ impl<'a> CheckSession<'a> {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.fan_out_n(self.jobs, n_tasks, task)
-    }
-
-    fn fan_out_n<T, F>(&self, jobs: usize, n_tasks: usize, task: F) -> Vec<TaskResult<T>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let workers = jobs.min(n_tasks);
+        let workers = self.jobs.min(n_tasks);
         if workers <= 1 {
             return (0..n_tasks).map(|i| run_isolated(|| task(i))).collect();
         }

@@ -73,6 +73,16 @@ fn ternary_rows(schema: &Schema, rows: impl IntoIterator<Item = [String; 3]>) ->
 /// the corpus must concentrate it.
 fn single_component_blowup(i: usize, schema: &Schema) -> Instance {
     match i {
+        // S1 = {12→3, 13→2, 23→1}: the cube `g × b × {c0}` is one 18×6
+        // rook graph — facts conflict along a row (13→2) and along a
+        // column (23→1). With two `c` values it would split into two
+        // 9×6 components, whose searches finish in tens of milliseconds.
+        1 => ternary_rows(
+            schema,
+            (0..18).flat_map(|g| {
+                (0..6).map(move |b| [format!("g{g}"), format!("b{b}"), "c0".to_owned()])
+            }),
+        ),
         // S3 = {12→3, 3→2}: per-group cliques over `c` (12→3) glued
         // together by shared `c` values across groups (3→2). Maximal
         // repairs pick a near-injective group → c assignment.
@@ -101,6 +111,13 @@ fn single_component_blowup(i: usize, schema: &Schema) -> Instance {
     }
 }
 
+/// A lower bound on the work of S1's exact search, asserted before its
+/// deadline trip: finishing inside the 60 ms deadline would take more
+/// than 8·10⁸ units/s, about 10× the ≈85M units/s of a release build on
+/// a 2-vCPU x86_64 host. A change that makes the search cheaper fails
+/// this deterministic bound, not the deadline assertion by chance.
+const S1_MIN_WORK: u64 = 50_000_000;
+
 #[test]
 fn hard_schemas_trip_the_deadline_promptly() {
     let deadline = Duration::from_millis(60);
@@ -117,6 +134,15 @@ fn hard_schemas_trip_the_deadline_promptly() {
         let j = construct_globally_optimal_repair(&cg, &priority);
         let pi = PrioritizedInstance::conflict_restricted(&schema, instance, priority).unwrap();
         let checker = GRepairChecker::new(schema.clone());
+        if i == 1 {
+            let work = Budget::unlimited().with_max_work(S1_MIN_WORK);
+            match checker.check_bounded(&pi, &j, &work) {
+                Outcome::Exceeded { report, .. } => {
+                    assert_eq!(report.reason, ExceedReason::WorkExhausted, "S1: {report}");
+                }
+                other => panic!("S1: the search must need over {S1_MIN_WORK} units, got {other:?}"),
+            }
+        }
         let budget = Budget::unlimited().with_deadline(deadline);
         let start = Instant::now();
         let outcome = checker.check_bounded(&pi, &j, &budget);

@@ -157,8 +157,8 @@ fn pre_pass_witness(cg: &CsrConflictGraph, j: &FactSet) -> Option<(FactId, FactI
 /// consistency inside their `GRepCheck1FD` passes: on random candidates
 /// (most of them inconsistent) the witness is the pre-pass witness, and
 /// a consistent candidate gets the first non-optimal one-shot outcome
-/// in relation order — at one and at four jobs, on instances small and
-/// large enough for the passes to fan out.
+/// in relation order — at one and at four jobs, on small instances and
+/// on instances of up to 6000 facts.
 #[test]
 fn single_fd_sessions_report_the_pre_pass_witness() {
     let sig = Signature::new([("R", 3), ("S", 2), ("T", 3), ("U", 2)]).unwrap();
@@ -167,7 +167,7 @@ fn single_fd_sessions_report_the_pre_pass_witness() {
         [("R", &[1][..], &[2][..]), ("S", &[1][..], &[2][..]), ("T", &[1, 2][..], &[3][..])],
     )
     .unwrap();
-    // One relation: four jobs fan its groups out instead of relations.
+    // One relation: its pass alone decides consistency.
     let one = single_fd_schema(3, &[1], &[2]);
     let (mut inconsistent, mut consistent) = (0, 0);
     for (seed, schema) in (0..80u64).zip([several, one].iter().cycle()) {

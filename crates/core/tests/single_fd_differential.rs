@@ -7,8 +7,7 @@
 //! every kind — inconsistent, non-maximal, improvable and optimal — by
 //! the one-shot entry points and by sessions at one and four jobs; every
 //! outcome, witness included, must equal the oracle's. Large instances
-//! (past the session's parallel threshold) exercise the fanned-out
-//! group scan. Random insert/delete batches with compaction must leave
+//! (over 4096 facts) exercise the group scan at scale. Random insert/delete batches with compaction must leave
 //! the patched grouping equal to a fresh build, block for block and
 //! conflict row for conflict row.
 
@@ -148,7 +147,7 @@ fn kind(outcome: &CheckOutcome) -> usize {
 fn differential(rng: &mut Rng, shape: usize, facts: usize) -> [usize; 4] {
     let (schema, instance, fd) = relation(rng, shape, facts);
     let n = instance.len();
-    assert!(facts < 4096 || n >= 4096, "a large case reaches the parallel threshold");
+    assert!(facts < 4096 || n >= 4096, "a large case has at least 4096 facts");
     let cg = CsrConflictGraph::new(&schema, &instance);
     let (p, rank) = priority(rng, &cg, n);
     let domain = instance.full_set();

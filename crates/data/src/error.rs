@@ -28,13 +28,6 @@ pub enum DataError {
     },
     /// A fact referred to a different signature than the instance.
     SignatureMismatch,
-    /// Instance text that could not be parsed.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// Description of the problem.
-        message: String,
-    },
 }
 
 impl fmt::Display for DataError {
@@ -58,9 +51,6 @@ impl fmt::Display for DataError {
             DataError::SignatureMismatch => {
                 write!(f, "fact and instance use different signatures")
             }
-            DataError::Parse { line, message } => {
-                write!(f, "parse error at line {line}: {message}")
-            }
         }
     }
 }
@@ -77,7 +67,5 @@ mod tests {
         assert!(e.to_string().contains("R"));
         assert!(e.to_string().contains('3'));
         assert!(e.to_string().contains('2'));
-        let e = DataError::Parse { line: 7, message: "bad token".into() };
-        assert!(e.to_string().contains("line 7"));
     }
 }

@@ -3,9 +3,17 @@
 //! The repair algorithms hash small keys — interned ids, attribute
 //! projections, `u32` fact ids — millions of times per run. The standard
 //! library's SipHash is DoS-resistant but an order of magnitude slower for
-//! such keys, and none of our inputs are adversarial (see the Rust
-//! Performance Book, "Hashing"). We vendor the ~20-line FxHash algorithm
-//! instead of pulling in an external crate.
+//! such keys (see the Rust Performance Book, "Hashing"). We vendor the
+//! ~20-line FxHash algorithm instead of pulling in an external crate.
+//!
+//! FxHash is unseeded, so colliding keys are cheap to find, and some
+//! inputs are not ours: the value dictionary and the fact index
+//! (`dict.rs`, `table.rs`) hash the constants of client workspaces,
+//! including every request the server parses. A client can craft
+//! constants whose hashes share their top bits and make those tables
+//! probe linearly, so a workspace of such ints parses tens of times
+//! slower than one of as many consecutive ints. Keys built only from
+//! ids the process assigned are not exposed this way.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

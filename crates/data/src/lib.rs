@@ -26,7 +26,6 @@ pub mod fact;
 pub mod fingerprint;
 pub mod hash;
 pub mod instance;
-pub mod parse;
 pub mod signature;
 mod table;
 pub mod value;
@@ -41,6 +40,5 @@ pub use fingerprint::{
 };
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use instance::{tuple, Compaction, FactId, FactSet, Instance};
-pub use parse::{parse_instance, render_instance};
 pub use signature::{RelId, RelationSymbol, Signature};
 pub use value::{Atom, Value};

@@ -2,9 +2,7 @@
 //! repair algorithms silently rely on.
 
 use proptest::prelude::*;
-use rpr_data::{
-    parse_instance, render_instance, AttrSet, FactId, FactSet, Signature, Tuple, Value,
-};
+use rpr_data::{AttrSet, FactId, FactSet, Tuple, Value};
 
 fn attrset() -> impl Strategy<Value = AttrSet> {
     any::<u64>().prop_map(|bits| AttrSet::from_bits(bits & AttrSet::full(16).bits()))
@@ -108,22 +106,5 @@ proptest! {
         }
         // Agreement on the mask is equivalent to equal projections.
         prop_assert!(t.agrees_on(&t, mask));
-    }
-
-    #[test]
-    fn instance_text_roundtrip(rows in proptest::collection::vec((0i64..6, 0i64..6, 0i64..6), 0..30)) {
-        let sig = Signature::new([("R", 3)]).unwrap();
-        let mut instance = rpr_data::Instance::new(sig.clone());
-        for (a, b, c) in rows {
-            instance
-                .insert_named("R", [Value::Int(a), Value::Int(b), Value::Int(c)])
-                .unwrap();
-        }
-        let text = render_instance(&instance);
-        let parsed = parse_instance(sig, &text).unwrap();
-        prop_assert_eq!(parsed.len(), instance.len());
-        for (_, f) in instance.iter() {
-            prop_assert!(parsed.contains(f));
-        }
     }
 }

@@ -569,8 +569,6 @@ relation R/2|fact R(a, 1)|fact R(a, 1)|fd R: 1 -> 2|prefer R(a,1) > R( a , 1 ) =
             assert_eq!(Atom::from_token(token), atom, "{token}");
             let fact = parse_fact(&sig, &format!("R({token})"), 1).unwrap();
             assert_eq!(fact.get(1), &Value::from(atom), "{token}");
-            let data = rpr_data::parse_instance(sig.clone(), &format!("R({token})")).unwrap();
-            assert_eq!(data.fact(FactId(0)), &fact, "{token}");
         }
         // A fact written `R(+5)` is the fact a reference `R(5)` names.
         let text = "relation R/1\nfact R(+5)\nfact R(007)\nfact R(1_000)\n\

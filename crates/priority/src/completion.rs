@@ -10,26 +10,16 @@
 //! Enumeration is exponential in the number of unordered conflict pairs;
 //! it exists as the *oracle* against which the polynomial
 //! completion-optimal checker in `rpr-core` is differential-tested, so
-//! every function takes an explicit budget.
+//! it runs under an engine [`Budget`] like every other oracle.
 
 use crate::relation::PriorityRelation;
 use rpr_data::FactId;
+use rpr_engine::{Budget, ExceedReason, Outcome};
 use rpr_fd::CsrConflictGraph;
 
-/// Error returned when an enumeration exceeds its budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetExceeded {
-    /// The budget that was exhausted.
-    pub budget: usize,
-}
-
-impl std::fmt::Display for BudgetExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "enumeration budget of {} exceeded", self.budget)
-    }
-}
-
-impl std::error::Error for BudgetExceeded {}
+/// From this many unordered conflict pairs on, [`completions`] refuses
+/// to start: no allowance pays for `2^63` orientation assignments.
+const MAX_FREE_PAIRS: usize = 63;
 
 /// The unordered conflict pairs not yet ordered by `priority`.
 pub fn unordered_conflicts(
@@ -58,23 +48,31 @@ pub fn is_completion(
             .all(|(a, b)| candidate.prefers(a, b) || candidate.prefers(b, a))
 }
 
-/// Enumerates **all** completions of `priority`.
-///
-/// # Errors
-/// [`BudgetExceeded`] if more than `budget` orientation assignments
-/// would have to be explored.
+/// Enumerates **all** completions of `priority`, charging one work unit
+/// of `budget` per orientation assignment of the unordered conflict
+/// pairs. On [`Outcome::Exceeded`]/[`Outcome::Cancelled`] the partial
+/// answer is the completions found before the stop. With 63 or more
+/// unordered pairs the enumeration is refused before it starts:
+/// `Exceeded` with [`ExceedReason::WorkExhausted`] and no partial
+/// answer, whatever the allowance.
 pub fn completions(
     cg: &CsrConflictGraph,
     priority: &PriorityRelation,
-    budget: usize,
-) -> Result<Vec<PriorityRelation>, BudgetExceeded> {
+    budget: &Budget,
+) -> Outcome<Vec<PriorityRelation>> {
     let free = unordered_conflicts(cg, priority);
-    if free.len() >= usize::BITS as usize - 1 || (1usize << free.len()) > budget {
-        return Err(BudgetExceeded { budget });
+    if free.len() >= MAX_FREE_PAIRS {
+        return Outcome::Exceeded {
+            partial: None,
+            report: budget.report(ExceedReason::WorkExhausted),
+        };
     }
     let mut out = Vec::new();
     let base: Vec<(FactId, FactId)> = priority.edges().to_vec();
     for mask in 0u64..(1u64 << free.len()) {
+        if let Err(stop) = budget.step() {
+            return Outcome::from_stop(stop, Some(out));
+        }
         let mut edges = base.clone();
         for (i, &(a, b)) in free.iter().enumerate() {
             if mask >> i & 1 == 1 {
@@ -87,7 +85,7 @@ pub fn completions(
             out.push(rel);
         }
     }
-    Ok(out)
+    Outcome::Done(out)
 }
 
 #[cfg(test)]
@@ -127,7 +125,7 @@ mod tests {
         // triangles are rejected: 6 completions (the linear orders).
         let (cg, n) = triangle();
         let empty = PriorityRelation::empty(n);
-        let all = completions(&cg, &empty, 1 << 20).unwrap();
+        let all = completions(&cg, &empty, &generous()).expect_done("triangle completions");
         assert_eq!(all.len(), 6);
         for c in &all {
             assert!(is_completion(&cg, &empty, c));
@@ -138,7 +136,7 @@ mod tests {
     fn completions_respect_base_edges() {
         let (cg, n) = triangle();
         let base = PriorityRelation::new(n, [(FactId(2), FactId(0))]).unwrap();
-        let all = completions(&cg, &base, 1 << 20).unwrap();
+        let all = completions(&cg, &base, &generous()).expect_done("completions over a base");
         // Fixing one edge of the triangle leaves 4 orientations, minus
         // the 1 that closes a cycle: 3 completions.
         assert_eq!(all.len(), 3);
@@ -158,8 +156,42 @@ mod tests {
 
     #[test]
     fn budget_is_enforced() {
+        // 8 assignments, one unit each: a 4-unit allowance trips on the
+        // fifth, and the completions found before it are genuine.
         let (cg, n) = triangle();
         let empty = PriorityRelation::empty(n);
-        assert!(matches!(completions(&cg, &empty, 4), Err(BudgetExceeded { budget: 4 })));
+        match completions(&cg, &empty, &Budget::unlimited().with_max_work(4)) {
+            Outcome::Exceeded { partial: Some(found), report } => {
+                assert_eq!(report.reason, ExceedReason::WorkExhausted);
+                assert_eq!(report.work_done, 5);
+                assert!(!found.is_empty() && found.len() <= 4);
+                assert!(found.iter().all(|c| is_completion(&cg, &empty, c)));
+            }
+            other => panic!("expected a work trip, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sixty_three_free_pairs_are_refused_before_any_work() {
+        // R(a, 0..12) under R:1→2 is a 12-clique: 66 unordered pairs.
+        let sig = Signature::new([("R", 2)]).unwrap();
+        let schema = Schema::from_named(sig.clone(), [("R", &[1][..], &[2][..])]).unwrap();
+        let mut i = Instance::new(sig);
+        for x in 0..12 {
+            i.insert_named("R", [v("a"), Value::Int(x)]).unwrap();
+        }
+        let cg = CsrConflictGraph::new(&schema, &i);
+        let budget = Budget::unlimited();
+        match completions(&cg, &PriorityRelation::empty(i.len()), &budget) {
+            Outcome::Exceeded { partial: None, report } => {
+                assert_eq!(report.reason, ExceedReason::WorkExhausted);
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert_eq!(budget.work_done(), 0);
+    }
+
+    fn generous() -> Budget {
+        Budget::unlimited().with_max_work(1 << 20)
     }
 }

@@ -18,7 +18,7 @@ pub mod instance;
 pub mod relation;
 pub mod sources;
 
-pub use completion::{completions, is_completion, unordered_conflicts, BudgetExceeded};
+pub use completion::{completions, is_completion, unordered_conflicts};
 pub use instance::{PrioritizedInstance, PriorityBuilder, PriorityMode};
 pub use relation::{PriorityError, PriorityRelation};
 pub use sources::{

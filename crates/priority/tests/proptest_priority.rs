@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use rpr_data::{FactId, Instance, Signature, Value};
+use rpr_engine::Budget;
 use rpr_fd::{CsrConflictGraph, Schema};
 use rpr_priority::{completions, is_completion, unordered_conflicts, PriorityRelation};
 
@@ -97,7 +98,8 @@ proptest! {
             .map(|(_, &(a, b))| (a, b))
             .collect();
         let base = PriorityRelation::new(instance.len(), base_edges).unwrap();
-        let all = completions(&cg, &base, 1 << 16).unwrap();
+        let all = completions(&cg, &base, &Budget::unlimited().with_max_work(1 << 16))
+            .expect_done("completion enumeration");
         // Each completion is valid and extends the base.
         for c in &all {
             prop_assert!(is_completion(&cg, &base, c));

@@ -159,7 +159,13 @@ fn completion_checker_vs_completion_enumeration_randomized() {
             .expect_done("repair enumeration")
         {
             let fast = is_completion_optimal(&cg, &priority, &j);
-            let slow = is_completion_optimal_brute(&cg, &priority, &j, 1 << 20).unwrap();
+            let slow = is_completion_optimal_brute(
+                &cg,
+                &priority,
+                &j,
+                &Budget::unlimited().with_max_work(1 << 20),
+            )
+            .expect_done("completion enumeration");
             assert_eq!(fast, slow, "seed {seed}, J = {}", instance.render_set(&j));
             verified += 1;
         }

@@ -202,7 +202,13 @@ fn pareto_and_completion_exhaustive_small_scope() {
                 );
                 assert_eq!(
                     is_completion_optimal(&cg, p, j),
-                    is_completion_optimal_brute(&cg, p, j, 1 << 16).unwrap()
+                    is_completion_optimal_brute(
+                        &cg,
+                        p,
+                        j,
+                        &Budget::unlimited().with_max_work(1 << 16)
+                    )
+                    .expect_done("completion enumeration")
                 );
                 checked += 1;
             }

@@ -17,8 +17,8 @@ use proptest::prelude::*;
 const BUDGET: u64 = 1 << 20;
 
 /// A random two-relation input. `R` classifies as a single FD and `S`
-/// as two keys, so the classical dispatch has two relations to fan out
-/// over; ranks order the priority acyclically.
+/// as two keys, so the classical dispatch has two relations to run; ranks
+/// order the priority acyclically.
 #[derive(Debug, Clone)]
 struct Input {
     schema: Schema,

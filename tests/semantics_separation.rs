@@ -57,7 +57,13 @@ fn proposition_10_iii_of_staworko_et_al_is_refuted() {
     // …but NOT completion optimal, by the polynomial checker and by
     // exhaustive completion enumeration alike.
     assert!(!is_completion_optimal(&cg, &priority, &j));
-    assert!(!is_completion_optimal_brute(&cg, &priority, &j, 1 << 20).unwrap());
+    assert!(!is_completion_optimal_brute(
+        &cg,
+        &priority,
+        &j,
+        &Budget::unlimited().with_max_work(1 << 20)
+    )
+    .expect_done("completion enumeration"));
     // Sanity: the schema IS a single FD, so this is exactly the
     // setting of Proposition 10(iii).
     let class = preferred_repairs::classify::classify_relation(
@@ -91,7 +97,12 @@ fn semantics_inclusion_chain_randomized() {
         let priority = random_conflict_priority(&cg, 0.5, &mut rng);
         let repairs = enumerate_repairs_bounded(&cg, &Budget::unlimited().with_max_work(1 << 20))
             .expect_done("repair enumeration");
-        let c_repairs = completion_optimal_repairs_brute(&cg, &priority, 1 << 20).unwrap();
+        let c_repairs = completion_optimal_repairs_brute(
+            &cg,
+            &priority,
+            &Budget::unlimited().with_max_work(1 << 20),
+        )
+        .expect_done("completion enumeration");
         for j in &repairs {
             let c = c_repairs.contains(j);
             let g = is_globally_optimal_brute_bounded(
@@ -194,7 +205,12 @@ fn total_priorities_collapse_the_semantics() {
         })
         .collect();
     assert_eq!(g.len(), 1);
-    let c = completion_optimal_repairs_brute(&cg, &priority, 1 << 20).unwrap();
+    let c = completion_optimal_repairs_brute(
+        &cg,
+        &priority,
+        &Budget::unlimited().with_max_work(1 << 20),
+    )
+    .expect_done("completion enumeration");
     assert_eq!(c, g);
     assert!(is_pareto_optimal(&cg, &priority, &g[0]));
 }
