@@ -221,9 +221,9 @@ fn merge_status(run: RunStatus, candidate: RunStatus) -> RunStatus {
 /// `rpr check FILE [NAME]` — check the named candidate repair (or all
 /// declared repairs) for global optimality under `budget`. One
 /// [`CheckSession`] is built for the workspace and shared by all
-/// candidates, which fan out across `jobs` workers. A finished verdict also reports Pareto-
-/// and completion-optimality; one panicking or budget-tripping
-/// candidate degrades only its own line.
+/// candidates, which fan out across `jobs` workers. A finished verdict
+/// also reports Pareto- and completion-optimality; one panicking or
+/// budget-tripping candidate degrades only its own line.
 ///
 /// # Errors
 /// On unknown repair names or validation failures (degradation is not

@@ -7,9 +7,10 @@
 //! every kind — inconsistent, non-maximal, improvable and optimal — by
 //! the one-shot entry points and by sessions at one and four jobs; every
 //! outcome, witness included, must equal the oracle's. Large instances
-//! (over 4096 facts) exercise the group scan at scale. Random insert/delete batches with compaction must leave
-//! the patched grouping equal to a fresh build, block for block and
-//! conflict row for conflict row.
+//! (over 4096 facts) exercise the group scan at scale. Random
+//! insert/delete batches with compaction must leave the patched
+//! grouping equal to a fresh build, block for block and conflict row
+//! for conflict row.
 
 mod reference;
 
