@@ -2637,15 +2637,26 @@ fn e32() -> ExpResult {
         }
     }
     for (shape, make) in shapes {
+        let cases: Vec<_> = SIZES.into_iter().map(make).collect::<Result<_, _>>()?;
+        // Each round builds every size once, so a stretch of load on a
+        // shared host slows all sizes alike instead of skewing the
+        // per-fact ratio that the gate reads.
+        let mut times = vec![Vec::with_capacity(REPS); SIZES.len()];
+        for _ in 0..REPS {
+            for ((schema, pi), t) in cases.iter().zip(&mut times) {
+                let start = Instant::now();
+                drop(std::hint::black_box(SessionArtifacts::build(schema, pi)));
+                t.push(start.elapsed().as_secs_f64() * 1e3);
+            }
+        }
         let mut first_us_per_fact = f64::NAN;
-        for facts in SIZES {
-            let (schema, pi) = make(facts)?;
-            let art = SessionArtifacts::build(&schema, &pi);
-            let oracle = ConflictGraph::new(&schema, pi.instance());
+        for ((facts, (schema, pi)), times) in SIZES.into_iter().zip(&cases).zip(times) {
+            let art = SessionArtifacts::build(schema, pi);
+            let oracle = ConflictGraph::new(schema, pi.instance());
             ensure(
                 same_graph(
                     &oracle,
-                    CheckSession::from_artifacts(&schema, &pi, &art).conflict_graph(),
+                    CheckSession::from_artifacts(schema, pi, &art).conflict_graph(),
                 ),
                 &format!("{shape}/{facts}: session graph differs from the oracle's packing"),
             )?;
@@ -2653,9 +2664,9 @@ fn e32() -> ExpResult {
             drop(oracle);
             let structure_bytes = art.structure_bytes(pi.instance());
             let csr_bytes =
-                CheckSession::from_artifacts(&schema, &pi, &art).conflict_graph().heap_bytes();
+                CheckSession::from_artifacts(schema, pi, &art).conflict_graph().heap_bytes();
             drop(art);
-            let build = e32_sample(REPS, || SessionArtifacts::build(&schema, &pi));
+            let build = quantiles(times);
             let us_per_fact = build[0] * 1e3 / facts as f64;
             if facts == SIZES[0] {
                 first_us_per_fact = us_per_fact;
